@@ -12,16 +12,20 @@ Modules:
     dsl:       the small expression language .spray files are written in.
     geometry:  sprays, metrics, and the CurvatureBundle of tensors at a
                point; spray_from_metric; covariant derivatives.
-    classify:  per-point curvature tests and the sampled ClassificationReport.
-    metrize:   decision procedures; decide() routes a spray to the sharpest
-               applicable rule and returns a Verdict.
+    classify:  per-point curvature tests and the sampled ClassificationReport,
+               which keeps its samples and per-point curvature bundles.
+    metrize:   decision procedures; route() hands a ClassificationReport to
+               the sharpest rule its flags license, and decide() is
+               classify_spray() followed by route().  A spray not of scalar
+               curvature comes back inconclusive.
     pflat:     projectively flat sprays/metrics generated from quadratic
                potential data, with structure checks.
     dim2:      Berwald frames, main scalar, and the flag-curvature ODE
                residual for two-dimensional Finsler metrics.
     corpus:    named example fixtures with machine-checked expectations.
     oracle:    finite-difference cross-check of the jet tensors.
-    sampling:  seeded, guarded drawing of base points and tangent vectors.
+    sampling:  seeded, guarded drawing of base points and tangent vectors;
+               draw() is the one guarded draw every procedure uses.
     cli:       the `spraylab` command (classify / metrize / gen-pflat /
                oracle) emitting deterministic JSON reports.
 """

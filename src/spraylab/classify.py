@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry
+from . import geometry, sampling
 from .errors import PreconditionError, RankError, SprayLabError
-from .sampling import TOL, SampleBox, SampleSet, Tolerances, sample_points
+from .sampling import TOL, SampleBox, SampleSet, Tolerances
 
 __all__ = [
     "Check",
@@ -36,8 +36,10 @@ __all__ = [
     "is_berwald",
     "is_projective_form",
     "is_weak_isotropic",
+    "projective_factor",
     "euler_residual",
     "projective_isotropy_residual",
+    "point_bundles",
     "classify_spray",
 ]
 
@@ -179,8 +181,27 @@ def is_projective_form(spray, p, order: int = 2,
     return ProjectiveFormCheck(holds=holds, residual=worst, factor=factor)
 
 
+def projective_factor(bundle):
+    """The jet of P = G . y / |y|^2, the factor of a spray G^i = P y^i,
+    read through the Euclidean pairing of the chart."""
+    n = bundle.dim
+    S = bundle.G[0].space
+    center = bundle.G[0].center
+    ys = [S.variable(n + i, center) for i in range(n)]
+    num = bundle.G[0] * ys[0]
+    den = ys[0] * ys[0]
+    for i in range(1, n):
+        num = num + bundle.G[i] * ys[i]
+        den = den + ys[i] * ys[i]
+    return num / den
+
+
 def euler_residual(bundle, S, degree: int) -> float:
-    """Defect of y^i S_.i = degree * S through all jet coefficients."""
+    """Defect of y^i S_.i = degree * S through all jet coefficients.
+
+    Only `bundle.dim` is read, so any spray, metric or bundle of the right
+    dimension serves as the first argument.
+    """
     n = bundle.dim
     acc = (-float(degree)) * S
     for i in range(n):
@@ -215,15 +236,7 @@ def projective_isotropy_residual(bundle_or_spray, p=None, order: int = 4,
         raise PreconditionError(
             "scalar decomposition fails at the point (residual "
             f"{dec.residual:.3e})")
-    S = b.G[0].space
-    center = b.G[0].center
-    ys = [S.variable(n + i, center) for i in range(n)]
-    num = b.G[0] * ys[0]
-    den = ys[0] * ys[0]
-    for i in range(1, n):
-        num = num + b.G[i] * ys[i]
-        den = den + ys[i] * ys[i]
-    P = num / den
+    P = projective_factor(b)
     P_semi = b.delta_scalar(P)
     P_cov = b.cov_h(np.array([P.dy(i) for i in range(n)], dtype=object),
                     ("d",))
@@ -312,28 +325,47 @@ _CHART_NOTE = (
 
 @dataclass(frozen=True)
 class ClassificationReport:
+    """Aggregated flags plus everything the classification computed them from.
+
+    `triples` holds one (point, CurvatureBundle, ScalarDecomposition) per
+    sample, in `samples.points()` order; the verdicts and the CLI survey read
+    them instead of drawing and building again.
+    """
+
     flags: dict
     residuals: dict
     per_point: tuple
-    count: int
     seed: int
-    bases: np.ndarray
     omega: np.ndarray | None
     notes: tuple
+    samples: SampleSet
+    triples: tuple
+
+    @property
+    def count(self) -> int:
+        return self.samples.count
+
+    @property
+    def bases(self) -> np.ndarray:
+        return self.samples.bases
+
+
+def point_bundles(spray, samples: SampleSet, order: int = 4,
+                  tol: Tolerances = TOL):
+    """Yield (point, bundle, ScalarDecomposition) for each sample in turn.
+
+    A generator, so a caller that summarizes each bundle and drops it holds
+    only one at a time; callers that revisit the points collect a tuple.
+    """
+    for pt in samples.points():
+        b = geometry.CurvatureBundle(spray, pt, order)
+        yield pt, b, decompose_scalar(b, tol=tol)
 
 
 def _closed_factor_residual(bundle) -> float:
     """Curl of sigma where P = sigma_i(x) y^i, for the Berwald+projective case."""
     n = bundle.dim
-    center = tuple(bundle._pa)
-    S = bundle.G[0].space
-    ys = [S.variable(n + i, center) for i in range(n)]
-    num = bundle.G[0] * ys[0]
-    den = ys[0] * ys[0]
-    for i in range(1, n):
-        num = num + bundle.G[i] * ys[i]
-        den = den + ys[i] * ys[i]
-    P = num / den
+    P = projective_factor(bundle)
     sig = [P.dy(i) for i in range(n)]
     worst = 0.0
     for i in range(n):
@@ -348,66 +380,61 @@ def classify_spray(spray, count: int = 64, seed: int = 7,
     """Sample the spray and classify; a flag holds iff it holds everywhere.
 
     Also enforces two cross-point theorems as engine self-checks: constant
-    curvature with Ric != 0 forces isotropy, and a Berwald spray in
-    projective form with isotropic curvature must have closed P.
+    curvature with Ric != 0 forces isotropy, and a spray that is Berwald, in
+    projective form and isotropic on the whole sample set must have closed
+    P.  The second is a statement about the spray, not about one point, so
+    it runs only once all three flags hold; a lone point that passes the
+    pointwise proportionality test does not trigger it.
     """
     n = spray.dim
-
-    def accept(pt: np.ndarray) -> bool:
-        return all(g > 1e-6 for g in spray.guard_values(pt))
-
-    samples = sample_points(n, count=count, seed=seed, box=box, accept=accept)
+    samples = sampling.draw(spray, count=count, seed=seed, box=box)
+    triples = tuple(point_bundles(spray, samples, order, tol))
+    m = samples.ys.shape[1]
 
     per_point = []
     worst = {name: 0.0 for name in FLAG_NAMES}
-    all_scalar = True
-    base_rows = []
-    base_flags = []
+    rows = np.empty((len(triples), n))
+    for i, (_, bun, dec) in enumerate(triples):
+        iso = is_isotropic(dec, bun, tol)
+        con = is_constant(dec, bun, tol)
+        ber = is_berwald(bun, tol=tol)
+        prop_holds, prop_res, _ = _proportional(bun.G_values, bun.yvals, tol)
 
-    for xb, Yd in samples.grouped():
-        rows = np.empty((Yd.shape[0], n))
-        for k in range(Yd.shape[0]):
-            pt = np.concatenate([xb, Yd[k]])
-            bun = geometry.CurvatureBundle(spray, pt, order)
-            dec = decompose_scalar(bun, tol=tol)
-            iso = is_isotropic(dec, bun, tol)
-            con = is_constant(dec, bun, tol)
-            ber = is_berwald(bun, tol=tol)
-            prop_holds, prop_res, _ = _proportional(
-                bun.G_values, bun.yvals, tol)
+        if con.holds and not tol.zero(bun.Ric_value, 1.0) and not iso.holds:
+            raise SprayLabError(
+                "constant curvature with Ric != 0 must be isotropic; "
+                "classification is inconsistent"
+            )
 
-            if con.holds and not tol.zero(bun.Ric_value, 1.0) and not iso.holds:
+        per_point.append({
+            "scalar": dec.holds,
+            "isotropic": iso.holds,
+            "constant": con.holds,
+            "berwald": ber.holds,
+            "projective_form": prop_holds,
+        })
+        worst["scalar"] = max(worst["scalar"], dec.residual)
+        worst["isotropic"] = max(worst["isotropic"], iso.residual)
+        worst["constant"] = max(worst["constant"], con.residual)
+        worst["berwald"] = max(worst["berwald"], ber.residual)
+        worst["projective_form"] = max(worst["projective_form"], prop_res)
+        if dec.holds:
+            rdot = np.array([dec.R_jet.dy(i).value for i in range(n)])
+            rows[i] = rdot - 2.0 * dec.tau
+
+    if all(pt["berwald"] and pt["projective_form"] and pt["isotropic"]
+           for pt in per_point):
+        for _, bun, dec in triples:
+            curl = _closed_factor_residual(bun)
+            if not tol.zero(curl, max(1.0, abs(dec.R))):
                 raise SprayLabError(
-                    "constant curvature with Ric != 0 must be isotropic; "
-                    "classification is inconsistent"
+                    "Berwald + projective form + isotropic requires a "
+                    f"closed projective factor; curl residual {curl:.3e}"
                 )
-            if ber.holds and prop_holds and iso.holds:
-                curl = _closed_factor_residual(bun)
-                if not tol.zero(curl, max(1.0, abs(dec.R))):
-                    raise SprayLabError(
-                        "Berwald + projective form + isotropic requires a "
-                        f"closed projective factor; curl residual {curl:.3e}"
-                    )
 
-            flags = {
-                "scalar": dec.holds,
-                "isotropic": iso.holds,
-                "constant": con.holds,
-                "berwald": ber.holds,
-                "projective_form": prop_holds,
-            }
-            per_point.append(flags)
-            worst["scalar"] = max(worst["scalar"], dec.residual)
-            worst["isotropic"] = max(worst["isotropic"], iso.residual)
-            worst["constant"] = max(worst["constant"], con.residual)
-            worst["berwald"] = max(worst["berwald"], ber.residual)
-            worst["projective_form"] = max(worst["projective_form"], prop_res)
-            all_scalar = all_scalar and dec.holds
-            if dec.holds:
-                rdot = np.array([dec.R_jet.dy(i).value for i in range(n)])
-                rows[k] = rdot - 2.0 * dec.tau
-        base_rows.append(rows)
-
+    all_scalar = all(pt["scalar"] for pt in per_point)
+    base_rows = rows.reshape(-1, m, n)
+    base_flags = []
     omega = None
     if all_scalar:
         omega = np.empty((samples.bases.shape[0], n, n))
@@ -427,7 +454,6 @@ def classify_spray(spray, count: int = 64, seed: int = 7,
         base_flags = [False] * samples.bases.shape[0]
         worst["weak_isotropic"] = float("nan")
 
-    m = samples.ys.shape[1]
     for i, flags in enumerate(per_point):
         flags["weak_isotropic"] = bool(base_flags[i // m]) if base_flags else False
 
@@ -436,9 +462,9 @@ def classify_spray(spray, count: int = 64, seed: int = 7,
         flags=agg,
         residuals=worst,
         per_point=tuple(per_point),
-        count=samples.count,
         seed=seed,
-        bases=samples.bases,
         omega=omega,
         notes=(_CHART_NOTE,),
+        samples=samples,
+        triples=triples,
     )

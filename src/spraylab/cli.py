@@ -2,8 +2,11 @@
 
 Each command reads a problem (a .spray file path or a named corpus fixture),
 samples it deterministically, and emits one JSON report plus a short human
-summary.  The JSON goes to stdout, or to --out PATH; the human lines go to
-whichever stream the JSON is not using, so scripts can always pipe the JSON.
+summary.  `classify`, `metrize` and `gen-pflat` draw their samples once, in
+the classification; the per-point survey and the verdict read that
+classification's bundles.  The JSON goes to stdout, or to --out PATH; the
+human lines go to whichever stream the JSON is not using, so scripts can
+always pipe the JSON.
 
 Identical configuration (including the seed) produces byte-identical JSON.
 The default seed is 7 and can be overridden by the SPRAYLAB_SEED environment
@@ -24,9 +27,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import classify, corpus, dsl, geometry, metrize, oracle, pflat
+from . import classify, corpus, dsl, geometry, metrize, oracle, pflat, sampling
 from .errors import ParamError, SamplingError, SprayLabError, UnknownFixture
-from .sampling import SampleBox, Tolerances, sample_points
+from .sampling import SampleBox, SampleSet, Tolerances
+# bound here as well so that perfbench's tracer, which patches every
+# spraylab module holding sample_points by name, covers this module too
+from .sampling import sample_points  # noqa: F401
 
 __all__ = [
     "RunConfig",
@@ -42,9 +48,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_SAMPLING = 2
 EXIT_FIXTURE = 3
-
-_OUT_OF_SCOPE_NOTE = ("the spray is not of scalar curvature, which puts it "
-                      "outside what these decision procedures can settle")
 
 
 @dataclass(frozen=True)
@@ -172,34 +175,22 @@ def _pick_box(cfg: RunConfig, fixture, box_flagged: bool) -> SampleBox:
     return cfg.sample_box
 
 
-def _draw(spray, cfg: RunConfig, box: SampleBox):
-    seen = accepted = 0
-
-    def accept(pt: np.ndarray) -> bool:
-        nonlocal seen, accepted
-        seen += 1
-        ok = all(g > 1e-6 for g in spray.guard_values(pt))
-        accepted += ok
-        return ok
-
-    samples = sample_points(spray.dim, count=cfg.points, seed=cfg.seed,
-                            box=box, accept=accept)
-    accounting = {
+def _accounting(cfg: RunConfig, samples: SampleSet) -> dict:
+    return {
         "requested": cfg.points,
-        "used": int(samples.points().shape[0]),
-        "candidates": seen,
-        "rejected": seen - accepted,
+        "used": samples.count,
+        "candidates": samples.candidates,
+        "rejected": samples.rejected,
     }
-    return samples, accounting
 
 
-def _survey(spray, samples, cfg: RunConfig, tol: Tolerances):
-    """Per-point bundle summaries plus the aggregated identity table."""
+def _survey(triples, tol: Tolerances):
+    """Per-point summaries of (point, bundle, decomposition) triples plus
+    the aggregated identity table.  `triples` may be a generator; each
+    bundle is summarized once and not kept."""
     rows = []
     identities: dict = {}
-    for pt in samples.points():
-        b = geometry.CurvatureBundle(spray, pt, cfg.order)
-        dec = classify.decompose_scalar(b, tol=tol)
+    for pt, b, dec in triples:
         row = {
             "point": [float(v) for v in pt],
             "G": _jsonable(b.G_values),
@@ -267,20 +258,22 @@ def _fixture_diff(fixture, cfg: RunConfig, rep, verdict) -> dict | None:
     return {"name": fixture.name, "compared": True, "diffs": diffs}
 
 
-def _route_verdict(spray, rep, cfg: RunConfig, box: SampleBox,
-                   tol: Tolerances):
-    """Pick the decision procedure the classification licenses."""
-    kw = dict(count=cfg.points, seed=cfg.seed, box=box, order=cfg.order,
-              tol=tol)
-    if rep.flags["constant"]:
-        return metrize.verdict_constant(spray, **kw)
-    if rep.flags["isotropic"]:
-        return metrize.verdict_isotropic(spray, **kw)
-    if rep.flags["scalar"]:
-        return metrize.nonmetrizable_scalar(spray, **kw)
-    return metrize.Verdict("inconclusive", "not of scalar curvature",
-                           float(rep.residuals["scalar"]),
-                           evidence={"note": _OUT_OF_SCOPE_NOTE})
+def _decision(spray, cfg: RunConfig, box: SampleBox, tol: Tolerances):
+    """Classify once, then route and survey that classification.
+
+    Returns (report, verdict, the JSON blocks the three deciding commands
+    share)."""
+    rep = classify.classify_spray(spray, count=cfg.points, seed=cfg.seed,
+                                  box=box, order=cfg.order, tol=tol)
+    verdict = metrize.route(spray, rep, tol=tol)
+    rows, identities = _survey(rep.triples, tol)
+    return rep, verdict, {
+        "sampling": _accounting(cfg, rep.samples),
+        "points": rows,
+        "classification": _classification_json(rep),
+        "verdict": _verdict_json(verdict, rep.samples),
+        "identities": identities,
+    }
 
 
 def _flag_lines(rep) -> list:
@@ -296,36 +289,21 @@ def _flag_lines(rep) -> list:
 # -- commands ----------------------------------------------------------------
 
 
-def cmd_classify(cfg: RunConfig, box_flagged: bool = False) -> Report:
+def _decide_command(command: str, headline, cfg: RunConfig,
+                    box_flagged: bool) -> Report:
+    """The body of `classify` and `metrize`: they differ only in the
+    report's "command" field and in the human lines `headline` gives."""
     problem, fixture = _resolve(cfg)
     spray = _build(problem)
-    tol = cfg.tolerances
-    box = _pick_box(cfg, fixture, box_flagged)
-
-    rep = classify.classify_spray(spray, count=cfg.points, seed=cfg.seed,
-                                  box=box, order=cfg.order, tol=tol)
-    samples, accounting = _draw(spray, cfg, box)
-    rows, identities = _survey(spray, samples, cfg, tol)
-    verdict = _route_verdict(spray, rep, cfg, box, tol)
+    rep, verdict, blocks = _decision(spray, cfg,
+                                     _pick_box(cfg, fixture, box_flagged),
+                                     cfg.tolerances)
     fdiff = _fixture_diff(fixture, cfg, rep, verdict)
-
-    data = {
-        "command": "classify",
-        "config": cfg.echo(),
-        "sampling": accounting,
-        "points": rows,
-        "classification": _classification_json(rep),
-        "verdict": _verdict_json(verdict, samples),
-        "identities": identities,
-    }
+    data = {"command": command, "config": cfg.echo(), **blocks}
     if fdiff is not None:
         data["fixture"] = fdiff
 
-    human = [f"classify {problem.name or cfg.input}: dim {spray.dim}, "
-             f"{accounting['used']} points (seed {cfg.seed}, "
-             f"{accounting['rejected']} rejected)"]
-    human += _flag_lines(rep)
-    human.append(f"  verdict          {verdict.outcome} ({verdict.rule})")
+    human = headline(problem.name or cfg.input, spray, cfg, rep, verdict)
     mism = tuple(fdiff["diffs"]) if fdiff and fdiff.get("compared") else ()
     if fdiff and fdiff.get("compared"):
         human.append(f"  fixture {fixture.name}: "
@@ -335,45 +313,31 @@ def cmd_classify(cfg: RunConfig, box_flagged: bool = False) -> Report:
     return Report(data=_jsonable(data), human=tuple(human), mismatches=mism)
 
 
-def cmd_metrize(cfg: RunConfig, box_flagged: bool = False) -> Report:
-    problem, fixture = _resolve(cfg)
-    spray = _build(problem)
-    tol = cfg.tolerances
-    box = _pick_box(cfg, fixture, box_flagged)
+def _classify_lines(name: str, spray, cfg: RunConfig, rep, verdict) -> list:
+    human = [f"classify {name}: dim {spray.dim}, {rep.samples.count} points "
+             f"(seed {cfg.seed}, {rep.samples.rejected} rejected)"]
+    human += _flag_lines(rep)
+    human.append(f"  verdict          {verdict.outcome} ({verdict.rule})")
+    return human
 
-    rep = classify.classify_spray(spray, count=cfg.points, seed=cfg.seed,
-                                  box=box, order=cfg.order, tol=tol)
-    verdict = _route_verdict(spray, rep, cfg, box, tol)
-    samples, accounting = _draw(spray, cfg, box)
-    rows, identities = _survey(spray, samples, cfg, tol)
-    fdiff = _fixture_diff(fixture, cfg, rep, verdict)
 
-    data = {
-        "command": "metrize",
-        "config": cfg.echo(),
-        "sampling": accounting,
-        "points": rows,
-        "classification": _classification_json(rep),
-        "verdict": _verdict_json(verdict, samples),
-        "identities": identities,
-    }
-    if fdiff is not None:
-        data["fixture"] = fdiff
-
-    human = [f"metrize {problem.name or cfg.input}: {verdict.outcome}",
+def _metrize_lines(name: str, spray, cfg: RunConfig, rep, verdict) -> list:
+    human = [f"metrize {name}: {verdict.outcome}",
              f"  rule: {verdict.rule}",
              f"  residual: {verdict.residual:.3e}"]
     if verdict.recovered_metric is not None:
-        pt = samples.points()[0]
+        pt = rep.samples.points()[0]
         human.append(f"  recovered L at {[round(float(x), 3) for x in pt]}: "
                      f"{verdict.recovered_metric.value(pt):.9g}")
-    mism = tuple(fdiff["diffs"]) if fdiff and fdiff.get("compared") else ()
-    if fdiff and fdiff.get("compared"):
-        human.append(f"  fixture {fixture.name}: "
-                     + ("expectations matched" if not mism
-                        else f"{len(mism)} mismatch(es)"))
-        human += [f"    {d}" for d in mism]
-    return Report(data=_jsonable(data), human=tuple(human), mismatches=mism)
+    return human
+
+
+def cmd_classify(cfg: RunConfig, box_flagged: bool = False) -> Report:
+    return _decide_command("classify", _classify_lines, cfg, box_flagged)
+
+
+def cmd_metrize(cfg: RunConfig, box_flagged: bool = False) -> Report:
+    return _decide_command("metrize", _metrize_lines, cfg, box_flagged)
 
 
 def cmd_gen_pflat(q: pflat.QuadraticData, cfg: RunConfig,
@@ -395,17 +359,12 @@ def cmd_gen_pflat(q: pflat.QuadraticData, cfg: RunConfig,
     metric = pflat.gen_metric(q)
     n = q.dim
 
-    rep = classify.classify_spray(spray, count=cfg.points, seed=cfg.seed,
-                                  box=cfg.sample_box, order=cfg.order, tol=tol)
-    samples, accounting = _draw(spray, cfg, cfg.sample_box)
-    rows, identities = _survey(spray, samples, cfg, tol)
-    verdict = _route_verdict(spray, rep, cfg, cfg.sample_box, tol)
+    rep, verdict, blocks = _decision(spray, cfg, cfg.sample_box, tol)
 
     roundtrip = None
     if adm.admissible:
         spray_match = ric_match = 0.0
-        for pt in samples.points():
-            b = geometry.CurvatureBundle(spray, pt, cfg.order)
+        for pt, b, _ in rep.triples:
             induced = geometry.spray_from_metric(metric, pt, 0)
             gv = np.array([g.value for g in induced])
             spray_match = max(spray_match,
@@ -417,7 +376,6 @@ def cmd_gen_pflat(q: pflat.QuadraticData, cfg: RunConfig,
     data = {
         "command": "gen-pflat",
         "config": cfg.echo(),
-        "sampling": accounting,
         "generated": {
             "spray_path": str(spray_path),
             "metric_path": str(metric_path),
@@ -426,10 +384,7 @@ def cmd_gen_pflat(q: pflat.QuadraticData, cfg: RunConfig,
                            "margin": float(adm.margin)},
         },
         "roundtrip": _jsonable(roundtrip),
-        "points": rows,
-        "classification": _classification_json(rep),
-        "verdict": _verdict_json(verdict, samples),
-        "identities": identities,
+        **blocks,
     }
 
     human = [f"gen-pflat: wrote {spray_path} and {metric_path}",
@@ -452,10 +407,12 @@ def cmd_oracle(cfg: RunConfig, box_flagged: bool = False) -> Report:
     tol = cfg.tolerances
     box = _pick_box(cfg, fixture, box_flagged)
 
-    samples, accounting = _draw(spray, cfg, box)
+    samples = sampling.draw(spray, count=cfg.points, seed=cfg.seed, box=box)
+    accounting = _accounting(cfg, samples)
     table = oracle.agreement_report(spray, samples.points(), h=cfg.fd_step,
                                     order=cfg.order)
-    rows, identities = _survey(spray, samples, cfg, tol)
+    rows, identities = _survey(
+        classify.point_bundles(spray, samples, cfg.order, tol), tol)
 
     data = {
         "command": "oracle",

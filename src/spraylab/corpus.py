@@ -22,7 +22,7 @@ import numpy as np
 
 from . import classify, dim2, dsl, geometry, metrize, pflat
 from .errors import PreconditionError, SprayLabError, UnknownFixture
-from .sampling import TOL, SampleBox, SampleSet, Tolerances, sample_points
+from .sampling import TOL, SampleBox, Tolerances
 
 __all__ = [
     "Fixture",
@@ -144,14 +144,6 @@ def load_fixture(name: str) -> Fixture:
             )
     raise UnknownFixture(
         f"no fixture named {name!r}; known: {', '.join(fixture_names())}")
-
-
-def _samples(spray, count: int, seed: int, box) -> SampleSet:
-    def accept(pt: np.ndarray) -> bool:
-        return all(g > 1e-6 for g in spray.guard_values(pt))
-
-    return sample_points(spray.dim, count=count, seed=seed, box=box,
-                         accept=accept)
 
 
 def _expr_eval(dim: int, expr: str):
@@ -382,7 +374,8 @@ def run_fixture(name: str, count: int | None = None, seed: int | None = None,
 
     `count`/`seed` override the record's sampling defaults; expectations are
     meant to be stable under such overrides (more points, other seeds), and
-    the suite exercises that.
+    the suite exercises that.  One draw serves the whole replay: the verdict
+    routes the classification's report and the checks run on its samples.
     """
     fx = load_fixture(name)
     count = fx.count if count is None else int(count)
@@ -398,7 +391,7 @@ def run_fixture(name: str, count: int | None = None, seed: int | None = None,
             diffs.append(f"flag {flag}: expected {want}, got {got} "
                          f"(residual {rep.residuals.get(flag, float('nan')):.3e})")
 
-    v = metrize.decide(spray, count=count, seed=seed, box=fx.box, tol=tol)
+    v = metrize.route(spray, rep, tol=tol)
     want_out = fx.verdict.get("outcome")
     if want_out and v.outcome != want_out:
         diffs.append(f"verdict outcome: expected {want_out}, got {v.outcome} "
@@ -407,7 +400,6 @@ def run_fixture(name: str, count: int | None = None, seed: int | None = None,
     if want_rule and v.rule != want_rule:
         diffs.append(f"verdict rule: expected {want_rule!r}, got {v.rule!r}")
 
-    samples = _samples(spray, count, seed, fx.box)
     check_residuals = {}
     for chk in fx.checks:
         try:
@@ -415,7 +407,7 @@ def run_fixture(name: str, count: int | None = None, seed: int | None = None,
         except KeyError:
             raise SprayLabError(
                 f"fixture {fx.name!r} uses unknown check kind {chk['kind']!r}")
-        worst, bad = handler(fx, spray, v, samples, chk, tol)
+        worst, bad = handler(fx, spray, v, rep.samples, chk, tol)
         check_residuals[chk["name"]] = worst
         diffs.extend(bad)
 

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import dsl, geometry, jets
+from . import classify, dsl, geometry, jets
 from .errors import (DegenerateMetric, NegativeMetric, ParamError,
                      PreconditionError)
 from .sampling import TOL, Tolerances
@@ -114,13 +114,6 @@ def frame(metric, p, tol: Tolerances = TOL) -> BerwaldFrame:
     )
 
 
-def _degree_defect(S, degree: int) -> float:
-    acc = (-float(degree)) * S
-    for i in range(2):
-        acc = acc + S.space.variable(2 + i, S.center) * S.dy(i)
-    return float(np.max(np.abs(acc.coeffs)))
-
-
 def angle_derivative(S, metric, p, tol: Tolerances = TOL):
     """Derivative of a degree-0 scalar jet along the indicatrix arc length.
 
@@ -128,7 +121,7 @@ def angle_derivative(S, metric, p, tol: Tolerances = TOL):
     direction); then F S_{.i} is proportional to m_i and the returned jet
     is the proportionality factor S'(theta).  Apply twice for S''(theta).
     """
-    defect = _degree_defect(S, 0)
+    defect = classify.euler_residual(metric, S, 0)
     if not tol.zero(defect, max(1.0, abs(S.value))):
         raise PreconditionError(
             f"scalar is not 0-homogeneous in y (defect {defect:.3e}); "

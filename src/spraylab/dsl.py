@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import jets
 from .errors import ArityError, DimensionError, ParamError, SpraySyntaxError
@@ -98,12 +98,6 @@ class ProblemDef:
     def var_index(self, name: str) -> int:
         group, idx = name[0], int(name[1:])
         return (idx - 1) if group == "x" else (self.dim + idx - 1)
-
-    def component(self, i: int):
-        """Callable suitable for jets.lift / fd evaluation of component i."""
-        expr = self.exprs[i]
-        d = self.dim
-        return lambda env: evaluate(expr, env, dim=d)
 
     def guard_values(self, point: Sequence[float]) -> list[float]:
         return [evaluate(g, list(point), dim=self.dim) for g in self.guards]

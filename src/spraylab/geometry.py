@@ -7,7 +7,7 @@ the spray coefficients and cached.  Conventions:
   G^i            spray coefficients, positively 2-homogeneous in y
   N^i_j          nonlinear connection, the y-gradient of G^i
   Gamma^i_jk     Berwald connection coefficients, second y-gradient
-  B^i_hjk        Berwald curvature, third y-gradient
+  B^i_hjk        Berwald curvature, third y-gradient (kept as values only)
   R^i_k          Riemann curvature of the spray:
                  2 d_k G^i - y^j d_j dot_k G^i + 2 G^j dot_j dot_k G^i
                  - (dot_j G^i)(dot_k G^j)
@@ -323,13 +323,6 @@ class CurvatureBundle:
         return [[[Nij.dy(k) for k in range(self.dim)] for Nij in row] for row in self.N]
 
     @cached_property
-    def B(self) -> list:
-        return [
-            [[[Gijk.dy(l) for l in range(self.dim)] for Gijk in row] for row in mat]
-            for mat in self.Gamma
-        ]
-
-    @cached_property
     def R(self) -> list:
         n = self.dim
         ys = _var_jets(n, self._pa, self.order)[n:]
@@ -463,7 +456,13 @@ class CurvatureBundle:
 
     @cached_property
     def B_values(self) -> np.ndarray:
-        return self._values(self.B)
+        # the Berwald tensor is read only through its values, so its n^4
+        # jets are not kept: bundles stay small while a report holds them
+        n = self.dim
+        return self._values([
+            [[[Gijk.dy(l) for l in range(n)] for Gijk in row] for row in mat]
+            for mat in self.Gamma
+        ])
 
     @cached_property
     def R_values(self) -> np.ndarray:
@@ -691,16 +690,6 @@ def _as_bundle(bundle_or_spray, p, order: int) -> CurvatureBundle:
     if p is None:
         raise PreconditionError("a point is required when passing a spray")
     return CurvatureBundle(bundle_or_spray, p, order)
-
-
-def riemann(spray, p=None, order: int = 4):
-    b = _as_bundle(spray, p, order)
-    return b.R_values, b.Ric_value
-
-
-def berwald(spray, p=None, order: int = 4):
-    b = _as_bundle(spray, p, order)
-    return b.N_values, b.Gamma_values, b.B_values
 
 
 def chi(spray, p=None, order: int = 4, check: bool = True, tol: Tolerances = TOL):

@@ -4,8 +4,11 @@ Four entry points, one per decision route: `verdict_isotropic` for isotropic
 sprays (the R / omega cascade), `verdict_constant` for constant curvature
 (the Ric test), `nonmetrizable_scalar` for scalar sprays (purely negative
 rules plus an honest inconclusive), and `projective_shift` for the shifted
-family along a constant-flag-curvature metric.  `decide` routes a spray to
-the sharpest applicable procedure.
+family along a constant-flag-curvature metric.  `route` sends a
+ClassificationReport to the sharpest procedure its flags license, and the
+procedure reads the report's samples and bundles; `decide` is
+`classify_spray` followed by `route`.  A spray that is not of scalar
+curvature is out of scope for every rule and comes back inconclusive.
 
 Every verdict is evidence-backed: the rule string names the decisive test,
 `residual` is the worst number behind it, and metrizable-with-metric
@@ -23,9 +26,9 @@ from typing import Callable
 
 import numpy as np
 
-from . import classify, geometry, jets
+from . import classify, geometry, jets, sampling
 from .errors import PathError, PreconditionError, SprayLabError
-from .sampling import TOL, SampleBox, SampleSet, Tolerances, sample_points
+from .sampling import TOL, SampleBox, SampleSet, Tolerances
 
 __all__ = [
     "Verdict",
@@ -39,6 +42,7 @@ __all__ = [
     "verdict_constant",
     "nonmetrizable_scalar",
     "projective_shift",
+    "route",
     "decide",
 ]
 
@@ -71,13 +75,6 @@ class FinslerCheck:
     rank_ratio: float
 
 
-def _euler_defect(S, n: int, degree: int) -> float:
-    acc = (-float(degree)) * S
-    for i in range(n):
-        acc = acc + S.space.variable(n + i, S.center) * S.dy(i)
-    return float(np.max(np.abs(acc.coeffs)))
-
-
 def finsler_check(field_obj, samples: SampleSet,
                   tol: Tolerances = TOL) -> FinslerCheck:
     """Is the scalar field a (pseudo-)Finsler function on the samples?
@@ -93,7 +90,7 @@ def finsler_check(field_obj, samples: SampleSet,
     holds = True
     for pt in samples.points():
         S = field_obj.jet(pt, 2)
-        e = _euler_defect(S, n, 2)
+        e = classify.euler_residual(field_obj, S, 2)
         worst_euler = max(worst_euler, e)
         H = np.array([[0.5 * S.dy(i).dy(j).value for j in range(n)]
                       for i in range(n)])
@@ -259,12 +256,8 @@ class ScaledCurvatureMetric:
 # -- shared plumbing -----------------------------------------------------------
 
 
-def _draw(spray, count: int, seed: int, box: SampleBox | None) -> SampleSet:
-    def accept(pt: np.ndarray) -> bool:
-        return all(g > 1e-6 for g in spray.guard_values(pt))
-
-    return sample_points(spray.dim, count=count, seed=seed, box=box,
-                         accept=accept)
+_OUT_OF_SCOPE_NOTE = ("the spray is not of scalar curvature, which puts it "
+                      "outside what these decision procedures can settle")
 
 
 def _zero_note(samples: SampleSet) -> str:
@@ -272,13 +265,19 @@ def _zero_note(samples: SampleSet) -> str:
             "pointwise evaluation cannot certify identical vanishing")
 
 
-def _bundles(spray, samples: SampleSet, order: int, tol: Tolerances):
-    pts = samples.points()
-    out = []
-    for pt in pts:
-        b = geometry.CurvatureBundle(spray, pt, order)
-        out.append((pt, b, classify.decompose_scalar(b, tol=tol)))
-    return out
+def _classified(spray, report, count: int, seed: int, box: SampleBox | None,
+                order: int, tol: Tolerances):
+    """The samples and (point, bundle, decomposition) triples a verdict reads:
+    the report's when one is given, else those of a fresh draw.  Sampling
+    arguments next to a report would be silently overridden by it, so they
+    must stay at their defaults."""
+    if report is not None:
+        if (count, seed, box, order) != (64, 7, None, 4):
+            raise TypeError("a verdict reads either a report or its own "
+                            "draw; pass sampling arguments without a report")
+        return report.samples, report.triples
+    samples = sampling.draw(spray, count=count, seed=seed, box=box)
+    return samples, tuple(classify.point_bundles(spray, samples, order, tol))
 
 
 def _certify(spray, L, samples: SampleSet, triples, tol: Tolerances):
@@ -321,7 +320,8 @@ def _finsler_failure(fc: FinslerCheck, tol: Tolerances) -> float:
 def verdict_isotropic(spray, count: int = 64, seed: int = 7,
                       box: SampleBox | None = None, order: int = 4,
                       tol: Tolerances = TOL, x0=None,
-                      samples: SampleSet | None = None) -> Verdict:
+                      report: classify.ClassificationReport | None = None
+                      ) -> Verdict:
     """Decide metrizability of an isotropic spray.
 
     Cascade: R vanishing -> locally metrizable (existence only); R not a
@@ -329,11 +329,11 @@ def verdict_isotropic(spray, count: int = 64, seed: int = 7,
     must be y-independent and closed, and then either vanishes (L = R) or,
     in dimension 2 only, integrates to a scale lambda with L = R/lambda.
     `x0` anchors the lambda quadrature (defaults to the chart origin).
+    With `report`, its samples and bundles are used, and count, seed, box
+    and order must be left at their defaults.
     """
     n = spray.dim
-    if samples is None:
-        samples = _draw(spray, count, seed, box)
-    triples = _bundles(spray, samples, order, tol)
+    samples, triples = _classified(spray, report, count, seed, box, order, tol)
     for _, b, dec in triples:
         iso = classify.is_isotropic(dec, b, tol)
         if not iso.holds:
@@ -386,11 +386,11 @@ def verdict_isotropic(spray, count: int = 64, seed: int = 7,
         return Verdict("not_metrizable", "omega not closed", curl,
                        bases=samples.bases, evidence={"omega_curl": curl})
 
-    report = np.empty((samples.bases.shape[0], n))
+    base_omega = np.empty((samples.bases.shape[0], n))
     for bidx in range(samples.bases.shape[0]):
         blk = om_vals[bidx * m:(bidx + 1) * m]
         blk = blk[~np.isnan(blk).any(axis=1)]
-        report[bidx] = blk.mean(axis=0) if blk.shape[0] else np.nan
+        base_omega[bidx] = blk.mean(axis=0) if blk.shape[0] else np.nan
 
     max_om = float(np.nanmax(np.abs(om_vals)))
     if tol.zero(max_om, 1.0):
@@ -401,14 +401,14 @@ def verdict_isotropic(spray, count: int = 64, seed: int = 7,
                            "recovered metric failed re-verification", worst,
                            bases=samples.bases, evidence=ev)
         return Verdict("metrizable_with_metric", "omega vanishes; L = R",
-                       worst, recovered_metric=L, omega=report,
+                       worst, recovered_metric=L, omega=base_omega,
                        bases=samples.bases, evidence=ev)
 
     if n >= 3:
         # a nonzero closed omega cannot be integrated into a metric above
         # dimension 2; the branch is terminal
         return Verdict("not_metrizable", "nonzero omega needs dimension 2",
-                       max_om, bases=samples.bases, omega=report,
+                       max_om, bases=samples.bases, omega=base_omega,
                        evidence={"max_omega": max_om})
 
     y_ref = samples.ys[0, 0].copy()
@@ -423,12 +423,9 @@ def verdict_isotropic(spray, count: int = 64, seed: int = 7,
                 "is undefined there")
         return np.array([d.value for d in b.delta_scalar(Rj)]) / Rj.value
 
-    def path_ok(x: np.ndarray) -> bool:
-        pt = np.concatenate([x, y_ref])
-        return all(g > 1e-6 for g in spray.guard_values(pt))
-
     anchor = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
-    lam = recover_lambda(omega_at, anchor, accept=path_ok)
+    lam = recover_lambda(omega_at, anchor, accept=lambda x: (
+        sampling.guards_hold(spray, np.concatenate([x, y_ref]))))
     L = ScaledCurvatureMetric(spray, lam)
     ok, ev, worst = _certify(spray, L, samples, triples, tol)
     ev["lambda"] = lam
@@ -437,23 +434,23 @@ def verdict_isotropic(spray, count: int = 64, seed: int = 7,
                        "recovered metric failed re-verification", worst,
                        bases=samples.bases, evidence=ev)
     return Verdict("metrizable_with_metric", "omega exact; L = R/lambda",
-                   worst, recovered_metric=L, omega=report,
+                   worst, recovered_metric=L, omega=base_omega,
                    bases=samples.bases, evidence=ev)
 
 
 def verdict_constant(spray, count: int = 64, seed: int = 7,
                      box: SampleBox | None = None, order: int = 4,
                      tol: Tolerances = TOL,
-                     samples: SampleSet | None = None) -> Verdict:
+                     report: classify.ClassificationReport | None = None
+                     ) -> Verdict:
     """Decide metrizability of a constant-curvature spray.
 
     Ric vanishing -> locally metrizable (existence only); otherwise
     metrizable exactly when Ric/(n-1) is itself a Finsler function, and
-    that quotient is the recovered metric.
+    that quotient is the recovered metric.  `report` as for
+    `verdict_isotropic`.
     """
-    if samples is None:
-        samples = _draw(spray, count, seed, box)
-    triples = _bundles(spray, samples, order, tol)
+    samples, triples = _classified(spray, report, count, seed, box, order, tol)
     for _, b, dec in triples:
         con = classify.is_constant(dec, b, tol)
         if not con.holds:
@@ -487,19 +484,19 @@ def verdict_constant(spray, count: int = 64, seed: int = 7,
 def nonmetrizable_scalar(spray, count: int = 64, seed: int = 7,
                          box: SampleBox | None = None, order: int = 4,
                          tol: Tolerances = TOL,
-                         samples: SampleSet | None = None) -> Verdict:
+                         report: classify.ClassificationReport | None = None
+                         ) -> Verdict:
     """Negative tests for scalar-curvature sprays.
 
     Two rules fire not_metrizable: R = 0 with tau != 0, and (for R != 0)
     a quotient tau/R that fails horizontal covariant constancy or vertical
     symmetry.  Everything else is inconclusive: the rules are sufficient
     for non-metrizability, never for the converse, and the remaining gap
-    is a genuinely open problem this engine does not guess at.
+    is a genuinely open problem this engine does not guess at.  `report`
+    as for `verdict_isotropic`.
     """
     n = spray.dim
-    if samples is None:
-        samples = _draw(spray, count, seed, box)
-    triples = _bundles(spray, samples, order, tol)
+    samples, triples = _classified(spray, report, count, seed, box, order, tol)
     for _, _, dec in triples:
         if not dec.holds:
             raise PreconditionError(
@@ -560,7 +557,7 @@ def projective_shift(metric, c: float, count: int = 64, seed: int = 7,
     """
     if metric.dim < 2:
         raise PreconditionError("projective shift needs dimension >= 2")
-    samples = _draw(metric, count, seed, box)
+    samples = sampling.draw(metric, count=count, seed=seed, box=box)
     for pt in samples.points():
         if metric.value(pt) <= 0.0:
             raise PreconditionError(
@@ -575,7 +572,7 @@ def projective_shift(metric, c: float, count: int = 64, seed: int = 7,
 
     base = geometry.MetricSpray(metric)
     lam_vals = []
-    for pt, b, dec in _bundles(base, samples, order, tol):
+    for pt, b, dec in classify.point_bundles(base, samples, order, tol):
         if not dec.holds:
             raise PreconditionError(
                 "the metric's spray is not of scalar curvature; projective "
@@ -590,7 +587,7 @@ def projective_shift(metric, c: float, count: int = 64, seed: int = 7,
 
     shifted = geometry.ShiftedSpray(base, metric, c)
     shift_worst = 0.0
-    for pt, b, dec in _bundles(shifted, samples, order, tol):
+    for pt, b, dec in classify.point_bundles(shifted, samples, order, tol):
         iso = classify.is_isotropic(dec, b, tol)
         if not iso.holds:
             raise SprayLabError(
@@ -620,32 +617,30 @@ def projective_shift(metric, c: float, count: int = 64, seed: int = 7,
     return shifted, v
 
 
-def decide(spray, count: int = 64, seed: int = 7,
-           box: SampleBox | None = None, order: int = 4,
-           tol: Tolerances = TOL, x0=None) -> Verdict:
-    """Route a spray to the sharpest applicable decision procedure.
+def route(spray, report: classify.ClassificationReport,
+          tol: Tolerances = TOL, x0=None) -> Verdict:
+    """Run the sharpest decision procedure the report's flags license.
 
     Constant curvature beats isotropic beats bare scalar; a spray that is
     not of scalar curvature is out of scope for every rule here and comes
-    back inconclusive.
+    back inconclusive.  The procedure reads the report's samples and
+    bundles, so nothing is drawn or built twice.
     """
-    samples = _draw(spray, count, seed, box)
-    triples = _bundles(spray, samples, order, tol)
-    worst_split = max(dec.residual for _, _, dec in triples)
-    if not all(dec.holds for _, _, dec in triples):
-        return Verdict("inconclusive", "not of scalar curvature", worst_split,
-                       bases=samples.bases,
-                       evidence={"split_residual": worst_split})
-    all_iso = True
-    all_con = True
-    for _, b, dec in triples:
-        if all_iso and not classify.is_isotropic(dec, b, tol).holds:
-            all_iso = False
-        if all_con and not classify.is_constant(dec, b, tol).holds:
-            all_con = False
-    if all_con:
-        return verdict_constant(spray, order=order, tol=tol, samples=samples)
-    if all_iso:
-        return verdict_isotropic(spray, order=order, tol=tol, x0=x0,
-                                 samples=samples)
-    return nonmetrizable_scalar(spray, order=order, tol=tol, samples=samples)
+    if report.flags["constant"]:
+        return verdict_constant(spray, tol=tol, report=report)
+    if report.flags["isotropic"]:
+        return verdict_isotropic(spray, tol=tol, x0=x0, report=report)
+    if report.flags["scalar"]:
+        return nonmetrizable_scalar(spray, tol=tol, report=report)
+    return Verdict("inconclusive", "not of scalar curvature",
+                   float(report.residuals["scalar"]), bases=report.bases,
+                   evidence={"note": _OUT_OF_SCOPE_NOTE})
+
+
+def decide(spray, count: int = 64, seed: int = 7,
+           box: SampleBox | None = None, order: int = 4,
+           tol: Tolerances = TOL, x0=None) -> Verdict:
+    """Classify the spray on one sample draw, then `route` the report."""
+    report = classify.classify_spray(spray, count=count, seed=seed, box=box,
+                                     order=order, tol=tol)
+    return route(spray, report, tol=tol, x0=x0)

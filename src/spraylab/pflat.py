@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import classify, dsl, geometry, metrize
+from . import classify, dsl, geometry, metrize, sampling
 from .errors import ParamError, PreconditionError
-from .sampling import TOL, SampleBox, SampleSet, Tolerances, sample_points
+from .sampling import TOL, SampleBox, SampleSet, Tolerances
 
 __all__ = [
     "QuadraticData",
@@ -190,12 +190,7 @@ def admissible(q: QuadraticData, count: int = 32, seed: int = 7,
         ok = not tol.zero(margin, max(1.0, abs(4.0 * q.C), abs(quad)))
         return Admissibility(admissible=ok, mode="exact", margin=margin)
     m = gen_metric(q)
-
-    def accept(pt: np.ndarray) -> bool:
-        return all(g > 1e-6 for g in m.guard_values(pt))
-
-    samples = sample_points(q.dim, count=count, seed=seed, box=box,
-                            accept=accept)
+    samples = sampling.draw(m, count=count, seed=seed, box=box)
     fc = metrize.finsler_check(m, samples, tol)
     return Admissibility(admissible=fc.holds, mode="empirical",
                          margin=fc.rank_ratio)
@@ -218,22 +213,10 @@ def quadratic_structure_check(spray, samples: SampleSet | None = None,
     """
     n = spray.dim
     if samples is None:
-        def accept(pt: np.ndarray) -> bool:
-            return all(g > 1e-6 for g in spray.guard_values(pt))
-
-        samples = sample_points(n, count=count, seed=seed, box=box,
-                                accept=accept)
+        samples = sampling.draw(spray, count=count, seed=seed, box=box)
 
     def factor_jets(b: geometry.CurvatureBundle):
-        S = b.G[0].space
-        center = b.G[0].center
-        ys = [S.variable(n + i, center) for i in range(n)]
-        num = b.G[0] * ys[0]
-        den = ys[0] * ys[0]
-        for i in range(1, n):
-            num = num + b.G[i] * ys[i]
-            den = den + ys[i] * ys[i]
-        P = num / den
+        P = classify.projective_factor(b)
         return [P.dy(i) for i in range(n)]
 
     brackets = []
@@ -287,12 +270,9 @@ def quadratic_structure_check(spray, samples: SampleSet | None = None,
         b = geometry.CurvatureBundle(spray, np.concatenate([x, y_ref]), 2)
         return np.array([s.value for s in factor_jets(b)])
 
-    def path_ok(x: np.ndarray) -> bool:
-        return all(g > 1e-6
-                   for g in spray.guard_values(np.concatenate([x, y_ref])))
-
     anchor = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
-    lam = metrize.LambdaField(sigma_at, anchor, accept=path_ok)
+    lam = metrize.LambdaField(sigma_at, anchor, accept=lambda x: (
+        sampling.guards_hold(spray, np.concatenate([x, y_ref]))))
     for pt, br in brackets:
         u_val = lam(pt[:n]) ** -2.0
         u_scale = max(u_scale, u_val)

@@ -9,7 +9,9 @@ Rejection is caller-driven: an `accept` callback sees each candidate point
 (x followed by y, one flat vector) and can veto it, typically because a guard
 expression is nonpositive or a jet probe raised DomainError.  The attempt
 budget is 10x the number of accepted draws needed; running out raises
-SamplingError rather than silently thinning the sample.
+SamplingError rather than silently thinning the sample.  `draw` is the one
+guarded draw every procedure uses: it accepts exactly the points where all of
+a field's guards clear GUARD_MARGIN.
 """
 
 from __future__ import annotations
@@ -25,6 +27,11 @@ from .errors import SamplingError
 # spray here is positively 2-homogeneous, so near the zero section values
 # vanish quadratically and residual scales become meaningless.
 Y_FLOOR = 1e-2
+
+# a guard must exceed this margin, not merely be positive, so that no sample
+# sits on the boundary of the admissible region, where guarded expressions
+# (square-root arguments, denominators) vanish
+GUARD_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -61,11 +68,20 @@ class SampleBox:
 
 
 class SampleSet:
-    """Accepted sample points, grouped as bases x tangents."""
+    """Accepted sample points, grouped as bases x tangents.
 
-    def __init__(self, bases: np.ndarray, ys: np.ndarray):
+    `candidates` counts the draws that cleared Y_FLOOR and reached `accept`,
+    `rejected` those `accept` vetoed.  Tangents accepted for a base that was
+    later given up count as neither used nor rejected, so candidates minus
+    rejected can exceed `count`.
+    """
+
+    def __init__(self, bases: np.ndarray, ys: np.ndarray,
+                 candidates: int = 0, rejected: int = 0):
         self.bases = bases  # (nb, n)
         self.ys = ys  # (nb, m, n)
+        self.candidates = candidates
+        self.rejected = rejected
 
     @property
     def count(self) -> int:
@@ -102,15 +118,21 @@ def sample_points(
     nb = -(-count // m)
     budget = 10 * (nb + nb * m)
 
+    candidates = rejected = 0
+
     def ok(pt: np.ndarray) -> bool:
+        nonlocal candidates, rejected
         if np.max(np.abs(pt[dim:])) < Y_FLOOR:
             return False
-        if accept is not None:
-            try:
-                return bool(accept(pt))
-            except Exception:
-                return False
-        return True
+        candidates += 1
+        if accept is None:
+            return True
+        try:
+            good = bool(accept(pt))
+        except Exception:
+            good = False
+        rejected += not good
+        return good
 
     bases = np.empty((nb, dim))
     ys = np.empty((nb, m, dim))
@@ -139,4 +161,16 @@ def sample_points(
             bases[b] = x
             ys[b] = group
             b += 1
-    return SampleSet(bases, ys)
+    return SampleSet(bases, ys, candidates, rejected)
+
+
+def guards_hold(field, pt: np.ndarray) -> bool:
+    """Every guard of `field` (a spray or metric) exceeds GUARD_MARGIN at pt."""
+    return all(g > GUARD_MARGIN for g in field.guard_values(pt))
+
+
+def draw(field, count: int = 64, seed: int = 7,
+         box: SampleBox | None = None) -> SampleSet:
+    """Sample the admissible region of `field`: the points its guards allow."""
+    return sample_points(field.dim, count=count, seed=seed, box=box,
+                         accept=lambda pt: guards_hold(field, pt))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from spraylab import classify, dsl, geometry, sampling
-from spraylab.errors import PreconditionError, RankError
+from spraylab.errors import PreconditionError, RankError, SprayLabError
 
 FLAT = """
 dim 2
@@ -377,6 +377,22 @@ def test_report_closed_factor_self_check() -> None:
     assert rep.flags["projective_form"]
     assert rep.flags["isotropic"]
     assert rep.flags["constant"]
+
+
+def test_report_closed_factor_self_check_fires(monkeypatch) -> None:
+    # P = x2*y1 is not closed (curl 1), so this Berwald spray in projective
+    # form is not isotropic.  An isotropy test that wrongly passed it must
+    # trip the closed-factor cross-check instead of yielding a report.
+    sp = spray_of("""
+    dim 2
+    spray G1 = x2*y1*y1
+    spray G2 = x2*y1*y2
+    """)
+    monkeypatch.setattr(classify, "is_isotropic",
+                        lambda dec, bundle, tol=sampling.TOL:
+                        classify.Check(holds=True, residual=0.0))
+    with pytest.raises(SprayLabError, match="closed projective factor"):
+        classify.classify_spray(sp, count=8, seed=7)
 
 
 def test_report_nonscalar() -> None:

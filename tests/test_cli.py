@@ -58,6 +58,29 @@ def test_sampling_accounting_counts_rejections(tmp_path):
     assert data["verdict"]["rule"] == "omega y-dependent"
 
 
+@pytest.mark.parametrize("command,name,points", [("classify", "flat", 64),
+                                                  ("metrize", "nonscalar3", 66)])
+def test_one_draw_and_one_bundle_per_point(command, name, points, tmp_path,
+                                           tally):
+    # classification, survey and verdict share the classification's draw
+    # and its bundles
+    code, data = run([command, name], tmp_path)
+    assert code == 0 and data["sampling"]["used"] == points
+    assert tally["draws"] == 1
+    assert len(tally["bundles"]) == points
+    assert set(tally["bundles"].values()) == {1}
+
+
+def test_ex7_5_seed_4_classifies(tmp_path):
+    # one sample there has a tangent so short that G and y pass the
+    # pointwise proportionality test, while the spray as a whole is not in
+    # projective form; the closed-factor self-check must not fire
+    code, data = run(["classify", "ex7.5", "--seed", "4"], tmp_path)
+    assert code == 0
+    assert data["classification"]["projective_form"]["value"] is False
+    assert data["fixture"]["diffs"] == []
+
+
 def test_json_is_byte_identical_across_runs(tmp_path):
     args = ["classify", "ex7.4", "--points", "6"]
     code1, _ = run(args, tmp_path, "a.json")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from spraylab import corpus, geometry, metrize
+from spraylab import corpus, geometry, metrize, sampling
 from spraylab.errors import PreconditionError, UnknownFixture
 
 ALL_NAMES = corpus.fixture_names()
@@ -79,6 +79,19 @@ def test_more_points_do_not_flip_expectations() -> None:
     assert rep.passed, "\n".join(rep.lines())
 
 
+def test_replay_draws_once(tally) -> None:
+    # the verdict routes the classification's report and every check runs
+    # on its samples
+    assert corpus.run_fixture("ex7.2").passed
+    assert tally["draws"] == 1
+
+
+def test_ex7_5_seed_4_replays_clean() -> None:
+    rep = corpus.run_fixture("ex7.5", seed=4)
+    assert rep.passed, rep.diffs
+    assert not rep.flags["projective_form"]
+
+
 def test_summary_shape() -> None:
     rep = corpus.run_fixture("ex7.2")
     assert rep.summary().startswith("pass: ")
@@ -97,7 +110,7 @@ def test_checks_catch_wrong_expectations() -> None:
     """The diff machinery must actually fire, not vacuously pass."""
     fx = corpus.load_fixture("ex7.2")
     spray = fx.build()
-    samples = corpus._samples(spray, 8, 7, fx.box)
+    samples = sampling.draw(spray, 8, 7, fx.box)
     chk = {"name": "bogus", "kind": "scalar_expr", "field": "R",
            "expr": "y1^2", "atol": 1e-8}
     worst, bad = corpus._chk_scalar_expr(fx, spray, None, samples, chk,
@@ -109,7 +122,7 @@ def test_checks_catch_wrong_expectations() -> None:
 def test_recovered_check_reports_missing_metric() -> None:
     fx = corpus.load_fixture("ex7.2")
     spray = fx.build()
-    samples = corpus._samples(spray, 8, 7, fx.box)
+    samples = sampling.draw(spray, 8, 7, fx.box)
     verdict = metrize.decide(spray, count=8, seed=7)
     chk = {"name": "ghost", "kind": "recovered_expr", "expr": "y1^2"}
     worst, bad = corpus._chk_recovered_expr(fx, spray, verdict, samples, chk,

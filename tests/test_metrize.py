@@ -372,6 +372,14 @@ def test_eq3_spray_values() -> None:
     assert metric_of(EQ3).value(PE) == pytest.approx(1.0043431002112733, abs=1e-12)
 
 
+def test_verdict_rejects_report_with_sampling_arguments() -> None:
+    sp = spray_of(FLAT)
+    rep = classify.classify_spray(sp, count=8)
+    assert metrize.verdict_constant(sp, report=rep).outcome == "metrizable_locally"
+    with pytest.raises(TypeError):
+        metrize.verdict_constant(sp, count=8, report=rep)
+
+
 def test_verdict_constant_flat() -> None:
     v = metrize.verdict_constant(spray_of(FLAT), count=8)
     assert v.outcome == "metrizable_locally"

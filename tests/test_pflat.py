@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from spraylab import classify, dsl, geometry, metrize, pflat
+from spraylab import classify, dsl, geometry, metrize, pflat, sampling
 from spraylab.errors import ParamError, PreconditionError
 from spraylab.sampling import SampleBox
 
@@ -116,7 +116,7 @@ def test_indefinite_metric_passes_finsler_check() -> None:
     pts = np.array([[0.1, -0.2, 0.8, 0.3], [0.0, 0.0, 0.2, 0.9]])
     vals = [m.value(p) for p in pts]
     assert vals[0] * vals[1] < 0.0  # genuinely indefinite
-    samples = metrize._draw(m, 8, 5, SampleBox(-0.5, 0.5, -1.0, 1.0))
+    samples = sampling.draw(m, 8, 5, SampleBox(-0.5, 0.5, -1.0, 1.0))
     fc = metrize.finsler_check(m, samples)
     assert fc.holds
 
@@ -153,7 +153,7 @@ def test_linear_family_factor_identity() -> None:
 def test_round_trip_mixed_instance() -> None:
     sp = pflat.gen_spray(Q_MIX)
     m = pflat.gen_metric(Q_MIX)
-    samples = metrize._draw(sp, 6, 11, None)
+    samples = sampling.draw(sp, 6, 11, None)
     for pt in samples.points():
         b = geometry.CurvatureBundle(sp, pt)
         G_ind = geometry.spray_from_metric(m, pt, 0)
@@ -175,7 +175,7 @@ def test_round_trip_decide() -> None:
     v = metrize.decide(sp, count=8, seed=3)
     assert v.outcome == "metrizable_with_metric"
     assert v.rule == "L = Ric/(n-1)"
-    for pt in metrize._draw(sp, 4, 19, None).points():
+    for pt in sampling.draw(sp, 4, 19, None).points():
         assert v.recovered_metric.value(pt) == pytest.approx(m.value(pt),
                                                              rel=1e-8)
 

@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from spraylab import dsl
-from spraylab.errors import SamplingError
-from spraylab.sampling import TOL, SampleBox, Tolerances, sample_points
+from spraylab import dsl, geometry
+from spraylab.errors import DomainError, SamplingError
+from spraylab.sampling import TOL, SampleBox, Tolerances, draw, sample_points
 
 GUARDED = """
 dim 2
@@ -58,6 +58,40 @@ def test_guard_rejection_keeps_only_admissible_points() -> None:
     for pt in s.points():
         y1, y2 = pt[2], pt[3]
         assert y1 * y1 + y2 * y2 > 0.25
+
+
+def test_candidates_minus_rejections_is_points_used() -> None:
+    pd = dsl.parse(GUARDED)
+    calls = 0
+
+    def admissible(pt: np.ndarray) -> bool:
+        nonlocal calls
+        calls += 1
+        return all(g > 1e-6 for g in pd.guard_values(pt))
+
+    s = sample_points(2, count=64, seed=7, accept=admissible)
+    assert s.candidates == calls
+    assert s.rejected > 0
+    assert s.candidates - s.rejected == s.count == len(s.points())
+
+
+def test_draw_keeps_points_where_every_guard_clears_the_margin() -> None:
+    spray = geometry.ExprSpray(dsl.parse(GUARDED))
+    s = draw(spray, count=32, seed=5)
+    assert s.count == 32 and s.rejected > 0
+    for pt in s.points():
+        assert pt[2] ** 2 + pt[3] ** 2 - 0.25 > 1e-6
+
+
+def test_accept_domain_error_rejects_the_point() -> None:
+    def off_domain(pt: np.ndarray) -> bool:
+        if pt[2] < 0.0:
+            raise DomainError("sqrt of a negative value part")
+        return True
+
+    s = sample_points(2, count=16, seed=7, accept=off_domain)
+    assert s.rejected > 0
+    assert np.all(s.points()[:, 2] >= 0.0)
 
 
 def test_exhaustion_raises_sampling_error() -> None:
