@@ -128,15 +128,14 @@ def is_constant(dec: ScalarDecomposition, bundle,
                 tol: Tolerances = TOL) -> ConstantCheck:
     """tau_{i;k} = 0; equivalently Ric_{;i} = 0 when Ric != 0."""
     tau_cov = bundle.cov_h(np.array(dec.tau_jets, dtype=object), ("d",))
-    residual = float(np.max(np.abs(geometry.CurvatureBundle._values(tau_cov))))
+    residual = float(np.max(np.abs(tau_cov)))
     scale = max(1.0, float(np.max(np.abs(dec.tau))))
     holds = dec.holds and tol.zero(residual, scale)
 
     ric_residual = None
     ric = bundle.Ric_value
     if not tol.zero(ric, max(1.0, abs(ric))):
-        dr = bundle.delta_scalar(bundle.Ric)
-        ric_residual = float(np.max(np.abs([d.value for d in dr])))
+        ric_residual = float(np.max(np.abs(bundle.cov_h(bundle.Ric, ()))))
         if holds and not tol.zero(ric_residual, 1e3 * max(1.0, abs(ric))):
             raise SprayLabError(
                 "tau_{i;k} vanishes but Ric_{;i} does not; the two "
@@ -237,14 +236,14 @@ def projective_isotropy_residual(bundle_or_spray, p=None, order: int = 4,
             "scalar decomposition fails at the point (residual "
             f"{dec.residual:.3e})")
     P = projective_factor(b)
-    P_semi = b.delta_scalar(P)
+    P_semi = b.cov_h(P, ())
     P_cov = b.cov_h(np.array([P.dy(i) for i in range(n)], dtype=object),
                     ("d",))
     out = 0.0
     for i in range(n):
         lhs = dec.R_jet.dy(i).value - 2.0 * dec.tau_jets[i].value
-        contracted = sum(b.yvals[j] * P_cov[i][j].value for j in range(n))
-        out = max(out, abs(lhs - 3.0 * (P_semi[i].value - contracted)))
+        contracted = sum(b.yvals[j] * P_cov[i, j] for j in range(n))
+        out = max(out, abs(lhs - 3.0 * (P_semi[i] - contracted)))
     return float(out)
 
 

@@ -49,6 +49,11 @@ EXIT_CONFIG = 1
 EXIT_SAMPLING = 2
 EXIT_FIXTURE = 3
 
+# The smallest jet order every command can run at: the identity survey takes
+# the horizontal derivative of V_k = R^m_{km}, whose jets sit three orders
+# below those of the spray coefficients, and a derivative needs order >= 1.
+MIN_ORDER = 4
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -68,8 +73,11 @@ class RunConfig:
     def __post_init__(self):
         if self.points < 1:
             raise ParamError(f"points must be >= 1, got {self.points}")
-        if self.order < 2:
-            raise ParamError(f"order must be >= 2, got {self.order}")
+        if self.order < MIN_ORDER:
+            raise ParamError(
+                f"order must be >= {MIN_ORDER}, got {self.order}: the "
+                "identity survey differentiates the curvature 3-tensor, whose "
+                f"jets sit three orders below the spray's")
         for name in ("tol_abs", "tol_rel", "fd_step"):
             if getattr(self, name) <= 0.0:
                 raise ParamError(f"{name} must be positive")
@@ -184,12 +192,10 @@ def _accounting(cfg: RunConfig, samples: SampleSet) -> dict:
     }
 
 
-def _survey(triples, tol: Tolerances):
-    """Per-point summaries of (point, bundle, decomposition) triples plus
-    the aggregated identity table.  `triples` may be a generator; each
-    bundle is summarized once and not kept."""
-    rows = []
-    identities: dict = {}
+def _surveyed(triples, tol: Tolerances, rows: list, identities: dict):
+    """Summarize each (point, bundle, decomposition) triple into `rows` and
+    the aggregated identity table, then pass its bundle on.  `triples` may
+    be a generator; each bundle is summarized once and not kept."""
     for pt, b, dec in triples:
         row = {
             "point": [float(v) for v in pt],
@@ -203,7 +209,16 @@ def _survey(triples, tol: Tolerances):
         rows.append(row)
         for name, res in geometry.identity_residuals(b, tol=tol).items():
             identities[name] = max(identities.get(name, 0.0), float(res))
-    return rows, {k: float(v) for k, v in identities.items()}
+        yield b
+
+
+def _survey(triples, tol: Tolerances):
+    """Per-point summaries plus the identity table, as `_surveyed` makes."""
+    rows: list = []
+    identities: dict = {}
+    for _ in _surveyed(triples, tol, rows, identities):
+        pass
+    return rows, identities
 
 
 def _classification_json(rep) -> dict:
@@ -409,10 +424,13 @@ def cmd_oracle(cfg: RunConfig, box_flagged: bool = False) -> Report:
 
     samples = sampling.draw(spray, count=cfg.points, seed=cfg.seed, box=box)
     accounting = _accounting(cfg, samples)
-    table = oracle.agreement_report(spray, samples.points(), h=cfg.fd_step,
-                                    order=cfg.order)
-    rows, identities = _survey(
-        classify.point_bundles(spray, samples, cfg.order, tol), tol)
+    # one bundle per point, summarized and then compared against the finite
+    # differences before the next is built
+    rows: list = []
+    identities: dict = {}
+    triples = classify.point_bundles(spray, samples, cfg.order, tol)
+    table = oracle.agreement_report(
+        _surveyed(triples, tol, rows, identities), h=cfg.fd_step)
 
     data = {
         "command": "oracle",
@@ -445,7 +463,8 @@ def _add_common(sub: argparse.ArgumentParser, with_input: bool = True) -> None:
     sub.add_argument("--seed", type=int, default=None,
                      help="sampling seed (default 7, or SPRAYLAB_SEED)")
     sub.add_argument("--order", type=int, default=4,
-                     help="jet truncation order (default 4)")
+                     help=f"jet truncation order, at least {MIN_ORDER} "
+                          "(default 4)")
     sub.add_argument("--tol-abs", type=float, default=1e-8)
     sub.add_argument("--tol-rel", type=float, default=1e-6)
     sub.add_argument("--fd-step", type=float, default=1e-3)

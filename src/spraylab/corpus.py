@@ -198,10 +198,10 @@ def _chk_delta_expr(fx, spray, verdict, samples, chk, tol):
     for pt in samples.points():
         b = geometry.CurvatureBundle(spray, pt, 4)
         dec = classify.decompose_scalar(b, tol=tol)
-        slots = b.delta_scalar(dec.R_jet)
+        slots = b.cov_h(dec.R_jet, ()).tolist()
         for i in range(n):
             want = want_of[i](pt)
-            err = abs(slots[i].value - want)
+            err = abs(slots[i] - want)
             worst = max(worst, err)
             exceeded = max(exceeded, err - (atol + rel * abs(want)))
     bad = []
@@ -271,14 +271,14 @@ def _chk_witness_metric(fx, spray, verdict, samples, chk, tol):
     semi_worst = match_worst = 0.0
     for pt in samples.points():
         b = geometry.CurvatureBundle(spray, pt, 3)
-        slots = b.delta_scalar(witness.jet(pt, 1))
-        semi_worst = max(semi_worst, max(abs(s.value) for s in slots))
+        slots = b.cov_h(witness.jet(pt, 1), ()).tolist()
+        semi_worst = max(semi_worst, max(abs(s) for s in slots))
         induced = geometry.spray_from_metric(witness, pt, 0)
         gv = np.array([g.value for g in induced])
         scale = max(1.0, float(np.max(np.abs(b.G_values))))
         err = float(np.max(np.abs(gv - b.G_values)))
         match_worst = max(match_worst, err - rel * scale)
-        worst = max(worst, max(abs(s.value) for s in slots), err)
+        worst = max(worst, max(abs(s) for s in slots), err)
     if semi_worst > atol:
         bad.append(f"{chk['name']}: witness is not parallel along the spray "
                    f"(worst horizontal derivative {semi_worst:.3e})")

@@ -22,6 +22,11 @@ The horizontal derivative is delta_j = d_j - N^r_j dot_r; covariant
 derivatives of tensors add Gamma terms with sign by slot variance.  Every
 vertical or horizontal derivative consumes one order of the jet budget, and
 exhausting it raises OrderError rather than returning a wrong value.
+
+A covariant derivative at a point needs only the 1-jets of the tensor and
+the values of N and Gamma, so `cov_h` returns values and builds no jets.
+The jet-level loop `_cov_h_jets` stays for chained derivatives
+(`CovariantField.h`, `delta_scalar`), which need the higher coefficients.
 """
 
 from __future__ import annotations
@@ -385,20 +390,50 @@ class CurvatureBundle:
     # ---- derivatives
 
     def delta_scalar(self, S) -> list:
-        """Horizontal derivatives delta_j S of a scalar jet."""
-        out = []
-        for j in range(self.dim):
-            acc = S.dx(j)
-            for r in range(self.dim):
-                acc = acc - self.N[r][j] * S.dy(r)
-            out.append(acc)
-        return out
+        """Horizontal derivatives delta_j S of a scalar jet, as jets."""
+        return list(self._cov_h_jets(S, ()))
 
     def cov_h(self, T, slots: tuple) -> np.ndarray:
-        """Horizontal covariant derivative of a jet tensor.
+        """Values of the horizontal covariant derivative of a jet tensor.
 
-        `T` is an object array (0-d for scalars); `slots` marks each axis
-        'u' or 'd'.  The result has one extra trailing 'd' axis.
+        `T` is an object array of jets (0-d for scalars); `slots` marks each
+        axis 'u' or 'd'.  The result is a float array with one extra trailing
+        'd' axis.  Only the 1-jets of T's entries and the values of N and
+        Gamma enter, combined elementwise in the order of `_cov_h_jets`, so
+        each value equals that jet's value bit for bit, up to the sign of a
+        zero.
+        """
+        T = np.asarray(T, dtype=object)
+        if T.ndim != len(slots):
+            raise ValueError("slot list does not match tensor rank")
+        n = self.dim
+        J = jets.first_order(T.ravel(), self.G[0]).reshape(T.shape + (2 * n + 1,))
+        T0 = J[..., 0]
+        Dy = J[..., n + 1:]
+        out = J[..., 1:n + 1]
+        N0 = self.N_values
+        for r in range(n):
+            out = out - N0[r] * Dy[..., r, None]
+        Gam = self.Gamma_values
+        for a, s in enumerate(slots):
+            # Gamma^{idx[a]}_{rj} ('u') or Gamma^r_{idx[a] j} ('d'),
+            # broadcast along axis a and the trailing j axis
+            shape = [1] * T.ndim + [n]
+            shape[a] = n
+            for r in range(n):
+                swapped = np.take(T0, [r], axis=a)[..., None]
+                if s == "u":
+                    out = out + Gam[:, r, :].reshape(shape) * swapped
+                else:
+                    out = out - Gam[r].reshape(shape) * swapped
+        return out
+
+    def _cov_h_jets(self, T, slots: tuple) -> np.ndarray:
+        """Horizontal covariant derivative of a jet tensor, as jets.
+
+        The reference for `cov_h`, and the path for chains of derivatives,
+        which need the higher coefficients.  Returns an object array shaped
+        like `cov_h`'s result.
         """
         T = np.asarray(T, dtype=object)
         if T.ndim != len(slots):
@@ -531,14 +566,14 @@ def identity_residuals(bundle: CurvatureBundle, tol: Tolerances = TOL) -> dict:
 
     Rcov = bundle.cov_h(np.array(bundle.R, dtype=object), ("u", "d"))
     Vcov = bundle.cov_h(np.array(bundle.V, dtype=object), ("d",))
-    ric_cov = bundle.delta_scalar(bundle.Ric)
+    ric_cov = bundle.cov_h(bundle.Ric, ())
     worst = 0.0
     for k in range(n):
-        acc = -ric_cov[k].value
+        acc = -ric_cov[k]
         for m in range(n):
-            acc += Rcov[m, k, m].value
+            acc += Rcov[m, k, m]
         for j in range(n):
-            acc += yv[j] * Vcov[k, j].value
+            acc += yv[j] * Vcov[k, j]
         worst = max(worst, abs(acc))
     res["bianchi"] = worst
 
@@ -558,12 +593,12 @@ def identity_residuals(bundle: CurvatureBundle, tol: Tolerances = TOL) -> dict:
         rdot_jets = np.array([Rj.dy(i) for i in range(n)], dtype=object)
         rdot_cov = bundle.cov_h(rdot_jets, ("d",))
         tau_cov = bundle.cov_h(np.array(tau, dtype=object), ("d",))
-        rsemi = bundle.delta_scalar(Rj)
+        rsemi = bundle.cov_h(Rj, ())
         worst = 0.0
         for i in range(n):
-            acc = -3.0 * rsemi[i].value
+            acc = -3.0 * rsemi[i]
             for j in range(n):
-                acc += yv[j] * (rdot_cov[i, j].value + tau_cov[i, j].value)
+                acc += yv[j] * (rdot_cov[i, j] + tau_cov[i, j])
             worst = max(worst, abs(acc))
         res["scalar_gradient"] = worst
     return res
@@ -659,7 +694,7 @@ class CovariantField:
     def h(self) -> "CovariantField":
         return CovariantField(
             self.spray,
-            lambda b: b.cov_h(self.at(b), self.slots),
+            lambda b: b._cov_h_jets(self.at(b), self.slots),
             self.slots + ("d",),
             self.name + ";",
         )

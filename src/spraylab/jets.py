@@ -29,6 +29,8 @@ from .errors import DomainError, OrderError
 # Value parts closer to zero than this cannot be divided by, square-rooted, etc.
 VALUE_FLOOR = 1e-12
 
+_EXHAUSTED = "jet order exhausted: cannot differentiate an order-0 jet"
+
 
 def _alphas(nvars: int, order: int) -> tuple[tuple[int, ...], ...]:
     out: list[tuple[int, ...]] = []
@@ -294,7 +296,7 @@ class Jet:
 
     def diff(self, v: int) -> "Jet":
         if self.order == 0:
-            raise OrderError("jet order exhausted: cannot differentiate an order-0 jet")
+            raise OrderError(_EXHAUSTED)
         src, scale = self.space._dmap(v)
         lower = space(self.space.nvars, self.order - 1)
         return Jet(lower, self.center, self.coeffs[src] * scale)
@@ -438,6 +440,39 @@ def lift(fn: Callable, p: Sequence[float], order: int) -> Jet:
 def partial(fn: Callable, p: Sequence[float], alpha: Sequence[int]) -> float:
     """Exact partial derivative d^alpha fn at p via a lift of order |alpha|."""
     return lift(fn, p, sum(alpha)).partial(alpha)
+
+
+@lru_cache(maxsize=None)
+def _first_order_columns(nvars: int) -> np.ndarray:
+    # the degree <= 1 block sits at the same places in every space of order
+    # >= 1, since each space is a prefix of the next
+    sp = space(nvars, 1)
+    cols = np.array([0] + [sp.index[tuple(int(k == v) for k in range(nvars))]
+                           for v in range(nvars)])
+    cols.flags.writeable = False  # shared by every caller through the cache
+    return cols
+
+
+def first_order(entries: Sequence[Jet], like: Jet) -> np.ndarray:
+    """Rows [u, d_0 u, ..., d_{m-1} u] of values for each jet u in `entries`.
+
+    Reads only the coefficients of degree at most 1, which equal the values
+    of `u.diff(v)` exactly.  Raises what differentiating u and pairing it
+    with `like` would: OrderError for an order-0 jet, ValueError for a jet
+    over other variables or at another center.
+    """
+    m = like.space.nvars
+    cols = _first_order_columns(m)
+    out = np.empty((len(entries), 1 + m))
+    for k, u in enumerate(entries):
+        if u.space.order == 0:
+            raise OrderError(_EXHAUSTED)
+        if u.space.nvars != m:
+            raise ValueError("jets live over different variable sets")
+        if u.center is not like.center and u.center != like.center:
+            raise ValueError("jets have different centers")
+        out[k] = u.coeffs[cols]
+    return out
 
 
 def _eval_float(fn: Callable, p: Sequence[float]) -> float:

@@ -298,7 +298,7 @@ def _certify(spray, L, samples: SampleSet, triples, tol: Tolerances):
         Lj = L.jet(pt, 1)
         scale_L = max(scale_L, abs(Lj.value))
         semi_worst = max(semi_worst,
-                         max(abs(d.value) for d in b.delta_scalar(Lj)))
+                         max(abs(d) for d in b.cov_h(Lj, ()).tolist()))
         gv = np.array([g.value for g in geometry.spray_from_metric(L, pt, 0)])
         scale_G = max(scale_G, float(np.max(np.abs(b.G_values))))
         match_worst = max(match_worst,
@@ -421,7 +421,7 @@ def verdict_isotropic(spray, count: int = 64, seed: int = 7,
             raise PathError(
                 "curvature scalar vanishes on the integration path; omega "
                 "is undefined there")
-        return np.array([d.value for d in b.delta_scalar(Rj)]) / Rj.value
+        return b.cov_h(Rj, ()) / Rj.value
 
     anchor = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
     lam = recover_lambda(omega_at, anchor, accept=lambda x: (
@@ -528,8 +528,7 @@ def nonmetrizable_scalar(spray, count: int = 64, seed: int = 7,
         t = [dec.tau_jets[i] / dec.R_jet for i in range(n)]
         t_scale = max(t_scale, max(abs(ti.value) for ti in t))
         cov = b.cov_h(np.array(t, dtype=object), ("d",))
-        worst = max(worst, float(np.max(np.abs(
-            geometry.CurvatureBundle._values(cov)))))
+        worst = max(worst, float(np.max(np.abs(cov))))
         for i in range(n):
             for j in range(i + 1, n):
                 worst = max(worst, abs(t[i].dy(j).value - t[j].dy(i).value))

@@ -397,22 +397,22 @@ def _unit(n: int, i: int) -> np.ndarray:
     return e
 
 
-def agreement_report(spray, points, h: float = 1e-3, order: int = 4) -> dict:
-    """Worst-case jets-vs-FD disagreement for R, chi, B over the points.
+def agreement_report(bundles, h: float = 1e-3) -> dict:
+    """Worst-case jets-vs-FD disagreement for R, chi, B over the bundles.
 
-    A tensor passes when every component error is at most
+    Each CurvatureBundle supplies the jet side; the finite differences
+    read only its spray's coefficient values around its point.  `bundles`
+    may be a generator, so a caller can stream one bundle at a time.  A
+    tensor passes when every component error is at most
     max(1e-5, 1e-4 |component|); the report carries the worst error and the
     tolerance in force at the worst spot.
     """
-    from .geometry import CurvatureBundle
-
     report = {
         key: {"max_err": 0.0, "worst_tol": float("inf"), "ok": True}
         for key in ("R", "chi", "B")
     }
-    for p in points:
-        b = CurvatureBundle(spray, p, order=order)
-        fd = fd_curvature(spray, p, h=h)
+    for b in bundles:
+        fd = fd_curvature(b.spray, b.point.array(), h=h)
         for key, got in (("R", b.R_values), ("chi", b.chi_values), ("B", b.B_values)):
             err = np.abs(got - fd[key])
             tol = np.maximum(1e-5, 1e-4 * np.abs(got))

@@ -66,8 +66,10 @@ def test_jet_curvature_agrees_with_finite_differences():
     t0 = time.perf_counter()
     for name in corpus.fixture_names():
         samples = guarded(name, 32)
-        report = oracle.agreement_report(spray_of(name), samples.points(),
-                                         h=2e-3, order=4)
+        spray = spray_of(name)
+        report = oracle.agreement_report(
+            (geometry.CurvatureBundle(spray, p, 4) for p in samples.points()),
+            h=2e-3)
         for tensor in ("R", "chi", "B"):
             entry = report[tensor]
             assert entry["ok"], (

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from spraylab import cli, corpus
+from spraylab.errors import ParamError
 
 FLAGS = ("scalar", "isotropic", "constant", "berwald", "projective_form",
          "weak_isotropic")
@@ -59,11 +60,13 @@ def test_sampling_accounting_counts_rejections(tmp_path):
 
 
 @pytest.mark.parametrize("command,name,points", [("classify", "flat", 64),
-                                                  ("metrize", "nonscalar3", 66)])
+                                                  ("metrize", "nonscalar3", 66),
+                                                  ("oracle", "ex7.3", 64)])
 def test_one_draw_and_one_bundle_per_point(command, name, points, tmp_path,
                                            tally):
     # classification, survey and verdict share the classification's draw
-    # and its bundles
+    # and its bundles; the oracle's survey and its jets-vs-FD table share
+    # one bundle per point
     code, data = run([command, name], tmp_path)
     assert code == 0 and data["sampling"]["used"] == points
     assert tally["draws"] == 1
@@ -229,3 +232,16 @@ def test_help_and_usage_exit_codes(capsys):
     assert "classify" in capsys.readouterr().out
     assert cli.main([]) == 1  # subcommand is required
     capsys.readouterr()
+
+
+def test_order_below_minimum_is_rejected_up_front(tmp_path, capsys):
+    # order 3 leaves the curvature 3-tensor at order 0, so the survey could
+    # not differentiate it; the config is refused before any work is done
+    code, data = run(["classify", "flat", "--order", "3"], tmp_path)
+    err = capsys.readouterr().err
+    assert code == 1 and data is None
+    assert f"order must be >= {cli.MIN_ORDER}" in err
+    assert "jet order exhausted" not in err
+    with pytest.raises(ParamError, match="order must be >= 4"):
+        cli.RunConfig(order=2)
+    assert cli.RunConfig(order=cli.MIN_ORDER).order == 4

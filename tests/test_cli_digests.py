@@ -1,8 +1,10 @@
-"""Byte identity of the classify and metrize reports of every fixture.
+"""Byte identity of the classify, metrize and oracle reports of every fixture.
 
-`data/cli_digests_seed7.json` holds the SHA-256 of each report at seed 7.
-A change that alters a report on purpose re-records the file (the values
-are those `perfbench/record_digests.py` writes) and says why.
+`data/cli_digests_seed7.json` holds the SHA-256 of each report at seed 7,
+keyed by "command name".  The `classify` and `metrize` values are those
+`perfbench/record_digests.py` writes; the `oracle` values were recorded the
+same way, from `spraylab oracle NAME --seed 7 --out PATH`.  A change that
+alters a report on purpose re-records the file and says why.
 """
 
 import hashlib

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from spraylab import dsl, geometry
+from spraylab import dsl, geometry, jets
 from spraylab.errors import DegenerateMetric, DomainError, OrderError, PreconditionError
 from spraylab.geometry import CovariantField, CurvatureBundle, PointTangent
 
@@ -322,6 +322,25 @@ def test_order_budget_raises_order_error() -> None:
         _ = b.chi_values
     with pytest.raises(OrderError):
         geometry.h_tensors(bundle_of(ROTOR, PROT, order=3))
+
+
+def test_cov_h_keeps_the_checks_of_jet_arithmetic() -> None:
+    # cov_h reads coefficients instead of pairing and differentiating jets,
+    # and must still refuse what that arithmetic (the jet loop) refuses
+    b = bundle_of(ROTOR, PROT)
+    Rj = geometry.scalar_split(b)[0]
+    assert b.cov_h(Rj, ()).shape == (2,)
+    elsewhere = jets.space(4, 2).variable(0, (0.0, 0.0, 1.0, 0.0))
+    wider = jets.space(6, 2).variable(0, tuple(PROT) + (0.0, 1.0))
+    for cov in (b.cov_h, b._cov_h_jets):
+        with pytest.raises(ValueError, match="different centers"):
+            cov(elsewhere, ())
+        with pytest.raises(ValueError, match="different variable sets"):
+            cov(np.array([Rj, wider], dtype=object), ("d",))
+        with pytest.raises(OrderError, match="jet order exhausted"):
+            cov(Rj.truncated(0), ())
+        with pytest.raises(ValueError, match="slot list"):
+            cov(Rj, ("d",))
 
 
 def test_point_tangent_validation_and_layout() -> None:

@@ -139,7 +139,7 @@ def test_agreement_report_jets_vs_fd() -> None:
         (ROTOR, [PROT, (0.3, 0.0, 0.8, -0.9)]),
     ]:
         sp = geometry.ExprSpray(dsl.parse(text))
-        rep = oracle.agreement_report(sp, pts)
+        rep = oracle.agreement_report(geometry.CurvatureBundle(sp, p) for p in pts)
         for key in ("R", "chi", "B"):
             assert rep[key]["ok"], (key, rep[key])
             assert rep[key]["max_err"] <= rep[key]["worst_tol"]
@@ -148,6 +148,6 @@ def test_agreement_report_jets_vs_fd() -> None:
 def test_agreement_report_metric_spray() -> None:
     m = geometry.ExprMetric(dsl.parse(ROUND_METRIC))
     sp = geometry.MetricSpray(m)
-    rep = oracle.agreement_report(sp, [(0.2, 0.3, 0.8, -0.5)])
+    rep = oracle.agreement_report([geometry.CurvatureBundle(sp, (0.2, 0.3, 0.8, -0.5))])
     for key in ("R", "chi", "B"):
         assert rep[key]["ok"], (key, rep[key])
