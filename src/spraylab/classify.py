@@ -91,12 +91,12 @@ class ScalarDecomposition:
 def decompose_scalar(bundle_or_spray, p=None, order: int = 4,
                      tol: Tolerances = TOL) -> ScalarDecomposition:
     b = geometry._as_bundle(bundle_or_spray, p, order)
-    Rj, tau, residual = geometry.scalar_split(b)
+    Rj, tau, residual = b.split
     return ScalarDecomposition(
         R=Rj.value,
         tau=np.array([t.value for t in tau]),
         residual=residual,
-        holds=geometry._split_holds(b, residual, tol),
+        holds=geometry.split_holds(b, tol),
         R_jet=Rj,
         tau_jets=tuple(tau),
     )

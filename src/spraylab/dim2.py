@@ -140,11 +140,10 @@ def flag_ode_residual(metric, p, tol: Tolerances = TOL) -> float:
     """
     sp = geometry.MetricSpray(metric)
     b = geometry.CurvatureBundle(sp, p, 5)
-    Rj, _, res = geometry.scalar_split(b)
-    if not geometry._split_holds(b, res, tol):
+    if not geometry.split_holds(b, tol):
         raise PreconditionError(
-            f"scalar decomposition fails at the point ({res:.3e})")
-    lam = Rj / metric.jet(p, 3)
+            f"scalar decomposition fails at the point ({b.split[2]:.3e})")
+    lam = b.curvature_scalar / metric.jet(p, 3)
     fj = _FrameJets(metric, p, order=2, tol=tol)
     lam1 = fj.angle_derivative(lam)
     lam2 = fj.angle_derivative(lam1)

@@ -27,6 +27,14 @@ A covariant derivative at a point needs only the 1-jets of the tensor and
 the values of N and Gamma, so `cov_h` returns values and builds no jets.
 The jet-level loop `_cov_h_jets` stays for chained derivatives
 (`CovariantField.h`, `delta_scalar`), which need the higher coefficients.
+
+A bundle may also be built at a (B, 2n) block of points: its jets then
+carry a leading block axis (see `jets`), its value views and `cov_h`
+results gain a leading axis of length B, and row r of each equals, bit
+for bit, what the bundle at point r alone gives.  Expression sprays are
+evaluated once over the block; other sprays point by point, their jets
+stacked.  The scalar split and the operations built on it are taken at
+one point only.
 """
 
 from __future__ import annotations
@@ -71,18 +79,19 @@ class PointTangent:
 
 
 def _point_array(p, dim: int) -> np.ndarray:
+    """A point as a (2n,) array, or a block of points as a (B, 2n) array."""
     if isinstance(p, PointTangent):
         pa = p.array()
     else:
         pa = np.asarray(p, dtype=float)
-    if pa.shape != (2 * dim,):
+    if pa.shape[-1:] != (2 * dim,) or pa.ndim not in (1, 2):
         raise DomainError(f"expected {2 * dim} coordinates, got shape {pa.shape}")
     return pa
 
 
 def _var_jets(dim: int, pa: np.ndarray, order: int) -> list:
     sp = jets.space(2 * dim, order)
-    center = tuple(pa)
+    center = pa if pa.ndim == 2 else tuple(pa)
     return [sp.variable(v, center) for v in range(2 * dim)]
 
 
@@ -97,6 +106,9 @@ def _as_jet(v, like) -> "jets.Jet":
 
 class ExprSpray:
     """Spray coefficients given as parsed expressions."""
+
+    # `coeff_jets` evaluates a block of points in one pass
+    evaluates_blocks = True
 
     def __init__(self, problem: dsl.ProblemDef):
         if problem.kind != "spray":
@@ -295,6 +307,9 @@ class CurvatureBundle:
     K, and each derived tensor sits as many orders lower as it has taken
     derivatives.  K=4 supports the full H family and second covariant
     derivatives of the curvature scalar.
+
+    `p` may be a (B, 2n) block of points instead of one point; see the
+    module docstring.  A block bundle has no `point`.
     """
 
     def __init__(self, spray, p, order: int = 4):
@@ -302,19 +317,30 @@ class CurvatureBundle:
         self.dim = spray.dim
         self.order = order
         pa = _point_array(p, spray.dim)
-        self.point = (
-            p
-            if isinstance(p, PointTangent)
-            else PointTangent(tuple(pa[: self.dim]), tuple(pa[self.dim:]))
-        )
+        if pa.ndim == 2:
+            if not np.all(np.max(np.abs(pa[:, self.dim:]), axis=1) > 0.0):
+                raise DomainError("tangent vector is zero")
+            # the block is every jet's center, so it must not change
+            pa = pa.copy()
+            pa.flags.writeable = False
+            self.point = None
+        else:
+            self.point = (
+                p
+                if isinstance(p, PointTangent)
+                else PointTangent(tuple(pa[: self.dim]), tuple(pa[self.dim:]))
+            )
         self._pa = pa
-        self.yvals = pa[self.dim:]
+        self.yvals = pa[..., self.dim:]
 
     # ---- raw jets
 
     @cached_property
     def G(self) -> list:
-        return self.spray.coeff_jets(self._pa, self.order)
+        if self._pa.ndim == 1 or getattr(self.spray, "evaluates_blocks", False):
+            return self.spray.coeff_jets(self._pa, self.order)
+        rows = [self.spray.coeff_jets(pa, self.order) for pa in self._pa]
+        return [jets.stack(col, self._pa) for col in zip(*rows)]
 
     def constant(self, v: float):
         return self.G[0].space.constant(float(v), self.G[0].center)
@@ -351,6 +377,34 @@ class CurvatureBundle:
         for i in range(1, self.dim):
             acc = acc + self.R[i][i]
         return acc
+
+    @cached_property
+    def curvature_scalar(self):
+        """The jet of R = Ric/(n-1), the R of the scalar split."""
+        if self.dim < 2:
+            raise PreconditionError("scalar decomposition needs dimension at least 2")
+        return (1.0 / (self.dim - 1)) * self.Ric
+
+    @cached_property
+    def split(self) -> tuple:
+        """(R jet, [tau_k jets], residual): see `scalar_split`."""
+        n = self.dim
+        if self._pa.ndim == 2:
+            raise PreconditionError("the scalar split is taken at one point, "
+                                    "not on a block")
+        Rj = self.curvature_scalar
+        i0 = int(np.argmax(np.abs(self.yvals)))
+        sp = jets.space(2 * n, Rj.order)
+        yj = sp.variable(n + i0, tuple(self._pa))
+        tau = []
+        for k in range(n):
+            num = (Rj - self.R[i0][k]) if k == i0 else (-1.0 * self.R[i0][k])
+            tau.append(num / yj)
+        tau_vals = np.array([t.value for t in tau])
+        Rv = Rj.value
+        recon = Rv * np.eye(n) - np.outer(self.yvals, tau_vals)
+        residual = float(np.max(np.abs(self.R_values - recon)))
+        return Rj, tau, residual
 
     @cached_property
     def R3(self) -> list:
@@ -401,32 +455,35 @@ class CurvatureBundle:
         'd' axis.  Only the 1-jets of T's entries and the values of N and
         Gamma enter, combined elementwise in the order of `_cov_h_jets`, so
         each value equals that jet's value bit for bit, up to the sign of a
-        zero.
+        zero.  A block bundle puts its block axis first.
         """
         T = np.asarray(T, dtype=object)
         if T.ndim != len(slots):
             raise ValueError("slot list does not match tensor rank")
         n = self.dim
-        J = jets.first_order(T.ravel(), self.G[0]).reshape(T.shape + (2 * n + 1,))
+        J = jets.first_order(T.ravel(), self.G[0])
+        # a leading block axis, of length 1 at a single point
+        J = np.moveaxis(J, 0, 1) if J.ndim == 3 else J[None]
+        J = J.reshape(J.shape[:1] + T.shape + (2 * n + 1,))
         T0 = J[..., 0]
         Dy = J[..., n + 1:]
         out = J[..., 1:n + 1]
-        N0 = self.N_values
+        N0 = self.N_values.reshape(-1, n, n)
         for r in range(n):
-            out = out - N0[r] * Dy[..., r, None]
-        Gam = self.Gamma_values
+            out = out - N0[:, r].reshape((-1,) + (1,) * T.ndim + (n,)) * Dy[..., r, None]
+        Gam = self.Gamma_values.reshape(-1, n, n, n)
         for a, s in enumerate(slots):
             # Gamma^{idx[a]}_{rj} ('u') or Gamma^r_{idx[a] j} ('d'),
             # broadcast along axis a and the trailing j axis
-            shape = [1] * T.ndim + [n]
-            shape[a] = n
+            shape = [-1] + [1] * T.ndim + [n]
+            shape[a + 1] = n
             for r in range(n):
-                swapped = np.take(T0, [r], axis=a)[..., None]
+                swapped = np.take(T0, [r], axis=a + 1)[..., None]
                 if s == "u":
-                    out = out + Gam[:, r, :].reshape(shape) * swapped
+                    out = out + Gam[:, :, r, :].reshape(shape) * swapped
                 else:
-                    out = out - Gam[r].reshape(shape) * swapped
-        return out
+                    out = out - Gam[:, r].reshape(shape) * swapped
+        return out if self._pa.ndim == 2 else out[0]
 
     def _cov_h_jets(self, T, slots: tuple) -> np.ndarray:
         """Horizontal covariant derivative of a jet tensor, as jets.
@@ -471,11 +528,13 @@ class CurvatureBundle:
 
     @staticmethod
     def _values(obj) -> np.ndarray:
+        """The value parts of an array of jets; block jets put the block axis
+        first."""
         arr = np.asarray(obj, dtype=object)
-        out = np.empty(arr.shape)
-        for idx in np.ndindex(*arr.shape):
-            out[idx] = arr[idx].value
-        return out
+        vals = [u.value for u in arr.ravel()]
+        if vals and not isinstance(vals[0], float):
+            return np.moveaxis(np.array(vals), -1, 0).reshape(vals[0].shape + arr.shape)
+        return np.array(vals, dtype=float).reshape(arr.shape)
 
     @cached_property
     def G_values(self) -> np.ndarray:
@@ -504,8 +563,8 @@ class CurvatureBundle:
         return self._values(self.R)
 
     @cached_property
-    def Ric_value(self) -> float:
-        return float(self.Ric.value)
+    def Ric_value(self):
+        return self.Ric.value
 
     @cached_property
     def chi_values(self) -> np.ndarray:
@@ -522,29 +581,16 @@ def scalar_split(bundle: CurvatureBundle):
     the row with the largest |y^i| (best conditioned division); the residual
     is the worst value-level violation of the reconstruction over all (i,k).
     It is exactly zero on the chosen row, so the residual measures whether
-    the remaining rows agree, which is the scalar-curvature property.
+    the remaining rows agree, which is the scalar-curvature property.  The
+    split is computed once per bundle and cached there.
     """
-    n = bundle.dim
-    if n < 2:
-        raise PreconditionError("scalar decomposition needs dimension at least 2")
-    Rj = (1.0 / (n - 1)) * bundle.Ric
-    i0 = int(np.argmax(np.abs(bundle.yvals)))
-    sp = jets.space(2 * n, Rj.order)
-    yj = sp.variable(n + i0, tuple(bundle._pa))
-    tau = []
-    for k in range(n):
-        num = (Rj - bundle.R[i0][k]) if k == i0 else (-1.0 * bundle.R[i0][k])
-        tau.append(num / yj)
-    tau_vals = np.array([t.value for t in tau])
-    Rv = Rj.value
-    recon = Rv * np.eye(n) - np.outer(bundle.yvals, tau_vals)
-    residual = float(np.max(np.abs(bundle.R_values - recon)))
-    return Rj, tau, residual
+    return bundle.split
 
 
-def _split_holds(bundle: CurvatureBundle, residual: float, tol: Tolerances) -> bool:
+def split_holds(bundle: CurvatureBundle, tol: Tolerances = TOL) -> bool:
+    """Does the bundle's scalar split hold, relative to max |R^i_k|?"""
     scale = float(np.max(np.abs(bundle.R_values)))
-    return tol.zero(residual, scale)
+    return tol.zero(bundle.split[2], scale)
 
 
 # -- identity residuals --------------------------------------------------------
@@ -577,9 +623,9 @@ def identity_residuals(bundle: CurvatureBundle, tol: Tolerances = TOL) -> dict:
         worst = max(worst, abs(acc))
     res["bianchi"] = worst
 
-    Rj, tau, split_res = scalar_split(bundle)
-    if not _split_holds(bundle, split_res, tol):
+    if not split_holds(bundle, tol):
         return res
+    Rj, tau, _ = bundle.split
 
     tau_vals = np.array([t.value for t in tau])
     res["tau_trace"] = float(abs(tau_vals @ yv - Rj.value))
@@ -639,9 +685,9 @@ def h_tensor_residuals(bundle: CurvatureBundle, tol: Tolerances = TOL) -> dict:
 
     Empty when the scalar split fails (the identities presuppose it).
     """
-    Rj, tau, split_res = scalar_split(bundle)
-    if not _split_holds(bundle, split_res, tol):
+    if not split_holds(bundle, tol):
         return {}
+    Rj, tau, _ = bundle.split
     n = bundle.dim
     h = h_tensors(bundle)
     rdot = np.array([Rj.dy(i).value for i in range(n)])
@@ -732,8 +778,8 @@ def chi(spray, p=None, order: int = 4, check: bool = True, tol: Tolerances = TOL
     b = _as_bundle(spray, p, order)
     out = b.chi_values
     if check:
-        Rj, tau, split_res = scalar_split(b)
-        if _split_holds(b, split_res, tol):
+        if split_holds(b, tol):
+            Rj, tau, _ = b.split
             n = b.dim
             rdot = np.array([Rj.dy(i).value for i in range(n)])
             tv = np.array([t.value for t in tau])

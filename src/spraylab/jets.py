@@ -9,6 +9,18 @@ and truncation is a slice.
 Throughout the package the m = 2n variables of a chart on the tangent bundle
 are ordered x1..xn, y1..yn.
 
+A jet may also carry a leading block axis: `coeffs` of shape (B, T) holds
+the jets of one function at the B points of a (B, m) block center, one
+row per point.  Every operation acts on the last axis, so the jets of a
+whole block of points come from one walk through an expression.  Row r of
+a block result equals, bit for bit, the jet computed at point r alone:
+`_mul_coeffs` sums each coefficient in the single-point order, and the
+series coefficients and value-floor checks of the transcendental functions
+are taken row by row with `math`.  A failed floor check names the first
+failing row of that operation.  A point jet's center is a tuple; a block
+jet's center is the (B, m) array itself, and jets combine only with jets
+at the same center.
+
 The finite-difference oracle `fd_partial` lives here as well. It never touches
 jet coefficients: it evaluates the callable over plain floats with nested
 central differences, one step per derivative level, and is kept deliberately
@@ -67,6 +79,7 @@ class JetSpace:
             [math.prod(math.factorial(e) for e in a) for a in self.alphas], dtype=float
         )
         self._mul_table = self._build_mul_table(arr)
+        self._block_bins: tuple[int, np.ndarray] = (0, np.empty(0, dtype=np.int64))
         self._dmaps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def _locate(self, enc: np.ndarray) -> np.ndarray:
@@ -77,6 +90,15 @@ class JetSpace:
         ia, ib = np.nonzero(self._deg[:, None] + self._deg[None, :] <= self.order)
         ic = self._locate(self._enc[ia] + self._enc[ib])
         return ia, ib, ic
+
+    def _block_index(self, rows: int) -> np.ndarray:
+        """The product bins of a (rows, T) block, flattened: row r's bins
+        are the single-point bins offset by r*T.  Only the last block
+        height is kept, so the cache stays one array per space."""
+        if self._block_bins[0] != rows:
+            ic = self._mul_table[2]
+            self._block_bins = (rows, (ic[None, :] + self.T * np.arange(rows)[:, None]).ravel())
+        return self._block_bins[1]
 
     def _dmap(self, v: int) -> tuple[np.ndarray, np.ndarray]:
         """Maps coefficients of this space onto d/dv coefficients in the space
@@ -99,20 +121,32 @@ class JetSpace:
 
     # -- constructors -------------------------------------------------------
 
-    def constant(self, value: float, center: Sequence[float]) -> "Jet":
-        coeffs = np.zeros(self.T)
-        coeffs[0] = float(value)
-        return Jet(self, tuple(center), coeffs)
+    def constant(self, value, center) -> "Jet":
+        """The constant jet; at a block center `value` may hold one value
+        per row."""
+        center = _as_center(center)
+        if isinstance(center, np.ndarray):
+            coeffs = np.zeros((center.shape[0], self.T))
+            coeffs[:, 0] = value
+        else:
+            coeffs = np.zeros(self.T)
+            coeffs[0] = float(value)
+        return Jet(self, center, coeffs)
 
-    def variable(self, v: int, center: Sequence[float]) -> "Jet":
+    def variable(self, v: int, center) -> "Jet":
         if not 0 <= v < self.nvars:
             raise ValueError(f"variable index {v} out of range")
-        coeffs = np.zeros(self.T)
-        coeffs[0] = float(center[v])
+        center = _as_center(center)
+        if isinstance(center, np.ndarray):
+            coeffs = np.zeros((center.shape[0], self.T))
+            coeffs[:, 0] = center[:, v]
+        else:
+            coeffs = np.zeros(self.T)
+            coeffs[0] = float(center[v])
         if self.order >= 1:
             e = tuple(1 if k == v else 0 for k in range(self.nvars))
-            coeffs[self.index[e]] = 1.0
-        return Jet(self, tuple(center), coeffs)
+            coeffs.T[self.index[e]] = 1.0
+        return Jet(self, center, coeffs)
 
     def from_partials(self, center: Sequence[float], partials: dict) -> "Jet":
         """Assemble a jet from {multi-index: partial derivative value}."""
@@ -128,9 +162,32 @@ def space(nvars: int, order: int) -> JetSpace:
     return JetSpace(nvars, order)
 
 
+def _as_center(center):
+    """A block center (a 2-d array) is kept as it is; a point's becomes a tuple."""
+    if isinstance(center, np.ndarray) and center.ndim == 2:
+        return center
+    return tuple(center)
+
+
+def _same_center(a, b) -> bool:
+    if a is b:
+        return True
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return a == b
+    return (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+            and a.shape == b.shape and bool(np.array_equal(a, b)))
+
+
 def _mul_coeffs(sp: JetSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ia, ib, ic = sp._mul_table
-    return np.bincount(ic, weights=a[ia] * b[ib], minlength=sp.T)
+    if a.ndim == 1:
+        return np.bincount(ic, weights=a[ia] * b[ib], minlength=sp.T)
+    # one bincount over the whole block: each row's bins are offset by
+    # row*T, so every coefficient is summed in the single-point order
+    rows = a.shape[0]
+    out = np.bincount(sp._block_index(rows), weights=(a[:, ia] * b[:, ib]).ravel(),
+                      minlength=rows * sp.T)
+    return out.reshape(rows, sp.T)
 
 
 class Jet:
@@ -146,10 +203,15 @@ class Jet:
         return self.space.order
 
     @property
-    def value(self) -> float:
-        return float(self.coeffs[0])
+    def value(self):
+        """The value part: a float, or one value per row of a block."""
+        if self.coeffs.ndim == 1:
+            return float(self.coeffs[0])
+        return self.coeffs[:, 0].copy()
 
     def __repr__(self) -> str:
+        if self.coeffs.ndim == 2:
+            return f"Jet(order={self.order}, rows={self.coeffs.shape[0]})"
         return f"Jet(order={self.order}, value={self.value:.6g})"
 
     # -- plumbing -----------------------------------------------------------
@@ -160,18 +222,32 @@ class Jet:
         if order > self.order:
             raise OrderError(f"cannot extend a jet of order {self.order} to {order}")
         lower = space(self.space.nvars, order)
-        return Jet(lower, self.center, self.coeffs[: lower.T].copy())
+        return Jet(lower, self.center, self.coeffs[..., : lower.T].copy())
 
     def _pair(self, other: "Jet") -> tuple["Jet", "Jet"]:
         if self.space.nvars != other.space.nvars:
             raise ValueError("jets live over different variable sets")
-        if self.center != other.center:
+        if self.center is not other.center and not _same_center(self.center, other.center):
             raise ValueError("jets have different centers")
         k = min(self.order, other.order)
         return self.truncated(k), other.truncated(k)
 
-    def _const(self, value: float) -> "Jet":
+    def _const(self, value) -> "Jet":
         return self.space.constant(value, self.center)
+
+    def _check_values(self, bad: Callable[[float], bool], message: str) -> None:
+        """Raise DomainError(message.format(v)) at the first row whose value
+        part v is `bad`."""
+        for v in self.coeffs[:, 0].tolist() if self.coeffs.ndim == 2 else [self.value]:
+            if bad(v):
+                raise DomainError(message.format(v))
+
+    def _series(self, coefficients: Callable[[float], list]) -> "Jet":
+        """Compose with the series `coefficients(v)`, taken at each row's value."""
+        if self.coeffs.ndim == 1:
+            return self._compose(coefficients(self.value))
+        per_row = [coefficients(v) for v in self.coeffs[:, 0].tolist()]
+        return self._compose([np.array(c) for c in zip(*per_row)])
 
     # -- ring operations ----------------------------------------------------
 
@@ -180,7 +256,10 @@ class Jet:
             a, b = self._pair(other)
             return Jet(a.space, a.center, a.coeffs + b.coeffs)
         c = self.coeffs.copy()
-        c[0] += float(other)
+        if c.ndim == 1:
+            c[0] += float(other)
+        else:  # one addend for every row, or one per row
+            c[:, 0] += other if np.ndim(other) == 1 else float(other)
         return Jet(self.space, self.center, c)
 
     __radd__ = __add__
@@ -198,17 +277,24 @@ class Jet:
         if isinstance(other, Jet):
             a, b = self._pair(other)
             return Jet(a.space, a.center, _mul_coeffs(a.space, a.coeffs, b.coeffs))
+        if self.coeffs.ndim == 2 and np.ndim(other) == 1:  # one factor per row
+            return Jet(self.space, self.center, self.coeffs * other[:, None])
         return Jet(self.space, self.center, self.coeffs * float(other))
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> "Jet":
-        v = self.value
-        if abs(v) <= VALUE_FLOOR:
-            raise DomainError(f"division by jet with value part {v!r}")
+        self._check_values(lambda v: abs(v) <= VALUE_FLOOR,
+                         "division by jet with value part {!r}")
         # 1/u = (1/v) * sum_k (-e)^k with e = u/v - 1 nilpotent; Horner form.
-        e = Jet(self.space, self.center, self.coeffs / v)
-        e.coeffs[0] -= 1.0
+        if self.coeffs.ndim == 2:
+            v = self.coeffs[:, 0].copy()
+            e = Jet(self.space, self.center, self.coeffs / v[:, None])
+            e.coeffs[:, 0] -= 1.0
+        else:
+            v = self.value
+            e = Jet(self.space, self.center, self.coeffs / v)
+            e.coeffs[0] -= 1.0
         s = self._const(1.0)
         for _ in range(self.order):
             s = 1.0 - e * s
@@ -230,67 +316,72 @@ class Jet:
 
     # -- composition with scalar series --------------------------------------
 
-    def _compose(self, c: Sequence[float]) -> "Jet":
-        """Evaluate sum_k c[k] * (u - u0)^k by Horner; c[k] = f^(k)(u0)/k!."""
+    def _compose(self, c: Sequence) -> "Jet":
+        """Evaluate sum_k c[k] * (u - u0)^k by Horner; c[k] = f^(k)(u0)/k!
+        (for a block, c[k] holds one coefficient per row)."""
         h = Jet(self.space, self.center, self.coeffs.copy())
-        h.coeffs[0] = 0.0
+        h.coeffs.T[0] = 0.0  # the value part, of every row of a block
         out = self._const(c[self.order])
         for k in range(self.order - 1, -1, -1):
             out = out * h + c[k]
         return out
 
     def exp(self) -> "Jet":
-        e0 = math.exp(self.value)
-        c = [e0]
-        for k in range(1, self.order + 1):
-            c.append(c[-1] / k)
-        return self._compose(c)
+        def series(v: float) -> list:
+            c = [math.exp(v)]
+            for k in range(1, self.order + 1):
+                c.append(c[-1] / k)
+            return c
+        return self._series(series)
 
     def ln(self) -> "Jet":
-        v = self.value
-        if v <= VALUE_FLOOR:
-            raise DomainError(f"ln of jet with value part {v!r}")
-        c = [math.log(v)]
-        for k in range(1, self.order + 1):
-            c.append((-1.0) ** (k - 1) / (k * v**k))
-        return self._compose(c)
+        self._check_values(lambda v: v <= VALUE_FLOOR, "ln of jet with value part {!r}")
+
+        def series(v: float) -> list:
+            c = [math.log(v)]
+            for k in range(1, self.order + 1):
+                c.append((-1.0) ** (k - 1) / (k * v**k))
+            return c
+        return self._series(series)
 
     def sqrt(self) -> "Jet":
-        v = self.value
-        if v <= VALUE_FLOOR:
-            raise DomainError(f"sqrt of jet with value part {v!r}")
-        c = [math.sqrt(v)]
-        for k in range(1, self.order + 1):
-            c.append(c[-1] * (0.5 - (k - 1)) / (k * v))
-        return self._compose(c)
+        self._check_values(lambda v: v <= VALUE_FLOOR, "sqrt of jet with value part {!r}")
+
+        def series(v: float) -> list:
+            c = [math.sqrt(v)]
+            for k in range(1, self.order + 1):
+                c.append(c[-1] * (0.5 - (k - 1)) / (k * v))
+            return c
+        return self._series(series)
 
     def sin(self) -> "Jet":
-        v = self.value
-        c = [math.sin(v + 0.5 * math.pi * k) / math.factorial(k) for k in range(self.order + 1)]
-        return self._compose(c)
+        return self._series(lambda v: [math.sin(v + 0.5 * math.pi * k) / math.factorial(k)
+                                       for k in range(self.order + 1)])
 
     def cos(self) -> "Jet":
-        v = self.value
-        c = [math.cos(v + 0.5 * math.pi * k) / math.factorial(k) for k in range(self.order + 1)]
-        return self._compose(c)
+        return self._series(lambda v: [math.cos(v + 0.5 * math.pi * k) / math.factorial(k)
+                                       for k in range(self.order + 1)])
 
     def atan(self) -> "Jet":
-        v = self.value
-        # Taylor coefficients of atan at v: integrate the reciprocal of the
-        # quadratic (1+v^2) + 2v t + t^2 term by term.
-        q0, q1, q2 = 1.0 + v * v, 2.0 * v, 1.0
-        r = [1.0 / q0]
-        for k in range(1, self.order):
-            acc = q1 * r[k - 1] + (q2 * r[k - 2] if k >= 2 else 0.0)
-            r.append(-acc / q0)
-        c = [math.atan(v)] + [r[k - 1] / k for k in range(1, self.order + 1)]
-        return self._compose(c)
+        def series(v: float) -> list:
+            # Taylor coefficients of atan at v: integrate the reciprocal of
+            # the quadratic (1+v^2) + 2v t + t^2 term by term.
+            q0, q1, q2 = 1.0 + v * v, 2.0 * v, 1.0
+            r = [1.0 / q0]
+            for k in range(1, self.order):
+                acc = q1 * r[k - 1] + (q2 * r[k - 2] if k >= 2 else 0.0)
+                r.append(-acc / q0)
+            return [math.atan(v)] + [r[k - 1] / k for k in range(1, self.order + 1)]
+        return self._series(series)
 
     def absolute(self) -> "Jet":
-        v = self.value
-        if abs(v) <= VALUE_FLOOR:
-            raise DomainError("abs of jet with value part at 0 is not differentiable")
-        return self if v > 0 else -self
+        self._check_values(lambda v: abs(v) <= VALUE_FLOOR,
+                         "abs of jet with value part at 0 is not differentiable")
+        if self.coeffs.ndim == 2:
+            positive = self.coeffs[:, :1] > 0
+            return Jet(self.space, self.center,
+                       np.where(positive, self.coeffs, -self.coeffs))
+        return self if self.value > 0 else -self
 
     # -- derivatives ---------------------------------------------------------
 
@@ -299,7 +390,8 @@ class Jet:
             raise OrderError(_EXHAUSTED)
         src, scale = self.space._dmap(v)
         lower = space(self.space.nvars, self.order - 1)
-        return Jet(lower, self.center, self.coeffs[src] * scale)
+        c = self.coeffs
+        return Jet(lower, self.center, (c[src] if c.ndim == 1 else c[:, src]) * scale)
 
     def dx(self, i: int) -> "Jet":
         """d/dx^i, with variables ordered x1..xn, y1..yn."""
@@ -414,23 +506,28 @@ def pow_real(u, p: float):
     if isinstance(u, np.ndarray):
         return u**p
     if isinstance(u, Jet):
-        v = u.value
-        if v <= VALUE_FLOOR:
-            raise DomainError(f"power {p} of jet with value part {v!r}")
-        c = [v**p]
-        for k in range(1, u.order + 1):
-            c.append(c[-1] * (p - (k - 1)) / (k * v))
-        return u._compose(c)
+        u._check_values(lambda v: v <= VALUE_FLOOR,
+                      f"power {p} of jet with value part {{!r}}")
+
+        def series(v: float) -> list:
+            c = [v**p]
+            for k in range(1, u.order + 1):
+                c.append(c[-1] * (p - (k - 1)) / (k * v))
+            return c
+        return u._series(series)
     return exp(p * ln(u))
 
 
 # -- the public operations -----------------------------------------------------
 
 
-def lift(fn: Callable, p: Sequence[float], order: int) -> Jet:
-    """Evaluate `fn` over variable jets centered at p; returns the jet of fn."""
-    sp = space(len(p), order)
-    env = [sp.variable(v, p) for v in range(len(p))]
+def lift(fn: Callable, p, order: int) -> Jet:
+    """Evaluate `fn` over variable jets centered at p (a point, or a (B, m)
+    block of points); returns the jet of fn."""
+    p = _as_center(p)
+    nvars = p.shape[1] if isinstance(p, np.ndarray) else len(p)
+    sp = space(nvars, order)
+    env = [sp.variable(v, p) for v in range(nvars)]
     out = fn(env)
     if not isinstance(out, Jet):  # constant expressions
         out = sp.constant(float(out), p)
@@ -456,23 +553,32 @@ def _first_order_columns(nvars: int) -> np.ndarray:
 def first_order(entries: Sequence[Jet], like: Jet) -> np.ndarray:
     """Rows [u, d_0 u, ..., d_{m-1} u] of values for each jet u in `entries`.
 
-    Reads only the coefficients of degree at most 1, which equal the values
-    of `u.diff(v)` exactly.  Raises what differentiating u and pairing it
-    with `like` would: OrderError for an order-0 jet, ValueError for a jet
-    over other variables or at another center.
+    Shaped (len(entries), 1 + m), or (len(entries), B, 1 + m) for jets at a
+    block center of B points.  Reads only the coefficients of degree at
+    most 1, which equal the values of `u.diff(v)` exactly.  Raises what
+    differentiating u and pairing it with `like` would: OrderError for an
+    order-0 jet, ValueError for a jet over other variables or at another
+    center.
     """
     m = like.space.nvars
     cols = _first_order_columns(m)
-    out = np.empty((len(entries), 1 + m))
+    out = np.empty((len(entries),) + like.coeffs.shape[:-1] + (1 + m,))
     for k, u in enumerate(entries):
         if u.space.order == 0:
             raise OrderError(_EXHAUSTED)
         if u.space.nvars != m:
             raise ValueError("jets live over different variable sets")
-        if u.center is not like.center and u.center != like.center:
+        if not _same_center(u.center, like.center):
             raise ValueError("jets have different centers")
-        out[k] = u.coeffs[cols]
+        out[k] = u.coeffs[cols] if u.coeffs.ndim == 1 else u.coeffs[:, cols]
     return out
+
+
+def stack(rows: Sequence[Jet], center: np.ndarray) -> Jet:
+    """The block jet at `center` whose row r is the point jet rows[r]."""
+    order = min(u.order for u in rows)
+    coeffs = np.stack([u.truncated(order).coeffs for u in rows])
+    return Jet(space(rows[0].space.nvars, order), _as_center(center), coeffs)
 
 
 def _eval_float(fn: Callable, p: Sequence[float]) -> float:

@@ -103,6 +103,16 @@ def finsler_check(field_obj, samples: SampleSet,
                         rank_ratio=min_ratio)
 
 
+def _split_bundle(spray, pa: np.ndarray, order: int):
+    """A bundle two orders above `order` at pa, whose scalar split holds."""
+    b = geometry.CurvatureBundle(spray, pa, max(order + 2, 3))
+    if not geometry.split_holds(b, TOL):
+        raise PreconditionError(
+            "curvature scalar is undefined: the spray is not of scalar "
+            f"curvature at this point (split residual {b.split[2]:.3e})")
+    return b
+
+
 class CurvatureMetric:
     """The curvature scalar R = Ric/(n-1) of a spray, as a metric candidate.
 
@@ -124,12 +134,7 @@ class CurvatureMetric:
             return self._cache[key]
         except KeyError:
             pass
-        b = geometry.CurvatureBundle(self.spray, pa, max(order + 2, 3))
-        Rj, _, res = geometry.scalar_split(b)
-        if not geometry._split_holds(b, res, TOL):
-            raise PreconditionError(
-                "curvature scalar is undefined: the spray is not of scalar "
-                f"curvature at this point (split residual {res:.3e})")
+        Rj = _split_bundle(self.spray, pa, order).curvature_scalar
         self._cache[key] = Rj
         return Rj
 
@@ -147,6 +152,13 @@ class LambdaField:
     Gauss-Legendre rule (`panels` x `nodes` evaluations).  `accept` vetoes
     nodes outside the admissible chart; a vetoed node raises PathError
     because the segment is then not contained in the domain.
+
+    `omega` takes a block of K nodes, shaped (K, n), and returns the form
+    at each, shaped (K, n): one call per segment evaluates every node
+    before the first veto.  `accept` runs node by node, in path order, and
+    the earliest node that fails decides the error, as if the nodes were
+    visited one at a time: when the block call raises, the nodes are
+    evaluated one by one to find the first that fails.
     """
 
     def __init__(self, omega: Callable, x0, accept: Callable | None = None,
@@ -156,7 +168,11 @@ class LambdaField:
         self.accept = accept
         self.panels = panels
         self.nodes = nodes
-        self._rule = np.polynomial.legendre.leggauss(nodes)
+        ts, ws = np.polynomial.legendre.leggauss(nodes)
+        width = 1.0 / panels
+        # (t, weight) of every node along the segment, in path order
+        self._rule = [(p * width + 0.5 * width * (tk + 1.0), 0.5 * width * wk)
+                      for p in range(panels) for tk, wk in zip(ts, ws)]
         self._cache: dict[bytes, float] = {}
 
     def __call__(self, x) -> float:
@@ -167,22 +183,46 @@ class LambdaField:
         except KeyError:
             pass
         d = xa - self.x0
-        ts, ws = self._rule
-        width = 1.0 / self.panels
+        xs = []
+        veto = None
+        for t, _ in self._rule:
+            xt = self.x0 + t * d
+            try:
+                ok = self.accept is None or self.accept(xt)
+            except Exception as exc:
+                # raised once the nodes before this one are evaluated, one
+                # of which may fail first
+                veto = exc
+                break
+            if not ok:
+                veto = PathError("integration segment leaves the admissible "
+                                 f"chart at t={t:.4f}")
+                break
+            xs.append(xt)
+        om = self._omega_block(np.array(xs).reshape(len(xs), len(d)))
+        if veto is not None:
+            raise veto
         total = 0.0
-        for p in range(self.panels):
-            left = p * width
-            for tk, wk in zip(ts, ws):
-                t = left + 0.5 * width * (tk + 1.0)
-                xt = self.x0 + t * d
-                if self.accept is not None and not self.accept(xt):
-                    raise PathError(
-                        "integration segment leaves the admissible chart "
-                        f"at t={t:.4f}")
-                total += 0.5 * width * wk * float(self.omega(xt) @ d)
+        for (_, w), om_k in zip(self._rule, om):
+            total += w * float(om_k @ d)
         out = float(np.exp(total))
         self._cache[key] = out
         return out
+
+    def _omega_block(self, xs: np.ndarray) -> np.ndarray:
+        if not len(xs):
+            return xs
+        try:
+            om = self.omega(xs)
+        except Exception:
+            # the first node whose own evaluation fails decides the error
+            for k in range(len(xs)):
+                self.omega(xs[k:k + 1])
+            raise
+        if np.shape(om) != xs.shape:
+            raise ValueError(f"omega maps {xs.shape} nodes to shape "
+                             f"{np.shape(om)}, not one row per node")
+        return om
 
 
 def recover_lambda(omega: Callable, x0, accept: Callable | None = None,
@@ -191,6 +231,8 @@ def recover_lambda(omega: Callable, x0, accept: Callable | None = None,
 
     64 quadrature nodes by default (8 panels of 8); exact to machine
     precision for the polynomial forms that occur in the test families.
+    `omega` maps a (K, n) block of nodes to the (K, n) form values there
+    (see `LambdaField`).
     """
     return LambdaField(omega, x0, accept=accept, panels=panels, nodes=nodes)
 
@@ -222,12 +264,8 @@ class ScaledCurvatureMetric:
         except KeyError:
             pass
         n = self.dim
-        b = geometry.CurvatureBundle(self.spray, pa, max(order + 2, 3))
-        Rj, _, res = geometry.scalar_split(b)
-        if not geometry._split_holds(b, res, TOL):
-            raise PreconditionError(
-                "curvature scalar is undefined: the spray is not of scalar "
-                f"curvature at this point (split residual {res:.3e})")
+        b = _split_bundle(self.spray, pa, order)
+        Rj = b.curvature_scalar
         om = [d / Rj for d in b.delta_scalar(Rj)]
         osp = om[0].space
         msp = jets.space(2 * n, order)
@@ -413,15 +451,17 @@ def verdict_isotropic(spray, count: int = 64, seed: int = 7,
 
     y_ref = samples.ys[0, 0].copy()
 
-    def omega_at(x: np.ndarray) -> np.ndarray:
-        pt = np.concatenate([x, y_ref])
-        b = geometry.CurvatureBundle(spray, pt, 3)
-        Rj, _, res = geometry.scalar_split(b)
-        if abs(Rj.value) < floor:
+    def omega_at(xs: np.ndarray) -> np.ndarray:
+        # one block bundle for the nodes of a segment
+        pts = np.concatenate([xs, np.broadcast_to(y_ref, xs.shape)], axis=1)
+        b = geometry.CurvatureBundle(spray, pts, 3)
+        Rj = b.curvature_scalar
+        Rv = Rj.value
+        if np.any(np.abs(Rv) < floor):
             raise PathError(
                 "curvature scalar vanishes on the integration path; omega "
                 "is undefined there")
-        return b.cov_h(Rj, ()) / Rj.value
+        return b.cov_h(Rj, ()) / Rv[:, None]
 
     anchor = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
     lam = recover_lambda(omega_at, anchor, accept=lambda x: (

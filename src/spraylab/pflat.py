@@ -266,9 +266,11 @@ def quadratic_structure_check(spray, samples: SampleSet | None = None,
     # reported residual is the actual third derivative of u, u(x0) = 1
     y_ref = samples.ys[0, 0].copy()
 
-    def sigma_at(x: np.ndarray) -> np.ndarray:
-        b = geometry.CurvatureBundle(spray, np.concatenate([x, y_ref]), 2)
-        return np.array([s.value for s in factor_jets(b)])
+    def sigma_at(xs: np.ndarray) -> np.ndarray:
+        # one block bundle for the nodes of a segment
+        pts = np.concatenate([xs, np.broadcast_to(y_ref, xs.shape)], axis=1)
+        b = geometry.CurvatureBundle(spray, pts, 2)
+        return np.stack([s.value for s in factor_jets(b)], axis=1)
 
     anchor = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
     lam = metrize.LambdaField(sigma_at, anchor, accept=lambda x: (

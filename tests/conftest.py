@@ -4,35 +4,61 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
+from functools import cached_property
 
+import numpy as np
 import pytest
 
-from spraylab import geometry, sampling
+from spraylab import geometry, metrize, sampling
 
 
 @pytest.fixture
 def tally(monkeypatch):
-    """Count sample draws and CurvatureBundle builds while a test runs.
+    """Count sample draws, bundle builds, scalar splits and quadratures.
 
     `draws` counts calls of sampling.sample_points, through whichever
-    spraylab module binds it; `bundles` counts builds per (point bytes,
-    order) key, so a value above 1 is a rebuilt bundle.
+    spraylab module binds it.  `bundles` counts builds of point bundles per
+    (point bytes, order) key, so a value above 1 is a rebuilt bundle;
+    `splits` counts scalar-split computations per the same key.  `blocks`
+    lists the point-block shape of each block bundle built, and
+    `lambda_targets` counts the points a LambdaField integrated to (its
+    cache misses).
     """
-    counts = {"draws": 0, "bundles": Counter()}
+    counts = {"draws": 0, "bundles": Counter(), "splits": Counter(),
+              "blocks": [], "lambda_targets": 0}
     sample_points = sampling.sample_points
-    init = geometry.CurvatureBundle.__init__
+    bundle = geometry.CurvatureBundle
+    init = bundle.__init__
+    split = bundle.__dict__["split"]
+    call = metrize.LambdaField.__call__
 
     def counting_sample_points(*args, **kwargs):
         counts["draws"] += 1
         return sample_points(*args, **kwargs)
 
-    def counting_init(bundle, spray, p, order=4):
-        init(bundle, spray, p, order)
-        counts["bundles"][(bundle._pa.tobytes(), bundle.order)] += 1
+    def counting_init(b, spray, p, order=4):
+        init(b, spray, p, order)
+        if b._pa.ndim == 2:
+            counts["blocks"].append(b._pa.shape)
+        else:
+            counts["bundles"][(b._pa.tobytes(), b.order)] += 1
+
+    def counting_split(b):
+        counts["splits"][(b._pa.tobytes(), b.order)] += 1
+        return split.func(b)
+
+    def counting_call(field, x):
+        if np.asarray(x, dtype=float).tobytes() not in field._cache:
+            counts["lambda_targets"] += 1
+        return call(field, x)
 
     for name, module in list(sys.modules.items()):
         if (name.split(".")[0] == "spraylab"
                 and getattr(module, "sample_points", None) is sample_points):
             monkeypatch.setattr(module, "sample_points", counting_sample_points)
-    monkeypatch.setattr(geometry.CurvatureBundle, "__init__", counting_init)
+    counted_split = cached_property(counting_split)
+    counted_split.__set_name__(bundle, "split")
+    monkeypatch.setattr(bundle, "__init__", counting_init)
+    monkeypatch.setattr(bundle, "split", counted_split)
+    monkeypatch.setattr(metrize.LambdaField, "__call__", counting_call)
     return counts

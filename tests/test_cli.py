@@ -72,6 +72,21 @@ def test_one_draw_and_one_bundle_per_point(command, name, points, tmp_path,
     assert tally["draws"] == 1
     assert len(tally["bundles"]) == points
     assert set(tally["bundles"].values()) == {1}
+    # every reader of the scalar split shares the bundle's one split
+    assert tally["splits"] == tally["bundles"]
+
+
+def test_quadrature_builds_one_bundle_per_lambda_target(tmp_path, tally):
+    # ex7.1 recovers L = R/lambda; each point that lambda is integrated to
+    # costs one block bundle, holding the 64 nodes of its segment.  (Its
+    # point bundles are not one per sample: the metric candidates rebuild
+    # them.)
+    code, data = run(["metrize", "ex7.1"], tmp_path)
+    assert code == 0
+    assert data["verdict"]["rule"] == "omega exact; L = R/lambda"
+    assert tally["draws"] == 1
+    assert tally["lambda_targets"] > 0
+    assert tally["blocks"] == [(64, 4)] * tally["lambda_targets"]
 
 
 def test_ex7_5_seed_4_classifies(tmp_path):

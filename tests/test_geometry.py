@@ -358,3 +358,27 @@ def test_homogeneity_guard_on_metric_tensor() -> None:
     bad = geometry.ExprMetric(dsl.parse("dim 2\nmetric L = y1^2 + y2^3\n"))
     with pytest.raises(PreconditionError):
         geometry.metric_tensor(bad, (0.1, 0.2, 0.8, 0.9))
+
+
+def test_block_bundle_of_an_induced_spray_stacks_point_jets() -> None:
+    # an induced spray has no block evaluation: its jets are taken point by
+    # point and stacked, so every row is the point bundle's
+    sp = geometry.MetricSpray(geometry.ExprMetric(dsl.parse(ROUND_METRIC)))
+    block = np.array([[0.1, -0.2, 0.6, 0.8], [0.3, 0.1, -0.5, 0.4]])
+    bb = CurvatureBundle(sp, block, 3)
+    assert bb.point is None
+    assert bb.R_values.shape == (2, 2, 2)
+    for r, p in enumerate(block):
+        b = CurvatureBundle(sp, p, 3)
+        assert np.array_equal(bb.curvature_scalar.coeffs[r], b.curvature_scalar.coeffs)
+        assert np.array_equal(bb.R_values[r], b.R_values)
+        assert np.array_equal(bb.cov_h(np.array(bb.R, dtype=object), ("u", "d"))[r],
+                              b.cov_h(np.array(b.R, dtype=object), ("u", "d")))
+
+
+def test_block_bundle_checks_its_points() -> None:
+    with pytest.raises(DomainError, match="tangent vector is zero"):
+        CurvatureBundle(spray_of(ROTOR), np.array([PROT, (0.1, 0.2, 0.0, 0.0)]))
+    bb = CurvatureBundle(spray_of(ROTOR), np.array([PROT, PCUB]))
+    with pytest.raises(PreconditionError, match="at one point"):
+        geometry.scalar_split(bb)

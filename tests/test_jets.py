@@ -220,3 +220,52 @@ def test_from_partials_reconstructs_jet() -> None:
     jet = sp.from_partials((0.1, 0.2), partials)
     for a, v in partials.items():
         assert jet.partial(a) == pytest.approx(v)
+
+
+# -- block jets -----------------------------------------------------------------
+
+BLOCK = np.array([P, (-0.5, 0.2, 1.3, -0.4), (0.9, 0.1, -0.6, 0.8)])
+
+
+def test_block_lift_rows_equal_point_lifts_bitwise() -> None:
+    # the frozen function exercises every series and the multiply kernel
+    block = jets.lift(fancy, BLOCK, 4)
+    assert block.coeffs.shape == (3, block.space.T)
+    assert np.array_equal(block.value, block.coeffs[:, 0])
+    for r, p in enumerate(BLOCK):
+        point = jets.lift(fancy, tuple(p), 4)
+        assert np.array_equal(block.coeffs[r], point.coeffs)
+        assert np.array_equal(block.dx(1).dy(0).coeffs[r], point.dx(1).dy(0).coeffs)
+
+
+def test_block_abs_takes_each_row_sign() -> None:
+    u = jets.lift(lambda v: v[0] * v[3], BLOCK, 2)
+    out = jets.absval(u)
+    for r in range(3):
+        sign = 1.0 if u.value[r] > 0 else -1.0
+        assert np.array_equal(out.coeffs[r], sign * u.coeffs[r])
+
+
+def test_block_floor_check_names_the_first_failing_row() -> None:
+    u = jets.lift(lambda v: v[0] - 0.5 * v[0], np.array([[1.0, 0.0], [0.0, 1.0], [1e-13, 1.0]]), 2)
+    with pytest.raises(DomainError, match=r"value part 0\.0$"):
+        u.reciprocal()
+    with pytest.raises(DomainError, match=r"ln of jet with value part 0\.0$"):
+        u.ln()
+
+
+def test_block_and_point_jets_do_not_mix() -> None:
+    block = jets.lift(lambda v: v[0], BLOCK, 2)
+    with pytest.raises(ValueError, match="different centers"):
+        block * jets.lift(lambda v: v[0], P, 2)
+    with pytest.raises(ValueError, match="different centers"):
+        block + jets.lift(lambda v: v[0], BLOCK + 1.0, 2)
+    # an equal block center, though another array, pairs
+    assert np.array_equal((block * jets.lift(lambda v: v[1], BLOCK.copy(), 2)).coeffs,
+                          (block * jets.lift(lambda v: v[1], BLOCK, 2)).coeffs)
+
+
+def test_stack_rebuilds_a_block_from_point_jets() -> None:
+    rows = [jets.lift(fancy, tuple(p), 3) for p in BLOCK]
+    block = jets.stack(rows, BLOCK)
+    assert np.array_equal(block.coeffs, jets.lift(fancy, BLOCK, 3).coeffs)

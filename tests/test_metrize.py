@@ -10,11 +10,14 @@ reproduce the input spray exactly before being trusted as expectations here.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from spraylab import classify, dsl, geometry, metrize, sampling
-from spraylab.errors import PathError, PreconditionError
+from spraylab import classify, corpus, dsl, geometry, metrize, sampling
+from spraylab.errors import DomainError, PathError, PreconditionError
 
 FLAT = """
 dim 2
@@ -211,15 +214,20 @@ def test_curvature_metric_jets() -> None:
 # -- recover_lambda -------------------------------------------------------------
 
 
+def first_component(f):
+    """The block form (K, 2) -> (K, 2) of omega = f(x1) dx1."""
+    return lambda xs: np.stack([f(xs[:, 0]), np.zeros(len(xs))], axis=1)
+
+
 def test_recover_lambda_zero_form() -> None:
-    lam = metrize.recover_lambda(lambda x: np.zeros(2), np.zeros(2))
+    lam = metrize.recover_lambda(lambda xs: np.zeros_like(xs), np.zeros(2))
     assert lam(np.array([0.7, -0.3])) == 1.0
 
 
 def test_recover_lambda_log_derivative() -> None:
     # omega = d ln(x1 + 2) integrates to lambda = (x1 + 2)/2 from x0 = 0
     lam = metrize.recover_lambda(
-        lambda x: np.array([1.0 / (x[0] + 2.0), 0.0]), np.zeros(2))
+        first_component(lambda x1: 1.0 / (x1 + 2.0)), np.zeros(2))
     for x1 in (-0.5, 0.4, 1.5):
         got = lam(np.array([x1, 0.3]))
         assert got == pytest.approx((x1 + 2.0) / 2.0, abs=1e-8)
@@ -227,7 +235,7 @@ def test_recover_lambda_log_derivative() -> None:
 
 def test_recover_lambda_gaussian() -> None:
     lam = metrize.recover_lambda(
-        lambda x: np.array([-4.0 * x[0], 0.0]), np.zeros(2))
+        first_component(lambda x1: -4.0 * x1), np.zeros(2))
     for x1 in (-0.6, 0.25, 0.8):
         assert lam(np.array([x1, -0.2])) == pytest.approx(
             np.exp(-2.0 * x1 ** 2), abs=1e-10)
@@ -235,10 +243,71 @@ def test_recover_lambda_gaussian() -> None:
 
 def test_recover_lambda_path_exits_chart() -> None:
     lam = metrize.recover_lambda(
-        lambda x: np.array([1.0, 0.0]), np.zeros(2),
+        first_component(np.ones_like), np.zeros(2),
         accept=lambda x: x[0] < 0.5)
     with pytest.raises(PathError):
         lam(np.array([1.0, 0.0]))
+
+
+def vanishing_beyond(x1_max: float, domain_beyond: float | None = None):
+    """A block omega that fails like the isotropic verdict's: PathError when
+    a node has x1 > x1_max; with `domain_beyond`, it checks first for nodes
+    beyond that and raises DomainError for them."""
+    def omega(xs):
+        if domain_beyond is not None and np.any(xs[:, 0] > domain_beyond):
+            raise DomainError("division by jet with value part 0.0")
+        if np.any(xs[:, 0] > x1_max):
+            raise PathError("curvature scalar vanishes on the integration "
+                            "path; omega is undefined there")
+        return np.zeros_like(xs)
+    return omega
+
+
+def test_recover_lambda_vanishing_before_the_veto_decides() -> None:
+    # the form is undefined from x1 = 0.3 on, the chart ends at 0.5: visited
+    # node by node, the path meets the undefined form first
+    lam = metrize.recover_lambda(vanishing_beyond(0.3), np.zeros(2),
+                                 accept=lambda x: x[0] < 0.5)
+    with pytest.raises(PathError, match="curvature scalar vanishes"):
+        lam(np.array([1.0, 0.0]))
+
+
+def test_recover_lambda_earliest_failing_node_decides() -> None:
+    # the block call raises DomainError for the nodes beyond 0.4, but the
+    # nodes between 0.3 and 0.4 come first on the path and fail otherwise
+    lam = metrize.recover_lambda(vanishing_beyond(0.3, domain_beyond=0.4),
+                                 np.zeros(2), accept=lambda x: x[0] < 0.5)
+    with pytest.raises(PathError, match="curvature scalar vanishes"):
+        lam(np.array([1.0, 0.0]))
+
+
+def test_recover_lambda_veto_before_any_failure() -> None:
+    lam = metrize.recover_lambda(vanishing_beyond(0.7), np.zeros(2),
+                                 accept=lambda x: x[0] < 0.5)
+    with pytest.raises(PathError, match="leaves the admissible chart"):
+        lam(np.array([1.0, 0.0]))
+
+
+def test_recover_lambda_rejects_point_callables() -> None:
+    lam = metrize.recover_lambda(lambda x: np.zeros(2), np.zeros(2))
+    with pytest.raises(ValueError, match="one row per node"):
+        lam(np.array([0.7, -0.3]))
+
+
+# float.hex of ex7.1's recovered L and lambda at 12 fixed points, recorded
+# while the quadrature still built one bundle per node
+RECOVERY_HEX = Path(__file__).resolve().parent / "data" / "ex7_1_recovery_hex.json"
+
+
+@pytest.mark.parametrize("seed", ["7", "1007"])
+def test_ex7_1_recovery_is_bit_for_bit_stable(seed) -> None:
+    rec = json.loads(RECOVERY_HEX.read_text())
+    fx = corpus.load_fixture(rec["fixture"])
+    pts = np.array([[float.fromhex(v) for v in p] for p in rec["points"]])
+    v = metrize.decide(fx.build(), count=64, seed=int(seed), box=fx.box)
+    L = v.recovered_metric
+    assert [L.value(p).hex() for p in pts] == rec["seeds"][seed]["L"]
+    assert [L.lam(p[:2]).hex() for p in pts] == rec["seeds"][seed]["lambda"]
 
 
 # -- verdict_isotropic ----------------------------------------------------------
