@@ -349,16 +349,35 @@ class ClassificationReport:
         return self.samples.bases
 
 
+# consecutive samples evaluated as one block bundle by `point_bundles`; it
+# bounds the memory a block's tensors hold while its rows are read
+BLOCK_ROWS = 16
+
+
 def point_bundles(spray, samples: SampleSet, order: int = 4,
                   tol: Tolerances = TOL):
     """Yield (point, bundle, ScalarDecomposition) for each sample in turn.
 
-    A generator, so a caller that summarizes each bundle and drops it holds
-    only one at a time; callers that revisit the points collect a tuple.
+    Runs of BLOCK_ROWS consecutive samples share one block bundle, and each
+    sample's bundle is a row of it (`CurvatureBundle.rows`), equal bit for
+    bit to the bundle built at that point alone.  When evaluating a block
+    raises, its samples are built one at a time instead, so the first
+    sample that fails on its own decides the error, after the samples
+    before it are yielded.  A generator, so a caller that summarizes each
+    bundle and drops it holds one block at a time; callers that revisit
+    the points collect a tuple.
     """
-    for pt in samples.points():
-        b = geometry.CurvatureBundle(spray, pt, order)
-        yield pt, b, decompose_scalar(b, tol=tol)
+    pts = samples.points()
+    for lo in range(0, len(pts), BLOCK_ROWS):
+        block = pts[lo:lo + BLOCK_ROWS]
+        try:
+            bundles = geometry.CurvatureBundle(spray, block, order).rows()
+        except Exception:
+            # whatever the block raised, a sample that fails alone raises
+            # its own error again below
+            bundles = (geometry.CurvatureBundle(spray, pt, order) for pt in block)
+        for pt, b in zip(block, bundles):
+            yield pt, b, decompose_scalar(b, tol=tol)
 
 
 def _closed_factor_residual(bundle) -> float:

@@ -31,16 +31,20 @@ The jet-level loop `_cov_h_jets` stays for chained derivatives
 A bundle may also be built at a (B, 2n) block of points: its jets then
 carry a leading block axis (see `jets`), its value views and `cov_h`
 results gain a leading axis of length B, and row r of each equals, bit
-for bit, what the bundle at point r alone gives.  Expression sprays are
-evaluated once over the block; other sprays point by point, their jets
-stacked.  The scalar split and the operations built on it are taken at
-one point only.
+for bit, what the bundle at point r alone gives.  Expression sprays and
+the sprays of expression or callable metrics are evaluated once over the
+block; sprays of the numerical curvature metrics point by point, their
+jets stacked.  `rows` turns a block bundle into one point bundle per row,
+which reads its tensors off the block's rows: the tensors of many points
+come from one walk through the formulas, and every consumer of point
+bundles reads them unchanged.  The scalar split and the operations built
+on it are taken at one point only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Callable
 
 import numpy as np
@@ -132,6 +136,9 @@ class ExprSpray:
 class ExprMetric:
     """A candidate Finsler function given as a parsed expression."""
 
+    # `jet` evaluates a block of points in one pass
+    evaluates_blocks = True
+
     def __init__(self, problem: dsl.ProblemDef):
         if problem.kind != "metric":
             raise PreconditionError(f"problem {problem.name!r} is not a metric")
@@ -157,8 +164,12 @@ class FuncMetric:
 
     Used for recovered metrics that exist numerically rather than as source
     text: `fn` receives the list [x1..xn, y1..yn] of jets (or floats) and
-    must return the metric value in kind.
+    must return the metric value in kind.  The jets may be block jets, so
+    `fn` should combine them with jet arithmetic and the `jets` functions
+    only.
     """
+
+    evaluates_blocks = True
 
     def __init__(self, dim: int, fn: Callable, name: str = "recovered",
                  guards: Callable | None = None):
@@ -189,6 +200,10 @@ class MetricSpray:
         self.dim = metric.dim
         self.name = name or f"induced({metric.name})"
 
+    @property
+    def evaluates_blocks(self) -> bool:
+        return getattr(self.metric, "evaluates_blocks", False)
+
     def coeff_jets(self, p, order: int) -> list:
         return spray_from_metric(self.metric, p, order)
 
@@ -207,6 +222,11 @@ class ShiftedSpray:
         self.c = float(c)
         self.dim = base.dim
         self.name = f"{base.name}+{self.c}*F*y"
+
+    @property
+    def evaluates_blocks(self) -> bool:
+        return (getattr(self.base, "evaluates_blocks", False)
+                and getattr(self.metric, "evaluates_blocks", False))
 
     def coeff_jets(self, p, order: int) -> list:
         G = self.base.coeff_jets(p, order)
@@ -233,7 +253,11 @@ class MetricTensor:
 
 
 def _fundamental_jets(metric, pa: np.ndarray, order: int, tol: Tolerances):
-    """Jets of L and of g_ij = half the y-Hessian, with a rank check."""
+    """Jets of L and of g_ij = half the y-Hessian, with a rank check.
+
+    At a block of points the values are (B, n, n) and the rank is checked
+    row by row; the first failing row names the error.
+    """
     Lj = metric.jet(pa, order + 2)
     n = metric.dim
     g = np.empty((n, n), dtype=object)
@@ -241,13 +265,14 @@ def _fundamental_jets(metric, pa: np.ndarray, order: int, tol: Tolerances):
         di = Lj.dy(i)
         for j in range(i, n):
             g[i, j] = g[j, i] = 0.5 * di.dy(j)
-    vals = np.array([[g[i, j].value for j in range(n)] for i in range(n)])
-    s = np.linalg.svd(vals, compute_uv=False)
-    if s[-1] <= tol.rank * s[0] or s[0] == 0.0:
-        raise DegenerateMetric(
-            f"fundamental tensor of {metric.name!r} is numerically singular "
-            f"(singular values {s})"
-        )
+    vals = CurvatureBundle._values(g)
+    for v in (vals if vals.ndim == 3 else (vals,)):
+        s = np.linalg.svd(v, compute_uv=False)
+        if s[-1] <= tol.rank * s[0] or s[0] == 0.0:
+            raise DegenerateMetric(
+                f"fundamental tensor of {metric.name!r} is numerically singular "
+                f"(singular values {s})"
+            )
     return Lj, g, vals
 
 
@@ -268,7 +293,7 @@ def metric_tensor(metric, p, tol: Tolerances = TOL) -> MetricTensor:
 
 
 def spray_from_metric(metric, p, order: int = 4, tol: Tolerances = TOL) -> list:
-    """Jets of the induced spray coefficients at p.
+    """Jets of the induced spray coefficients at p (a point or a block).
 
     The metric is lifted two orders above the requested spray order, since
     the geodesic coefficients consume one x- and one y-derivative of L.
@@ -300,6 +325,32 @@ def spray_from_metric(metric, p, order: int = 4, tol: Tolerances = TOL) -> list:
 # -- the bundle ---------------------------------------------------------------
 
 
+def _row_of(value, r: int, center: tuple):
+    """Row r of a block bundle's tensor: block jets, in nested lists, become
+    point jets at `center` over the same coefficients; value arrays lose
+    the block axis."""
+    if isinstance(value, jets.Jet):
+        return jets.Jet(value.space, center, value.coeffs[r])
+    if isinstance(value, list):
+        return [_row_of(v, r, center) for v in value]
+    return value[r]
+
+
+def _per_row(fn):
+    """A cached tensor that a row bundle (see `CurvatureBundle.rows`) reads
+    off its block's instead of computing it."""
+    name = fn.__name__
+
+    @wraps(fn)
+    def get(self):
+        if self._block is None:
+            return fn(self)
+        block, r, center = self._block
+        return _row_of(getattr(block, name), r, center)
+
+    return cached_property(get)
+
+
 class CurvatureBundle:
     """Every derived tensor of one spray at one point, lazily computed.
 
@@ -311,6 +362,10 @@ class CurvatureBundle:
     `p` may be a (B, 2n) block of points instead of one point; see the
     module docstring.  A block bundle has no `point`.
     """
+
+    # (block bundle, row, center of the row's jets) for a row bundle made
+    # by `rows`, else None
+    _block = None
 
     def __init__(self, spray, p, order: int = 4):
         self.spray = spray
@@ -333,9 +388,29 @@ class CurvatureBundle:
         self._pa = pa
         self.yvals = pa[..., self.dim:]
 
+    def rows(self) -> list:
+        """One point bundle per row of this block bundle, in row order.
+
+        Row r's bundle reads its jets and value views off row r of this
+        bundle's, so every tensor is computed once for the whole block,
+        and each equals, bit for bit, what the bundle built at that point
+        alone computes.  Each row bundle takes its own scalar split.  G is
+        evaluated here, so an error in evaluating the spray is raised
+        before any row is returned.
+        """
+        if self._pa.ndim != 2:
+            raise PreconditionError("only a block bundle has rows")
+        self.G  # evaluated now, so its errors come before any row
+        out = []
+        for r, pa in enumerate(self._pa):
+            b = CurvatureBundle(self.spray, pa, self.order)
+            b._block = (self, r, tuple(pa))
+            out.append(b)
+        return out
+
     # ---- raw jets
 
-    @cached_property
+    @_per_row
     def G(self) -> list:
         if self._pa.ndim == 1 or getattr(self.spray, "evaluates_blocks", False):
             return self.spray.coeff_jets(self._pa, self.order)
@@ -345,15 +420,15 @@ class CurvatureBundle:
     def constant(self, v: float):
         return self.G[0].space.constant(float(v), self.G[0].center)
 
-    @cached_property
+    @_per_row
     def N(self) -> list:
         return [[Gi.dy(j) for j in range(self.dim)] for Gi in self.G]
 
-    @cached_property
+    @_per_row
     def Gamma(self) -> list:
         return [[[Nij.dy(k) for k in range(self.dim)] for Nij in row] for row in self.N]
 
-    @cached_property
+    @_per_row
     def R(self) -> list:
         n = self.dim
         ys = _var_jets(n, self._pa, self.order)[n:]
@@ -371,14 +446,14 @@ class CurvatureBundle:
             out.append(row)
         return out
 
-    @cached_property
+    @_per_row
     def Ric(self):
         acc = self.R[0][0]
         for i in range(1, self.dim):
             acc = acc + self.R[i][i]
         return acc
 
-    @cached_property
+    @_per_row
     def curvature_scalar(self):
         """The jet of R = Ric/(n-1), the R of the scalar split."""
         if self.dim < 2:
@@ -406,7 +481,7 @@ class CurvatureBundle:
         residual = float(np.max(np.abs(self.R_values - recon)))
         return Rj, tau, residual
 
-    @cached_property
+    @_per_row
     def R3(self) -> list:
         n = self.dim
         third = 1.0 / 3.0
@@ -418,7 +493,7 @@ class CurvatureBundle:
             for i in range(n)
         ]
 
-    @cached_property
+    @_per_row
     def V(self) -> list:
         """The contracted 3-tensor V_k = R^m_{km}."""
         n = self.dim
@@ -430,7 +505,7 @@ class CurvatureBundle:
             out.append(acc)
         return out
 
-    @cached_property
+    @_per_row
     def chi(self) -> list:
         n = self.dim
         out = []
@@ -529,26 +604,29 @@ class CurvatureBundle:
     @staticmethod
     def _values(obj) -> np.ndarray:
         """The value parts of an array of jets; block jets put the block axis
-        first."""
+        first.  The result is C-contiguous, so a row of a block's values is
+        laid out as a point's: numpy reductions and products over a
+        strided array may round differently."""
         arr = np.asarray(obj, dtype=object)
         vals = [u.value for u in arr.ravel()]
         if vals and not isinstance(vals[0], float):
-            return np.moveaxis(np.array(vals), -1, 0).reshape(vals[0].shape + arr.shape)
+            return np.ascontiguousarray(
+                np.moveaxis(np.array(vals), -1, 0).reshape(vals[0].shape + arr.shape))
         return np.array(vals, dtype=float).reshape(arr.shape)
 
-    @cached_property
+    @_per_row
     def G_values(self) -> np.ndarray:
         return self._values(self.G)
 
-    @cached_property
+    @_per_row
     def N_values(self) -> np.ndarray:
         return self._values(self.N)
 
-    @cached_property
+    @_per_row
     def Gamma_values(self) -> np.ndarray:
         return self._values(self.Gamma)
 
-    @cached_property
+    @_per_row
     def B_values(self) -> np.ndarray:
         # the Berwald tensor is read only through its values, so its n^4
         # jets are not kept: bundles stay small while a report holds them
@@ -558,7 +636,7 @@ class CurvatureBundle:
             for mat in self.Gamma
         ])
 
-    @cached_property
+    @_per_row
     def R_values(self) -> np.ndarray:
         return self._values(self.R)
 
@@ -566,7 +644,7 @@ class CurvatureBundle:
     def Ric_value(self):
         return self.Ric.value
 
-    @cached_property
+    @_per_row
     def chi_values(self) -> np.ndarray:
         return self._values(self.chi)
 

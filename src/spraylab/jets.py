@@ -41,6 +41,13 @@ from .errors import DomainError, OrderError
 # Value parts closer to zero than this cannot be divided by, square-rooted, etc.
 VALUE_FLOOR = 1e-12
 
+# A block multiply gathers one product per (row, pair of the multiply table);
+# it runs over chunks of rows holding about this many products, so its
+# temporaries stay bounded however tall the block is.  A 16-row block of a
+# dim-3 metric spray, lifted to order 6 in 6 variables (18564 pairs), runs
+# in three chunks; the blocks of dim-2 sprays and fixtures fit in one.
+MUL_CHUNK = 1 << 17
+
 _EXHAUSTED = "jet order exhausted: cannot differentiate an order-0 jet"
 
 
@@ -93,12 +100,13 @@ class JetSpace:
 
     def _block_index(self, rows: int) -> np.ndarray:
         """The product bins of a (rows, T) block, flattened: row r's bins
-        are the single-point bins offset by r*T.  Only the last block
-        height is kept, so the cache stays one array per space."""
-        if self._block_bins[0] != rows:
-            ic = self._mul_table[2]
+        are the single-point bins offset by r*T.  The bins of a shorter
+        block are a prefix of a taller one's, so only the tallest block
+        seen (at most one multiply chunk) is kept, one array per space."""
+        ic = self._mul_table[2]
+        if self._block_bins[0] < rows:
             self._block_bins = (rows, (ic[None, :] + self.T * np.arange(rows)[:, None]).ravel())
-        return self._block_bins[1]
+        return self._block_bins[1][:rows * len(ic)]
 
     def _dmap(self, v: int) -> tuple[np.ndarray, np.ndarray]:
         """Maps coefficients of this space onto d/dv coefficients in the space
@@ -182,12 +190,17 @@ def _mul_coeffs(sp: JetSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ia, ib, ic = sp._mul_table
     if a.ndim == 1:
         return np.bincount(ic, weights=a[ia] * b[ib], minlength=sp.T)
-    # one bincount over the whole block: each row's bins are offset by
-    # row*T, so every coefficient is summed in the single-point order
+    # one bincount per chunk of rows: each row's bins are offset by row*T,
+    # so every coefficient is summed in the single-point order
     rows = a.shape[0]
-    out = np.bincount(sp._block_index(rows), weights=(a[:, ia] * b[:, ib]).ravel(),
-                      minlength=rows * sp.T)
-    return out.reshape(rows, sp.T)
+    step = max(1, MUL_CHUNK // len(ic))
+    out = np.empty((rows, sp.T))
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
+        out[lo:hi] = np.bincount(sp._block_index(hi - lo),
+                                 weights=(a[lo:hi, ia] * b[lo:hi, ib]).ravel(),
+                                 minlength=(hi - lo) * sp.T).reshape(hi - lo, sp.T)
+    return out
 
 
 class Jet:
@@ -641,37 +654,39 @@ def jet_matrix_inverse(m: np.ndarray) -> np.ndarray:
 
     The value part is inverted by LAPACK (partial pivoting); derivative parts
     follow from (M^-1)' = -M^-1 M' M^-1, applied order by order in Horner form:
-    W <- W0 - W0 dM W gains one valid order per pass.
+    W <- W0 - W0 dM W gains one valid order per pass.  The jets may be block
+    jets: their (B, n, n) value parts are inverted as one stack, and each
+    row of the result equals the inverse at that point alone.
     """
     n = m.shape[0]
-    one = m[0, 0]
     order = min(int(m[i, j].order) for i in range(n) for j in range(n))
     jm = np.empty((n, n), dtype=object)
-    vals = np.empty((n, n))
     for i in range(n):
         for j in range(n):
             jm[i, j] = m[i, j].truncated(order)
-            vals[i, j] = jm[i, j].value
+    sp = jm[0, 0].space
+    center = jm[0, 0].center
+    vals = np.empty(jm[0, 0].coeffs.shape[:-1] + (n, n))
+    for i in range(n):
+        for j in range(n):
+            vals[..., i, j] = jm[i, j].coeffs[..., 0]
     try:
         w0 = np.linalg.inv(vals)
     except np.linalg.LinAlgError as exc:
         raise DomainError(f"matrix value part is singular: {exc}") from exc
 
-    sp = jm[0, 0].space
-    center = jm[0, 0].center
-
     def const_mat(a: np.ndarray) -> np.ndarray:
         out = np.empty((n, n), dtype=object)
         for i in range(n):
             for j in range(n):
-                out[i, j] = sp.constant(a[i, j], center)
+                out[i, j] = sp.constant(a[..., i, j], center)
         return out
 
     dm = np.empty((n, n), dtype=object)
     for i in range(n):
         for j in range(n):
             d = Jet(sp, center, jm[i, j].coeffs.copy())
-            d.coeffs[0] -= vals[i, j]
+            d.coeffs[..., 0] -= vals[..., i, j]
             dm[i, j] = d
 
     w0j = const_mat(w0)

@@ -103,9 +103,19 @@ def finsler_check(field_obj, samples: SampleSet,
                         rank_ratio=min_ratio)
 
 
-def _split_bundle(spray, pa: np.ndarray, order: int):
-    """A bundle two orders above `order` at pa, whose scalar split holds."""
-    b = geometry.CurvatureBundle(spray, pa, max(order + 2, 3))
+def _bundle_table(bundles) -> dict:
+    """Point bundles keyed by (point bytes, order), as `_split_bundle` looks
+    them up."""
+    return {(b.point.array().tobytes(), b.order): b for b in bundles}
+
+
+def _split_bundle(spray, pa: np.ndarray, order: int, known: dict):
+    """A bundle two orders above `order` at pa, whose scalar split holds:
+    the one in `known` under that (point, order) key, else a new one."""
+    k = max(order + 2, 3)
+    b = known.get((pa.tobytes(), k))
+    if b is None:
+        b = geometry.CurvatureBundle(spray, pa, k)
     if not geometry.split_holds(b, TOL):
         raise PreconditionError(
             "curvature scalar is undefined: the spray is not of scalar "
@@ -116,16 +126,20 @@ def _split_bundle(spray, pa: np.ndarray, order: int):
 class CurvatureMetric:
     """The curvature scalar R = Ric/(n-1) of a spray, as a metric candidate.
 
-    Exists numerically: each jet request builds a curvature bundle two
-    orders above and splits it.  Requests are cached per (point, order)
-    because re-verification revisits the same samples several times.
+    Exists numerically: a jet request reads the curvature bundle two orders
+    above the point and splits it.  The bundle is one of `bundles` (the
+    classification report's, typically) when its point and order match,
+    else a new one; either way its split must hold.  Requests are cached
+    per (point, order) because re-verification revisits the same samples
+    several times.
     """
 
-    def __init__(self, spray, name: str | None = None):
+    def __init__(self, spray, name: str | None = None, bundles=()):
         self.spray = spray
         self.dim = spray.dim
         self.name = name or f"curvature({spray.name})"
         self._cache: dict = {}
+        self._bundles = _bundle_table(bundles)
 
     def jet(self, p, order: int):
         pa = geometry._point_array(p, self.dim)
@@ -134,7 +148,7 @@ class CurvatureMetric:
             return self._cache[key]
         except KeyError:
             pass
-        Rj = _split_bundle(self.spray, pa, order).curvature_scalar
+        Rj = _split_bundle(self.spray, pa, order, self._bundles).curvature_scalar
         self._cache[key] = Rj
         return Rj
 
@@ -246,15 +260,18 @@ class ScaledCurvatureMetric:
     omega (mu_{alpha} = omega_i[alpha - e_i]/alpha_i for x-monomials; the
     constant term comes from the quadrature field).  Only x-monomials are
     transferred, so residual y-noise in omega below tolerance is dropped
-    rather than amplified.
+    rather than amplified.  The curvature bundles come from `bundles` where
+    the (point, order) key matches, as for `CurvatureMetric`.
     """
 
-    def __init__(self, spray, lam: LambdaField, name: str | None = None):
+    def __init__(self, spray, lam: LambdaField, name: str | None = None,
+                 bundles=()):
         self.spray = spray
         self.lam = lam
         self.dim = spray.dim
         self.name = name or f"curvature({spray.name})/lambda"
         self._cache: dict = {}
+        self._bundles = _bundle_table(bundles)
 
     def jet(self, p, order: int):
         pa = geometry._point_array(p, self.dim)
@@ -264,7 +281,7 @@ class ScaledCurvatureMetric:
         except KeyError:
             pass
         n = self.dim
-        b = _split_bundle(self.spray, pa, order)
+        b = _split_bundle(self.spray, pa, order, self._bundles)
         Rj = b.curvature_scalar
         om = [d / Rj for d in b.delta_scalar(Rj)]
         osp = om[0].space
@@ -385,7 +402,9 @@ def verdict_isotropic(spray, count: int = 64, seed: int = 7,
                        bases=samples.bases,
                        evidence={"max_R": max_R, "note": _zero_note(samples)})
 
-    fc = finsler_check(CurvatureMetric(spray), samples, tol)
+    # the metric candidates read the classification's bundles
+    known = [b for _, b, _ in triples]
+    fc = finsler_check(CurvatureMetric(spray, bundles=known), samples, tol)
     if not fc.holds:
         return Verdict("not_metrizable", "R is not a Finsler metric",
                        _finsler_failure(fc, tol), bases=samples.bases,
@@ -432,7 +451,7 @@ def verdict_isotropic(spray, count: int = 64, seed: int = 7,
 
     max_om = float(np.nanmax(np.abs(om_vals)))
     if tol.zero(max_om, 1.0):
-        L = CurvatureMetric(spray)
+        L = CurvatureMetric(spray, bundles=known)
         ok, ev, worst = _certify(spray, L, samples, triples, tol)
         if not ok:
             return Verdict("inconclusive",
@@ -466,7 +485,7 @@ def verdict_isotropic(spray, count: int = 64, seed: int = 7,
     anchor = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
     lam = recover_lambda(omega_at, anchor, accept=lambda x: (
         sampling.guards_hold(spray, np.concatenate([x, y_ref]))))
-    L = ScaledCurvatureMetric(spray, lam)
+    L = ScaledCurvatureMetric(spray, lam, bundles=known)
     ok, ev, worst = _certify(spray, L, samples, triples, tol)
     ev["lambda"] = lam
     if not ok:
@@ -505,7 +524,7 @@ def verdict_constant(spray, count: int = 64, seed: int = 7,
                        evidence={"max_Ric": max_ric,
                                  "note": _zero_note(samples)})
 
-    L = CurvatureMetric(spray)
+    L = CurvatureMetric(spray, bundles=[b for _, b, _ in triples])
     fc = finsler_check(L, samples, tol)
     if not fc.holds:
         return Verdict("not_metrizable", "Ric is not a Finsler metric",

@@ -8,10 +8,12 @@ kept explicit instead of flattening everything into one cloud.
 Rejection is caller-driven: an `accept` callback sees each candidate point
 (x followed by y, one flat vector) and can veto it, typically because a guard
 expression is nonpositive or a jet probe raised DomainError.  The attempt
-budget is 10x the number of accepted draws needed; running out raises
-SamplingError rather than silently thinning the sample.  `draw` is the one
-guarded draw every procedure uses: it accepts exactly the points where all of
-a field's guards clear GUARD_MARGIN.
+budget is 10x the number of accepted draws needed (bases plus tangents),
+and a base that is given up is charged one group's worth of it, not every
+tangent it tried; running out raises SamplingError rather than silently
+thinning the sample.  `draw` is the one guarded draw every procedure uses:
+it accepts exactly the points where all of a field's guards clear
+GUARD_MARGIN.
 """
 
 from __future__ import annotations
@@ -109,6 +111,14 @@ def sample_points(
 
     Deterministic for a fixed (dim, count, seed, box): the candidate stream
     comes from one PCG64 generator and rejection only consumes it.
+
+    Each base, and each tangent tried at it, costs one unit of a budget of
+    10 x (bases + points).  A base gets at most 10 x 2n tangent tries; one
+    that fills no group in them is given up and charged 1 + 2n units, as
+    many as a group that fills at once, so a guard that vetoes whole bases
+    (one that constrains x alone) cannot drain the budget through their
+    tangents.  So at most 10 x (bases + 1) bases are tried, with at most
+    10 x 2n tangents at each.
     """
     if count < 1:
         raise SamplingError("sample count must be at least 1")
@@ -150,6 +160,7 @@ def sample_points(
         # when the guard constrains x alone) must not drain the whole budget;
         # give it a bounded number of tries, then redraw the base
         tries = 10 * m
+        start = budget
         while k < m and tries > 0 and budget > 0:
             tries -= 1
             budget -= 1
@@ -161,6 +172,8 @@ def sample_points(
             bases[b] = x
             ys[b] = group
             b += 1
+        else:
+            budget = max(budget, start - m)
     return SampleSet(bases, ys, candidates, rejected)
 
 

@@ -17,18 +17,22 @@ def tally(monkeypatch):
     """Count sample draws, bundle builds, scalar splits and quadratures.
 
     `draws` counts calls of sampling.sample_points, through whichever
-    spraylab module binds it.  `bundles` counts builds of point bundles per
-    (point bytes, order) key, so a value above 1 is a rebuilt bundle;
+    spraylab module binds it.  `bundles` counts builds of point bundles,
+    the row bundles of a block bundle included, per (point bytes, order)
+    key, so a value above 1 is a rebuilt bundle;
     `splits` counts scalar-split computations per the same key.  `blocks`
-    lists the point-block shape of each block bundle built, and
+    lists the point-block shape of each block bundle built, `row_blocks`
+    that of each block bundle whose `rows` returned (a block that fell
+    back to point bundles is missing there), and
     `lambda_targets` counts the points a LambdaField integrated to (its
     cache misses).
     """
     counts = {"draws": 0, "bundles": Counter(), "splits": Counter(),
-              "blocks": [], "lambda_targets": 0}
+              "blocks": [], "row_blocks": [], "lambda_targets": 0}
     sample_points = sampling.sample_points
     bundle = geometry.CurvatureBundle
     init = bundle.__init__
+    rows = bundle.rows
     split = bundle.__dict__["split"]
     call = metrize.LambdaField.__call__
 
@@ -42,6 +46,11 @@ def tally(monkeypatch):
             counts["blocks"].append(b._pa.shape)
         else:
             counts["bundles"][(b._pa.tobytes(), b.order)] += 1
+
+    def counting_rows(b):
+        out = rows(b)
+        counts["row_blocks"].append(b._pa.shape)
+        return out
 
     def counting_split(b):
         counts["splits"][(b._pa.tobytes(), b.order)] += 1
@@ -60,5 +69,6 @@ def tally(monkeypatch):
     counted_split.__set_name__(bundle, "split")
     monkeypatch.setattr(bundle, "__init__", counting_init)
     monkeypatch.setattr(bundle, "split", counted_split)
+    monkeypatch.setattr(bundle, "rows", counting_rows)
     monkeypatch.setattr(metrize.LambdaField, "__call__", counting_call)
     return counts

@@ -12,7 +12,13 @@ import numpy as np
 import pytest
 
 from spraylab import classify, dsl, geometry, sampling
-from spraylab.errors import PreconditionError, RankError, SprayLabError
+from spraylab.errors import (
+    DegenerateMetric,
+    DomainError,
+    PreconditionError,
+    RankError,
+    SprayLabError,
+)
 
 FLAT = """
 dim 2
@@ -423,3 +429,65 @@ def test_rflat_iff_h_vanishes() -> None:
         h = geometry.h_tensors(b)
         assert (np.max(np.abs(h.Hij)) <= 1e-9) == flat
         assert (np.max(np.abs(b.R_values)) <= 1e-9) == flat
+
+
+# G1 is evaluated before G2, so a block fails first in G1, at whichever row
+# that is, while point by point the earliest failing sample fails first
+TWO_DOMAINS = """
+dim 2
+spray G1 = ln(x1) * y1^2
+spray G2 = sqrt(x2) * y2^2
+"""
+
+# singular where x1 = 0; the square root fails where x2 < 0, before the
+# fundamental tensor exists
+DEGENERATE_ROW = """
+dim 2
+metric L = x1 * (y1^2 + y2^2) + sqrt(x2) * y1^2
+"""
+
+
+def _samples_at(bases) -> sampling.SampleSet:
+    """One sample per base, all with the tangent (0.7, 0.7)."""
+    bases = np.array(bases, dtype=float)
+    return sampling.SampleSet(bases, np.full((len(bases), 1, 2), 0.7))
+
+
+def test_point_bundles_raise_the_earliest_sample_error() -> None:
+    spray = geometry.ExprSpray(dsl.parse(TWO_DOMAINS))
+    # sample 1 is fine, sample 2 fails in G2, sample 3 in G1
+    samples = _samples_at([[0.5, 0.5], [0.5, -0.2], [-0.3, 0.5]])
+    with pytest.raises(DomainError, match="ln of jet"):
+        geometry.CurvatureBundle(spray, samples.points(), 4).rows()
+    gen = classify.point_bundles(spray, samples)
+    pt, b, dec = next(gen)
+    assert np.array_equal(pt, samples.points()[0])
+    assert dec.holds and b.point == geometry.CurvatureBundle(spray, pt).point
+    with pytest.raises(DomainError, match="sqrt of jet with value part -0.2"):
+        next(gen)
+
+
+def test_point_bundles_raise_a_degenerate_metric_before_a_later_domain_error() -> None:
+    metric = geometry.ExprMetric(dsl.parse(DEGENERATE_ROW))
+    spray = geometry.MetricSpray(metric)
+    # sample 1 has a singular fundamental tensor; sample 2 fails earlier in
+    # its own evaluation, in the square root
+    samples = _samples_at([[0.0, 0.25], [1.0, -0.2]])
+    with pytest.raises(DomainError, match="sqrt of jet"):
+        geometry.spray_from_metric(metric, samples.points(), 4)
+    with pytest.raises(DegenerateMetric, match="numerically singular"):
+        list(classify.point_bundles(spray, samples))
+
+
+def test_block_rank_check_names_the_first_degenerate_row() -> None:
+    metric = geometry.ExprMetric(dsl.parse(DEGENERATE_ROW))
+    pts = _samples_at([[1.0, 0.25], [0.0, 0.25], [0.0, 0.64]]).points()
+    messages = []
+    for pt in pts[1:]:
+        with pytest.raises(DegenerateMetric) as err:
+            geometry.spray_from_metric(metric, pt, 2)
+        messages.append(str(err.value))
+    assert messages[0] != messages[1]
+    with pytest.raises(DegenerateMetric) as err:
+        geometry.spray_from_metric(metric, pts, 2)
+    assert str(err.value) == messages[0]

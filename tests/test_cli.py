@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from spraylab import cli, corpus
+from spraylab import classify, cli, corpus
 from spraylab.errors import ParamError
 
 FLAGS = ("scalar", "isotropic", "constant", "berwald", "projective_form",
@@ -59,34 +59,66 @@ def test_sampling_accounting_counts_rejections(tmp_path):
     assert data["verdict"]["rule"] == "omega y-dependent"
 
 
-@pytest.mark.parametrize("command,name,points", [("classify", "flat", 64),
-                                                  ("metrize", "nonscalar3", 66),
-                                                  ("oracle", "ex7.3", 64)])
-def test_one_draw_and_one_bundle_per_point(command, name, points, tmp_path,
-                                           tally):
+@pytest.mark.parametrize("command,name,points,other_orders", [
+    ("classify", "flat", 64, set()),
+    ("metrize", "nonscalar3", 66, set()),
+    ("oracle", "ex7.3", 64, set()),
+    # the metric candidates L = R/lambda and Ric/(n-1) read the report's
+    # order-4 bundles; their 1-jets at the samples need order-3 bundles
+    ("metrize", "ex7.1", 64, {3}),
+    ("metrize", "ex7.3", 64, {3}),
+], ids=["classify-flat-64", "metrize-nonscalar3-66", "oracle-ex7.3-64",
+        "metrize-ex7.1-64", "metrize-ex7.3-64"])
+def test_one_draw_and_one_bundle_per_point(command, name, points, other_orders,
+                                           tmp_path, tally):
     # classification, survey and verdict share the classification's draw
     # and its bundles; the oracle's survey and its jets-vs-FD table share
     # one bundle per point
     code, data = run([command, name], tmp_path)
     assert code == 0 and data["sampling"]["used"] == points
     assert tally["draws"] == 1
-    assert len(tally["bundles"]) == points
-    assert set(tally["bundles"].values()) == {1}
+    at_samples = {key: k for key, k in tally["bundles"].items() if key[1] == 4}
+    assert len(at_samples) == points
+    assert set(at_samples.values()) == {1}
+    assert {order for _, order in tally["bundles"]} == {4} | other_orders
     # every reader of the scalar split shares the bundle's one split
     assert tally["splits"] == tally["bundles"]
 
 
+@pytest.mark.parametrize("command,name,points,width", [
+    # the 66 samples of a dim-3 expression spray: four full blocks and one
+    # of two rows
+    ("classify", "nonscalar3", 66, 6),
+    # the spray of an expression metric, through classification, survey,
+    # verdict and the metric candidate
+    ("metrize", "elliptic2", 64, 4),
+], ids=["classify-nonscalar3-66", "metrize-elliptic2-64"])
+def test_samples_are_evaluated_in_blocks(command, name, points, width,
+                                         tmp_path, tally):
+    code, data = run([command, name], tmp_path)
+    assert code == 0 and data["sampling"]["used"] == points
+    rows = classify.BLOCK_ROWS
+    blocks = [(rows, width)] * (points // rows)
+    if points % rows:
+        blocks.append((points % rows, width))
+    assert tally["blocks"] == blocks
+    # no block fell back to building its samples one at a time
+    assert tally["row_blocks"] == blocks
+
+
 def test_quadrature_builds_one_bundle_per_lambda_target(tmp_path, tally):
-    # ex7.1 recovers L = R/lambda; each point that lambda is integrated to
-    # costs one block bundle, holding the 64 nodes of its segment.  (Its
-    # point bundles are not one per sample: the metric candidates rebuild
-    # them.)
+    # ex7.1 recovers L = R/lambda.  Its 64 samples are classified in blocks
+    # of BLOCK_ROWS rows; then each point that lambda is integrated to
+    # costs one more block bundle, holding the 64 nodes of its segment.
     code, data = run(["metrize", "ex7.1"], tmp_path)
     assert code == 0
     assert data["verdict"]["rule"] == "omega exact; L = R/lambda"
     assert tally["draws"] == 1
     assert tally["lambda_targets"] > 0
-    assert tally["blocks"] == [(64, 4)] * tally["lambda_targets"]
+    rows = classify.BLOCK_ROWS
+    classification = [(rows, 4)] * (64 // rows)
+    quadrature = [(64, 4)] * tally["lambda_targets"]
+    assert tally["blocks"] == classification + quadrature
 
 
 def test_ex7_5_seed_4_classifies(tmp_path):

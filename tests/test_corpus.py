@@ -92,6 +92,15 @@ def test_ex7_5_seed_4_replays_clean() -> None:
     assert not rep.flags["projective_form"]
 
 
+def test_ex7_3_seed_53_replays_clean() -> None:
+    # the ex7.3 guard constrains x alone, so a base outside the disc fails
+    # every tangent it tries; at seed 53 such bases used to exhaust the
+    # sampling budget of the 12-point record
+    rep = corpus.run_fixture("ex7.3", seed=53)
+    assert rep.passed, rep.diffs
+    assert rep.count == 12
+
+
 def test_summary_shape() -> None:
     rep = corpus.run_fixture("ex7.2")
     assert rep.summary().startswith("pass: ")

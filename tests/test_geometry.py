@@ -111,6 +111,20 @@ def bundle_of(text: str, p, order: int = 4, **overrides) -> CurvatureBundle:
     return CurvatureBundle(spray_of(text, **overrides), p, order=order)
 
 
+class _PointwiseMetric:
+    """An expression metric that claims no block evaluation, as the
+    numerical curvature metrics do."""
+
+    def __init__(self, metric):
+        self.metric = metric
+        self.dim = metric.dim
+        self.name = metric.name
+
+    def jet(self, p, order: int):
+        assert np.ndim(p) == 1, "evaluated at a block"
+        return self.metric.jet(p, order)
+
+
 def test_flat_spray_is_totally_flat() -> None:
     b = bundle_of(FLAT, P0)
     assert np.allclose(b.N_values, 0.0)
@@ -315,6 +329,23 @@ def test_shifted_spray_curvature_closed_form() -> None:
     assert R.value == pytest.approx(25.0, rel=1e-10)
 
 
+def test_shifted_spray_of_a_metric_spray_evaluates_blocks() -> None:
+    # the spray projective_shift builds: both parts evaluate a block in one
+    # pass, and each row bundle equals the bundle at its point
+    metric = geometry.ExprMetric(dsl.parse(ROUND_METRIC))
+    sh = geometry.ShiftedSpray(geometry.MetricSpray(metric), metric, 0.5)
+    assert sh.evaluates_blocks
+    block = np.array([[0.1, -0.2, 0.6, 0.8], [0.3, 0.1, -0.5, 0.4],
+                      [-0.2, 0.25, 0.3, -0.9]])
+    for pt, rb in zip(block, CurvatureBundle(sh, block).rows()):
+        b = CurvatureBundle(sh, pt)
+        assert np.array_equal(rb.G_values, b.G_values)
+        assert np.array_equal(rb.R_values, b.R_values)
+        assert rb.split[2] == b.split[2]
+    flat = geometry.ShiftedSpray(spray_of(FLAT), _PointwiseMetric(metric), 0.5)
+    assert not flat.evaluates_blocks
+
+
 def test_order_budget_raises_order_error() -> None:
     b = bundle_of(ROTOR, PROT, order=2)
     assert b.R_values.shape == (2, 2)  # still fine at order 2
@@ -361,19 +392,48 @@ def test_homogeneity_guard_on_metric_tensor() -> None:
 
 
 def test_block_bundle_of_an_induced_spray_stacks_point_jets() -> None:
-    # an induced spray has no block evaluation: its jets are taken point by
-    # point and stacked, so every row is the point bundle's
-    sp = geometry.MetricSpray(geometry.ExprMetric(dsl.parse(ROUND_METRIC)))
+    # the spray of a metric with no block evaluation: its jets are taken
+    # point by point and stacked, so every row is the point bundle's
+    metric = geometry.ExprMetric(dsl.parse(ROUND_METRIC))
     block = np.array([[0.1, -0.2, 0.6, 0.8], [0.3, 0.1, -0.5, 0.4]])
-    bb = CurvatureBundle(sp, block, 3)
+    pointwise = geometry.MetricSpray(_PointwiseMetric(metric))
+    assert not pointwise.evaluates_blocks
+    bb = CurvatureBundle(pointwise, block, 3)
     assert bb.point is None
     assert bb.R_values.shape == (2, 2, 2)
+    # the spray of the expression metric evaluates the block in one pass
+    sp = geometry.MetricSpray(metric)
+    assert sp.evaluates_blocks
+    one_pass = CurvatureBundle(sp, block, 3)
     for r, p in enumerate(block):
         b = CurvatureBundle(sp, p, 3)
-        assert np.array_equal(bb.curvature_scalar.coeffs[r], b.curvature_scalar.coeffs)
-        assert np.array_equal(bb.R_values[r], b.R_values)
-        assert np.array_equal(bb.cov_h(np.array(bb.R, dtype=object), ("u", "d"))[r],
-                              b.cov_h(np.array(b.R, dtype=object), ("u", "d")))
+        for blk in (bb, one_pass):
+            assert np.array_equal(blk.curvature_scalar.coeffs[r], b.curvature_scalar.coeffs)
+            assert np.array_equal(blk.R_values[r], b.R_values)
+            assert np.array_equal(blk.cov_h(np.array(blk.R, dtype=object), ("u", "d"))[r],
+                                  b.cov_h(np.array(b.R, dtype=object), ("u", "d")))
+
+
+def test_row_bundles_read_the_block_tensors() -> None:
+    # the spray is evaluated once, for the block, and each row bundle's
+    # jets and values are views of the block's rows
+    spray = spray_of(ROTOR)
+    calls = []
+    coeff_jets = spray.coeff_jets
+    spray.coeff_jets = lambda p, order: calls.append(np.shape(p)) or coeff_jets(p, order)
+    bb = CurvatureBundle(spray, np.array([PROT, PCUB]))
+    rows = bb.rows()
+    assert calls == [(2, 4)]
+    assert [b.point for b in rows] == [PointTangent(PROT[:2], PROT[2:]),
+                                       PointTangent(PCUB[:2], PCUB[2:])]
+    for r, b in enumerate(rows):
+        assert np.shares_memory(b.R[1][0].coeffs, bb.R[1][0].coeffs)
+        assert np.shares_memory(b.chi[0].coeffs, bb.chi[0].coeffs)
+        assert np.shares_memory(b.B_values, bb.B_values)
+        b.split  # taken per row, from the row's jets
+    assert calls == [(2, 4)]
+    with pytest.raises(PreconditionError, match="block bundle"):
+        rows[0].rows()
 
 
 def test_block_bundle_checks_its_points() -> None:

@@ -211,6 +211,41 @@ def test_curvature_metric_jets() -> None:
     assert R.value(PROT) == pytest.approx(25.0, abs=1e-9)
 
 
+def test_curvature_metrics_read_given_bundles(monkeypatch) -> None:
+    sp = spray_of(ROTOR)
+    known = geometry.CurvatureBundle(sp, PROT, 4)
+    built = []
+    init = geometry.CurvatureBundle.__init__
+
+    def counting_init(b, spray, p, order=4):
+        built.append(order)
+        init(b, spray, p, order)
+
+    monkeypatch.setattr(geometry.CurvatureBundle, "__init__", counting_init)
+    R = metrize.CurvatureMetric(sp, bundles=[known])
+    lam = metrize.recover_lambda(lambda xs: np.zeros_like(xs), (0.0, 0.0))
+    S = metrize.ScaledCurvatureMetric(sp, lam, bundles=[known])
+    # an order-2 jet is read off the order-4 bundle given at that point
+    assert R.jet(PROT, 2) is known.curvature_scalar
+    assert S.jet(PROT, 2).value == pytest.approx(25.0, abs=1e-9)
+    assert built == []
+    # other orders and other points build their own bundles
+    R.jet(PROT, 1)
+    R.jet(PC, 2)
+    assert built == [3, 4]
+
+
+def test_curvature_metrics_check_the_split_of_given_bundles() -> None:
+    sp = spray_of(NONSCALAR3)
+    pt = (0.1, 0.2, -0.1, 0.7, 0.5, -0.4)
+    known = [geometry.CurvatureBundle(sp, pt, 4)]
+    lam = metrize.recover_lambda(lambda xs: np.zeros_like(xs), (0.0,) * 3)
+    for L in (metrize.CurvatureMetric(sp, bundles=known),
+              metrize.ScaledCurvatureMetric(sp, lam, bundles=known)):
+        with pytest.raises(PreconditionError, match="curvature scalar is undefined"):
+            L.jet(pt, 2)
+
+
 # -- recover_lambda -------------------------------------------------------------
 
 
@@ -562,6 +597,17 @@ def test_shift_round_metric() -> None:
     shifted, v = metrize.projective_shift(metric_of(EQ3), 2.0, count=12)
     assert v.outcome == "not_metrizable"
     assert v.evidence["flag_curvature"] == pytest.approx(1.0, abs=1e-7)
+
+
+def test_shift_evaluates_blocks(tally) -> None:
+    # the metric's spray, the shifted spray and the shifted spray's verdict
+    # each take the 40 samples in blocks, and no block falls back to
+    # building its samples one at a time
+    metrize.projective_shift(metric_of(EQ3), 2.0, count=40)
+    rows = classify.BLOCK_ROWS
+    one_pass = [(rows, 4), (rows, 4), (40 - 2 * rows, 4)]
+    assert tally["blocks"] == one_pass * 3
+    assert tally["row_blocks"] == one_pass * 3
 
 
 def test_shift_round_metric_zero_speed() -> None:

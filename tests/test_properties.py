@@ -13,8 +13,16 @@ contraction and 5.8e-14 for the Bianchi identity, both relative to max|R|.
 Each bound is that worst case rounded up to the next power of ten, times ten.
 
 The block tests draw blocks of 1 to 5 such points and check that every row
-of a block bundle's jets and values equals the bundle at that point alone,
-bit for bit.
+of a block bundle's jets and values, and every row bundle it hands out,
+equals the bundle at that point alone, bit for bit.  The same holds for the
+spray of a random metric
+
+    L = sum_{j<=k} (a_jk + b_jk x_l) y^j y^k + e y^1 |y|
+
+given as an expression and as a callable (diagonal a_jj in [2, 4], the
+other coefficients small, so the fundamental tensor stays nondegenerate),
+for the inverse of a matrix of block jets, and for block multiplies taller
+than one chunk of `jets.MUL_CHUNK` products.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from spraylab import dsl, geometry
+from spraylab import dsl, geometry, jets
 from spraylab.geometry import CurvatureBundle
 
 CONTRACTION_BOUND = 1e-12
@@ -135,3 +143,129 @@ def test_block_series_rows_equal_point_series_bitwise(case) -> None:
     for op in (lambda u: u.exp(), lambda u: positive(u).ln(),
                lambda u: positive(u).sqrt(), lambda u: positive(u).reciprocal()):
         assert _rows_equal(op(bb.G[0]), [op(b.G[0]) for b in pbs])
+
+
+def _all_equal(a, b) -> bool:
+    """Nested lists of point jets equal coefficient for coefficient."""
+    a = np.array(a, dtype=object).ravel()
+    b = np.array(b, dtype=object).ravel()
+    return len(a) == len(b) and all(
+        u.center == v.center and np.array_equal(u.coeffs, v.coeffs)
+        for u, v in zip(a, b))
+
+
+@PROPERTY_SETTINGS
+@given(sprays_at_blocks())
+def test_row_bundles_equal_point_bundles_bitwise(case) -> None:
+    spray, block = case
+    rows = CurvatureBundle(spray, block, 4).rows()
+    assert len(rows) == len(block)
+    for pt, rb in zip(block, rows):
+        pb = CurvatureBundle(spray, pt, 4)
+        assert rb.point == pb.point
+        for name in ("G", "N", "Gamma", "R", "Ric", "curvature_scalar", "R3",
+                     "V", "chi"):
+            assert _all_equal(getattr(rb, name), getattr(pb, name)), name
+        for name in ("G_values", "N_values", "Gamma_values", "B_values",
+                     "R_values", "chi_values"):
+            assert np.array_equal(getattr(rb, name), getattr(pb, name)), name
+        (r_jet, tau, residual), (p_jet, p_tau, p_residual) = rb.split, pb.split
+        assert _all_equal(r_jet, p_jet) and _all_equal(tau, p_tau)
+        assert residual == p_residual
+        assert geometry.identity_residuals(rb) == geometry.identity_residuals(pb)
+        assert geometry.h_tensor_residuals(rb) == geometry.h_tensor_residuals(pb)
+
+
+def metric_terms(n: int, draw) -> tuple:
+    """(j, k, a_jk, b_jk, l) per quadratic term, and e."""
+    small = st.integers(-8, 8).map(lambda k: k / 32)
+    diagonal = st.integers(64, 128).map(lambda k: k / 32)
+    terms = []
+    for j in range(n):
+        for k in range(j, n):
+            a = draw(diagonal if j == k else small)
+            terms.append((j, k, a, draw(small), (j + k + 1) % n))
+    return tuple(terms), draw(small)
+
+
+def metric_expression(n: int, terms: tuple, e: float) -> geometry.ExprMetric:
+    norm2 = " + ".join(f"y{j}^2" for j in range(1, n + 1))
+    body = " + ".join(f"({a!r} + {b!r}*x{l + 1})*y{j + 1}*y{k + 1}"
+                      for j, k, a, b, l in terms)
+    src = f"dim {n}\nmetric L = {body} + {e!r}*y1*sqrt({norm2})\n"
+    return geometry.ExprMetric(dsl.parse(src))
+
+
+def metric_function(n: int, terms: tuple, e: float) -> geometry.FuncMetric:
+    def fn(v):
+        x, y = v[:n], v[n:]
+        acc = 0.0
+        for j, k, a, b, l in terms:
+            acc = acc + (a + b * x[l]) * y[j] * y[k]
+        norm2 = y[0] * y[0]
+        for j in range(1, n):
+            norm2 = norm2 + y[j] * y[j]
+        return acc + e * y[0] * jets.sqrt(norm2)
+    return geometry.FuncMetric(n, fn)
+
+
+@st.composite
+def metrics_at_blocks(draw):
+    n = draw(st.sampled_from([2, 3]))
+    terms, e = metric_terms(n, draw)
+    rows = draw(st.integers(1, 5))
+    coord = st.floats(-1.0, 1.0)
+    block = np.array(draw(st.lists(st.lists(coord, min_size=2 * n, max_size=2 * n),
+                                   min_size=rows, max_size=rows)))
+    assume(float(np.min(np.linalg.norm(block[:, n:], axis=1))) >= 0.3)
+    return n, terms, e, block
+
+
+@PROPERTY_SETTINGS
+@given(metrics_at_blocks())
+def test_block_spray_from_metric_rows_equal_point_sprays_bitwise(case) -> None:
+    n, terms, e, block = case
+    for metric in (metric_expression(n, terms, e), metric_function(n, terms, e)):
+        assert geometry.MetricSpray(metric).evaluates_blocks
+        got = geometry.spray_from_metric(metric, block, 2)
+        want = [geometry.spray_from_metric(metric, pt, 2) for pt in block]
+        for i in range(n):
+            assert _rows_equal(got[i], [w[i] for w in want]), metric.name
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.lists(st.floats(-0.5, 0.5), min_size=4, max_size=4),
+                min_size=1, max_size=6))
+def test_jet_matrix_inverse_of_a_stack_equals_point_inverses(centers) -> None:
+    def matrix(center):
+        sp = jets.space(4, 4)
+        vs = [sp.variable(i, center) for i in range(4)]
+        m = np.empty((2, 2), dtype=object)
+        m[0, 0] = 2.0 + vs[0] * vs[2]
+        m[0, 1] = 0.3 * vs[3] + vs[1]
+        m[1, 0] = vs[0] - 0.5 * vs[2] * vs[3]
+        m[1, 1] = 1.5 + jets.sin(vs[1])
+        return m
+
+    block = np.array(centers)
+    got = jets.jet_matrix_inverse(matrix(block))
+    want = [jets.jet_matrix_inverse(matrix(tuple(c))) for c in block]
+    for idx in np.ndindex(2, 2):
+        assert _rows_equal(got[idx], [w[idx] for w in want])
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from([(6, 6), (8, 5), (8, 6)]), st.data())
+def test_block_multiply_taller_than_one_chunk_equals_point_multiplies(shape, data) -> None:
+    sp = jets.space(*shape)
+    step = jets.MUL_CHUNK // len(sp._mul_table[0])
+    rows = data.draw(st.integers(step + 1, 3 * step))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    center = rng.uniform(-1.0, 1.0, size=(rows, sp.nvars))
+    a = jets.Jet(sp, center, rng.standard_normal((rows, sp.T)))
+    b = jets.Jet(sp, center, rng.standard_normal((rows, sp.T)))
+    got = (a * b).coeffs
+    assert got.shape == (rows, sp.T)
+    for r in range(rows):
+        assert np.array_equal(got[r], jets._mul_coeffs(sp, a.coeffs[r], b.coeffs[r]))

@@ -113,6 +113,34 @@ def test_hopeless_base_does_not_drain_the_budget() -> None:
             assert inside_disc(pt)
 
 
+def test_given_up_bases_are_charged_one_group() -> None:
+    # a disc that only a few bases of the box hit: each base outside it
+    # tries 10 x 2n tangents and is given up, and must cost the budget
+    # one group's worth (1 + 2n), not those 1 + 10 x 2n draws
+    def small_disc(pt: np.ndarray) -> bool:
+        return pt[0] * pt[0] + pt[1] * pt[1] < 0.12
+
+    s = sample_points(2, count=12, seed=1, accept=small_disc)
+    given_up = s.rejected // 40
+    assert given_up * (1 + 40) > 10 * (3 + 12)  # past the old budget
+    assert s.count == 12
+    assert all(small_disc(pt) for pt in s.points())
+
+
+def test_attempts_stay_bounded_when_nothing_is_admissible() -> None:
+    calls = 0
+
+    def never(pt: np.ndarray) -> bool:
+        nonlocal calls
+        calls += 1
+        return False
+
+    with pytest.raises(SamplingError, match="0/3 base groups"):
+        sample_points(2, count=12, seed=7, accept=never)
+    # at most 10 x (bases + 1) bases, each with at most 10 x 2n tangents
+    assert 0 < calls <= 10 * (3 + 1) * 10 * 4
+
+
 def test_tolerance_zero_test_is_scale_aware() -> None:
     tol = Tolerances()
     assert tol.zero(5e-9)
