@@ -10,7 +10,8 @@ above tolerance.
 Weak isotropy is the one x-wise property here: at each base point the
 defect R_.i - 2 tau_i is fitted against the tangent samples as omega_ir y^r
 with an x-dependent 2-form omega, so it consumes grouped samples rather
-than single points.
+than single points.  Every base's fit is judged against the largest defect
+over all bases, so the flag does not depend on the order of the bases.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ __all__ = [
     "Check",
     "ConstantCheck",
     "ProjectiveFormCheck",
-    "WeakIsotropyCheck",
     "ScalarDecomposition",
     "ClassificationReport",
     "decompose_scalar",
@@ -35,7 +35,6 @@ __all__ = [
     "is_constant",
     "is_berwald",
     "is_projective_form",
-    "is_weak_isotropic",
     "projective_factor",
     "euler_residual",
     "projective_isotropy_residual",
@@ -64,15 +63,6 @@ class ProjectiveFormCheck(Check):
     pairing of the chart; None when the proportionality fails."""
 
     factor: float | None
-
-
-@dataclass(frozen=True)
-class WeakIsotropyCheck(Check):
-    """`omega[b]` is the antisymmetrized fit at samples.bases[b]."""
-
-    omega: np.ndarray
-    fit_residual: float
-    antisym_residual: float
 
 
 @dataclass(frozen=True)
@@ -262,51 +252,6 @@ def _fit_base_omega(Yd: np.ndarray, rows: np.ndarray, tol: Tolerances):
     return (W - W.T) / 2.0, fit, anti
 
 
-def is_weak_isotropic(spray, samples: SampleSet, order: int = 4,
-                      tol: Tolerances = TOL) -> WeakIsotropyCheck:
-    """Fit R_.i - 2 tau_i = omega_ir(x) y^r over each base's tangent spread.
-
-    Precondition: the scalar decomposition must hold at every sample (the
-    defect only makes sense for scalar-curvature sprays); violation raises
-    PreconditionError.  Tangent samples failing to span raise RankError.
-    """
-    n = spray.dim
-    m = samples.ys.shape[1]
-    if m < n + 1:
-        raise PreconditionError(
-            f"weak isotropy needs at least {n + 1} tangent samples per base, got {m}"
-        )
-    omegas = np.empty((samples.bases.shape[0], n, n))
-    fit_worst = anti_worst = 0.0
-    scale = 1.0
-    for b, (xb, Yd) in enumerate(samples.grouped()):
-        rows = np.empty((m, n))
-        for k in range(m):
-            pt = np.concatenate([xb, Yd[k]])
-            bun = geometry.CurvatureBundle(spray, pt, order)
-            dec = decompose_scalar(bun, tol=tol)
-            if not dec.holds:
-                raise PreconditionError(
-                    "scalar decomposition fails at a sample point "
-                    f"(residual {dec.residual:.3e}); weak isotropy is undefined"
-                )
-            rdot = np.array([dec.R_jet.dy(i).value for i in range(n)])
-            rows[k] = rdot - 2.0 * dec.tau
-        omegas[b], fit, anti = _fit_base_omega(Yd, rows, tol)
-        fit_worst = max(fit_worst, fit)
-        anti_worst = max(anti_worst, anti)
-        scale = max(scale, float(np.max(np.abs(rows))))
-    residual = max(fit_worst, anti_worst)
-    holds = tol.zero(fit_worst, scale) and tol.zero(anti_worst, scale)
-    return WeakIsotropyCheck(
-        holds=holds,
-        residual=residual,
-        omega=omegas,
-        fit_residual=fit_worst,
-        antisym_residual=anti_worst,
-    )
-
-
 FLAG_NAMES = (
     "scalar",
     "isotropic",
@@ -327,8 +272,10 @@ class ClassificationReport:
     """Aggregated flags plus everything the classification computed them from.
 
     `triples` holds one (point, CurvatureBundle, ScalarDecomposition) per
-    sample, in `samples.points()` order; the verdicts and the CLI survey read
-    them instead of drawing and building again.
+    sample, in `samples.points()` order; the verdicts, the CLI survey and
+    the corpus checks read them instead of drawing and building again.
+    `omega[b]` is the antisymmetrized weak-isotropy fit at `samples.bases[b]`;
+    it is None unless the fit holds at every base.
     """
 
     flags: dict
@@ -457,12 +404,11 @@ def classify_spray(spray, count: int = 64, seed: int = 7,
     if all_scalar:
         omega = np.empty((samples.bases.shape[0], n, n))
         ok = True
-        scale = 1.0
+        scale = max(1.0, float(np.max(np.abs(rows))))
         for b, (xb, Yd) in enumerate(samples.grouped()):
             omega[b], fit, anti = _fit_base_omega(Yd, base_rows[b], tol)
             res = max(fit, anti)
             worst["weak_isotropic"] = max(worst["weak_isotropic"], res)
-            scale = max(scale, float(np.max(np.abs(base_rows[b]))))
             good = tol.zero(fit, scale) and tol.zero(anti, scale)
             base_flags.append(good)
             ok = ok and good

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -78,11 +79,18 @@ class RunConfig:
                 f"order must be >= {MIN_ORDER}, got {self.order}: the "
                 "identity survey differentiates the curvature 3-tensor, whose "
                 f"jets sit three orders below the spray's")
+        if self.seed < 0:
+            raise ParamError(f"seed must be >= 0, got {self.seed}: the "
+                             "sampler takes non-negative seeds only")
         for name in ("tol_abs", "tol_rel", "fd_step"):
-            if getattr(self, name) <= 0.0:
-                raise ParamError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not math.isfinite(value) or value <= 0.0:
+                raise ParamError(f"{name} must be positive and finite, "
+                                 f"got {value}")
         if len(self.box) != 4:
             raise ParamError("box needs four numbers: x_lo x_hi y_lo y_hi")
+        if not all(math.isfinite(v) for v in self.box):
+            raise ParamError(f"sample box {self.box} must be finite")
         if not (self.box[0] < self.box[1] and self.box[2] < self.box[3]):
             raise ParamError(f"empty sample box {self.box}")
 

@@ -158,22 +158,23 @@ def _expr_eval(dim: int, expr: str):
 
 # -- check kinds ------------------------------------------------------------
 #
-# Each handler gets (fixture, spray, verdict, samples, check-record, tol) and
-# returns (worst residual, diff lines).  A handler never raises on a failed
-# bound; hard errors (bad record, missing prerequisites) do raise.
+# Each handler gets (fixture, spray, verdict, classification report,
+# check-record, tol) and returns (worst residual, diff lines).  The report's
+# samples, bundles and fits are read, not drawn or built again.  A handler
+# never raises on a failed bound; hard errors (bad record, missing
+# prerequisites) do raise.
 
 
-def _chk_scalar_expr(fx, spray, verdict, samples, chk, tol):
+def _chk_scalar_expr(fx, spray, verdict, rep, chk, tol):
     want_of = _expr_eval(spray.dim, chk["expr"])
     rel = float(chk.get("rel", 0.0))
     atol = float(chk.get("atol", tol.abs))
     worst = exceeded = 0.0
-    for pt in samples.points():
-        b = geometry.CurvatureBundle(spray, pt, 4)
+    for pt, b, dec in rep.triples:
         if chk["field"] == "Ric":
             got = b.Ric_value
         elif chk["field"] == "R":
-            got = classify.decompose_scalar(b, tol=tol).R
+            got = dec.R
         else:
             raise SprayLabError(f"scalar_expr check: unknown field {chk['field']!r}")
         want = want_of(pt)
@@ -187,7 +188,7 @@ def _chk_scalar_expr(fx, spray, verdict, samples, chk, tol):
     return worst, bad
 
 
-def _chk_delta_expr(fx, spray, verdict, samples, chk, tol):
+def _chk_delta_expr(fx, spray, verdict, rep, chk, tol):
     n = spray.dim
     want_of = [_expr_eval(n, e) for e in chk["exprs"]]
     if len(want_of) != n:
@@ -195,9 +196,7 @@ def _chk_delta_expr(fx, spray, verdict, samples, chk, tol):
     rel = float(chk.get("rel", 0.0))
     atol = float(chk.get("atol", tol.abs))
     worst = exceeded = 0.0
-    for pt in samples.points():
-        b = geometry.CurvatureBundle(spray, pt, 4)
-        dec = classify.decompose_scalar(b, tol=tol)
+    for pt, b, dec in rep.triples:
         slots = b.cov_h(dec.R_jet, ()).tolist()
         for i in range(n):
             want = want_of[i](pt)
@@ -211,7 +210,7 @@ def _chk_delta_expr(fx, spray, verdict, samples, chk, tol):
     return worst, bad
 
 
-def _chk_values_at(fx, spray, verdict, samples, chk, tol):
+def _chk_values_at(fx, spray, verdict, rep, chk, tol):
     pt = np.asarray(chk["point"], dtype=float)
     b = geometry.CurvatureBundle(spray, pt, 4)
     field = chk["field"]
@@ -240,7 +239,7 @@ def _chk_values_at(fx, spray, verdict, samples, chk, tol):
     return worst, bad
 
 
-def _chk_recovered_expr(fx, spray, verdict, samples, chk, tol):
+def _chk_recovered_expr(fx, spray, verdict, rep, chk, tol):
     if verdict.recovered_metric is None:
         return float("nan"), [f"{chk['name']}: verdict carries no recovered metric "
                               f"(outcome {verdict.outcome}, rule {verdict.rule!r})"]
@@ -248,7 +247,7 @@ def _chk_recovered_expr(fx, spray, verdict, samples, chk, tol):
     rel = float(chk.get("rel", tol.rel))
     atol = float(chk.get("atol", tol.abs))
     worst = exceeded = 0.0
-    for pt in samples.points():
+    for pt in rep.samples.points():
         want = want_of(pt)
         err = abs(verdict.recovered_metric.value(pt) - want)
         worst = max(worst, err)
@@ -260,7 +259,7 @@ def _chk_recovered_expr(fx, spray, verdict, samples, chk, tol):
     return worst, bad
 
 
-def _chk_witness_metric(fx, spray, verdict, samples, chk, tol):
+def _chk_witness_metric(fx, spray, verdict, rep, chk, tol):
     n = spray.dim
     witness = geometry.ExprMetric(
         dsl.parse(f"dim {n}\nmetric L = {chk['expr']}\n", name="witness"))
@@ -269,7 +268,7 @@ def _chk_witness_metric(fx, spray, verdict, samples, chk, tol):
     worst = 0.0
     bad = []
     semi_worst = match_worst = 0.0
-    for pt in samples.points():
+    for pt in rep.samples.points():
         b = geometry.CurvatureBundle(spray, pt, 3)
         slots = b.cov_h(witness.jet(pt, 1), ()).tolist()
         semi_worst = max(semi_worst, max(abs(s) for s in slots))
@@ -288,8 +287,8 @@ def _chk_witness_metric(fx, spray, verdict, samples, chk, tol):
     return worst, bad
 
 
-def _chk_structure_check(fx, spray, verdict, samples, chk, tol):
-    res = pflat.quadratic_structure_check(spray, samples=samples, tol=tol)
+def _chk_structure_check(fx, spray, verdict, rep, chk, tol):
+    res = pflat.quadratic_structure_check(spray, samples=rep.samples, tol=tol)
     want = bool(chk["want"])
     bad = []
     if bool(res.holds) != want:
@@ -304,33 +303,37 @@ def _chk_structure_check(fx, spray, verdict, samples, chk, tol):
     return res.residual, bad
 
 
-def _chk_omega_fit(fx, spray, verdict, samples, chk, tol):
-    wk = classify.is_weak_isotropic(spray, samples, tol=tol)
+def _chk_omega_fit(fx, spray, verdict, rep, chk, tol):
+    if not rep.flags["scalar"]:
+        raise PreconditionError(
+            f"{chk['name']}: the spray is not of scalar curvature at every "
+            "sample; weak isotropy is undefined")
+    residual = rep.residuals["weak_isotropic"]
+    if not rep.flags["weak_isotropic"]:
+        return residual, [f"{chk['name']}: weak-isotropy fit does not hold "
+                          f"(residual {residual:.3e})"]
     want_of = _expr_eval(spray.dim, chk["expr"])
     rel = float(chk.get("rel", tol.rel))
     atol = float(chk.get("atol", 1e-9))
     worst = exceeded = 0.0
-    for bidx, xb in enumerate(samples.bases):
+    for bidx, xb in enumerate(rep.samples.bases):
         want = want_of(np.concatenate([xb, np.ones(spray.dim)]))
-        err = abs(wk.omega[bidx][0, 1] - want)
+        err = abs(rep.omega[bidx][0, 1] - want)
         worst = max(worst, err)
         exceeded = max(exceeded, err - (atol + rel * abs(want)))
     bad = []
-    if not wk.holds:
-        bad.append(f"{chk['name']}: weak-isotropy fit does not hold "
-                   f"(residual {wk.residual:.3e})")
     if exceeded > 0.0:
         bad.append(f"{chk['name']}: fitted omega off the closed form by "
                    f"{worst:.3e} (over bound by {exceeded:.3e})")
     return worst, bad
 
 
-def _chk_main_scalar_sq(fx, spray, verdict, samples, chk, tol):
+def _chk_main_scalar_sq(fx, spray, verdict, rep, chk, tol):
     m = fx.metric()
     want = float(chk["want"])
     rel = float(chk.get("rel", tol.rel))
     worst = 0.0
-    for pt in samples.points():
+    for pt in rep.samples.points():
         fr = dim2.frame(m, pt, tol=tol)
         worst = max(worst, abs(fr.main_scalar ** 2 - want))
     bad = []
@@ -340,10 +343,10 @@ def _chk_main_scalar_sq(fx, spray, verdict, samples, chk, tol):
     return worst, bad
 
 
-def _chk_flag_ode(fx, spray, verdict, samples, chk, tol):
+def _chk_flag_ode(fx, spray, verdict, rep, chk, tol):
     m = fx.metric()
     atol = float(chk.get("atol", 1e-6))
-    pts = samples.points()
+    pts = rep.samples.points()
     limit = int(chk.get("limit", len(pts)))
     worst = 0.0
     for pt in pts[:limit]:
@@ -407,7 +410,7 @@ def run_fixture(name: str, count: int | None = None, seed: int | None = None,
         except KeyError:
             raise SprayLabError(
                 f"fixture {fx.name!r} uses unknown check kind {chk['kind']!r}")
-        worst, bad = handler(fx, spray, v, rep.samples, chk, tol)
+        worst, bad = handler(fx, spray, v, rep, chk, tol)
         check_residuals[chk["name"]] = worst
         diffs.extend(bad)
 

@@ -95,10 +95,6 @@ class ProblemDef:
     name: str = ""
     consts: dict = field(default_factory=dict, compare=False)
 
-    def var_index(self, name: str) -> int:
-        group, idx = name[0], int(name[1:])
-        return (idx - 1) if group == "x" else (self.dim + idx - 1)
-
     def guard_values(self, point: Sequence[float]) -> list[float]:
         return [evaluate(g, list(point), dim=self.dim) for g in self.guards]
 

@@ -25,8 +25,8 @@ exhausting it raises OrderError rather than returning a wrong value.
 
 A covariant derivative at a point needs only the 1-jets of the tensor and
 the values of N and Gamma, so `cov_h` returns values and builds no jets.
-The jet-level loop `_cov_h_jets` stays for chained derivatives
-(`CovariantField.h`, `delta_scalar`), which need the higher coefficients.
+The jet-level loop `_cov_h_jets` stays for `delta_scalar`, whose results
+are differentiated again and so need the higher coefficients.
 
 A bundle may also be built at a (B, 2n) block of points: its jets then
 carry a leading block axis (see `jets`), its value views and `cov_h`
@@ -244,14 +244,6 @@ class ShiftedSpray:
 # -- metric pipeline ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MetricTensor:
-    g: np.ndarray
-    g_inv: np.ndarray
-    y_low: np.ndarray
-    L: float
-
-
 def _fundamental_jets(metric, pa: np.ndarray, order: int, tol: Tolerances):
     """Jets of L and of g_ij = half the y-Hessian, with a rank check.
 
@@ -274,22 +266,6 @@ def _fundamental_jets(metric, pa: np.ndarray, order: int, tol: Tolerances):
                 f"(singular values {s})"
             )
     return Lj, g, vals
-
-
-def metric_tensor(metric, p, tol: Tolerances = TOL) -> MetricTensor:
-    """Fundamental tensor, its inverse, and the lowered tangent at p."""
-    pa = _point_array(p, metric.dim)
-    n = metric.dim
-    Lj, g, vals = _fundamental_jets(metric, pa, 0, tol)
-    y_low = np.array([0.5 * Lj.dy(i).value for i in range(n)])
-    y_from_g = vals @ pa[n:]
-    scale = max(np.max(np.abs(y_low)), np.max(np.abs(vals)))
-    if np.max(np.abs(y_low - y_from_g)) > tol.abs + tol.rel * scale:
-        raise PreconditionError(
-            f"{metric.name!r} is not positively 2-homogeneous in y: "
-            "lowering the tangent by g disagrees with the y-gradient of L"
-        )
-    return MetricTensor(vals, np.linalg.inv(vals), y_low, Lj.value)
 
 
 def spray_from_metric(metric, p, order: int = 4, tol: Tolerances = TOL) -> list:
@@ -589,16 +565,6 @@ class CurvatureBundle:
                 out[idx + (j,)] = acc
         return out
 
-    def cov_v(self, T, slots: tuple = ()) -> np.ndarray:
-        """Vertical derivative: a plain y-gradient, one extra 'd' axis."""
-        T = np.asarray(T, dtype=object)
-        n = self.dim
-        out = np.empty(T.shape + (n,), dtype=object)
-        for idx in np.ndindex(*T.shape):
-            for j in range(n):
-                out[idx + (j,)] = T[idx].dy(j)
-        return out
-
     # ---- value views
 
     @staticmethod
@@ -785,59 +751,6 @@ def h_tensor_residuals(bundle: CurvatureBundle, tol: Tolerances = TOL) -> dict:
         ),
         "h_mean": float(np.max(np.abs(h.Hi - third * (rdot + tau_vals)))),
     }
-
-
-# -- covariant fields -------------------------------------------------------------
-
-
-@dataclass
-class CovariantField:
-    """A tensor field of the bundle, closed under ; and . derivatives.
-
-    `build` maps a CurvatureBundle to an object array of jets whose rank
-    matches `slots` ('u'/'d' per axis).  Derivatives return new fields that
-    share the same bundle when evaluated, so chains cost one bundle.
-    """
-
-    spray: object
-    build: Callable[[CurvatureBundle], np.ndarray]
-    slots: tuple = ()
-    name: str = ""
-
-    @classmethod
-    def scalar(cls, spray, fn: Callable, name: str = "") -> "CovariantField":
-        return cls(spray, lambda b: np.array(fn(b), dtype=object), (), name)
-
-    def at(self, bundle: CurvatureBundle) -> np.ndarray:
-        return np.asarray(self.build(bundle), dtype=object)
-
-    def values(self, p, order: int = 4) -> np.ndarray:
-        b = CurvatureBundle(self.spray, p, order)
-        return CurvatureBundle._values(self.at(b))
-
-    def h(self) -> "CovariantField":
-        return CovariantField(
-            self.spray,
-            lambda b: b._cov_h_jets(self.at(b), self.slots),
-            self.slots + ("d",),
-            self.name + ";",
-        )
-
-    def v(self) -> "CovariantField":
-        return CovariantField(
-            self.spray,
-            lambda b: b.cov_v(self.at(b), self.slots),
-            self.slots + ("d",),
-            self.name + ".",
-        )
-
-
-def h_cov(T: CovariantField, p, order: int = 4) -> np.ndarray:
-    return T.h().values(p, order)
-
-
-def v_cov(T: CovariantField, p, order: int = 4) -> np.ndarray:
-    return T.v().values(p, order)
 
 
 # -- thin op layer ------------------------------------------------------------

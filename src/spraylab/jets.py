@@ -156,14 +156,6 @@ class JetSpace:
             coeffs.T[self.index[e]] = 1.0
         return Jet(self, center, coeffs)
 
-    def from_partials(self, center: Sequence[float], partials: dict) -> "Jet":
-        """Assemble a jet from {multi-index: partial derivative value}."""
-        coeffs = np.zeros(self.T)
-        for a, val in partials.items():
-            i = self.index[tuple(a)]
-            coeffs[i] = val / self._fact[i]
-        return Jet(self, tuple(center), coeffs)
-
 
 @lru_cache(maxsize=None)
 def space(nvars: int, order: int) -> JetSpace:
@@ -625,28 +617,6 @@ def fd_partial(fn: Callable, p: Sequence[float], alpha: Sequence[int], h: float 
     pp[v] += h
     pm[v] -= h
     return (fd_partial(fn, pp, a, h) - fd_partial(fn, pm, a, h)) / (2.0 * h)
-
-
-def euler_check(fn: Callable, p: Sequence[float], degree: int, group: str = "y") -> float:
-    """Residual |sum_v v * d fn/dv - degree * fn| at p, over the x- or y-block.
-
-    Zero (to roundoff) exactly when fn is positively homogeneous of the stated
-    degree in the chosen variable group.
-    """
-    m = len(p)
-    n = m // 2
-    if group == "x":
-        idx = range(0, n)
-    elif group == "y":
-        idx = range(n, m)
-    else:
-        idx = group  # explicit variable indices
-    jet = lift(fn, p, 1)
-    acc = 0.0
-    for v in idx:
-        a = tuple(1 if k == v else 0 for k in range(m))
-        acc += p[v] * jet.partial(a)
-    return abs(acc - degree * jet.value)
 
 
 def jet_matrix_inverse(m: np.ndarray) -> np.ndarray:

@@ -5,10 +5,11 @@ sprays (the R / omega cascade), `verdict_constant` for constant curvature
 (the Ric test), `nonmetrizable_scalar` for scalar sprays (purely negative
 rules plus an honest inconclusive), and `projective_shift` for the shifted
 family along a constant-flag-curvature metric.  `route` sends a
-ClassificationReport to the sharpest procedure its flags license, and the
-procedure reads the report's samples and bundles; `decide` is
-`classify_spray` followed by `route`.  A spray that is not of scalar
-curvature is out of scope for every rule and comes back inconclusive.
+ClassificationReport to the sharpest procedure its flags license.  The
+three verdicts take a classification's samples and bundles as their only
+input and draw nothing themselves; `decide` is `classify_spray` followed
+by `route`.  A spray that is not of scalar curvature is out of scope for
+every rule and comes back inconclusive.
 
 Every verdict is evidence-backed: the rule string names the decisive test,
 `residual` is the worst number behind it, and metrizable-with-metric
@@ -320,21 +321,6 @@ def _zero_note(samples: SampleSet) -> str:
             "pointwise evaluation cannot certify identical vanishing")
 
 
-def _classified(spray, report, count: int, seed: int, box: SampleBox | None,
-                order: int, tol: Tolerances):
-    """The samples and (point, bundle, decomposition) triples a verdict reads:
-    the report's when one is given, else those of a fresh draw.  Sampling
-    arguments next to a report would be silently overridden by it, so they
-    must stay at their defaults."""
-    if report is not None:
-        if (count, seed, box, order) != (64, 7, None, 4):
-            raise TypeError("a verdict reads either a report or its own "
-                            "draw; pass sampling arguments without a report")
-        return report.samples, report.triples
-    samples = sampling.draw(spray, count=count, seed=seed, box=box)
-    return samples, tuple(classify.point_bundles(spray, samples, order, tol))
-
-
 def _certify(spray, L, samples: SampleSet, triples, tol: Tolerances):
     """Re-verify a recovered metric against its spray at every sample.
 
@@ -372,11 +358,8 @@ def _finsler_failure(fc: FinslerCheck, tol: Tolerances) -> float:
 # -- decision procedures -------------------------------------------------------
 
 
-def verdict_isotropic(spray, count: int = 64, seed: int = 7,
-                      box: SampleBox | None = None, order: int = 4,
-                      tol: Tolerances = TOL, x0=None,
-                      report: classify.ClassificationReport | None = None
-                      ) -> Verdict:
+def verdict_isotropic(spray, samples: SampleSet, triples,
+                      tol: Tolerances = TOL, x0=None) -> Verdict:
     """Decide metrizability of an isotropic spray.
 
     Cascade: R vanishing -> locally metrizable (existence only); R not a
@@ -384,11 +367,12 @@ def verdict_isotropic(spray, count: int = 64, seed: int = 7,
     must be y-independent and closed, and then either vanishes (L = R) or,
     in dimension 2 only, integrates to a scale lambda with L = R/lambda.
     `x0` anchors the lambda quadrature (defaults to the chart origin).
-    With `report`, its samples and bundles are used, and count, seed, box
-    and order must be left at their defaults.
+
+    `samples` and `triples` are a classification's: the sample set and one
+    (point, bundle, ScalarDecomposition) per sample, in `samples.points()`
+    order, as `ClassificationReport` holds them.  Nothing is drawn again.
     """
     n = spray.dim
-    samples, triples = _classified(spray, report, count, seed, box, order, tol)
     for _, b, dec in triples:
         iso = classify.is_isotropic(dec, b, tol)
         if not iso.holds:
@@ -497,19 +481,15 @@ def verdict_isotropic(spray, count: int = 64, seed: int = 7,
                    bases=samples.bases, evidence=ev)
 
 
-def verdict_constant(spray, count: int = 64, seed: int = 7,
-                     box: SampleBox | None = None, order: int = 4,
-                     tol: Tolerances = TOL,
-                     report: classify.ClassificationReport | None = None
-                     ) -> Verdict:
+def verdict_constant(spray, samples: SampleSet, triples,
+                     tol: Tolerances = TOL) -> Verdict:
     """Decide metrizability of a constant-curvature spray.
 
     Ric vanishing -> locally metrizable (existence only); otherwise
     metrizable exactly when Ric/(n-1) is itself a Finsler function, and
-    that quotient is the recovered metric.  `report` as for
+    that quotient is the recovered metric.  `samples` and `triples` as for
     `verdict_isotropic`.
     """
-    samples, triples = _classified(spray, report, count, seed, box, order, tol)
     for _, b, dec in triples:
         con = classify.is_constant(dec, b, tol)
         if not con.holds:
@@ -540,22 +520,18 @@ def verdict_constant(spray, count: int = 64, seed: int = 7,
                    recovered_metric=L, bases=samples.bases, evidence=ev)
 
 
-def nonmetrizable_scalar(spray, count: int = 64, seed: int = 7,
-                         box: SampleBox | None = None, order: int = 4,
-                         tol: Tolerances = TOL,
-                         report: classify.ClassificationReport | None = None
-                         ) -> Verdict:
+def nonmetrizable_scalar(spray, samples: SampleSet, triples,
+                         tol: Tolerances = TOL) -> Verdict:
     """Negative tests for scalar-curvature sprays.
 
     Two rules fire not_metrizable: R = 0 with tau != 0, and (for R != 0)
     a quotient tau/R that fails horizontal covariant constancy or vertical
     symmetry.  Everything else is inconclusive: the rules are sufficient
     for non-metrizability, never for the converse, and the remaining gap
-    is a genuinely open problem this engine does not guess at.  `report`
-    as for `verdict_isotropic`.
+    is a genuinely open problem this engine does not guess at.  `samples`
+    and `triples` as for `verdict_isotropic`.
     """
     n = spray.dim
-    samples, triples = _classified(spray, report, count, seed, box, order, tol)
     for _, _, dec in triples:
         if not dec.holds:
             raise PreconditionError(
@@ -609,9 +585,10 @@ def projective_shift(metric, c: float, count: int = 64, seed: int = 7,
 
     Asserts the structural identities of the construction on the way
     (shifted spray stays isotropic, its curvature scalar is
-    (lambda + c^2) L), runs the isotropic verdict, and cross-checks it
-    against the closed-form rule: metrizable iff lambda = -c^2 or c = 0.
-    Returns (shifted spray, verdict).
+    (lambda + c^2) L), runs the isotropic verdict on the bundles those
+    checks built, and cross-checks it against the closed-form rule:
+    metrizable iff lambda = -c^2 or c = 0.  Returns (shifted spray,
+    verdict).
     """
     if metric.dim < 2:
         raise PreconditionError("projective shift needs dimension >= 2")
@@ -643,7 +620,10 @@ def projective_shift(metric, c: float, count: int = 64, seed: int = 7,
             "the metric is not of constant flag curvature (ratio R/L "
             f"spreads by {spread:.3e} across samples)")
 
+    # the shifted spray's guards are the metric's, so the metric's samples
+    # are also the ones a draw on the shifted spray gives
     shifted = geometry.ShiftedSpray(base, metric, c)
+    shifted_triples = []
     shift_worst = 0.0
     for pt, b, dec in classify.point_bundles(shifted, samples, order, tol):
         iso = classify.is_isotropic(dec, b, tol)
@@ -653,13 +633,13 @@ def projective_shift(metric, c: float, count: int = 64, seed: int = 7,
                 f"violated (residual {iso.residual:.3e})")
         want = (lam_hat + c * c) * metric.value(pt)
         shift_worst = max(shift_worst, abs(dec.R - want))
+        shifted_triples.append((pt, b, dec))
     if not tol.zero(shift_worst, max(1.0, (abs(lam_hat) + c * c))):
         raise SprayLabError(
             "shifted curvature scalar does not match (lambda + c^2) L "
             f"(residual {shift_worst:.3e})")
 
-    v = verdict_isotropic(shifted, count=count, seed=seed, box=box,
-                          order=order, tol=tol)
+    v = verdict_isotropic(shifted, samples, tuple(shifted_triples), tol=tol)
     engine_yes = v.outcome in METRIZABLE_OUTCOMES
     rule_yes = c == 0.0 or abs(lam_hat + c * c) <= 1e-6
     if engine_yes != rule_yes:
@@ -685,11 +665,13 @@ def route(spray, report: classify.ClassificationReport,
     bundles, so nothing is drawn or built twice.
     """
     if report.flags["constant"]:
-        return verdict_constant(spray, tol=tol, report=report)
+        return verdict_constant(spray, report.samples, report.triples, tol=tol)
     if report.flags["isotropic"]:
-        return verdict_isotropic(spray, tol=tol, x0=x0, report=report)
+        return verdict_isotropic(spray, report.samples, report.triples,
+                                 tol=tol, x0=x0)
     if report.flags["scalar"]:
-        return nonmetrizable_scalar(spray, tol=tol, report=report)
+        return nonmetrizable_scalar(spray, report.samples, report.triples,
+                                    tol=tol)
     return Verdict("inconclusive", "not of scalar curvature",
                    float(report.residuals["scalar"]), bases=report.bases,
                    evidence={"note": _OUT_OF_SCOPE_NOTE})

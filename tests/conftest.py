@@ -9,7 +9,15 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from spraylab import geometry, metrize, sampling
+from spraylab import classify, geometry, metrize, sampling
+
+
+def classified(spray, count, seed=7, box=None):
+    """The (samples, triples) a verdict reads: one guarded draw and its
+    order-4 (point, bundle, decomposition) triples at the default
+    tolerances, as `classify_spray` draws and builds them."""
+    samples = sampling.draw(spray, count=count, seed=seed, box=box)
+    return samples, tuple(classify.point_bundles(spray, samples))
 
 
 @pytest.fixture

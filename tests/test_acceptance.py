@@ -233,12 +233,14 @@ def test_curvature_identity_suite():
 def test_main_scalar_family_weak_isotropy(name, omega_form):
     fx = fixture(name)
     spray = spray_of(name)
-    samples = guarded(name, 12)
-    wk = classify.is_weak_isotropic(spray, samples=samples)
-    assert wk.holds, f"{name}: weak isotropy rejected ({wk.residual:.3e})"
+    rep = classify.classify_spray(spray, count=12, seed=fx.seed, box=fx.box)
+    samples = rep.samples
+    assert rep.flags["weak_isotropic"], (
+        f"{name}: weak isotropy rejected "
+        f"({rep.residuals['weak_isotropic']:.3e})")
     for bidx, base in enumerate(samples.bases):
         want = omega_form(float(base[0]), float(base[1]))
-        got = float(wk.omega[bidx][0, 1])
+        got = float(rep.omega[bidx][0, 1])
         assert abs(got - want) <= 1e-6 * max(1.0, abs(want)), (
             f"{name}: fitted omega_12 at {base} is {got}, closed form "
             f"gives {want}")

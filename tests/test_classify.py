@@ -286,21 +286,31 @@ def test_euler_degrees() -> None:
 # -- weak isotropy -------------------------------------------------------------
 
 
+def fit_residual(rep) -> float:
+    """The worst least-squares residual of the weak-isotropy fit over the
+    report's bases, without the antisymmetry defect `residuals` adds."""
+    n = rep.samples.bases.shape[1]
+    m = rep.samples.ys.shape[1]
+    worst = 0.0
+    for b, (_, Yd) in enumerate(rep.samples.grouped()):
+        rows = np.array([[dec.R_jet.dy(i).value for i in range(n)] - 2.0 * dec.tau
+                         for _, _, dec in rep.triples[b * m:(b + 1) * m]])
+        worst = max(worst, classify._fit_base_omega(Yd, rows, sampling.TOL)[1])
+    return worst
+
+
 def test_weak_isotropy_isotropic_fixture() -> None:
-    sp = spray_of(ROTOR)
-    samples = sampling.sample_points(2, count=8, seed=7, accept=guarded(sp))
-    chk = classify.is_weak_isotropic(sp, samples)
-    assert chk.holds
-    assert np.max(np.abs(chk.omega)) <= 1e-7
+    rep = classify.classify_spray(spray_of(ROTOR), count=8, seed=7)
+    assert rep.flags["weak_isotropic"]
+    assert np.max(np.abs(rep.omega)) <= 1e-7
 
 
 def test_weak_isotropy_cms19() -> None:
     sp = spray_of(CMS19)
     box = sampling.SampleBox(-0.3, 0.5, 0.1, 1.0)
-    samples = sampling.sample_points(2, count=8, seed=7, box=box, accept=guarded(sp))
-    chk = classify.is_weak_isotropic(sp, samples)
-    assert chk.holds
-    for xb, wb in zip(samples.bases, chk.omega):
+    rep = classify.classify_spray(sp, count=8, seed=7, box=box)
+    assert rep.flags["weak_isotropic"]
+    for xb, wb in zip(rep.bases, rep.omega):
         q = 1.0 + xb[0] + xb[1]
         assert wb[0, 1] == pytest.approx(1.0 / q**2, rel=1e-6)
         assert wb[1, 0] == pytest.approx(-1.0 / q**2, rel=1e-6)
@@ -309,33 +319,38 @@ def test_weak_isotropy_cms19() -> None:
 def test_weak_isotropy_cms19_plain_params_gives_zero_form() -> None:
     sp = spray_of(CMS19_PLAIN)
     box = sampling.SampleBox(-0.3, 0.5, 0.1, 1.0)
-    samples = sampling.sample_points(2, count=4, seed=11, box=box, accept=guarded(sp))
-    chk = classify.is_weak_isotropic(sp, samples)
-    assert chk.holds
-    assert np.max(np.abs(chk.omega)) <= 1e-7
+    rep = classify.classify_spray(sp, count=4, seed=11, box=box)
+    assert rep.flags["weak_isotropic"]
+    assert np.max(np.abs(rep.omega)) <= 1e-7
 
 
 def test_weak_isotropy_cubic_fit_fails() -> None:
-    sp = spray_of(CUBIC)
-    samples = sampling.sample_points(2, count=8, seed=7, accept=guarded(sp))
-    chk = classify.is_weak_isotropic(sp, samples)
-    assert not chk.holds
-    assert chk.fit_residual > 1e-2
+    rep = classify.classify_spray(spray_of(CUBIC), count=8, seed=7)
+    assert rep.flags["scalar"]
+    assert not rep.flags["weak_isotropic"]
+    assert rep.omega is None
+    assert fit_residual(rep) > 1e-2
 
 
 def test_weak_isotropy_rank_error() -> None:
     sp = spray_of(ROTOR)
-    bases = np.array([[0.1, -0.2]])
-    ys = np.array([[[1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [0.5, 0.5]]])
+    xb = np.array([0.1, -0.2])
+    Yd = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [0.5, 0.5]])
+    rows = np.empty((len(Yd), 2))
+    for k, y in enumerate(Yd):
+        dec = classify.decompose_scalar(sp, np.concatenate([xb, y]))
+        rows[k] = [dec.R_jet.dy(i).value for i in range(2)] - 2.0 * dec.tau
     with pytest.raises(RankError):
-        classify.is_weak_isotropic(sp, sampling.SampleSet(bases, ys))
+        classify._fit_base_omega(Yd, rows, sampling.TOL)
 
 
 def test_weak_isotropy_needs_scalar() -> None:
-    sp = spray_of(NONSCALAR3)
-    samples = sampling.sample_points(3, count=6, seed=7)
-    with pytest.raises(PreconditionError):
-        classify.is_weak_isotropic(sp, samples)
+    # no fit is taken: the defect is undefined where the split fails
+    rep = classify.classify_spray(spray_of(NONSCALAR3), count=6, seed=7)
+    assert not rep.flags["scalar"]
+    assert not any(pt["weak_isotropic"] for pt in rep.per_point)
+    assert np.isnan(rep.residuals["weak_isotropic"])
+    assert rep.omega is None
 
 
 # -- whole-spray reports ---------------------------------------------------------

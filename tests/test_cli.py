@@ -170,6 +170,31 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
     assert cli.main(["classify", str(monkey_env)]) == 1
 
 
+@pytest.mark.parametrize("args, reason", [
+    (["classify", "flat", "--seed", "-1"], "seed must be >= 0"),
+    (["classify", "flat", "--tol-abs", "nan"],
+     "tol_abs must be positive and finite"),
+    (["classify", "flat", "--tol-rel", "inf"],
+     "tol_rel must be positive and finite"),
+    (["oracle", "flat", "--fd-step", "inf"],
+     "fd_step must be positive and finite"),
+    (["classify", "flat", "--box", "0", "inf", "0", "1"], "must be finite"),
+], ids=["negative-seed", "nan-tol-abs", "inf-tol-rel", "inf-fd-step",
+        "inf-box"])
+def test_config_refused_up_front(args, reason, tmp_path, capsys):
+    # each of these used to run: to a numpy traceback, to wrong flags, or
+    # to a report judged against an infinite tolerance
+    code, data = run(args + ["--points", "4"], tmp_path)
+    assert code == 1 and data is None
+    assert reason in capsys.readouterr().err
+
+
+def test_negative_seed_env_is_refused(monkeypatch, capsys):
+    monkeypatch.setenv("SPRAYLAB_SEED", "-1")
+    assert cli.main(["classify", "flat", "--points", "4"]) == 1
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
 def test_seed_env_must_be_integer(monkeypatch, capsys):
     monkeypatch.setenv("SPRAYLAB_SEED", "pi")
     assert cli.main(["classify", "flat", "--points", "4"]) == 1

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from spraylab import corpus, geometry, metrize, sampling
+from spraylab import classify, corpus, geometry, metrize
 from spraylab.errors import PreconditionError, UnknownFixture
 
 ALL_NAMES = corpus.fixture_names()
@@ -86,6 +86,39 @@ def test_replay_draws_once(tally) -> None:
     assert tally["draws"] == 1
 
 
+@pytest.mark.parametrize("name", ["cms19", "ex7.2"])
+def test_replay_builds_each_bundle_once(name, tally) -> None:
+    # the omega_fit (cms19), scalar_expr and delta_expr (ex7.2) checks read
+    # the classification's bundles instead of building them again
+    rep = corpus.run_fixture(name)
+    assert rep.passed
+    order4 = [n for (_, order), n in tally["bundles"].items() if order == 4]
+    assert len(order4) == rep.count
+    assert max(order4) == 1
+
+
+def test_omega_fit_needs_scalar_curvature() -> None:
+    fx = corpus.load_fixture("nonscalar3")
+    spray = fx.build()
+    rep = classify.classify_spray(spray, count=6, seed=7, box=fx.box)
+    assert not rep.flags["scalar"]
+    chk = {"name": "fit", "kind": "omega_fit", "expr": "0"}
+    with pytest.raises(PreconditionError, match="not of scalar curvature"):
+        corpus._chk_omega_fit(fx, spray, None, rep, chk, corpus.TOL)
+
+
+def test_omega_fit_reports_a_failed_fit() -> None:
+    # ex7.6 is of scalar curvature, but its defect is no 2-form in y
+    fx = corpus.load_fixture("ex7.6")
+    spray = fx.build()
+    rep = classify.classify_spray(spray, count=8, seed=7, box=fx.box)
+    assert rep.flags["scalar"] and not rep.flags["weak_isotropic"]
+    chk = {"name": "fit", "kind": "omega_fit", "expr": "0"}
+    worst, bad = corpus._chk_omega_fit(fx, spray, None, rep, chk, corpus.TOL)
+    assert worst == rep.residuals["weak_isotropic"] > 0.0
+    assert bad == [f"fit: weak-isotropy fit does not hold (residual {worst:.3e})"]
+
+
 def test_ex7_5_seed_4_replays_clean() -> None:
     rep = corpus.run_fixture("ex7.5", seed=4)
     assert rep.passed, rep.diffs
@@ -119,10 +152,10 @@ def test_checks_catch_wrong_expectations() -> None:
     """The diff machinery must actually fire, not vacuously pass."""
     fx = corpus.load_fixture("ex7.2")
     spray = fx.build()
-    samples = sampling.draw(spray, 8, 7, fx.box)
+    rep = classify.classify_spray(spray, count=8, seed=7, box=fx.box)
     chk = {"name": "bogus", "kind": "scalar_expr", "field": "R",
            "expr": "y1^2", "atol": 1e-8}
-    worst, bad = corpus._chk_scalar_expr(fx, spray, None, samples, chk,
+    worst, bad = corpus._chk_scalar_expr(fx, spray, None, rep, chk,
                                          corpus.TOL)
     assert bad and "bogus" in bad[0]
     assert worst > 1e-3
@@ -131,10 +164,10 @@ def test_checks_catch_wrong_expectations() -> None:
 def test_recovered_check_reports_missing_metric() -> None:
     fx = corpus.load_fixture("ex7.2")
     spray = fx.build()
-    samples = sampling.draw(spray, 8, 7, fx.box)
+    rep = classify.classify_spray(spray, count=8, seed=7, box=fx.box)
     verdict = metrize.decide(spray, count=8, seed=7)
     chk = {"name": "ghost", "kind": "recovered_expr", "expr": "y1^2"}
-    worst, bad = corpus._chk_recovered_expr(fx, spray, verdict, samples, chk,
+    worst, bad = corpus._chk_recovered_expr(fx, spray, verdict, rep, chk,
                                             corpus.TOL)
     assert np.isnan(worst)
     assert bad and "no recovered metric" in bad[0]

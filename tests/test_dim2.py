@@ -169,10 +169,9 @@ def test_cms_closed_forms_specialize() -> None:
 def test_cms_omega_fit_matches_prediction() -> None:
     for cms in cms_fixtures():
         sp = geometry.MetricSpray(cms.metric)
-        samples = draw(cms.metric, 8, 7)
-        chk = classify.is_weak_isotropic(sp, samples)
-        assert chk.holds
-        for xb, wb in zip(samples.bases, chk.omega):
+        rep = classify.classify_spray(sp, count=8, seed=7, box=CMS_BOX)
+        assert rep.flags["weak_isotropic"]
+        for xb, wb in zip(rep.bases, rep.omega):
             want = cms.omega12(xb)
             assert wb[0, 1] == pytest.approx(want, rel=1e-6, abs=1e-9)
             assert wb[1, 0] == pytest.approx(-want, rel=1e-6, abs=1e-9)

@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from spraylab import dsl, geometry, jets
-from spraylab.errors import DegenerateMetric, DomainError, OrderError, PreconditionError
-from spraylab.geometry import CovariantField, CurvatureBundle, PointTangent
+from spraylab.errors import DomainError, OrderError, PreconditionError
+from spraylab.geometry import CurvatureBundle, PointTangent
 
 FLAT = """
 dim 2
@@ -68,12 +68,6 @@ metric L = ((1 + x1^2 + x2^2)*(y1^2 + y2^2) - (x1*y1 + x2*y2)^2) / (1 + x1^2 + x
 ROUND_METRIC_3 = """
 dim 3
 metric L = ((1 + x1^2 + x2^2 + x3^2)*(y1^2 + y2^2 + y3^2) - (x1*y1 + x2*y2 + x3*y3)^2) / (1 + x1^2 + x2^2 + x3^2)^2
-"""
-
-DEGENERATE_METRIC = """
-dim 2
-metric L = ((x1^2 + x2^2)*(y1^2 + y2^2) - (x1*y1 + x2*y2)^2) / (x1^2 + x2^2)^2
-guard = x1^2 + x2^2 - 0.25
 """
 
 NONSCALAR3 = """
@@ -214,22 +208,6 @@ def test_cubic_split_chi_frozen() -> None:
         assert r <= 1e-8, name
 
 
-def test_metric_tensor_round_metric_at_origin() -> None:
-    m = geometry.ExprMetric(dsl.parse(ROUND_METRIC))
-    mt = geometry.metric_tensor(m, (0.0, 0.0, 0.6, 0.8))
-    assert np.allclose(mt.g, np.eye(2), atol=1e-12)
-    assert np.allclose(mt.g_inv, np.eye(2), atol=1e-12)
-    assert np.allclose(mt.y_low, [0.6, 0.8], atol=1e-12)
-    jet = m.jet((0.0, 0.0, 0.6, 0.8), 2)
-    assert jet.dy(0).dy(0).value == pytest.approx(2.0, rel=1e-12)
-
-
-def test_metric_tensor_rejects_degenerate_hessian() -> None:
-    m = geometry.ExprMetric(dsl.parse(DEGENERATE_METRIC))
-    with pytest.raises(DegenerateMetric):
-        geometry.metric_tensor(m, (0.5, 0.3, 0.6, -0.2))
-
-
 def test_induced_spray_matches_hand_derived_coefficients() -> None:
     # L = -2 e^{2 x1^2} |y|^2 induces exactly the WHIRL spray
     m = geometry.ExprMetric(dsl.parse(WHIRL_METRIC))
@@ -260,23 +238,6 @@ def test_induced_spray_euler_and_compatibility() -> None:
     # constant positive curvature: Ric = (n-1) L
     Lval = Lj.value
     assert b.Ric_value == pytest.approx((2 - 1) * Lval, rel=1e-10)
-
-
-def test_covariant_field_chaining_and_values() -> None:
-    sp = spray_of(ROTOR)
-    scalarR = CovariantField.scalar(sp, lambda b: geometry.scalar_split(b)[0], name="R")
-    hv = geometry.h_cov(scalarR, PROT)
-    assert np.allclose(hv, [20.0, -15.0], atol=1e-9)
-    vv = geometry.v_cov(scalarR, PROT)
-    assert np.allclose(vv, [6.0, 8.0], atol=1e-9)
-    one = CovariantField.scalar(sp, lambda b: b.constant(1.0), name="1")
-    assert np.allclose(geometry.h_cov(one, PROT), 0.0, atol=1e-13)
-    assert np.allclose(geometry.v_cov(one, PROT), 0.0, atol=1e-13)
-    # slots grow one per derivative, and the jet budget eventually runs out
-    assert scalarR.h().slots == ("d",)
-    assert scalarR.h().h().slots == ("d", "d")
-    with pytest.raises(OrderError):
-        scalarR.h().h().h().values(PROT, order=4)
 
 
 def test_identity_residuals_on_mixed_fixtures() -> None:
@@ -382,13 +343,6 @@ def test_point_tangent_validation_and_layout() -> None:
         PointTangent((0.1, -0.2), (0.0, 0.0))
     b = CurvatureBundle(spray_of(ROTOR), pt)
     assert b.Ric_value == pytest.approx(25.0, rel=1e-12)
-
-
-def test_homogeneity_guard_on_metric_tensor() -> None:
-    # not 2-homogeneous in y: the lowered-tangent identity must fail
-    bad = geometry.ExprMetric(dsl.parse("dim 2\nmetric L = y1^2 + y2^3\n"))
-    with pytest.raises(PreconditionError):
-        geometry.metric_tensor(bad, (0.1, 0.2, 0.8, 0.9))
 
 
 def test_block_bundle_of_an_induced_spray_stacks_point_jets() -> None:

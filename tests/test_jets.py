@@ -85,19 +85,6 @@ def test_fd_partial_zero_order_is_plain_evaluation() -> None:
     )
 
 
-def test_euler_check_homogeneous_degree_two() -> None:
-    # G = y2*sqrt(y1^2+y2^2)/2 is positively 2-homogeneous in y.
-    def g(v):
-        _, _, y1, y2 = v
-        return 0.5 * y2 * jets.sqrt(y1 * y1 + y2 * y2)
-
-    assert jets.euler_check(g, (0.0, 0.0, 3.0, 4.0), degree=2, group="y") < 1e-12
-    # and the value itself: 0.5*4*5 = 10
-    assert jets.lift(g, (0.0, 0.0, 3.0, 4.0), 0).value == pytest.approx(10.0)
-    # wrong degree leaves |2g - 3g| = |g| = 10
-    assert jets.euler_check(g, (0.0, 0.0, 3.0, 4.0), degree=3, group="y") == pytest.approx(10.0)
-
-
 def test_product_and_quotient_rules_random_sweep() -> None:
     rng = np.random.default_rng(11)
 
@@ -212,14 +199,6 @@ def test_jet_matrix_inverse_roundtrip() -> None:
                 assert abs(got.value - want) < 1e-12
                 # every derivative coefficient of M @ M^{-1} must vanish
                 assert np.max(np.abs(got.coeffs[1:])) < 1e-11
-
-
-def test_from_partials_reconstructs_jet() -> None:
-    sp = jets.space(2, 2)
-    partials = {(0, 0): 2.0, (1, 0): 3.0, (0, 1): -1.0, (2, 0): 4.0, (1, 1): 0.5, (0, 2): 0.0}
-    jet = sp.from_partials((0.1, 0.2), partials)
-    for a, v in partials.items():
-        assert jet.partial(a) == pytest.approx(v)
 
 
 # -- block jets -----------------------------------------------------------------

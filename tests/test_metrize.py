@@ -19,6 +19,8 @@ import pytest
 from spraylab import classify, corpus, dsl, geometry, metrize, sampling
 from spraylab.errors import DomainError, PathError, PreconditionError
 
+from conftest import classified
+
 FLAT = """
 dim 2
 spray G1 = 0
@@ -359,7 +361,8 @@ def test_rotor_omega_is_y_dependent() -> None:
 
 
 def test_verdict_rotor_not_metrizable() -> None:
-    v = metrize.verdict_isotropic(spray_of(ROTOR), count=12)
+    sp = spray_of(ROTOR)
+    v = metrize.verdict_isotropic(sp, *classified(sp, 12))
     assert v.outcome == "not_metrizable"
     assert v.rule == "omega y-dependent"
     assert v.residual > 0.1
@@ -367,7 +370,8 @@ def test_verdict_rotor_not_metrizable() -> None:
 
 
 def test_verdict_whirl_recovers_scaled_metric() -> None:
-    v = metrize.verdict_isotropic(spray_of(WHIRL), count=12)
+    sp = spray_of(WHIRL)
+    v = metrize.verdict_isotropic(sp, *classified(sp, 12))
     assert v.outcome == "metrizable_with_metric"
     assert v.rule == "omega exact; L = R/lambda"
     # omega report: one row per base, each approximately (-4 x1, 0)
@@ -389,7 +393,8 @@ def test_verdict_whirl_recovers_scaled_metric() -> None:
 
 
 def test_verdict_whirl_lambda_field() -> None:
-    v = metrize.verdict_isotropic(spray_of(WHIRL), count=12)
+    sp = spray_of(WHIRL)
+    v = metrize.verdict_isotropic(sp, *classified(sp, 12))
     lam = v.evidence["lambda"]
     for x1 in (-0.5, 0.0, 0.6):
         assert lam(np.array([x1, 0.2])) == pytest.approx(
@@ -398,7 +403,8 @@ def test_verdict_whirl_lambda_field() -> None:
 
 def test_verdict_ball_sweep() -> None:
     for c in (0.5, 1.0, 2.0, 3.0):
-        v = metrize.verdict_isotropic(spray_of(BALL, consts={"c": c}), count=12)
+        sp = spray_of(BALL, consts={"c": c})
+        v = metrize.verdict_isotropic(sp, *classified(sp, 12))
         if c == 2.0:
             assert v.outcome == "metrizable_with_metric"
             assert v.rule == "omega vanishes; L = R"
@@ -435,24 +441,27 @@ def test_verdict_degenerate_family_member() -> None:
     dec = classify.decompose_scalar(sp, PD)
     assert dec.R == pytest.approx(1.3456, abs=1e-10)
     assert np.allclose(dec.tau, [1.392, -1.856], atol=1e-10)
-    v = metrize.verdict_isotropic(sp, count=12)
+    v = metrize.verdict_isotropic(sp, *classified(sp, 12))
     assert v.outcome == "not_metrizable"
     assert v.rule == "R is not a Finsler metric"
-    vc = metrize.verdict_constant(sp, count=12)
+    vc = metrize.verdict_constant(sp, *classified(sp, 12))
     assert vc.outcome == "not_metrizable"
     assert vc.rule == "Ric is not a Finsler metric"
 
 
 def test_verdict_expfac_not_metrizable() -> None:
     # R = y1^2/4: 2-homogeneous but rank-1 Hessian
-    v = metrize.verdict_isotropic(spray_of(EXPFAC), count=12)
+    sp = spray_of(EXPFAC)
+    v = metrize.verdict_isotropic(sp, *classified(sp, 12))
     assert v.outcome == "not_metrizable"
     assert v.rule == "R is not a Finsler metric"
 
 
 def test_verdict_isotropic_rejects_nonisotropic() -> None:
+    sp = spray_of(CUBIC)
+    samples, triples = classified(sp, 8)
     with pytest.raises(PreconditionError):
-        metrize.verdict_isotropic(spray_of(CUBIC), count=8)
+        metrize.verdict_isotropic(sp, samples, triples)
 
 
 # -- verdict_constant -----------------------------------------------------------
@@ -460,7 +469,8 @@ def test_verdict_isotropic_rejects_nonisotropic() -> None:
 
 def test_verdict_constant_round_metric() -> None:
     m = metric_of(EQ3)
-    v = metrize.verdict_constant(geometry.MetricSpray(m), count=12)
+    sp = geometry.MetricSpray(m)
+    v = metrize.verdict_constant(sp, *classified(sp, 12))
     assert v.outcome == "metrizable_with_metric"
     assert v.rule == "L = Ric/(n-1)"
     L = v.recovered_metric
@@ -476,16 +486,9 @@ def test_eq3_spray_values() -> None:
     assert metric_of(EQ3).value(PE) == pytest.approx(1.0043431002112733, abs=1e-12)
 
 
-def test_verdict_rejects_report_with_sampling_arguments() -> None:
-    sp = spray_of(FLAT)
-    rep = classify.classify_spray(sp, count=8)
-    assert metrize.verdict_constant(sp, report=rep).outcome == "metrizable_locally"
-    with pytest.raises(TypeError):
-        metrize.verdict_constant(sp, count=8, report=rep)
-
-
 def test_verdict_constant_flat() -> None:
-    v = metrize.verdict_constant(spray_of(FLAT), count=8)
+    sp = spray_of(FLAT)
+    v = metrize.verdict_constant(sp, *classified(sp, 8))
     assert v.outcome == "metrizable_locally"
     assert v.rule == "Ric vanishes on samples"
     assert v.recovered_metric is None
@@ -493,8 +496,10 @@ def test_verdict_constant_flat() -> None:
 
 
 def test_verdict_constant_rejects_nonconstant() -> None:
+    sp = spray_of(ROTOR)
+    samples, triples = classified(sp, 8)
     with pytest.raises(PreconditionError):
-        metrize.verdict_constant(spray_of(ROTOR), count=8)
+        metrize.verdict_constant(sp, samples, triples)
 
 
 def test_berwald_flat_witness() -> None:
@@ -523,7 +528,7 @@ def test_cubic_flat_with_torsion() -> None:
     dec = classify.decompose_scalar(sp, PCUB)
     assert abs(dec.R) <= 1e-10
     assert np.allclose(dec.tau, [-12.0, 12.0], atol=1e-9)
-    v = metrize.nonmetrizable_scalar(sp, count=12)
+    v = metrize.nonmetrizable_scalar(sp, *classified(sp, 12))
     assert v.outcome == "not_metrizable"
     assert v.rule == "R = 0 but tau != 0"
     assert metrize.decide(sp, count=12).outcome == "not_metrizable"
@@ -538,7 +543,7 @@ def test_twist_fails_quotient_constancy() -> None:
     t = np.array([tau[i] / Rj for i in range(2)], dtype=object)
     cov = b.cov_h(t, ("d",))
     assert np.allclose(cov, TWIST_T_COV, atol=1e-9)
-    v = metrize.nonmetrizable_scalar(sp, count=12)
+    v = metrize.nonmetrizable_scalar(sp, *classified(sp, 12))
     assert v.outcome == "not_metrizable"
     assert v.rule == "tau/R fails covariant-constancy or vertical symmetry"
     assert v.residual > 0.5
@@ -549,26 +554,56 @@ def test_drift_stays_inconclusive() -> None:
     dec = classify.decompose_scalar(sp, PC)
     assert dec.R == pytest.approx(-2.0 * 0.8 * 0.6, abs=1e-10)
     assert np.allclose(dec.tau, [0.0, -1.6], atol=1e-10)
-    v = metrize.nonmetrizable_scalar(sp, count=12)
+    v = metrize.nonmetrizable_scalar(sp, *classified(sp, 12))
     assert v.outcome == "inconclusive"
     assert metrize.decide(sp, count=12).outcome == "inconclusive"
 
 
 def test_degen_passes_scalar_tests() -> None:
-    v = metrize.nonmetrizable_scalar(spray_of(DEGEN), count=12)
+    sp = spray_of(DEGEN)
+    v = metrize.nonmetrizable_scalar(sp, *classified(sp, 12))
     assert v.outcome == "inconclusive"
 
 
 def test_flat_scalar_op_is_inconclusive() -> None:
     # the op itself only ever fires negative rules; flatness is decided by
     # the constant-curvature path in decide()
-    assert metrize.nonmetrizable_scalar(spray_of(FLAT), count=8).outcome == "inconclusive"
+    sp = spray_of(FLAT)
+    assert metrize.nonmetrizable_scalar(sp, *classified(sp, 8)).outcome == "inconclusive"
     assert metrize.decide(spray_of(FLAT), count=8).outcome == "metrizable_locally"
 
 
 def test_scalar_op_rejects_nonscalar() -> None:
+    sp = spray_of(NONSCALAR3)
+    samples, triples = classified(sp, 8)
     with pytest.raises(PreconditionError):
-        metrize.nonmetrizable_scalar(spray_of(NONSCALAR3), count=8)
+        metrize.nonmetrizable_scalar(sp, samples, triples)
+
+
+@pytest.mark.parametrize("src, rule", [
+    (BALL, "L = Ric/(n-1)"),
+    (WHIRL, "omega exact; L = R/lambda"),
+    (DRIFT, "scalar non-metrizability tests passed; the conditions are "
+            "sufficient only"),
+], ids=["constant", "isotropic", "scalar"])
+def test_route_reads_the_report_only(src, rule, tally, monkeypatch) -> None:
+    # each verdict, routed a report, makes no draw and builds no order-4
+    # bundle: the report's samples and bundles are its whole input
+    sp = spray_of(src)
+    rep = classify.classify_spray(sp, count=12)
+    orders = []
+    init = geometry.CurvatureBundle.__init__
+
+    def recording_init(b, spray, p, order=4):
+        init(b, spray, p, order)
+        orders.append(order)
+
+    monkeypatch.setattr(geometry.CurvatureBundle, "__init__", recording_init)
+    draws = tally["draws"]
+    v = metrize.route(sp, rep)
+    assert v.rule == rule
+    assert tally["draws"] == draws
+    assert 4 not in orders
 
 
 def test_decide_nonscalar() -> None:
@@ -600,14 +635,15 @@ def test_shift_round_metric() -> None:
 
 
 def test_shift_evaluates_blocks(tally) -> None:
-    # the metric's spray, the shifted spray and the shifted spray's verdict
-    # each take the 40 samples in blocks, and no block falls back to
-    # building its samples one at a time
+    # the metric's spray and the shifted spray each take the 40 samples in
+    # blocks, and no block falls back to building its samples one at a
+    # time; the verdict reads the shifted spray's bundles, drawing nothing
     metrize.projective_shift(metric_of(EQ3), 2.0, count=40)
     rows = classify.BLOCK_ROWS
     one_pass = [(rows, 4), (rows, 4), (40 - 2 * rows, 4)]
-    assert tally["blocks"] == one_pass * 3
-    assert tally["row_blocks"] == one_pass * 3
+    assert tally["draws"] == 1
+    assert tally["blocks"] == one_pass * 2
+    assert tally["row_blocks"] == one_pass * 2
 
 
 def test_shift_round_metric_zero_speed() -> None:
@@ -645,5 +681,5 @@ def test_cms_spray_survives_scalar_tests() -> None:
     # R != 0; its tau/R must pass both quotient tests (soundness)
     sp = spray_of(CMS19)
     box = sampling.SampleBox(-0.3, 0.5, 0.1, 1.0)
-    v = metrize.nonmetrizable_scalar(sp, count=8, box=box)
+    v = metrize.nonmetrizable_scalar(sp, *classified(sp, 8, box=box))
     assert v.outcome == "inconclusive"
