@@ -288,7 +288,8 @@ def _chk_witness_metric(fx, spray, verdict, rep, chk, tol):
 
 
 def _chk_structure_check(fx, spray, verdict, rep, chk, tol):
-    res = pflat.quadratic_structure_check(spray, samples=rep.samples, tol=tol)
+    res = pflat.quadratic_structure_check(spray, rep.samples, rep.triples,
+                                          tol=tol)
     want = bool(chk["want"])
     bad = []
     if bool(res.holds) != want:

@@ -12,11 +12,16 @@ Coefficient values come from one of three routes, all jet-free:
   shifted sprays      the base route plus a metric value term
 
 Finite differences use integer offsets of a single step h, composed per
-variable (tensor-product stencils), so one batched evaluation per base
-point serves every requested derivative.
+variable (tensor-product stencils).  The stencil plan depends only on the
+dimension and h, so it is built once per (dim, h) and cached: the offsets
+of every stencil row, and per stencil length the row indices and weights
+of each derivative.  At a point, one batched evaluation on those rows and
+one grouped pass over the index and weight arrays give every derivative.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -191,7 +196,12 @@ def spray_values(spray):
             P = np.asarray(P, dtype=float)
             t = _metric_taylor(spray.metric, P)
             g = 0.5 * t.hess[:, n:, n:]
-            w = np.linalg.inv(g)
+            try:
+                w = np.linalg.inv(g)
+            except np.linalg.LinAlgError as exc:
+                raise DomainError(
+                    "the metric's fundamental tensor is singular at a point "
+                    f"of the finite-difference batch: {exc}") from exc
             # v_l = L_{x^k y^l} y^k - L_{x^l}
             v = np.einsum("bkl,bk->bl", t.hess[:, :n, n:], P[:, n:]) - t.grad[:, :n]
             return 0.25 * np.einsum("bil,bl->bi", w, v)
@@ -221,7 +231,6 @@ _STENCILS = {
     3: {-2: -0.5, -1: 1.0, 1: -1.0, 2: 0.5},
 }
 
-
 def _stencil(alpha: tuple, h: float) -> list[tuple[tuple, float]]:
     """Tensor-product stencil for a multi-index: [(offset vector, weight)]."""
     out = [((), 1.0)]
@@ -235,36 +244,131 @@ def _stencil(alpha: tuple, h: float) -> list[tuple[tuple, float]]:
     return [(off, w / scale) for off, w in out]
 
 
-class _FdTable:
-    """Gathers every needed (base offset + stencil) row for one batch call."""
-
-    def __init__(self, dim: int, h: float):
-        self.m = 2 * dim
-        self.h = h
-        self.rows: dict[tuple, int] = {}
-
-    def _row(self, off: tuple) -> int:
-        if off not in self.rows:
-            self.rows[off] = len(self.rows)
-        return self.rows[off]
-
-    def want(self, base: tuple, alpha: tuple) -> list[tuple[int, float]]:
-        plan = []
-        for off, w in _stencil(alpha, self.h):
-            merged = tuple(b + o for b, o in zip(base, off))
-            plan.append((self._row(merged), w))
-        return plan
-
-    def evaluate(self, fn, p: np.ndarray) -> np.ndarray:
-        offs = np.array(sorted(self.rows, key=self.rows.get), dtype=float)
-        return fn(p[None, :] + self.h * offs)
-
-
 def _alpha(m: int, *slots: int) -> tuple:
     a = [0] * m
     for s in slots:
         a[s] += 1
     return tuple(a)
+
+
+def _frozen(a, dtype=None) -> np.ndarray:
+    a = np.array(a, dtype=dtype)
+    a.setflags(write=False)
+    return a
+
+
+class _FdPlan:
+    """Every central difference `fd_curvature` takes, for one (dim, h).
+
+    A derivative is keyed (base, alpha): the multi-index alpha of the
+    stencil centred at the point shifted by `base` steps.  `offsets` holds
+    the stencil rows, in steps of h from the point, in the order the keys
+    first use them.  `keys` lists the derivatives grouped by stencil length
+    k, and `groups` holds per k the (K, k) row-index and weight arrays of
+    its K keys; `derivatives` stacks the groups into one table whose row i
+    is `keys[i]`.  The integer arrays below select the table rows the
+    curvature formulas read, per base b (0 the point, 1 + 2m and 2 + 2m the
+    y^m shifts by +h and -h):
+
+      g0[b]          G
+      dx[b, k]       dG/dx^k
+      dy[b, j]       dG/dy^j            (the columns of N)
+      mixed[b, k, j] d2G/dx^j dy^k
+      hess[b, k, j]  d2G/dy^j dy^k
+      third[i, j, k] d3G/dy^i dy^j dy^k at the point
+
+    Every array is read-only: plans are shared through the cache.
+    """
+
+    def __init__(self, n: int, h: float):
+        # the stencils scale their weights by h^-1 to h^-3, so h^3 and h^-3
+        # must both be finite and nonzero; Python's float power raises on
+        # overflow
+        try:
+            in_range = h ** 3 > 0.0 and h ** -3 > 0.0
+        except OverflowError:
+            in_range = False
+        if not in_range:
+            raise DomainError(
+                f"finite-difference step {h:g} is out of range: h^3 and h^-3 "
+                "must be finite and nonzero")
+        m = 2 * n
+        zero = (0,) * m
+        bases = [zero]
+        for mm in range(n):
+            for s in (+1, -1):
+                b = [0] * m
+                b[n + mm] = s
+                bases.append(tuple(b))
+
+        wants = []
+        for base in bases:
+            wants.append((base, _alpha(m)))
+            for k in range(n):
+                wants.append((base, _alpha(m, k)))
+                wants.append((base, _alpha(m, n + k)))
+                for j in range(n):
+                    wants.append((base, _alpha(m, j, n + k)))
+                    if j <= k:
+                        wants.append((base, _alpha(m, n + j, n + k)))
+        for hh in range(n):
+            for j in range(hh, n):
+                for k in range(j, n):
+                    wants.append((zero, _alpha(m, n + hh, n + j, n + k)))
+
+        rows: dict[tuple, int] = {}
+        by_length: dict[int, list] = {}
+        for base, alpha in wants:
+            terms = []
+            for off, w in _stencil(alpha, h):
+                merged = tuple(b + o for b, o in zip(base, off))
+                terms.append((rows.setdefault(merged, len(rows)), w))
+            by_length.setdefault(len(terms), []).append(((base, alpha), terms))
+
+        self.offsets = _frozen(list(rows), float)
+        self.shifts = _frozen([b[n:] for b in bases], float)
+        entries = [by_length[k] for k in sorted(by_length)]
+        self.keys = tuple(key for group in entries for key, _ in group)
+        self.groups = tuple(
+            (_frozen([[r for r, _ in terms] for _, terms in group]),
+             _frozen([[w for _, w in terms] for _, terms in group]))
+            for group in entries)
+
+        slot = {key: i for i, key in enumerate(self.keys)}
+
+        def at(base, *slots):
+            return slot[(base, _alpha(m, *slots))]
+
+        self.g0 = _frozen([at(b) for b in bases])
+        self.dx = _frozen([[at(b, k) for k in range(n)] for b in bases])
+        self.dy = _frozen([[at(b, n + j) for j in range(n)] for b in bases])
+        self.mixed = _frozen([[[at(b, j, n + k) for j in range(n)]
+                               for k in range(n)] for b in bases])
+        self.hess = _frozen([[[at(b, n + j, n + k) for j in range(n)]
+                              for k in range(n)] for b in bases])
+        self.third = _frozen([[[at(zero, n + i, n + j, n + k) for k in range(n)]
+                               for j in range(n)] for i in range(n)])
+
+    def derivatives(self, vals: np.ndarray) -> np.ndarray:
+        """(keys, n) table of derivatives from the (rows, n) stencil values.
+
+        Each derivative sums its terms in stencil order, one rounded
+        multiply and add per term, as a sum over one stencil at a time
+        would.
+        """
+        parts = []
+        for idx, W in self.groups:
+            acc = np.zeros((idx.shape[0], vals.shape[1]))
+            for t in range(idx.shape[1]):
+                acc = acc + W[:, t, None] * vals[idx[:, t]]
+            parts.append(acc)
+        return np.concatenate(parts)
+
+
+# one plan per (dim, h) in use; capped, since h comes from --fd-step
+@lru_cache(maxsize=8)
+def _fd_plan(n: int, h: float) -> _FdPlan:
+    return _FdPlan(n, h)
 
 
 def fd_curvature(spray, p, h: float = 1e-3, richardson: bool = True) -> dict:
@@ -281,6 +385,12 @@ def fd_curvature(spray, p, h: float = 1e-3, richardson: bool = True) -> dict:
     cancellation error at large |y| and truncation error at small |y| in
     check.  Positive 2-homogeneity of the spray coefficients is asserted
     numerically rather than assumed.
+
+    At each step h the spray is evaluated once, on the stencil rows of the
+    cached plan for (dim, h), and the plan turns those values into every
+    derivative in one grouped pass.  A stencil row outside the spray's
+    domain gives a non-finite value, and that raises DomainError naming the
+    point and h: a step too large for the domain is refused, not compared.
     """
     n = spray.dim
     m = 2 * n
@@ -312,81 +422,41 @@ def fd_curvature(spray, p, h: float = 1e-3, richardson: bool = True) -> dict:
         a = fd_curvature(spray, p, h=h, richardson=False)
         b = fd_curvature(spray, p, h=2.0 * h, richardson=False)
         return {k: (4.0 * a[k] - b[k]) / 3.0 for k in a}
-    tab = _FdTable(n, h)
-    zero = (0,) * m
+    plan = _fd_plan(n, h)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        vals = fn(pa[None, :] + h * plan.offsets)  # (rows, n)
+    finite = np.isfinite(vals).all(axis=1)
+    if not finite.all():
+        point = ", ".join(f"{v:.6g}" for v in pa)
+        raise DomainError(
+            f"the finite-difference stencil at ({point}) with step "
+            f"{h:g} leaves the spray's domain: G is not finite on "
+            f"{int(np.sum(~finite))} of {len(vals)} stencil rows")
+    D = plan.derivatives(vals)
 
-    # bases: the point itself plus the y-shifts used for the chi derivative
-    bases = [zero]
-    for mm in range(n):
-        for s in (+1, -1):
-            b = [0] * m
-            b[n + mm] = s
-            bases.append(tuple(b))
-
-    plans: dict[tuple, list[tuple[int, float]]] = {}
-
-    def want(base: tuple, alpha: tuple) -> None:
-        plans[(base, alpha)] = tab.want(base, alpha)
-
-    for base in bases:
-        want(base, _alpha(m))
-        for k in range(n):
-            want(base, _alpha(m, k))
-            want(base, _alpha(m, n + k))
-            for j in range(n):
-                want(base, _alpha(m, j, n + k))
-                if j <= k:
-                    want(base, _alpha(m, n + j, n + k))
-    for hh in range(n):
-        for j in range(hh, n):
-            for k in range(j, n):
-                want(zero, _alpha(m, n + hh, n + j, n + k))
-
-    vals = tab.evaluate(fn, pa)  # (rows, n)
-
-    def D(base: tuple, alpha: tuple) -> np.ndarray:
-        acc = np.zeros(n)
-        for row, w in plans[(base, alpha)]:
-            acc = acc + w * vals[row]
-        return acc
-
-    def riemann_at(base: tuple) -> np.ndarray:
-        y = pa[n:] + h * np.asarray(base[n:], dtype=float)
-        G0 = D(base, _alpha(m))
-        N = np.stack([D(base, _alpha(m, n + j)) for j in range(n)], axis=1)
+    # .T.copy() hands @ C-contiguous (n, n) operands, as np.stack(axis=1)
+    # of the columns would: a strided operand can round differently
+    def riemann_at(b: int) -> np.ndarray:
+        y = pa[n:] + h * plan.shifts[b]
+        G0 = D[plan.g0[b]]
+        N = D[plan.dy[b]].T.copy()
         R = np.empty((n, n))
         for k in range(n):
-            dk = D(base, _alpha(m, k))
-            mixed = np.stack([D(base, _alpha(m, j, n + k)) for j in range(n)], axis=1)
-            hess = np.stack(
-                [
-                    D(base, _alpha(m, *sorted((n + j, n + k))))
-                    for j in range(n)
-                ],
-                axis=1,
-            )
-            R[:, k] = 2.0 * dk - mixed @ y + 2.0 * hess @ G0 - N @ N[:, k]
+            mixed = D[plan.mixed[b, k]].T.copy()
+            hess = D[plan.hess[b, k]].T.copy()
+            R[:, k] = (2.0 * D[plan.dx[b, k]] - mixed @ y + 2.0 * hess @ G0
+                       - N @ N[:, k])
         return R
 
-    R0 = riemann_at(zero)
-    N0 = np.stack([D(zero, _alpha(m, n + j)) for j in range(n)], axis=1)
+    R0 = riemann_at(0)
+    N0 = D[plan.dy[0]].T.copy()
 
     chi = np.zeros(n)
     for mm in range(n):
-        plus = [0] * m
-        plus[n + mm] = 1
-        minus = [0] * m
-        minus[n + mm] = -1
-        dR = (riemann_at(tuple(plus)) - riemann_at(tuple(minus))) / (2.0 * h)
+        dR = (riemann_at(1 + 2 * mm) - riemann_at(2 + 2 * mm)) / (2.0 * h)
         chi += 2.0 * dR[mm, :] + np.trace(dR) * _unit(n, mm)
 
-    B = np.zeros((n, n, n, n))
-    for hh in range(n):
-        for j in range(hh, n):
-            for k in range(j, n):
-                col = D(zero, _alpha(m, n + hh, n + j, n + k))
-                for perm in {(hh, j, k), (hh, k, j), (j, hh, k), (j, k, hh), (k, hh, j), (k, j, hh)}:
-                    B[:, perm[0], perm[1], perm[2]] = col
+    B = np.moveaxis(D[plan.third], -1, 0).copy()
 
     return {"N": N0, "R": R0, "Ric": float(np.trace(R0)), "chi": chi, "B": B}
 
@@ -421,6 +491,6 @@ def agreement_report(bundles, h: float = 1e-3) -> dict:
             if err[k] - tol[k] > entry["max_err"] - entry["worst_tol"]:
                 entry["max_err"] = float(err[k])
                 entry["worst_tol"] = float(tol[k])
-            if np.any(err > tol):
+            if not np.all(err <= tol):  # a NaN error is no agreement
                 entry["ok"] = False
     return report

@@ -196,10 +196,7 @@ def admissible(q: QuadraticData, count: int = 32, seed: int = 7,
                          margin=fc.rank_ratio)
 
 
-def quadratic_structure_check(spray, samples: SampleSet | None = None,
-                              count: int = 32, seed: int = 7,
-                              box: SampleBox | None = None, x0=None,
-                              order: int = 4,
+def quadratic_structure_check(spray, samples: SampleSet, triples, x0=None,
                               tol: Tolerances = TOL) -> classify.Check:
     """Does the spray's log-potential exponentiate to a degree-2 polynomial?
 
@@ -208,12 +205,13 @@ def quadratic_structure_check(spray, samples: SampleSet | None = None,
     the spray belongs to the quadratic family above iff u = e^{-2 sigma}
     has vanishing third x-derivatives.  `residual` is the worst |u_{ijk}|
     over the samples, with u normalized to 1 at `x0` (chart origin by
-    default).  Raises PreconditionError when the spray is not of the
-    required form or sigma_k is not closed.
+    default).  `samples` and `triples` are a classification's draw and its
+    (point, bundle, decomposition) triples, as `ClassificationReport`
+    carries them; no bundle is built at a sample again.  Raises
+    PreconditionError when the spray is not of the required form or
+    sigma_k is not closed.
     """
     n = spray.dim
-    if samples is None:
-        samples = sampling.draw(spray, count=count, seed=seed, box=box)
 
     def factor_jets(b: geometry.CurvatureBundle):
         P = classify.projective_factor(b)
@@ -222,8 +220,7 @@ def quadratic_structure_check(spray, samples: SampleSet | None = None,
     brackets = []
     u_scale = 1.0
     worst = 0.0
-    for pt in samples.points():
-        b = geometry.CurvatureBundle(spray, pt, order)
+    for pt, b, _ in triples:
         holds, defect, _ = classify._proportional(b.G_values, b.yvals, tol)
         if not holds:
             raise PreconditionError(

@@ -33,6 +33,8 @@ from spraylab import classify, corpus, dim2, dsl, geometry, metrize, oracle, pfl
 from spraylab.errors import PreconditionError
 from spraylab.sampling import sample_points
 
+from conftest import classified
+
 EX7 = ("ex7.1", "ex7.2", "ex7.3", "ex7.4", "ex7.5", "ex7.6")
 CMS = ("cms19", "cms20", "cms21")
 
@@ -187,7 +189,7 @@ def test_quadratic_potentials_round_trip():
 
 def test_exponential_potential_is_refused():
     spray = spray_of("pflat_exp")
-    check = pflat.quadratic_structure_check(spray, count=32, seed=7)
+    check = pflat.quadratic_structure_check(spray, *classified(spray, 32))
     assert not check.holds
     assert check.residual > 0.1  # decisively non-quadratic, not a near miss
     verdict = metrize.decide(spray, count=32, seed=7)

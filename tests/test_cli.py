@@ -317,3 +317,46 @@ def test_order_below_minimum_is_rejected_up_front(tmp_path, capsys):
     with pytest.raises(ParamError, match="order must be >= 4"):
         cli.RunConfig(order=2)
     assert cli.RunConfig(order=cli.MIN_ORDER).order == 4
+
+
+def test_oracle_singular_metric_on_the_stencil_is_refused(tmp_path, capsys):
+    # at --fd-step 0.3 a stencil row of the cms20 metric spray lands where
+    # its fundamental tensor is singular; that used to end in a raw
+    # numpy LinAlgError traceback
+    code, data = run(["oracle", "cms20", "--fd-step", "0.3"], tmp_path)
+    assert code == 1 and data is None
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "singular" in err
+
+
+EDGE = """
+dim 2
+spray G1 = y1^2 * sqrt(x1 + 0.5)
+spray G2 = y2^2 * sqrt(x1 + 0.5)
+guard = x1 + 0.45
+"""
+
+
+def test_oracle_step_leaving_the_domain_is_refused(tmp_path, capsys):
+    # the sample points keep x1 > -0.45, but the Richardson stencil at
+    # twice --fd-step reaches x1 < -0.5, where G is NaN; the table used
+    # to report those comparisons as ok
+    src = tmp_path / "edge.spray"
+    src.write_text(EDGE)
+    code, data = run(["oracle", str(src), "--fd-step", "0.1"], tmp_path)
+    assert code == 1 and data is None
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "leaves the spray's domain" in err
+
+
+@pytest.mark.parametrize("step", ["1e-120", "1e+200"])
+def test_oracle_step_outside_float_range_is_refused(step, tmp_path, capsys):
+    # h^3 underflowed to zero (ZeroDivisionError) or overflowed
+    # (OverflowError) while the stencil weights were built
+    code, data = run(["oracle", "flat", "--fd-step", step, "--points", "4"],
+                     tmp_path)
+    assert code == 1 and data is None
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "out of range" in err

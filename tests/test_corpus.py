@@ -86,10 +86,12 @@ def test_replay_draws_once(tally) -> None:
     assert tally["draws"] == 1
 
 
-@pytest.mark.parametrize("name", ["cms19", "ex7.2"])
+@pytest.mark.parametrize("name", ["cms19", "ex7.2", "elliptic2", "pflat_exp",
+                                  "pflat_lin"])
 def test_replay_builds_each_bundle_once(name, tally) -> None:
-    # the omega_fit (cms19), scalar_expr and delta_expr (ex7.2) checks read
-    # the classification's bundles instead of building them again
+    # the omega_fit (cms19), scalar_expr and delta_expr (ex7.2) and
+    # structure_check (elliptic2, pflat_exp, pflat_lin) checks read the
+    # classification's bundles instead of building them again
     rep = corpus.run_fixture(name)
     assert rep.passed
     order4 = [n for (_, order), n in tally["bundles"].items() if order == 4]

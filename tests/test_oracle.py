@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from spraylab import dsl, geometry, jets, oracle
+from spraylab import cli, corpus, dsl, geometry, jets, oracle
 from spraylab.errors import DomainError
 
 ROTOR = """
@@ -145,9 +145,124 @@ def test_agreement_report_jets_vs_fd() -> None:
             assert rep[key]["max_err"] <= rep[key]["worst_tol"]
 
 
+def test_agreement_report_nan_is_no_agreement() -> None:
+    # err > tol is False for a NaN error, which used to leave "ok" true
+    b = geometry.CurvatureBundle(geometry.ExprSpray(dsl.parse(ROTOR)), PROT)
+
+    class NanR:
+        spray = b.spray
+        point = b.point
+        R_values = np.full_like(b.R_values, np.nan)
+        chi_values = b.chi_values
+        B_values = b.B_values
+
+    rep = oracle.agreement_report([NanR()])
+    assert not rep["R"]["ok"]
+    assert rep["chi"]["ok"] and rep["B"]["ok"]
+
+
 def test_agreement_report_metric_spray() -> None:
     m = geometry.ExprMetric(dsl.parse(ROUND_METRIC))
     sp = geometry.MetricSpray(m)
     rep = oracle.agreement_report([geometry.CurvatureBundle(sp, (0.2, 0.3, 0.8, -0.5))])
     for key in ("R", "chi", "B"):
         assert rep[key]["ok"], (key, rep[key])
+
+
+# -- the cached stencil plan ---------------------------------------------------
+
+EDGE = """
+dim 2
+spray G1 = y1^2 * sqrt(x1 + 0.5)
+spray G2 = y2^2 * sqrt(x1 + 0.5)
+guard = x1 + 0.45
+"""
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("h", [1e-3, 2e-3, 0.37])
+def test_grouped_derivatives_equal_stencil_sums(n, h) -> None:
+    # the grouped pass must round exactly like a sum over one stencil at a
+    # time, term by term in _stencil order
+    plan = oracle._fd_plan(n, h)
+    rows = {tuple(off): r for r, off in enumerate(plan.offsets)}
+    rng = np.random.default_rng(n)
+    vals = rng.standard_normal((len(plan.offsets), n)) * 10.0 ** rng.integers(
+        -3, 4, size=(len(plan.offsets), 1))
+    D = plan.derivatives(vals)
+    assert D.shape == (len(plan.keys), n)
+    for i, (base, alpha) in enumerate(plan.keys):
+        acc = np.zeros(n)
+        for off, w in oracle._stencil(alpha, h):
+            acc = acc + w * vals[rows[tuple(b + o for b, o in zip(base, off))]]
+        assert np.array_equal(D[i], acc), (base, alpha)
+
+
+def test_plan_arrays_are_read_only() -> None:
+    plan = oracle._fd_plan(2, 1e-3)
+    arrays = [plan.offsets, plan.shifts, plan.g0, plan.dx, plan.dy,
+              plan.mixed, plan.hess, plan.third]
+    for idx, W in plan.groups:
+        arrays += [idx, W]
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 0
+
+
+def test_fd_curvature_repeats_exactly() -> None:
+    m = geometry.ExprMetric(dsl.parse(ROUND_METRIC))
+    for sp, p in [(geometry.ExprSpray(dsl.parse(BALL)), (0.1, -0.2, 0.7, 0.4)),
+                  (geometry.MetricSpray(m), (0.2, 0.3, 0.8, -0.5))]:
+        first = oracle.fd_curvature(sp, p)
+        second = oracle.fd_curvature(sp, p)
+        for key in ("N", "R", "Ric", "chi", "B"):
+            assert np.array_equal(first[key], second[key]), key
+
+
+def test_oracle_pass_builds_two_plans_per_dimension(monkeypatch, tmp_path) -> None:
+    # one plan per (dim, h) and one per (dim, 2h), however many points and
+    # fixtures; _stencil runs only while a plan is built
+    builds = []
+    stencils = []
+    plan_type = oracle._FdPlan
+    stencil = oracle._stencil
+
+    def counting_plan(n, h):
+        plan = plan_type(n, h)
+        builds.append((n, h, len(plan.keys)))
+        return plan
+
+    def counting_stencil(alpha, h):
+        stencils.append(alpha)
+        return stencil(alpha, h)
+
+    monkeypatch.setattr(oracle, "_FdPlan", counting_plan)
+    monkeypatch.setattr(oracle, "_stencil", counting_stencil)
+    oracle._fd_plan.cache_clear()
+    try:
+        dims = set()
+        for name in corpus.fixture_names():
+            dims.add(corpus.load_fixture(name).build().dim)
+            out = tmp_path / f"{name}.json"
+            assert cli.main(["oracle", name, "--points", "8",
+                             "--out", str(out)]) == 0
+    finally:
+        oracle._fd_plan.cache_clear()
+    assert sorted(b[:2] for b in builds) == sorted(
+        (n, h) for n in dims for h in (1e-3, 2e-3))
+    assert len(stencils) == sum(keys for _, _, keys in builds)
+
+
+def test_stencil_leaving_the_domain_raises() -> None:
+    # both points satisfy the guard, and the jets are fine at both; the
+    # stencil at twice h = 0.05 reaches x1 = -0.54 from the second, where
+    # sqrt(x1 + 0.5) is NaN, and NaN compares as within tolerance
+    sp = geometry.ExprSpray(dsl.parse(EDGE))
+    pts = [(0.2, 0.1, 0.6, 0.8), (-0.44, 0.1, 0.6, 0.8)]
+    rep = oracle.agreement_report(
+        [geometry.CurvatureBundle(sp, p) for p in pts[:1]], h=0.05)
+    assert all(np.isfinite(rep[key]["max_err"]) for key in rep)
+    with pytest.raises(DomainError, match=r"\(-0\.44, 0\.1, 0\.6, 0\.8\) with "
+                       r"step 0\.1 leaves the spray's domain"):
+        oracle.agreement_report(
+            (geometry.CurvatureBundle(sp, p) for p in pts), h=0.05)

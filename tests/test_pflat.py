@@ -14,6 +14,8 @@ from spraylab import classify, dsl, geometry, metrize, pflat, sampling
 from spraylab.errors import ParamError, PreconditionError
 from spraylab.sampling import SampleBox
 
+from conftest import classified
+
 Q_EQ3 = pflat.QuadraticData(A=((1.0, 0.0), (0.0, 1.0)), B=(0.0, 0.0), C=1.0)
 Q_MIX = pflat.QuadraticData(A=((1.0, 0.5), (0.5, 2.0)), B=(0.3, 0.0), C=1.0)
 Q_LIN = pflat.QuadraticData(A=((0.0, 0.0), (0.0, 0.0)), B=(1.0, 0.0), C=1.0)
@@ -200,19 +202,19 @@ def test_round_trip_dimension_three() -> None:
 
 
 def test_structure_check_quadratic_family() -> None:
-    chk = pflat.quadratic_structure_check(pflat.gen_spray(Q_EQ3), count=8,
-                                          seed=5)
+    sp = pflat.gen_spray(Q_EQ3)
+    chk = pflat.quadratic_structure_check(sp, *classified(sp, 8, seed=5))
     assert chk.holds
     assert chk.residual <= 1e-8
 
-    chk2 = pflat.quadratic_structure_check(pflat.gen_spray(Q_MIX), count=8,
-                                           seed=5)
+    sp2 = pflat.gen_spray(Q_MIX)
+    chk2 = pflat.quadratic_structure_check(sp2, *classified(sp2, 8, seed=5))
     assert chk2.holds
 
 
 def test_structure_check_linear_family() -> None:
-    chk = pflat.quadratic_structure_check(pflat.gen_spray(Q_LIN), count=8,
-                                          seed=5)
+    sp = pflat.gen_spray(Q_LIN)
+    chk = pflat.quadratic_structure_check(sp, *classified(sp, 8, seed=5))
     assert chk.holds
     assert chk.residual <= 1e-8
 
@@ -220,7 +222,7 @@ def test_structure_check_linear_family() -> None:
 def test_structure_check_exponential_potential() -> None:
     # u = e^{x1}: the factor is -y1/2, every third derivative of u is e^{x1}
     sp = spray_of(EXPFAC)
-    chk = pflat.quadratic_structure_check(sp, count=8, seed=5)
+    chk = pflat.quadratic_structure_check(sp, *classified(sp, 8, seed=5))
     assert not chk.holds
     assert chk.residual > 0.5
     v = metrize.decide(sp, count=8, seed=5)
@@ -228,8 +230,14 @@ def test_structure_check_exponential_potential() -> None:
 
 
 def test_structure_check_preconditions() -> None:
+    # the draws and bundles are made outside pytest.raises, so only the
+    # check itself can raise
+    whirl = spray_of(WHIRL)
+    drawn = classified(whirl, 6, seed=5)
     with pytest.raises(PreconditionError):
-        pflat.quadratic_structure_check(spray_of(WHIRL), count=6, seed=5)
+        pflat.quadratic_structure_check(whirl, *drawn)
+    pform = spray_of(PFORM)
+    drawn = classified(pform, 6, seed=5)
     with pytest.raises(PreconditionError):
         # proportional to y but the base form (x2, 0) has nonzero curl
-        pflat.quadratic_structure_check(spray_of(PFORM), count=6, seed=5)
+        pflat.quadratic_structure_check(pform, *drawn)
