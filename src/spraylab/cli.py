@@ -178,12 +178,6 @@ def _resolve(cfg: RunConfig):
     return problem, fixture
 
 
-def _build(problem: dsl.ProblemDef):
-    if problem.kind == "metric":
-        return geometry.MetricSpray(geometry.ExprMetric(problem))
-    return geometry.ExprSpray(problem)
-
-
 def _pick_box(cfg: RunConfig, fixture, box_flagged: bool) -> SampleBox:
     """Fixture boxes win unless the user asked for a box explicitly."""
     if fixture is not None and fixture.box is not None and not box_flagged:
@@ -317,7 +311,7 @@ def _decide_command(command: str, headline, cfg: RunConfig,
     """The body of `classify` and `metrize`: they differ only in the
     report's "command" field and in the human lines `headline` gives."""
     problem, fixture = _resolve(cfg)
-    spray = _build(problem)
+    spray = geometry.spray_of(problem)
     rep, verdict, blocks = _decision(spray, cfg,
                                      _pick_box(cfg, fixture, box_flagged),
                                      cfg.tolerances)
@@ -387,11 +381,9 @@ def cmd_gen_pflat(q: pflat.QuadraticData, cfg: RunConfig,
     roundtrip = None
     if adm.admissible:
         spray_match = ric_match = 0.0
-        for pt, b, _ in rep.triples:
-            induced = geometry.spray_from_metric(metric, pt, 0)
-            gv = np.array([g.value for g in induced])
-            spray_match = max(spray_match,
-                              float(np.max(np.abs(gv - b.G_values))))
+        for pt, b, _, _, err in metrize.metric_spray_residuals(
+                metric, rep.triples, parallel=False):
+            spray_match = max(spray_match, err)
             ric_match = max(ric_match,
                             abs(b.Ric_value - (n - 1) * metric.value(pt)))
         roundtrip = {"spray_match": spray_match, "ric_identity": ric_match}
@@ -426,7 +418,7 @@ def cmd_gen_pflat(q: pflat.QuadraticData, cfg: RunConfig,
 
 def cmd_oracle(cfg: RunConfig, box_flagged: bool = False) -> Report:
     problem, fixture = _resolve(cfg)
-    spray = _build(problem)
+    spray = geometry.spray_of(problem)
     tol = cfg.tolerances
     box = _pick_box(cfg, fixture, box_flagged)
 

@@ -56,11 +56,8 @@ class Fixture:
         return self.problem.kind
 
     def build(self):
-        """The spray the classifiers run on; metrics contribute their
-        induced spray."""
-        if self.problem.kind == "metric":
-            return geometry.MetricSpray(geometry.ExprMetric(self.problem))
-        return geometry.ExprSpray(self.problem)
+        """The spray the classifiers run on (see `geometry.spray_of`)."""
+        return geometry.spray_of(self.problem)
 
     def metric(self) -> geometry.ExprMetric:
         if self.problem.kind != "metric":
@@ -268,16 +265,12 @@ def _chk_witness_metric(fx, spray, verdict, rep, chk, tol):
     worst = 0.0
     bad = []
     semi_worst = match_worst = 0.0
-    for pt in rep.samples.points():
-        b = geometry.CurvatureBundle(spray, pt, 3)
-        slots = b.cov_h(witness.jet(pt, 1), ()).tolist()
-        semi_worst = max(semi_worst, max(abs(s) for s in slots))
-        induced = geometry.spray_from_metric(witness, pt, 0)
-        gv = np.array([g.value for g in induced])
+    for _, b, _, semi, err in metrize.metric_spray_residuals(witness,
+                                                             rep.triples):
+        semi_worst = max(semi_worst, semi)
         scale = max(1.0, float(np.max(np.abs(b.G_values))))
-        err = float(np.max(np.abs(gv - b.G_values)))
         match_worst = max(match_worst, err - rel * scale)
-        worst = max(worst, max(abs(s) for s in slots), err)
+        worst = max(worst, semi, err)
     if semi_worst > atol:
         bad.append(f"{chk['name']}: witness is not parallel along the spray "
                    f"(worst horizontal derivative {semi_worst:.3e})")

@@ -32,9 +32,9 @@ A bundle may also be built at a (B, 2n) block of points: its jets then
 carry a leading block axis (see `jets`), its value views and `cov_h`
 results gain a leading axis of length B, and row r of each equals, bit
 for bit, what the bundle at point r alone gives.  Expression sprays and
-the sprays of expression or callable metrics are evaluated once over the
-block; sprays of the numerical curvature metrics point by point, their
-jets stacked.  `rows` turns a block bundle into one point bundle per row,
+the sprays of expression metrics are evaluated once over the block;
+sprays of the numerical curvature metrics point by point, their jets
+stacked.  `rows` turns a block bundle into one point bundle per row,
 which reads its tensors off the block's rows: the tensors of many points
 come from one walk through the formulas, and every consumer of point
 bundles reads them unchanged.  The scalar split and the operations built
@@ -45,17 +45,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, wraps
-from typing import Callable
 
 import numpy as np
 
 from . import dsl, jets
-from .errors import (
-    DegenerateMetric,
-    DomainError,
-    PreconditionError,
-    SprayLabError,
-)
+from .errors import DegenerateMetric, DomainError, PreconditionError
 from .sampling import TOL, Tolerances
 
 
@@ -159,37 +153,12 @@ class ExprMetric:
         return self.problem.guard_values(list(_point_array(p, self.dim)))
 
 
-class FuncMetric:
-    """Metric given as a callable over the 2n variable environment.
-
-    Used for recovered metrics that exist numerically rather than as source
-    text: `fn` receives the list [x1..xn, y1..yn] of jets (or floats) and
-    must return the metric value in kind.  The jets may be block jets, so
-    `fn` should combine them with jet arithmetic and the `jets` functions
-    only.
-    """
-
-    evaluates_blocks = True
-
-    def __init__(self, dim: int, fn: Callable, name: str = "recovered",
-                 guards: Callable | None = None):
-        self.dim = dim
-        self.fn = fn
-        self.name = name
-        self._guards = guards
-
-    def jet(self, p, order: int):
-        pa = _point_array(p, self.dim)
-        env = _var_jets(self.dim, pa, order)
-        return _as_jet(self.fn(env), env[0])
-
-    def value(self, p) -> float:
-        pa = _point_array(p, self.dim)
-        out = self.fn(list(pa))
-        return float(out.value) if isinstance(out, jets.Jet) else float(out)
-
-    def guard_values(self, p) -> list[float]:
-        return list(self._guards(p)) if self._guards is not None else []
+def spray_of(problem: dsl.ProblemDef):
+    """The spray a problem defines: its expression spray, or the spray
+    that its expression metric induces."""
+    if problem.kind == "metric":
+        return MetricSpray(ExprMetric(problem))
+    return ExprSpray(problem)
 
 
 class MetricSpray:
@@ -438,7 +407,15 @@ class CurvatureBundle:
 
     @cached_property
     def split(self) -> tuple:
-        """(R jet, [tau_k jets], residual): see `scalar_split`."""
+        """Split R^i_k as R delta^i_k - tau_k y^i: (R jet, [tau_k jets],
+        residual).
+
+        R = Ric/(n-1); tau is read off the row with the largest |y^i| (best
+        conditioned division); the residual is the worst value-level
+        violation of the reconstruction over all (i,k).  It is exactly zero
+        on the chosen row, so the residual measures whether the remaining
+        rows agree, which is the scalar-curvature property.
+        """
         n = self.dim
         if self._pa.ndim == 2:
             raise PreconditionError("the scalar split is taken at one point, "
@@ -618,19 +595,6 @@ class CurvatureBundle:
 # -- scalar decomposition ------------------------------------------------------
 
 
-def scalar_split(bundle: CurvatureBundle):
-    """Split R^i_k as R delta^i_k - tau_k y^i.
-
-    Returns (R jet, [tau_k jets], residual): R = Ric/(n-1); tau is read off
-    the row with the largest |y^i| (best conditioned division); the residual
-    is the worst value-level violation of the reconstruction over all (i,k).
-    It is exactly zero on the chosen row, so the residual measures whether
-    the remaining rows agree, which is the scalar-curvature property.  The
-    split is computed once per bundle and cached there.
-    """
-    return bundle.split
-
-
 def split_holds(bundle: CurvatureBundle, tol: Tolerances = TOL) -> bool:
     """Does the bundle's scalar split hold, relative to max |R^i_k|?"""
     scale = float(np.max(np.abs(bundle.R_values)))
@@ -763,21 +727,3 @@ def _as_bundle(bundle_or_spray, p, order: int) -> CurvatureBundle:
         raise PreconditionError("a point is required when passing a spray")
     return CurvatureBundle(bundle_or_spray, p, order)
 
-
-def chi(spray, p=None, order: int = 4, check: bool = True, tol: Tolerances = TOL):
-    """chi covector values; cross-checked against the scalar split when it holds."""
-    b = _as_bundle(spray, p, order)
-    out = b.chi_values
-    if check:
-        if split_holds(b, tol):
-            Rj, tau, _ = b.split
-            n = b.dim
-            rdot = np.array([Rj.dy(i).value for i in range(n)])
-            tv = np.array([t.value for t in tau])
-            bad = float(np.max(np.abs(out - (n + 1) * (rdot - 2.0 * tv))))
-            scale = max(1.0, float(np.max(np.abs(out))))
-            if not tol.zero(bad, scale):
-                raise SprayLabError(
-                    f"chi reconstruction disagrees with the scalar split by {bad}"
-                )
-    return out

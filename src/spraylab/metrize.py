@@ -38,7 +38,8 @@ __all__ = [
     "ScaledCurvatureMetric",
     "LambdaField",
     "finsler_check",
-    "recover_lambda",
+    "metric_spray_residuals",
+    "lambda_field",
     "verdict_isotropic",
     "verdict_constant",
     "nonmetrizable_scalar",
@@ -105,53 +106,61 @@ def finsler_check(field_obj, samples: SampleSet,
 
 
 def _bundle_table(bundles) -> dict:
-    """Point bundles keyed by (point bytes, order), as `_split_bundle` looks
-    them up."""
-    return {(b.point.array().tobytes(), b.order): b for b in bundles}
+    """Point bundles keyed by their point's bytes."""
+    return {b.point.array().tobytes(): b for b in bundles}
 
 
-def _split_bundle(spray, pa: np.ndarray, order: int, known: dict):
-    """A bundle two orders above `order` at pa, whose scalar split holds:
-    the one in `known` under that (point, order) key, else a new one."""
-    k = max(order + 2, 3)
-    b = known.get((pa.tobytes(), k))
-    if b is None:
-        b = geometry.CurvatureBundle(spray, pa, k)
-    if not geometry.split_holds(b, TOL):
-        raise PreconditionError(
-            "curvature scalar is undefined: the spray is not of scalar "
-            f"curvature at this point (split residual {b.split[2]:.3e})")
-    return b
+def _candidate_jet(metric, p, order: int, jet_order: int):
+    """The jet of order `jet_order` that `metric.jet(p, order)` returns.
+
+    Truncated from the jet kept at p when that is of high enough order,
+    else computed by `metric._jet_at` and kept: on the bundle that
+    `metric._bundles` holds at p when it is at least two orders above
+    `order`, else on a new one of order max(order + 2, 3).  Either way the
+    bundle's scalar split must hold.
+    """
+    pa = geometry._point_array(p, metric.dim)
+    key = pa.tobytes()
+    out = metric._jets.get(key)
+    if out is None or out.order < jet_order:
+        b = metric._bundles.get(key)
+        if b is None or b.order < order + 2:
+            b = geometry.CurvatureBundle(metric.spray, pa, max(order + 2, 3))
+        if not geometry.split_holds(b, TOL):
+            raise PreconditionError(
+                "curvature scalar is undefined: the spray is not of scalar "
+                f"curvature at this point (split residual {b.split[2]:.3e})")
+        out = metric._jets[key] = metric._jet_at(b, order)
+    return out.truncated(jet_order)
 
 
 class CurvatureMetric:
     """The curvature scalar R = Ric/(n-1) of a spray, as a metric candidate.
 
     Exists numerically: a jet request reads the curvature bundle two orders
-    above the point and splits it.  The bundle is one of `bundles` (the
-    classification report's, typically) when its point and order match,
-    else a new one; either way its split must hold.  Requests are cached
-    per (point, order) because re-verification revisits the same samples
-    several times.
+    above the point and splits it; the split must hold.  Where `bundles`
+    (the classification report's, typically) has a bundle of high enough
+    order at the point, that bundle is read; elsewhere one is built for
+    the request.  Per point, the jet of the highest order asked for is
+    kept, not the bundle, and a request of lower order gets its
+    truncation.  Truncation is exact, since each coefficient is computed
+    from coefficients of no higher degree only, so this is bit for bit
+    what a bundle built for the request would give.  A request of order k
+    returns a jet of order max(k, 1).
     """
 
     def __init__(self, spray, name: str | None = None, bundles=()):
         self.spray = spray
         self.dim = spray.dim
         self.name = name or f"curvature({spray.name})"
-        self._cache: dict = {}
         self._bundles = _bundle_table(bundles)
+        self._jets: dict = {}
+
+    def _jet_at(self, b, order: int):
+        return b.curvature_scalar.truncated(max(order, 1))
 
     def jet(self, p, order: int):
-        pa = geometry._point_array(p, self.dim)
-        key = (pa.tobytes(), order)
-        try:
-            return self._cache[key]
-        except KeyError:
-            pass
-        Rj = _split_bundle(self.spray, pa, order, self._bundles).curvature_scalar
-        self._cache[key] = Rj
-        return Rj
+        return _candidate_jet(self, p, order, max(order, 1))
 
     def value(self, p) -> float:
         return float(self.jet(p, 0).value)
@@ -240,18 +249,6 @@ class LambdaField:
         return om
 
 
-def recover_lambda(omega: Callable, x0, accept: Callable | None = None,
-                   panels: int = 8, nodes: int = 8) -> LambdaField:
-    """Integrate a closed 1-form into the scale field lambda, lambda(x0)=1.
-
-    64 quadrature nodes by default (8 panels of 8); exact to machine
-    precision for the polynomial forms that occur in the test families.
-    `omega` maps a (K, n) block of nodes to the (K, n) form values there
-    (see `LambdaField`).
-    """
-    return LambdaField(omega, x0, accept=accept, panels=panels, nodes=nodes)
-
-
 class ScaledCurvatureMetric:
     """L = R/lambda: curvature scalar rescaled by an x-only potential.
 
@@ -261,8 +258,9 @@ class ScaledCurvatureMetric:
     omega (mu_{alpha} = omega_i[alpha - e_i]/alpha_i for x-monomials; the
     constant term comes from the quadrature field).  Only x-monomials are
     transferred, so residual y-noise in omega below tolerance is dropped
-    rather than amplified.  The curvature bundles come from `bundles` where
-    the (point, order) key matches, as for `CurvatureMetric`.
+    rather than amplified.  The curvature bundles are found, and the jets
+    kept, as for `CurvatureMetric`; a request of order k returns a jet of
+    order k.
     """
 
     def __init__(self, spray, lam: LambdaField, name: str | None = None,
@@ -271,24 +269,17 @@ class ScaledCurvatureMetric:
         self.lam = lam
         self.dim = spray.dim
         self.name = name or f"curvature({spray.name})/lambda"
-        self._cache: dict = {}
         self._bundles = _bundle_table(bundles)
+        self._jets: dict = {}
 
-    def jet(self, p, order: int):
-        pa = geometry._point_array(p, self.dim)
-        key = (pa.tobytes(), order)
-        try:
-            return self._cache[key]
-        except KeyError:
-            pass
+    def _jet_at(self, b, order: int):
         n = self.dim
-        b = _split_bundle(self.spray, pa, order, self._bundles)
-        Rj = b.curvature_scalar
+        Rj = b.curvature_scalar.truncated(max(order, 1))
         om = [d / Rj for d in b.delta_scalar(Rj)]
         osp = om[0].space
         msp = jets.space(2 * n, order)
         coeffs = np.zeros(msp.T)
-        coeffs[0] = np.log(self.lam(pa[:n]))
+        coeffs[0] = np.log(self.lam(b.point.x))
         for idx in range(1, msp.T):
             alpha = msp.alphas[idx]
             if any(alpha[n:]):
@@ -297,10 +288,11 @@ class ScaledCurvatureMetric:
             beta = list(alpha)
             beta[i] -= 1
             coeffs[idx] = om[i].coeffs[osp.index[tuple(beta)]] / alpha[i]
-        mu = jets.Jet(msp, tuple(pa), coeffs)
-        out = Rj * jets.exp(-1.0 * mu)
-        self._cache[key] = out
-        return out
+        mu = jets.Jet(msp, Rj.center, coeffs)
+        return Rj * jets.exp(-1.0 * mu)
+
+    def jet(self, p, order: int):
+        return _candidate_jet(self, p, order, order)
 
     def value(self, p) -> float:
         return float(self.jet(p, 0).value)
@@ -321,6 +313,26 @@ def _zero_note(samples: SampleSet) -> str:
             "pointwise evaluation cannot certify identical vanishing")
 
 
+def metric_spray_residuals(L, triples, parallel: bool = True):
+    """Compare a metric with a spray at each (point, bundle, _) triple.
+
+    `triples` are a classification's, as `ClassificationReport` holds them,
+    and their bundles stand for the spray.  Yields (point, bundle, L value,
+    max |L_{;i}|, max |G_L - G|) per sample in turn, where L_{;i} is the
+    horizontal derivative of L along the spray and G_L the spray that L
+    induces.  With `parallel` false, L and L_{;i} are not evaluated and
+    their places hold None.  The pass rules are the callers'.
+    """
+    for pt, b, _ in triples:
+        value = semi = None
+        if parallel:
+            Lj = L.jet(pt, 1)
+            value = Lj.value
+            semi = max(abs(d) for d in b.cov_h(Lj, ()).tolist())
+        gv = np.array([g.value for g in geometry.spray_from_metric(L, pt, 0)])
+        yield pt, b, value, semi, float(np.max(np.abs(gv - b.G_values)))
+
+
 def _certify(spray, L, samples: SampleSet, triples, tol: Tolerances):
     """Re-verify a recovered metric against its spray at every sample.
 
@@ -335,20 +347,39 @@ def _certify(spray, L, samples: SampleSet, triples, tol: Tolerances):
     match_worst = 0.0
     scale_L = 1.0
     scale_G = 1.0
-    for pt, b, _ in triples:
-        Lj = L.jet(pt, 1)
-        scale_L = max(scale_L, abs(Lj.value))
-        semi_worst = max(semi_worst,
-                         max(abs(d) for d in b.cov_h(Lj, ()).tolist()))
-        gv = np.array([g.value for g in geometry.spray_from_metric(L, pt, 0)])
+    for _, b, value, semi, match in metric_spray_residuals(L, triples):
+        scale_L = max(scale_L, abs(value))
+        semi_worst = max(semi_worst, semi)
         scale_G = max(scale_G, float(np.max(np.abs(b.G_values))))
-        match_worst = max(match_worst,
-                          float(np.max(np.abs(gv - b.G_values))))
+        match_worst = max(match_worst, match)
     ev["L_semicolon"] = semi_worst
     ev["spray_match"] = match_worst
     ok = (fc.holds and tol.zero(semi_worst, scale_L)
           and tol.zero(match_worst, scale_G))
     return ok, ev, max(semi_worst, match_worst)
+
+
+def lambda_field(spray, samples: SampleSet, order: int, form: Callable,
+                 x0=None) -> LambdaField:
+    """Integrate a 1-form that the spray's bundles give, at a fixed tangent.
+
+    The form is taken at the first sample's tangent: `form` maps the
+    order-`order` block bundle at a segment's K nodes to the (K, n) form
+    values there.  The integral runs from `x0` (the chart origin by
+    default), and a node where the spray's guards fail at that tangent
+    vetoes the segment (see `LambdaField`).
+    """
+    n = spray.dim
+    y_ref = samples.ys[0, 0].copy()
+
+    def omega(xs: np.ndarray) -> np.ndarray:
+        # one block bundle for the nodes of a segment
+        pts = np.concatenate([xs, np.broadcast_to(y_ref, xs.shape)], axis=1)
+        return form(geometry.CurvatureBundle(spray, pts, order))
+
+    anchor = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
+    return LambdaField(omega, anchor, accept=lambda x: (
+        sampling.guards_hold(spray, np.concatenate([x, y_ref]))))
 
 
 def _finsler_failure(fc: FinslerCheck, tol: Tolerances) -> float:
@@ -452,12 +483,7 @@ def verdict_isotropic(spray, samples: SampleSet, triples,
                        max_om, bases=samples.bases, omega=base_omega,
                        evidence={"max_omega": max_om})
 
-    y_ref = samples.ys[0, 0].copy()
-
-    def omega_at(xs: np.ndarray) -> np.ndarray:
-        # one block bundle for the nodes of a segment
-        pts = np.concatenate([xs, np.broadcast_to(y_ref, xs.shape)], axis=1)
-        b = geometry.CurvatureBundle(spray, pts, 3)
+    def omega_at(b) -> np.ndarray:
         Rj = b.curvature_scalar
         Rv = Rj.value
         if np.any(np.abs(Rv) < floor):
@@ -466,9 +492,7 @@ def verdict_isotropic(spray, samples: SampleSet, triples,
                 "is undefined there")
         return b.cov_h(Rj, ()) / Rv[:, None]
 
-    anchor = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
-    lam = recover_lambda(omega_at, anchor, accept=lambda x: (
-        sampling.guards_hold(spray, np.concatenate([x, y_ref]))))
+    lam = lambda_field(spray, samples, 3, omega_at, x0)
     L = ScaledCurvatureMetric(spray, lam, bundles=known)
     ok, ev, worst = _certify(spray, L, samples, triples, tol)
     ev["lambda"] = lam

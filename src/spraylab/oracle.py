@@ -27,7 +27,7 @@ import numpy as np
 
 from . import dsl, jets
 from .errors import DomainError
-from .geometry import ExprMetric, ExprSpray, FuncMetric, MetricSpray, ShiftedSpray
+from .geometry import ExprMetric, ExprSpray, MetricSpray, ShiftedSpray
 
 _FLOOR = 1e-12
 
@@ -168,12 +168,9 @@ def _expr_batch(problem: dsl.ProblemDef, P: np.ndarray) -> np.ndarray:
 
 def _metric_taylor(metric, P: np.ndarray) -> Taylor2:
     env = Taylor2.variables(P)
-    if isinstance(metric, ExprMetric):
-        out = dsl.evaluate(metric.problem.exprs[0], env, dim=metric.dim)
-    elif isinstance(metric, FuncMetric):
-        out = metric.fn(env)
-    else:
+    if not isinstance(metric, ExprMetric):
         raise DomainError(f"no oracle route through metric type {type(metric).__name__}")
+    out = dsl.evaluate(metric.problem.exprs[0], env, dim=metric.dim)
     return out if isinstance(out, Taylor2) else env[0]._lift(out)
 
 

@@ -261,17 +261,10 @@ def quadratic_structure_check(spray, samples: SampleSet, triples, x0=None,
     # the bracket is u_{ijk} up to the positive factor -2 e^{-2 sigma};
     # recover that factor by integrating sigma from the anchor so the
     # reported residual is the actual third derivative of u, u(x0) = 1
-    y_ref = samples.ys[0, 0].copy()
-
-    def sigma_at(xs: np.ndarray) -> np.ndarray:
-        # one block bundle for the nodes of a segment
-        pts = np.concatenate([xs, np.broadcast_to(y_ref, xs.shape)], axis=1)
-        b = geometry.CurvatureBundle(spray, pts, 2)
+    def sigma_at(b) -> np.ndarray:
         return np.stack([s.value for s in factor_jets(b)], axis=1)
 
-    anchor = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
-    lam = metrize.LambdaField(sigma_at, anchor, accept=lambda x: (
-        sampling.guards_hold(spray, np.concatenate([x, y_ref]))))
+    lam = metrize.lambda_field(spray, samples, 2, sigma_at, x0)
     for pt, br in brackets:
         u_val = lam(pt[:n]) ** -2.0
         u_scale = max(u_scale, u_val)

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from spraylab import classify, cli, corpus
@@ -59,30 +60,44 @@ def test_sampling_accounting_counts_rejections(tmp_path):
     assert data["verdict"]["rule"] == "omega y-dependent"
 
 
-@pytest.mark.parametrize("command,name,points,other_orders", [
-    ("classify", "flat", 64, set()),
-    ("metrize", "nonscalar3", 66, set()),
-    ("oracle", "ex7.3", 64, set()),
-    # the metric candidates L = R/lambda and Ric/(n-1) read the report's
-    # order-4 bundles; their 1-jets at the samples need order-3 bundles
-    ("metrize", "ex7.1", 64, {3}),
-    ("metrize", "ex7.3", 64, {3}),
+@pytest.mark.parametrize("command,name,points", [
+    ("classify", "flat", 64),
+    ("metrize", "nonscalar3", 66),
+    ("oracle", "ex7.3", 64),
+    # the metric candidates L = R/lambda and Ric/(n-1), whose jets at the
+    # samples are truncations of the report's order-4 bundles
+    ("metrize", "ex7.1", 64),
+    ("metrize", "ex7.3", 64),
 ], ids=["classify-flat-64", "metrize-nonscalar3-66", "oracle-ex7.3-64",
         "metrize-ex7.1-64", "metrize-ex7.3-64"])
-def test_one_draw_and_one_bundle_per_point(command, name, points, other_orders,
-                                           tmp_path, tally):
+def test_one_draw_and_one_bundle_per_point(command, name, points, tmp_path,
+                                           tally):
     # classification, survey and verdict share the classification's draw
     # and its bundles; the oracle's survey and its jets-vs-FD table share
     # one bundle per point
     code, data = run([command, name], tmp_path)
     assert code == 0 and data["sampling"]["used"] == points
     assert tally["draws"] == 1
-    at_samples = {key: k for key, k in tally["bundles"].items() if key[1] == 4}
-    assert len(at_samples) == points
-    assert set(at_samples.values()) == {1}
-    assert {order for _, order in tally["bundles"]} == {4} | other_orders
+    assert len(tally["bundles"]) == points
+    assert set(tally["bundles"].values()) == {1}
+    assert {order for _, order in tally["bundles"]} == {4}
     # every reader of the scalar split shares the bundle's one split
     assert tally["splits"] == tally["bundles"]
+
+
+@pytest.mark.parametrize("name,order", [
+    *[(name, 4) for name in corpus.fixture_names()], ("ex7.1", 5)])
+def test_the_only_bundle_at_a_sample_is_its_report_row(name, order, tmp_path,
+                                                       tally):
+    # classification, survey, verdict, metric candidates and re-verification
+    # all read the one row bundle each sample gets from its block
+    code, data = run(["metrize", name, "--order", str(order)], tmp_path)
+    assert code == 0
+    points = [np.array(row["point"]).tobytes() for row in data["points"]]
+    assert sum(rows for rows, _ in tally["row_blocks"]) == len(points)
+    for pt in points:
+        built = {k: c for k, c in tally["bundles"].items() if k[0] == pt}
+        assert built == {(pt, order): 1}, name
 
 
 @pytest.mark.parametrize("command,name,points,width", [

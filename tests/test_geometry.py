@@ -150,7 +150,7 @@ def test_rotor_connection_and_berwald_frozen() -> None:
 def test_rotor_curvature_split_and_chi_frozen() -> None:
     b = bundle_of(ROTOR, PROT)
     assert b.Ric_value == pytest.approx(25.0, rel=1e-12)
-    R, tau, residual = geometry.scalar_split(b)
+    R, tau, residual = b.split
     assert residual <= 1e-10
     assert R.value == pytest.approx(25.0, rel=1e-12)
     assert tau[0].value == pytest.approx(3.0, rel=1e-11)
@@ -183,7 +183,7 @@ def test_ball_spray_riemann_frozen() -> None:
     assert b.Ric_value == pytest.approx(closed, rel=1e-12)
     # at the chart origin with a unit tangent the curvature scalar is -4
     b0 = bundle_of(BALL, (0.0, 0.0, 1.0, 0.0))
-    R, _, residual = geometry.scalar_split(b0)
+    R, _, residual = b0.split
     assert residual <= 1e-10
     assert R.value == pytest.approx(-4.0, rel=1e-12)
 
@@ -192,7 +192,7 @@ def test_cubic_split_chi_frozen() -> None:
     b = bundle_of(CUBIC, PCUB)
     assert np.allclose(b.R_values, CUBIC_R, atol=1e-10)
     assert b.Ric_value == pytest.approx(0.0, abs=1e-10)
-    R, tau, residual = geometry.scalar_split(b)
+    R, tau, residual = b.split
     assert residual <= 1e-9
     assert R.value == pytest.approx(0.0, abs=1e-10)
     assert tau[0].value == pytest.approx(CUBIC_TAU[0], rel=1e-10)
@@ -269,7 +269,7 @@ def test_identity_residuals_dimension_three_gradient() -> None:
 
 def test_nonscalar_spray_split_fails_loudly() -> None:
     b = bundle_of(NONSCALAR3, (0.1, 0.2, -0.3, 0.5, 0.6, 0.7))
-    _, _, residual = geometry.scalar_split(b)
+    _, _, residual = b.split
     assert residual > 0.9
     res = geometry.identity_residuals(b)
     assert "chi_consistency" not in res
@@ -285,7 +285,7 @@ def test_shifted_spray_curvature_closed_form() -> None:
     assert G[0].value == pytest.approx(15.0, rel=1e-12)
     assert G[1].value == pytest.approx(20.0, rel=1e-12)
     b = CurvatureBundle(sh, p)
-    R, _, residual = geometry.scalar_split(b)
+    R, _, residual = b.split
     assert residual <= 1e-8
     assert R.value == pytest.approx(25.0, rel=1e-10)
 
@@ -320,7 +320,7 @@ def test_cov_h_keeps_the_checks_of_jet_arithmetic() -> None:
     # cov_h reads coefficients instead of pairing and differentiating jets,
     # and must still refuse what that arithmetic (the jet loop) refuses
     b = bundle_of(ROTOR, PROT)
-    Rj = geometry.scalar_split(b)[0]
+    Rj = b.split[0]
     assert b.cov_h(Rj, ()).shape == (2,)
     elsewhere = jets.space(4, 2).variable(0, (0.0, 0.0, 1.0, 0.0))
     wider = jets.space(6, 2).variable(0, tuple(PROT) + (0.0, 1.0))
@@ -395,4 +395,4 @@ def test_block_bundle_checks_its_points() -> None:
         CurvatureBundle(spray_of(ROTOR), np.array([PROT, (0.1, 0.2, 0.0, 0.0)]))
     bb = CurvatureBundle(spray_of(ROTOR), np.array([PROT, PCUB]))
     with pytest.raises(PreconditionError, match="at one point"):
-        geometry.scalar_split(bb)
+        bb.split

@@ -225,30 +225,57 @@ def test_curvature_metrics_read_given_bundles(monkeypatch) -> None:
 
     monkeypatch.setattr(geometry.CurvatureBundle, "__init__", counting_init)
     R = metrize.CurvatureMetric(sp, bundles=[known])
-    lam = metrize.recover_lambda(lambda xs: np.zeros_like(xs), (0.0, 0.0))
+    lam = metrize.LambdaField(lambda xs: np.zeros_like(xs), (0.0, 0.0))
     S = metrize.ScaledCurvatureMetric(sp, lam, bundles=[known])
-    # an order-2 jet is read off the order-4 bundle given at that point
+    # an order-2 jet is read off the order-4 bundle given at that point,
+    # and lower orders are its truncations
     assert R.jet(PROT, 2) is known.curvature_scalar
     assert S.jet(PROT, 2).value == pytest.approx(25.0, abs=1e-9)
+    for order in (0, 1, 2):
+        assert R.jet(PROT, order).order == max(order, 1)
+        assert S.jet(PROT, order).order == order
+    assert R.value(PROT) == S.value(PROT) == pytest.approx(25.0, abs=1e-9)
     assert built == []
-    # other orders and other points build their own bundles
-    R.jet(PROT, 1)
+    # a point without a given bundle builds one, two orders above
     R.jet(PC, 2)
-    assert built == [3, 4]
+    assert built == [4]
+
+
+def test_kept_candidate_jets_truncate_to_the_requested_jets() -> None:
+    # a lower-order request is served by truncating the jet kept at the
+    # point; that must be, byte for byte, the jet computed for the request,
+    # at the samples (report bundles) and off them (bundles built there)
+    sp = spray_of(WHIRL)
+    v = metrize.verdict_isotropic(sp, *classified(sp, 12))
+    lam = v.evidence["lambda"]
+    samples, triples = classified(sp, 12)
+    known = [b for _, b, _ in triples]
+    off = [np.array([0.3, -0.2, 0.6, -0.5]), np.array([-0.1, 0.4, 0.2, 0.9])]
+    for pt in list(samples.points()) + off:
+        for make in (lambda: metrize.CurvatureMetric(sp, bundles=known),
+                     lambda: metrize.ScaledCurvatureMetric(sp, lam,
+                                                           bundles=known)):
+            kept = make()
+            kept.jet(pt, 3)
+            for order in (0, 1, 2):
+                want = make().jet(pt, order)
+                got = kept.jet(pt, order)
+                assert got.order == want.order
+                assert got.coeffs.tobytes() == want.coeffs.tobytes()
 
 
 def test_curvature_metrics_check_the_split_of_given_bundles() -> None:
     sp = spray_of(NONSCALAR3)
     pt = (0.1, 0.2, -0.1, 0.7, 0.5, -0.4)
     known = [geometry.CurvatureBundle(sp, pt, 4)]
-    lam = metrize.recover_lambda(lambda xs: np.zeros_like(xs), (0.0,) * 3)
+    lam = metrize.LambdaField(lambda xs: np.zeros_like(xs), (0.0,) * 3)
     for L in (metrize.CurvatureMetric(sp, bundles=known),
               metrize.ScaledCurvatureMetric(sp, lam, bundles=known)):
         with pytest.raises(PreconditionError, match="curvature scalar is undefined"):
             L.jet(pt, 2)
 
 
-# -- recover_lambda -------------------------------------------------------------
+# -- LambdaField ----------------------------------------------------------------
 
 
 def first_component(f):
@@ -257,13 +284,13 @@ def first_component(f):
 
 
 def test_recover_lambda_zero_form() -> None:
-    lam = metrize.recover_lambda(lambda xs: np.zeros_like(xs), np.zeros(2))
+    lam = metrize.LambdaField(lambda xs: np.zeros_like(xs), np.zeros(2))
     assert lam(np.array([0.7, -0.3])) == 1.0
 
 
 def test_recover_lambda_log_derivative() -> None:
     # omega = d ln(x1 + 2) integrates to lambda = (x1 + 2)/2 from x0 = 0
-    lam = metrize.recover_lambda(
+    lam = metrize.LambdaField(
         first_component(lambda x1: 1.0 / (x1 + 2.0)), np.zeros(2))
     for x1 in (-0.5, 0.4, 1.5):
         got = lam(np.array([x1, 0.3]))
@@ -271,7 +298,7 @@ def test_recover_lambda_log_derivative() -> None:
 
 
 def test_recover_lambda_gaussian() -> None:
-    lam = metrize.recover_lambda(
+    lam = metrize.LambdaField(
         first_component(lambda x1: -4.0 * x1), np.zeros(2))
     for x1 in (-0.6, 0.25, 0.8):
         assert lam(np.array([x1, -0.2])) == pytest.approx(
@@ -279,7 +306,7 @@ def test_recover_lambda_gaussian() -> None:
 
 
 def test_recover_lambda_path_exits_chart() -> None:
-    lam = metrize.recover_lambda(
+    lam = metrize.LambdaField(
         first_component(np.ones_like), np.zeros(2),
         accept=lambda x: x[0] < 0.5)
     with pytest.raises(PathError):
@@ -303,7 +330,7 @@ def vanishing_beyond(x1_max: float, domain_beyond: float | None = None):
 def test_recover_lambda_vanishing_before_the_veto_decides() -> None:
     # the form is undefined from x1 = 0.3 on, the chart ends at 0.5: visited
     # node by node, the path meets the undefined form first
-    lam = metrize.recover_lambda(vanishing_beyond(0.3), np.zeros(2),
+    lam = metrize.LambdaField(vanishing_beyond(0.3), np.zeros(2),
                                  accept=lambda x: x[0] < 0.5)
     with pytest.raises(PathError, match="curvature scalar vanishes"):
         lam(np.array([1.0, 0.0]))
@@ -312,21 +339,21 @@ def test_recover_lambda_vanishing_before_the_veto_decides() -> None:
 def test_recover_lambda_earliest_failing_node_decides() -> None:
     # the block call raises DomainError for the nodes beyond 0.4, but the
     # nodes between 0.3 and 0.4 come first on the path and fail otherwise
-    lam = metrize.recover_lambda(vanishing_beyond(0.3, domain_beyond=0.4),
+    lam = metrize.LambdaField(vanishing_beyond(0.3, domain_beyond=0.4),
                                  np.zeros(2), accept=lambda x: x[0] < 0.5)
     with pytest.raises(PathError, match="curvature scalar vanishes"):
         lam(np.array([1.0, 0.0]))
 
 
 def test_recover_lambda_veto_before_any_failure() -> None:
-    lam = metrize.recover_lambda(vanishing_beyond(0.7), np.zeros(2),
+    lam = metrize.LambdaField(vanishing_beyond(0.7), np.zeros(2),
                                  accept=lambda x: x[0] < 0.5)
     with pytest.raises(PathError, match="leaves the admissible chart"):
         lam(np.array([1.0, 0.0]))
 
 
 def test_recover_lambda_rejects_point_callables() -> None:
-    lam = metrize.recover_lambda(lambda x: np.zeros(2), np.zeros(2))
+    lam = metrize.LambdaField(lambda x: np.zeros(2), np.zeros(2))
     with pytest.raises(ValueError, match="one row per node"):
         lam(np.array([0.7, -0.3]))
 
@@ -355,7 +382,7 @@ def test_rotor_omega_is_y_dependent() -> None:
     sp = spray_of(ROTOR)
     for y, expected in (((3.0, 4.0), (0.8, -0.6)), ((1.0, 0.0), (0.0, -1.0))):
         b = geometry.CurvatureBundle(sp, (0.1, -0.2) + y, 4)
-        Rj, _, _ = geometry.scalar_split(b)
+        Rj, _, _ = b.split
         om = [(d / Rj).value for d in b.delta_scalar(Rj)]
         assert np.allclose(om, expected, atol=1e-9)
 
@@ -430,7 +457,7 @@ def test_ball_curvature_closed_forms() -> None:
             ((c - 1.0) * xx + c + 1.0) * (yy * x + 2.0 * xy * y)
             - 2.0 * c * (c - 1.0) * xy ** 2 * x)
         b = geometry.CurvatureBundle(sp, pt, 4)
-        Rj, _, _ = geometry.scalar_split(b)
+        Rj, _, _ = b.split
         assert Rj.value == pytest.approx(want_R, rel=1e-8)
         got = [d.value for d in b.delta_scalar(Rj)]
         assert np.allclose(got, want_Rs, rtol=1e-8, atol=1e-10)
@@ -537,7 +564,7 @@ def test_cubic_flat_with_torsion() -> None:
 def test_twist_fails_quotient_constancy() -> None:
     sp = spray_of(TWIST)
     b = geometry.CurvatureBundle(sp, PC, 4)
-    Rj, tau, _ = geometry.scalar_split(b)
+    Rj, tau, _ = b.split
     assert Rj.value == pytest.approx(-1.2576, abs=1e-10)
     assert np.allclose([t.value for t in tau], [-1.392, -0.24], atol=1e-10)
     t = np.array([tau[i] / Rj for i in range(2)], dtype=object)

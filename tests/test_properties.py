@@ -19,19 +19,33 @@ spray of a random metric
 
     L = sum_{j<=k} (a_jk + b_jk x_l) y^j y^k + e y^1 |y|
 
-given as an expression and as a callable (diagonal a_jj in [2, 4], the
-other coefficients small, so the fundamental tensor stays nondegenerate),
+given as an expression (diagonal a_jj in [2, 4], the other coefficients
+small, so the fundamental tensor stays nondegenerate),
 for the inverse of a matrix of block jets, and for block multiplies taller
 than one chunk of `jets.MUL_CHUNK` products.
+
+The prefix tests check that truncation is exact: a jet taken at order K
+and truncated to order k, with 1 <= k < K, equals the order-k jet byte for
+byte, signed zeros included.  Each coefficient of a truncated product or
+series is computed only from coefficients of lower or equal degree, in the
+same order at every order, so the low orders of a high-order jet are the
+low-order jet; the metric candidates serve their requests by truncating
+the classification's bundles on this property.  Order 0 is left out: a
+series there returns its value coefficient as it is, while above it the
+value is added to the +0.0 a product sum starts from, so atan at a value
+of -0.0 gives -0.0 at order 0 and +0.0 above.  The random DSL trees use
+all seven functions, division, integer powers and non-integer powers.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from spraylab import dsl, geometry, jets
+from spraylab import classify, corpus, dsl, geometry, jets, sampling
+from spraylab.errors import DomainError
 from spraylab.geometry import CurvatureBundle
 
 CONTRACTION_BOUND = 1e-12
@@ -75,7 +89,7 @@ def sprays_at_points(draw):
 @PROPERTY_SETTINGS
 @given(sprays_at_points())
 def test_cov_h_values_equal_the_jet_loop_bitwise(b) -> None:
-    _, tau, _ = geometry.scalar_split(b)
+    _, tau, _ = b.split
     for tensor, slots in [(b.R, ("u", "d")), (b.V, ("d",)), (tau, ("d",)),
                           (b.Ric, ())]:
         T = np.array(tensor, dtype=object)
@@ -196,19 +210,6 @@ def metric_expression(n: int, terms: tuple, e: float) -> geometry.ExprMetric:
     return geometry.ExprMetric(dsl.parse(src))
 
 
-def metric_function(n: int, terms: tuple, e: float) -> geometry.FuncMetric:
-    def fn(v):
-        x, y = v[:n], v[n:]
-        acc = 0.0
-        for j, k, a, b, l in terms:
-            acc = acc + (a + b * x[l]) * y[j] * y[k]
-        norm2 = y[0] * y[0]
-        for j in range(1, n):
-            norm2 = norm2 + y[j] * y[j]
-        return acc + e * y[0] * jets.sqrt(norm2)
-    return geometry.FuncMetric(n, fn)
-
-
 @st.composite
 def metrics_at_blocks(draw):
     n = draw(st.sampled_from([2, 3]))
@@ -225,12 +226,12 @@ def metrics_at_blocks(draw):
 @given(metrics_at_blocks())
 def test_block_spray_from_metric_rows_equal_point_sprays_bitwise(case) -> None:
     n, terms, e, block = case
-    for metric in (metric_expression(n, terms, e), metric_function(n, terms, e)):
-        assert geometry.MetricSpray(metric).evaluates_blocks
-        got = geometry.spray_from_metric(metric, block, 2)
-        want = [geometry.spray_from_metric(metric, pt, 2) for pt in block]
-        for i in range(n):
-            assert _rows_equal(got[i], [w[i] for w in want]), metric.name
+    metric = metric_expression(n, terms, e)
+    assert geometry.MetricSpray(metric).evaluates_blocks
+    got = geometry.spray_from_metric(metric, block, 2)
+    want = [geometry.spray_from_metric(metric, pt, 2) for pt in block]
+    for i in range(n):
+        assert _rows_equal(got[i], [w[i] for w in want])
 
 
 @PROPERTY_SETTINGS
@@ -269,3 +270,120 @@ def test_block_multiply_taller_than_one_chunk_equals_point_multiplies(shape, dat
     assert got.shape == (rows, sp.T)
     for r in range(rows):
         assert np.array_equal(got[r], jets._mul_coeffs(sp, a.coeffs[r], b.coeffs[r]))
+
+
+# -- prefix property of truncation --------------------------------------------
+
+
+def dsl_trees():
+    """Random expression trees in the variables of a dim-2 chart."""
+    leaves = st.one_of(
+        st.integers(-14, 14).map(lambda k: dsl.num(k / 7)),
+        st.sampled_from(["x1", "x2", "y1", "y2"]).map(dsl.var))
+
+    def extend(children):
+        binary = st.sampled_from([dsl.add, dsl.sub, dsl.mul, dsl.div])
+        real_power = st.sampled_from([0.5, -0.5, 1.5, 2.5])
+        return st.one_of(
+            children.map(dsl.neg),
+            st.tuples(binary, children, children).map(lambda t: t[0](t[1], t[2])),
+            st.tuples(children, st.integers(-3, 4)).map(lambda t: dsl.powi(*t)),
+            st.tuples(children, real_power).map(
+                lambda t: dsl.Node("pow", a=t[0], b=dsl.num(t[1]))),
+            st.tuples(st.sampled_from(dsl.FUNCTIONS), children).map(
+                lambda t: dsl.call(*t)))
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+def tree_jet(tree, order: int, center):
+    sp = jets.space(4, order)
+    env = [sp.variable(v, center) for v in range(4)]
+    return geometry._as_jet(dsl.evaluate(tree, env, dim=2), env[0])
+
+
+@st.composite
+def centers(draw):
+    """A point center (a tuple) or a block center of 1 to 4 rows."""
+    coord = st.floats(-1.0, 1.0)
+    if draw(st.booleans()):
+        return tuple(draw(st.lists(coord, min_size=4, max_size=4)))
+    rows = draw(st.integers(1, 4))
+    return np.array(draw(st.lists(st.lists(coord, min_size=4, max_size=4),
+                                  min_size=rows, max_size=rows)))
+
+
+@st.composite
+def orders(draw):
+    """(K, k) with 1 <= k < K <= 4."""
+    high = draw(st.integers(2, 4))
+    return high, draw(st.integers(1, high - 1))
+
+
+def same_bytes(high, low) -> bool:
+    cut = high.truncated(low.order)
+    return (cut.space is low.space
+            and cut.coeffs.tobytes() == low.coeffs.tobytes())
+
+
+PREFIX_SETTINGS = settings(
+    max_examples=200, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+
+
+@PREFIX_SETTINGS
+@given(dsl_trees(), centers(), orders())
+def test_truncated_jets_of_dsl_trees_equal_lower_order_jets_bytewise(
+        tree, center, ks) -> None:
+    high_order, low_order = ks
+    try:
+        high = tree_jet(tree, high_order, center)
+    except (DomainError, ArithmeticError):
+        assume(False)
+    # an overflow in a high coefficient reaches the low ones as inf * 0
+    assume(bool(np.all(np.isfinite(high.coeffs))))
+    assert same_bytes(high, tree_jet(tree, low_order, center)), dsl.pretty(tree)
+
+
+@settings(PREFIX_SETTINGS, max_examples=100)
+@given(st.lists(dsl_trees(), min_size=4, max_size=4), centers(), orders())
+def test_truncated_jet_matrix_inverse_equals_lower_order_inverse_bytewise(
+        trees, center, ks) -> None:
+    high_order, low_order = ks
+
+    def matrix(order):
+        m = np.empty((2, 2), dtype=object)
+        for idx, tree in zip(np.ndindex(2, 2), trees):
+            m[idx] = tree_jet(tree, order, center) + (3.0 if idx[0] == idx[1] else 0.0)
+        return m
+
+    try:
+        high = jets.jet_matrix_inverse(matrix(high_order))
+    except (DomainError, ArithmeticError):
+        assume(False)
+    assume(all(bool(np.all(np.isfinite(u.coeffs))) for u in high.ravel()))
+    low = jets.jet_matrix_inverse(matrix(low_order))
+    for idx in np.ndindex(2, 2):
+        assert same_bytes(high[idx], low[idx])
+
+
+def _bundle_jets(b) -> list:
+    """G, N, R and the curvature scalar of a bundle, as one flat list."""
+    flat = list(b.G) + [u for row in b.N for u in row]
+    flat += [u for row in b.R for u in row]
+    return flat + [b.curvature_scalar]
+
+
+@pytest.mark.parametrize("name", corpus.fixture_names())
+def test_order_4_bundles_truncate_to_order_3_bundles_bytewise(name) -> None:
+    # the report's order-4 row bundles against the order-3 point bundles
+    # the metric candidates and the witness check once built at each sample
+    fx = corpus.load_fixture(name)
+    spray = fx.build()
+    samples = sampling.draw(spray, count=64, seed=7, box=fx.box)
+    for pt, b4, _ in classify.point_bundles(spray, samples, 4):
+        b3 = CurvatureBundle(spray, pt, 3)
+        pairs = list(zip(_bundle_jets(b4), _bundle_jets(b3)))
+        assert len(pairs) == spray.dim * (1 + 2 * spray.dim) + 1
+        for high, low in pairs:
+            assert same_bytes(high, low), (name, pt)
