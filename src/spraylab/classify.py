@@ -39,6 +39,7 @@ __all__ = [
     "euler_residual",
     "projective_isotropy_residual",
     "point_bundles",
+    "classify_samples",
     "classify_spray",
 ]
 
@@ -78,9 +79,7 @@ class ScalarDecomposition:
     tau_jets: tuple
 
 
-def decompose_scalar(bundle_or_spray, p=None, order: int = 4,
-                     tol: Tolerances = TOL) -> ScalarDecomposition:
-    b = geometry._as_bundle(bundle_or_spray, p, order)
+def decompose_scalar(b, tol: Tolerances = TOL) -> ScalarDecomposition:
     Rj, tau, residual = b.split
     return ScalarDecomposition(
         R=Rj.value,
@@ -134,10 +133,8 @@ def is_constant(dec: ScalarDecomposition, bundle,
     return ConstantCheck(holds=holds, residual=residual, ric_residual=ric_residual)
 
 
-def is_berwald(bundle_or_spray, p=None, order: int = 4,
-               tol: Tolerances = TOL) -> Check:
+def is_berwald(b, tol: Tolerances = TOL) -> Check:
     """Quadraticity of G in y: all third vertical derivatives vanish."""
-    b = geometry._as_bundle(bundle_or_spray, p, order)
     residual = float(np.max(np.abs(b.B_values)))
     scale = max(1.0, float(np.max(np.abs(b.Gamma_values))))
     return Check(holds=tol.zero(residual, scale), residual=residual)
@@ -199,8 +196,7 @@ def euler_residual(bundle, S, degree: int) -> float:
     return float(np.max(np.abs(acc.coeffs)))
 
 
-def projective_isotropy_residual(bundle_or_spray, p=None, order: int = 4,
-                                 tol: Tolerances = TOL) -> float:
+def projective_isotropy_residual(b, tol: Tolerances = TOL) -> float:
     """Defect of the curvature identity tied to the form G^i = P y^i.
 
     For such sprays the vertical gradient of R and the trace part are
@@ -213,7 +209,6 @@ def projective_isotropy_residual(bundle_or_spray, p=None, order: int = 4,
     PreconditionError when the spray is not of that form at the point; the
     identity has no content then.
     """
-    b = geometry._as_bundle(bundle_or_spray, p, order)
     n = b.dim
     holds, worst, _ = _proportional(b.G_values, b.yvals, tol)
     if not holds:
@@ -273,7 +268,8 @@ class ClassificationReport:
 
     `triples` holds one (point, CurvatureBundle, ScalarDecomposition) per
     sample, in `samples.points()` order; the verdicts, the CLI survey and
-    the corpus checks read them instead of drawing and building again.
+    the corpus checks read them instead of drawing and building again, and
+    the verdicts take their preconditions from `flags`.
     `omega[b]` is the antisymmetrized weak-isotropy fit at `samples.bases[b]`;
     it is None unless the fit holds at every base.
     """
@@ -281,7 +277,6 @@ class ClassificationReport:
     flags: dict
     residuals: dict
     per_point: tuple
-    seed: int
     omega: np.ndarray | None
     notes: tuple
     samples: SampleSet
@@ -342,7 +337,15 @@ def _closed_factor_residual(bundle) -> float:
 def classify_spray(spray, count: int = 64, seed: int = 7,
                    box: SampleBox | None = None, order: int = 4,
                    tol: Tolerances = TOL) -> ClassificationReport:
-    """Sample the spray and classify; a flag holds iff it holds everywhere.
+    """Sample the spray (`sampling.draw`) and classify the samples."""
+    samples = sampling.draw(spray, count=count, seed=seed, box=box)
+    return classify_samples(spray, samples, order, tol)
+
+
+def classify_samples(spray, samples: SampleSet, order: int = 4,
+                     tol: Tolerances = TOL) -> ClassificationReport:
+    """Classify the spray on the samples; a flag holds iff it holds at
+    every sample.
 
     Also enforces two cross-point theorems as engine self-checks: constant
     curvature with Ric != 0 forces isotropy, and a spray that is Berwald, in
@@ -352,7 +355,6 @@ def classify_spray(spray, count: int = 64, seed: int = 7,
     pointwise proportionality test does not trigger it.
     """
     n = spray.dim
-    samples = sampling.draw(spray, count=count, seed=seed, box=box)
     triples = tuple(point_bundles(spray, samples, order, tol))
     m = samples.ys.shape[1]
 
@@ -426,7 +428,6 @@ def classify_spray(spray, count: int = 64, seed: int = 7,
         flags=agg,
         residuals=worst,
         per_point=tuple(per_point),
-        seed=seed,
         omega=omega,
         notes=(_CHART_NOTE,),
         samples=samples,

@@ -96,8 +96,7 @@ class RunConfig:
 
     @property
     def tolerances(self) -> Tolerances:
-        return Tolerances(abs=self.tol_abs, rel=self.tol_rel,
-                          fd_step=self.fd_step)
+        return Tolerances(abs=self.tol_abs, rel=self.tol_rel)
 
     @property
     def sample_box(self) -> SampleBox:
@@ -259,20 +258,8 @@ def _fixture_diff(fixture, cfg: RunConfig, rep, verdict) -> dict | None:
     if cfg.consts:
         return {"name": fixture.name, "compared": False,
                 "reason": "const overrides change the problem"}
-    diffs = []
-    for flag, want in fixture.flags.items():
-        got = rep.flags.get(flag)
-        if got is None or bool(got) != want:
-            diffs.append(f"flag {flag}: expected {want}, got {got}")
-    want_out = fixture.verdict.get("outcome")
-    if want_out and verdict.outcome != want_out:
-        diffs.append(f"verdict outcome: expected {want_out}, "
-                     f"got {verdict.outcome}")
-    want_rule = fixture.verdict.get("rule")
-    if want_rule and verdict.rule != want_rule:
-        diffs.append(f"verdict rule: expected {want_rule!r}, "
-                     f"got {verdict.rule!r}")
-    return {"name": fixture.name, "compared": True, "diffs": diffs}
+    return {"name": fixture.name, "compared": True,
+            "diffs": fixture.diffs(rep, verdict)}
 
 
 def _decision(spray, cfg: RunConfig, box: SampleBox, tol: Tolerances):

@@ -65,6 +65,26 @@ class Fixture:
                 f"fixture {self.name!r} is a spray; it has no metric side")
         return geometry.ExprMetric(self.problem)
 
+    def diffs(self, report, verdict) -> list:
+        """How a classification report and its verdict depart from the
+        recorded flags, outcome and rule, one line each."""
+        out = []
+        for flag, want in self.flags.items():
+            got = report.flags.get(flag)
+            if got is None or bool(got) != want:
+                res = report.residuals.get(flag, float("nan"))
+                out.append(f"flag {flag}: expected {want}, got {got} "
+                           f"(residual {res:.3e})")
+        want_out = self.verdict.get("outcome")
+        if want_out and verdict.outcome != want_out:
+            out.append(f"verdict outcome: expected {want_out}, got "
+                       f"{verdict.outcome} (rule {verdict.rule!r})")
+        want_rule = self.verdict.get("rule")
+        if want_rule and verdict.rule != want_rule:
+            out.append(f"verdict rule: expected {want_rule!r}, "
+                       f"got {verdict.rule!r}")
+        return out
+
 
 @dataclass(frozen=True)
 class FixtureReport:
@@ -153,6 +173,17 @@ def _expr_eval(dim: int, expr: str):
     return value
 
 
+def _compare(pairs, atol: float, rel: float):
+    """(worst |got - want|, worst excess of |got - want| over
+    atol + rel |want|) over the (got, want) pairs, in their order."""
+    worst = exceeded = 0.0
+    for got, want in pairs:
+        err = abs(got - want)
+        worst = max(worst, err)
+        exceeded = max(exceeded, err - (atol + rel * abs(want)))
+    return worst, exceeded
+
+
 # -- check kinds ------------------------------------------------------------
 #
 # Each handler gets (fixture, spray, verdict, classification report,
@@ -166,18 +197,13 @@ def _chk_scalar_expr(fx, spray, verdict, rep, chk, tol):
     want_of = _expr_eval(spray.dim, chk["expr"])
     rel = float(chk.get("rel", 0.0))
     atol = float(chk.get("atol", tol.abs))
-    worst = exceeded = 0.0
-    for pt, b, dec in rep.triples:
-        if chk["field"] == "Ric":
-            got = b.Ric_value
-        elif chk["field"] == "R":
-            got = dec.R
-        else:
-            raise SprayLabError(f"scalar_expr check: unknown field {chk['field']!r}")
-        want = want_of(pt)
-        err = abs(got - want)
-        worst = max(worst, err)
-        exceeded = max(exceeded, err - (atol + rel * abs(want)))
+    if chk["field"] == "Ric":
+        pairs = ((b.Ric_value, want_of(pt)) for pt, b, _ in rep.triples)
+    elif chk["field"] == "R":
+        pairs = ((dec.R, want_of(pt)) for pt, _, dec in rep.triples)
+    else:
+        raise SprayLabError(f"scalar_expr check: unknown field {chk['field']!r}")
+    worst, exceeded = _compare(pairs, atol, rel)
     bad = []
     if exceeded > 0.0:
         bad.append(f"{chk['name']}: worst |got - want| = {worst:.3e} "
@@ -192,14 +218,10 @@ def _chk_delta_expr(fx, spray, verdict, rep, chk, tol):
         raise SprayLabError("delta_expr check needs one expression per axis")
     rel = float(chk.get("rel", 0.0))
     atol = float(chk.get("atol", tol.abs))
-    worst = exceeded = 0.0
-    for pt, b, dec in rep.triples:
-        slots = b.cov_h(dec.R_jet, ()).tolist()
-        for i in range(n):
-            want = want_of[i](pt)
-            err = abs(slots[i] - want)
-            worst = max(worst, err)
-            exceeded = max(exceeded, err - (atol + rel * abs(want)))
+    worst, exceeded = _compare(
+        ((got, want_of[i](pt)) for pt, b, dec in rep.triples
+         for i, got in enumerate(b.cov_h(dec.R_jet, ()).tolist())),
+        atol, rel)
     bad = []
     if exceeded > 0.0:
         bad.append(f"{chk['name']}: worst horizontal-derivative mismatch "
@@ -243,12 +265,10 @@ def _chk_recovered_expr(fx, spray, verdict, rep, chk, tol):
     want_of = _expr_eval(spray.dim, chk["expr"])
     rel = float(chk.get("rel", tol.rel))
     atol = float(chk.get("atol", tol.abs))
-    worst = exceeded = 0.0
-    for pt in rep.samples.points():
-        want = want_of(pt)
-        err = abs(verdict.recovered_metric.value(pt) - want)
-        worst = max(worst, err)
-        exceeded = max(exceeded, err - (atol + rel * abs(want)))
+    L = verdict.recovered_metric
+    worst, exceeded = _compare(
+        ((L.value(pt), want_of(pt)) for pt in rep.samples.points()),
+        atol, rel)
     bad = []
     if exceeded > 0.0:
         bad.append(f"{chk['name']}: recovered metric off by {worst:.3e}, "
@@ -281,8 +301,7 @@ def _chk_witness_metric(fx, spray, verdict, rep, chk, tol):
 
 
 def _chk_structure_check(fx, spray, verdict, rep, chk, tol):
-    res = pflat.quadratic_structure_check(spray, rep.samples, rep.triples,
-                                          tol=tol)
+    res = pflat.quadratic_structure_check(spray, rep, tol=tol)
     want = bool(chk["want"])
     bad = []
     if bool(res.holds) != want:
@@ -309,12 +328,11 @@ def _chk_omega_fit(fx, spray, verdict, rep, chk, tol):
     want_of = _expr_eval(spray.dim, chk["expr"])
     rel = float(chk.get("rel", tol.rel))
     atol = float(chk.get("atol", 1e-9))
-    worst = exceeded = 0.0
-    for bidx, xb in enumerate(rep.samples.bases):
-        want = want_of(np.concatenate([xb, np.ones(spray.dim)]))
-        err = abs(rep.omega[bidx][0, 1] - want)
-        worst = max(worst, err)
-        exceeded = max(exceeded, err - (atol + rel * abs(want)))
+    ones = np.ones(spray.dim)
+    worst, exceeded = _compare(
+        ((om[0, 1], want_of(np.concatenate([xb, ones])))
+         for om, xb in zip(rep.omega, rep.samples.bases)),
+        atol, rel)
     bad = []
     if exceeded > 0.0:
         bad.append(f"{chk['name']}: fitted omega off the closed form by "
@@ -378,24 +396,11 @@ def run_fixture(name: str, count: int | None = None, seed: int | None = None,
     count = fx.count if count is None else int(count)
     seed = fx.seed if seed is None else int(seed)
     spray = fx.build()
-    diffs = []
 
     rep = classify.classify_spray(spray, count=count, seed=seed, box=fx.box,
                                   tol=tol)
-    for flag, want in fx.flags.items():
-        got = rep.flags.get(flag)
-        if got is None or bool(got) != want:
-            diffs.append(f"flag {flag}: expected {want}, got {got} "
-                         f"(residual {rep.residuals.get(flag, float('nan')):.3e})")
-
     v = metrize.route(spray, rep, tol=tol)
-    want_out = fx.verdict.get("outcome")
-    if want_out and v.outcome != want_out:
-        diffs.append(f"verdict outcome: expected {want_out}, got {v.outcome} "
-                     f"(rule {v.rule!r})")
-    want_rule = fx.verdict.get("rule")
-    if want_rule and v.rule != want_rule:
-        diffs.append(f"verdict rule: expected {want_rule!r}, got {v.rule!r}")
+    diffs = fx.diffs(rep, v)
 
     check_residuals = {}
     for chk in fx.checks:

@@ -164,10 +164,10 @@ def spray_of(problem: dsl.ProblemDef):
 class MetricSpray:
     """The spray induced by a metric via its geodesic equations."""
 
-    def __init__(self, metric, name: str | None = None):
+    def __init__(self, metric):
         self.metric = metric
         self.dim = metric.dim
-        self.name = name or f"induced({metric.name})"
+        self.name = f"induced({metric.name})"
 
     @property
     def evaluates_blocks(self) -> bool:
@@ -670,9 +670,8 @@ class HTensors:
     Hi: np.ndarray
 
 
-def h_tensors(bundle_or_spray, p=None, order: int = 4) -> HTensors:
+def h_tensors(b: CurvatureBundle) -> HTensors:
     """The hh-curvature family at a point (values)."""
-    b = _as_bundle(bundle_or_spray, p, order)
     n = b.dim
     H4 = np.empty((n, n, n, n))
     for i in range(n):
@@ -715,15 +714,3 @@ def h_tensor_residuals(bundle: CurvatureBundle, tol: Tolerances = TOL) -> dict:
         ),
         "h_mean": float(np.max(np.abs(h.Hi - third * (rdot + tau_vals)))),
     }
-
-
-# -- thin op layer ------------------------------------------------------------
-
-
-def _as_bundle(bundle_or_spray, p, order: int) -> CurvatureBundle:
-    if isinstance(bundle_or_spray, CurvatureBundle):
-        return bundle_or_spray
-    if p is None:
-        raise PreconditionError("a point is required when passing a spray")
-    return CurvatureBundle(bundle_or_spray, p, order)
-

@@ -6,16 +6,20 @@ sprays (the R / omega cascade), `verdict_constant` for constant curvature
 rules plus an honest inconclusive), and `projective_shift` for the shifted
 family along a constant-flag-curvature metric.  `route` sends a
 ClassificationReport to the sharpest procedure its flags license.  The
-three verdicts take a classification's samples and bundles as their only
-input and draw nothing themselves; `decide` is `classify_spray` followed
-by `route`.  A spray that is not of scalar curvature is out of scope for
-every rule and comes back inconclusive.
+three verdicts take that report as their only input: its flags are their
+preconditions, so no verdict decides a curvature class again, and they
+read its samples and bundles, drawing and building nothing at a sample.
+`decide` is `classify_spray` followed by `route`; `projective_shift`
+classifies its shifted spray once and hands that report to
+`verdict_isotropic`.  A spray that is not of scalar curvature is out of
+scope for every rule and comes back inconclusive.
 
 Every verdict is evidence-backed: the rule string names the decisive test,
 `residual` is the worst number behind it, and metrizable-with-metric
 verdicts are only emitted after the recovered metric has been re-verified
 against the input spray (non-degenerate Hessian, covariant constancy,
-induced-spray match).  Recovery never fabricates: the locally-metrizable
+induced-spray match; the Finsler check is the one the verdict made on
+the same metric).  Recovery never fabricates: the locally-metrizable
 outcomes are existence statements and carry no metric.
 """
 
@@ -149,10 +153,10 @@ class CurvatureMetric:
     returns a jet of order max(k, 1).
     """
 
-    def __init__(self, spray, name: str | None = None, bundles=()):
+    def __init__(self, spray, bundles=()):
         self.spray = spray
         self.dim = spray.dim
-        self.name = name or f"curvature({spray.name})"
+        self.name = f"curvature({spray.name})"
         self._bundles = _bundle_table(bundles)
         self._jets: dict = {}
 
@@ -185,18 +189,18 @@ class LambdaField:
     evaluated one by one to find the first that fails.
     """
 
-    def __init__(self, omega: Callable, x0, accept: Callable | None = None,
-                 panels: int = 8, nodes: int = 8):
+    panels = 8
+    nodes = 8
+
+    def __init__(self, omega: Callable, x0, accept: Callable | None = None):
         self.omega = omega
         self.x0 = np.asarray(x0, dtype=float)
         self.accept = accept
-        self.panels = panels
-        self.nodes = nodes
-        ts, ws = np.polynomial.legendre.leggauss(nodes)
-        width = 1.0 / panels
+        ts, ws = np.polynomial.legendre.leggauss(self.nodes)
+        width = 1.0 / self.panels
         # (t, weight) of every node along the segment, in path order
         self._rule = [(p * width + 0.5 * width * (tk + 1.0), 0.5 * width * wk)
-                      for p in range(panels) for tk, wk in zip(ts, ws)]
+                      for p in range(self.panels) for tk, wk in zip(ts, ws)]
         self._cache: dict[bytes, float] = {}
 
     def __call__(self, x) -> float:
@@ -263,12 +267,11 @@ class ScaledCurvatureMetric:
     order k.
     """
 
-    def __init__(self, spray, lam: LambdaField, name: str | None = None,
-                 bundles=()):
+    def __init__(self, spray, lam: LambdaField, bundles=()):
         self.spray = spray
         self.lam = lam
         self.dim = spray.dim
-        self.name = name or f"curvature({spray.name})/lambda"
+        self.name = f"curvature({spray.name})/lambda"
         self._bundles = _bundle_table(bundles)
         self._jets: dict = {}
 
@@ -333,21 +336,22 @@ def metric_spray_residuals(L, triples, parallel: bool = True):
         yield pt, b, value, semi, float(np.max(np.abs(gv - b.G_values)))
 
 
-def _certify(spray, L, samples: SampleSet, triples, tol: Tolerances):
+def _certify(L, report: classify.ClassificationReport, fc: FinslerCheck,
+             tol: Tolerances):
     """Re-verify a recovered metric against its spray at every sample.
 
-    Checks the metric is Finslerian, covariantly constant along the spray
+    Checks the metric is Finslerian (`fc`, the verdict's `finsler_check`
+    of L on the report's samples), covariantly constant along the spray
     (L_{;i} = 0), and induces the spray back.  Returns (ok, evidence, worst
     residual); the caller decides what a failure demotes the verdict to.
     """
-    fc = finsler_check(L, samples, tol)
     ev: dict = {"finsler_euler": fc.euler_residual,
                 "finsler_rank_ratio": fc.rank_ratio}
     semi_worst = 0.0
     match_worst = 0.0
     scale_L = 1.0
     scale_G = 1.0
-    for _, b, value, semi, match in metric_spray_residuals(L, triples):
+    for _, b, value, semi, match in metric_spray_residuals(L, report.triples):
         scale_L = max(scale_L, abs(value))
         semi_worst = max(semi_worst, semi)
         scale_G = max(scale_G, float(np.max(np.abs(b.G_values))))
@@ -359,15 +363,15 @@ def _certify(spray, L, samples: SampleSet, triples, tol: Tolerances):
     return ok, ev, max(semi_worst, match_worst)
 
 
-def lambda_field(spray, samples: SampleSet, order: int, form: Callable,
-                 x0=None) -> LambdaField:
+def lambda_field(spray, samples: SampleSet, order: int,
+                 form: Callable) -> LambdaField:
     """Integrate a 1-form that the spray's bundles give, at a fixed tangent.
 
     The form is taken at the first sample's tangent: `form` maps the
     order-`order` block bundle at a segment's K nodes to the (K, n) form
-    values there.  The integral runs from `x0` (the chart origin by
-    default), and a node where the spray's guards fail at that tangent
-    vetoes the segment (see `LambdaField`).
+    values there.  The integral runs from the chart origin, and a node
+    where the spray's guards fail at that tangent vetoes the segment (see
+    `LambdaField`).
     """
     n = spray.dim
     y_ref = samples.ys[0, 0].copy()
@@ -377,8 +381,7 @@ def lambda_field(spray, samples: SampleSet, order: int, form: Callable,
         pts = np.concatenate([xs, np.broadcast_to(y_ref, xs.shape)], axis=1)
         return form(geometry.CurvatureBundle(spray, pts, order))
 
-    anchor = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
-    return LambdaField(omega, anchor, accept=lambda x: (
+    return LambdaField(omega, np.zeros(n), accept=lambda x: (
         sampling.guards_hold(spray, np.concatenate([x, y_ref]))))
 
 
@@ -389,27 +392,31 @@ def _finsler_failure(fc: FinslerCheck, tol: Tolerances) -> float:
 # -- decision procedures -------------------------------------------------------
 
 
-def verdict_isotropic(spray, samples: SampleSet, triples,
-                      tol: Tolerances = TOL, x0=None) -> Verdict:
+def _require(report: classify.ClassificationReport, flag: str, what: str):
+    """Raise PreconditionError unless the report's `flag` holds."""
+    if not report.flags[flag]:
+        raise PreconditionError(
+            f"{what} fails on the samples (worst residual "
+            f"{report.residuals[flag]:.3e}); the procedure does not apply")
+
+
+def verdict_isotropic(spray, report: classify.ClassificationReport,
+                      tol: Tolerances = TOL) -> Verdict:
     """Decide metrizability of an isotropic spray.
 
     Cascade: R vanishing -> locally metrizable (existence only); R not a
     Finsler function -> negative; otherwise the 1-form omega = R_{;i}/R
     must be y-independent and closed, and then either vanishes (L = R) or,
-    in dimension 2 only, integrates to a scale lambda with L = R/lambda.
-    `x0` anchors the lambda quadrature (defaults to the chart origin).
+    in dimension 2 only, integrates to a scale lambda with L = R/lambda,
+    anchored at the chart origin.
 
-    `samples` and `triples` are a classification's: the sample set and one
-    (point, bundle, ScalarDecomposition) per sample, in `samples.points()`
-    order, as `ClassificationReport` holds them.  Nothing is drawn again.
+    `report` is the spray's classification: its isotropic flag is the
+    precondition, and its samples and (point, bundle, ScalarDecomposition)
+    triples are the only input.  Nothing is drawn or classified again.
     """
+    _require(report, "isotropic", "isotropy")
     n = spray.dim
-    for _, b, dec in triples:
-        iso = classify.is_isotropic(dec, b, tol)
-        if not iso.holds:
-            raise PreconditionError(
-                "isotropy fails at a sample point (residual "
-                f"{iso.residual:.3e}); the isotropic procedure does not apply")
+    samples, triples = report.samples, report.triples
 
     max_R = max(abs(dec.R) for _, _, dec in triples)
     if tol.zero(max_R, 1.0):
@@ -419,7 +426,8 @@ def verdict_isotropic(spray, samples: SampleSet, triples,
 
     # the metric candidates read the classification's bundles
     known = [b for _, b, _ in triples]
-    fc = finsler_check(CurvatureMetric(spray, bundles=known), samples, tol)
+    R = CurvatureMetric(spray, bundles=known)
+    fc = finsler_check(R, samples, tol)
     if not fc.holds:
         return Verdict("not_metrizable", "R is not a Finsler metric",
                        _finsler_failure(fc, tol), bases=samples.bases,
@@ -466,14 +474,13 @@ def verdict_isotropic(spray, samples: SampleSet, triples,
 
     max_om = float(np.nanmax(np.abs(om_vals)))
     if tol.zero(max_om, 1.0):
-        L = CurvatureMetric(spray, bundles=known)
-        ok, ev, worst = _certify(spray, L, samples, triples, tol)
+        ok, ev, worst = _certify(R, report, fc, tol)
         if not ok:
             return Verdict("inconclusive",
                            "recovered metric failed re-verification", worst,
                            bases=samples.bases, evidence=ev)
         return Verdict("metrizable_with_metric", "omega vanishes; L = R",
-                       worst, recovered_metric=L, omega=base_omega,
+                       worst, recovered_metric=R, omega=base_omega,
                        bases=samples.bases, evidence=ev)
 
     if n >= 3:
@@ -492,9 +499,9 @@ def verdict_isotropic(spray, samples: SampleSet, triples,
                 "is undefined there")
         return b.cov_h(Rj, ()) / Rv[:, None]
 
-    lam = lambda_field(spray, samples, 3, omega_at, x0)
+    lam = lambda_field(spray, samples, 3, omega_at)
     L = ScaledCurvatureMetric(spray, lam, bundles=known)
-    ok, ev, worst = _certify(spray, L, samples, triples, tol)
+    ok, ev, worst = _certify(L, report, finsler_check(L, samples, tol), tol)
     ev["lambda"] = lam
     if not ok:
         return Verdict("inconclusive",
@@ -505,21 +512,17 @@ def verdict_isotropic(spray, samples: SampleSet, triples,
                    bases=samples.bases, evidence=ev)
 
 
-def verdict_constant(spray, samples: SampleSet, triples,
+def verdict_constant(spray, report: classify.ClassificationReport,
                      tol: Tolerances = TOL) -> Verdict:
     """Decide metrizability of a constant-curvature spray.
 
     Ric vanishing -> locally metrizable (existence only); otherwise
     metrizable exactly when Ric/(n-1) is itself a Finsler function, and
-    that quotient is the recovered metric.  `samples` and `triples` as for
-    `verdict_isotropic`.
+    that quotient is the recovered metric.  `report` as for
+    `verdict_isotropic`, with the constant flag as the precondition.
     """
-    for _, b, dec in triples:
-        con = classify.is_constant(dec, b, tol)
-        if not con.holds:
-            raise PreconditionError(
-                "constant-curvature classification fails at a sample "
-                f"(residual {con.residual:.3e})")
+    _require(report, "constant", "constant curvature")
+    samples, triples = report.samples, report.triples
 
     max_ric = max(abs(b.Ric_value) for _, b, _ in triples)
     if tol.zero(max_ric, 1.0):
@@ -535,7 +538,7 @@ def verdict_constant(spray, samples: SampleSet, triples,
                        _finsler_failure(fc, tol), bases=samples.bases,
                        evidence={"finsler_euler": fc.euler_residual,
                                  "finsler_rank_ratio": fc.rank_ratio})
-    ok, ev, worst = _certify(spray, L, samples, triples, tol)
+    ok, ev, worst = _certify(L, report, fc, tol)
     if not ok:
         return Verdict("inconclusive",
                        "recovered metric failed re-verification", worst,
@@ -544,7 +547,7 @@ def verdict_constant(spray, samples: SampleSet, triples,
                    recovered_metric=L, bases=samples.bases, evidence=ev)
 
 
-def nonmetrizable_scalar(spray, samples: SampleSet, triples,
+def nonmetrizable_scalar(spray, report: classify.ClassificationReport,
                          tol: Tolerances = TOL) -> Verdict:
     """Negative tests for scalar-curvature sprays.
 
@@ -552,15 +555,12 @@ def nonmetrizable_scalar(spray, samples: SampleSet, triples,
     a quotient tau/R that fails horizontal covariant constancy or vertical
     symmetry.  Everything else is inconclusive: the rules are sufficient
     for non-metrizability, never for the converse, and the remaining gap
-    is a genuinely open problem this engine does not guess at.  `samples`
-    and `triples` as for `verdict_isotropic`.
+    is a genuinely open problem this engine does not guess at.  `report`
+    as for `verdict_isotropic`, with the scalar flag as the precondition.
     """
+    _require(report, "scalar", "the scalar decomposition")
     n = spray.dim
-    for _, _, dec in triples:
-        if not dec.holds:
-            raise PreconditionError(
-                "scalar decomposition fails at a sample (residual "
-                f"{dec.residual:.3e}); the scalar rules do not apply")
+    samples, triples = report.samples, report.triples
 
     max_R = max(abs(dec.R) for _, _, dec in triples)
     max_tau = max(float(np.max(np.abs(dec.tau))) for _, _, dec in triples)
@@ -609,8 +609,8 @@ def projective_shift(metric, c: float, count: int = 64, seed: int = 7,
 
     Asserts the structural identities of the construction on the way
     (shifted spray stays isotropic, its curvature scalar is
-    (lambda + c^2) L), runs the isotropic verdict on the bundles those
-    checks built, and cross-checks it against the closed-form rule:
+    (lambda + c^2) L), runs the isotropic verdict on the shifted spray's
+    one classification, and cross-checks it against the closed-form rule:
     metrizable iff lambda = -c^2 or c = 0.  Returns (shifted spray,
     verdict).
     """
@@ -647,23 +647,21 @@ def projective_shift(metric, c: float, count: int = 64, seed: int = 7,
     # the shifted spray's guards are the metric's, so the metric's samples
     # are also the ones a draw on the shifted spray gives
     shifted = geometry.ShiftedSpray(base, metric, c)
-    shifted_triples = []
+    report = classify.classify_samples(shifted, samples, order, tol)
+    if not report.flags["isotropic"]:
+        raise SprayLabError(
+            "the shifted spray lost isotropy; the shift identity is violated "
+            f"(worst residual {report.residuals['isotropic']:.3e})")
     shift_worst = 0.0
-    for pt, b, dec in classify.point_bundles(shifted, samples, order, tol):
-        iso = classify.is_isotropic(dec, b, tol)
-        if not iso.holds:
-            raise SprayLabError(
-                "the shifted spray lost isotropy; the shift identity is "
-                f"violated (residual {iso.residual:.3e})")
+    for pt, _, dec in report.triples:
         want = (lam_hat + c * c) * metric.value(pt)
         shift_worst = max(shift_worst, abs(dec.R - want))
-        shifted_triples.append((pt, b, dec))
     if not tol.zero(shift_worst, max(1.0, (abs(lam_hat) + c * c))):
         raise SprayLabError(
             "shifted curvature scalar does not match (lambda + c^2) L "
             f"(residual {shift_worst:.3e})")
 
-    v = verdict_isotropic(shifted, samples, tuple(shifted_triples), tol=tol)
+    v = verdict_isotropic(shifted, report, tol=tol)
     engine_yes = v.outcome in METRIZABLE_OUTCOMES
     rule_yes = c == 0.0 or abs(lam_hat + c * c) <= 1e-6
     if engine_yes != rule_yes:
@@ -680,22 +678,20 @@ def projective_shift(metric, c: float, count: int = 64, seed: int = 7,
 
 
 def route(spray, report: classify.ClassificationReport,
-          tol: Tolerances = TOL, x0=None) -> Verdict:
+          tol: Tolerances = TOL) -> Verdict:
     """Run the sharpest decision procedure the report's flags license.
 
     Constant curvature beats isotropic beats bare scalar; a spray that is
     not of scalar curvature is out of scope for every rule here and comes
-    back inconclusive.  The procedure reads the report's samples and
-    bundles, so nothing is drawn or built twice.
+    back inconclusive.  The procedure reads the report's flags, samples and
+    bundles, so nothing is drawn, built or classified twice.
     """
     if report.flags["constant"]:
-        return verdict_constant(spray, report.samples, report.triples, tol=tol)
+        return verdict_constant(spray, report, tol=tol)
     if report.flags["isotropic"]:
-        return verdict_isotropic(spray, report.samples, report.triples,
-                                 tol=tol, x0=x0)
+        return verdict_isotropic(spray, report, tol=tol)
     if report.flags["scalar"]:
-        return nonmetrizable_scalar(spray, report.samples, report.triples,
-                                    tol=tol)
+        return nonmetrizable_scalar(spray, report, tol=tol)
     return Verdict("inconclusive", "not of scalar curvature",
                    float(report.residuals["scalar"]), bases=report.bases,
                    evidence={"note": _OUT_OF_SCOPE_NOTE})
@@ -703,8 +699,8 @@ def route(spray, report: classify.ClassificationReport,
 
 def decide(spray, count: int = 64, seed: int = 7,
            box: SampleBox | None = None, order: int = 4,
-           tol: Tolerances = TOL, x0=None) -> Verdict:
+           tol: Tolerances = TOL) -> Verdict:
     """Classify the spray on one sample draw, then `route` the report."""
     report = classify.classify_spray(spray, count=count, seed=seed, box=box,
                                      order=order, tol=tol)
-    return route(spray, report, tol=tol, x0=x0)
+    return route(spray, report, tol=tol)

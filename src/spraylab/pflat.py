@@ -22,7 +22,7 @@ import numpy as np
 
 from . import classify, dsl, geometry, metrize, sampling
 from .errors import ParamError, PreconditionError
-from .sampling import TOL, SampleBox, SampleSet, Tolerances
+from .sampling import TOL, SampleBox, Tolerances
 
 __all__ = [
     "QuadraticData",
@@ -196,7 +196,7 @@ def admissible(q: QuadraticData, count: int = 32, seed: int = 7,
                          margin=fc.rank_ratio)
 
 
-def quadratic_structure_check(spray, samples: SampleSet, triples, x0=None,
+def quadratic_structure_check(spray, report: classify.ClassificationReport,
                               tol: Tolerances = TOL) -> classify.Check:
     """Does the spray's log-potential exponentiate to a degree-2 polynomial?
 
@@ -204,14 +204,22 @@ def quadratic_structure_check(spray, samples: SampleSet, triples, x0=None,
     (Berwald); then P = sigma_k(x) y^k with a closed base form sigma_k, and
     the spray belongs to the quadratic family above iff u = e^{-2 sigma}
     has vanishing third x-derivatives.  `residual` is the worst |u_{ijk}|
-    over the samples, with u normalized to 1 at `x0` (chart origin by
-    default).  `samples` and `triples` are a classification's draw and its
-    (point, bundle, decomposition) triples, as `ClassificationReport`
-    carries them; no bundle is built at a sample again.  Raises
-    PreconditionError when the spray is not of the required form or
-    sigma_k is not closed.
+    over the samples, with u normalized to 1 at the chart origin.
+    `report` is the spray's classification: its projective_form and
+    berwald flags are the preconditions, and its samples and bundles are
+    read, not drawn or built again.  Raises PreconditionError when the
+    spray is not of the required form or sigma_k is not closed.
     """
     n = spray.dim
+    if not report.flags["projective_form"]:
+        raise PreconditionError(
+            "spray is not of the form G^i = P y^i (worst cross product "
+            f"{report.residuals['projective_form']:.3e}); no log-potential "
+            "to test")
+    if not report.flags["berwald"]:
+        raise PreconditionError(
+            "spray coefficients are not quadratic in y; the factor has "
+            "no x-only base form")
 
     def factor_jets(b: geometry.CurvatureBundle):
         P = classify.projective_factor(b)
@@ -220,16 +228,7 @@ def quadratic_structure_check(spray, samples: SampleSet, triples, x0=None,
     brackets = []
     u_scale = 1.0
     worst = 0.0
-    for pt, b, _ in triples:
-        holds, defect, _ = classify._proportional(b.G_values, b.yvals, tol)
-        if not holds:
-            raise PreconditionError(
-                "spray is not of the form G^i = P y^i (worst cross product "
-                f"{defect:.3e}); no log-potential to test")
-        if not classify.is_berwald(b, tol=tol).holds:
-            raise PreconditionError(
-                "spray coefficients are not quadratic in y; the factor has "
-                "no x-only base form")
+    for pt, b, _ in report.triples:
         sig = factor_jets(b)
         sv = np.array([s.value for s in sig])
         sd = np.array([[sig[i].dx(j).value for j in range(n)]
@@ -260,11 +259,11 @@ def quadratic_structure_check(spray, samples: SampleSet, triples, x0=None,
 
     # the bracket is u_{ijk} up to the positive factor -2 e^{-2 sigma};
     # recover that factor by integrating sigma from the anchor so the
-    # reported residual is the actual third derivative of u, u(x0) = 1
+    # reported residual is the actual third derivative of u, u(0) = 1
     def sigma_at(b) -> np.ndarray:
         return np.stack([s.value for s in factor_jets(b)], axis=1)
 
-    lam = metrize.lambda_field(spray, samples, 2, sigma_at, x0)
+    lam = metrize.lambda_field(spray, report.samples, 2, sigma_at)
     for pt, br in brackets:
         u_val = lam(pt[:n]) ** -2.0
         u_scale = max(u_scale, u_val)

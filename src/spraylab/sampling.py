@@ -43,7 +43,6 @@ class Tolerances:
     abs: float = 1e-8
     rel: float = 1e-6
     rank: float = 1e-6
-    fd_step: float = 1e-3
 
     def zero(self, r: float, scale: float = 0.0) -> bool:
         return abs(r) <= self.abs + self.rel * abs(scale)

@@ -13,11 +13,9 @@ from spraylab import classify, geometry, metrize, sampling
 
 
 def classified(spray, count, seed=7, box=None):
-    """The (samples, triples) a verdict reads: one guarded draw and its
-    order-4 (point, bundle, decomposition) triples at the default
-    tolerances, as `classify_spray` draws and builds them."""
-    samples = sampling.draw(spray, count=count, seed=seed, box=box)
-    return samples, tuple(classify.point_bundles(spray, samples))
+    """The classification report a verdict reads, at order 4 and the
+    default tolerances."""
+    return classify.classify_spray(spray, count=count, seed=seed, box=box)
 
 
 @pytest.fixture

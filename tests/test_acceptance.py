@@ -189,7 +189,7 @@ def test_quadratic_potentials_round_trip():
 
 def test_exponential_potential_is_refused():
     spray = spray_of("pflat_exp")
-    check = pflat.quadratic_structure_check(spray, *classified(spray, 32))
+    check = pflat.quadratic_structure_check(spray, classified(spray, 32))
     assert not check.holds
     assert check.residual > 0.1  # decisively non-quadratic, not a near miss
     verdict = metrize.decide(spray, count=32, seed=7)

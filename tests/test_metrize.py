@@ -246,10 +246,10 @@ def test_kept_candidate_jets_truncate_to_the_requested_jets() -> None:
     # point; that must be, byte for byte, the jet computed for the request,
     # at the samples (report bundles) and off them (bundles built there)
     sp = spray_of(WHIRL)
-    v = metrize.verdict_isotropic(sp, *classified(sp, 12))
-    lam = v.evidence["lambda"]
-    samples, triples = classified(sp, 12)
-    known = [b for _, b, _ in triples]
+    rep = classified(sp, 12)
+    lam = metrize.verdict_isotropic(sp, rep).evidence["lambda"]
+    samples = rep.samples
+    known = [b for _, b, _ in rep.triples]
     off = [np.array([0.3, -0.2, 0.6, -0.5]), np.array([-0.1, 0.4, 0.2, 0.9])]
     for pt in list(samples.points()) + off:
         for make in (lambda: metrize.CurvatureMetric(sp, bundles=known),
@@ -389,7 +389,7 @@ def test_rotor_omega_is_y_dependent() -> None:
 
 def test_verdict_rotor_not_metrizable() -> None:
     sp = spray_of(ROTOR)
-    v = metrize.verdict_isotropic(sp, *classified(sp, 12))
+    v = metrize.verdict_isotropic(sp, classified(sp, 12))
     assert v.outcome == "not_metrizable"
     assert v.rule == "omega y-dependent"
     assert v.residual > 0.1
@@ -398,7 +398,7 @@ def test_verdict_rotor_not_metrizable() -> None:
 
 def test_verdict_whirl_recovers_scaled_metric() -> None:
     sp = spray_of(WHIRL)
-    v = metrize.verdict_isotropic(sp, *classified(sp, 12))
+    v = metrize.verdict_isotropic(sp, classified(sp, 12))
     assert v.outcome == "metrizable_with_metric"
     assert v.rule == "omega exact; L = R/lambda"
     # omega report: one row per base, each approximately (-4 x1, 0)
@@ -421,7 +421,7 @@ def test_verdict_whirl_recovers_scaled_metric() -> None:
 
 def test_verdict_whirl_lambda_field() -> None:
     sp = spray_of(WHIRL)
-    v = metrize.verdict_isotropic(sp, *classified(sp, 12))
+    v = metrize.verdict_isotropic(sp, classified(sp, 12))
     lam = v.evidence["lambda"]
     for x1 in (-0.5, 0.0, 0.6):
         assert lam(np.array([x1, 0.2])) == pytest.approx(
@@ -431,7 +431,7 @@ def test_verdict_whirl_lambda_field() -> None:
 def test_verdict_ball_sweep() -> None:
     for c in (0.5, 1.0, 2.0, 3.0):
         sp = spray_of(BALL, consts={"c": c})
-        v = metrize.verdict_isotropic(sp, *classified(sp, 12))
+        v = metrize.verdict_isotropic(sp, classified(sp, 12))
         if c == 2.0:
             assert v.outcome == "metrizable_with_metric"
             assert v.rule == "omega vanishes; L = R"
@@ -465,13 +465,13 @@ def test_ball_curvature_closed_forms() -> None:
 
 def test_verdict_degenerate_family_member() -> None:
     sp = spray_of(DEGEN)
-    dec = classify.decompose_scalar(sp, PD)
+    dec = classify.decompose_scalar(geometry.CurvatureBundle(sp, PD, 4))
     assert dec.R == pytest.approx(1.3456, abs=1e-10)
     assert np.allclose(dec.tau, [1.392, -1.856], atol=1e-10)
-    v = metrize.verdict_isotropic(sp, *classified(sp, 12))
+    v = metrize.verdict_isotropic(sp, classified(sp, 12))
     assert v.outcome == "not_metrizable"
     assert v.rule == "R is not a Finsler metric"
-    vc = metrize.verdict_constant(sp, *classified(sp, 12))
+    vc = metrize.verdict_constant(sp, classified(sp, 12))
     assert vc.outcome == "not_metrizable"
     assert vc.rule == "Ric is not a Finsler metric"
 
@@ -479,16 +479,16 @@ def test_verdict_degenerate_family_member() -> None:
 def test_verdict_expfac_not_metrizable() -> None:
     # R = y1^2/4: 2-homogeneous but rank-1 Hessian
     sp = spray_of(EXPFAC)
-    v = metrize.verdict_isotropic(sp, *classified(sp, 12))
+    v = metrize.verdict_isotropic(sp, classified(sp, 12))
     assert v.outcome == "not_metrizable"
     assert v.rule == "R is not a Finsler metric"
 
 
 def test_verdict_isotropic_rejects_nonisotropic() -> None:
     sp = spray_of(CUBIC)
-    samples, triples = classified(sp, 8)
+    rep = classified(sp, 8)
     with pytest.raises(PreconditionError):
-        metrize.verdict_isotropic(sp, samples, triples)
+        metrize.verdict_isotropic(sp, rep)
 
 
 # -- verdict_constant -----------------------------------------------------------
@@ -497,7 +497,7 @@ def test_verdict_isotropic_rejects_nonisotropic() -> None:
 def test_verdict_constant_round_metric() -> None:
     m = metric_of(EQ3)
     sp = geometry.MetricSpray(m)
-    v = metrize.verdict_constant(sp, *classified(sp, 12))
+    v = metrize.verdict_constant(sp, classified(sp, 12))
     assert v.outcome == "metrizable_with_metric"
     assert v.rule == "L = Ric/(n-1)"
     L = v.recovered_metric
@@ -515,7 +515,7 @@ def test_eq3_spray_values() -> None:
 
 def test_verdict_constant_flat() -> None:
     sp = spray_of(FLAT)
-    v = metrize.verdict_constant(sp, *classified(sp, 8))
+    v = metrize.verdict_constant(sp, classified(sp, 8))
     assert v.outcome == "metrizable_locally"
     assert v.rule == "Ric vanishes on samples"
     assert v.recovered_metric is None
@@ -524,9 +524,9 @@ def test_verdict_constant_flat() -> None:
 
 def test_verdict_constant_rejects_nonconstant() -> None:
     sp = spray_of(ROTOR)
-    samples, triples = classified(sp, 8)
+    rep = classified(sp, 8)
     with pytest.raises(PreconditionError):
-        metrize.verdict_constant(sp, samples, triples)
+        metrize.verdict_constant(sp, rep)
 
 
 def test_berwald_flat_witness() -> None:
@@ -552,10 +552,10 @@ def test_berwald_flat_witness() -> None:
 
 def test_cubic_flat_with_torsion() -> None:
     sp = spray_of(CUBIC)
-    dec = classify.decompose_scalar(sp, PCUB)
+    dec = classify.decompose_scalar(geometry.CurvatureBundle(sp, PCUB, 4))
     assert abs(dec.R) <= 1e-10
     assert np.allclose(dec.tau, [-12.0, 12.0], atol=1e-9)
-    v = metrize.nonmetrizable_scalar(sp, *classified(sp, 12))
+    v = metrize.nonmetrizable_scalar(sp, classified(sp, 12))
     assert v.outcome == "not_metrizable"
     assert v.rule == "R = 0 but tau != 0"
     assert metrize.decide(sp, count=12).outcome == "not_metrizable"
@@ -570,7 +570,7 @@ def test_twist_fails_quotient_constancy() -> None:
     t = np.array([tau[i] / Rj for i in range(2)], dtype=object)
     cov = b.cov_h(t, ("d",))
     assert np.allclose(cov, TWIST_T_COV, atol=1e-9)
-    v = metrize.nonmetrizable_scalar(sp, *classified(sp, 12))
+    v = metrize.nonmetrizable_scalar(sp, classified(sp, 12))
     assert v.outcome == "not_metrizable"
     assert v.rule == "tau/R fails covariant-constancy or vertical symmetry"
     assert v.residual > 0.5
@@ -578,17 +578,17 @@ def test_twist_fails_quotient_constancy() -> None:
 
 def test_drift_stays_inconclusive() -> None:
     sp = spray_of(DRIFT)
-    dec = classify.decompose_scalar(sp, PC)
+    dec = classify.decompose_scalar(geometry.CurvatureBundle(sp, PC, 4))
     assert dec.R == pytest.approx(-2.0 * 0.8 * 0.6, abs=1e-10)
     assert np.allclose(dec.tau, [0.0, -1.6], atol=1e-10)
-    v = metrize.nonmetrizable_scalar(sp, *classified(sp, 12))
+    v = metrize.nonmetrizable_scalar(sp, classified(sp, 12))
     assert v.outcome == "inconclusive"
     assert metrize.decide(sp, count=12).outcome == "inconclusive"
 
 
 def test_degen_passes_scalar_tests() -> None:
     sp = spray_of(DEGEN)
-    v = metrize.nonmetrizable_scalar(sp, *classified(sp, 12))
+    v = metrize.nonmetrizable_scalar(sp, classified(sp, 12))
     assert v.outcome == "inconclusive"
 
 
@@ -596,15 +596,15 @@ def test_flat_scalar_op_is_inconclusive() -> None:
     # the op itself only ever fires negative rules; flatness is decided by
     # the constant-curvature path in decide()
     sp = spray_of(FLAT)
-    assert metrize.nonmetrizable_scalar(sp, *classified(sp, 8)).outcome == "inconclusive"
+    assert metrize.nonmetrizable_scalar(sp, classified(sp, 8)).outcome == "inconclusive"
     assert metrize.decide(spray_of(FLAT), count=8).outcome == "metrizable_locally"
 
 
 def test_scalar_op_rejects_nonscalar() -> None:
     sp = spray_of(NONSCALAR3)
-    samples, triples = classified(sp, 8)
+    rep = classified(sp, 8)
     with pytest.raises(PreconditionError):
-        metrize.nonmetrizable_scalar(sp, samples, triples)
+        metrize.nonmetrizable_scalar(sp, rep)
 
 
 @pytest.mark.parametrize("src, rule", [
@@ -673,6 +673,46 @@ def test_shift_evaluates_blocks(tally) -> None:
     assert tally["row_blocks"] == one_pass * 2
 
 
+def test_each_class_is_decided_once_per_classified_sample(monkeypatch) -> None:
+    # the verdicts, projective_shift and the structure check read the
+    # classification report's flags, so each per-sample class test runs
+    # once per classified sample, and each candidate metric is checked for
+    # being Finsler once, by the verdict that made it
+    from spraylab import cli
+
+    calls = {}
+    for name in ("is_isotropic", "is_constant", "is_berwald", "_proportional"):
+        calls[name] = 0
+
+        def counting(*args, _name=name, _fn=getattr(classify, name), **kw):
+            calls[_name] += 1
+            return _fn(*args, **kw)
+
+        monkeypatch.setattr(classify, name, counting)
+    checked = []  # holds the metrics alive, so their ids stay distinct
+    finsler = metrize.finsler_check
+
+    def counting_finsler(field_obj, *args, **kw):
+        checked.append(field_obj)
+        return finsler(field_obj, *args, **kw)
+
+    monkeypatch.setattr(metrize, "finsler_check", counting_finsler)
+
+    classified_samples = 0
+    for name in corpus.fixture_names():
+        report = cli.cmd_metrize(cli.RunConfig(input=name, seed=7))
+        assert not report.mismatches
+        classified_samples += report.data["sampling"]["used"]
+    for c in (0.0, 1.0):
+        # a metric per call: each call checks the metric it is given
+        metric = corpus.load_fixture("elliptic2").metric()
+        metrize.projective_shift(metric, c, count=16, seed=7)
+        classified_samples += sampling.draw(metric, count=16, seed=7).count
+
+    assert calls == dict.fromkeys(calls, classified_samples)
+    assert len({id(m) for m in checked}) == len(checked)
+
+
 def test_shift_round_metric_zero_speed() -> None:
     m = metric_of(EQ3)
     shifted, v = metrize.projective_shift(m, 0.0, count=12)
@@ -708,5 +748,5 @@ def test_cms_spray_survives_scalar_tests() -> None:
     # R != 0; its tau/R must pass both quotient tests (soundness)
     sp = spray_of(CMS19)
     box = sampling.SampleBox(-0.3, 0.5, 0.1, 1.0)
-    v = metrize.nonmetrizable_scalar(sp, *classified(sp, 8, box=box))
+    v = metrize.nonmetrizable_scalar(sp, classified(sp, 8, box=box))
     assert v.outcome == "inconclusive"

@@ -203,18 +203,18 @@ def test_round_trip_dimension_three() -> None:
 
 def test_structure_check_quadratic_family() -> None:
     sp = pflat.gen_spray(Q_EQ3)
-    chk = pflat.quadratic_structure_check(sp, *classified(sp, 8, seed=5))
+    chk = pflat.quadratic_structure_check(sp, classified(sp, 8, seed=5))
     assert chk.holds
     assert chk.residual <= 1e-8
 
     sp2 = pflat.gen_spray(Q_MIX)
-    chk2 = pflat.quadratic_structure_check(sp2, *classified(sp2, 8, seed=5))
+    chk2 = pflat.quadratic_structure_check(sp2, classified(sp2, 8, seed=5))
     assert chk2.holds
 
 
 def test_structure_check_linear_family() -> None:
     sp = pflat.gen_spray(Q_LIN)
-    chk = pflat.quadratic_structure_check(sp, *classified(sp, 8, seed=5))
+    chk = pflat.quadratic_structure_check(sp, classified(sp, 8, seed=5))
     assert chk.holds
     assert chk.residual <= 1e-8
 
@@ -222,7 +222,7 @@ def test_structure_check_linear_family() -> None:
 def test_structure_check_exponential_potential() -> None:
     # u = e^{x1}: the factor is -y1/2, every third derivative of u is e^{x1}
     sp = spray_of(EXPFAC)
-    chk = pflat.quadratic_structure_check(sp, *classified(sp, 8, seed=5))
+    chk = pflat.quadratic_structure_check(sp, classified(sp, 8, seed=5))
     assert not chk.holds
     assert chk.residual > 0.5
     v = metrize.decide(sp, count=8, seed=5)
@@ -235,9 +235,9 @@ def test_structure_check_preconditions() -> None:
     whirl = spray_of(WHIRL)
     drawn = classified(whirl, 6, seed=5)
     with pytest.raises(PreconditionError):
-        pflat.quadratic_structure_check(whirl, *drawn)
+        pflat.quadratic_structure_check(whirl, drawn)
     pform = spray_of(PFORM)
     drawn = classified(pform, 6, seed=5)
     with pytest.raises(PreconditionError):
         # proportional to y but the base form (x2, 0) has nonzero curl
-        pflat.quadratic_structure_check(pform, *drawn)
+        pflat.quadratic_structure_check(pform, drawn)
