@@ -27,14 +27,12 @@ from .sampling import TOL, SampleBox, SampleSet, Tolerances
 __all__ = [
     "Check",
     "ConstantCheck",
-    "ProjectiveFormCheck",
     "ScalarDecomposition",
     "ClassificationReport",
     "decompose_scalar",
     "is_isotropic",
     "is_constant",
     "is_berwald",
-    "is_projective_form",
     "projective_factor",
     "euler_residual",
     "projective_isotropy_residual",
@@ -56,14 +54,6 @@ class ConstantCheck(Check):
     max |Ric_{;i}| test, reported only when Ric != 0 at the point."""
 
     ric_residual: float | None
-
-
-@dataclass(frozen=True)
-class ProjectiveFormCheck(Check):
-    """`factor` is P with G^i = P y^i, recovered through the Euclidean
-    pairing of the chart; None when the proportionality fails."""
-
-    factor: float | None
 
 
 @dataclass(frozen=True)
@@ -147,24 +137,7 @@ def _proportional(Gv: np.ndarray, yv: np.ndarray, tol: Tolerances):
         for j in range(i + 1, n):
             worst = max(worst, abs(Gv[i] * yv[j] - Gv[j] * yv[i]))
     scale = max(1.0, float(np.max(np.abs(Gv))) * float(np.max(np.abs(yv))))
-    holds = tol.zero(worst, scale)
-    factor = float(Gv @ yv / (yv @ yv)) if holds else None
-    return holds, worst, factor
-
-
-def is_projective_form(spray, p, order: int = 2,
-                       tol: Tolerances = TOL) -> ProjectiveFormCheck:
-    """G^i proportional to y^i in the given chart (G^i = P y^i).
-
-    This is a chart-dependent statement: a coordinate change can create or
-    destroy the form, so the flag speaks only about the coordinates the
-    spray was written in.
-    """
-    pa = geometry._point_array(p, spray.dim)
-    G = spray.coeff_jets(pa, order)
-    Gv = np.array([g.value for g in G])
-    holds, worst, factor = _proportional(Gv, pa[spray.dim:], tol)
-    return ProjectiveFormCheck(holds=holds, residual=worst, factor=factor)
+    return tol.zero(worst, scale), worst
 
 
 def projective_factor(bundle):
@@ -210,7 +183,7 @@ def projective_isotropy_residual(b, tol: Tolerances = TOL) -> float:
     identity has no content then.
     """
     n = b.dim
-    holds, worst, _ = _proportional(b.G_values, b.yvals, tol)
+    holds, worst = _proportional(b.G_values, b.yvals, tol)
     if not holds:
         raise PreconditionError(
             "spray is not of the form G^i = P y^i in this chart (worst "
@@ -365,7 +338,7 @@ def classify_samples(spray, samples: SampleSet, order: int = 4,
         iso = is_isotropic(dec, bun, tol)
         con = is_constant(dec, bun, tol)
         ber = is_berwald(bun, tol=tol)
-        prop_holds, prop_res, _ = _proportional(bun.G_values, bun.yvals, tol)
+        prop_holds, prop_res = _proportional(bun.G_values, bun.yvals, tol)
 
         if con.holds and not tol.zero(bun.Ric_value, 1.0) and not iso.holds:
             raise SprayLabError(

@@ -165,10 +165,10 @@ def load_fixture(name: str) -> Fixture:
 
 def _expr_eval(dim: int, expr: str):
     """Evaluate a closed-form expression in the chart's 2n variables."""
-    node = dsl.parse(f"dim {dim}\nmetric L = {expr}\n").exprs[0]
+    tape = dsl.parse(f"dim {dim}\nmetric L = {expr}\n").tape
 
     def value(pt) -> float:
-        return float(dsl.evaluate(node, [float(v) for v in pt], dim=dim))
+        return float(dsl.evaluate(tape, [float(v) for v in pt], dim=dim)[0])
 
     return value
 

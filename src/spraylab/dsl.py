@@ -1,4 +1,4 @@
-"""Parser and evaluator for the .spray problem format.
+"""The .spray problem format: parse, compile to a tape, evaluate.
 
 A problem file is line oriented:
 
@@ -15,12 +15,24 @@ binding tighter than unary minus, parentheses, one-argument function calls
 '#' starts a comment. Constants are substituted at parse time, so a parsed
 tree contains only numbers, variables and operations; families of problems
 are swept by re-parsing with overrides, not by the tree.
+
+`parse` gives a `ProblemDef` of trees.  On first use the problem compiles
+its expressions, and separately its guards, into a `Tape`: one list of
+operations over all the roots, in which each distinct subtree is one slot
+(an evaluation procedure in the sense of Griewank and Walther, Evaluating
+Derivatives, 2nd ed., ch. 2).  `evaluate` runs a tape, or a bare tree, over
+floats, numpy arrays, point or block jets or the oracle's Taylor2; it is
+the one evaluator, and every value it gives has the bits a recursive walk
+of the tree would give.  `pretty` prints a tree back as text.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 from . import jets
@@ -95,8 +107,18 @@ class ProblemDef:
     name: str = ""
     consts: dict = field(default_factory=dict, compare=False)
 
+    @cached_property
+    def tape(self) -> "Tape":
+        """One tape over `exprs`, compiled on first use."""
+        return Tape(self.exprs, self.dim)
+
+    @cached_property
+    def guard_tape(self) -> "Tape":
+        """One tape over `guards`, compiled on first use."""
+        return Tape(self.guards, self.dim)
+
     def guard_values(self, point: Sequence[float]) -> list[float]:
-        return [evaluate(g, list(point), dim=self.dim) for g in self.guards]
+        return evaluate(self.guard_tape, list(point), dim=self.dim)
 
 
 class _Tokens:
@@ -333,19 +355,96 @@ def parse(text: str, consts: dict | None = None, name: str = "") -> ProblemDef:
     return ProblemDef(dim=dim, kind=kind, exprs=exprs, guards=tuple(guards), name=name, consts=resolved)
 
 
-def _var_value(name: str, env: Sequence, dim: int):
-    idx = int(name[1:]) - 1
-    return env[idx] if name[0] == "x" else env[dim + idx]
+class Tape:
+    """One evaluation procedure over the trees `roots`, in a chart of `dim`.
 
-
-def evaluate(node: Node, env: Sequence, dim: int | None = None):
-    """Evaluate a tree over any numeric environment (floats, arrays or jets).
-
-    `env` lists the 2n variable values as x1..xn, y1..yn; `dim` defaults to
-    len(env)//2.
+    Each distinct node gets one slot: numbers are keyed by `float.hex`, so
+    0.0 and -0.0 stay apart, variables by their env index, operations by
+    their function and operand slots, so a subtree that occurs many times
+    is one slot.  The ops are in the post-order of a recursive walk over
+    the roots in order (operands left to right, except that a real power
+    evaluates its exponent before its base), emitted at a node's first
+    occurrence; the first op that fails is the one a walk of the trees
+    would fail at first.  A real power u^e is lowered to exp(e * ln(u)).
+    Each op slot is freed after its last use unless it is an output.
     """
-    n = len(env) // 2 if dim is None else dim
-    return _eval(node, env, n)
+
+    def __init__(self, roots: Sequence[Node], dim: int):
+        self.dim = dim
+        self.consts: list = []  # slot -> number, None for the other slots
+        self.loads: list[tuple[int, int]] = []  # (slot, env index)
+        ops: list[tuple] = []  # (out, fn, a, b), b = -1 for a unary fn
+        slots: dict[tuple, int] = {}
+
+        def slot(key: tuple, value=None, op=None) -> int:
+            if key not in slots:
+                slots[key] = len(self.consts)
+                self.consts.append(value)
+                if op is not None:
+                    ops.append((slots[key],) + op)
+            return slots[key]
+
+        def op(fn, a: int, b: int = -1) -> int:
+            return slot((fn, a, b), op=(fn, a, b))
+
+        def walk(node: Node) -> int:
+            k = node.kind
+            if k == "num":
+                return slot(("num", float(node.value).hex()), node.value)
+            if k == "var":
+                idx = int(node.name[1:]) - 1 + (dim if node.name[0] == "y" else 0)
+                if ("var", idx) not in slots:
+                    self.loads.append((slot(("var", idx)), idx))
+                return slots[("var", idx)]
+            if k == "neg":
+                return op(operator.neg, walk(node.a))
+            if k in _BINARY:
+                a = walk(node.a)
+                return op(_BINARY[k], a, walk(node.b))
+            if k == "powi":
+                return op(jets.powi, walk(node.a), slot(("int", node.k), node.k))
+            if k == "pow":
+                e = walk(node.b)
+                return op(jets.exp, op(operator.mul, e, op(jets.ln, walk(node.a))))
+            if k == "call":
+                return op(_CALLS[node.name], walk(node.a))
+            raise ValueError(f"unknown node kind {k!r}")
+
+        self.outputs = tuple(walk(r) for r in roots)
+        last: dict[int, int] = {}  # slot -> index of the last op that reads it
+        for i, (_, _, a, b) in enumerate(ops):
+            last[a] = last[b] = i
+        freed = {out for out, *_ in ops} - set(self.outputs)
+        dead: list[list[int]] = [[] for _ in ops]
+        for s, i in last.items():
+            if s in freed:
+                dead[i].append(s)
+        self.ops = [o + (tuple(d),) for o, d in zip(ops, dead)]
+
+
+def evaluate(expr: "Node | Tape", env: Sequence, dim: int | None = None):
+    """Evaluate a tape, or one tree, over any numeric environment (floats,
+    arrays, point or block jets, or the oracle's Taylor2).
+
+    `env` lists the 2n variable values as x1..xn, y1..yn.  A tape gives the
+    list of its roots' values; a bare tree, compiled to a one-root tape in
+    a chart of `dim` (by default len(env)//2), gives its value.
+    """
+    if isinstance(expr, Tape):
+        tape = expr
+        if dim is not None and dim != tape.dim:
+            raise ValueError(f"a tape of dim {tape.dim} evaluated at dim {dim}")
+    else:
+        tape = Tape((expr,), len(env) // 2 if dim is None else dim)
+    vals = list(tape.consts)
+    for s, v in tape.loads:
+        vals[s] = env[v]
+    for out, fn, a, b, dead in tape.ops:
+        vals[out] = fn(vals[a]) if b < 0 else fn(vals[a], vals[b])
+        for s in dead:
+            vals[s] = None
+    outs = [vals[s] for s in tape.outputs]
+    return outs if tape is expr else outs[0]
 
 
 _CALLS = {
@@ -357,38 +456,27 @@ _CALLS = {
     "sin": jets.sin,
     "cos": jets.cos,
 }
-
-
-def _eval(node: Node, env: Sequence, dim: int):
-    k = node.kind
-    if k == "num":
-        return node.value
-    if k == "var":
-        return _var_value(node.name, env, dim)
-    if k == "neg":
-        return -_eval(node.a, env, dim)
-    if k == "add":
-        return _eval(node.a, env, dim) + _eval(node.b, env, dim)
-    if k == "sub":
-        return _eval(node.a, env, dim) - _eval(node.b, env, dim)
-    if k == "mul":
-        return _eval(node.a, env, dim) * _eval(node.b, env, dim)
-    if k == "div":
-        return _eval(node.a, env, dim) / _eval(node.b, env, dim)
-    if k == "powi":
-        return jets.powi(_eval(node.a, env, dim), node.k)
-    if k == "pow":
-        return jets.exp(_eval(node.b, env, dim) * jets.ln(_eval(node.a, env, dim)))
-    if k == "call":
-        return _CALLS[node.name](_eval(node.a, env, dim))
-    raise ValueError(f"unknown node kind {k!r}")
+_BINARY = {
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "div": operator.truediv,
+}
 
 
 _PREC = {"add": 1, "sub": 1, "mul": 2, "div": 2, "neg": 3, "pow": 4, "powi": 4}
 
 
 def pretty(node: Node) -> str:
-    """Canonical text form; parses back to an identical tree."""
+    """Canonical text form.
+
+    For a tree of finite numbers, parsing it back gives a tree with the
+    same value, bit for bit, at every point, though not always an identical
+    tree: a negative number prints in parentheses, `(-2)`, and parses back
+    as the negation of 2, which is exactly -2; and a real power with an
+    integral exponent, which `parse` never builds, parses back as an
+    integer power.
+    """
     return _fmt(node, 0)
 
 
@@ -396,7 +484,8 @@ def _fmt(node: Node, parent_prec: int) -> str:
     k = node.kind
     if k == "num":
         v = node.value
-        return repr(int(v)) if float(v).is_integer() and abs(v) < 1e15 else repr(v)
+        text = repr(int(abs(v))) if float(v).is_integer() and abs(v) < 1e15 else repr(abs(v))
+        return f"(-{text})" if math.copysign(1.0, v) < 0 else text
     if k == "var":
         return node.name
     if k == "call":

@@ -118,10 +118,8 @@ class ExprSpray:
     def coeff_jets(self, p, order: int) -> list:
         pa = _point_array(p, self.dim)
         env = _var_jets(self.dim, pa, order)
-        return [
-            _as_jet(dsl.evaluate(e, env, dim=self.dim), env[0])
-            for e in self.problem.exprs
-        ]
+        return [_as_jet(v, env[0])
+                for v in dsl.evaluate(self.problem.tape, env, dim=self.dim)]
 
     def guard_values(self, p) -> list[float]:
         return self.problem.guard_values(list(_point_array(p, self.dim)))
@@ -143,11 +141,11 @@ class ExprMetric:
     def jet(self, p, order: int):
         pa = _point_array(p, self.dim)
         env = _var_jets(self.dim, pa, order)
-        return _as_jet(dsl.evaluate(self.problem.exprs[0], env, dim=self.dim), env[0])
+        return _as_jet(dsl.evaluate(self.problem.tape, env, dim=self.dim)[0], env[0])
 
     def value(self, p) -> float:
         pa = _point_array(p, self.dim)
-        return float(dsl.evaluate(self.problem.exprs[0], list(pa), dim=self.dim))
+        return float(dsl.evaluate(self.problem.tape, list(pa), dim=self.dim)[0])
 
     def guard_values(self, p) -> list[float]:
         return self.problem.guard_values(list(_point_array(p, self.dim)))

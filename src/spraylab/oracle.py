@@ -159,10 +159,8 @@ class Taylor2:
 
 def _expr_batch(problem: dsl.ProblemDef, P: np.ndarray) -> np.ndarray:
     env = [P[:, v] for v in range(P.shape[1])]
-    cols = []
-    for e in problem.exprs:
-        out = dsl.evaluate(e, env, dim=problem.dim)
-        cols.append(np.broadcast_to(np.asarray(out, dtype=float), (P.shape[0],)))
+    cols = [np.broadcast_to(np.asarray(out, dtype=float), (P.shape[0],))
+            for out in dsl.evaluate(problem.tape, env, dim=problem.dim)]
     return np.stack(cols, axis=1)
 
 
@@ -170,14 +168,14 @@ def _metric_taylor(metric, P: np.ndarray) -> Taylor2:
     env = Taylor2.variables(P)
     if not isinstance(metric, ExprMetric):
         raise DomainError(f"no oracle route through metric type {type(metric).__name__}")
-    out = dsl.evaluate(metric.problem.exprs[0], env, dim=metric.dim)
+    out = dsl.evaluate(metric.problem.tape, env, dim=metric.dim)[0]
     return out if isinstance(out, Taylor2) else env[0]._lift(out)
 
 
 def _metric_values(metric, P: np.ndarray) -> np.ndarray:
     if isinstance(metric, ExprMetric):
         env = [P[:, v] for v in range(P.shape[1])]
-        out = dsl.evaluate(metric.problem.exprs[0], env, dim=metric.dim)
+        out = dsl.evaluate(metric.problem.tape, env, dim=metric.dim)[0]
         return np.broadcast_to(np.asarray(out, dtype=float), (P.shape[0],))
     return _metric_taylor(metric, P).val
 

@@ -219,21 +219,29 @@ def test_berwald() -> None:
     assert rot.residual > 0.01
 
 
-def test_projective_form() -> None:
-    whirl = classify.is_projective_form(spray_of(WHIRL), PW)
-    assert not whirl.holds
+def classified_at(src: str, p) -> classify.ClassificationReport:
+    """The classification of the spray at the one sample p."""
+    n = len(p) // 2
+    one = sampling.SampleSet(np.array([p[:n]], dtype=float),
+                             np.array([[p[n:]]], dtype=float))
+    return classify.classify_samples(spray_of(src), one)
 
-    flat = classify.is_projective_form(spray_of(FLAT), PROT)
-    assert flat.holds
-    assert flat.factor == pytest.approx(0.0, abs=1e-12)
+
+def test_projective_form() -> None:
+    assert not classified_at(WHIRL, PW).flags["projective_form"]
+
+    flat = classified_at(FLAT, PROT)
+    assert flat.flags["projective_form"]
+    assert classify.projective_factor(flat.triples[0][1]).value == pytest.approx(
+        0.0, abs=1e-12)
 
     p = (0.3, -0.2, 0.7, 0.5)
-    proj = classify.is_projective_form(spray_of(PROJ), p)
-    assert proj.holds
-    assert proj.factor == pytest.approx(0.3 * 0.7 - 0.2 * 0.5, rel=1e-12)
+    proj = classified_at(PROJ, p)
+    assert proj.flags["projective_form"]
+    assert classify.projective_factor(proj.triples[0][1]).value == pytest.approx(
+        0.3 * 0.7 - 0.2 * 0.5, rel=1e-12)
 
-    rot = classify.is_projective_form(spray_of(ROTOR), PROT)
-    assert not rot.holds
+    assert not classified_at(ROTOR, PROT).flags["projective_form"]
 
 
 # G^i = P y^i with P = x2*y1: the factor pairs a non-closed form with y, so

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+from collections import Counter
+
+import numpy as np
 import pytest
 
-from spraylab import dsl, jets
+from spraylab import dsl, jets, pflat
 from spraylab.errors import (
     ArityError,
     DimensionError,
@@ -129,3 +132,132 @@ def test_metric_kind() -> None:
 def test_scientific_notation_and_comments() -> None:
     pd = dsl.parse("dim 1  # header comment\n# full line\nspray G1 = 2.5e-1 * y1^2\n")
     assert dsl.evaluate(pd.exprs[0], [0.0, 2.0]) == pytest.approx(1.0)
+
+
+def test_pretty_parenthesizes_negative_numbers() -> None:
+    pd = dsl.parse("dim 1\nconst a = -2\nmetric L = a^2*y1^2 + x1*a\n")
+    text = dsl.pretty_problem(pd)
+    assert "(-2)^2" in text and "x1*(-2)" in text
+    again = dsl.parse(text).exprs[0]
+    assert dsl.evaluate(again, [0.5, 1.0]) == dsl.evaluate(pd.exprs[0], [0.5, 1.0]) == 3.0
+    assert dsl.pretty(dsl.num(-0.0)) == "(-0)"
+    assert str(dsl.evaluate(dsl.parse("dim 1\nmetric L = (-0)\n").exprs[0], [0.0, 1.0])) == "-0.0"
+
+
+# two failing subtrees: ln(x1 - 1) fails at x1 = 0 and sqrt(x2 - 1) at
+# x2 = 0; a real power evaluates its exponent before its base
+TWO_FAILURES = """\
+dim 2
+spray G1 = ln(x1 - 1)^sqrt(x2 - 1)
+spray G2 = ln(x1 - 1) + y1^sqrt(x2 - 1)
+"""
+
+
+@pytest.mark.parametrize("order", [None, 2])
+def test_the_first_failing_op_decides_the_error(order) -> None:
+    pd = dsl.parse(TWO_FAILURES)
+    p = (0.0, 0.0, 0.6, 0.8)
+    if order is None:
+        env, sqrt_error, ln_error = list(p), r"^sqrt\(-1\.0\)$", r"^ln\(-1\.0\)$"
+    else:
+        sp = jets.space(4, order)
+        env = [sp.variable(v, p) for v in range(4)]
+        sqrt_error, ln_error = "^sqrt of jet", "^ln of jet"
+    g1, g2 = pd.exprs
+    with pytest.raises(DomainError, match=sqrt_error):
+        dsl.evaluate(g1, env)
+    with pytest.raises(DomainError, match=ln_error):
+        dsl.evaluate(g2, env)
+    # shared subtrees do not move the error: it is the first root's
+    with pytest.raises(DomainError, match=sqrt_error):
+        dsl.evaluate(pd.tape, env)
+    with pytest.raises(DomainError, match=ln_error):
+        dsl.evaluate(dsl.Tape((g2, g1), 2), env)
+
+
+def test_a_tape_gives_its_roots_in_order() -> None:
+    pd = dsl.parse(EX_SPRAY)
+    env = [0.0, 0.0, 3.0, 4.0]
+    assert dsl.evaluate(pd.tape, env) == [dsl.evaluate(e, env) for e in pd.exprs]
+    assert dsl.evaluate(pd.guard_tape, env) == pd.guard_values(env) == [24.75]
+    assert dsl.evaluate(dsl.Tape((), 2), env) == []
+    with pytest.raises(ValueError):
+        dsl.evaluate(pd.tape, env + [0.0, 0.0], dim=3)
+
+
+def test_signed_zeros_are_distinct_numbers() -> None:
+    zero, minus_zero = dsl.num(0.0), dsl.num(-0.0)
+    tape = dsl.Tape((zero, minus_zero, dsl.mul(zero, dsl.var("y1"))), 1)
+    got = dsl.evaluate(tape, [1.0, -2.0])
+    assert [str(v) for v in got] == ["0.0", "-0.0", "-0.0"]
+
+
+class Symbol:
+    """A value that records each operation run on it, keyed by what it
+    computes, so an operation run twice on the same operands shows."""
+
+    def __init__(self, key, runs):
+        self.key, self.runs = key, runs
+
+    def _op(self, name, *args):
+        key = (name,) + tuple(a.key if isinstance(a, Symbol) else float(a).hex()
+                              for a in args)
+        self.runs[key] += 1
+        return Symbol(key, self.runs)
+
+    def __add__(self, o): return self._op("add", self, o)
+    def __radd__(self, o): return self._op("add", o, self)
+    def __sub__(self, o): return self._op("sub", self, o)
+    def __rsub__(self, o): return self._op("sub", o, self)
+    def __mul__(self, o): return self._op("mul", self, o)
+    def __rmul__(self, o): return self._op("mul", o, self)
+    def __truediv__(self, o): return self._op("div", self, o)
+    def __rtruediv__(self, o): return self._op("div", o, self)
+    def __neg__(self): return self._op("neg", self)
+    def exp(self): return self._op("exp", self)
+    def ln(self): return self._op("ln", self)
+    def sqrt(self): return self._op("sqrt", self)
+
+
+def _op_subtrees(node, into: set, count: list) -> tuple:
+    """(structural key, whether a variable occurs) of `node`; adds the keys
+    of its operation subtrees over variables to `into` and counts them,
+    with repeats, in count[0].  Operations on numbers alone run on floats,
+    which a Symbol does not see."""
+    if node.kind == "num":
+        return ("num", node.value.hex()), False
+    if node.kind == "var":
+        return ("var", node.name), True
+    kids = [_op_subtrees(c, into, count) for c in (node.a, node.b) if c is not None]
+    key = (node.kind, node.name, node.k) + tuple(k for k, _ in kids)
+    if any(v for _, v in kids):
+        into.add(key)
+        count[0] += 1
+        return key, True
+    return key, False
+
+
+def test_gen_pflat_spray_runs_each_distinct_op_once(monkeypatch) -> None:
+    runs: Counter = Counter()
+    real_powi = jets.powi
+
+    def powi(u, k):
+        return u._op(f"powi{k}", u) if isinstance(u, Symbol) else real_powi(u, k)
+
+    # the tape binds jets.powi when it is compiled, on first use
+    monkeypatch.setattr(jets, "powi", powi)
+    A = np.eye(4) + 0.05 * np.array([[0, 1, 2, 0], [1, 0, -1, 3],
+                                     [2, -1, 0, 1], [0, 3, 1, 0]])
+    q = pflat.QuadraticData(A=A, B=(0.1, -0.05, 0.0, 0.07), C=1.0)
+    problem = pflat.gen_spray(q).problem
+    env = [Symbol(("var", f"{c}{i}"), runs) for c in "xy" for i in range(1, 5)]
+    out = dsl.evaluate(problem.tape, env)
+    assert len(out) == 4
+    distinct: set = set()
+    total = [0]
+    for e in problem.exprs:
+        _op_subtrees(e, distinct, total)
+    assert max(runs.values()) == 1
+    assert sum(runs.values()) == len(distinct)
+    # U and V repeat in each of the four coefficients
+    assert 3 * len(distinct) < total[0]

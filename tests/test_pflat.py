@@ -156,7 +156,8 @@ def test_round_trip_mixed_instance() -> None:
     sp = pflat.gen_spray(Q_MIX)
     m = pflat.gen_metric(Q_MIX)
     samples = sampling.draw(sp, 6, 11, None)
-    for pt in samples.points():
+    rep = classify.classify_samples(sp, samples)
+    for pt, flags in zip(samples.points(), rep.per_point):
         b = geometry.CurvatureBundle(sp, pt)
         G_ind = geometry.spray_from_metric(m, pt, 0)
         scale = max(1.0, float(np.max(np.abs(b.G_values))))
@@ -165,7 +166,7 @@ def test_round_trip_mixed_instance() -> None:
         assert worst <= 1e-8 * scale
         assert b.Ric_value == pytest.approx(m.value(pt), rel=1e-8)
         assert classify.is_berwald(b).holds
-        assert classify.is_projective_form(sp, pt).holds
+        assert flags["projective_form"]
         dec = classify.decompose_scalar(b)
         assert classify.is_constant(dec, b).holds
         assert classify.projective_isotropy_residual(b) <= 1e-8

@@ -35,16 +35,25 @@ series there returns its value coefficient as it is, while above it the
 value is added to the +0.0 a product sum starts from, so atan at a value
 of -0.0 gives -0.0 at order 0 and +0.0 above.  The random DSL trees use
 all seven functions, division, integer powers and non-integer powers.
+
+The tape tests check that sharing changes no bit: one `dsl.Tape` over
+roots with repeated subtrees gives each root the bytes of that root's own
+tape, over floats, arrays, point and block jets and `oracle.Taylor2`, and
+when a root fails, the first failing root raises the same error.  The
+round-trip test checks that `pretty` text parses back to a tree with the
+same float bits, negative numbers and -0.0 included.
 """
 
 from __future__ import annotations
+
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from spraylab import classify, corpus, dsl, geometry, jets, sampling
+from spraylab import classify, corpus, dsl, geometry, jets, oracle, sampling
 from spraylab.errors import DomainError
 from spraylab.geometry import CurvatureBundle
 
@@ -275,10 +284,10 @@ def test_block_multiply_taller_than_one_chunk_equals_point_multiplies(shape, dat
 # -- prefix property of truncation --------------------------------------------
 
 
-def dsl_trees():
+def dsl_trees(numbers=st.integers(-14, 14).map(lambda k: k / 7)):
     """Random expression trees in the variables of a dim-2 chart."""
     leaves = st.one_of(
-        st.integers(-14, 14).map(lambda k: dsl.num(k / 7)),
+        numbers.map(dsl.num),
         st.sampled_from(["x1", "x2", "y1", "y2"]).map(dsl.var))
 
     def extend(children):
@@ -387,3 +396,85 @@ def test_order_4_bundles_truncate_to_order_3_bundles_bytewise(name) -> None:
         assert len(pairs) == spray.dim * (1 + 2 * spray.dim) + 1
         for high, low in pairs:
             assert same_bytes(high, low), (name, pt)
+
+
+# -- the expression tape -------------------------------------------------------
+
+
+@st.composite
+def shared_roots(draw):
+    """Roots built from a few random trees, so that subtrees repeat within
+    a root and across roots, and some roots repeat whole."""
+    trees = draw(st.lists(dsl_trees(), min_size=1, max_size=3))
+    pick = st.sampled_from(trees)
+    binary = st.sampled_from([dsl.add, dsl.sub, dsl.mul, dsl.div])
+    root = st.one_of(
+        pick,
+        st.tuples(binary, pick, pick).map(lambda t: t[0](t[1], t[2])),
+        st.tuples(st.sampled_from(dsl.FUNCTIONS), pick).map(lambda t: dsl.call(*t)),
+        pick.map(lambda t: dsl.Node("pow", a=dsl.mul(t, t), b=t)))
+    return draw(st.lists(root, min_size=2, max_size=6))
+
+
+def environments(kind: str, center):
+    """The variable values of a chart point or block, as `kind`."""
+    if kind == "floats":
+        return [float(v) for v in center[0]]
+    if kind == "arrays":
+        return [center[:, v].copy() for v in range(4)]
+    if kind == "taylor2":
+        return oracle.Taylor2.variables(center)
+    sp = jets.space(4, 3)
+    at = tuple(center[0]) if kind == "point jets" else center
+    return [sp.variable(v, at) for v in range(4)]
+
+
+def value_bytes(v) -> bytes:
+    if isinstance(v, jets.Jet):
+        return v.coeffs.tobytes()
+    if isinstance(v, oracle.Taylor2):
+        return v.val.tobytes() + v.grad.tobytes() + v.hess.tobytes()
+    if isinstance(v, np.ndarray):
+        return v.tobytes()
+    return struct.pack("<d", v)
+
+
+def outcome(fn):
+    """The bytes of each value fn returns, or the error it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            return [value_bytes(v) for v in fn()]
+    except (DomainError, ArithmeticError, ValueError) as exc:
+        return (type(exc), str(exc))
+
+
+TAPE_ENVS = ["floats", "arrays", "point jets", "block jets", "taylor2"]
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(shared_roots(), st.sampled_from(TAPE_ENVS),
+       st.lists(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+                min_size=1, max_size=3))
+def test_one_tape_gives_each_root_the_bytes_of_its_own_tape(roots, kind, rows) -> None:
+    center = np.array(rows)
+    env = environments(kind, center)
+    shared = outcome(lambda: dsl.evaluate(dsl.Tape(roots, 2), env))
+    # root by root, in order: the first root that fails decides the error
+    alone = outcome(lambda: [dsl.evaluate(dsl.Tape((r,), 2), env)[0] for r in roots])
+    assert shared == alone
+
+
+# dsl_trees' numbers plus negative numbers of every size, -0.0 among them
+SIGNED_NUMBERS = st.one_of(
+    st.integers(-14, 14).map(lambda k: k / 7),
+    st.floats(max_value=-0.0, allow_nan=False, allow_infinity=False))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(dsl_trees(SIGNED_NUMBERS),
+       st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+def test_pretty_text_parses_back_to_the_same_float_bits(tree, point) -> None:
+    text = dsl.pretty(tree)
+    again = dsl.parse(f"dim 2\nmetric L = {text}\n").exprs[0]
+    assert (outcome(lambda: [dsl.evaluate(again, point)])
+            == outcome(lambda: [dsl.evaluate(tree, point)])), text
