@@ -155,13 +155,12 @@ def projective_factor(bundle):
     return num / den
 
 
-def euler_residual(bundle, S, degree: int) -> float:
+def euler_residual(S, degree: int) -> float:
     """Defect of y^i S_.i = degree * S through all jet coefficients.
 
-    Only `bundle.dim` is read, so any spray, metric or bundle of the right
-    dimension serves as the first argument.
+    S is a jet in the 2n variables (x, y) of TM.
     """
-    n = bundle.dim
+    n = S.space.nvars // 2
     acc = (-float(degree)) * S
     for i in range(n):
         yj = S.space.variable(n + i, S.center)

@@ -19,6 +19,7 @@ Exit codes: 0 ok; 1 parse or configuration error; 2 sampling exhausted;
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import classify, corpus, dsl, geometry, metrize, oracle, pflat, sampling
 from .errors import ParamError, SamplingError, SprayLabError, UnknownFixture
-from .sampling import SampleBox, SampleSet, Tolerances
+from .sampling import TOL, SampleBox, SampleSet, Tolerances
 # bound here as well so that perfbench's tracer, which patches every
 # spraylab module holding sample_points by name, covers this module too
 from .sampling import sample_points  # noqa: F401
@@ -64,11 +65,11 @@ class RunConfig:
     points: int = 64
     seed: int = 7
     order: int = 4
-    tol_abs: float = 1e-8
-    tol_rel: float = 1e-6
+    tol_abs: float = TOL.abs
+    tol_rel: float = TOL.rel
     fd_step: float = 1e-3
     out: str = ""
-    box: tuple = (-0.8, 0.8, -1.0, 1.0)
+    box: tuple = dataclasses.astuple(SampleBox())
     consts: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -280,13 +281,15 @@ def _decision(spray, cfg: RunConfig, box: SampleBox, tol: Tolerances):
     }
 
 
-def _flag_lines(rep) -> list:
+def _flag_lines(rep, verdict) -> list:
+    """One line per classification flag, then the verdict's line."""
     out = []
     for flag, value in rep.flags.items():
         res = rep.residuals.get(flag)
         shown = "   -" if res is None or not np.isfinite(res) else f"{res:.2e}"
         out.append(f"  {flag:<16} {str(bool(value)).lower():<5} "
                    f"residual {shown}")
+    out.append(f"  verdict          {verdict.outcome} ({verdict.rule})")
     return out
 
 
@@ -320,9 +323,7 @@ def _decide_command(command: str, headline, cfg: RunConfig,
 def _classify_lines(name: str, spray, cfg: RunConfig, rep, verdict) -> list:
     human = [f"classify {name}: dim {spray.dim}, {rep.samples.count} points "
              f"(seed {cfg.seed}, {rep.samples.rejected} rejected)"]
-    human += _flag_lines(rep)
-    human.append(f"  verdict          {verdict.outcome} ({verdict.rule})")
-    return human
+    return human + _flag_lines(rep, verdict)
 
 
 def _metrize_lines(name: str, spray, cfg: RunConfig, rep, verdict) -> list:
@@ -398,8 +399,7 @@ def cmd_gen_pflat(q: pflat.QuadraticData, cfg: RunConfig,
     else:
         human.append("  round trip skipped: the pair is not admissible, the "
                      "metric side is degenerate")
-    human += _flag_lines(rep)
-    human.append(f"  verdict          {verdict.outcome} ({verdict.rule})")
+    human += _flag_lines(rep, verdict)
     return Report(data=_jsonable(data), human=tuple(human))
 
 
@@ -445,19 +445,20 @@ def cmd_oracle(cfg: RunConfig, box_flagged: bool = False) -> Report:
 def _add_common(sub: argparse.ArgumentParser, with_input: bool = True) -> None:
     if with_input:
         sub.add_argument("input", help=".spray file path or fixture name")
-    sub.add_argument("--points", type=int, default=64,
-                     help="sample count (default 64)")
+    sub.add_argument("--points", type=int, default=RunConfig.points,
+                     help=f"sample count (default {RunConfig.points})")
     sub.add_argument("--seed", type=int, default=None,
-                     help="sampling seed (default 7, or SPRAYLAB_SEED)")
-    sub.add_argument("--order", type=int, default=4,
+                     help=f"sampling seed (default {RunConfig.seed}, or SPRAYLAB_SEED)")
+    sub.add_argument("--order", type=int, default=RunConfig.order,
                      help=f"jet truncation order, at least {MIN_ORDER} "
-                          "(default 4)")
-    sub.add_argument("--tol-abs", type=float, default=1e-8)
-    sub.add_argument("--tol-rel", type=float, default=1e-6)
-    sub.add_argument("--fd-step", type=float, default=1e-3)
+                          f"(default {RunConfig.order})")
+    sub.add_argument("--tol-abs", type=float, default=RunConfig.tol_abs)
+    sub.add_argument("--tol-rel", type=float, default=RunConfig.tol_rel)
+    sub.add_argument("--fd-step", type=float, default=RunConfig.fd_step)
     sub.add_argument("--box", type=float, nargs=4, default=None,
                      metavar=("XLO", "XHI", "YLO", "YHI"),
-                     help="sample box (default -0.8 0.8 -1 1)")
+                     help="sample box (default "
+                          f"{' '.join(f'{v:g}' for v in RunConfig.box)})")
     sub.add_argument("--const", action="append", default=[],
                      metavar="NAME=VALUE",
                      help="override a const declared in the source")
@@ -482,7 +483,7 @@ def _config(args, input_value: str = "") -> RunConfig:
     seed = args.seed
     if seed is None:
         try:
-            seed = int(os.environ.get("SPRAYLAB_SEED", "7"))
+            seed = int(os.environ.get("SPRAYLAB_SEED", RunConfig.seed))
         except ValueError:
             raise ParamError("SPRAYLAB_SEED must be an integer")
     return RunConfig(
@@ -494,7 +495,7 @@ def _config(args, input_value: str = "") -> RunConfig:
         tol_rel=args.tol_rel,
         fd_step=args.fd_step,
         out=args.out,
-        box=tuple(args.box) if args.box else (-0.8, 0.8, -1.0, 1.0),
+        box=tuple(args.box) if args.box else RunConfig.box,
         consts=_parse_consts(args.const),
     )
 

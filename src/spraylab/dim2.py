@@ -121,7 +121,7 @@ def angle_derivative(S, metric, p, tol: Tolerances = TOL):
     direction); then F S_{.i} is proportional to m_i and the returned jet
     is the proportionality factor S'(theta).  Apply twice for S''(theta).
     """
-    defect = classify.euler_residual(metric, S, 0)
+    defect = classify.euler_residual(S, 0)
     if not tol.zero(defect, max(1.0, abs(S.value))):
         raise PreconditionError(
             f"scalar is not 0-homogeneous in y (defect {defect:.3e}); "

@@ -134,6 +134,8 @@ class _Tokens:
             col = m.start(m.lastgroup) + 1
             if m.lastgroup == "bad":
                 raise SpraySyntaxError(line, col, "a token", m.group("bad"))
+            if m.lastgroup == "num" and not math.isfinite(float(m.group("num"))):
+                raise SpraySyntaxError(line, col, "a number within float range", m.group("num"))
             self.toks.append((m.lastgroup, m.group(m.lastgroup), col))
         self.i = 0
 
@@ -253,6 +255,9 @@ class _ExprParser:
 def parse(text: str, consts: dict | None = None, name: str = "") -> ProblemDef:
     """Parse .spray source. `consts` overrides file-level const declarations."""
     overrides = dict(consts or {})
+    bad = sorted(k for k, v in overrides.items() if not math.isfinite(v))
+    if bad:
+        raise ParamError(f"const override for {', '.join(bad)} is not a finite number")
     decl: dict[str, float] = {}
     dim = 0
     sprays: dict[int, Node] = {}

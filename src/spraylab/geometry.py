@@ -360,9 +360,6 @@ class CurvatureBundle:
         rows = [self.spray.coeff_jets(pa, self.order) for pa in self._pa]
         return [jets.stack(col, self._pa) for col in zip(*rows)]
 
-    def constant(self, v: float):
-        return self.G[0].space.constant(float(v), self.G[0].center)
-
     @_per_row
     def N(self) -> list:
         return [[Gi.dy(j) for j in range(self.dim)] for Gi in self.G]

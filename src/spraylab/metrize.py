@@ -21,6 +21,9 @@ against the input spray (non-degenerate Hessian, covariant constancy,
 induced-spray match; the Finsler check is the one the verdict made on
 the same metric).  Recovery never fabricates: the locally-metrizable
 outcomes are existence statements and carry no metric.
+
+The outcomes the routes share are built once each: `_vanishing`,
+`_not_finsler`, and `_certified`, the one tail of every recovered metric.
 """
 
 from __future__ import annotations
@@ -96,7 +99,7 @@ def finsler_check(field_obj, samples: SampleSet,
     holds = True
     for pt in samples.points():
         S = field_obj.jet(pt, 2)
-        e = classify.euler_residual(field_obj, S, 2)
+        e = classify.euler_residual(S, 2)
         worst_euler = max(worst_euler, e)
         H = np.array([[0.5 * S.dy(i).dy(j).value for j in range(n)]
                       for i in range(n)])
@@ -307,15 +310,6 @@ class ScaledCurvatureMetric:
 # -- shared plumbing -----------------------------------------------------------
 
 
-_OUT_OF_SCOPE_NOTE = ("the spray is not of scalar curvature, which puts it "
-                      "outside what these decision procedures can settle")
-
-
-def _zero_note(samples: SampleSet) -> str:
-    return (f"zero was judged by the max over {samples.count} samples; "
-            "pointwise evaluation cannot certify identical vanishing")
-
-
 def metric_spray_residuals(L, triples, parallel: bool = True):
     """Compare a metric with a spray at each (point, bundle, _) triple.
 
@@ -385,8 +379,38 @@ def lambda_field(spray, samples: SampleSet, order: int,
         sampling.guards_hold(spray, np.concatenate([x, y_ref]))))
 
 
-def _finsler_failure(fc: FinslerCheck, tol: Tolerances) -> float:
-    return fc.rank_ratio if fc.rank_ratio < tol.rank else fc.euler_residual
+def _vanishing(samples: SampleSet, rule: str, key: str,
+               max_value: float) -> Verdict:
+    """metrizable_locally: an existence statement, so it has no metric."""
+    note = (f"zero was judged by the max over {samples.count} samples; "
+            "pointwise evaluation cannot certify identical vanishing")
+    return Verdict("metrizable_locally", rule, max_value, bases=samples.bases,
+                   evidence={key: max_value, "note": note})
+
+
+def _not_finsler(samples: SampleSet, rule: str, fc: FinslerCheck,
+                 tol: Tolerances) -> Verdict:
+    """not_metrizable: the only candidate metric failed `finsler_check`."""
+    residual = fc.rank_ratio if fc.rank_ratio < tol.rank else fc.euler_residual
+    return Verdict("not_metrizable", rule, residual, bases=samples.bases,
+                   evidence={"finsler_euler": fc.euler_residual,
+                             "finsler_rank_ratio": fc.rank_ratio})
+
+
+def _certified(L, report: classify.ClassificationReport, fc: FinslerCheck,
+               tol: Tolerances, rule: str, omega: np.ndarray | None = None,
+               **evidence) -> Verdict:
+    """metrizable_with_metric under `rule` if L passes `_certify`, else
+    inconclusive with neither metric nor omega; the evidence is
+    `_certify`'s plus `evidence` either way."""
+    ok, ev, worst = _certify(L, report, fc, tol)
+    ev.update(evidence)
+    if not ok:
+        return Verdict("inconclusive",
+                       "recovered metric failed re-verification", worst,
+                       bases=report.bases, evidence=ev)
+    return Verdict("metrizable_with_metric", rule, worst, recovered_metric=L,
+                   omega=omega, bases=report.bases, evidence=ev)
 
 
 # -- decision procedures -------------------------------------------------------
@@ -420,19 +444,14 @@ def verdict_isotropic(spray, report: classify.ClassificationReport,
 
     max_R = max(abs(dec.R) for _, _, dec in triples)
     if tol.zero(max_R, 1.0):
-        return Verdict("metrizable_locally", "R vanishes on samples", max_R,
-                       bases=samples.bases,
-                       evidence={"max_R": max_R, "note": _zero_note(samples)})
+        return _vanishing(samples, "R vanishes on samples", "max_R", max_R)
 
     # the metric candidates read the classification's bundles
     known = [b for _, b, _ in triples]
     R = CurvatureMetric(spray, bundles=known)
     fc = finsler_check(R, samples, tol)
     if not fc.holds:
-        return Verdict("not_metrizable", "R is not a Finsler metric",
-                       _finsler_failure(fc, tol), bases=samples.bases,
-                       evidence={"finsler_euler": fc.euler_residual,
-                                 "finsler_rank_ratio": fc.rank_ratio})
+        return _not_finsler(samples, "R is not a Finsler metric", fc, tol)
 
     # the omega stage: jets of delta_i R / R at every sample whose R value
     # is safely divisible
@@ -453,35 +472,25 @@ def verdict_isotropic(spray, report: classify.ClassificationReport,
                 y_dep = max(y_dep, abs(om[a].dy(j).value))
             for j in range(a + 1, n):
                 curl = max(curl, abs(om[a].dx(j).value - om[j].dx(a).value))
+    # per base: the spread of omega across its tangents, and their mean
+    base_omega = np.empty((samples.bases.shape[0], n))
     for bidx in range(samples.bases.shape[0]):
         blk = om_vals[bidx * m:(bidx + 1) * m]
         blk = blk[~np.isnan(blk).any(axis=1)]
         if blk.shape[0] >= 2:
             y_dep = max(y_dep, float(np.max(blk.max(axis=0) - blk.min(axis=0))))
-
-    if not tol.zero(y_dep, om_scale):
-        return Verdict("not_metrizable", "omega y-dependent", y_dep,
-                       bases=samples.bases, evidence={"omega_spread": y_dep})
-    if not tol.zero(curl, om_scale):
-        return Verdict("not_metrizable", "omega not closed", curl,
-                       bases=samples.bases, evidence={"omega_curl": curl})
-
-    base_omega = np.empty((samples.bases.shape[0], n))
-    for bidx in range(samples.bases.shape[0]):
-        blk = om_vals[bidx * m:(bidx + 1) * m]
-        blk = blk[~np.isnan(blk).any(axis=1)]
         base_omega[bidx] = blk.mean(axis=0) if blk.shape[0] else np.nan
+
+    for rule, key, worst in (("omega y-dependent", "omega_spread", y_dep),
+                             ("omega not closed", "omega_curl", curl)):
+        if not tol.zero(worst, om_scale):
+            return Verdict("not_metrizable", rule, worst, bases=samples.bases,
+                           evidence={key: worst})
 
     max_om = float(np.nanmax(np.abs(om_vals)))
     if tol.zero(max_om, 1.0):
-        ok, ev, worst = _certify(R, report, fc, tol)
-        if not ok:
-            return Verdict("inconclusive",
-                           "recovered metric failed re-verification", worst,
-                           bases=samples.bases, evidence=ev)
-        return Verdict("metrizable_with_metric", "omega vanishes; L = R",
-                       worst, recovered_metric=R, omega=base_omega,
-                       bases=samples.bases, evidence=ev)
+        return _certified(R, report, fc, tol, "omega vanishes; L = R",
+                          omega=base_omega)
 
     if n >= 3:
         # a nonzero closed omega cannot be integrated into a metric above
@@ -501,15 +510,9 @@ def verdict_isotropic(spray, report: classify.ClassificationReport,
 
     lam = lambda_field(spray, samples, 3, omega_at)
     L = ScaledCurvatureMetric(spray, lam, bundles=known)
-    ok, ev, worst = _certify(L, report, finsler_check(L, samples, tol), tol)
-    ev["lambda"] = lam
-    if not ok:
-        return Verdict("inconclusive",
-                       "recovered metric failed re-verification", worst,
-                       bases=samples.bases, evidence=ev)
-    return Verdict("metrizable_with_metric", "omega exact; L = R/lambda",
-                   worst, recovered_metric=L, omega=base_omega,
-                   bases=samples.bases, evidence=ev)
+    return _certified(L, report, finsler_check(L, samples, tol), tol,
+                      "omega exact; L = R/lambda", omega=base_omega,
+                      **{"lambda": lam})
 
 
 def verdict_constant(spray, report: classify.ClassificationReport,
@@ -526,25 +529,14 @@ def verdict_constant(spray, report: classify.ClassificationReport,
 
     max_ric = max(abs(b.Ric_value) for _, b, _ in triples)
     if tol.zero(max_ric, 1.0):
-        return Verdict("metrizable_locally", "Ric vanishes on samples",
-                       max_ric, bases=samples.bases,
-                       evidence={"max_Ric": max_ric,
-                                 "note": _zero_note(samples)})
+        return _vanishing(samples, "Ric vanishes on samples", "max_Ric",
+                          max_ric)
 
     L = CurvatureMetric(spray, bundles=[b for _, b, _ in triples])
     fc = finsler_check(L, samples, tol)
     if not fc.holds:
-        return Verdict("not_metrizable", "Ric is not a Finsler metric",
-                       _finsler_failure(fc, tol), bases=samples.bases,
-                       evidence={"finsler_euler": fc.euler_residual,
-                                 "finsler_rank_ratio": fc.rank_ratio})
-    ok, ev, worst = _certify(L, report, fc, tol)
-    if not ok:
-        return Verdict("inconclusive",
-                       "recovered metric failed re-verification", worst,
-                       bases=samples.bases, evidence=ev)
-    return Verdict("metrizable_with_metric", "L = Ric/(n-1)", worst,
-                   recovered_metric=L, bases=samples.bases, evidence=ev)
+        return _not_finsler(samples, "Ric is not a Finsler metric", fc, tol)
+    return _certified(L, report, fc, tol, "L = Ric/(n-1)")
 
 
 def nonmetrizable_scalar(spray, report: classify.ClassificationReport,
@@ -564,16 +556,18 @@ def nonmetrizable_scalar(spray, report: classify.ClassificationReport,
 
     max_R = max(abs(dec.R) for _, _, dec in triples)
     max_tau = max(float(np.max(np.abs(dec.tau))) for _, _, dec in triples)
-    inconclusive_rule = ("scalar non-metrizability tests passed; "
-                         "the conditions are sufficient only")
+
+    def decided(fired: bool, rule: str, residual: float, **evidence):
+        # a rule that fires is decisive; one that passes leaves it open
+        if not fired:
+            rule = ("scalar non-metrizability tests passed; "
+                    "the conditions are sufficient only")
+        return Verdict("not_metrizable" if fired else "inconclusive", rule,
+                       residual, bases=samples.bases, evidence=evidence)
+
     if tol.zero(max_R, 1.0):
-        if not tol.zero(max_tau, 1.0):
-            return Verdict("not_metrizable", "R = 0 but tau != 0", max_tau,
-                           bases=samples.bases,
-                           evidence={"max_R": max_R, "max_tau": max_tau})
-        return Verdict("inconclusive", inconclusive_rule, max_tau,
-                       bases=samples.bases,
-                       evidence={"max_R": max_R, "max_tau": max_tau})
+        return decided(not tol.zero(max_tau, 1.0), "R = 0 but tau != 0",
+                       max_tau, max_R=max_R, max_tau=max_tau)
 
     # quotient tests at samples where the division is well-conditioned
     floor = max(tol.abs, 1e-2 * max_R)
@@ -591,15 +585,9 @@ def nonmetrizable_scalar(spray, report: classify.ClassificationReport,
         for i in range(n):
             for j in range(i + 1, n):
                 worst = max(worst, abs(t[i].dy(j).value - t[j].dy(i).value))
-    if worst > 10.0 * (tol.abs + tol.rel * t_scale):
-        return Verdict(
-            "not_metrizable",
-            "tau/R fails covariant-constancy or vertical symmetry", worst,
-            bases=samples.bases,
-            evidence={"quotient_residual": worst, "samples_used": used})
-    return Verdict("inconclusive", inconclusive_rule, worst,
-                   bases=samples.bases,
-                   evidence={"quotient_residual": worst, "samples_used": used})
+    return decided(worst > 10.0 * (tol.abs + tol.rel * t_scale),
+                   "tau/R fails covariant-constancy or vertical symmetry",
+                   worst, quotient_residual=worst, samples_used=used)
 
 
 def projective_shift(metric, c: float, count: int = 64, seed: int = 7,
@@ -617,11 +605,11 @@ def projective_shift(metric, c: float, count: int = 64, seed: int = 7,
     if metric.dim < 2:
         raise PreconditionError("projective shift needs dimension >= 2")
     samples = sampling.draw(metric, count=count, seed=seed, box=box)
-    for pt in samples.points():
-        if metric.value(pt) <= 0.0:
-            raise PreconditionError(
-                "projective shift needs L > 0 on the sample set "
-                "(F = sqrt(L) must be real)")
+    L_vals = [metric.value(pt) for pt in samples.points()]
+    if min(L_vals) <= 0.0:
+        raise PreconditionError(
+            "projective shift needs L > 0 on the sample set "
+            "(F = sqrt(L) must be real)")
     fc = finsler_check(metric, samples, tol)
     if not fc.holds:
         raise PreconditionError(
@@ -631,12 +619,13 @@ def projective_shift(metric, c: float, count: int = 64, seed: int = 7,
 
     base = geometry.MetricSpray(metric)
     lam_vals = []
-    for pt, b, dec in classify.point_bundles(base, samples, order, tol):
+    for L, (_, _, dec) in zip(L_vals,
+                              classify.point_bundles(base, samples, order, tol)):
         if not dec.holds:
             raise PreconditionError(
                 "the metric's spray is not of scalar curvature; projective "
                 "shift applies to constant flag curvature only")
-        lam_vals.append(dec.R / metric.value(pt))
+        lam_vals.append(dec.R / L)
     lam_hat = float(np.mean(lam_vals))
     spread = float(np.max(lam_vals) - np.min(lam_vals))
     if not tol.zero(spread, max(1.0, abs(lam_hat))):
@@ -653,8 +642,8 @@ def projective_shift(metric, c: float, count: int = 64, seed: int = 7,
             "the shifted spray lost isotropy; the shift identity is violated "
             f"(worst residual {report.residuals['isotropic']:.3e})")
     shift_worst = 0.0
-    for pt, _, dec in report.triples:
-        want = (lam_hat + c * c) * metric.value(pt)
+    for L, (_, _, dec) in zip(L_vals, report.triples):
+        want = (lam_hat + c * c) * L
         shift_worst = max(shift_worst, abs(dec.R - want))
     if not tol.zero(shift_worst, max(1.0, (abs(lam_hat) + c * c))):
         raise SprayLabError(
@@ -692,9 +681,11 @@ def route(spray, report: classify.ClassificationReport,
         return verdict_isotropic(spray, report, tol=tol)
     if report.flags["scalar"]:
         return nonmetrizable_scalar(spray, report, tol=tol)
+    note = ("the spray is not of scalar curvature, which puts it outside "
+            "what these decision procedures can settle")
     return Verdict("inconclusive", "not of scalar curvature",
                    float(report.residuals["scalar"]), bases=report.bases,
-                   evidence={"note": _OUT_OF_SCOPE_NOTE})
+                   evidence={"note": note})
 
 
 def decide(spray, count: int = 64, seed: int = 7,

@@ -366,7 +366,7 @@ def _fd_plan(n: int, h: float) -> _FdPlan:
     return _FdPlan(n, h)
 
 
-def fd_curvature(spray, p, h: float = 1e-3, richardson: bool = True) -> dict:
+def fd_curvature(spray, p, h: float = 1e-3) -> dict:
     """N, R, Ric, chi and B at p from central differences of G values.
 
     Every stencil is central, so the error expands in even powers of h;
@@ -394,7 +394,8 @@ def fd_curvature(spray, p, h: float = 1e-3, richardson: bool = True) -> dict:
         pa = np.asarray(p.array(), dtype=float)
     fn = spray_values(spray)
     lam = float(np.linalg.norm(pa[n:]))
-    if abs(lam - 1.0) > 1e-12:
+    lam = 1.0 if abs(lam - 1.0) <= 1e-12 else lam  # rescaling by 1.0 is exact
+    if lam != 1.0:
         q = pa.copy()
         q[n:] /= lam
         gp, gq = fn(np.stack([pa, q]))
@@ -405,55 +406,54 @@ def fd_curvature(spray, p, h: float = 1e-3, richardson: bool = True) -> dict:
                 "the finite-difference oracle requires homogeneity to "
                 "normalize |y|"
             )
-        out = fd_curvature(spray, q, h=h, richardson=richardson)
-        return {
-            "N": out["N"] * lam,
-            "R": out["R"] * lam ** 2,
-            "Ric": out["Ric"] * lam ** 2,
-            "chi": out["chi"] * lam,
-            "B": out["B"] / lam,
-        }
-    if richardson:
-        a = fd_curvature(spray, p, h=h, richardson=False)
-        b = fd_curvature(spray, p, h=2.0 * h, richardson=False)
-        return {k: (4.0 * a[k] - b[k]) / 3.0 for k in a}
-    plan = _fd_plan(n, h)
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        vals = fn(pa[None, :] + h * plan.offsets)  # (rows, n)
-    finite = np.isfinite(vals).all(axis=1)
-    if not finite.all():
-        point = ", ".join(f"{v:.6g}" for v in pa)
-        raise DomainError(
-            f"the finite-difference stencil at ({point}) with step "
-            f"{h:g} leaves the spray's domain: G is not finite on "
-            f"{int(np.sum(~finite))} of {len(vals)} stencil rows")
-    D = plan.derivatives(vals)
+        pa = q
 
-    # .T.copy() hands @ C-contiguous (n, n) operands, as np.stack(axis=1)
-    # of the columns would: a strided operand can round differently
-    def riemann_at(b: int) -> np.ndarray:
-        y = pa[n:] + h * plan.shifts[b]
-        G0 = D[plan.g0[b]]
-        N = D[plan.dy[b]].T.copy()
-        R = np.empty((n, n))
-        for k in range(n):
-            mixed = D[plan.mixed[b, k]].T.copy()
-            hess = D[plan.hess[b, k]].T.copy()
-            R[:, k] = (2.0 * D[plan.dx[b, k]] - mixed @ y + 2.0 * hess @ G0
-                       - N @ N[:, k])
-        return R
+    steps = []
+    for hs in (h, 2.0 * h):
+        plan = _fd_plan(n, hs)
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            vals = fn(pa[None, :] + hs * plan.offsets)  # (rows, n)
+        finite = np.isfinite(vals).all(axis=1)
+        if not finite.all():
+            point = ", ".join(f"{v:.6g}" for v in pa)
+            raise DomainError(
+                f"the finite-difference stencil at ({point}) with step "
+                f"{hs:g} leaves the spray's domain: G is not finite on "
+                f"{int(np.sum(~finite))} of {len(vals)} stencil rows")
+        D = plan.derivatives(vals)
 
-    R0 = riemann_at(0)
-    N0 = D[plan.dy[0]].T.copy()
+        # .T.copy() hands @ C-contiguous (n, n) operands, as np.stack(axis=1)
+        # of the columns would: a strided operand can round differently
+        def riemann_at(b: int) -> np.ndarray:
+            y = pa[n:] + hs * plan.shifts[b]
+            G0 = D[plan.g0[b]]
+            N = D[plan.dy[b]].T.copy()
+            R = np.empty((n, n))
+            for k in range(n):
+                mixed = D[plan.mixed[b, k]].T.copy()
+                hess = D[plan.hess[b, k]].T.copy()
+                R[:, k] = (2.0 * D[plan.dx[b, k]] - mixed @ y
+                           + 2.0 * hess @ G0 - N @ N[:, k])
+            return R
 
-    chi = np.zeros(n)
-    for mm in range(n):
-        dR = (riemann_at(1 + 2 * mm) - riemann_at(2 + 2 * mm)) / (2.0 * h)
-        chi += 2.0 * dR[mm, :] + np.trace(dR) * _unit(n, mm)
+        R0 = riemann_at(0)
+        chi = np.zeros(n)
+        for mm in range(n):
+            dR = (riemann_at(1 + 2 * mm) - riemann_at(2 + 2 * mm)) / (2.0 * hs)
+            chi += 2.0 * dR[mm, :] + np.trace(dR) * _unit(n, mm)
+        steps.append({"N": D[plan.dy[0]].T.copy(), "R": R0,
+                      "Ric": float(np.trace(R0)), "chi": chi,
+                      "B": np.moveaxis(D[plan.third], -1, 0).copy()})
 
-    B = np.moveaxis(D[plan.third], -1, 0).copy()
-
-    return {"N": N0, "R": R0, "Ric": float(np.trace(R0)), "chi": chi, "B": B}
+    a, b = steps
+    out = {k: (4.0 * a[k] - b[k]) / 3.0 for k in a}
+    return {
+        "N": out["N"] * lam,
+        "R": out["R"] * lam ** 2,
+        "Ric": out["Ric"] * lam ** 2,
+        "chi": out["chi"] * lam,
+        "B": out["B"] / lam,
+    }
 
 
 def _unit(n: int, i: int) -> np.ndarray:

@@ -63,8 +63,8 @@ class SampleBox:
         """Build from a fixture hint like {"x": [lo, hi], "y": [lo, hi]}."""
         if not hint:
             return cls()
-        x = hint.get("x", (-0.8, 0.8))
-        y = hint.get("y", (-1.0, 1.0))
+        x = hint.get("x", (cls.x_lo, cls.x_hi))
+        y = hint.get("y", (cls.y_lo, cls.y_hi))
         return cls(float(x[0]), float(x[1]), float(y[0]), float(y[1]))
 
 

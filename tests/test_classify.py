@@ -286,9 +286,9 @@ def test_projective_gradient_identity_needs_form() -> None:
 def test_euler_degrees() -> None:
     b = bundle(ROTOR, PROT)
     Rj, tau, _ = b.split
-    assert classify.euler_residual(b, Rj, 2) <= 1e-9
+    assert classify.euler_residual(Rj, 2) <= 1e-9
     for t in tau:
-        assert classify.euler_residual(b, t, 1) <= 1e-9
+        assert classify.euler_residual(t, 1) <= 1e-9
 
 
 # -- weak isotropy -------------------------------------------------------------

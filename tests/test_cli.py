@@ -194,8 +194,12 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
     (["oracle", "flat", "--fd-step", "inf"],
      "fd_step must be positive and finite"),
     (["classify", "flat", "--box", "0", "inf", "0", "1"], "must be finite"),
+    (["metrize", "ex7.3", "--const", "c=nan"],
+     "const override for c is not a finite number"),
+    (["metrize", "ex7.3", "--const", "c=inf"],
+     "const override for c is not a finite number"),
 ], ids=["negative-seed", "nan-tol-abs", "inf-tol-rel", "inf-fd-step",
-        "inf-box"])
+        "inf-box", "nan-const", "inf-const"])
 def test_config_refused_up_front(args, reason, tmp_path, capsys):
     # each of these used to run: to a numpy traceback, to wrong flags, or
     # to a report judged against an infinite tolerance

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -94,6 +95,24 @@ def test_header_and_statement_validation() -> None:
         dsl.parse("dim 1\nspray G1 = y1^2\nspray G1 = y1^2\n")  # duplicate
     with pytest.raises(SpraySyntaxError):
         dsl.parse("dim 1\nspray G1 = y1^2\nmetric L = y1^2\n")  # mixed kinds
+
+
+@pytest.mark.parametrize("src", [
+    "dim 1\nmetric L = 1e999*y1^2\n",
+    "dim 1\nconst c = -1e999\nmetric L = c*y1^2\n",
+], ids=["literal", "const"])
+def test_number_beyond_float_range_is_a_syntax_error(src) -> None:
+    with pytest.raises(SpraySyntaxError) as err:
+        dsl.parse(src)
+    assert (err.value.line, err.value.col, err.value.found) == (2, 12, "1e999")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_const_override_is_refused(value) -> None:
+    with pytest.raises(ParamError, match="const override for c is not a "
+                       "finite number"):
+        dsl.parse("dim 1\nconst c = 1\nmetric L = c*y1^2\n",
+                  consts={"c": value})
 
 
 def test_dimension_error_for_out_of_range_variable() -> None:

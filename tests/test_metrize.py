@@ -750,3 +750,122 @@ def test_cms_spray_survives_scalar_tests() -> None:
     box = sampling.SampleBox(-0.3, 0.5, 0.1, 1.0)
     v = metrize.nonmetrizable_scalar(sp, classified(sp, 8, box=box))
     assert v.outcome == "inconclusive"
+
+
+# -- outcomes that no fixture reaches -------------------------------------------
+
+# the 3-dimensional round metric in gnomonic coordinates, flag curvature 1
+ROUND3 = """
+dim 3
+metric L = ((1 + x1^2 + x2^2 + x3^2)*(y1^2 + y2^2 + y3^2) - (x1*y1 + x2*y2 + x3*y3)^2) / (1 + x1^2 + x2^2 + x3^2)^2
+"""
+
+# every field of each verdict below, recorded with floats as float.hex
+VERDICT_FIELDS = Path(__file__).resolve().parent / "data" / "verdict_fields.json"
+
+
+def verdict_fields(v) -> dict:
+    """A verdict's fields in JSON terms: floats as float.hex, arrays as
+    nested lists, a recovered metric as its type and its value at the
+    first base with y = (1, ..., 1), other evidence objects as their type."""
+    def enc(obj):
+        if isinstance(obj, np.ndarray):
+            return enc(obj.tolist())
+        if isinstance(obj, list):
+            return [enc(o) for o in obj]
+        if isinstance(obj, float):
+            return obj.hex()
+        if obj is None or isinstance(obj, (str, int)):
+            return obj
+        return type(obj).__name__
+
+    metric = None
+    if v.recovered_metric is not None:
+        pt = np.concatenate([v.bases[0], np.ones(len(v.bases[0]))])
+        metric = [enc(v.recovered_metric), enc(v.recovered_metric.value(pt))]
+    return {"outcome": v.outcome, "rule": v.rule, "residual": enc(v.residual),
+            "recovered_metric": metric, "omega": enc(v.omega),
+            "bases": enc(v.bases),
+            "evidence": {k: enc(e) for k, e in v.evidence.items()}}
+
+
+def forced_omega(monkeypatch, form) -> None:
+    """Make every bundle's delta_i R equal R times `form(R)[i]`.
+
+    No spray in the corpus or in these tests reaches the two omega outcomes
+    this forces.  In dimension 3 and up a closed, nonzero, y-independent
+    omega would make R/exp(integral of omega) a metric of nonconstant flag
+    curvature, which Schur's lemma rules out."""
+    monkeypatch.setattr(geometry.CurvatureBundle, "delta_scalar",
+                        lambda b, Rj: [Rj * w for w in form(Rj)])
+
+
+def failing_certify(monkeypatch) -> None:
+    """Demote every certificate after computing it."""
+    certify = metrize._certify
+
+    def failing(*args, **kwargs):
+        _, ev, worst = certify(*args, **kwargs)
+        return False, ev, worst
+
+    monkeypatch.setattr(metrize, "_certify", failing)
+
+
+def _r_vanishes(monkeypatch):
+    sp = spray_of(FLAT)
+    return metrize.verdict_isotropic(sp, classified(sp, 12))
+
+
+def _omega_vanishes(monkeypatch):
+    sp = geometry.MetricSpray(metric_of(EQ3))
+    return metrize.verdict_isotropic(sp, classified(sp, 12))
+
+
+def _omega_not_closed(monkeypatch):
+    sp = geometry.MetricSpray(metric_of(EQ3))
+    rep = classified(sp, 12)
+    # omega = x2 dx1 - x1 dx2: y-independent, with curl 2
+    forced_omega(monkeypatch, lambda Rj: [Rj.space.variable(1, Rj.center),
+                                          -1.0 * Rj.space.variable(0, Rj.center)])
+    return metrize.verdict_isotropic(sp, rep)
+
+
+def _omega_needs_dim2(monkeypatch):
+    sp = geometry.MetricSpray(metric_of(ROUND3))
+    rep = classified(sp, 12)
+    forced_omega(monkeypatch, lambda Rj: [0.5, 0.0, 0.0])
+    return metrize.verdict_isotropic(sp, rep)
+
+
+def _reverify_r(monkeypatch):
+    failing_certify(monkeypatch)
+    return _omega_vanishes(monkeypatch)
+
+
+def _reverify_r_lambda(monkeypatch):
+    failing_certify(monkeypatch)
+    sp = spray_of(WHIRL)
+    return metrize.verdict_isotropic(sp, classified(sp, 12))
+
+
+def _reverify_ric(monkeypatch):
+    failing_certify(monkeypatch)
+    sp = geometry.MetricSpray(metric_of(EQ3))
+    return metrize.verdict_constant(sp, classified(sp, 12))
+
+
+PINNED = {
+    "R vanishes on samples": _r_vanishes,
+    "omega vanishes; L = R": _omega_vanishes,
+    "omega not closed": _omega_not_closed,
+    "nonzero omega needs dimension 2": _omega_needs_dim2,
+    "re-verification of L = R": _reverify_r,
+    "re-verification of L = R/lambda": _reverify_r_lambda,
+    "re-verification of L = Ric/(n-1)": _reverify_ric,
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED))
+def test_unreached_outcomes_keep_every_field(case, monkeypatch) -> None:
+    want = json.loads(VERDICT_FIELDS.read_text())[case]
+    assert verdict_fields(PINNED[case](monkeypatch)) == want

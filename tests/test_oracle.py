@@ -266,3 +266,16 @@ def test_stencil_leaving_the_domain_raises() -> None:
                        r"step 0\.1 leaves the spray's domain"):
         oracle.agreement_report(
             (geometry.CurvatureBundle(sp, p) for p in pts), h=0.05)
+    # |y| is normalized first, so the error names the normalized point
+    with pytest.raises(DomainError, match=r"\(-0\.44, 0\.1, 0\.6, 0\.8\) with "
+                       r"step 0\.1 leaves the spray's domain"):
+        oracle.fd_curvature(sp, (-0.44, 0.1, 1.2, 1.6), h=0.05)
+
+
+def test_fd_curvature_builds_one_value_map(monkeypatch) -> None:
+    built = []
+    spray_values = oracle.spray_values
+    monkeypatch.setattr(oracle, "spray_values",
+                        lambda sp: built.append(sp) or spray_values(sp))
+    oracle.fd_curvature(geometry.ExprSpray(dsl.parse(EDGE)), (0.2, 0.1, 1.2, 1.6))
+    assert len(built) == 1
