@@ -411,8 +411,9 @@ def cmd_oracle(cfg: RunConfig, box_flagged: bool = False) -> Report:
 
     samples = sampling.draw(spray, count=cfg.points, seed=cfg.seed, box=box)
     accounting = _accounting(cfg, samples)
-    # one bundle per point, summarized and then compared against the finite
-    # differences before the next is built
+    # each bundle is summarized as it is read; agreement_report compares
+    # them against the finite differences one block of classify.BLOCK_ROWS
+    # at a time, the blocks point_bundles builds, and then drops them
     rows: list = []
     identities: dict = {}
     triples = classify.point_bundles(spray, samples, cfg.order, tol)

@@ -15,8 +15,13 @@ Finite differences use integer offsets of a single step h, composed per
 variable (tensor-product stencils).  The stencil plan depends only on the
 dimension and h, so it is built once per (dim, h) and cached: the offsets
 of every stencil row, and per stencil length the row indices and weights
-of each derivative.  At a point, one batched evaluation on those rows and
-one grouped pass over the index and weight arrays give every derivative.
+of each derivative.  The oracle works on blocks of points: for a block,
+one batched evaluation on the stencil rows of all its points and one
+grouped pass over the index and weight arrays give every derivative, and
+the curvature formulas run as stacked array operations.  Each row of a
+block equals the computation at that point alone, bit for bit, and the
+first point that fails alone decides the error.  `agreement_report`
+streams its bundles one block of BLOCK_ROWS points at a time.
 """
 
 from __future__ import annotations
@@ -27,7 +32,9 @@ import numpy as np
 
 from . import dsl, jets
 from .errors import DomainError
-from .geometry import ExprMetric, ExprSpray, MetricSpray, ShiftedSpray
+from .classify import BLOCK_ROWS
+from .geometry import (ExprMetric, ExprSpray, MetricSpray, ShiftedSpray,
+                       _point_array)
 
 _FLOOR = 1e-12
 
@@ -345,7 +352,8 @@ class _FdPlan:
                                for j in range(n)] for i in range(n)])
 
     def derivatives(self, vals: np.ndarray) -> np.ndarray:
-        """(keys, n) table of derivatives from the (rows, n) stencil values.
+        """(..., keys, n) table of derivatives from the (..., rows, n)
+        stencil values of one point or of a block of points.
 
         Each derivative sums its terms in stencil order, one rounded
         multiply and add per term, as a sum over one stencil at a time
@@ -353,11 +361,11 @@ class _FdPlan:
         """
         parts = []
         for idx, W in self.groups:
-            acc = np.zeros((idx.shape[0], vals.shape[1]))
+            acc = np.zeros(vals.shape[:-2] + (idx.shape[0], vals.shape[-1]))
             for t in range(idx.shape[1]):
-                acc = acc + W[:, t, None] * vals[idx[:, t]]
+                acc = acc + W[:, t, None] * vals[..., idx[:, t], :]
             parts.append(acc)
-        return np.concatenate(parts)
+        return np.concatenate(parts, axis=-2)
 
 
 # one plan per (dim, h) in use; capped, since h comes from --fd-step
@@ -367,7 +375,12 @@ def _fd_plan(n: int, h: float) -> _FdPlan:
 
 
 def fd_curvature(spray, p, h: float = 1e-3) -> dict:
-    """N, R, Ric, chi and B at p from central differences of G values.
+    """N, R, Ric, chi and B from central differences of G values.
+
+    `p` is one point (2n,) or a block of points (B, 2n).  A point gives N
+    (n, n), R (n, n), Ric a float, chi (n,) and B (n, n, n, n); a block
+    gives the same tensors stacked on a leading axis of B rows, and each
+    row equals the call at that point alone, bit for bit.
 
     Every stencil is central, so the error expands in even powers of h;
     one Richardson step (4 f(h) - f(2h))/3 cancels the h^2 term across the
@@ -381,78 +394,109 @@ def fd_curvature(spray, p, h: float = 1e-3) -> dict:
     check.  Positive 2-homogeneity of the spray coefficients is asserted
     numerically rather than assumed.
 
-    At each step h the spray is evaluated once, on the stencil rows of the
-    cached plan for (dim, h), and the plan turns those values into every
-    derivative in one grouped pass.  A stencil row outside the spray's
-    domain gives a non-finite value, and that raises DomainError naming the
-    point and h: a step too large for the domain is refused, not compared.
+    A block is evaluated as a whole: one spray evaluation for the
+    homogeneity pairs, and at each step h one on the stencil rows of all
+    its points (the cached plan for (dim, h)), which the plan turns into
+    every derivative in one grouped pass.  A stencil row outside the
+    spray's domain gives a non-finite value, and that raises DomainError
+    naming the point and h: a step too large for the domain is refused,
+    not compared.  When a block raises, its points are run one at a time,
+    so the first point that fails alone raises its own error.
     """
     n = spray.dim
-    m = 2 * n
-    pa = np.asarray(p, dtype=float)
-    if pa.shape != (m,):
-        pa = np.asarray(p.array(), dtype=float)
+    P = _point_array(p, n)
     fn = spray_values(spray)
-    lam = float(np.linalg.norm(pa[n:]))
-    lam = 1.0 if abs(lam - 1.0) <= 1e-12 else lam  # rescaling by 1.0 is exact
-    if lam != 1.0:
-        q = pa.copy()
-        q[n:] /= lam
-        gp, gq = fn(np.stack([pa, q]))
-        scale = max(1.0, float(np.max(np.abs(gp))))
-        if np.max(np.abs(gp - lam * lam * gq)) > 1e-9 * scale:
+    if P.ndim == 1:
+        fd = _fd_block(fn, n, P[None, :], h)
+        return {key: float(v[0]) if key == "Ric" else v[0] for key, v in fd.items()}
+    try:
+        return _fd_block(fn, n, P, h)
+    except Exception:
+        # whatever the block raised, a point that fails alone raises its
+        # own error again below
+        rows = [_fd_block(fn, n, P[i:i + 1], h) for i in range(len(P))]
+        return {key: np.concatenate([r[key] for r in rows]) for key in rows[0]}
+
+
+def _fd_block(fn, n: int, P: np.ndarray, h: float) -> dict:
+    """`fd_curvature` over the (B, 2n) block P, stacked; raises at the
+    first failure it meets, which in a block of several points may not be
+    the first point's."""
+    # the norm of each y alone: a norm along an axis of the stack sums
+    # another way
+    lam = [float(np.linalg.norm(pt[n:])) for pt in P]
+    lam = [1.0 if abs(v - 1.0) <= 1e-12 else v for v in lam]  # 1.0 is exact
+    Q = P.copy()
+    moved = [i for i, v in enumerate(lam) if v != 1.0]
+    if moved:
+        Q[moved, n:] /= np.array([lam[i] for i in moved])[:, None]
+        gp, gq = np.split(fn(np.concatenate([P[moved], Q[moved]])), 2)
+        scale = np.maximum(1.0, np.max(np.abs(gp), axis=1))
+        sq = np.array([lam[i] * lam[i] for i in moved])[:, None]
+        if np.any(np.max(np.abs(gp - sq * gq), axis=1) > 1e-9 * scale):
             raise DomainError(
                 "spray coefficients are not positively 2-homogeneous in y; "
                 "the finite-difference oracle requires homogeneity to "
                 "normalize |y|"
             )
-        pa = q
 
+    nb = len(P)
     steps = []
     for hs in (h, 2.0 * h):
         plan = _fd_plan(n, hs)
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            vals = fn(pa[None, :] + hs * plan.offsets)  # (rows, n)
-        finite = np.isfinite(vals).all(axis=1)
+            rows = Q[:, None, :] + hs * plan.offsets  # (nb, rows, 2n)
+            vals = fn(rows.reshape(-1, 2 * n)).reshape(nb, -1, n)
+        finite = np.isfinite(vals).all(axis=2)
         if not finite.all():
-            point = ", ".join(f"{v:.6g}" for v in pa)
+            i = int(np.argmin(finite.all(axis=1)))
+            point = ", ".join(f"{v:.6g}" for v in Q[i])
             raise DomainError(
                 f"the finite-difference stencil at ({point}) with step "
                 f"{hs:g} leaves the spray's domain: G is not finite on "
-                f"{int(np.sum(~finite))} of {len(vals)} stencil rows")
-        D = plan.derivatives(vals)
+                f"{int(np.sum(~finite[i]))} of {vals.shape[1]} stencil rows")
+        D = plan.derivatives(vals)  # (nb, keys, n)
 
-        # .T.copy() hands @ C-contiguous (n, n) operands, as np.stack(axis=1)
-        # of the columns would: a strided operand can round differently
+        def columns(idx) -> np.ndarray:
+            # (nb, n, n) with [b, i, j] = D[b, idx[j], i], C-contiguous: a
+            # strided operand of @ can round differently
+            return D[:, idx].transpose(0, 2, 1).copy()
+
         def riemann_at(b: int) -> np.ndarray:
-            y = pa[n:] + hs * plan.shifts[b]
-            G0 = D[plan.g0[b]]
-            N = D[plan.dy[b]].T.copy()
-            R = np.empty((n, n))
+            y = (Q[:, n:] + hs * plan.shifts[b])[:, :, None]
+            G0 = D[:, plan.g0[b], :, None]
+            N = columns(plan.dy[b])
+            R = np.empty((nb, n, n))
             for k in range(n):
-                mixed = D[plan.mixed[b, k]].T.copy()
-                hess = D[plan.hess[b, k]].T.copy()
-                R[:, k] = (2.0 * D[plan.dx[b, k]] - mixed @ y
-                           + 2.0 * hess @ G0 - N @ N[:, k])
+                Nk = N[:, :, k, None].copy()
+                R[:, :, k] = (2.0 * D[:, plan.dx[b, k]]
+                              - (columns(plan.mixed[b, k]) @ y)[:, :, 0]
+                              + (2.0 * columns(plan.hess[b, k]) @ G0)[:, :, 0]
+                              - (N @ Nk)[:, :, 0])
             return R
 
         R0 = riemann_at(0)
-        chi = np.zeros(n)
+        chi = np.zeros((nb, n))
         for mm in range(n):
             dR = (riemann_at(1 + 2 * mm) - riemann_at(2 + 2 * mm)) / (2.0 * hs)
-            chi += 2.0 * dR[mm, :] + np.trace(dR) * _unit(n, mm)
-        steps.append({"N": D[plan.dy[0]].T.copy(), "R": R0,
-                      "Ric": float(np.trace(R0)), "chi": chi,
-                      "B": np.moveaxis(D[plan.third], -1, 0).copy()})
+            chi += (2.0 * dR[:, mm, :]
+                    + np.trace(dR, axis1=1, axis2=2)[:, None] * _unit(n, mm))
+        steps.append({"N": columns(plan.dy[0]), "R": R0,
+                      "Ric": np.trace(R0, axis1=1, axis2=2), "chi": chi,
+                      "B": np.moveaxis(D[:, plan.third], -1, 1).copy()})
 
     a, b = steps
     out = {k: (4.0 * a[k] - b[k]) / 3.0 for k in a}
+    L = np.array(lam)
+    # Python's lam ** 2 per point: numpy squares an array as lam * lam,
+    # which can differ in the last bit
+    L2 = np.array([v ** 2 for v in lam])
     return {
-        "N": out["N"] * lam,
-        "R": out["R"] * lam ** 2,
-        "Ric": out["Ric"] * lam ** 2,
-        "chi": out["chi"] * lam,
-        "B": out["B"] / lam,
+        "N": out["N"] * L[:, None, None],
+        "R": out["R"] * L2[:, None, None],
+        "Ric": out["Ric"] * L2,
+        "chi": out["chi"] * L[:, None],
+        "B": out["B"] / L[:, None, None, None, None],
     }
 
 
@@ -467,7 +511,9 @@ def agreement_report(bundles, h: float = 1e-3) -> dict:
 
     Each CurvatureBundle supplies the jet side; the finite differences
     read only its spray's coefficient values around its point.  `bundles`
-    may be a generator, so a caller can stream one bundle at a time.  A
+    may be a generator: it is read one block at a time, up to BLOCK_ROWS
+    consecutive bundles of one spray, and each block takes one
+    `fd_curvature` call.  The rows are then compared in point order.  A
     tensor passes when every component error is at most
     max(1e-5, 1e-4 |component|); the report carries the worst error and the
     tolerance in force at the worst spot.
@@ -476,16 +522,44 @@ def agreement_report(bundles, h: float = 1e-3) -> dict:
         key: {"max_err": 0.0, "worst_tol": float("inf"), "ok": True}
         for key in ("R", "chi", "B")
     }
-    for b in bundles:
-        fd = fd_curvature(b.spray, b.point.array(), h=h)
-        for key, got in (("R", b.R_values), ("chi", b.chi_values), ("B", b.B_values)):
-            err = np.abs(got - fd[key])
-            tol = np.maximum(1e-5, 1e-4 * np.abs(got))
-            k = np.unravel_index(np.argmax(err - tol), err.shape)
-            entry = report[key]
-            if err[k] - tol[k] > entry["max_err"] - entry["worst_tol"]:
-                entry["max_err"] = float(err[k])
-                entry["worst_tol"] = float(tol[k])
-            if not np.all(err <= tol):  # a NaN error is no agreement
-                entry["ok"] = False
+    for block in _blocks(bundles):
+        points = np.stack([b.point.array() for b in block])
+        fd = fd_curvature(block[0].spray, points, h=h)
+        for r, b in enumerate(block):
+            for key, got in (("R", b.R_values), ("chi", b.chi_values),
+                             ("B", b.B_values)):
+                err = np.abs(got - fd[key][r])
+                tol = np.maximum(1e-5, 1e-4 * np.abs(got))
+                k = np.unravel_index(np.argmax(err - tol), err.shape)
+                entry = report[key]
+                if err[k] - tol[k] > entry["max_err"] - entry["worst_tol"]:
+                    entry["max_err"] = float(err[k])
+                    entry["worst_tol"] = float(tol[k])
+                if not np.all(err <= tol):  # a NaN error is no agreement
+                    entry["ok"] = False
     return report
+
+
+def _blocks(bundles):
+    """Runs of up to BLOCK_ROWS consecutive bundles of one spray, as lists.
+
+    When `bundles` raises, the bundles read before the error are yielded
+    first and the error is raised after them: their finite differences
+    come before it, as they would one bundle at a time.
+    """
+    block: list = []
+    try:
+        for b in bundles:
+            if block and b.spray is not block[0].spray:
+                yield block
+                block = []
+            block.append(b)
+            if len(block) == BLOCK_ROWS:
+                yield block
+                block = []
+    except Exception:
+        if block:
+            yield block
+        raise
+    if block:
+        yield block

@@ -4,10 +4,15 @@ Taylor2 (batched value/gradient/Hessian forward arithmetic) is checked
 against jets on a transcendental expression; the FD curvature reconstruction
 is checked against the same frozen symbolic values used in test_geometry,
 with no engine code in the loop; finally the jets-vs-FD agreement report is
-exercised end to end.
+exercised end to end.  The FD tensors are pinned as float.hex, from point
+calls and from block calls, and a block raises the error of its first
+failing point.
 """
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -279,3 +284,176 @@ def test_fd_curvature_builds_one_value_map(monkeypatch) -> None:
                         lambda sp: built.append(sp) or spray_values(sp))
     oracle.fd_curvature(geometry.ExprSpray(dsl.parse(EDGE)), (0.2, 0.1, 1.2, 1.6))
     assert len(built) == 1
+
+
+# -- the finite-difference bits, pinned ------------------------------------------
+
+# float.hex of fd_curvature's tensors at chosen points of an expression
+# spray (ex7.1, its seed-7 samples 0-15), a metric spray (elliptic2) and its
+# projective shift, at the default step and at --fd-step 0.01; recorded
+# with `fd_hex`, one point per call, before fd_curvature took blocks
+FD_HEX = Path(__file__).resolve().parent / "data" / "fd_curvature_hex.json"
+FD_KEYS = ("N", "R", "Ric", "chi", "B")
+
+
+def fd_sprays() -> dict:
+    """The sprays the record pins, by its labels."""
+    ell = corpus.load_fixture("elliptic2")
+    return {"ex7.1": corpus.load_fixture("ex7.1").build(),
+            "elliptic2": ell.build(),
+            "elliptic2 shifted by 0.5": geometry.ShiftedSpray(
+                ell.build(), ell.metric(), 0.5)}
+
+
+def fd_hex(fd: dict) -> dict:
+    """One point's FD tensors, flattened, as float.hex."""
+    return {key: [float(v).hex() for v in np.ravel(fd[key])] for key in FD_KEYS}
+
+
+def fd_record_cases():
+    rec = json.loads(FD_HEX.read_text())
+    sprays = fd_sprays()
+    for case in rec["cases"]:
+        pts = np.array([[float.fromhex(v) for v in p] for p in case["points"]])
+        yield sprays[case["spray"]], pts, case["h"], case["fd"]
+
+
+def test_fd_curvature_bits_match_the_record() -> None:
+    for spray, pts, h, want in fd_record_cases():
+        assert [fd_hex(oracle.fd_curvature(spray, p, h=h)) for p in pts] == want
+
+
+def test_fd_record_holds_a_point_where_lam_squared_rounds_two_ways() -> None:
+    # ex7.1's seed-7 sample 11: x*x and x**2 differ in the last bit at this
+    # |y|, so R and Ric move if the rescale squares |y| another way
+    spray, pts, _, _ = next(fd_record_cases())
+    lam = float(np.linalg.norm(pts[11, 2:]))
+    assert lam == 0.2599902520886824
+    assert lam * lam != lam ** 2
+
+
+def test_block_fd_curvature_rows_match_the_record() -> None:
+    for spray, pts, h, want in fd_record_cases():
+        fd = oracle.fd_curvature(spray, pts, h=h)
+        assert [fd_hex({key: fd[key][r] for key in FD_KEYS})
+                for r in range(len(pts))] == want
+
+
+# -- blocks: the first failing point decides the error ----------------------------
+
+RAGGED = """
+dim 2
+spray G1 = y1^2 * sqrt(x1 + 0.5) + x2 * y1
+spray G2 = y2^2 * sqrt(x1 + 0.5)
+"""
+
+# at h = 0.05: a point whose coefficients are not 2-homogeneous (x2 != 0
+# and |y| != 1), one whose stencil at h leaves the domain x1 > -0.5, and
+# one whose stencil leaves it only at 2h
+RAGGED_POINTS = {
+    "homogeneity": ((0.2, 0.3, 1.2, 1.6), r"not positively 2-homogeneous"),
+    "h": ((-0.47, 0.0, 0.6, 0.8), r"\(-0\.47, 0, 0\.6, 0\.8\) with step 0\.05 leaves"),
+    "2h": ((-0.44, 0.0, 0.6, 0.8), r"\(-0\.44, 0, 0\.6, 0\.8\) with step 0\.1 leaves"),
+}
+
+
+def first_error(spray, pts, h) -> str:
+    """The error of the first point whose own fd_curvature call fails."""
+    for p in pts:
+        try:
+            oracle.fd_curvature(spray, p, h=h)
+        except DomainError as exc:
+            return str(exc)
+    raise AssertionError("no point fails")
+
+
+@pytest.mark.parametrize("order", [("2h", "h"), ("2h", "homogeneity"),
+                                   ("h", "homogeneity"), ("homogeneity", "h"),
+                                   ("h", "2h")])
+def test_block_raises_the_error_of_its_first_failing_point(order) -> None:
+    # the block evaluates every point's homogeneity pair, then every h
+    # stencil, then every 2h stencil, so on its own it would meet a later
+    # point's error first in three of these orders
+    sp = geometry.ExprSpray(dsl.parse(RAGGED))
+    pts = np.array([(0.2, 0.0, 0.6, 0.8)] + [RAGGED_POINTS[k][0] for k in order])
+    with pytest.raises(DomainError, match=RAGGED_POINTS[order[0]][1]) as info:
+        oracle.fd_curvature(sp, pts, h=0.05)
+    assert str(info.value) == first_error(sp, pts, 0.05)
+
+
+ISLAND = """
+dim 2
+metric L = (y1^2 + y2^2) * exp(1/(x1 + 0.5)) * sqrt(x2)
+"""
+
+# at h = 0.05: the stencils of "sqrt" and "reciprocal" make Taylor2 raise
+# for the whole batch; at 2h the one of "leaves" reaches x1 + 0.5 = 7e-4,
+# where exp overflows and G is not finite, which Taylor2 does not catch
+ISLAND_POINTS = {
+    "ok": (0.2, 0.5, 0.6, 0.8),
+    "sqrt": (0.2, 0.03, 0.6, 0.8),
+    "reciprocal": (-0.45, 0.5, 0.6, 0.8),
+    "leaves": (-0.3993, 0.5, 0.6, 0.8),
+}
+
+
+@pytest.mark.parametrize("order, match", [
+    (("ok", "sqrt", "reciprocal"), "sqrt of a nonpositive value"),
+    (("ok", "reciprocal", "sqrt"), "reciprocal of a value hitting zero"),
+    (("leaves", "sqrt"), r"\(-0\.3993, 0\.5, 0\.6, 0\.8\) with step 0\.1 leaves"),
+])
+def test_block_whose_value_map_raises_is_run_point_by_point(order, match) -> None:
+    sp = geometry.MetricSpray(geometry.ExprMetric(dsl.parse(ISLAND)))
+    pts = np.array([ISLAND_POINTS[k] for k in order])
+    with pytest.raises(DomainError, match=match) as info:
+        oracle.fd_curvature(sp, pts, h=0.05)
+    assert str(info.value) == first_error(sp, pts, 0.05)
+
+
+def test_agreement_report_compares_what_it_read_before_the_stream_fails(
+        monkeypatch) -> None:
+    sp = geometry.ExprSpray(dsl.parse(EDGE))
+
+    def stream(pts):
+        for p in pts:
+            yield geometry.CurvatureBundle(sp, p)
+        raise DomainError("the stream failed")
+
+    # the bundle read first leaves the domain at 2h: its error comes
+    # before the stream's, as when each bundle was compared on its own
+    with pytest.raises(DomainError, match=r"step 0\.1 leaves the spray's domain"):
+        oracle.agreement_report(stream([(0.2, 0.1, 0.6, 0.8),
+                                        (-0.44, 0.1, 0.6, 0.8)]), h=0.05)
+    rows = []
+    fd_curvature = oracle.fd_curvature
+    monkeypatch.setattr(oracle, "fd_curvature",
+                        lambda sp, p, h: rows.append(len(p)) or fd_curvature(sp, p, h))
+    with pytest.raises(DomainError, match="the stream failed"):
+        oracle.agreement_report(stream([(0.2, 0.1, 0.6, 0.8)]), h=0.05)
+    assert rows == [1]
+
+
+def test_agreement_report_takes_one_call_per_block_of_one_spray(monkeypatch) -> None:
+    ball = geometry.ExprSpray(dsl.parse(BALL))
+    rotor = geometry.ExprSpray(dsl.parse(ROTOR))
+    rng = np.random.default_rng(3)
+    pts = np.concatenate([rng.uniform(-0.3, 0.3, (40, 2)),
+                          rng.uniform(0.5, 1.0, (40, 2))], axis=1)
+    bundles = [geometry.CurvatureBundle(ball, p) for p in pts[:35]]
+    bundles += [geometry.CurvatureBundle(rotor, p) for p in pts[35:]]
+    bundles.insert(20, geometry.CurvatureBundle(rotor, pts[0]))
+    calls = []
+    fd_curvature = oracle.fd_curvature
+    monkeypatch.setattr(oracle, "fd_curvature",
+                        lambda sp, p, h: calls.append((sp, len(p))) or fd_curvature(sp, p, h))
+    report = oracle.agreement_report(bundles)
+    assert calls == [(ball, 16), (ball, 4), (rotor, 1), (ball, 15), (rotor, 5)]
+    # the same table as one bundle per call, compared in the same order
+    calls.clear()
+    one_by_one = [oracle.agreement_report([b]) for b in bundles]
+    assert len(calls) == len(bundles)
+    for key, entry in report.items():
+        assert entry["ok"] == all(r[key]["ok"] for r in one_by_one)
+        worst = max(one_by_one, key=lambda r: r[key]["max_err"] - r[key]["worst_tol"])
+        assert (entry["max_err"], entry["worst_tol"]) == (
+            worst[key]["max_err"], worst[key]["worst_tol"])

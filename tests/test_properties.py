@@ -22,7 +22,11 @@ spray of a random metric
 given as an expression (diagonal a_jj in [2, 4], the other coefficients
 small, so the fundamental tensor stays nondegenerate),
 for the inverse of a matrix of block jets, and for block multiplies taller
-than one chunk of `jets.MUL_CHUNK` products.
+than one chunk of `jets.MUL_CHUNK` products.  The finite-difference
+oracle's `fd_curvature` over such a block gives each row the bytes of the
+call at that point alone, or the error of the first point that fails
+alone: on the expression sprays, on the metric sprays, and on their
+projective shifts G + c sqrt(L) y.
 
 The prefix tests check that truncation is exact: a jet taken at order K
 and truncated to order k, with 1 <= k < K, equals the order-k jet byte for
@@ -35,6 +39,16 @@ series there returns its value coefficient as it is, while above it the
 value is added to the +0.0 a product sum starts from, so atan at a value
 of -0.0 gives -0.0 at order 0 and +0.0 above.  The random DSL trees use
 all seven functions, division, integer powers and non-integer powers.
+
+Two checks tie the jets to independent arithmetic on random DSL trees.
+Value, gradient and Hessian of an order-2 jet agree with `oracle.Taylor2`
+to TAYLOR2_BOUND times the largest of Taylor2's entries; the worst over
+7000 examples was 5.7e-14.  The series laws exp(ln u) = u and
+u * u.reciprocal() = 1 hold per row to LAW_BOUND times the condition
+max(1, max|u| / |u(0)|)^k of the order-k jet (times max|u| for the first
+law); the worst over 14000 examples was 8.6e-16 in those units.  Both
+bounds follow the rule above.  Examples where either side raises, or a
+coefficient overflows, are skipped.
 
 The tape tests check that sharing changes no bit: one `dsl.Tape` over
 roots with repeated subtrees gives each root the bytes of that root's own
@@ -59,6 +73,8 @@ from spraylab.geometry import CurvatureBundle
 
 CONTRACTION_BOUND = 1e-12
 BIANCHI_BOUND = 1e-12
+TAYLOR2_BOUND = 1e-12
+LAW_BOUND = 1e-14
 
 PROPERTY_SETTINGS = settings(
     max_examples=50, deadline=None, derandomize=True, database=None,
@@ -243,6 +259,52 @@ def test_block_spray_from_metric_rows_equal_point_sprays_bitwise(case) -> None:
         assert _rows_equal(got[i], [w[i] for w in want])
 
 
+FD_KEYS = ("N", "R", "Ric", "chi", "B")
+
+
+def fd_outcome(fn):
+    """What fn returns, or the error it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            return fn()
+    except (DomainError, ArithmeticError, ValueError) as exc:
+        return (type(exc), str(exc))
+
+
+def fd_rows_agree(spray, block, h) -> None:
+    """One block fd_curvature call gives each row the bytes of the call at
+    that point alone, or the error of the first point that fails alone."""
+    def rows():
+        fd = oracle.fd_curvature(spray, block, h=h)
+        return [[fd[key][r].tobytes() for key in FD_KEYS] for r in range(len(block))]
+
+    def points():
+        return [[np.float64(fd[key]).tobytes() if key == "Ric" else fd[key].tobytes()
+                 for key in FD_KEYS]
+                for fd in (oracle.fd_curvature(spray, p, h=h) for p in block)]
+
+    assert fd_outcome(rows) == fd_outcome(points)
+
+
+@PROPERTY_SETTINGS
+@given(sprays_at_blocks(), st.sampled_from([1e-3, 0.01]))
+def test_block_fd_curvature_rows_equal_point_calls_bitwise(case, h) -> None:
+    fd_rows_agree(*case, h)
+
+
+@PROPERTY_SETTINGS
+@given(metrics_at_blocks(), st.sampled_from([None, 0.5, -1.0]),
+       st.sampled_from([1e-3, 0.01]))
+def test_block_fd_curvature_of_metric_sprays_equals_point_calls_bitwise(
+        case, c, h) -> None:
+    n, terms, e, block = case
+    metric = metric_expression(n, terms, e)
+    spray = geometry.MetricSpray(metric)
+    if c is not None:  # the projective shift G + c sqrt(L) y
+        spray = geometry.ShiftedSpray(spray, metric, c)
+    fd_rows_agree(spray, block, h)
+
+
 @PROPERTY_SETTINGS
 @given(st.lists(st.lists(st.floats(-0.5, 0.5), min_size=4, max_size=4),
                 min_size=1, max_size=6))
@@ -374,6 +436,54 @@ def test_truncated_jet_matrix_inverse_equals_lower_order_inverse_bytewise(
     low = jets.jet_matrix_inverse(matrix(low_order))
     for idx in np.ndindex(2, 2):
         assert same_bytes(high[idx], low[idx])
+
+
+# -- jets against the oracle's Taylor2, and the series laws ----------------------
+
+# first and second partials in the order of Taylor2's gradient and of the
+# upper triangle of its Hessian
+FIRST_AND_SECOND = [tuple(int(v == i) for v in range(4)) for i in range(4)] + [
+    tuple(int(v == i) + int(v == j) for v in range(4))
+    for i in range(4) for j in range(i, 4)]
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(dsl_trees(), st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+def test_jet_value_gradient_and_hessian_match_taylor2(tree, point) -> None:
+    try:
+        with np.errstate(all="ignore"):
+            jet = tree_jet(tree, 2, tuple(point))
+            env = oracle.Taylor2.variables(np.array([point]))
+            t = dsl.evaluate(tree, env, dim=2)
+    except (DomainError, ArithmeticError, ValueError):
+        assume(False)
+    t = t if isinstance(t, oracle.Taylor2) else env[0]._lift(t)
+    want = np.concatenate([t.val, t.grad[0], t.hess[0][np.triu_indices(4)]])
+    got = np.array([jet.value] + [jet.partial(a) for a in FIRST_AND_SECOND])
+    assume(bool(np.all(np.isfinite(want)) and np.all(np.isfinite(got))))
+    assert np.max(np.abs(got - want)) <= TAYLOR2_BOUND * np.max(np.abs(want)), \
+        dsl.pretty(tree)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(dsl_trees(), centers(), st.integers(1, 4))
+def test_exp_of_ln_and_u_times_its_reciprocal(tree, center, order) -> None:
+    try:
+        with np.errstate(all="ignore"):
+            u = tree_jet(tree, order, center)
+            one = u * u.reciprocal()
+            back = jets.exp(jets.ln(u)) if np.all(u.coeffs.T[0] > 0.0) else u
+    except (DomainError, ArithmeticError, ValueError):
+        assume(False)
+    C, one, back = (np.atleast_2d(v.coeffs) for v in (u, one, back))
+    assume(bool(np.all(np.isfinite(np.concatenate([C, one, back])))))
+    # per row: the largest coefficient, and the condition (scale / |value|)^k
+    scale = np.max(np.abs(C), axis=1)
+    cond = np.maximum(1.0, scale / np.abs(C[:, 0])) ** order
+    one[:, 0] -= 1.0
+    assert np.all(np.max(np.abs(one), axis=1) <= LAW_BOUND * cond), dsl.pretty(tree)
+    assert np.all(np.max(np.abs(back - C), axis=1) <= LAW_BOUND * scale * cond), \
+        dsl.pretty(tree)
 
 
 def _bundle_jets(b) -> list:
