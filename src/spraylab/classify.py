@@ -158,14 +158,16 @@ def projective_factor(bundle):
 def euler_residual(S, degree: int) -> float:
     """Defect of y^i S_.i = degree * S through all jet coefficients.
 
-    S is a jet in the 2n variables (x, y) of TM.
+    S is a jet in the 2n variables (x, y) of TM.  A block jet gives one
+    defect per row, as an array.
     """
     n = S.space.nvars // 2
     acc = (-float(degree)) * S
     for i in range(n):
         yj = S.space.variable(n + i, S.center)
         acc = acc + yj * S.dy(i)
-    return float(np.max(np.abs(acc.coeffs)))
+    worst = np.max(np.abs(acc.coeffs), axis=-1)
+    return float(worst) if worst.ndim == 0 else worst
 
 
 def projective_isotropy_residual(b, tol: Tolerances = TOL) -> float:
@@ -268,6 +270,12 @@ class ClassificationReport:
 BLOCK_ROWS = 16
 
 
+def blocks(points: np.ndarray) -> list:
+    """The points in runs of BLOCK_ROWS consecutive rows: the blocks whose
+    bundles `point_bundles` builds, and that the metric checks reuse."""
+    return [points[lo:lo + BLOCK_ROWS] for lo in range(0, len(points), BLOCK_ROWS)]
+
+
 def point_bundles(spray, samples: SampleSet, order: int = 4,
                   tol: Tolerances = TOL):
     """Yield (point, bundle, ScalarDecomposition) for each sample in turn.
@@ -281,9 +289,7 @@ def point_bundles(spray, samples: SampleSet, order: int = 4,
     bundle and drops it holds one block at a time; callers that revisit
     the points collect a tuple.
     """
-    pts = samples.points()
-    for lo in range(0, len(pts), BLOCK_ROWS):
-        block = pts[lo:lo + BLOCK_ROWS]
+    for block in blocks(samples.points()):
         try:
             bundles = geometry.CurvatureBundle(spray, block, order).rows()
         except Exception:

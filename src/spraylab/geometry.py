@@ -32,13 +32,13 @@ A bundle may also be built at a (B, 2n) block of points: its jets then
 carry a leading block axis (see `jets`), its value views and `cov_h`
 results gain a leading axis of length B, and row r of each equals, bit
 for bit, what the bundle at point r alone gives.  Expression sprays and
-the sprays of expression metrics are evaluated once over the block;
-sprays of the numerical curvature metrics point by point, their jets
-stacked.  `rows` turns a block bundle into one point bundle per row,
-which reads its tensors off the block's rows: the tensors of many points
-come from one walk through the formulas, and every consumer of point
-bundles reads them unchanged.  The scalar split and the operations built
-on it are taken at one point only.
+the sprays of metrics that evaluate blocks (expression metrics and the
+recovered curvature metrics) are evaluated once over the block; other
+sprays point by point, their jets stacked.  `rows` turns a block bundle
+into one point bundle per row, which reads its tensors off the block's
+rows: the tensors of many points come from one walk through the
+formulas, and every consumer of point bundles reads them unchanged.  The
+scalar split and the operations built on it are taken at one point only.
 """
 
 from __future__ import annotations

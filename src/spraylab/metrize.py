@@ -24,11 +24,21 @@ outcomes are existence statements and carry no metric.
 
 The outcomes the routes share are built once each: `_vanishing`,
 `_not_finsler`, and `_certified`, the one tail of every recovered metric.
+
+The metric checks run on the blocks of `classify.BLOCK_ROWS` samples that
+the classification builds: `finsler_check` takes one 2-jet per block,
+`metric_spray_residuals` one jet of L, one `cov_h` and one induced spray
+per block bundle, and the recovered candidates (`CurvatureMetric`,
+`ScaledCurvatureMetric`) take a jet at a block off the report's block
+bundle.  Every row equals its sample alone, bit for bit, and a block that
+raises is run again one sample at a time, so the first failing sample
+decides the error.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -84,6 +94,28 @@ class FinslerCheck:
     rank_ratio: float
 
 
+def _finsler_rows(field_obj, p, tol: Tolerances) -> list:
+    """(Euler residual, rank ratio, passes) at a point, or at each row of a
+    block of points in row order, from one 2-jet of the field."""
+    n = field_obj.dim
+    S = field_obj.jet(p, 2)
+    euler = np.reshape(classify.euler_residual(S, 2), -1).tolist()
+    scales = np.reshape(S.value, -1).tolist()
+    # C-contiguous, so each row's SVD sees the layout a point's matrix has
+    H = np.empty(S.coeffs.shape[:-1] + (n, n))
+    for i in range(n):
+        di = S.dy(i)
+        for j in range(n):
+            H[..., i, j] = 0.5 * di.dy(j).value
+    out = []
+    for e, v, h in zip(euler, scales, H.reshape(-1, n, n)):
+        sv = np.linalg.svd(h, compute_uv=False)
+        ratio = float(sv[-1] / sv[0]) if sv[0] > 0.0 else 0.0
+        fails = ratio < tol.rank or not tol.zero(e, max(1.0, abs(v)))
+        out.append((e, ratio, not fails))
+    return out
+
+
 def finsler_check(field_obj, samples: SampleSet,
                   tol: Tolerances = TOL) -> FinslerCheck:
     """Is the scalar field a (pseudo-)Finsler function on the samples?
@@ -92,52 +124,91 @@ def finsler_check(field_obj, samples: SampleSet,
     y-Hessian of full numeric rank (smallest singular value at least
     rank_tol times the largest) at every sample.  Signature is not
     constrained: indefinite metrics pass.
+
+    The field gives one 2-jet per run of `classify.BLOCK_ROWS` samples,
+    taken at the block of their points, and each row is judged as the
+    sample alone would be, in sample order.  When the block raises, its
+    samples are taken one at a time, so the first that fails alone
+    decides the error.
     """
-    n = field_obj.dim
+    rows = []
+    for block in classify.blocks(samples.points()):
+        try:
+            rows += _finsler_rows(field_obj, block, tol)
+        except Exception:
+            for pt in block:
+                rows += _finsler_rows(field_obj, pt, tol)
     worst_euler = 0.0
     min_ratio = float("inf")
     holds = True
-    for pt in samples.points():
-        S = field_obj.jet(pt, 2)
-        e = classify.euler_residual(S, 2)
+    for e, ratio, passes in rows:
         worst_euler = max(worst_euler, e)
-        H = np.array([[0.5 * S.dy(i).dy(j).value for j in range(n)]
-                      for i in range(n)])
-        sv = np.linalg.svd(H, compute_uv=False)
-        ratio = float(sv[-1] / sv[0]) if sv[0] > 0.0 else 0.0
         min_ratio = min(min_ratio, ratio)
-        if ratio < tol.rank or not tol.zero(e, max(1.0, abs(S.value))):
-            holds = False
+        holds = holds and passes
     return FinslerCheck(holds=holds, euler_residual=worst_euler,
                         rank_ratio=min_ratio)
 
 
+def _key(pa: np.ndarray) -> tuple:
+    """The key of a point, or of a block of points, in the candidates'
+    tables; a block of one row keys apart from its point."""
+    return pa.shape, pa.tobytes()
+
+
 def _bundle_table(bundles) -> dict:
-    """Point bundles keyed by their point's bytes."""
-    return {b.point.array().tobytes(): b for b in bundles}
+    """The given point bundles keyed by their points, and the row bundles
+    of each block bundle among them, in row order, keyed by the block."""
+    table: dict = {}
+    for b in bundles:
+        table[_key(b.point.array())] = b
+        if b._block is not None:
+            table.setdefault(_key(b._block[0]._pa), []).append(b)
+    return table
+
+
+def _split_bundle(metric, pa: np.ndarray, key: tuple, order: int):
+    """The curvature bundle of order at least `order` at the point or block
+    pa: the one `metric._bundles` holds there, else a new one of order
+    max(order, 3).  The scalar split must hold at each of its points,
+    checked in row order, so the first failing row names the error."""
+    known = metric._bundles.get(key)
+    if pa.ndim == 1:
+        if known is None or known.order < order:
+            known = geometry.CurvatureBundle(metric.spray, pa, max(order, 3))
+        b, rows = known, [known]
+    elif known is not None and len(known) == len(pa) and known[0].order >= order:
+        b, rows = known[0]._block[0], known
+    else:
+        b = geometry.CurvatureBundle(metric.spray, pa, max(order, 3))
+        rows = b.rows()
+    for row in rows:
+        if not geometry.split_holds(row, TOL):
+            raise PreconditionError(
+                "curvature scalar is undefined: the spray is not of scalar "
+                f"curvature at this point (split residual {row.split[2]:.3e})")
+    return b
 
 
 def _candidate_jet(metric, p, order: int, jet_order: int):
-    """The jet of order `jet_order` that `metric.jet(p, order)` returns.
+    """The jet of order `jet_order` that `metric.jet(p, order)` returns, at
+    a point or at a (B, 2n) block of points.
 
     Truncated from the jet kept at p when that is of high enough order,
-    else computed by `metric._jet_at` and kept: on the bundle that
-    `metric._bundles` holds at p when it is at least two orders above
-    `order`, else on a new one of order max(order + 2, 3).  Either way the
-    bundle's scalar split must hold.
+    else computed by `metric._jet_at` on the bundle `_split_bundle` gives
+    two orders above `order`, and kept.  A block's jet is also kept row by
+    row at its points, for the reads there.
     """
     pa = geometry._point_array(p, metric.dim)
-    key = pa.tobytes()
+    key = _key(pa)
     out = metric._jets.get(key)
     if out is None or out.order < jet_order:
-        b = metric._bundles.get(key)
-        if b is None or b.order < order + 2:
-            b = geometry.CurvatureBundle(metric.spray, pa, max(order + 2, 3))
-        if not geometry.split_holds(b, TOL):
-            raise PreconditionError(
-                "curvature scalar is undefined: the spray is not of scalar "
-                f"curvature at this point (split residual {b.split[2]:.3e})")
-        out = metric._jets[key] = metric._jet_at(b, order)
+        out = metric._jet_at(_split_bundle(metric, pa, key, order + 2), order)
+        metric._jets[key] = out
+        for r, row in enumerate(pa if pa.ndim == 2 else ()):
+            kept = metric._jets.get(_key(row))
+            if kept is None or kept.order < out.order:
+                metric._jets[_key(row)] = jets.Jet(out.space, tuple(row),
+                                                   out.coeffs[r])
     return out.truncated(jet_order)
 
 
@@ -154,7 +225,17 @@ class CurvatureMetric:
     from coefficients of no higher degree only, so this is bit for bit
     what a bundle built for the request would give.  A request of order k
     returns a jet of order max(k, 1).
+
+    `p` may also be a (B, 2n) block of points.  Its jet is read off the
+    block bundle that `bundles` holds for that block (the rows of one
+    block of a classification), else off a block bundle built for the
+    request, and row r equals, bit for bit, the jet at point r alone.
+    Each row's split is checked in row order.  The block's jet is kept
+    for the block and, row by row, for its points.
     """
+
+    # `jet` evaluates a block of points in one pass
+    evaluates_blocks = True
 
     def __init__(self, spray, bundles=()):
         self.spray = spray
@@ -266,9 +347,14 @@ class ScaledCurvatureMetric:
     constant term comes from the quadrature field).  Only x-monomials are
     transferred, so residual y-noise in omega below tolerance is dropped
     rather than amplified.  The curvature bundles are found, and the jets
-    kept, as for `CurvatureMetric`; a request of order k returns a jet of
-    order k.
+    kept, as for `CurvatureMetric`, at a point or a block of points; a
+    request of order k returns a jet of order k.  At a block, lambda is
+    taken at each row's x and the coefficients move along the last axis,
+    so each row is what its point alone gives.
     """
+
+    # `jet` evaluates a block of points in one pass
+    evaluates_blocks = True
 
     def __init__(self, spray, lam: LambdaField, bundles=()):
         self.spray = spray
@@ -284,8 +370,10 @@ class ScaledCurvatureMetric:
         om = [d / Rj for d in b.delta_scalar(Rj)]
         osp = om[0].space
         msp = jets.space(2 * n, order)
-        coeffs = np.zeros(msp.T)
-        coeffs[0] = np.log(self.lam(b.point.x))
+        coeffs = np.zeros(Rj.coeffs.shape[:-1] + (msp.T,))
+        # np.log of each row's float, as at a point
+        logs = [np.log(self.lam(x)) for x in np.reshape(b._pa, (-1, 2 * n))[:, :n]]
+        coeffs[..., 0] = np.reshape(logs, coeffs.shape[:-1])
         for idx in range(1, msp.T):
             alpha = msp.alphas[idx]
             if any(alpha[n:]):
@@ -293,7 +381,7 @@ class ScaledCurvatureMetric:
             i = next(k for k in range(n) if alpha[k] > 0)
             beta = list(alpha)
             beta[i] -= 1
-            coeffs[idx] = om[i].coeffs[osp.index[tuple(beta)]] / alpha[i]
+            coeffs[..., idx] = om[i].coeffs[..., osp.index[tuple(beta)]] / alpha[i]
         mu = jets.Jet(msp, Rj.center, coeffs)
         return Rj * jets.exp(-1.0 * mu)
 
@@ -310,6 +398,25 @@ class ScaledCurvatureMetric:
 # -- shared plumbing -----------------------------------------------------------
 
 
+def _residual_rows(L, b, p, triples: list, parallel: bool) -> list:
+    """`metric_spray_residuals`' tuples for the triples at p: one triple's
+    point and bundle, or the block of points of the block bundle b whose
+    rows the triples' bundles are."""
+    n = L.dim
+    rows = len(triples)
+    values = semis = [None] * rows
+    if parallel:
+        Lj = L.jet(p, 1)
+        values = np.reshape(Lj.value, rows).tolist()
+        semis = [max(abs(d) for d in cov)
+                 for cov in b.cov_h(Lj, ()).reshape(rows, n).tolist()]
+    gv = np.array([g.value for g in geometry.spray_from_metric(L, p, 0)])
+    match = np.max(np.abs(gv.reshape(n, rows).T - b.G_values.reshape(rows, n)),
+                   axis=1).tolist()
+    return [(pt, bt, value, semi, m) for (pt, bt, _), value, semi, m
+            in zip(triples, values, semis, match)]
+
+
 def metric_spray_residuals(L, triples, parallel: bool = True):
     """Compare a metric with a spray at each (point, bundle, _) triple.
 
@@ -319,15 +426,29 @@ def metric_spray_residuals(L, triples, parallel: bool = True):
     horizontal derivative of L along the spray and G_L the spray that L
     induces.  With `parallel` false, L and L_{;i} are not evaluated and
     their places hold None.  The pass rules are the callers'.
+
+    A run of triples whose bundles are the rows of one block bundle, in
+    order, is compared at once: one jet of L at the block, one `cov_h` of
+    the block bundle and one `spray_from_metric` at the block, each row
+    equal, bit for bit, to its sample alone.  When the block raises, its
+    samples are compared one at a time, so the first that fails alone
+    decides the error, after the samples before it are yielded.
     """
-    for pt, b, _ in triples:
-        value = semi = None
-        if parallel:
-            Lj = L.jet(pt, 1)
-            value = Lj.value
-            semi = max(abs(d) for d in b.cov_h(Lj, ()).tolist())
-        gv = np.array([g.value for g in geometry.spray_from_metric(L, pt, 0)])
-        yield pt, b, value, semi, float(np.max(np.abs(gv - b.G_values)))
+    def block_of(t):
+        return t[1]._block[0] if t[1]._block is not None else t[1]
+
+    for b, run in itertools.groupby(triples, key=block_of):
+        run = list(run)
+        out = None
+        if b.point is None and [t[1]._block[1] for t in run] == list(range(len(b._pa))):
+            try:
+                out = _residual_rows(L, b, b._pa, run, parallel)
+            except Exception:
+                pass  # a sample that fails alone raises its own error below
+        if out is None:
+            out = (row for pt, bt, dec in run
+                   for row in _residual_rows(L, bt, pt, [(pt, bt, dec)], parallel))
+        yield from out
 
 
 def _certify(L, report: classify.ClassificationReport, fc: FinslerCheck,
@@ -365,7 +486,9 @@ def lambda_field(spray, samples: SampleSet, order: int,
     order-`order` block bundle at a segment's K nodes to the (K, n) form
     values there.  The integral runs from the chart origin, and a node
     where the spray's guards fail at that tangent vetoes the segment (see
-    `LambdaField`).
+    `LambdaField`).  A spray without guards admits every node, so its
+    nodes are not asked.  The samples must be admissible points of the
+    spray: the guards are counted at the first.
     """
     n = spray.dim
     y_ref = samples.ys[0, 0].copy()
@@ -375,8 +498,11 @@ def lambda_field(spray, samples: SampleSet, order: int,
         pts = np.concatenate([xs, np.broadcast_to(y_ref, xs.shape)], axis=1)
         return form(geometry.CurvatureBundle(spray, pts, order))
 
-    return LambdaField(omega, np.zeros(n), accept=lambda x: (
-        sampling.guards_hold(spray, np.concatenate([x, y_ref]))))
+    def accept(x: np.ndarray) -> bool:
+        return sampling.guards_hold(spray, np.concatenate([x, y_ref]))
+
+    guarded = bool(spray.guard_values(samples.points()[0]))
+    return LambdaField(omega, np.zeros(n), accept=accept if guarded else None)
 
 
 def _vanishing(samples: SampleSet, rule: str, key: str,
@@ -605,6 +731,16 @@ def projective_shift(metric, c: float, count: int = 64, seed: int = 7,
     if metric.dim < 2:
         raise PreconditionError("projective shift needs dimension >= 2")
     samples = sampling.draw(metric, count=count, seed=seed, box=box)
+    if isinstance(metric, (CurvatureMetric, ScaledCurvatureMetric)):
+        # a recovered metric keeps the highest-order jet asked of it at each
+        # block, and row by row at its points: ask first for the order the
+        # metric's spray lifts it to, so that every read below truncates
+        # one jet per block
+        try:
+            for block in classify.blocks(samples.points()):
+                metric.jet(block, order + 2)
+        except Exception:
+            pass  # the reads below raise what they raise, in their order
     L_vals = [metric.value(pt) for pt in samples.points()]
     if min(L_vals) <= 0.0:
         raise PreconditionError(

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spraylab import classify, corpus, dsl, geometry, metrize, sampling
+from spraylab import classify, cli, corpus, dsl, geometry, metrize, sampling
 from spraylab.errors import DomainError, PathError, PreconditionError
 
 from conftest import classified
@@ -264,6 +264,48 @@ def test_kept_candidate_jets_truncate_to_the_requested_jets() -> None:
                 assert got.coeffs.tobytes() == want.coeffs.tobytes()
 
 
+def two_samples(*pts) -> sampling.SampleSet:
+    """A sample set of the given points, each on a base of its own."""
+    pts = np.array(pts, dtype=float)
+    n = pts.shape[1] // 2
+    return sampling.SampleSet(pts[:, :n].copy(), pts[:, None, n:].copy())
+
+
+def test_finsler_check_of_a_block_keeps_the_first_failing_sample() -> None:
+    # the first sample is not of scalar curvature, and the spray cannot be
+    # evaluated at the second: the block raises the second's DomainError
+    # while building its bundle, and the samples taken one at a time raise
+    # the first's PreconditionError, as before
+    sp = spray_of("dim 3\nspray G1 = x2 * y3^2 * sqrt(x1)\nspray G2 = 0\n"
+                  "spray G3 = 0\n")
+    samples = two_samples((0.5, 0.2, -0.1, 0.7, 0.5, -0.4),
+                          (-0.5, 0.2, -0.1, 0.7, 0.5, -0.4))
+    with pytest.raises(DomainError):
+        metrize.CurvatureMetric(sp).jet(samples.points(), 2)
+    with pytest.raises(PreconditionError, match="curvature scalar is undefined"):
+        metrize.finsler_check(metrize.CurvatureMetric(sp), samples)
+
+
+def test_metric_spray_residuals_of_a_block_keep_the_first_failing_sample() -> None:
+    # the metric's Hessian is degenerate at the first sample, and its jet
+    # cannot be taken at the second: the block raises the second's
+    # DomainError, and the samples compared one at a time raise the first's
+    # DegenerateMetric, after yielding nothing
+    from spraylab.errors import DegenerateMetric
+
+    metric = metric_of("dim 2\nmetric L = y1^2 + x1^2*y2^2 + sqrt(x2)*y1^2\n")
+    samples = two_samples((1e-9, 0.25, 0.6, 0.8), (0.3, -0.25, 0.6, 0.8))
+    triples = tuple(classify.point_bundles(spray_of(FLAT), samples))
+    assert triples[0][1]._block[0] is triples[1][1]._block[0]
+    with pytest.raises(DomainError):
+        metric.jet(samples.points(), 1)
+    got = []
+    with pytest.raises(DegenerateMetric):
+        for row in metrize.metric_spray_residuals(metric, triples):
+            got.append(row)
+    assert got == []
+
+
 def test_curvature_metrics_check_the_split_of_given_bundles() -> None:
     sp = spray_of(NONSCALAR3)
     pt = (0.1, 0.2, -0.1, 0.7, 0.5, -0.4)
@@ -358,6 +400,91 @@ def test_recover_lambda_rejects_point_callables() -> None:
         lam(np.array([0.7, -0.3]))
 
 
+# a flat spray whose guard is sqrt(1.5 - x1) + 1 > 1 where it is defined:
+# past x1 = 1.5 its float evaluation raises
+SQRT_GUARD = """
+dim 2
+spray G1 = 0
+spray G2 = 0
+guard = sqrt(1.5 - x1) + 1
+"""
+
+
+def guarded_field(src: str):
+    """A lambda_field of the zero form on the spray, with the points its
+    guards were asked at and the number of nodes of each form call."""
+    spray = spray_of(src)
+    calls, seen = [], []
+    guard_values = spray.guard_values
+
+    def recording(p):
+        calls.append(tuple(p))
+        return guard_values(p)
+
+    spray.guard_values = recording
+    # one admissible sample of every guard below
+    samples = sampling.SampleSet(np.full((1, 2), 0.25), np.array([[[0.6, 0.8]]]))
+
+    def form(b):
+        seen.append(len(b._pa))
+        return np.zeros((len(b._pa), 2))
+
+    return metrize.lambda_field(spray, samples, 2, form), calls, seen
+
+
+def first_failing_node(lam, target, ok) -> int:
+    return next(k for k, (t, _) in enumerate(lam._rule)
+                if not ok(t * np.asarray(target)))
+
+
+def test_guard_that_fails_mid_segment_vetoes_its_node() -> None:
+    lam, calls, seen = guarded_field(SQRT_GUARD.replace(
+        "sqrt(1.5 - x1) + 1", "0.5 - x1"))
+    assert lam(np.array([0.4, -0.3])) == 1.0
+    # the guard fails past x1 = 0.5: the nodes are asked one at a time, and
+    # the first that fails vetoes the segment after the nodes before it
+    # are evaluated
+    calls.clear()
+    k = first_failing_node(lam, (1.0, 0.2), lambda x: 0.5 - x[0] > 1e-6)
+    with pytest.raises(PathError, match=f"t={lam._rule[k][0]:.4f}"):
+        lam(np.array([1.0, 0.2]))
+    assert len(calls) == k + 1
+    assert seen[-1] == k
+
+
+def test_guard_whose_float_evaluation_raises_decides_the_error() -> None:
+    lam, calls, seen = guarded_field(SQRT_GUARD)
+    assert lam(np.array([1.2, 0.5])) == 1.0
+    # the first node past x1 = 1.5 raises in floats, after the nodes
+    # before it are evaluated
+    calls.clear()
+    k = first_failing_node(lam, (2.0, 0.0), lambda x: 1.5 - x[0] > 0.0)
+    with pytest.raises(DomainError, match="sqrt"):
+        lam(np.array([2.0, 0.0]))
+    assert len(calls) == k + 1
+    assert seen[-1] == k
+
+
+def test_guard_that_fails_at_zero_in_floats_decides_the_error() -> None:
+    # every node towards a target with x1 = 0 has x1 exactly 0, where the
+    # real power of the guard is undefined in floats
+    lam, calls, seen = guarded_field(SQRT_GUARD.replace(
+        "sqrt(1.5 - x1) + 1", "x1^0.5 + 1"))
+    calls.clear()
+    with pytest.raises(DomainError):
+        lam(np.array([0.0, 0.5]))
+    assert len(calls) == 1 and seen == []
+
+
+def test_lambda_field_of_a_spray_without_guards_asks_no_node() -> None:
+    lam, calls, _ = guarded_field(SQRT_GUARD.replace(
+        "guard = sqrt(1.5 - x1) + 1\n", ""))
+    assert lam.accept is None
+    assert lam(np.array([2.0, 0.0])) == 1.0
+    # asked once, at the sample, to count the guards
+    assert len(calls) == 1
+
+
 # float.hex of ex7.1's recovered L and lambda at 12 fixed points, recorded
 # while the quadrature still built one bundle per node
 RECOVERY_HEX = Path(__file__).resolve().parent / "data" / "ex7_1_recovery_hex.json"
@@ -372,6 +499,62 @@ def test_ex7_1_recovery_is_bit_for_bit_stable(seed) -> None:
     L = v.recovered_metric
     assert [L.value(p).hex() for p in pts] == rec["seeds"][seed]["L"]
     assert [L.lam(p[:2]).hex() for p in pts] == rec["seeds"][seed]["lambda"]
+
+
+# float.hex of the numbers behind each re-verification of a recovered metric
+# (the Finsler check, L_{;i}, the induced-spray match), recorded while
+# certification still ran one sample at a time: `decide` on the three
+# fixtures that recover a metric, at the seeds of the benchmark's `recover`
+# workload; projective shifts of the round sphere; and gen-pflat's round
+# trip on the quadratic data of the `highdim` workload at seed 7
+CERTIFY_HEX = Path(__file__).resolve().parent / "data" / "certify_hex.json"
+PFLAT_DATA = {
+    3: ("1.0250,0.0122,-0.0219,0.0122,0.9600,0.0695,-0.0219,0.0695,1.0594",
+        "-0.0064,-0.0394,-0.0443"),
+    4: ("1.0210,0.0078,0.0644,0.0025,0.0078,0.9479,-0.0382,-0.0241,0.0644,"
+        "-0.0382,1.0344,-0.0568,0.0025,-0.0241,-0.0568,1.0690",
+        "0.0890,0.0808,0.0139,-0.0709"),
+}
+CERTIFY_CASES = ([f"decide {name} seed {seed}"
+                  for name in ("ex7.1", "elliptic2", "ex7.3")
+                  for seed in (7, 1007, 2007)]
+                 + [f"projective_shift elliptic2 c={c}" for c in (0.0, 1.0)]
+                 + [f"gen-pflat dim {n}" for n in PFLAT_DATA])
+
+
+def certify_numbers(case: str, tmp_path) -> dict:
+    """The residual and every float of the verdict's evidence, or the
+    round trip of gen-pflat, as float.hex."""
+    kind, rest = case.split(" ", 1)
+    if kind == "gen-pflat":
+        n = int(rest.split()[-1])
+        A, B = PFLAT_DATA[n]
+        out = tmp_path / "report.json"
+        code = cli.main(["gen-pflat", f"--A={A}", f"--B={B}", "--C=1",
+                         f"--dir={tmp_path / 'gen'}", f"--name=pflat{n}",
+                         "--seed", "7", "--out", str(out)])
+        assert code == 0
+        roundtrip = json.loads(out.read_text())["roundtrip"]
+        return {k: float(v).hex() for k, v in sorted(roundtrip.items())}
+    if kind == "decide":
+        name, _, seed = rest.split()
+        fx = corpus.load_fixture(name)
+        v = metrize.decide(fx.build(), count=64, seed=int(seed), box=fx.box)
+    else:
+        sphere = corpus.load_fixture("elliptic2")
+        c = float(rest.split("c=")[1])
+        v = metrize.projective_shift(sphere.metric(), c, count=64, seed=7,
+                                     box=sphere.box)[1]
+    out = {"outcome": v.outcome, "residual": v.residual.hex()}
+    out.update({k: e.hex() for k, e in sorted(v.evidence.items())
+                if isinstance(e, float)})
+    return out
+
+
+@pytest.mark.parametrize("case", CERTIFY_CASES)
+def test_certification_numbers_match_record(case, tmp_path) -> None:
+    want = json.loads(CERTIFY_HEX.read_text())[case]
+    assert certify_numbers(case, tmp_path) == want
 
 
 # -- verdict_isotropic ----------------------------------------------------------
@@ -671,6 +854,27 @@ def test_shift_evaluates_blocks(tally) -> None:
     assert tally["draws"] == 1
     assert tally["blocks"] == one_pass * 2
     assert tally["row_blocks"] == one_pass * 2
+
+
+def test_shift_of_a_recovered_metric_builds_one_bundle_per_block(monkeypatch) -> None:
+    # the recovered metric is asked first for the order its spray lifts it
+    # to (order 6, on order-8 bundles); its values and its Finsler check
+    # truncate that jet, so the spray it came from gets one order-8 block
+    # bundle per block and its rows, and no bundle of order 3 or 4
+    fx = corpus.load_fixture("elliptic2")
+    L = metrize.decide(fx.build(), count=16, seed=7, box=fx.box).recovered_metric
+    assert isinstance(L, metrize.CurvatureMetric)
+    built = []
+    init = geometry.CurvatureBundle.__init__
+
+    def recording_init(b, spray, p, order=4):
+        init(b, spray, p, order)
+        if spray is L.spray:
+            built.append((b._pa.shape, order))
+
+    monkeypatch.setattr(geometry.CurvatureBundle, "__init__", recording_init)
+    metrize.projective_shift(L, 0.7, count=8, seed=3, box=fx.box)
+    assert built == [((8, 4), 8)] + [((4,), 8)] * 8
 
 
 def test_each_class_is_decided_once_per_classified_sample(monkeypatch) -> None:

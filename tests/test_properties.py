@@ -26,7 +26,12 @@ than one chunk of `jets.MUL_CHUNK` products.  The finite-difference
 oracle's `fd_curvature` over such a block gives each row the bytes of the
 call at that point alone, or the error of the first point that fails
 alone: on the expression sprays, on the metric sprays, and on their
-projective shifts G + c sqrt(L) y.
+projective shifts G + c sqrt(L) y.  So does the metric half of the
+decision layer: the jets of both recovered-metric candidates of a random
+spray at a block, the rows of `finsler_check` for those candidates and for
+the random metrics (and `finsler_check` itself against the loop it ran
+one point at a time), and `metric_spray_residuals` over the triples of a
+classified block, for the random metrics and for the candidates.
 
 The prefix tests check that truncation is exact: a jet taken at order K
 and truncated to order k, with 1 <= k < K, equals the order-k jet byte for
@@ -40,15 +45,21 @@ value is added to the +0.0 a product sum starts from, so atan at a value
 of -0.0 gives -0.0 at order 0 and +0.0 above.  The random DSL trees use
 all seven functions, division, integer powers and non-integer powers.
 
-Two checks tie the jets to independent arithmetic on random DSL trees.
+Three checks tie the jets to independent arithmetic on random DSL trees.
 Value, gradient and Hessian of an order-2 jet agree with `oracle.Taylor2`
 to TAYLOR2_BOUND times the largest of Taylor2's entries; the worst over
 7000 examples was 5.7e-14.  The series laws exp(ln u) = u and
 u * u.reciprocal() = 1 hold per row to LAW_BOUND times the condition
 max(1, max|u| / |u(0)|)^k of the order-k jet (times max|u| for the first
-law); the worst over 14000 examples was 8.6e-16 in those units.  Both
-bounds follow the rule above.  Examples where either side raises, or a
-coefficient overflows, are skipped.
+law); the worst over 14000 examples was 8.6e-16 in those units.  The first
+and second partials of an order-4 jet agree with `jets.fd_partial` at step
+FD_STEP to FD_BOUND times the largest partial of order at most 4 at the
+point (the step's truncation error is h^2 times a fourth partial, and its
+roundoff at most eps/h^2 times the value); the worst over 3000 examples
+was 4.1e-7.  The three bounds follow the rule above.  Examples where either
+side raises, or a coefficient overflows, are skipped, and so are those
+where the differences at FD_STEP and FD_STEP/2 disagree by more than the
+bound: a kink of abs, or a pole, lies inside the stencil.
 
 The tape tests check that sharing changes no bit: one `dsl.Tape` over
 roots with repeated subtrees gives each root the bytes of that root's own
@@ -67,14 +78,18 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from spraylab import classify, corpus, dsl, geometry, jets, oracle, sampling
-from spraylab.errors import DomainError
+from spraylab import (classify, corpus, dsl, geometry, jets, metrize, oracle,
+                      sampling)
+from spraylab.errors import DomainError, SprayLabError
 from spraylab.geometry import CurvatureBundle
+from spraylab.sampling import TOL
 
 CONTRACTION_BOUND = 1e-12
 BIANCHI_BOUND = 1e-12
 TAYLOR2_BOUND = 1e-12
 LAW_BOUND = 1e-14
+FD_STEP = 1e-3
+FD_BOUND = 1e-5
 
 PROPERTY_SETTINGS = settings(
     max_examples=50, deadline=None, derandomize=True, database=None,
@@ -305,6 +320,130 @@ def test_block_fd_curvature_of_metric_sprays_equals_point_calls_bitwise(
     fd_rows_agree(spray, block, h)
 
 
+def as_bytes(obj):
+    """Floats, arrays and jets as their bytes, in nested lists; None kept."""
+    if isinstance(obj, (list, tuple)):
+        return [as_bytes(o) for o in obj]
+    if isinstance(obj, jets.Jet):
+        return (obj.order, obj.coeffs.tobytes())
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (float, np.ndarray)):
+        return np.asarray(obj, dtype=float).tobytes()
+    return obj
+
+
+def rows_agree(block_rows, point_rows) -> None:
+    """The block call gives each row the bytes of the call at that point
+    alone, or the error of the first point that fails alone."""
+    def outcome(fn):
+        try:
+            with np.errstate(all="ignore"):
+                return as_bytes(fn())
+        except (SprayLabError, ArithmeticError, ValueError,
+                np.linalg.LinAlgError) as exc:
+            return (type(exc), str(exc))
+
+    assert outcome(block_rows) == outcome(point_rows)
+
+
+def samples_at(block: np.ndarray) -> sampling.SampleSet:
+    """A sample set whose points are the rows of the block."""
+    n = block.shape[1] // 2
+    return sampling.SampleSet(block[:, :n].copy(), block[:, None, n:].copy())
+
+
+def candidates(spray, bundles=()) -> list:
+    """Both metric candidates of the spray, lambda from a fixed x-form."""
+    n = spray.dim
+    lam = metrize.LambdaField(lambda xs: 0.25 * np.cos(xs[:, ::-1]), np.zeros(n))
+    return [metrize.CurvatureMetric(spray, bundles),
+            metrize.ScaledCurvatureMetric(spray, lam, bundles)]
+
+
+@PROPERTY_SETTINGS
+@given(sprays_at_blocks(), st.sampled_from([0, 1, 2]))
+def test_block_candidate_jets_equal_point_jets_bitwise(case, order) -> None:
+    spray, block = case
+    for k in range(2):
+        rows_agree(lambda: list(candidates(spray)[k].jet(block, order).coeffs),
+                   lambda: [candidates(spray)[k].jet(pt, order).coeffs
+                            for pt in block])
+
+
+@PROPERTY_SETTINGS
+@given(sprays_at_blocks(), metrics_at_blocks())
+def test_block_finsler_rows_equal_point_rows_bitwise(spray_case, metric_case) -> None:
+    spray, block = spray_case
+    for k in range(2):
+        rows_agree(lambda: metrize._finsler_rows(candidates(spray)[k], block, TOL),
+                   lambda: [metrize._finsler_rows(candidates(spray)[k], pt, TOL)[0]
+                            for pt in block])
+    n, terms, e, block = metric_case
+    metric = metric_expression(n, terms, e)
+    rows_agree(lambda: metrize._finsler_rows(metric, block, TOL),
+               lambda: [metrize._finsler_rows(metric, pt, TOL)[0] for pt in block])
+    fc = metrize.finsler_check(metric, samples_at(block))
+    assert as_bytes([fc.holds, fc.euler_residual, fc.rank_ratio]) == \
+        as_bytes(point_finsler_check(metric, block))
+
+
+def point_finsler_check(field_obj, points) -> list:
+    """finsler_check as it ran one point at a time: [holds, worst Euler
+    residual, least rank ratio]."""
+    n = field_obj.dim
+    worst_euler, min_ratio, holds = 0.0, float("inf"), True
+    for pt in points:
+        S = field_obj.jet(pt, 2)
+        e = classify.euler_residual(S, 2)
+        worst_euler = max(worst_euler, e)
+        H = np.array([[0.5 * S.dy(i).dy(j).value for j in range(n)]
+                      for i in range(n)])
+        sv = np.linalg.svd(H, compute_uv=False)
+        ratio = float(sv[-1] / sv[0]) if sv[0] > 0.0 else 0.0
+        min_ratio = min(min_ratio, ratio)
+        if ratio < TOL.rank or not TOL.zero(e, max(1.0, abs(S.value))):
+            holds = False
+    return [holds, worst_euler, min_ratio]
+
+
+def residuals(L, triples, parallel=True) -> list:
+    return [row[2:] for row in metrize.metric_spray_residuals(L, triples, parallel)]
+
+
+def block_and_point_triples(spray, block) -> tuple:
+    """The classification's triples of the block (rows of one block
+    bundle), and triples of point bundles built at each row alone."""
+    rows = tuple(classify.point_bundles(spray, samples_at(block)))
+    points = tuple((pt, CurvatureBundle(spray, pt, 4), None) for pt in block)
+    return rows, points
+
+
+@PROPERTY_SETTINGS
+@given(metrics_at_blocks(), st.booleans())
+def test_block_metric_spray_residuals_equal_point_rows_bitwise(case, parallel) -> None:
+    n, terms, e, block = case
+    metric = metric_expression(n, terms, e)
+    try:
+        rows, points = block_and_point_triples(geometry.MetricSpray(metric), block)
+    except SprayLabError:
+        assume(False)
+    assert all(b._block is not None for _, b, _ in rows)
+    rows_agree(lambda: residuals(metric, rows, parallel),
+               lambda: residuals(metric, points, parallel))
+
+
+@PROPERTY_SETTINGS
+@given(sprays_at_blocks())
+def test_block_candidate_residuals_equal_point_rows_bitwise(case) -> None:
+    spray, block = case
+    rows, points = block_and_point_triples(spray, block)
+    for k in range(2):
+        rows_agree(
+            lambda: residuals(candidates(spray, [b for _, b, _ in rows])[k], rows),
+            lambda: residuals(candidates(spray, [b for _, b, _ in points])[k], points))
+
+
 @PROPERTY_SETTINGS
 @given(st.lists(st.lists(st.floats(-0.5, 0.5), min_size=4, max_size=4),
                 min_size=1, max_size=6))
@@ -484,6 +623,31 @@ def test_exp_of_ln_and_u_times_its_reciprocal(tree, center, order) -> None:
     assert np.all(np.max(np.abs(one), axis=1) <= LAW_BOUND * cond), dsl.pretty(tree)
     assert np.all(np.max(np.abs(back - C), axis=1) <= LAW_BOUND * scale * cond), \
         dsl.pretty(tree)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(dsl_trees(), st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+def test_jet_partials_match_fd_partial(tree, point) -> None:
+    def f(env):
+        return dsl.evaluate(tree, env, dim=2)
+
+    try:
+        with np.errstate(all="ignore"):
+            jet = tree_jet(tree, 4, tuple(point))
+            fd, half = (np.array([jets.fd_partial(f, point, a, h)
+                                  for a in FIRST_AND_SECOND])
+                        for h in (FD_STEP, FD_STEP / 2))
+    except (DomainError, ArithmeticError, ValueError):
+        assume(False)
+    got = np.array([jet.partial(a) for a in FIRST_AND_SECOND])
+    # every partial of order at most 4 at the point
+    partials = jet.coeffs * jet.space._fact
+    assume(bool(np.all(np.isfinite(partials)) and np.all(np.isfinite(fd))))
+    scale = max(1.0, float(np.max(np.abs(partials))))
+    # a kink of abs or a pole inside the stencil: the differences at h and
+    # h/2 disagree, whatever the jet says
+    assume(bool(np.max(np.abs(fd - half)) <= FD_BOUND * scale))
+    assert np.max(np.abs(got - fd)) <= FD_BOUND * scale, dsl.pretty(tree)
 
 
 def _bundle_jets(b) -> list:
