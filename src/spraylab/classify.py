@@ -88,9 +88,11 @@ def is_isotropic(dec: ScalarDecomposition, bundle,
     The two routes are equal identically on scalar-curvature sprays
     (chi_i = (n+1)(R_.i - 2 tau_i)), so when the decomposition holds they
     must agree; disagreement is an engine fault, not a property failure.
+    `dec` is the bundle's decomposition; R_.i is read off the bundle
+    (`rdot_values`), taken once for a block bundle's rows.
     """
     n = bundle.dim
-    rdot = np.array([dec.R_jet.dy(i).value for i in range(n)])
+    rdot = bundle.rdot_values
     defect = float(np.max(np.abs(rdot - 2.0 * dec.tau)))
     chi_defect = float(np.max(np.abs(bundle.chi_values))) / (n + 1)
     scale = max(abs(dec.R), float(np.max(np.abs(dec.tau))), 1.0)
@@ -105,16 +107,20 @@ def is_isotropic(dec: ScalarDecomposition, bundle,
 
 def is_constant(dec: ScalarDecomposition, bundle,
                 tol: Tolerances = TOL) -> ConstantCheck:
-    """tau_{i;k} = 0; equivalently Ric_{;i} = 0 when Ric != 0."""
-    tau_cov = bundle.cov_h(np.array(dec.tau_jets, dtype=object), ("d",))
-    residual = float(np.max(np.abs(tau_cov)))
+    """tau_{i;k} = 0; equivalently Ric_{;i} = 0 when Ric != 0.
+
+    `dec` is the bundle's decomposition; both covariant derivatives are
+    read off the bundle (`tau_cov`, `ric_cov`), taken once for a block
+    bundle's rows.
+    """
+    residual = float(np.max(np.abs(bundle.tau_cov)))
     scale = max(1.0, float(np.max(np.abs(dec.tau))))
     holds = dec.holds and tol.zero(residual, scale)
 
     ric_residual = None
     ric = bundle.Ric_value
     if not tol.zero(ric, max(1.0, abs(ric))):
-        ric_residual = float(np.max(np.abs(bundle.cov_h(bundle.Ric, ()))))
+        ric_residual = float(np.max(np.abs(bundle.ric_cov)))
         if holds and not tol.zero(ric_residual, 1e3 * max(1.0, abs(ric))):
             raise SprayLabError(
                 "tau_{i;k} vanishes but Ric_{;i} does not; the two "
@@ -200,7 +206,7 @@ def projective_isotropy_residual(b, tol: Tolerances = TOL) -> float:
                     ("d",))
     out = 0.0
     for i in range(n):
-        lhs = dec.R_jet.dy(i).value - 2.0 * dec.tau_jets[i].value
+        lhs = b.rdot_values[i] - 2.0 * dec.tau[i]
         contracted = sum(b.yvals[j] * P_cov[i, j] for j in range(n))
         out = max(out, abs(lhs - 3.0 * (P_semi[i] - contracted)))
     return float(out)
@@ -364,8 +370,7 @@ def classify_samples(spray, samples: SampleSet, order: int = 4,
         worst["berwald"] = max(worst["berwald"], ber.residual)
         worst["projective_form"] = max(worst["projective_form"], prop_res)
         if dec.holds:
-            rdot = np.array([dec.R_jet.dy(i).value for i in range(n)])
-            rows[i] = rdot - 2.0 * dec.tau
+            rows[i] = bun.rdot_values - 2.0 * dec.tau
 
     if all(pt["berwald"] and pt["projective_form"] and pt["isotropic"]
            for pt in per_point):

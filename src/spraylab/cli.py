@@ -197,7 +197,12 @@ def _accounting(cfg: RunConfig, samples: SampleSet) -> dict:
 def _surveyed(triples, tol: Tolerances, rows: list, identities: dict):
     """Summarize each (point, bundle, decomposition) triple into `rows` and
     the aggregated identity table, then pass its bundle on.  `triples` may
-    be a generator; each bundle is summarized once and not kept."""
+    be a generator; each bundle is summarized once and not kept.
+
+    At the first row of a block bundle its identities are taken for all
+    its rows in one call, and each row reads its own dict; a bundle built
+    alone, or the rows of a block whose call raises, take their own."""
+    block = block_res = None
     for pt, b, dec in triples:
         row = {
             "point": [float(v) for v in pt],
@@ -209,7 +214,17 @@ def _surveyed(triples, tol: Tolerances, rows: list, identities: dict):
             row["R"] = float(dec.R)
             row["tau"] = _jsonable(dec.tau)
         rows.append(row)
-        for name, res in geometry.identity_residuals(b, tol=tol).items():
+        if b._block is not None and b._block[0] is not block:
+            block = b._block[0]
+            try:
+                block_res = geometry.identity_residuals(block, tol=tol)
+            except SprayLabError:
+                block_res = None  # a row that fails alone raises below
+        if b._block is not None and block_res is not None:
+            table = block_res[b._block[1]]
+        else:
+            table = geometry.identity_residuals(b, tol=tol)
+        for name, res in table.items():
             identities[name] = max(identities.get(name, 0.0), float(res))
         yield b
 

@@ -38,7 +38,9 @@ sprays point by point, their jets stacked.  `rows` turns a block bundle
 into one point bundle per row, which reads its tensors off the block's
 rows: the tensors of many points come from one walk through the
 formulas, and every consumer of point bundles reads them unchanged.  The
-scalar split and the operations built on it are taken at one point only.
+scalar split (`splits`), the covariant derivatives the class tests take
+of its parts, and `identity_residuals` are likewise taken once for a
+block, with each row's numbers those of its point alone.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from functools import cached_property, wraps
 import numpy as np
 
 from . import dsl, jets
-from .errors import DegenerateMetric, DomainError, PreconditionError
+from .errors import DegenerateMetric, DomainError, PreconditionError, SprayLabError
 from .sampling import TOL, Tolerances
 
 
@@ -269,19 +271,22 @@ def spray_from_metric(metric, p, order: int = 4, tol: Tolerances = TOL) -> list:
 
 
 def _row_of(value, r: int, center: tuple):
-    """Row r of a block bundle's tensor: block jets, in nested lists, become
-    point jets at `center` over the same coefficients; value arrays lose
-    the block axis."""
+    """Row r of a block bundle's tensor: block jets, in nested lists or
+    tuples, become point jets at `center` over the same coefficients;
+    value arrays lose the block axis."""
     if isinstance(value, jets.Jet):
         return jets.Jet(value.space, center, value.coeffs[r])
-    if isinstance(value, list):
-        return [_row_of(v, r, center) for v in value]
+    if isinstance(value, (list, tuple)):
+        return type(value)(_row_of(v, r, center) for v in value)
     return value[r]
 
 
 def _per_row(fn):
     """A cached tensor that a row bundle (see `CurvatureBundle.rows`) reads
-    off its block's instead of computing it."""
+    off its block's instead of computing it.  When the block's raises (the
+    scalar split of a later row meets the reciprocal floor, say), the row
+    computes its own, so a row that fails alone raises its own error, in
+    its turn."""
     name = fn.__name__
 
     @wraps(fn)
@@ -289,9 +294,20 @@ def _per_row(fn):
         if self._block is None:
             return fn(self)
         block, r, center = self._block
-        return _row_of(getattr(block, name), r, center)
+        try:
+            value = getattr(block, name)
+        except SprayLabError:
+            return fn(self)
+        return _row_of(value, r, center)
 
     return cached_property(get)
+
+
+def _pick(column: list, i0) -> np.ndarray:
+    """The coefficients whose row r is row r of column[i0[r]], for jets at a
+    block; column[i0]'s at a point."""
+    c = np.stack([u.coeffs for u in column])
+    return c[i0] if c.ndim == 2 else c[i0, np.arange(c.shape[1])]
 
 
 class CurvatureBundle:
@@ -400,6 +416,36 @@ class CurvatureBundle:
             raise PreconditionError("scalar decomposition needs dimension at least 2")
         return (1.0 / (self.dim - 1)) * self.Ric
 
+    @_per_row
+    def splits(self) -> tuple:
+        """The scalar split of the point, or of every row of a block at
+        once: (R jet, [tau_k jets], residual), with block jets and one
+        residual per row at a block.  `split` is a point's.
+
+        At each point i0 is the index of the largest |y^i|.  y^{i0} is one
+        jet, whose rows each have their own value and unit slot, and its
+        one reciprocal serves every tau_k, as `Jet.__truediv__` would take
+        it; each row's numerator is picked with np.where.
+        """
+        n = self.dim
+        Rj = self.curvature_scalar
+        sp, center = Rj.space, Rj.center
+        i0 = np.argmax(np.abs(self.yvals), axis=-1)
+        yj = jets.Jet(sp, center, _pick([sp.variable(n + i, center)
+                                         for i in range(n)], i0))
+        inv = yj.reciprocal()
+        on_row = np.expand_dims(i0, -1)
+        tau = []
+        for k in range(n):
+            Rk = jets.Jet(sp, center, _pick([self.R[i][k] for i in range(n)], i0))
+            num = np.where(on_row == k, (Rj - Rk).coeffs, (-1.0 * Rk).coeffs)
+            tau.append(jets.Jet(sp, center, num) * inv)
+        tau_vals = self._values(tau)
+        recon = (np.multiply.outer(Rj.value, np.eye(n))
+                 - self.yvals[..., :, None] * tau_vals[..., None, :])
+        residual = np.max(np.abs(self.R_values - recon), axis=(-2, -1))
+        return Rj, tau, residual
+
     @cached_property
     def split(self) -> tuple:
         """Split R^i_k as R delta^i_k - tau_k y^i: (R jet, [tau_k jets],
@@ -409,25 +455,30 @@ class CurvatureBundle:
         conditioned division); the residual is the worst value-level
         violation of the reconstruction over all (i,k).  It is exactly zero
         on the chosen row, so the residual measures whether the remaining
-        rows agree, which is the scalar-curvature property.
+        rows agree, which is the scalar-curvature property.  A row bundle
+        reads its row of its block's `splits`.
         """
-        n = self.dim
         if self._pa.ndim == 2:
             raise PreconditionError("the scalar split is taken at one point, "
-                                    "not on a block")
+                                    "not on a block; `splits` holds each row's")
+        Rj, tau, residual = self.splits
+        return Rj, tau, float(residual)
+
+    @_per_row
+    def rdot_values(self) -> np.ndarray:
+        """Values of R_.i, the y-gradient of the split's R."""
         Rj = self.curvature_scalar
-        i0 = int(np.argmax(np.abs(self.yvals)))
-        sp = jets.space(2 * n, Rj.order)
-        yj = sp.variable(n + i0, tuple(self._pa))
-        tau = []
-        for k in range(n):
-            num = (Rj - self.R[i0][k]) if k == i0 else (-1.0 * self.R[i0][k])
-            tau.append(num / yj)
-        tau_vals = np.array([t.value for t in tau])
-        Rv = Rj.value
-        recon = Rv * np.eye(n) - np.outer(self.yvals, tau_vals)
-        residual = float(np.max(np.abs(self.R_values - recon)))
-        return Rj, tau, residual
+        return self._values([Rj.dy(i) for i in range(self.dim)])
+
+    @_per_row
+    def tau_cov(self) -> np.ndarray:
+        """Values of tau_{i;k}, from the split's tau jets."""
+        return self.cov_h(np.array(self.splits[1], dtype=object), ("d",))
+
+    @_per_row
+    def ric_cov(self) -> np.ndarray:
+        """Values of Ric_{;i}."""
+        return self.cov_h(self.Ric, ())
 
     @_per_row
     def R3(self) -> list:
@@ -590,67 +641,96 @@ class CurvatureBundle:
 # -- scalar decomposition ------------------------------------------------------
 
 
-def split_holds(bundle: CurvatureBundle, tol: Tolerances = TOL) -> bool:
-    """Does the bundle's scalar split hold, relative to max |R^i_k|?"""
-    scale = float(np.max(np.abs(bundle.R_values)))
-    return tol.zero(bundle.split[2], scale)
+def split_holds(bundle: CurvatureBundle, tol: Tolerances = TOL):
+    """Does the bundle's scalar split hold, relative to max |R^i_k|?  At a
+    block bundle, a list of one answer per row."""
+    residuals = np.reshape(bundle.splits[2], -1)
+    R_values = bundle.R_values.reshape(len(residuals), -1)
+    out = [tol.zero(float(res), float(np.max(np.abs(Rv))))
+           for res, Rv in zip(residuals, R_values)]
+    return out if bundle.point is None else out[0]
 
 
 # -- identity residuals --------------------------------------------------------
 
 
-def identity_residuals(bundle: CurvatureBundle, tol: Tolerances = TOL) -> dict:
+def _folds(accs: list, rows: int) -> list:
+    """Per row, max |acc| over the arrays of `accs`, folded with Python max
+    from 0.0 in list order, as one point's loop folds its sums."""
+    out = []
+    for r in range(rows):
+        worst = 0.0
+        for acc in accs:
+            worst = max(worst, abs(acc[r]))
+        out.append(worst)
+    return out
+
+
+def identity_residuals(bundle: CurvatureBundle, tol: Tolerances = TOL):
     """Structural identities as value-level residuals at the bundle's point.
 
     Always present: 'curvature_contraction' (R^i_k y^k) and 'bianchi'.
     When the scalar split holds at the point, also 'tau_trace',
     'chi_consistency', and for n >= 3 'scalar_gradient'.  Identities whose
     hypothesis fails are omitted, not reported as violations.
+
+    At a block bundle, a list of one such dict per row, each equal, key
+    order and bits, to the call at that row's point: the covariant
+    derivatives are taken once for the block and the sums over their
+    slots run elementwise over its rows, while the two dot products and
+    each row's worst-case fold are taken row by row, as at a point.
     """
     n = bundle.dim
-    yv = bundle.yvals
-    res: dict[str, float] = {}
-
-    res["curvature_contraction"] = float(np.max(np.abs(bundle.R_values @ yv)))
+    y = bundle.yvals.reshape(-1, n)
+    rows = len(y)
+    R_values = bundle.R_values.reshape(rows, n, n)
+    out = [{"curvature_contraction": float(np.max(np.abs(R_values[r] @ y[r])))}
+           for r in range(rows)]
 
     Rcov = bundle.cov_h(np.array(bundle.R, dtype=object), ("u", "d"))
     Vcov = bundle.cov_h(np.array(bundle.V, dtype=object), ("d",))
-    ric_cov = bundle.cov_h(bundle.Ric, ())
-    worst = 0.0
+    Rcov = Rcov.reshape(rows, n, n, n)
+    Vcov = Vcov.reshape(rows, n, n)
+    ric_cov = bundle.ric_cov.reshape(rows, n)
+    accs = []
     for k in range(n):
-        acc = -ric_cov[k]
+        acc = -ric_cov[:, k]
         for m in range(n):
-            acc += Rcov[m, k, m]
+            acc = acc + Rcov[:, m, k, m]
         for j in range(n):
-            acc += yv[j] * Vcov[k, j]
-        worst = max(worst, abs(acc))
-    res["bianchi"] = worst
+            acc = acc + y[:, j] * Vcov[:, k, j]
+        accs.append(acc)
+    for res, worst in zip(out, _folds(accs, rows)):
+        res["bianchi"] = worst
 
-    if not split_holds(bundle, tol):
-        return res
-    Rj, tau, _ = bundle.split
-
-    tau_vals = np.array([t.value for t in tau])
-    res["tau_trace"] = float(abs(tau_vals @ yv - Rj.value))
-
-    rdot = np.array([Rj.dy(i).value for i in range(n)])
-    res["chi_consistency"] = float(
-        np.max(np.abs(bundle.chi_values - (n + 1) * (rdot - 2.0 * tau_vals)))
-    )
+    holds = np.reshape(split_holds(bundle, tol), -1)
+    if not holds.any():
+        return out if bundle.point is None else out[0]
+    Rj, tau, _ = bundle.splits
+    Rv = np.reshape(Rj.value, -1)
+    tau_vals = CurvatureBundle._values(tau).reshape(rows, n)
+    rdot = bundle.rdot_values.reshape(rows, n)
+    chi = np.max(np.abs(bundle.chi_values.reshape(rows, n)
+                        - (n + 1) * (rdot - 2.0 * tau_vals)), axis=-1)
+    for r in np.flatnonzero(holds):
+        out[r]["tau_trace"] = float(abs(tau_vals[r] @ y[r] - Rv[r]))
+        out[r]["chi_consistency"] = float(chi[r])
 
     if n >= 3:
         rdot_jets = np.array([Rj.dy(i) for i in range(n)], dtype=object)
-        rdot_cov = bundle.cov_h(rdot_jets, ("d",))
-        tau_cov = bundle.cov_h(np.array(tau, dtype=object), ("d",))
-        rsemi = bundle.cov_h(Rj, ())
-        worst = 0.0
+        rdot_cov = bundle.cov_h(rdot_jets, ("d",)).reshape(rows, n, n)
+        tau_cov = bundle.tau_cov.reshape(rows, n, n)
+        rsemi = bundle.cov_h(Rj, ()).reshape(rows, n)
+        accs = []
         for i in range(n):
-            acc = -3.0 * rsemi[i]
+            acc = -3.0 * rsemi[:, i]
             for j in range(n):
-                acc += yv[j] * (rdot_cov[i, j] + tau_cov[i, j])
-            worst = max(worst, abs(acc))
-        res["scalar_gradient"] = worst
-    return res
+                acc = acc + y[:, j] * (rdot_cov[:, i, j] + tau_cov[:, i, j])
+            accs.append(acc)
+        worst = _folds(accs, rows)
+        for r in np.flatnonzero(holds):
+            out[r]["scalar_gradient"] = worst[r]
+    return out if bundle.point is None else out[0]
 
 
 # -- H family -------------------------------------------------------------------
@@ -689,10 +769,10 @@ def h_tensor_residuals(bundle: CurvatureBundle, tol: Tolerances = TOL) -> dict:
     """
     if not split_holds(bundle, tol):
         return {}
-    Rj, tau, _ = bundle.split
+    _, tau, _ = bundle.split
     n = bundle.dim
     h = h_tensors(bundle)
-    rdot = np.array([Rj.dy(i).value for i in range(n)])
+    rdot = bundle.rdot_values
     tau_vals = np.array([t.value for t in tau])
     tau_curl = np.empty((n, n))
     for i in range(n):

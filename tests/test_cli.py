@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from spraylab import classify, cli, corpus
+from spraylab import classify, cli, corpus, geometry
 from spraylab.errors import ParamError
 
 FLAGS = ("scalar", "isotropic", "constant", "berwald", "projective_form",
@@ -119,6 +119,23 @@ def test_samples_are_evaluated_in_blocks(command, name, points, width,
     assert tally["blocks"] == blocks
     # no block fell back to building its samples one at a time
     assert tally["row_blocks"] == blocks
+
+
+@pytest.mark.parametrize("name,points", [("ex7.1", 64), ("nonscalar3", 66)])
+def test_survey_takes_identities_once_per_block(name, points, monkeypatch):
+    # the survey asks for the identities of each block bundle once, at its
+    # first row, and each row reads its own dict from that call
+    calls = []
+    identity_residuals = geometry.identity_residuals
+
+    def counting(b, tol=cli.TOL):
+        calls.append(b.point)  # None at a block bundle
+        return identity_residuals(b, tol)
+
+    monkeypatch.setattr(geometry, "identity_residuals", counting)
+    report = cli.cmd_classify(cli.RunConfig(input=name, seed=7))
+    assert report.data["sampling"]["used"] == points
+    assert calls == [None] * -(-points // classify.BLOCK_ROWS)
 
 
 def test_quadrature_builds_one_bundle_per_lambda_target(tmp_path, tally):

@@ -19,6 +19,7 @@ import pytest
 from spraylab import dsl, geometry, jets
 from spraylab.errors import DomainError, OrderError, PreconditionError
 from spraylab.geometry import CurvatureBundle, PointTangent
+from spraylab.sampling import TOL, Tolerances
 
 FLAT = """
 dim 2
@@ -276,6 +277,28 @@ def test_nonscalar_spray_split_fails_loudly() -> None:
     assert res["bianchi"] <= 1e-8
 
 
+def test_block_identities_equal_point_calls_bytewise() -> None:
+    # a dim-3 scalar spray, whose rows all carry scalar_gradient, and a
+    # non-scalar one under a tolerance that half of its rows' splits pass,
+    # so that one block mixes rows with and without the split's keys
+    def as_bytes(res: dict) -> list:
+        return [(k, type(v), float(v).hex()) for k, v in res.items()]
+
+    rng = np.random.default_rng(5)
+    block = np.concatenate([rng.uniform(-0.4, 0.4, (6, 3)),
+                            rng.uniform(0.5, 1.0, (6, 3))], axis=1)
+    round3 = geometry.MetricSpray(geometry.ExprMetric(dsl.parse(ROUND_METRIC_3)))
+    nonscalar = spray_of(NONSCALAR3)
+    residuals = sorted(CurvatureBundle(nonscalar, pt).split[2] for pt in block)
+    half = Tolerances(abs=residuals[len(block) // 2], rel=0.0)
+    for spray, tol, with_gradient in ((round3, TOL, 6), (nonscalar, half, 4)):
+        got = geometry.identity_residuals(CurvatureBundle(spray, block), tol)
+        want = [geometry.identity_residuals(CurvatureBundle(spray, pt), tol)
+                for pt in block]
+        assert [as_bytes(r) for r in got] == [as_bytes(r) for r in want]
+        assert sum("scalar_gradient" in r for r in got) == with_gradient
+
+
 def test_shifted_spray_curvature_closed_form() -> None:
     flat = spray_of(FLAT)
     euclid = geometry.ExprMetric(dsl.parse("dim 2\nmetric L = y1^2 + y2^2\n"))
@@ -384,7 +407,7 @@ def test_row_bundles_read_the_block_tensors() -> None:
         assert np.shares_memory(b.R[1][0].coeffs, bb.R[1][0].coeffs)
         assert np.shares_memory(b.chi[0].coeffs, bb.chi[0].coeffs)
         assert np.shares_memory(b.B_values, bb.B_values)
-        b.split  # taken per row, from the row's jets
+        b.split  # row r of the block's split, taken once for the block
     assert calls == [(2, 4)]
     with pytest.raises(PreconditionError, match="block bundle"):
         rows[0].rows()

@@ -14,7 +14,12 @@ Each bound is that worst case rounded up to the next power of ten, times ten.
 
 The block tests draw blocks of 1 to 5 such points and check that every row
 of a block bundle's jets and values, and every row bundle it hands out,
-equals the bundle at that point alone, bit for bit.  The same holds for the
+equals the bundle at that point alone, bit for bit.  So do each row's
+scalar split (a view of the block's), its identity residuals, taken in
+one call for the block, and its isotropy and constancy checks; a block
+whose later row meets the reciprocal floor of the split (the spray
+without its |y| term, at a tangent of length 1e-13) yields the rows
+before it and raises that row's own error.  The same holds for the
 spray of a random metric
 
     L = sum_{j<=k} (a_jk + b_jk x_l) y^j y^k + e y^1 |y|
@@ -96,7 +101,9 @@ PROPERTY_SETTINGS = settings(
     suppress_health_check=[HealthCheck.too_slow])
 
 
-def spray_source(n: int, coeffs: list) -> str:
+def spray_source(n: int, coeffs: list, radial: bool = True) -> str:
+    """The spray of the module docstring; without its |y| term when not
+    `radial`, so that it is defined at tangents of any length."""
     it = iter(coeffs)
     norm2 = " + ".join(f"y{j}^2" for j in range(1, n + 1))
     lines = [f"dim {n}"]
@@ -107,7 +114,8 @@ def spray_source(n: int, coeffs: list) -> str:
                 a, b = next(it), next(it)
                 terms.append(f"({a!r} + {b!r}*x{1 + (i + j + k) % n})*y{j}*y{k}")
         d, e = next(it), next(it)
-        terms.append(f"({d!r} + {e!r}*sin(x{i}))*y{i}*sqrt({norm2})")
+        if radial:
+            terms.append(f"({d!r} + {e!r}*sin(x{i}))*y{i}*sqrt({norm2})")
         lines.append(f"spray G{i} = " + " + ".join(terms))
     lines.append(f"guard = {norm2} - 0.04")
     return "\n".join(lines) + "\n"
@@ -149,7 +157,7 @@ def test_curvature_identities_vanish_to_roundoff(b) -> None:
 
 
 @st.composite
-def sprays_at_blocks(draw):
+def sprays_at_blocks(draw, radial: bool = True):
     """A random spray with a block of 1 to 5 points, as (spray, (B, 2n) array)."""
     n = draw(st.sampled_from([2, 3]))
     count = n * (n * (n + 1) + 2)
@@ -160,7 +168,7 @@ def sprays_at_blocks(draw):
     block = np.array(draw(st.lists(st.lists(coord, min_size=2 * n, max_size=2 * n),
                                    min_size=rows, max_size=rows)))
     assume(float(np.min(np.linalg.norm(block[:, n:], axis=1))) >= 0.3)
-    return geometry.ExprSpray(dsl.parse(spray_source(n, coeffs))), block
+    return geometry.ExprSpray(dsl.parse(spray_source(n, coeffs, radial))), block
 
 
 def _rows_equal(block_jet, point_jets) -> bool:
@@ -228,6 +236,80 @@ def test_row_bundles_equal_point_bundles_bitwise(case) -> None:
         assert residual == p_residual
         assert geometry.identity_residuals(rb) == geometry.identity_residuals(pb)
         assert geometry.h_tensor_residuals(rb) == geometry.h_tensor_residuals(pb)
+
+
+def split_bytes(split) -> tuple:
+    """A split's jets and residual as bytes, the residual's type kept."""
+    r_jet, tau, residual = split
+    return (r_jet.coeffs.tobytes(), [t.coeffs.tobytes() for t in tau],
+            type(residual), float(residual).hex())
+
+
+def identity_bytes(res: dict) -> list:
+    """An identity dict's keys in order, with each value's type and bits."""
+    return [(k, type(v), float(v).hex()) for k, v in res.items()]
+
+
+def check_bytes(dec, b) -> list:
+    """The isotropy and constancy checks of a sample, or the error of the
+    first that raises."""
+    try:
+        iso = classify.is_isotropic(dec, b)
+        con = classify.is_constant(dec, b)
+    except SprayLabError as exc:
+        return [type(exc), str(exc)]
+    return [iso.holds, float(iso.residual).hex(), con.holds,
+            float(con.residual).hex(),
+            None if con.ric_residual is None else float(con.ric_residual).hex()]
+
+
+@PROPERTY_SETTINGS
+@given(sprays_at_blocks())
+def test_block_split_and_identities_equal_point_calls_bytewise(case) -> None:
+    spray, block = case
+    bb = CurvatureBundle(spray, block, 4)
+    block_res = geometry.identity_residuals(bb)
+    assert len(block_res) == len(block)
+    block_jet, block_tau, _ = bb.splits
+    for r, (pt, rb) in enumerate(zip(block, bb.rows())):
+        pb = CurvatureBundle(spray, pt, 4)
+        # the row's split is row r of the block's, not a split of its own
+        r_jet, tau, _ = rb.split
+        assert np.shares_memory(r_jet.coeffs, block_jet.coeffs)
+        assert all(np.shares_memory(t.coeffs, u.coeffs)
+                   for t, u in zip(tau, block_tau))
+        assert split_bytes(rb.split) == split_bytes(pb.split)
+        want = identity_bytes(geometry.identity_residuals(pb))
+        assert identity_bytes(block_res[r]) == want
+        assert identity_bytes(geometry.identity_residuals(rb)) == want
+        assert check_bytes(classify.decompose_scalar(rb), rb) == \
+            check_bytes(classify.decompose_scalar(pb), pb)
+
+
+@PROPERTY_SETTINGS
+@given(sprays_at_blocks(radial=False), st.integers(1, 3))
+def test_block_split_past_the_reciprocal_floor_fails_at_that_row(case, k) -> None:
+    # a row whose largest |y^i| is below jets.VALUE_FLOOR: its split cannot
+    # divide by y^{i0}, so the block's split raises, the rows before it
+    # read their own, and that row raises what it raises alone
+    spray, block = case
+    n = spray.dim
+    bad = block[0].copy()
+    bad[n:] = 0.0
+    bad[n + k % n] = 1e-13
+    full = np.vstack([block, bad, block[:1]])
+    with pytest.raises(DomainError) as alone:
+        CurvatureBundle(spray, bad, 4).split
+    with pytest.raises(DomainError):
+        CurvatureBundle(spray, full, 4).splits
+    got = []
+    with pytest.raises(DomainError) as in_block:
+        for pt, b, dec in classify.point_bundles(spray, samples_at(full)):
+            assert b._block is not None
+            got.append(split_bytes(b.split))
+    assert str(in_block.value) == str(alone.value)
+    assert got == [split_bytes(CurvatureBundle(spray, pt, 4).split)
+                   for pt in block]
 
 
 def metric_terms(n: int, draw) -> tuple:

@@ -12,6 +12,11 @@ iff every captured output is.  It writes, as one JSON object:
   lines each command prints;
 - `run_fixture`: the corpus report of every fixture at seeds 3 and 11
   (passed, diffs, flags, residuals, checks and every verdict field);
+- `samples`: per sample of the `classify` command of every fixture at
+  seeds 3 and 11, in the order the command computed them, its scalar
+  split (R, tau, residual, holds), its isotropy and constancy checks, and
+  its identity dict with the keys in their order; the report keeps only
+  the maximum over the samples;
 - `recover` and `highdim`: the outcome of every job of those benchmark
   workloads at seed 7 (verdicts, metric reads, CLI JSON).
 
@@ -35,7 +40,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 
 import workloads  # noqa: E402
-from spraylab import cli, corpus, metrize  # noqa: E402
+from spraylab import classify, cli, corpus, geometry, metrize  # noqa: E402
 
 SEEDS = (3, 11)
 JOB_SEED = 7
@@ -110,6 +115,46 @@ def fixture_reports() -> dict:
     return out
 
 
+@contextlib.contextmanager
+def recording(module, name: str, results: list):
+    """Append each result of module.name to `results` while the block runs."""
+    fn = getattr(module, name)
+
+    def record(*args, **kw):
+        out = fn(*args, **kw)
+        results.append(out)
+        return out
+
+    setattr(module, name, record)
+    try:
+        yield
+    finally:
+        setattr(module, name, fn)
+
+
+def sample_records() -> dict:
+    out = {}
+    for seed in SEEDS:
+        for name in corpus.fixture_names():
+            splits, iso, con, idents = [], [], [], []
+            with recording(classify, "decompose_scalar", splits), \
+                    recording(classify, "is_isotropic", iso), \
+                    recording(classify, "is_constant", con), \
+                    recording(geometry, "identity_residuals", idents):
+                cli.cmd_classify(cli.RunConfig(input=name, seed=seed))
+            # a call at a block bundle gives one dict per row
+            rows = [d for res in idents
+                    for d in (res if isinstance(res, list) else [res])]
+            out[f"{name} seed {seed}"] = {
+                "split": [enc([d.R, d.tau, d.residual, d.holds]) for d in splits],
+                "isotropic": [enc([c.holds, c.residual]) for c in iso],
+                "constant": [enc([c.holds, c.residual, c.ric_residual])
+                             for c in con],
+                "identities": [enc(list(d.items())) for d in rows],
+            }
+    return out
+
+
 def job_outcomes(make_jobs, workdir: Path) -> dict:
     out = {}
     for job in make_jobs(JOB_SEED, workdir):
@@ -136,6 +181,7 @@ def main(argv: list) -> int:
         workdir = Path(tmp)
         record["cli"] = cli_outputs(workdir)
         record["run_fixture"] = fixture_reports()
+        record["samples"] = sample_records()
         record["recover"] = job_outcomes(workloads.recover_jobs, workdir)
         highdim = workdir / "highdim"
         highdim.mkdir()
