@@ -13,10 +13,13 @@ A jet may also carry a leading block axis: `coeffs` of shape (B, T) holds
 the jets of one function at the B points of a (B, m) block center, one
 row per point.  Every operation acts on the last axis, so the jets of a
 whole block of points come from one walk through an expression.  Row r of
-a block result equals, bit for bit, the jet computed at point r alone:
-`_mul_coeffs` sums each coefficient in the single-point order, and the
-series coefficients and value-floor checks of the transcendental functions
-are taken row by row with `math`.  A failed floor check names the first
+a block result equals, bit for bit, the jet computed at point r alone.
+`_mul_coeffs` multiplies a block pair-major: it transposes the operands to
+(T, rows), gathers whole rows of them per pair of the multiply table, and
+bins product p of row r at r*T + ic[p], so one `np.bincount` sums each
+coefficient from 0.0 in ascending p, the single-point order.  The series
+coefficients and value-floor checks of the transcendental functions are
+taken row by row with `math`.  A failed floor check names the first
 failing row of that operation.  A point jet's center is a tuple; a block
 jet's center is the (B, m) array itself, and jets combine only with jets
 at the same center.
@@ -43,9 +46,10 @@ VALUE_FLOOR = 1e-12
 
 # A block multiply gathers one product per (row, pair of the multiply table);
 # it runs over chunks of rows holding about this many products, so its
-# temporaries stay bounded however tall the block is.  A 16-row block of a
-# dim-3 metric spray, lifted to order 6 in 6 variables (18564 pairs), runs
-# in three chunks; the blocks of dim-2 sprays and fixtures fit in one.
+# temporaries (the transposed chunk, its products and their cached bins)
+# stay bounded however tall the block is.  A 16-row block of a dim-3 metric
+# spray, lifted to order 6 in 6 variables (18564 pairs), runs in three
+# chunks; the blocks of dim-2 sprays and fixtures fit in one.
 MUL_CHUNK = 1 << 17
 
 _EXHAUSTED = "jet order exhausted: cannot differentiate an order-0 jet"
@@ -86,7 +90,7 @@ class JetSpace:
             [math.prod(math.factorial(e) for e in a) for a in self.alphas], dtype=float
         )
         self._mul_table = self._build_mul_table(arr)
-        self._block_bins: tuple[int, np.ndarray] = (0, np.empty(0, dtype=np.int64))
+        self._pair_bins: dict[int, np.ndarray] = {}
         self._dmaps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def _locate(self, enc: np.ndarray) -> np.ndarray:
@@ -98,15 +102,18 @@ class JetSpace:
         ic = self._locate(self._enc[ia] + self._enc[ib])
         return ia, ib, ic
 
-    def _block_index(self, rows: int) -> np.ndarray:
-        """The product bins of a (rows, T) block, flattened: row r's bins
-        are the single-point bins offset by r*T.  The bins of a shorter
-        block are a prefix of a taller one's, so only the tallest block
-        seen (at most one multiply chunk) is kept, one array per space."""
-        ic = self._mul_table[2]
-        if self._block_bins[0] < rows:
-            self._block_bins = (rows, (ic[None, :] + self.T * np.arange(rows)[:, None]).ravel())
-        return self._block_bins[1][:rows * len(ic)]
+    def _bins(self, rows: int) -> np.ndarray:
+        """The bins of a pair-major (pairs, rows) block of products,
+        flattened: product p of row r sits at p*rows + r and goes to bin
+        r*T + ic[p].  Kept per height, one int64 per product of a chunk:
+        at most `MUL_CHUNK` of them (1 MiB), or one row's pairs where a
+        single row has more."""
+        try:
+            return self._pair_bins[rows]
+        except KeyError:
+            ic = self._mul_table[2]
+            bins = self._pair_bins[rows] = (ic[:, None] + self.T * np.arange(rows)).ravel()
+            return bins
 
     def _dmap(self, v: int) -> tuple[np.ndarray, np.ndarray]:
         """Maps coefficients of this space onto d/dv coefficients in the space
@@ -179,18 +186,34 @@ def _same_center(a, b) -> bool:
 
 
 def _mul_coeffs(sp: JetSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The coefficients of the product of two jets of `sp`: (T,) for a
+    point, (B, T) for a block.
+
+    A point multiply sums the products a[ia[p]] * b[ib[p]] of the table
+    `sp._mul_table` into bins ic[p] with one `np.bincount`.  A block runs
+    over chunks of at most `MUL_CHUNK` products, pair-major: the chunk's
+    rows are transposed to C-contiguous (T, rows) arrays, so gathering a
+    table entry copies one whole row of `rows` doubles, and product p of
+    row r lands at flat position p*rows + r with bin r*T + ic[p]
+    (`JetSpace._bins`).  The sums come out in (rows, T) order.
+
+    Every row has the bits of the point multiply: `bincount` adds the
+    weights of each bin in the order they appear, starting from 0.0, and
+    bin (r, c) receives the products a[r, ia[p]] * b[r, ib[p]] with
+    ic[p] == c in ascending p, as the point multiply of row r does.
+    """
     ia, ib, ic = sp._mul_table
     if a.ndim == 1:
         return np.bincount(ic, weights=a[ia] * b[ib], minlength=sp.T)
-    # one bincount per chunk of rows: each row's bins are offset by row*T,
-    # so every coefficient is summed in the single-point order
     rows = a.shape[0]
     step = max(1, MUL_CHUNK // len(ic))
     out = np.empty((rows, sp.T))
     for lo in range(0, rows, step):
         hi = min(lo + step, rows)
-        out[lo:hi] = np.bincount(sp._block_index(hi - lo),
-                                 weights=(a[lo:hi, ia] * b[lo:hi, ib]).ravel(),
+        at = np.ascontiguousarray(a[lo:hi].T)
+        bt = np.ascontiguousarray(b[lo:hi].T)
+        w = at.take(ia, axis=0) * bt.take(ib, axis=0)
+        out[lo:hi] = np.bincount(sp._bins(hi - lo), weights=w.ravel(),
                                  minlength=(hi - lo) * sp.T).reshape(hi - lo, sp.T)
     return out
 
@@ -584,6 +607,24 @@ def stack(rows: Sequence[Jet], center: np.ndarray) -> Jet:
     order = min(u.order for u in rows)
     coeffs = np.stack([u.truncated(order).coeffs for u in rows])
     return Jet(space(rows[0].space.nvars, order), _as_center(center), coeffs)
+
+
+def quotients(nums: Sequence[Jet], den: Jet) -> list[Jet]:
+    """[u / den for u in nums] with one reciprocal of `den` per order.
+
+    u / den is u * den.reciprocal() once both are truncated to the lower
+    of their orders, so each quotient has those bits; a value part of
+    `den` at the floor raises the DomainError of `reciprocal` before any
+    product is taken.
+    """
+    inverse: dict[int, Jet] = {}
+    out = []
+    for u in nums:
+        k = min(u.order, den.order)
+        if k not in inverse:
+            inverse[k] = den.truncated(k).reciprocal()
+        out.append(u * inverse[k])
+    return out
 
 
 def _eval_float(fn: Callable, p: Sequence[float]) -> float:

@@ -367,7 +367,7 @@ class ScaledCurvatureMetric:
     def _jet_at(self, b, order: int):
         n = self.dim
         Rj = b.curvature_scalar.truncated(max(order, 1))
-        om = [d / Rj for d in b.delta_scalar(Rj)]
+        om = jets.quotients(b.delta_scalar(Rj), Rj)
         osp = om[0].space
         msp = jets.space(2 * n, order)
         coeffs = np.zeros(Rj.coeffs.shape[:-1] + (msp.T,))
@@ -590,7 +590,7 @@ def verdict_isotropic(spray, report: classify.ClassificationReport,
     for i, (pt, b, dec) in enumerate(triples):
         if abs(dec.R) < floor:
             continue
-        om = [d / dec.R_jet for d in b.delta_scalar(dec.R_jet)]
+        om = jets.quotients(b.delta_scalar(dec.R_jet), dec.R_jet)
         om_vals[i] = [o.value for o in om]
         om_scale = max(om_scale, float(np.max(np.abs(om_vals[i]))))
         for a in range(n):
@@ -704,7 +704,7 @@ def nonmetrizable_scalar(spray, report: classify.ClassificationReport,
         if abs(dec.R) < floor:
             continue
         used += 1
-        t = [dec.tau_jets[i] / dec.R_jet for i in range(n)]
+        t = jets.quotients(dec.tau_jets, dec.R_jet)
         t_scale = max(t_scale, max(abs(ti.value) for ti in t))
         cov = b.cov_h(np.array(t, dtype=object), ("d",))
         worst = max(worst, float(np.max(np.abs(cov))))

@@ -12,7 +12,10 @@ literals so the test never depends on the code under test.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,3 +251,59 @@ def test_stack_rebuilds_a_block_from_point_jets() -> None:
     rows = [jets.lift(fancy, tuple(p), 3) for p in BLOCK]
     block = jets.stack(rows, BLOCK)
     assert np.array_equal(block.coeffs, jets.lift(fancy, BLOCK, 3).coeffs)
+
+
+# -- the multiply kernel's bits -------------------------------------------------
+
+# SHA-256 of the product bytes of `_mul_coeffs`, recorded with the row-major
+# block kernel (one scalar gather per product) before the pair-major one:
+# the spaces the benchmark workloads build, at a point, at block heights
+# 1, 2, 16, 17 and 64, and at one height past a `MUL_CHUNK` chunk
+MUL_HEX = Path(__file__).resolve().parent / "data" / "mul_coeffs_hex.json"
+MUL_SPACES = [(4, 2), (4, 4), (4, 6), (4, 7), (6, 4), (8, 4)]
+
+
+def mul_cases() -> list[str]:
+    out = []
+    for nvars, order in MUL_SPACES:
+        step = jets.MUL_CHUNK // len(jets.space(nvars, order)._mul_table[0])
+        out += [f"{nvars},{order} point"] + [
+            f"{nvars},{order} rows {rows}" for rows in (1, 2, 16, 17, 64, step + 1)]
+    return out
+
+
+def mul_operands(sp: jets.JetSpace, rows: int) -> list[np.ndarray]:
+    """Two seeded operands, (rows, T), or (T,) for rows == 0: standard
+    normals with a fifth of the entries +0.0 or -0.0, one inf, -inf or nan
+    per row at a top-degree coefficient (which pairs only with the value
+    coefficient, so it spoils a few bins), and, in a block of two rows or
+    more, a nan value in the last row of the first operand."""
+    rng = np.random.default_rng([sp.nvars, sp.order, rows])
+    top = np.flatnonzero(sp._deg == sp.order)
+    out = []
+    for k in range(2):
+        x = rng.standard_normal((max(rows, 1), sp.T))
+        zero = rng.random(x.shape) < 0.2
+        x[zero] = np.where(rng.random(x.shape) < 0.5, 0.0, -0.0)[zero]
+        x[np.arange(len(x)), rng.choice(top, len(x))] = rng.choice(
+            [np.inf, -np.inf, np.nan], len(x))
+        if k == 0 and rows >= 2:
+            x[-1, 0] = np.nan
+        out.append(x if rows else x[0])
+    return out
+
+
+def mul_digest(case: str) -> str:
+    space_key, rest = case.split(" ", 1)
+    sp = jets.space(*map(int, space_key.split(",")))
+    rows = 0 if rest == "point" else int(rest.split()[1])
+    a, b = mul_operands(sp, rows)
+    with np.errstate(invalid="ignore"):  # inf * 0.0 and inf - inf make nans
+        got = jets._mul_coeffs(sp, a, b)
+    assert got.shape == a.shape and got.dtype == np.float64
+    return hashlib.sha256(np.ascontiguousarray(got).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("case", mul_cases())
+def test_mul_coeffs_bits_match_record(case) -> None:
+    assert mul_digest(case) == json.loads(MUL_HEX.read_text())[case]

@@ -11,12 +11,15 @@ reproduce the input spray exactly before being trusted as expectations here.
 from __future__ import annotations
 
 import json
+import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spraylab import classify, cli, corpus, dsl, geometry, metrize, sampling
+from spraylab import (classify, cli, corpus, dsl, geometry, jets, metrize,
+                      sampling)
 from spraylab.errors import DomainError, PathError, PreconditionError
 
 from conftest import classified
@@ -820,6 +823,49 @@ def test_decide_nonscalar() -> None:
     v = metrize.decide(spray_of(NONSCALAR3), count=8)
     assert v.outcome == "inconclusive"
     assert v.rule == "not of scalar curvature"
+
+
+def test_divisions_by_R_take_one_reciprocal_per_sample(monkeypatch) -> None:
+    # the n quotients delta_i R / R of the omega stage and of the scaled
+    # candidate's jets, and tau_i / R of the scalar route, share one
+    # reciprocal of R per sample (per block, for the candidate's jets)
+    recips, uses = Counter(), Counter()
+    reciprocal = jets.Jet.reciprocal
+    delta_scalar = geometry.CurvatureBundle.delta_scalar
+
+    def caller() -> str:
+        # the innermost metrize function below the counting wrapper, a
+        # comprehension's frame counted as its function's
+        f = sys._getframe(2)
+        while f is not None and (f.f_code.co_filename != metrize.__file__
+                                 or f.f_code.co_name.startswith("<")):
+            f = f.f_back
+        return f.f_code.co_name if f is not None else ""
+
+    def counting_reciprocal(u):
+        recips[caller()] += 1
+        return reciprocal(u)
+
+    def counting_delta_scalar(b, S):
+        uses[caller()] += 1
+        return delta_scalar(b, S)
+
+    monkeypatch.setattr(jets.Jet, "reciprocal", counting_reciprocal)
+    monkeypatch.setattr(geometry.CurvatureBundle, "delta_scalar",
+                        counting_delta_scalar)
+    for name, rule in (("ex7.1", "omega exact; L = R/lambda"),
+                       ("cms19", "scalar non-metrizability tests passed; "
+                                 "the conditions are sufficient only")):
+        fx = corpus.load_fixture(name)
+        v = metrize.decide(fx.build(), count=64, seed=7, box=fx.box)
+        assert v.rule == rule
+    # one delta_scalar per used sample of the omega stage, and per call
+    # of the candidate's jets
+    assert uses["verdict_isotropic"] > 0 and uses["_jet_at"] > 0
+    assert recips["verdict_isotropic"] == uses["verdict_isotropic"]
+    assert recips["_jet_at"] == uses["_jet_at"]
+    assert v.evidence["samples_used"] > 0
+    assert recips["nonmetrizable_scalar"] == v.evidence["samples_used"]
 
 
 # -- projective_shift -----------------------------------------------------------

@@ -26,17 +26,19 @@ spray of a random metric
 
 given as an expression (diagonal a_jj in [2, 4], the other coefficients
 small, so the fundamental tensor stays nondegenerate),
-for the inverse of a matrix of block jets, and for block multiplies taller
-than one chunk of `jets.MUL_CHUNK` products.  The finite-difference
-oracle's `fd_curvature` over such a block gives each row the bytes of the
-call at that point alone, or the error of the first point that fails
-alone: on the expression sprays, on the metric sprays, and on their
-projective shifts G + c sqrt(L) y.  So does the metric half of the
-decision layer: the jets of both recovered-metric candidates of a random
-spray at a block, the rows of `finsler_check` for those candidates and for
-the random metrics (and `finsler_check` itself against the loop it ran
-one point at a time), and `metric_spray_residuals` over the triples of a
-classified block, for the random metrics and for the candidates.
+for the inverse of a matrix of block jets, and for block multiplies on
+operands with signed zeros, compared as bytes: of heights 1, 2, 17 and 64
+within one chunk of `jets.MUL_CHUNK` products, and taller than one chunk.
+The finite-difference oracle's `fd_curvature` over such a block gives
+each row the bytes of the call at that point alone, or the error of the
+first point that fails alone: on the expression sprays, on the metric
+sprays, and on their projective shifts G + c sqrt(L) y.  So does the
+metric half of the decision layer: the jets of both recovered-metric
+candidates of a random spray at a block, the rows of `finsler_check` for
+those candidates and for the random metrics (and `finsler_check` itself
+against the loop it ran one point at a time), and `metric_spray_residuals`
+over the triples of a classified block, for the random metrics and for
+the candidates.
 
 The prefix tests check that truncation is exact: a jet taken at order K
 and truncated to order k, with 1 <= k < K, equals the order-k jet byte for
@@ -547,21 +549,38 @@ def test_jet_matrix_inverse_of_a_stack_equals_point_inverses(centers) -> None:
         assert _rows_equal(got[idx], [w[idx] for w in want])
 
 
+def _assert_rows_are_point_products(sp: jets.JetSpace, rows: int, seed: int) -> None:
+    """A block multiply of `rows` rows gives each row the bytes of the point
+    multiply of that row, on operands with a fifth of the entries +0.0 or
+    -0.0."""
+    rng = np.random.default_rng(seed)
+    center = rng.uniform(-1.0, 1.0, size=(rows, sp.nvars))
+    a, b = (rng.standard_normal((rows, sp.T)) for _ in range(2))
+    for x in (a, b):
+        zero = rng.random(x.shape) < 0.2
+        x[zero] = np.where(rng.random(x.shape) < 0.5, 0.0, -0.0)[zero]
+    got = (jets.Jet(sp, center, a) * jets.Jet(sp, center, b)).coeffs
+    assert got.shape == (rows, sp.T)
+    for r in range(rows):
+        assert got[r].tobytes() == jets._mul_coeffs(sp, a[r], b[r]).tobytes()
+
+
 @PROPERTY_SETTINGS
 @given(st.sampled_from([(6, 6), (8, 5), (8, 6)]), st.data())
 def test_block_multiply_taller_than_one_chunk_equals_point_multiplies(shape, data) -> None:
     sp = jets.space(*shape)
     step = jets.MUL_CHUNK // len(sp._mul_table[0])
     rows = data.draw(st.integers(step + 1, 3 * step))
-    seed = data.draw(st.integers(0, 2**32 - 1))
-    rng = np.random.default_rng(seed)
-    center = rng.uniform(-1.0, 1.0, size=(rows, sp.nvars))
-    a = jets.Jet(sp, center, rng.standard_normal((rows, sp.T)))
-    b = jets.Jet(sp, center, rng.standard_normal((rows, sp.T)))
-    got = (a * b).coeffs
-    assert got.shape == (rows, sp.T)
-    for r in range(rows):
-        assert np.array_equal(got[r], jets._mul_coeffs(sp, a.coeffs[r], b.coeffs[r]))
+    _assert_rows_are_point_products(sp, rows, data.draw(st.integers(0, 2**32 - 1)))
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from([(4, 2), (4, 4), (6, 4)]), st.sampled_from([1, 2, 17, 64]),
+       st.integers(0, 2**32 - 1))
+def test_block_multiply_in_one_chunk_equals_point_multiplies(shape, rows, seed) -> None:
+    sp = jets.space(*shape)
+    assert rows <= jets.MUL_CHUNK // len(sp._mul_table[0])
+    _assert_rows_are_point_products(sp, rows, seed)
 
 
 # -- prefix property of truncation --------------------------------------------
