@@ -12,6 +12,10 @@ defect R_.i - 2 tau_i is fitted against the tangent samples as omega_ir y^r
 with an x-dependent 2-form omega, so it consumes grouped samples rather
 than single points.  Every base's fit is judged against the largest defect
 over all bases, so the flag does not depend on the order of the bases.
+
+The samples are evaluated in blocks of BLOCK_ROWS (`point_bundles`); a
+block that raises follows `rowwise`, and the self-check of the projective
+factor reads the block bundles through a `geometry.RowReader`.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ __all__ = [
     "projective_factor",
     "euler_residual",
     "projective_isotropy_residual",
+    "rowwise",
     "point_bundles",
     "classify_samples",
     "classify_spray",
@@ -282,40 +287,55 @@ def blocks(points: np.ndarray) -> list:
     return [points[lo:lo + BLOCK_ROWS] for lo in range(0, len(points), BLOCK_ROWS)]
 
 
+def rowwise(run, block):
+    """Yield the per-row entries of `run(block)`, in row order.
+
+    This is the rule for a block that raises, for every stage that runs
+    the rows of a block of samples or nodes at once: when `run(block)`
+    raises, whatever it raised, each row is run alone, as the one-row
+    slice `block[r:r + 1]`, in row order, so the first row that fails
+    alone raises its own error, after the entries of the rows before it
+    are yielded.  `run` gives one entry per row of what it is given, each
+    equal, bit for bit, to the row's entry in a block.
+    """
+    try:
+        entries = run(block)
+    except Exception:
+        for r in range(len(block)):
+            yield from run(block[r:r + 1])
+        return
+    yield from entries
+
+
 def point_bundles(spray, samples: SampleSet, order: int = 4,
                   tol: Tolerances = TOL):
     """Yield (point, bundle, ScalarDecomposition) for each sample in turn.
 
     Runs of BLOCK_ROWS consecutive samples share one block bundle, and each
     sample's bundle is a row of it (`CurvatureBundle.rows`), equal bit for
-    bit to the bundle built at that point alone.  When evaluating a block
-    raises, its samples are built one at a time instead, so the first
-    sample that fails on its own decides the error, after the samples
-    before it are yielded.  A generator, so a caller that summarizes each
-    bundle and drops it holds one block at a time; callers that revisit
-    the points collect a tuple.
+    bit to the bundle built at that point alone; a block that raises is
+    run under the rule of `rowwise`.  A generator, so a caller that
+    summarizes each bundle and drops it holds one block at a time; callers
+    that revisit the points collect a tuple.
     """
+    def rows(points):
+        return geometry.CurvatureBundle(spray, points, order).rows()
+
     for block in blocks(samples.points()):
-        try:
-            bundles = geometry.CurvatureBundle(spray, block, order).rows()
-        except Exception:
-            # whatever the block raised, a sample that fails alone raises
-            # its own error again below
-            bundles = (geometry.CurvatureBundle(spray, pt, order) for pt in block)
-        for pt, b in zip(block, bundles):
+        for pt, b in zip(block, rowwise(rows, block)):
             yield pt, b, decompose_scalar(b, tol=tol)
 
 
-def _closed_factor_residual(bundle) -> float:
-    """Curl of sigma where P = sigma_i(x) y^i, for the Berwald+projective case."""
+def _closed_factor_residual(bundle):
+    """Curl of sigma where P = sigma_i(x) y^i, for the Berwald+projective
+    case; one per row at a block bundle, each folded as at its point."""
     n = bundle.dim
     P = projective_factor(bundle)
     sig = [P.dy(i) for i in range(n)]
-    worst = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            worst = max(worst, abs(sig[i].dx(j).value - sig[j].dx(i).value))
-    return worst
+    curls = [np.reshape(sig[i].dx(j).value - sig[j].dx(i).value, -1)
+             for i in range(n) for j in range(i + 1, n)]
+    worst = geometry._folds(curls, len(np.reshape(bundle.yvals, (-1, n))))
+    return worst if bundle.point is None else worst[0]
 
 
 def classify_spray(spray, count: int = 64, seed: int = 7,
@@ -374,8 +394,9 @@ def classify_samples(spray, samples: SampleSet, order: int = 4,
 
     if all(pt["berwald"] and pt["projective_form"] and pt["isotropic"]
            for pt in per_point):
+        closed_factor = geometry.RowReader(_closed_factor_residual)
         for _, bun, dec in triples:
-            curl = _closed_factor_residual(bun)
+            curl = closed_factor(bun)
             if not tol.zero(curl, max(1.0, abs(dec.R))):
                 raise SprayLabError(
                     "Berwald + projective form + isotropic requires a "

@@ -4,7 +4,8 @@ Each command reads a problem (a .spray file path or a named corpus fixture),
 samples it deterministically, and emits one JSON report plus a short human
 summary.  `classify`, `metrize` and `gen-pflat` draw their samples once, in
 the classification; the per-point survey and the verdict read that
-classification's bundles.  The JSON goes to stdout, or to --out PATH; the
+classification's bundles, and the survey reads a block's identities once
+(`geometry.RowReader` states the rule for a block that raises).  The JSON goes to stdout, or to --out PATH; the
 human lines go to whichever stream the JSON is not using, so scripts can
 always pipe the JSON.
 
@@ -197,12 +198,10 @@ def _accounting(cfg: RunConfig, samples: SampleSet) -> dict:
 def _surveyed(triples, tol: Tolerances, rows: list, identities: dict):
     """Summarize each (point, bundle, decomposition) triple into `rows` and
     the aggregated identity table, then pass its bundle on.  `triples` may
-    be a generator; each bundle is summarized once and not kept.
-
-    At the first row of a block bundle its identities are taken for all
-    its rows in one call, and each row reads its own dict; a bundle built
-    alone, or the rows of a block whose call raises, take their own."""
-    block = block_res = None
+    be a generator; each bundle is summarized once and not kept.  The
+    identities of the rows of a block bundle are taken once for the block,
+    through a `geometry.RowReader`."""
+    identities_at = geometry.RowReader(geometry.identity_residuals, tol)
     for pt, b, dec in triples:
         row = {
             "point": [float(v) for v in pt],
@@ -214,17 +213,7 @@ def _surveyed(triples, tol: Tolerances, rows: list, identities: dict):
             row["R"] = float(dec.R)
             row["tau"] = _jsonable(dec.tau)
         rows.append(row)
-        if b._block is not None and b._block[0] is not block:
-            block = b._block[0]
-            try:
-                block_res = geometry.identity_residuals(block, tol=tol)
-            except SprayLabError:
-                block_res = None  # a row that fails alone raises below
-        if b._block is not None and block_res is not None:
-            table = block_res[b._block[1]]
-        else:
-            table = geometry.identity_residuals(b, tol=tol)
-        for name, res in table.items():
+        for name, res in identities_at(b).items():
             identities[name] = max(identities.get(name, 0.0), float(res))
         yield b
 
@@ -426,9 +415,8 @@ def cmd_oracle(cfg: RunConfig, box_flagged: bool = False) -> Report:
 
     samples = sampling.draw(spray, count=cfg.points, seed=cfg.seed, box=box)
     accounting = _accounting(cfg, samples)
-    # each bundle is summarized as it is read; agreement_report compares
-    # them against the finite differences one block of classify.BLOCK_ROWS
-    # at a time, the blocks point_bundles builds, and then drops them
+    # each bundle is summarized as it is read, then agreement_report
+    # compares it against the finite differences and drops it
     rows: list = []
     identities: dict = {}
     triples = classify.point_bundles(spray, samples, cfg.order, tol)

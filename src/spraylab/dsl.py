@@ -512,14 +512,3 @@ def _fmt(node: Node, parent_prec: int) -> str:
         out = f"{_fmt(node.a, prec)}{sym}{_fmt(node.b, prec + right_bump)}"
     return f"({out})" if prec < parent_prec or (k == "neg" and parent_prec > 0) else out
 
-
-def pretty_problem(pd: ProblemDef) -> str:
-    lines = [f"dim {pd.dim}"]
-    if pd.kind == "spray":
-        for i, e in enumerate(pd.exprs):
-            lines.append(f"spray G{i+1} = {pretty(e)}")
-    else:
-        lines.append(f"metric L = {pretty(pd.exprs[0])}")
-    for g in pd.guards:
-        lines.append(f"guard = {pretty(g)}")
-    return "\n".join(lines) + "\n"

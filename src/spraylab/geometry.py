@@ -31,16 +31,16 @@ are differentiated again and so need the higher coefficients.
 A bundle may also be built at a (B, 2n) block of points: its jets then
 carry a leading block axis (see `jets`), its value views and `cov_h`
 results gain a leading axis of length B, and row r of each equals, bit
-for bit, what the bundle at point r alone gives.  Expression sprays and
-the sprays of metrics that evaluate blocks (expression metrics and the
-recovered curvature metrics) are evaluated once over the block; other
-sprays point by point, their jets stacked.  `rows` turns a block bundle
-into one point bundle per row, which reads its tensors off the block's
-rows: the tensors of many points come from one walk through the
-formulas, and every consumer of point bundles reads them unchanged.  The
-scalar split (`splits`), the covariant derivatives the class tests take
-of its parts, and `identity_residuals` are likewise taken once for a
-block, with each row's numbers those of its point alone.
+for bit, what the bundle at point r alone gives.  Every spray and metric
+evaluates a block in one pass.  `rows` turns a block bundle into one
+point bundle per row, which reads its tensors off the block's rows: the
+tensors of many points come from one walk through the formulas, and every
+consumer of point bundles reads them unchanged.  The scalar split
+(`splits`), the covariant derivatives the class tests take of its parts,
+and `identity_residuals` are likewise taken once for a block, with each
+row's numbers those of its point alone.  A consumer that takes a result
+of its own per row bundle reads it through a `RowReader`, which states
+the rule for a block that raises.
 """
 
 from __future__ import annotations
@@ -107,9 +107,6 @@ def _as_jet(v, like) -> "jets.Jet":
 class ExprSpray:
     """Spray coefficients given as parsed expressions."""
 
-    # `coeff_jets` evaluates a block of points in one pass
-    evaluates_blocks = True
-
     def __init__(self, problem: dsl.ProblemDef):
         if problem.kind != "spray":
             raise PreconditionError(f"problem {problem.name!r} is not a spray")
@@ -129,9 +126,6 @@ class ExprSpray:
 
 class ExprMetric:
     """A candidate Finsler function given as a parsed expression."""
-
-    # `jet` evaluates a block of points in one pass
-    evaluates_blocks = True
 
     def __init__(self, problem: dsl.ProblemDef):
         if problem.kind != "metric":
@@ -169,10 +163,6 @@ class MetricSpray:
         self.dim = metric.dim
         self.name = f"induced({metric.name})"
 
-    @property
-    def evaluates_blocks(self) -> bool:
-        return getattr(self.metric, "evaluates_blocks", False)
-
     def coeff_jets(self, p, order: int) -> list:
         return spray_from_metric(self.metric, p, order)
 
@@ -191,11 +181,6 @@ class ShiftedSpray:
         self.c = float(c)
         self.dim = base.dim
         self.name = f"{base.name}+{self.c}*F*y"
-
-    @property
-    def evaluates_blocks(self) -> bool:
-        return (getattr(self.base, "evaluates_blocks", False)
-                and getattr(self.metric, "evaluates_blocks", False))
 
     def coeff_jets(self, p, order: int) -> list:
         G = self.base.coeff_jets(p, order)
@@ -284,9 +269,10 @@ def _row_of(value, r: int, center: tuple):
 def _per_row(fn):
     """A cached tensor that a row bundle (see `CurvatureBundle.rows`) reads
     off its block's instead of computing it.  When the block's raises (the
-    scalar split of a later row meets the reciprocal floor, say), the row
-    computes its own, so a row that fails alone raises its own error, in
-    its turn."""
+    scalar split of a later row meets the reciprocal floor, say), the
+    block records the failure, so that it is attempted once, and each row
+    computes its own: a row that fails alone raises its own error, in its
+    turn."""
     name = fn.__name__
 
     @wraps(fn)
@@ -294,9 +280,12 @@ def _per_row(fn):
         if self._block is None:
             return fn(self)
         block, r, center = self._block
+        if name in block._failed:
+            return fn(self)
         try:
             value = getattr(block, name)
         except SprayLabError:
+            block._failed = block._failed | {name}
             return fn(self)
         return _row_of(value, r, center)
 
@@ -325,6 +314,9 @@ class CurvatureBundle:
     # (block bundle, row, center of the row's jets) for a row bundle made
     # by `rows`, else None
     _block = None
+    # the names of the `_per_row` tensors whose computation at this block
+    # bundle raised
+    _failed = frozenset()
 
     def __init__(self, spray, p, order: int = 4):
         self.spray = spray
@@ -371,10 +363,7 @@ class CurvatureBundle:
 
     @_per_row
     def G(self) -> list:
-        if self._pa.ndim == 1 or getattr(self.spray, "evaluates_blocks", False):
-            return self.spray.coeff_jets(self._pa, self.order)
-        rows = [self.spray.coeff_jets(pa, self.order) for pa in self._pa]
-        return [jets.stack(col, self._pa) for col in zip(*rows)]
+        return self.spray.coeff_jets(self._pa, self.order)
 
     @_per_row
     def N(self) -> list:
@@ -636,6 +625,45 @@ class CurvatureBundle:
     @_per_row
     def chi_values(self) -> np.ndarray:
         return self._values(self.chi)
+
+
+class RowReader:
+    """`fn(bundle, *args)` read one bundle at a time, a block's once.
+
+    `fn` gives, at a point bundle, its result, and at a block bundle, a
+    sequence of one result per row.  Called with a row bundle (see
+    `CurvatureBundle.rows`), the reader gives row r of `fn` at the row's
+    block, computed at the first row read of that block and held until a
+    row of another block is read; called with any other bundle, `fn` at
+    that bundle.
+
+    This is the rule for a block that raises, for every consumer of row
+    bundles: when `fn` at the block raises, each of its rows takes `fn` at
+    its own bundle instead, so a row that fails alone raises its own
+    error, in its turn, after the rows before it are read.  Each row's
+    result equals, bit for bit, what `fn` at that row's point alone gives,
+    and the results live in the reader, not on the bundles.
+    """
+
+    def __init__(self, fn, *args):
+        self.fn = fn
+        self.args = args
+        self._block = None  # the block whose rows `_rows` holds
+        self._rows = None   # fn's rows at that block; None when it raised
+
+    def __call__(self, bundle):
+        if bundle._block is None:
+            return self.fn(bundle, *self.args)
+        block, r, _ = bundle._block
+        if block is not self._block:
+            self._block, self._rows = block, None
+            try:
+                self._rows = self.fn(block, *self.args)
+            except Exception:
+                pass  # each row takes its own below; one that fails raises
+        if self._rows is None:
+            return self.fn(bundle, *self.args)
+        return self._rows[r]
 
 
 # -- scalar decomposition ------------------------------------------------------

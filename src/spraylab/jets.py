@@ -602,13 +602,6 @@ def first_order(entries: Sequence[Jet], like: Jet) -> np.ndarray:
     return out
 
 
-def stack(rows: Sequence[Jet], center: np.ndarray) -> Jet:
-    """The block jet at `center` whose row r is the point jet rows[r]."""
-    order = min(u.order for u in rows)
-    coeffs = np.stack([u.truncated(order).coeffs for u in rows])
-    return Jet(space(rows[0].space.nvars, order), _as_center(center), coeffs)
-
-
 def quotients(nums: Sequence[Jet], den: Jet) -> list[Jet]:
     """[u / den for u in nums] with one reciprocal of `den` per order.
 

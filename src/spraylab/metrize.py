@@ -30,15 +30,14 @@ the classification builds: `finsler_check` takes one 2-jet per block,
 `metric_spray_residuals` one jet of L, one `cov_h` and one induced spray
 per block bundle, and the recovered candidates (`CurvatureMetric`,
 `ScaledCurvatureMetric`) take a jet at a block off the report's block
-bundle.  Every row equals its sample alone, bit for bit, and a block that
-raises is run again one sample at a time, so the first failing sample
-decides the error.
+bundle.  Every row equals its sample alone, bit for bit.  A block that
+raises follows `classify.rowwise` (`finsler_check`, the quadrature's
+nodes) or `geometry.RowReader` (`metric_spray_residuals`).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -126,18 +125,14 @@ def finsler_check(field_obj, samples: SampleSet,
     constrained: indefinite metrics pass.
 
     The field gives one 2-jet per run of `classify.BLOCK_ROWS` samples,
-    taken at the block of their points, and each row is judged as the
-    sample alone would be, in sample order.  When the block raises, its
-    samples are taken one at a time, so the first that fails alone
-    decides the error.
+    taken at the block of their points (`classify.rowwise`), and each row
+    is judged as the sample alone would be, in sample order.
     """
-    rows = []
-    for block in classify.blocks(samples.points()):
-        try:
-            rows += _finsler_rows(field_obj, block, tol)
-        except Exception:
-            for pt in block:
-                rows += _finsler_rows(field_obj, pt, tol)
+    def judged(points):
+        return _finsler_rows(field_obj, points, tol)
+
+    rows = [row for block in classify.blocks(samples.points())
+            for row in classify.rowwise(judged, block)]
     worst_euler = 0.0
     min_ratio = float("inf")
     holds = True
@@ -234,9 +229,6 @@ class CurvatureMetric:
     for the block and, row by row, for its points.
     """
 
-    # `jet` evaluates a block of points in one pass
-    evaluates_blocks = True
-
     def __init__(self, spray, bundles=()):
         self.spray = spray
         self.dim = spray.dim
@@ -267,10 +259,9 @@ class LambdaField:
 
     `omega` takes a block of K nodes, shaped (K, n), and returns the form
     at each, shaped (K, n): one call per segment evaluates every node
-    before the first veto.  `accept` runs node by node, in path order, and
-    the earliest node that fails decides the error, as if the nodes were
-    visited one at a time: when the block call raises, the nodes are
-    evaluated one by one to find the first that fails.
+    before the first veto, under the rule of `classify.rowwise`.  `accept`
+    runs node by node, in path order, and the earliest node that fails
+    decides the error, as if the nodes were visited one at a time.
     """
 
     panels = 8
@@ -324,13 +315,7 @@ class LambdaField:
     def _omega_block(self, xs: np.ndarray) -> np.ndarray:
         if not len(xs):
             return xs
-        try:
-            om = self.omega(xs)
-        except Exception:
-            # the first node whose own evaluation fails decides the error
-            for k in range(len(xs)):
-                self.omega(xs[k:k + 1])
-            raise
+        om = np.array(list(classify.rowwise(self.omega, xs)))
         if np.shape(om) != xs.shape:
             raise ValueError(f"omega maps {xs.shape} nodes to shape "
                              f"{np.shape(om)}, not one row per node")
@@ -352,9 +337,6 @@ class ScaledCurvatureMetric:
     taken at each row's x and the coefficients move along the last axis,
     so each row is what its point alone gives.
     """
-
-    # `jet` evaluates a block of points in one pass
-    evaluates_blocks = True
 
     def __init__(self, spray, lam: LambdaField, bundles=()):
         self.spray = spray
@@ -398,23 +380,22 @@ class ScaledCurvatureMetric:
 # -- shared plumbing -----------------------------------------------------------
 
 
-def _residual_rows(L, b, p, triples: list, parallel: bool) -> list:
-    """`metric_spray_residuals`' tuples for the triples at p: one triple's
-    point and bundle, or the block of points of the block bundle b whose
-    rows the triples' bundles are."""
+def _residual_rows(b, L, parallel: bool):
+    """`metric_spray_residuals`' (L value, max |L_{;i}|, max |G_L - G|) at
+    the bundle's point, or one per row of a block bundle."""
     n = L.dim
-    rows = len(triples)
+    rows = len(np.reshape(b._pa, (-1, 2 * n)))
     values = semis = [None] * rows
     if parallel:
-        Lj = L.jet(p, 1)
+        Lj = L.jet(b._pa, 1)
         values = np.reshape(Lj.value, rows).tolist()
         semis = [max(abs(d) for d in cov)
                  for cov in b.cov_h(Lj, ()).reshape(rows, n).tolist()]
-    gv = np.array([g.value for g in geometry.spray_from_metric(L, p, 0)])
+    gv = np.array([g.value for g in geometry.spray_from_metric(L, b._pa, 0)])
     match = np.max(np.abs(gv.reshape(n, rows).T - b.G_values.reshape(rows, n)),
                    axis=1).tolist()
-    return [(pt, bt, value, semi, m) for (pt, bt, _), value, semi, m
-            in zip(triples, values, semis, match)]
+    out = list(zip(values, semis, match))
+    return out if b.point is None else out[0]
 
 
 def metric_spray_residuals(L, triples, parallel: bool = True):
@@ -427,28 +408,14 @@ def metric_spray_residuals(L, triples, parallel: bool = True):
     induces.  With `parallel` false, L and L_{;i} are not evaluated and
     their places hold None.  The pass rules are the callers'.
 
-    A run of triples whose bundles are the rows of one block bundle, in
-    order, is compared at once: one jet of L at the block, one `cov_h` of
-    the block bundle and one `spray_from_metric` at the block, each row
-    equal, bit for bit, to its sample alone.  When the block raises, its
-    samples are compared one at a time, so the first that fails alone
-    decides the error, after the samples before it are yielded.
+    The rows of one block bundle are compared at once, through a
+    `geometry.RowReader`: one jet of L at the block, one `cov_h` of the
+    block bundle and one `spray_from_metric` at the block, each row equal,
+    bit for bit, to its sample alone.
     """
-    def block_of(t):
-        return t[1]._block[0] if t[1]._block is not None else t[1]
-
-    for b, run in itertools.groupby(triples, key=block_of):
-        run = list(run)
-        out = None
-        if b.point is None and [t[1]._block[1] for t in run] == list(range(len(b._pa))):
-            try:
-                out = _residual_rows(L, b, b._pa, run, parallel)
-            except Exception:
-                pass  # a sample that fails alone raises its own error below
-        if out is None:
-            out = (row for pt, bt, dec in run
-                   for row in _residual_rows(L, bt, pt, [(pt, bt, dec)], parallel))
-        yield from out
+    residuals = geometry.RowReader(_residual_rows, L, parallel)
+    for pt, b, _ in triples:
+        yield (pt, b, *residuals(b))
 
 
 def _certify(L, report: classify.ClassificationReport, fc: FinslerCheck,

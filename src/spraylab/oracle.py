@@ -21,7 +21,8 @@ grouped pass over the index and weight arrays give every derivative, and
 the curvature formulas run as stacked array operations.  Each row of a
 block equals the computation at that point alone, bit for bit, and the
 first point that fails alone decides the error.  `agreement_report`
-streams its bundles one block of BLOCK_ROWS points at a time.
+reads its bundles one at a time, and takes the differences of the rows
+of a block bundle once, through a `geometry.RowReader`.
 """
 
 from __future__ import annotations
@@ -32,9 +33,8 @@ import numpy as np
 
 from . import dsl, jets
 from .errors import DomainError
-from .classify import BLOCK_ROWS
-from .geometry import (ExprMetric, ExprSpray, MetricSpray, ShiftedSpray,
-                       _point_array)
+from .geometry import (ExprMetric, ExprSpray, MetricSpray, RowReader,
+                       ShiftedSpray, _point_array)
 
 _FLOOR = 1e-12
 
@@ -407,18 +407,18 @@ def fd_curvature(spray, p, h: float = 1e-3) -> dict:
     P = _point_array(p, n)
     fn = spray_values(spray)
     if P.ndim == 1:
-        fd = _fd_block(fn, n, P[None, :], h)
+        fd = _fd_stacked(fn, n, P[None, :], h)
         return {key: float(v[0]) if key == "Ric" else v[0] for key, v in fd.items()}
     try:
-        return _fd_block(fn, n, P, h)
+        return _fd_stacked(fn, n, P, h)
     except Exception:
         # whatever the block raised, a point that fails alone raises its
         # own error again below
-        rows = [_fd_block(fn, n, P[i:i + 1], h) for i in range(len(P))]
+        rows = [_fd_stacked(fn, n, P[i:i + 1], h) for i in range(len(P))]
         return {key: np.concatenate([r[key] for r in rows]) for key in rows[0]}
 
 
-def _fd_block(fn, n: int, P: np.ndarray, h: float) -> dict:
+def _fd_stacked(fn, n: int, P: np.ndarray, h: float) -> dict:
     """`fd_curvature` over the (B, 2n) block P, stacked; raises at the
     first failure it meets, which in a block of several points may not be
     the first point's."""
@@ -506,60 +506,42 @@ def _unit(n: int, i: int) -> np.ndarray:
     return e
 
 
+def _fd_rows(b, h: float):
+    """`fd_curvature`'s tensors at the bundle's point, or one dict of them
+    per row of a block bundle; a point is taken as a block of one row."""
+    P = np.reshape(b._pa, (-1, b._pa.shape[-1]))
+    fd = fd_curvature(b.spray, P, h=h)
+    rows = [{key: v[r] for key, v in fd.items()} for r in range(len(P))]
+    return rows if b._pa.ndim == 2 else rows[0]
+
+
 def agreement_report(bundles, h: float = 1e-3) -> dict:
     """Worst-case jets-vs-FD disagreement for R, chi, B over the bundles.
 
     Each CurvatureBundle supplies the jet side; the finite differences
     read only its spray's coefficient values around its point.  `bundles`
-    may be a generator: it is read one block at a time, up to BLOCK_ROWS
-    consecutive bundles of one spray, and each block takes one
-    `fd_curvature` call.  The rows are then compared in point order.  A
-    tensor passes when every component error is at most
-    max(1e-5, 1e-4 |component|); the report carries the worst error and the
-    tolerance in force at the worst spot.
+    may be a generator: each bundle is compared as it is read, in order,
+    and the rows of one block bundle share one `fd_curvature` call (see
+    `geometry.RowReader`).  A tensor passes when every component error is
+    at most max(1e-5, 1e-4 |component|); the report carries the worst
+    error and the tolerance in force at the worst spot.
     """
     report = {
         key: {"max_err": 0.0, "worst_tol": float("inf"), "ok": True}
         for key in ("R", "chi", "B")
     }
-    for block in _blocks(bundles):
-        points = np.stack([b.point.array() for b in block])
-        fd = fd_curvature(block[0].spray, points, h=h)
-        for r, b in enumerate(block):
-            for key, got in (("R", b.R_values), ("chi", b.chi_values),
-                             ("B", b.B_values)):
-                err = np.abs(got - fd[key][r])
-                tol = np.maximum(1e-5, 1e-4 * np.abs(got))
-                k = np.unravel_index(np.argmax(err - tol), err.shape)
-                entry = report[key]
-                if err[k] - tol[k] > entry["max_err"] - entry["worst_tol"]:
-                    entry["max_err"] = float(err[k])
-                    entry["worst_tol"] = float(tol[k])
-                if not np.all(err <= tol):  # a NaN error is no agreement
-                    entry["ok"] = False
+    fd_at = RowReader(_fd_rows, h)
+    for b in bundles:
+        fd = fd_at(b)
+        for key, got in (("R", b.R_values), ("chi", b.chi_values),
+                         ("B", b.B_values)):
+            err = np.abs(got - fd[key])
+            tol = np.maximum(1e-5, 1e-4 * np.abs(got))
+            k = np.unravel_index(np.argmax(err - tol), err.shape)
+            entry = report[key]
+            if err[k] - tol[k] > entry["max_err"] - entry["worst_tol"]:
+                entry["max_err"] = float(err[k])
+                entry["worst_tol"] = float(tol[k])
+            if not np.all(err <= tol):  # a NaN error is no agreement
+                entry["ok"] = False
     return report
-
-
-def _blocks(bundles):
-    """Runs of up to BLOCK_ROWS consecutive bundles of one spray, as lists.
-
-    When `bundles` raises, the bundles read before the error are yielded
-    first and the error is raised after them: their finite differences
-    come before it, as they would one bundle at a time.
-    """
-    block: list = []
-    try:
-        for b in bundles:
-            if block and b.spray is not block[0].spray:
-                yield block
-                block = []
-            block.append(b)
-            if len(block) == BLOCK_ROWS:
-                yield block
-                block = []
-    except Exception:
-        if block:
-            yield block
-        raise
-    if block:
-        yield block

@@ -130,13 +130,17 @@ def test_unknown_identifier_is_a_syntax_error() -> None:
         dsl.parse("dim 1\nspray G1 = bogus * y1^2\n")
 
 
+def reparsed(pd, tree):
+    """`pretty(tree)` parsed back as the metric of a problem of pd's
+    dimension."""
+    return dsl.parse(f"dim {pd.dim}\nmetric L = {dsl.pretty(tree)}\n").exprs[0]
+
+
 def test_pretty_round_trip() -> None:
     pd = dsl.parse(EX_SPRAY)
-    text = dsl.pretty_problem(pd)
-    again = dsl.parse(text)
-    assert again.exprs == pd.exprs
-    assert again.guards == pd.guards
-    assert again.dim == pd.dim
+    assert len(pd.exprs) == 2 and len(pd.guards) == 1
+    for tree in pd.exprs + pd.guards:
+        assert reparsed(pd, tree) == tree
 
 
 def test_metric_kind() -> None:
@@ -155,9 +159,9 @@ def test_scientific_notation_and_comments() -> None:
 
 def test_pretty_parenthesizes_negative_numbers() -> None:
     pd = dsl.parse("dim 1\nconst a = -2\nmetric L = a^2*y1^2 + x1*a\n")
-    text = dsl.pretty_problem(pd)
+    text = dsl.pretty(pd.exprs[0])
     assert "(-2)^2" in text and "x1*(-2)" in text
-    again = dsl.parse(text).exprs[0]
+    again = reparsed(pd, pd.exprs[0])
     assert dsl.evaluate(again, [0.5, 1.0]) == dsl.evaluate(pd.exprs[0], [0.5, 1.0]) == 3.0
     assert dsl.pretty(dsl.num(-0.0)) == "(-0)"
     assert str(dsl.evaluate(dsl.parse("dim 1\nmetric L = (-0)\n").exprs[0], [0.0, 1.0])) == "-0.0"

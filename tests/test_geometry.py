@@ -106,20 +106,6 @@ def bundle_of(text: str, p, order: int = 4, **overrides) -> CurvatureBundle:
     return CurvatureBundle(spray_of(text, **overrides), p, order=order)
 
 
-class _PointwiseMetric:
-    """An expression metric that claims no block evaluation, as the
-    numerical curvature metrics do."""
-
-    def __init__(self, metric):
-        self.metric = metric
-        self.dim = metric.dim
-        self.name = metric.name
-
-    def jet(self, p, order: int):
-        assert np.ndim(p) == 1, "evaluated at a block"
-        return self.metric.jet(p, order)
-
-
 def test_flat_spray_is_totally_flat() -> None:
     b = bundle_of(FLAT, P0)
     assert np.allclose(b.N_values, 0.0)
@@ -317,17 +303,20 @@ def test_shifted_spray_of_a_metric_spray_evaluates_blocks() -> None:
     # the spray projective_shift builds: both parts evaluate a block in one
     # pass, and each row bundle equals the bundle at its point
     metric = geometry.ExprMetric(dsl.parse(ROUND_METRIC))
+    shapes = []
+    jet = metric.jet
+    metric.jet = lambda p, order: shapes.append(np.shape(p)) or jet(p, order)
     sh = geometry.ShiftedSpray(geometry.MetricSpray(metric), metric, 0.5)
-    assert sh.evaluates_blocks
     block = np.array([[0.1, -0.2, 0.6, 0.8], [0.3, 0.1, -0.5, 0.4],
                       [-0.2, 0.25, 0.3, -0.9]])
-    for pt, rb in zip(block, CurvatureBundle(sh, block).rows()):
+    rows = CurvatureBundle(sh, block).rows()
+    # one jet of L for the induced spray and one for the shift
+    assert shapes == [block.shape, block.shape]
+    for pt, rb in zip(block, rows):
         b = CurvatureBundle(sh, pt)
         assert np.array_equal(rb.G_values, b.G_values)
         assert np.array_equal(rb.R_values, b.R_values)
         assert rb.split[2] == b.split[2]
-    flat = geometry.ShiftedSpray(spray_of(FLAT), _PointwiseMetric(metric), 0.5)
-    assert not flat.evaluates_blocks
 
 
 def test_order_budget_raises_order_error() -> None:
@@ -368,27 +357,23 @@ def test_point_tangent_validation_and_layout() -> None:
     assert b.Ric_value == pytest.approx(25.0, rel=1e-12)
 
 
-def test_block_bundle_of_an_induced_spray_stacks_point_jets() -> None:
-    # the spray of a metric with no block evaluation: its jets are taken
-    # point by point and stacked, so every row is the point bundle's
+def test_block_bundle_of_an_induced_spray_equals_point_bundles() -> None:
+    # the spray of the expression metric evaluates the block in one pass,
+    # and every row is the point bundle's
     metric = geometry.ExprMetric(dsl.parse(ROUND_METRIC))
     block = np.array([[0.1, -0.2, 0.6, 0.8], [0.3, 0.1, -0.5, 0.4]])
-    pointwise = geometry.MetricSpray(_PointwiseMetric(metric))
-    assert not pointwise.evaluates_blocks
-    bb = CurvatureBundle(pointwise, block, 3)
-    assert bb.point is None
-    assert bb.R_values.shape == (2, 2, 2)
-    # the spray of the expression metric evaluates the block in one pass
     sp = geometry.MetricSpray(metric)
-    assert sp.evaluates_blocks
     one_pass = CurvatureBundle(sp, block, 3)
+    assert one_pass.point is None
+    assert one_pass.R_values.shape == (2, 2, 2)
     for r, p in enumerate(block):
         b = CurvatureBundle(sp, p, 3)
-        for blk in (bb, one_pass):
-            assert np.array_equal(blk.curvature_scalar.coeffs[r], b.curvature_scalar.coeffs)
-            assert np.array_equal(blk.R_values[r], b.R_values)
-            assert np.array_equal(blk.cov_h(np.array(blk.R, dtype=object), ("u", "d"))[r],
-                                  b.cov_h(np.array(b.R, dtype=object), ("u", "d")))
+        assert np.array_equal(one_pass.curvature_scalar.coeffs[r],
+                              b.curvature_scalar.coeffs)
+        assert np.array_equal(one_pass.R_values[r], b.R_values)
+        assert np.array_equal(
+            one_pass.cov_h(np.array(one_pass.R, dtype=object), ("u", "d"))[r],
+            b.cov_h(np.array(b.R, dtype=object), ("u", "d")))
 
 
 def test_row_bundles_read_the_block_tensors() -> None:

@@ -220,6 +220,12 @@ def test_block_lift_rows_equal_point_lifts_bitwise() -> None:
         assert np.array_equal(block.dx(1).dy(0).coeffs[r], point.dx(1).dy(0).coeffs)
 
 
+def test_order_3_block_lift_equals_its_point_lifts_stacked() -> None:
+    rows = [jets.lift(fancy, tuple(p), 3) for p in BLOCK]
+    block = jets.lift(fancy, BLOCK, 3)
+    assert np.array_equal(block.coeffs, np.stack([row.coeffs for row in rows]))
+
+
 def test_block_abs_takes_each_row_sign() -> None:
     u = jets.lift(lambda v: v[0] * v[3], BLOCK, 2)
     out = jets.absval(u)
@@ -245,12 +251,6 @@ def test_block_and_point_jets_do_not_mix() -> None:
     # an equal block center, though another array, pairs
     assert np.array_equal((block * jets.lift(lambda v: v[1], BLOCK.copy(), 2)).coeffs,
                           (block * jets.lift(lambda v: v[1], BLOCK, 2)).coeffs)
-
-
-def test_stack_rebuilds_a_block_from_point_jets() -> None:
-    rows = [jets.lift(fancy, tuple(p), 3) for p in BLOCK]
-    block = jets.stack(rows, BLOCK)
-    assert np.array_equal(block.coeffs, jets.lift(fancy, BLOCK, 3).coeffs)
 
 
 # -- the multiply kernel's bits -------------------------------------------------

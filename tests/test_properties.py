@@ -18,8 +18,13 @@ equals the bundle at that point alone, bit for bit.  So do each row's
 scalar split (a view of the block's), its identity residuals, taken in
 one call for the block, and its isotropy and constancy checks; a block
 whose later row meets the reciprocal floor of the split (the spray
-without its |y| term, at a tangent of length 1e-13) yields the rows
-before it and raises that row's own error.  The same holds for the
+without its |y| term, at a tangent of length 1e-13) attempts the block's
+split once, yields the rows before it and raises that row's own error.
+The two rules for a block that raises, `classify.rowwise` and
+`geometry.RowReader`, are checked on blocks of 1 to 20 rows with failing
+rows at random positions: the first row that fails alone raises its own
+error after exactly the rows before it, and a block that succeeds is
+computed once.  The same holds for the
 spray of a random metric
 
     L = sum_{j<=k} (a_jk + b_jk x_l) y^j y^k + e y^1 |y|
@@ -305,13 +310,99 @@ def test_block_split_past_the_reciprocal_floor_fails_at_that_row(case, k) -> Non
     with pytest.raises(DomainError):
         CurvatureBundle(spray, full, 4).splits
     got = []
-    with pytest.raises(DomainError) as in_block:
-        for pt, b, dec in classify.point_bundles(spray, samples_at(full)):
-            assert b._block is not None
-            got.append(split_bytes(b.split))
+    # the block's split is attempted once, however many rows read it
+    attempts = []
+    splits = CurvatureBundle.__dict__["splits"]
+    split_of = splits.func
+
+    def counted(b):
+        if b._block is None and b.point is None:
+            attempts.append(len(b._pa))
+        return split_of(b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(splits, "func", counted)
+        with pytest.raises(DomainError) as in_block:
+            for pt, b, dec in classify.point_bundles(spray, samples_at(full)):
+                assert b._block is not None
+                got.append(split_bytes(b.split))
+    assert attempts == [len(full)]
     assert str(in_block.value) == str(alone.value)
     assert got == [split_bytes(CurvatureBundle(spray, pt, 4).split)
                    for pt in block]
+
+
+@st.composite
+def blocks_with_failures(draw):
+    """A block of 1 to 20 rows, row r holding (r, 2r), and the set of rows
+    that fail alone."""
+    rows = draw(st.integers(1, 20))
+    failing = draw(st.sets(st.integers(0, rows - 1), max_size=3))
+    return np.arange(rows, dtype=float)[:, None] * [1.0, 2.0], failing
+
+
+def failing_run(failing: set, calls: list):
+    """A run over rows that fails with the last failing row's error, so
+    that only the row rule finds the first; one entry per row."""
+    def run(points):
+        calls.append(len(points))
+        ids = [int(p[0]) for p in points]
+        bad = [i for i in ids if i in failing]
+        if bad:
+            raise DomainError(f"row {bad[-1]}")
+        return [float(i) for i in ids]
+    return run
+
+
+@PROPERTY_SETTINGS
+@given(blocks_with_failures())
+def test_rowwise_yields_the_rows_before_the_first_failing_row(case) -> None:
+    block, failing = case
+    calls, got = [], []
+    entries = classify.rowwise(failing_run(failing, calls), block)
+    if not failing:
+        assert list(entries) == list(range(len(block)))
+        assert calls == [len(block)]  # computed once
+        return
+    first = min(failing)
+    with pytest.raises(DomainError, match=f"^row {first}$"):
+        for entry in entries:
+            got.append(entry)
+    assert got == list(range(first))
+    assert calls == [len(block)] + [1] * (first + 1)
+
+
+FLAT_SPRAY = geometry.ExprSpray(dsl.parse("dim 2\nspray G1 = 0\nspray G2 = 0\n"))
+
+
+@PROPERTY_SETTINGS
+@given(blocks_with_failures(), st.integers(-3, 3))
+def test_row_reader_reads_the_rows_before_the_first_failing_row(case, shift) -> None:
+    block, failing = case
+    # the rows' points hold (r, 2r) in x, so fn can tell them apart
+    pts = np.concatenate([block, np.full_like(block, 0.6)], axis=1)
+    calls, got = [], []
+    run = failing_run(failing, calls)
+
+    def fn(b, plus):
+        rows = [r + plus for r in run(np.reshape(b._pa, (-1, 4)))]
+        return rows if b.point is None else rows[0]
+
+    reader = geometry.RowReader(fn, shift)
+    bundles = CurvatureBundle(FLAT_SPRAY, pts, 2).rows()
+    if not failing:
+        assert [reader(b) for b in bundles] == [r + shift for r in range(len(block))]
+        assert calls == [len(block)]  # computed once
+        # a point bundle takes its own
+        assert reader(CurvatureBundle(FLAT_SPRAY, pts[0], 2)) == shift
+        assert calls == [len(block), 1]
+        return
+    first = min(failing)
+    with pytest.raises(DomainError, match=f"^row {first}$"):
+        for b in bundles:
+            got.append(reader(b))
+    assert got == [r + shift for r in range(first)]
+    assert calls == [len(block)] + [1] * (first + 1)
 
 
 def metric_terms(n: int, draw) -> tuple:
@@ -351,7 +442,6 @@ def metrics_at_blocks(draw):
 def test_block_spray_from_metric_rows_equal_point_sprays_bitwise(case) -> None:
     n, terms, e, block = case
     metric = metric_expression(n, terms, e)
-    assert geometry.MetricSpray(metric).evaluates_blocks
     got = geometry.spray_from_metric(metric, block, 2)
     want = [geometry.spray_from_metric(metric, pt, 2) for pt in block]
     for i in range(n):

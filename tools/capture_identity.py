@@ -18,7 +18,12 @@ iff every captured output is.  It writes, as one JSON object:
   its identity dict with the keys in their order; the report keeps only
   the maximum over the samples;
 - `recover` and `highdim`: the outcome of every job of those benchmark
-  workloads at seed 7 (verdicts, metric reads, CLI JSON).
+  workloads at seed 7 (verdicts, metric reads, CLI JSON);
+- `errors`: what `point_bundles`, `finsler_check`, `metric_spray_residuals`,
+  `LambdaField`, `agreement_report` and the `oracle` command give on
+  inputs where a block of samples, nodes or points fails: the rows
+  yielded before the error, and the error's type and text.  A block that
+  raises must end in the error of its first row that fails alone.
 
 Floats are written as `float.hex`, so equal files mean equal bits.
 """
@@ -40,7 +45,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 
 import workloads  # noqa: E402
-from spraylab import classify, cli, corpus, geometry, metrize  # noqa: E402
+from spraylab import (classify, cli, corpus, dsl, geometry, metrize,  # noqa: E402
+                      oracle, sampling)
 
 SEEDS = (3, 11)
 JOB_SEED = 7
@@ -171,6 +177,192 @@ def job_outcomes(make_jobs, workdir: Path) -> dict:
     return out
 
 
+# G1 is evaluated before G2, so a block fails first in G1, at whichever row
+# that is, while one sample at a time the earliest failing one fails first
+TWO_DOMAINS = """
+dim 2
+spray G1 = ln(x1) * y1^2
+spray G2 = sqrt(x2) * y2^2
+"""
+
+# singular where x1 = 0; the square root fails where x2 < 0
+DEGENERATE_ROW = """
+dim 2
+metric L = x1 * (y1^2 + y2^2) + sqrt(x2) * y1^2
+"""
+
+# its finite-difference stencils leave the domain x1 > -0.5 near the guard
+EDGE = """
+dim 2
+spray G1 = y1^2 * sqrt(x1 + 0.5)
+spray G2 = y2^2 * sqrt(x1 + 0.5)
+guard = x1 + 0.45
+"""
+
+# the oracle's Taylor arithmetic raises for a whole batch near x1 = -0.5 or
+# x2 = 0, and exp overflows closer to x1 = -0.5
+ISLAND = """
+dim 2
+metric L = (y1^2 + y2^2) * exp(1/(x1 + 0.5)) * sqrt(x2)
+"""
+ISLAND_POINTS = {
+    "ok": (0.2, 0.5, 0.6, 0.8),
+    "sqrt": (0.2, 0.03, 0.6, 0.8),
+    "reciprocal": (-0.45, 0.5, 0.6, 0.8),
+    "leaves": (-0.3993, 0.5, 0.6, 0.8),
+}
+
+# a flat spray whose guard raises in floats past x1 = 1.5
+SQRT_GUARD = """
+dim 2
+spray G1 = 0
+spray G2 = 0
+guard = sqrt(1.5 - x1) + 1
+"""
+
+# along the x1 axis, G2 fails past x1 = 0.3 and G1, evaluated first, past 0.6
+TWO_WALLS = """
+dim 2
+spray G1 = ln(0.6 - x1) * y1^2
+spray G2 = sqrt(0.3 - x1) * y2^2
+"""
+
+FLAT = """
+dim 2
+spray G1 = 0
+spray G2 = 0
+"""
+
+
+def spray(src: str):
+    return geometry.spray_of(dsl.parse(src))
+
+
+def at_bases(bases) -> sampling.SampleSet:
+    """One sample per base, all with the tangent (0.7, 0.7)."""
+    bases = np.array(bases, dtype=float)
+    return sampling.SampleSet(bases, np.full((len(bases), 1, 2), 0.7))
+
+
+def outcome(rows) -> dict:
+    """The rows an iterable yields, and the error that ends it, if any."""
+    got = []
+    try:
+        for row in rows:
+            got.append(row)
+    except Exception as exc:
+        return {"rows": enc(got), "error": f"{type(exc).__name__}: {exc}"}
+    return {"rows": enc(got), "error": None}
+
+
+def splits(spray_obj, samples):
+    for _, b, dec in classify.point_bundles(spray_obj, samples):
+        yield [dec.R, dec.tau, dec.residual, dec.holds, b.point is None]
+
+
+def finsler(field_obj, samples):
+    fc = metrize.finsler_check(field_obj, samples)
+    yield [fc.holds, fc.euler_residual, fc.rank_ratio]
+
+
+def residuals(metric, spray_obj, samples, parallel: bool):
+    triples = tuple(classify.point_bundles(spray_obj, samples))
+    for _, _, value, semi, match in metrize.metric_spray_residuals(
+            metric, triples, parallel=parallel):
+        yield [value, semi, match]
+
+
+def lambdas(src: str, form, targets):
+    lam = metrize.lambda_field(spray(src), at_bases([[0.25, 0.25]]), 3, form)
+    for target in targets:
+        yield lam(np.array(target))
+
+
+def agreement(spray_obj, points, h: float, block: bool):
+    pts = np.array(points, dtype=float)
+    bundles = (geometry.CurvatureBundle(spray_obj, pts).rows() if block
+               else [geometry.CurvatureBundle(spray_obj, p) for p in pts])
+    table = oracle.agreement_report(iter(bundles), h=h)
+    yield [table[key] for key in sorted(table)]
+
+
+def oracle_command(args: list, workdir: Path):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = cli.main(["oracle", *args, "--out", str(workdir / "o.json")])
+    yield [code, err.getvalue()]
+
+
+def failure_paths(workdir: Path) -> dict:
+    two = spray(TWO_DOMAINS)
+    degenerate = geometry.ExprMetric(dsl.parse(DEGENERATE_ROW))
+    fine = [[0.5 + 0.01 * k, 0.5] for k in range(17)]
+    edge_file = workdir / "edge.spray"
+    edge_file.write_text(EDGE)
+    island = spray(ISLAND)
+    cases = {
+        "point_bundles two domains: ok, G2, G1": lambda: splits(
+            two, at_bases([[0.5, 0.5], [0.5, -0.2], [-0.3, 0.5]])),
+        "point_bundles two domains: G1, G2": lambda: splits(
+            two, at_bases([[-0.3, 0.5], [0.5, -0.2]])),
+        "point_bundles two domains: 17 ok, G2, G1": lambda: splits(
+            two, at_bases(fine + [[0.5, -0.2], [-0.3, 0.5]])),
+        "point_bundles degenerate row: singular, sqrt": lambda: splits(
+            geometry.MetricSpray(degenerate), at_bases([[0.0, 0.25], [1.0, -0.2]])),
+        "point_bundles degenerate row: ok, singular": lambda: splits(
+            geometry.MetricSpray(degenerate), at_bases([[1.0, 0.25], [0.0, 0.25]])),
+        "point_bundles split past the reciprocal floor": lambda: splits(
+            two, sampling.SampleSet(np.array(fine[:5]), np.array(
+                [[[0.7, 0.7]]] * 3 + [[[1e-13, 0.0]]] + [[[0.7, 0.7]]]))),
+        "finsler_check degenerate row: ok, singular": lambda: finsler(
+            degenerate, at_bases([[1.0, 0.25], [0.0, 0.25]])),
+        "finsler_check degenerate row: ok, singular, sqrt": lambda: finsler(
+            degenerate, at_bases([[1.0, 0.25], [0.0, 0.25], [1.0, -0.2]])),
+        "finsler_check curvature of two domains: ok, G2, G1": lambda: finsler(
+            metrize.CurvatureMetric(two),
+            at_bases([[0.5, 0.5], [0.5, -0.2], [-0.3, 0.5]])),
+        "metric_spray_residuals degenerate row: ok, singular, sqrt": lambda: residuals(
+            degenerate, spray(FLAT), at_bases([[1.0, 0.25], [0.0, 0.25], [1.0, -0.2]]),
+            True),
+        "metric_spray_residuals degenerate row, not parallel": lambda: residuals(
+            degenerate, spray(FLAT), at_bases([[1.0, 0.25], [0.0, 0.25], [1.0, -0.2]]),
+            False),
+        "metric_spray_residuals degenerate row: 17 ok, sqrt, singular": lambda: residuals(
+            degenerate, spray(FLAT), at_bases(fine + [[1.0, -0.2], [0.0, 0.25]]),
+            True),
+        "LambdaField sqrt guard": lambda: lambdas(
+            SQRT_GUARD, lambda b: b.G_values, [(1.2, 0.5), (2.0, 0.0)]),
+        "LambdaField guard failing mid segment": lambda: lambdas(
+            SQRT_GUARD.replace("sqrt(1.5 - x1) + 1", "0.5 - x1"),
+            lambda b: b.G_values, [(0.4, -0.3), (1.0, 0.2)]),
+        "LambdaField guard failing at zero": lambda: lambdas(
+            SQRT_GUARD.replace("sqrt(1.5 - x1) + 1", "x1^0.5 + 1"),
+            lambda b: b.G_values, [(0.0, 0.5)]),
+        "LambdaField two walls": lambda: lambdas(
+            TWO_WALLS, lambda b: b.G_values, [(0.2, 0.1), (1.0, 0.0)]),
+        "agreement_report edge": lambda: agreement(
+            spray(EDGE), [(0.2, 0.1, 0.6, 0.8), (-0.44, 0.1, 0.6, 0.8)], 0.05,
+            False),
+        "agreement_report edge, rows": lambda: agreement(
+            spray(EDGE), [(0.2, 0.1, 0.6, 0.8), (-0.44, 0.1, 0.6, 0.8)], 0.05,
+            True),
+        "oracle edge --fd-step 0.1": lambda: oracle_command(
+            [str(edge_file), "--fd-step", "0.1"], workdir),
+        "oracle cms20 --fd-step 0.3": lambda: oracle_command(
+            ["cms20", "--fd-step", "0.3"], workdir),
+    }
+    for order in (("ok", "sqrt", "reciprocal"), ("ok", "reciprocal", "sqrt"),
+                  ("leaves", "sqrt"), ("ok",)):
+        pts = [ISLAND_POINTS[k] for k in order]
+        for block in (False, True):
+            label = f"agreement_report island: {', '.join(order)}"
+            cases[label + (", rows" if block else "")] = (
+                lambda pts=pts, block=block: agreement(island, pts, 0.05, block))
+    with np.errstate(all="ignore"):
+        return {label: outcome(make()) for label, make in cases.items()}
+
+
 def main(argv: list) -> int:
     if len(argv) != 1:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
@@ -191,6 +383,7 @@ def main(argv: list) -> int:
             record["highdim"] = job_outcomes(workloads.highdim_jobs, highdim)
         finally:
             os.chdir(here)
+        record["errors"] = failure_paths(workdir)
     target.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0
 
