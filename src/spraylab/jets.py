@@ -17,7 +17,12 @@ a block result equals, bit for bit, the jet computed at point r alone.
 `_mul_coeffs` multiplies a block pair-major: it transposes the operands to
 (T, rows), gathers whole rows of them per pair of the multiply table, and
 bins product p of row r at r*T + ic[p], so one `np.bincount` sums each
-coefficient from 0.0 in ascending p, the single-point order.  The series
+coefficient from 0.0 in ascending p, the single-point order.  A block of
+at least `PRUNE_PRODUCTS` products whose operands are both finite drops
+the table pairs whose `a` or `b` column is zero in every row: such a pair
+adds only +0.0 or -0.0 to a sum that starts from +0.0 and is never -0.0,
+so no bit moves.  An inf or nan keeps the full table, since inf * 0.0 is
+nan.  The series
 coefficients and value-floor checks of the transcendental functions are
 taken row by row with `math`.  A failed floor check names the first
 failing row of that operation.  A point jet's center is a tuple; a block
@@ -46,11 +51,21 @@ VALUE_FLOOR = 1e-12
 
 # A block multiply gathers one product per (row, pair of the multiply table);
 # it runs over chunks of rows holding about this many products, so its
-# temporaries (the transposed chunk, its products and their cached bins)
-# stay bounded however tall the block is.  A 16-row block of a dim-3 metric
+# temporaries (the transposed chunk, its products and their bins, cached
+# per height for the full table and built per call for a pruned one) stay
+# bounded however tall the block is.  A 16-row block of a dim-3 metric
 # spray, lifted to order 6 in 6 variables (18564 pairs), runs in three
-# chunks; the blocks of dim-2 sprays and fixtures fit in one.
+# chunks of the full table; the blocks of dim-2 sprays and fixtures fit
+# in one.
 MUL_CHUNK = 1 << 17
+
+# A block multiply of at least this many products (table pairs x rows)
+# drops the pairs of empty columns.  Finding them costs about 15-20 us a
+# call, which the smaller multiplies do not win back: on 2-vCPU x86 with
+# numpy 2.4, operands of seed-7 benchmark runs took 9 -> 24 us at (4, 2)
+# with 16 rows (720 products), about even at (4, 4) with 16 rows (7920),
+# and 115 -> 48 us at (6, 4) with 16 rows (29120).
+PRUNE_PRODUCTS = 1 << 13
 
 _EXHAUSTED = "jet order exhausted: cannot differentiate an order-0 jet"
 
@@ -103,11 +118,11 @@ class JetSpace:
         return ia, ib, ic
 
     def _bins(self, rows: int) -> np.ndarray:
-        """The bins of a pair-major (pairs, rows) block of products,
-        flattened: product p of row r sits at p*rows + r and goes to bin
-        r*T + ic[p].  Kept per height, one int64 per product of a chunk:
-        at most `MUL_CHUNK` of them (1 MiB), or one row's pairs where a
-        single row has more."""
+        """The bins of a pair-major (pairs, rows) block of products of the
+        full table, flattened: product p of row r sits at p*rows + r and
+        goes to bin r*T + ic[p].  Kept per height, one int64 per product of
+        a chunk: at most `MUL_CHUNK` of them (1 MiB), or one row's pairs
+        where a single row has more.  A pruned multiply builds its own."""
         try:
             return self._pair_bins[rows]
         except KeyError:
@@ -201,19 +216,44 @@ def _mul_coeffs(sp: JetSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     weights of each bin in the order they appear, starting from 0.0, and
     bin (r, c) receives the products a[r, ia[p]] * b[r, ib[p]] with
     ic[p] == c in ascending p, as the point multiply of row r does.
+
+    A block of at least `PRUNE_PRODUCTS` products whose operands both have
+    a finite sum keeps only the pairs whose `a` column and `b` column are
+    nonzero in some row, in their table order, with bins built for this
+    call.  That keeps every bit:
+
+    - with finite operands, a dropped pair contributes +0.0 or -0.0;
+    - each bin is summed from +0.0 in ascending p, and such a partial sum
+      is never -0.0 (x + (-x) rounds to +0.0), so adding +-0.0 to it
+      never changes its bits;
+    - a bin whose pairs are all dropped comes out +0.0, as the full table
+      gives it.
+
+    An inf or nan makes its operand's sum non-finite and keeps the full
+    table, since inf * 0.0 = nan must stay; a finite sum that overflows
+    only sends the call to the full table too.  Below the size gate
+    finding the empty columns costs more than it saves.
     """
     ia, ib, ic = sp._mul_table
     if a.ndim == 1:
         return np.bincount(ic, weights=a[ia] * b[ib], minlength=sp.T)
     rows = a.shape[0]
-    step = max(1, MUL_CHUNK // len(ic))
+    bins = sp._bins
+    if (len(ic) * rows >= PRUNE_PRODUCTS
+            and math.isfinite(a.sum()) and math.isfinite(b.sum())):
+        keep = np.flatnonzero(a.any(axis=0)[ia] & b.any(axis=0)[ib])
+        ia, ib, ic = ia[keep], ib[keep], ic[keep]
+
+        def bins(height: int) -> np.ndarray:
+            return (ic[:, None] + sp.T * np.arange(height)).ravel()
+    step = max(1, MUL_CHUNK // max(1, len(ic)))
     out = np.empty((rows, sp.T))
     for lo in range(0, rows, step):
         hi = min(lo + step, rows)
         at = np.ascontiguousarray(a[lo:hi].T)
         bt = np.ascontiguousarray(b[lo:hi].T)
         w = at.take(ia, axis=0) * bt.take(ib, axis=0)
-        out[lo:hi] = np.bincount(sp._bins(hi - lo), weights=w.ravel(),
+        out[lo:hi] = np.bincount(bins(hi - lo), weights=w.ravel(),
                                  minlength=(hi - lo) * sp.T).reshape(hi - lo, sp.T)
     return out
 
@@ -323,8 +363,11 @@ class Jet:
             v = self.value
             e = Jet(self.space, self.center, self.coeffs / v)
             e.coeffs[0] -= 1.0
-        s = self._const(1.0)
-        for _ in range(self.order):
+        s, steps = self._const(1.0), self.order
+        if steps and math.isfinite(e.coeffs.sum()):
+            # the kernel's e * 1.0 for finite e: e, with -0.0 summed to +0.0
+            s, steps = 1.0 - Jet(self.space, self.center, e.coeffs + 0.0), steps - 1
+        for _ in range(steps):
             s = 1.0 - e * s
         return s * (1.0 / v)
 
@@ -349,8 +392,14 @@ class Jet:
         (for a block, c[k] holds one coefficient per row)."""
         h = Jet(self.space, self.center, self.coeffs.copy())
         h.coeffs.T[0] = 0.0  # the value part, of every row of a block
-        out = self._const(c[self.order])
-        for k in range(self.order - 1, -1, -1):
+        top = self.order
+        out = self._const(c[top])
+        if top and math.isfinite(np.sum(c[top])) and math.isfinite(h.coeffs.sum()):
+            # the kernel's out * h for finite factors: h * c[top], with -0.0
+            # summed to +0.0
+            out = Jet(self.space, self.center, (h * c[top]).coeffs + 0.0) + c[top - 1]
+            top -= 1
+        for k in range(top - 1, -1, -1):
             out = out * h + c[k]
         return out
 

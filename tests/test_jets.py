@@ -253,12 +253,71 @@ def test_block_and_point_jets_do_not_mix() -> None:
                           (block * jets.lift(lambda v: v[1], BLOCK, 2)).coeffs)
 
 
+# -- the first Horner step ------------------------------------------------------
+
+
+def kernel_reciprocal(u: jets.Jet) -> jets.Jet:
+    """`Jet.reciprocal` with every Horner step through the multiply kernel,
+    the first one from the constant jet 1 included."""
+    v = u.coeffs[..., 0].copy()
+    e = jets.Jet(u.space, u.center, u.coeffs / (v[:, None] if u.coeffs.ndim == 2 else v))
+    e.coeffs[..., 0] -= 1.0
+    s = u.space.constant(1.0, u.center)
+    for _ in range(u.order):
+        s = 1.0 - e * s
+    return s * (1.0 / v if u.coeffs.ndim == 2 else 1.0 / float(v))
+
+
+def kernel_compose(u: jets.Jet, c: list) -> jets.Jet:
+    """`Jet._compose` with every Horner step through the multiply kernel."""
+    h = jets.Jet(u.space, u.center, u.coeffs.copy())
+    h.coeffs.T[0] = 0.0
+    out = u.space.constant(c[u.order], u.center)
+    for k in range(u.order - 1, -1, -1):
+        out = out * h + c[k]
+    return out
+
+
+def signed_zero_jet(rows: int, order: int, seed: int, spoil: float) -> jets.Jet:
+    """A jet of 4 variables at a point (rows == 0) or a block, with a third
+    of its derivative coefficients +0.0 or -0.0 and value parts away from
+    0; `spoil`, if nonzero, is put at a first-order coefficient of the
+    last row."""
+    rng = np.random.default_rng(seed)
+    sp = jets.space(4, order)
+    x = rng.standard_normal((max(rows, 1), sp.T))
+    zero = rng.random(x.shape) < 0.33
+    x[zero] = np.where(rng.random(x.shape) < 0.5, 0.0, -0.0)[zero]
+    x[:, 0] = rng.uniform(0.5, 2.0, len(x)) * rng.choice([-1.0, 1.0], len(x))
+    if spoil and order:
+        x[-1, 1] = spoil
+    center = rng.uniform(-1.0, 1.0, (len(x), 4))
+    return jets.Jet(sp, center if rows else tuple(center[0]), x if rows else x[0])
+
+
+@pytest.mark.parametrize("rows", [0, 1, 16])
+@pytest.mark.parametrize("order", [0, 1, 4])
+@pytest.mark.parametrize("spoil", [0.0, np.inf, np.nan])
+def test_first_horner_step_has_the_kernel_bytes(rows, order, spoil) -> None:
+    u = signed_zero_jet(rows, order, seed=rows * 10 + order, spoil=spoil)
+    c = [np.where((np.arange(max(rows, 1)) + k) % 3 == 0, -0.0, 0.75 - k)
+         for k in range(order + 1)]
+    c = [x if rows else float(x[0]) for x in c]
+    with np.errstate(invalid="ignore"):  # a spoiled jet makes nans
+        assert u.reciprocal().coeffs.tobytes() == kernel_reciprocal(u).coeffs.tobytes()
+        assert u._compose(c).coeffs.tobytes() == kernel_compose(u, c).coeffs.tobytes()
+
+
 # -- the multiply kernel's bits -------------------------------------------------
 
 # SHA-256 of the product bytes of `_mul_coeffs`, recorded with the row-major
 # block kernel (one scalar gather per product) before the pair-major one:
 # the spaces the benchmark workloads build, at a point, at block heights
-# 1, 2, 16, 17 and 64, and at one height past a `MUL_CHUNK` chunk
+# 1, 2, 16, 17 and 64, and at one height past a `MUL_CHUNK` chunk.  These
+# cases put an inf, -inf or nan in every row, so they never take the
+# pruned path of a block multiply.  The sparse cases below were recorded
+# with the pair-major kernel before it dropped the table pairs of empty
+# columns; their operands are finite but for the "nonfinite" one.
 MUL_HEX = Path(__file__).resolve().parent / "data" / "mul_coeffs_hex.json"
 MUL_SPACES = [(4, 2), (4, 4), (4, 6), (4, 7), (6, 4), (8, 4)]
 
@@ -293,17 +352,64 @@ def mul_operands(sp: jets.JetSpace, rows: int) -> list[np.ndarray]:
     return out
 
 
+SPARSE_SPACES = [(4, 4), (6, 4), (8, 4)]
+SPARSE_PAIRS = ["constant*dense", "variable*dense", "affine*dense", "monomial*dense",
+                "zero*dense", "affine*affine", "constant*monomial", "constant*nonfinite"]
+
+
+def sparse_mul_cases() -> list[str]:
+    out = []
+    for nvars, order in SPARSE_SPACES:
+        step = jets.MUL_CHUNK // len(jets.space(nvars, order)._mul_table[0])
+        out += [f"{nvars},{order} {pair} rows {rows}"
+                for pair in SPARSE_PAIRS for rows in (1, 16, 17, 64, step + 1)]
+    return out
+
+
+def sparse_operand(sp: jets.JetSpace, kind: str, rows: int,
+                   rng: np.random.Generator) -> np.ndarray:
+    """A (rows, T) operand of one sparsity `kind`.  Every entry it leaves
+    empty is +0.0 or -0.0, and a fifth of the entries it fills are too:
+    "dense" fills every column, "constant" the value column, "variable" the
+    value and one first-order column (1.0), "affine" the columns of degree
+    at most one, "monomial" one column of degree 1 to `order`, and "zero"
+    none.  "nonfinite" is dense, with an inf and a nan in two first-order
+    columns, which a constant operand leaves empty."""
+    signed_zeros = np.where(rng.random((rows, sp.T)) < 0.5, 0.0, -0.0)
+    full = rng.standard_normal((rows, sp.T))
+    full[rng.random(full.shape) < 0.2] = 0.0
+    full = np.where(full == 0.0, signed_zeros, full)
+    first = np.flatnonzero(sp._deg == 1)
+    filled = {"dense": np.arange(sp.T), "nonfinite": np.arange(sp.T),
+              "constant": [0], "variable": [0], "affine": np.flatnonzero(sp._deg <= 1),
+              "monomial": [rng.choice(np.flatnonzero(sp._deg >= 1))], "zero": []}[kind]
+    x = signed_zeros.copy()
+    x[:, filled] = full[:, filled]
+    if kind == "variable":
+        x[:, rng.choice(first)] = 1.0
+    if kind == "nonfinite":
+        j, k = rng.choice(first, 2, replace=False)
+        x[0, j] = np.inf
+        x[-1, k] = np.nan
+    return x
+
+
 def mul_digest(case: str) -> str:
     space_key, rest = case.split(" ", 1)
     sp = jets.space(*map(int, space_key.split(",")))
-    rows = 0 if rest == "point" else int(rest.split()[1])
-    a, b = mul_operands(sp, rows)
+    rows = 0 if rest == "point" else int(rest.split()[-1])
+    if "*" in rest:
+        pair = rest.split()[0]
+        rng = np.random.default_rng([sp.nvars, sp.order, rows, SPARSE_PAIRS.index(pair)])
+        a, b = (sparse_operand(sp, kind, rows, rng) for kind in pair.split("*"))
+    else:
+        a, b = mul_operands(sp, rows)
     with np.errstate(invalid="ignore"):  # inf * 0.0 and inf - inf make nans
         got = jets._mul_coeffs(sp, a, b)
     assert got.shape == a.shape and got.dtype == np.float64
     return hashlib.sha256(np.ascontiguousarray(got).tobytes()).hexdigest()
 
 
-@pytest.mark.parametrize("case", mul_cases())
+@pytest.mark.parametrize("case", mul_cases() + sparse_mul_cases())
 def test_mul_coeffs_bits_match_record(case) -> None:
     assert mul_digest(case) == json.loads(MUL_HEX.read_text())[case]

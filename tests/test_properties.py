@@ -34,6 +34,10 @@ small, so the fundamental tensor stays nondegenerate),
 for the inverse of a matrix of block jets, and for block multiplies on
 operands with signed zeros, compared as bytes: of heights 1, 2, 17 and 64
 within one chunk of `jets.MUL_CHUNK` products, and taller than one chunk.
+So do block multiplies of finite operands with empty columns, which drop
+the table pairs of those columns: at heights on both sides of
+`jets.PRUNE_PRODUCTS` and past one chunk of the pruned table; an inf or
+nan opposite an empty column keeps the full table and its nan.
 The finite-difference oracle's `fd_curvature` over such a block gives
 each row the bytes of the call at that point alone, or the error of the
 first point that fails alone: on the expression sprays, on the metric
@@ -639,20 +643,24 @@ def test_jet_matrix_inverse_of_a_stack_equals_point_inverses(centers) -> None:
         assert _rows_equal(got[idx], [w[idx] for w in want])
 
 
+def assert_rows_are_point_products(sp: jets.JetSpace, a: np.ndarray, b: np.ndarray) -> None:
+    """The block multiply of (rows, T) operands gives each row the bytes of
+    the point multiply of that row."""
+    center = np.zeros((len(a), sp.nvars))
+    got = (jets.Jet(sp, center, a) * jets.Jet(sp, center, b)).coeffs
+    assert got.shape == a.shape
+    for r in range(len(a)):
+        assert got[r].tobytes() == jets._mul_coeffs(sp, a[r], b[r]).tobytes()
+
+
 def _assert_rows_are_point_products(sp: jets.JetSpace, rows: int, seed: int) -> None:
-    """A block multiply of `rows` rows gives each row the bytes of the point
-    multiply of that row, on operands with a fifth of the entries +0.0 or
-    -0.0."""
+    """On `rows` rows of operands with a fifth of the entries +0.0 or -0.0."""
     rng = np.random.default_rng(seed)
-    center = rng.uniform(-1.0, 1.0, size=(rows, sp.nvars))
     a, b = (rng.standard_normal((rows, sp.T)) for _ in range(2))
     for x in (a, b):
         zero = rng.random(x.shape) < 0.2
         x[zero] = np.where(rng.random(x.shape) < 0.5, 0.0, -0.0)[zero]
-    got = (jets.Jet(sp, center, a) * jets.Jet(sp, center, b)).coeffs
-    assert got.shape == (rows, sp.T)
-    for r in range(rows):
-        assert got[r].tobytes() == jets._mul_coeffs(sp, a[r], b[r]).tobytes()
+    assert_rows_are_point_products(sp, a, b)
 
 
 @PROPERTY_SETTINGS
@@ -671,6 +679,80 @@ def test_block_multiply_in_one_chunk_equals_point_multiplies(shape, rows, seed) 
     sp = jets.space(*shape)
     assert rows <= jets.MUL_CHUNK // len(sp._mul_table[0])
     _assert_rows_are_point_products(sp, rows, seed)
+
+
+def pruned_height(sp: jets.JetSpace) -> int:
+    """The lowest block height whose multiplies may drop empty columns."""
+    return -(-jets.PRUNE_PRODUCTS // len(sp._mul_table[0]))
+
+
+def sparse_block(sp: jets.JetSpace, rows: int, filled: np.ndarray,
+                 rng: np.random.Generator, one_row: float = 0.3) -> np.ndarray:
+    """A finite (rows, T) operand whose columns `filled` (a mask) hold
+    standard normals with a fifth +0.0 or -0.0, each in one random row with
+    probability `one_row` and else in every row; every other entry is +0.0
+    or -0.0."""
+    x = np.where(rng.random((rows, sp.T)) < 0.5, 0.0, -0.0)
+    for col in np.flatnonzero(filled):
+        at = rng.integers(rows) if rng.random() < one_row else slice(None)
+        x[at, col] = rng.standard_normal(rows)[at]
+    zero = rng.random(x.shape) < 0.2
+    x[zero] = np.where(rng.random(x.shape) < 0.5, 0.0, -0.0)[zero]
+    return x
+
+
+DENSITIES = st.sampled_from([0.0, 0.02, 0.1, 0.5, 0.9, 1.0])
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from([(4, 4), (6, 4), (8, 4)]), DENSITIES, DENSITIES,
+       st.sampled_from(["below", "at", "above"]), st.integers(0, 2**32 - 1))
+def test_sparse_block_multiply_equals_point_multiplies(shape, da, db, height, seed) -> None:
+    """At heights on both sides of `jets.PRUNE_PRODUCTS`."""
+    sp = jets.space(*shape)
+    rng = np.random.default_rng(seed)
+    low = pruned_height(sp)
+    rows = {"below": max(1, low - 1), "at": low, "above": 4 * low}[height]
+    a, b = (sparse_block(sp, rows, rng.random(sp.T) < d, rng) for d in (da, db))
+    assert_rows_are_point_products(sp, a, b)
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from([(4, 4), (6, 4), (8, 4)]), st.floats(0.7, 1.0), st.floats(0.7, 1.0),
+       st.integers(1, 100), st.integers(0, 2**32 - 1))
+def test_sparse_block_multiply_past_a_pruned_chunk_equals_point_multiplies(
+        shape, da, db, extra, seed) -> None:
+    """Taller than one `MUL_CHUNK` chunk of the pruned table."""
+    sp = jets.space(*shape)
+    rng = np.random.default_rng(seed)
+    fa, fb = rng.random(sp.T) < da, rng.random(sp.T) < db
+    ia, ib, _ = sp._mul_table
+    rows = jets.MUL_CHUNK // max(1, np.count_nonzero(fa[ia] & fb[ib])) + extra
+    assume(rows <= 1000)
+    a, b = (sparse_block(sp, rows, f, rng, one_row=0.0) for f in (fa, fb))
+    assert_rows_are_point_products(sp, a, b)
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from([(4, 4), (6, 4), (8, 4)]), st.sampled_from([np.inf, -np.inf, np.nan]),
+       st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_a_nonfinite_entry_opposite_an_empty_column_keeps_its_nan(shape, bad, scale, seed) -> None:
+    """A constant operand times one with an inf or nan at a first-order
+    column j: the pair (j, j) multiplies it by the constant's empty column,
+    so bin 2j is nan, as in the point multiply."""
+    sp = jets.space(*shape)
+    rng = np.random.default_rng(seed)
+    rows = scale * pruned_height(sp)
+    a = sparse_block(sp, rows, sp._deg == 0, rng, one_row=0.0)
+    b = sparse_block(sp, rows, sp._deg >= 0, rng)
+    j = rng.choice(np.flatnonzero(sp._deg == 1))
+    r = rng.integers(rows)
+    b[r, j] = bad
+    with np.errstate(invalid="ignore"):
+        got = jets._mul_coeffs(sp, a, b)
+        want = [jets._mul_coeffs(sp, a[k], b[k]) for k in range(rows)]
+    assert np.isnan(got[r, sp.index[tuple(2 * e for e in sp.alphas[j])]])
+    assert got.tobytes() == np.stack(want).tobytes()
 
 
 # -- prefix property of truncation --------------------------------------------
