@@ -135,7 +135,12 @@ class Report:
 
 
 def _jsonable(obj):
-    """Coerce report values to deterministic JSON-safe types."""
+    """Coerce report values to deterministic JSON-safe types.
+
+    A Python float, the most common value (every element of a float array
+    comes out of `tolist` as one), is tested first and with `math`."""
+    if type(obj) is float:
+        return obj if math.isfinite(obj) else None
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -148,7 +153,7 @@ def _jsonable(obj):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
         v = float(obj)
-        return v if np.isfinite(v) else None
+        return v if math.isfinite(v) else None
     if obj is None or isinstance(obj, str):
         return obj
     # anything richer (recovered metrics, quadrature tables) is summarized

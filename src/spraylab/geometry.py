@@ -41,6 +41,16 @@ and `identity_residuals` are likewise taken once for a block, with each
 row's numbers those of its point alone.  A consumer that takes a result
 of its own per row bundle reads it through a `RowReader`, which states
 the rule for a block that raises.
+
+N, Gamma, R^i_k, the split's tau_k, the Berwald values and the induced
+spray of a metric are computed on stacks (see `jets`): one array per
+tensor, (components..., [B,] T), differentiated by gathers and multiplied
+with the components folded into the rows of the kernel.  Each sum over an
+index adds whole stacks in the order the formula's loop over the index
+added jets, so every entry keeps its bits: the bins of each product are
+summed in the kernel's order, and products by constant jets get + 0.0
+(`jets.constant_product`).  The bundle hands N, Gamma and R out as nested
+lists of jets whose coefficients are views of its stacks.
 """
 
 from __future__ import annotations
@@ -202,16 +212,23 @@ def _fundamental_jets(metric, pa: np.ndarray, order: int, tol: Tolerances):
     """Jets of L and of g_ij = half the y-Hessian, with a rank check.
 
     At a block of points the values are (B, n, n) and the rank is checked
-    row by row; the first failing row names the error.
+    row by row; the first failing row names the error.  The entries of g
+    are views of one (n, n, [B,] T) stack.
     """
     Lj = metric.jet(pa, order + 2)
-    n = metric.dim
-    g = np.empty((n, n), dtype=object)
+    n, tail = metric.dim, pa.ndim
+    sp = Lj.space
+    hessian = _dys(_lower(sp), _dys(sp, Lj.coeffs, n, tail), n, tail)
+    stack = np.empty(hessian.shape)
     for i in range(n):
-        di = Lj.dy(i)
         for j in range(i, n):
-            g[i, j] = g[j, i] = 0.5 * di.dy(j)
-    vals = CurvatureBundle._values(g)
+            stack[i, j] = stack[j, i] = hessian[i, j] * 0.5
+    g = np.empty((n, n), dtype=object)
+    lower = _lower(_lower(sp))
+    for i in range(n):
+        for j in range(n):
+            g[i, j] = jets.Jet(lower, Lj.center, stack[i, j])
+    vals = _stack_values(stack, 2)
     for v in (vals if vals.ndim == 3 else (vals,)):
         s = np.linalg.svd(v, compute_uv=False)
         if s[-1] <= tol.rank * s[0] or s[0] == 0.0:
@@ -227,29 +244,74 @@ def spray_from_metric(metric, p, order: int = 4, tol: Tolerances = TOL) -> list:
 
     The metric is lifted two orders above the requested spray order, since
     the geodesic coefficients consume one x- and one y-derivative of L.
+    Each sum over an index is a `jets.contract`, with the terms added in
+    ascending order.
     """
     pa = _point_array(p, metric.dim)
-    n = metric.dim
+    n, tail = metric.dim, pa.ndim
     Lj, g, _ = _fundamental_jets(metric, pa, order, tol)
     try:
         w = jets.jet_matrix_inverse(g)
     except DomainError as exc:
         raise DegenerateMetric(f"fundamental tensor of {metric.name!r}: {exc}") from exc
-    ys = _var_jets(n, pa, order)[n:]
-    v = []
-    for l in range(n):
-        dl = Lj.dy(l)
-        acc = dl.dx(0) * ys[0]
-        for k in range(1, n):
-            acc = acc + dl.dx(k) * ys[k]
-        v.append(acc - Lj.dx(l))
-    out = []
-    for i in range(n):
-        acc = w[i, 0] * v[0]
-        for l in range(1, n):
-            acc = acc + w[i, l] * v[l]
-        out.append(0.25 * acc)
-    return out
+    sp = jets.space(2 * n, min(order, w[0, 0].order))
+    W = np.array([[w[i, l].coeffs for l in range(n)] for i in range(n)])
+    top = Lj.space
+    dl = _dys(top, Lj.coeffs, n, tail)                  # [l] = L_{y^l}
+    dlx = _dxs(_lower(top), dl, n, tail)
+    # v_l = sum_k L_{y^l x^k} y^k - L_{x^l}, then sum_l g^{il} v_l / 4
+    v = (jets.contract(sp, np.moveaxis(dlx, 1, 0), _y_stack(n, pa, sp)[:, None])
+         + -_dxs(top, Lj.coeffs, n, tail)[..., :sp.T])
+    out = jets.contract(sp, np.moveaxis(W, 1, 0), v[:, None]) * 0.25
+    return [jets.Jet(sp, Lj.center, out[i]) for i in range(n)]
+
+
+# -- stacked tensors --------------------------------------------------------------
+#
+# A stack (see `jets`) holds a tensor's jets as one C-contiguous array,
+# (components..., [rows,] T), so each entry is laid out as its own jet.
+# `tail` is the number of trailing axes: 1 at a point, 2 at a block.
+
+
+def _lower(sp):
+    return jets.space(sp.nvars, sp.order - 1)
+
+
+def _derivatives(sp, c: np.ndarray, vs, tail: int) -> np.ndarray:
+    """The stack of d/dv c for v in `vs`, jets of `sp`, with the new
+    component axis last among c's."""
+    return np.stack([jets.diff_coeffs(sp, c, v) for v in vs], axis=c.ndim - tail)
+
+
+def _dxs(sp, c: np.ndarray, n: int, tail: int) -> np.ndarray:
+    return _derivatives(sp, c, range(n), tail)
+
+
+def _dys(sp, c: np.ndarray, n: int, tail: int) -> np.ndarray:
+    return _derivatives(sp, c, range(n, 2 * n), tail)
+
+
+def _y_stack(n: int, pa: np.ndarray, sp) -> np.ndarray:
+    """The stack of the jets of y^1..y^n, of `sp`, at the point or block pa."""
+    center = pa if pa.ndim == 2 else tuple(pa)
+    return np.array([sp.variable(n + i, center).coeffs for i in range(n)])
+
+
+def _unstack(sp, center, c: np.ndarray, depth: int):
+    """The jets of the stack c over its first `depth` axes, as nested lists
+    of jets whose coefficients are views of c."""
+    if depth == 0:
+        return jets.Jet(sp, center, c)
+    return [_unstack(sp, center, x, depth - 1) for x in c]
+
+
+def _stack_values(c: np.ndarray, depth: int) -> np.ndarray:
+    """The value parts of the stack c with `depth` component axes, as
+    `CurvatureBundle._values` gives them: block axis first, C-contiguous."""
+    vals = c[..., 0]
+    if vals.ndim > depth:
+        vals = np.moveaxis(vals, -1, 0)
+    return np.ascontiguousarray(vals)
 
 
 # -- the bundle ---------------------------------------------------------------
@@ -292,11 +354,14 @@ def _per_row(fn):
     return cached_property(get)
 
 
-def _pick(column: list, i0) -> np.ndarray:
-    """The coefficients whose row r is row r of column[i0[r]], for jets at a
-    block; column[i0]'s at a point."""
-    c = np.stack([u.coeffs for u in column])
-    return c[i0] if c.ndim == 2 else c[i0, np.arange(c.shape[1])]
+def _pick(c: np.ndarray, i0) -> np.ndarray:
+    """The stack whose row r is row r of entry i0[r] of the stack c, for
+    jets at a block; entry i0 at a point.  c's first axis is picked from,
+    and the rest keep their order."""
+    if np.ndim(i0) == 0:
+        return c[i0]
+    rows = np.arange(len(i0))
+    return np.ascontiguousarray(np.moveaxis(c[i0, ..., rows, :], 0, -2))
 
 
 class CurvatureBundle:
@@ -365,31 +430,70 @@ class CurvatureBundle:
     def G(self) -> list:
         return self.spray.coeff_jets(self._pa, self.order)
 
+    def _G_stack(self) -> tuple:
+        """(space, stack) of the spray coefficients G^i, taken when needed
+        rather than kept, so that a bundle holds G once."""
+        sp = jets.space(2 * self.dim, min(u.order for u in self.G))
+        return sp, np.array([u.coeffs[..., :sp.T] for u in self.G])
+
+    @cached_property
+    def _N_stack(self) -> tuple:
+        """(space, stack) of N^i_j = dot_j G^i."""
+        sp, G = self._G_stack()
+        return _lower(sp), _dys(sp, G, self.dim, self._pa.ndim)
+
+    @cached_property
+    def _Gamma_stack(self) -> tuple:
+        """(space, stack) of Gamma^i_jk = dot_k N^i_j."""
+        sp, N = self._N_stack
+        return _lower(sp), _dys(sp, N, self.dim, self._pa.ndim)
+
+    @cached_property
+    def _R_stack(self) -> tuple:
+        """(space, stack) of R^i_k.
+
+        The steps j of the sum over j are taken in the groups of
+        `jets.step_groups`: each of the three products of the terms is one
+        stacked product over every (i, j, k) of the group, and the terms
+        are added to the (i, k) stack one j at a time, in the order of the
+        formula."""
+        n, tail = self.dim, self._pa.ndim
+        sp, G = self._G_stack()
+        mid, low = _lower(sp), _lower(_lower(sp))
+        ys = _y_stack(n, self._pa, low)
+        N, Gamma = self._N_stack[1], self._Gamma_stack[1]
+        # 2 d_k G^i, truncated: G's x-derivatives have the low
+        # coefficients of G's own up to `mid`
+        acc = _dxs(mid, G[..., :mid.T], n, tail) * 2.0
+        for lo, hi in jets.step_groups(low, n, acc.size // low.T):
+            js = slice(lo, hi)
+            dGx = _derivatives(sp, G, range(lo, hi), tail)     # [i, j] = d_j G^i
+            dGxy = _dys(mid, dGx, n, tail)                      # [i, j, k]
+            terms = zip(
+                np.moveaxis(jets.stacked_product(low, ys[None, js, None], dGxy), 1, 0),
+                np.moveaxis(jets.stacked_product(low, G[None, js, None], Gamma[:, js]), 1, 0),
+                np.moveaxis(jets.stacked_product(low, N[:, js, None], N[None, js]), 1, 0))
+            for y_dGxy, G_Gamma, N_N in terms:
+                acc = acc + -y_dGxy
+                acc = acc + G_Gamma * 2.0
+                acc = acc + -N_N
+        return low, acc
+
+    def _tensor(self, stack: tuple, depth: int) -> list:
+        sp, c = stack
+        return _unstack(sp, self.G[0].center, c, depth)
+
     @_per_row
     def N(self) -> list:
-        return [[Gi.dy(j) for j in range(self.dim)] for Gi in self.G]
+        return self._tensor(self._N_stack, 2)
 
     @_per_row
     def Gamma(self) -> list:
-        return [[[Nij.dy(k) for k in range(self.dim)] for Nij in row] for row in self.N]
+        return self._tensor(self._Gamma_stack, 3)
 
     @_per_row
     def R(self) -> list:
-        n = self.dim
-        ys = _var_jets(n, self._pa, self.order)[n:]
-        out = []
-        for i in range(n):
-            dGx = [self.G[i].dx(j) for j in range(n)]
-            row = []
-            for k in range(n):
-                acc = 2.0 * dGx[k]
-                for j in range(n):
-                    acc = acc - ys[j] * dGx[j].dy(k)
-                    acc = acc + 2.0 * (self.G[j] * self.Gamma[i][j][k])
-                    acc = acc - self.N[i][j] * self.N[j][k]
-                row.append(acc)
-            out.append(row)
-        return out
+        return self._tensor(self._R_stack, 2)
 
     @_per_row
     def Ric(self):
@@ -414,21 +518,19 @@ class CurvatureBundle:
         At each point i0 is the index of the largest |y^i|.  y^{i0} is one
         jet, whose rows each have their own value and unit slot, and its
         one reciprocal serves every tau_k, as `Jet.__truediv__` would take
-        it; each row's numerator is picked with np.where.
+        it; each row's numerator is picked with np.where, and the n
+        quotients are one stacked product.
         """
         n = self.dim
         Rj = self.curvature_scalar
         sp, center = Rj.space, Rj.center
         i0 = np.argmax(np.abs(self.yvals), axis=-1)
-        yj = jets.Jet(sp, center, _pick([sp.variable(n + i, center)
-                                         for i in range(n)], i0))
+        yj = jets.Jet(sp, center, _pick(_y_stack(n, self._pa, sp), i0))
         inv = yj.reciprocal()
-        on_row = np.expand_dims(i0, -1)
-        tau = []
-        for k in range(n):
-            Rk = jets.Jet(sp, center, _pick([self.R[i][k] for i in range(n)], i0))
-            num = np.where(on_row == k, (Rj - Rk).coeffs, (-1.0 * Rk).coeffs)
-            tau.append(jets.Jet(sp, center, num) * inv)
+        Rk = _pick(np.array([[u.coeffs for u in row] for row in self.R]), i0)
+        k = np.arange(n).reshape((n,) + (1,) * np.ndim(i0) + (1,))
+        num = np.where(np.expand_dims(i0, -1) == k, Rj.coeffs + -Rk, Rk * -1.0)
+        tau = _unstack(sp, center, jets.stacked_product(sp, num, inv.coeffs), 1)
         tau_vals = self._values(tau)
         recon = (np.multiply.outer(Rj.value, np.eye(n))
                  - self.yvals[..., :, None] * tau_vals[..., None, :])
@@ -598,25 +700,22 @@ class CurvatureBundle:
 
     @_per_row
     def N_values(self) -> np.ndarray:
-        return self._values(self.N)
+        return _stack_values(self._N_stack[1], 2)
 
     @_per_row
     def Gamma_values(self) -> np.ndarray:
-        return self._values(self.Gamma)
+        return _stack_values(self._Gamma_stack[1], 3)
 
     @_per_row
     def B_values(self) -> np.ndarray:
         # the Berwald tensor is read only through its values, so its n^4
         # jets are not kept: bundles stay small while a report holds them
-        n = self.dim
-        return self._values([
-            [[[Gijk.dy(l) for l in range(n)] for Gijk in row] for row in mat]
-            for mat in self.Gamma
-        ])
+        sp, Gamma = self._Gamma_stack
+        return _stack_values(_dys(sp, Gamma, self.dim, self._pa.ndim), 4)
 
     @_per_row
     def R_values(self) -> np.ndarray:
-        return self._values(self.R)
+        return _stack_values(self._R_stack[1], 2)
 
     @cached_property
     def Ric_value(self):

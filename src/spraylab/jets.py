@@ -22,7 +22,21 @@ at least `PRUNE_PRODUCTS` products whose operands are both finite drops
 the table pairs whose `a` or `b` column is zero in every row: such a pair
 adds only +0.0 or -0.0 to a sum that starts from +0.0 and is never -0.0,
 so no bit moves.  An inf or nan keeps the full table, since inf * 0.0 is
-nan.  The series
+nan.
+
+The jets of a tensor, all of one space, may also be held as one
+coefficient array, a stack, shaped (components..., [rows,] T): the
+tensor's index axes, then a block's row axis, then the coefficients.
+`stacked_product` multiplies two stacks entry by entry with the components
+folded into the rows of `_mul_coeffs` calls, so the kernel is unchanged,
+each bin is still summed in table order, and every entry has the bits of
+the product of its own jets.  `contract` adds such products over an index
+in ascending order, as a loop over the jets adds them.  A product by a
+constant jet is taken as c * d + 0.0 while both operands are finite
+(`constant_product`): the kernel's other products are then +-0.0, which
+leave every partial sum from +0.0 as it is, and only a -0.0 product turns
+to +0.0.  A non-finite operand keeps the kernel.  `diff_coeffs`
+differentiates a stack with one gather.  The series
 coefficients and value-floor checks of the transcendental functions are
 taken row by row with `math`.  A failed floor check names the first
 failing row of that operation.  A point jet's center is a tuple; a block
@@ -66,6 +80,16 @@ MUL_CHUNK = 1 << 17
 # with 16 rows (720 products), about even at (4, 4) with 16 rows (7920),
 # and 115 -> 48 us at (6, 4) with 16 rows (29120).
 PRUNE_PRODUCTS = 1 << 13
+
+# A product of stacked jets (`stacked_product`, `contract`) folds at most
+# this many products into one kernel call, because the kernel's
+# temporaries grow with the products of a call, up to `MUL_CHUNK`.  Peak
+# memory of one in-process `highdim` pass (seeds 921, 922; 2-vCPU x86,
+# numpy 2.4): 46.2 MB with one component per call, 46.4-46.6 MB at this
+# bound, 47.1-47.3 MB at 1 << 15 and 50.9-51.2 MB at `MUL_CHUNK`.  The R of a
+# dim-2 spray and the inverse of a dim-2 metric's order-2 Hessian fold
+# whole; larger stacks fold by steps and entries.
+STACK_PRODUCTS = 1 << 14
 
 _EXHAUSTED = "jet order exhausted: cannot differentiate an order-0 jet"
 
@@ -256,6 +280,91 @@ def _mul_coeffs(sp: JetSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         out[lo:hi] = np.bincount(bins(hi - lo), weights=w.ravel(),
                                  minlength=(hi - lo) * sp.T).reshape(hi - lo, sp.T)
     return out
+
+
+def stacked_product(sp: JetSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The products of two stacks of jets of `sp`, entry by entry.
+
+    `a` and `b` are coefficient arrays (components..., [rows,] T') with
+    at least one component axis and T' >= sp.T, truncated to sp.T here,
+    whose leading axes broadcast against each other.  The components are
+    folded into the rows of `_mul_coeffs` calls, so entry (c, r) has the
+    bits of the product of component c at row r alone, and the result is
+    shaped like the broadcast stack.  The operand order is kept: `a` is
+    the left factor of every product, as in `Jet.__mul__`.
+
+    A call folds whole entries of the first axis while they hold at most
+    `STACK_PRODUCTS` products, else the entries of the next axis in turn,
+    down to one (rows, T) stack, which is one call whatever its size.
+    """
+    a, b = a[..., :sp.T], b[..., :sp.T]
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    out = np.empty(shape)
+    _fold_products(sp, np.broadcast_to(a, shape), np.broadcast_to(b, shape), out)
+    return out
+
+
+def _fold_products(sp: JetSpace, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    per_entry = math.prod(out.shape[1:-1]) * len(sp._mul_table[0])
+    if out.ndim > 2 and per_entry > STACK_PRODUCTS:
+        for x, y, o in zip(a, b, out):
+            _fold_products(sp, x, y, o)
+        return
+    # a (rows, T) stack, a block jet's or point jets', is one call
+    step = len(out) if out.ndim == 2 else max(1, STACK_PRODUCTS // per_entry)
+    for lo in range(0, len(out), step):
+        part = out[lo:lo + step]
+        part[...] = _mul_coeffs(sp, a[lo:lo + step].reshape(-1, sp.T),
+                                b[lo:lo + step].reshape(-1, sp.T)).reshape(part.shape)
+
+
+def step_groups(sp: JetSpace, steps: int, rows: int) -> list:
+    """The ranges [lo, hi) of `steps` steps that share a stacked product,
+    where one step multiplies `rows` rows of jets of `sp`: as many steps
+    as hold at most `STACK_PRODUCTS` products, and at least one."""
+    size = max(1, STACK_PRODUCTS // (rows * len(sp._mul_table[0])))
+    return [(lo, min(lo + size, steps)) for lo in range(0, steps, size)]
+
+
+def contract(sp: JetSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum over k of the products a[k] * b[k] of two stacks whose first
+    axis is k, as `stacked_product` gives them, added from k = 0 up: the
+    order in which a loop over k, or an object-array matmul, adds them.
+    Each group of `step_groups` is one stacked product."""
+    shape = np.broadcast_shapes(a[..., :sp.T].shape, b[..., :sp.T].shape)
+    acc = None
+    for lo, hi in step_groups(sp, shape[0], math.prod(shape[1:-1])):
+        for p in stacked_product(sp, a[lo:hi], b[lo:hi]):
+            acc = p if acc is None else acc + p
+    return acc
+
+
+def constant_product(sp: JetSpace, c: np.ndarray, d: np.ndarray,
+                     left: bool) -> np.ndarray:
+    """The kernel's products of the constant jets of values `c` with the
+    jets of the stack `d`, the constant the left factor if `left`; `c`
+    broadcasts against d's leading axes.
+
+    For finite operands that is c * d + 0.0.  Each bin of the kernel sums
+    from +0.0 the one product c * d[k] and products of an empty
+    coefficient of the constant, which are +-0.0 and change no partial sum
+    (see `_mul_coeffs`), so only the -0.0 of c * d[k] turns to +0.0.  An
+    inf or nan, which an empty coefficient turns into nan, keeps the
+    kernel."""
+    if math.isfinite(np.sum(c)) and math.isfinite(d.sum()):
+        return c[..., None] * d[..., :sp.T] + 0.0
+    const = np.zeros(np.shape(c) + (sp.T,))
+    const[..., 0] = c
+    return stacked_product(sp, const, d) if left else stacked_product(sp, d, const)
+
+
+def diff_coeffs(sp: JetSpace, c: np.ndarray, v: int) -> np.ndarray:
+    """The coefficients of d/dv of the jets of `sp` in the stack `c`,
+    (..., T), in the space one order down."""
+    if sp.order == 0:
+        raise OrderError(_EXHAUSTED)
+    src, scale = sp._dmap(v)
+    return c[..., src] * scale
 
 
 class Jet:
@@ -463,12 +572,8 @@ class Jet:
     # -- derivatives ---------------------------------------------------------
 
     def diff(self, v: int) -> "Jet":
-        if self.order == 0:
-            raise OrderError(_EXHAUSTED)
-        src, scale = self.space._dmap(v)
-        lower = space(self.space.nvars, self.order - 1)
-        c = self.coeffs
-        return Jet(lower, self.center, (c[src] if c.ndim == 1 else c[:, src]) * scale)
+        c = diff_coeffs(self.space, self.coeffs, v)
+        return Jet(space(self.space.nvars, self.order - 1), self.center, c)
 
     def dx(self, i: int) -> "Jet":
         """d/dx^i, with variables ordered x1..xn, y1..yn."""
@@ -707,43 +812,54 @@ def jet_matrix_inverse(m: np.ndarray) -> np.ndarray:
 
     The value part is inverted by LAPACK (partial pivoting); derivative parts
     follow from (M^-1)' = -M^-1 M' M^-1, applied order by order in Horner form:
-    W <- W0 - W0 dM W gains one valid order per pass.  The jets may be block
-    jets: their (B, n, n) value parts are inverted as one stack, and each
-    row of the result equals the inverse at that point alone.
+    W <- W0 - (W0 dM) W gains one valid order per pass.  The jets may be
+    block jets: their (B, n, n) value parts are inverted as one stack, and
+    each row of the result equals the inverse at that point alone.
+
+    The entries are computed as one (n, n, [B,] T) stack.  W0 dM is taken
+    once, and so is the first pass's product with the constant W0, by
+    `constant_product`; a later pass multiplies its n^3 entry pairs by
+    `contract`.  Each sum over k adds the products in ascending k, the
+    order of an object-array matmul, so every entry has the bits of the
+    entry-by-entry loop.  The entries of the result are views of the
+    stack.
     """
     n = m.shape[0]
     order = min(int(m[i, j].order) for i in range(n) for j in range(n))
-    jm = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            jm[i, j] = m[i, j].truncated(order)
-    sp = jm[0, 0].space
-    center = jm[0, 0].center
-    vals = np.empty(jm[0, 0].coeffs.shape[:-1] + (n, n))
-    for i in range(n):
-        for j in range(n):
-            vals[..., i, j] = jm[i, j].coeffs[..., 0]
+    sp = space(m[0, 0].space.nvars, order)
+    center = m[0, 0].center
+    dm = np.array([[m[i, j].coeffs[..., :sp.T] for j in range(n)] for i in range(n)])
+    # (B, n, n) at a block, C-contiguous as LAPACK saw it entry by entry
+    vals = np.ascontiguousarray(np.moveaxis(dm[..., 0], (0, 1), (-2, -1)))
     try:
         w0 = np.linalg.inv(vals)
     except np.linalg.LinAlgError as exc:
         raise DomainError(f"matrix value part is singular: {exc}") from exc
+    dm[..., 0] -= np.moveaxis(vals, (-2, -1), (0, 1))
+    w0 = np.moveaxis(w0, (-2, -1), (0, 1))  # (n, n, [B]), like the stack
 
-    def const_mat(a: np.ndarray) -> np.ndarray:
-        out = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                out[i, j] = sp.constant(a[..., i, j], center)
-        return out
+    def constant_step(c: np.ndarray, d: np.ndarray, left: bool) -> np.ndarray:
+        acc = constant_product(sp, c[0], d[0], left)
+        for k in range(1, n):
+            acc = acc + constant_product(sp, c[k], d[k], left)
+        return acc
 
-    dm = np.empty((n, n), dtype=object)
+    w = np.zeros(dm.shape)
+    w[..., 0] = w0
+    if order:
+        # [k, i, j] = W0[i, k] and the entries M'[k, j], then W0 M' [i, k]
+        # and the constant W0[k, j], each summed over k
+        w0_k = np.moveaxis(w0, 1, 0)[:, :, None]
+        w0_dm = constant_step(w0_k, dm[:, None], left=True)
+        x_k = np.moveaxis(w0_dm, 1, 0)[:, :, None]
+        step = constant_step(w0[:, None], x_k, left=False)
+        const = w
+        for _ in range(order - 1):
+            w = const + -step
+            step = contract(sp, x_k, w[:, None])
+        w = const + -step
+    out = np.empty((n, n), dtype=object)
     for i in range(n):
         for j in range(n):
-            d = Jet(sp, center, jm[i, j].coeffs.copy())
-            d.coeffs[..., 0] -= vals[..., i, j]
-            dm[i, j] = d
-
-    w0j = const_mat(w0)
-    w = const_mat(w0)
-    for _ in range(order):
-        w = w0j - (w0j @ dm) @ w
-    return w
+            out[i, j] = Jet(sp, center, w[i, j])
+    return out

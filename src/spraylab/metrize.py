@@ -38,6 +38,7 @@ nodes) or `geometry.RowReader` (`metric_spray_residuals`).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -161,11 +162,20 @@ def _bundle_table(bundles) -> dict:
     return table
 
 
+def _check_splits(rows) -> None:
+    """The scalar split must hold at each of the point bundles `rows`,
+    checked in row order, so the first failing row names the error."""
+    for row in rows:
+        if not geometry.split_holds(row, TOL):
+            raise PreconditionError(
+                "curvature scalar is undefined: the spray is not of scalar "
+                f"curvature at this point (split residual {row.split[2]:.3e})")
+
+
 def _split_bundle(metric, pa: np.ndarray, key: tuple, order: int):
     """The curvature bundle of order at least `order` at the point or block
     pa: the one `metric._bundles` holds there, else a new one of order
-    max(order, 3).  The scalar split must hold at each of its points,
-    checked in row order, so the first failing row names the error."""
+    max(order, 3).  The scalar split must hold at each of its points."""
     known = metric._bundles.get(key)
     if pa.ndim == 1:
         if known is None or known.order < order:
@@ -176,11 +186,24 @@ def _split_bundle(metric, pa: np.ndarray, key: tuple, order: int):
     else:
         b = geometry.CurvatureBundle(metric.spray, pa, max(order, 3))
         rows = b.rows()
-    for row in rows:
-        if not geometry.split_holds(row, TOL):
-            raise PreconditionError(
-                "curvature scalar is undefined: the spray is not of scalar "
-                f"curvature at this point (split residual {row.split[2]:.3e})")
+    _check_splits(rows)
+    return b
+
+
+def _value_bundle(metric, p):
+    """For a value read at a fresh point, one where the candidate keeps no
+    jet and `metric._bundles` holds no bundle, an order-2 point bundle
+    there, whose split holds; else None, and the read goes through `jet`.
+
+    Its curvature scalar is of order 0, all that a value needs, and has
+    the bits of the value of a higher-order bundle's: a value coefficient
+    is summed from the value coefficients alone, at every order."""
+    pa = geometry._point_array(p, metric.dim)
+    key = _key(pa)
+    if pa.ndim != 1 or key in metric._jets or key in metric._bundles:
+        return None
+    b = geometry.CurvatureBundle(metric.spray, pa, 2)
+    _check_splits([b])
     return b
 
 
@@ -219,7 +242,9 @@ class CurvatureMetric:
     truncation.  Truncation is exact, since each coefficient is computed
     from coefficients of no higher degree only, so this is bit for bit
     what a bundle built for the request would give.  A request of order k
-    returns a jet of order max(k, 1).
+    returns a jet of order max(k, 1).  A value read at a point that has
+    neither reads an order-2 bundle there and keeps nothing
+    (`_value_bundle`).
 
     `p` may also be a (B, 2n) block of points.  Its jet is read off the
     block bundle that `bundles` holds for that block (the rows of one
@@ -243,7 +268,10 @@ class CurvatureMetric:
         return _candidate_jet(self, p, order, max(order, 1))
 
     def value(self, p) -> float:
-        return float(self.jet(p, 0).value)
+        b = _value_bundle(self, p)
+        if b is None:
+            return float(self.jet(p, 0).value)
+        return b.curvature_scalar.value
 
     def guard_values(self, p) -> list[float]:
         return self.spray.guard_values(p)
@@ -371,7 +399,17 @@ class ScaledCurvatureMetric:
         return _candidate_jet(self, p, order, order)
 
     def value(self, p) -> float:
-        return float(self.jet(p, 0).value)
+        """L at p.  At a fresh point (see `_value_bundle`) this is the
+        order-0 jet's R * exp(-ln lambda), with the error that its jet
+        raises where R is at the reciprocal floor of omega = delta R / R."""
+        b = _value_bundle(self, p)
+        if b is None:
+            return float(self.jet(p, 0).value)
+        Rj = b.curvature_scalar
+        Rj.reciprocal()  # the floor check of the quotients in `_jet_at`
+        mu = np.log(self.lam(b._pa[:self.dim]))
+        # the kernel's product of two order-0 jets: one term summed from 0.0
+        return 0.0 + Rj.value * math.exp(mu * -1.0)
 
     def guard_values(self, p) -> list[float]:
         return self.spray.guard_values(p)

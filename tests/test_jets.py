@@ -413,3 +413,60 @@ def mul_digest(case: str) -> str:
 @pytest.mark.parametrize("case", mul_cases() + sparse_mul_cases())
 def test_mul_coeffs_bits_match_record(case) -> None:
     assert mul_digest(case) == json.loads(MUL_HEX.read_text())[case]
+
+
+# -- the matrix inverse's bits ---------------------------------------------------
+
+# SHA-256 of the stacked coefficient bytes of `jet_matrix_inverse`, recorded
+# with the inverse that multiplied every entry through the kernel, one
+# component at a time: n x n matrices over 2n variables, at a point and at
+# 1, 16 and 17 rows, orders 0 to 4.  The two spoiled cases put an inf or a
+# nan at a derivative coefficient, which the constant products must leave
+# to the kernel.
+INVERSE_HEX = Path(__file__).resolve().parent / "data" / "jet_inverse_hex.json"
+
+
+def inverse_cases() -> list[str]:
+    out = [f"n {n} order {order} rows {rows}"
+           for n in (2, 3, 4) for order in range(5) for rows in (0, 1, 16, 17)]
+    return out + ["n 2 order 3 rows 16 inf", "n 3 order 2 rows 0 nan"]
+
+
+def inverse_operand(n: int, order: int, rows: int, spoil: float) -> np.ndarray:
+    """An n x n matrix of jets over 2n variables at a point (rows == 0) or
+    a block: value parts n on the diagonal plus uniform noise, derivative
+    coefficients standard normal with a third of them +0.0 or -0.0.  Entry
+    (0, 1) has only signed-zero derivative coefficients, entry (0, 0) is
+    one order higher, so the inverse truncates it, and `spoil`, if
+    nonzero, sits at a first-order coefficient of entry (1, 0)'s last row."""
+    rng = np.random.default_rng([n, order, rows])
+    center = rng.uniform(-1.0, 1.0, (max(rows, 1), 2 * n))
+    m = np.empty((n, n), dtype=object)
+    for i in range(n):
+        for j in range(n):
+            sp = jets.space(2 * n, order + (i == j == 0))
+            x = rng.standard_normal((len(center), sp.T))
+            zero = rng.random(x.shape) < (1.0 if (i, j) == (0, 1) else 0.33)
+            x[zero] = np.where(rng.random(x.shape) < 0.5, 0.0, -0.0)[zero]
+            x[:, 0] = rng.uniform(-0.5, 0.5, len(x)) + (n if i == j else 0.0)
+            if spoil and (i, j) == (1, 0) and order:
+                x[-1, 1] = spoil
+            m[i, j] = jets.Jet(sp, center if rows else tuple(center[0]),
+                               x if rows else x[0])
+    return m
+
+
+def inverse_digest(case: str) -> str:
+    words = case.split()
+    n, order, rows = int(words[1]), int(words[3]), int(words[5])
+    spoil = {"inf": np.inf, "nan": np.nan}.get(words[-1], 0.0)
+    with np.errstate(invalid="ignore"):  # a spoiled entry makes nans
+        w = jets.jet_matrix_inverse(inverse_operand(n, order, rows, spoil))
+    coeffs = np.stack([w[i, j].coeffs for i in range(n) for j in range(n)])
+    assert coeffs.shape[-1] == jets.space(2 * n, order).T
+    return hashlib.sha256(coeffs.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("case", inverse_cases())
+def test_jet_matrix_inverse_bits_match_record(case) -> None:
+    assert inverse_digest(case) == json.loads(INVERSE_HEX.read_text())[case]

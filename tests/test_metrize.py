@@ -320,6 +320,59 @@ def test_curvature_metrics_check_the_split_of_given_bundles() -> None:
             L.jet(pt, 2)
 
 
+def fresh_points(spray, box, seed: int, count: int = 12) -> np.ndarray:
+    """Seeded random points in the box where the spray's guards hold,
+    drawn uniformly, none of them a sample of a classification."""
+    rng = np.random.default_rng(seed)
+    box = box or sampling.SampleBox()
+    n, out = spray.dim, []
+    while len(out) < count:
+        pt = np.concatenate([rng.uniform(box.x_lo, box.x_hi, n),
+                             rng.uniform(box.y_lo, box.y_hi, n)])
+        if guarded(spray)(pt):
+            out.append(pt)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("name", ["ex7.1", "elliptic2", "ex7.3"])
+def test_a_fresh_value_has_the_bits_of_the_order_0_jet(name, tally) -> None:
+    fx = corpus.load_fixture(name)
+    spray = fx.build()
+    L = metrize.decide(spray, count=fx.count, seed=7, box=fx.box).recovered_metric
+    pts = np.concatenate([fresh_points(spray, fx.box, seed) for seed in (1, 2)]
+                         + [draw(spray, 8, 101, fx.box).points()])
+    for pt in pts:
+        key = (pt.tobytes(), 2)
+        got = L.value(pt)
+        # read off one order-2 bundle, and nothing kept for the point
+        assert tally["bundles"][key] == 1
+        assert metrize._key(pt) not in L._jets
+        assert got.hex() == L.jet(pt, 0).value.hex()
+        # a known point reads its kept jet
+        assert L.value(pt).hex() == got.hex() and tally["bundles"][key] == 1
+
+
+def test_a_fresh_value_raises_what_the_jet_raises() -> None:
+    lam = metrize.LambdaField(lambda xs: np.zeros_like(xs), (0.0,) * 3)
+    flat = spray_of("dim 3\nspray G1 = 0\nspray G2 = 0\nspray G3 = 0\n")
+    pt = (0.1, 0.2, -0.1, 0.7, 0.5, -0.4)
+    cases = [
+        # not of scalar curvature at pt
+        (PreconditionError, lambda sp: metrize.CurvatureMetric(sp), NONSCALAR3),
+        (PreconditionError, lambda sp: metrize.ScaledCurvatureMetric(sp, lam), NONSCALAR3),
+        # R = 0: omega = delta R / R meets the reciprocal floor
+        (DomainError, lambda sp: metrize.ScaledCurvatureMetric(sp, lam), flat),
+    ]
+    for error, make, sp in cases:
+        sp = spray_of(sp) if isinstance(sp, str) else sp
+        with pytest.raises(error) as want:
+            make(sp).jet(pt, 0)
+        with pytest.raises(error) as got:
+            make(sp).value(pt)
+        assert str(got.value) == str(want.value)
+    assert metrize.CurvatureMetric(flat).value(pt) == 0.0
+
+
 # -- LambdaField ----------------------------------------------------------------
 
 

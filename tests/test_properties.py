@@ -87,6 +87,7 @@ same float bits, negative numbers and -0.0 included.
 
 from __future__ import annotations
 
+import functools
 import struct
 
 import numpy as np
@@ -753,6 +754,198 @@ def test_a_nonfinite_entry_opposite_an_empty_column_keeps_its_nan(shape, bad, sc
         want = [jets._mul_coeffs(sp, a[k], b[k]) for k in range(rows)]
     assert np.isnan(got[r, sp.index[tuple(2 * e for e in sp.alphas[j])]])
     assert got.tobytes() == np.stack(want).tobytes()
+
+
+# -- stacks ----------------------------------------------------------------------
+
+
+def signed_zero_stack(sp: jets.JetSpace, shape: tuple, rng: np.random.Generator,
+                      empty: float = 0.0) -> np.ndarray:
+    """Standard normals of `shape` + (T,), a fifth of them +0.0 or -0.0,
+    and each column empty (+0.0 or -0.0) with probability `empty`."""
+    x = rng.standard_normal(shape + (sp.T,))
+    x[..., rng.random(sp.T) < empty] = 0.0
+    zero = (x == 0.0) | (rng.random(x.shape) < 0.2)
+    x[zero] = np.where(rng.random(x.shape) < 0.5, 0.0, -0.0)[zero]
+    return x
+
+
+STACK_SPACES = st.sampled_from([(4, 2), (4, 4), (6, 4), (8, 2)])
+
+
+@PROPERTY_SETTINGS
+@given(STACK_SPACES, st.integers(1, 40), st.sampled_from([0, 1, 16, 17]),
+       st.sampled_from([0.0, 0.5]), st.booleans(), st.integers(0, 2**32 - 1))
+def test_stacked_product_equals_its_separate_multiplies(
+        shape, k, rows, empty, broadcast, seed) -> None:
+    """K components, at a point (rows == 0) or at a block, folded into the
+    rows of kernel calls of any size, past `jets.STACK_PRODUCTS` and
+    `jets.PRUNE_PRODUCTS` included: each component has the bytes of its own
+    `_mul_coeffs` call.  A broadcast left factor is one jet for all K."""
+    sp = jets.space(*shape)
+    rng = np.random.default_rng(seed)
+    lead = (k,) + ((rows,) if rows else ())
+    a = signed_zero_stack(sp, (1,) + lead[1:] if broadcast else lead, rng, empty)
+    b = signed_zero_stack(sp, lead, rng, empty)
+    got = jets.stacked_product(sp, a, b)
+    assert got.shape == b.shape
+    for c in range(k):
+        want = jets._mul_coeffs(sp, a[0 if broadcast else c], b[c])
+        assert got[c].tobytes() == want.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(STACK_SPACES, st.integers(1, 6), st.sampled_from([0, 1, 16, 17]),
+       st.integers(0, 2**32 - 1))
+def test_contract_adds_the_separate_multiplies_in_order(shape, n, rows, seed) -> None:
+    sp = jets.space(*shape)
+    rng = np.random.default_rng(seed)
+    tail = ((rows,) if rows else ())
+    a = signed_zero_stack(sp, (n, 3, 1) + tail, rng, 0.3)
+    b = signed_zero_stack(sp, (n, 1, 2) + tail, rng, 0.3)
+    want = None
+    for k in range(n):
+        term = np.array([[jets._mul_coeffs(sp, a[k, i, 0], b[k, 0, j]) for j in range(2)]
+                         for i in range(3)])
+        want = term if want is None else want + term
+    assert jets.contract(sp, a, b).tobytes() == want.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(STACK_SPACES, st.sampled_from([0, 1, 16]), st.booleans(),
+       st.sampled_from([0.0, np.inf, np.nan]), st.integers(0, 2**32 - 1))
+def test_constant_product_has_the_kernel_bytes(shape, rows, left, spoil, seed) -> None:
+    """c * d + 0.0 for finite operands, the kernel for an inf or nan, at
+    signed-zero values of the constant as well."""
+    sp = jets.space(*shape)
+    rng = np.random.default_rng(seed)
+    tail = ((rows,) if rows else ())
+    d = signed_zero_stack(sp, (3,) + tail, rng, 0.3)
+    c = np.where(rng.random((3,) + tail) < 0.3, -0.0, rng.standard_normal((3,) + tail))
+    if spoil:
+        d[(-1,) * (d.ndim - 1) + (sp.T - 1,)] = spoil
+    const = np.zeros(c.shape + (sp.T,))
+    const[..., 0] = c
+    with np.errstate(invalid="ignore"):
+        got = jets.constant_product(sp, c, d, left)
+        want = [jets._mul_coeffs(sp, const[i], d[i]) if left
+                else jets._mul_coeffs(sp, d[i], const[i]) for i in range(3)]
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+def loop_R(b) -> list:
+    """R^i_k by the formula's loops over jets, one component at a time."""
+    n = b.dim
+    ys = geometry._var_jets(n, b._pa, b.order)[n:]
+    out = []
+    for i in range(n):
+        dGx = [b.G[i].dx(j) for j in range(n)]
+        row = []
+        for k in range(n):
+            acc = 2.0 * dGx[k]
+            for j in range(n):
+                acc = acc - ys[j] * dGx[j].dy(k)
+                acc = acc + 2.0 * (b.G[j] * b.Gamma[i][j][k])
+                acc = acc - b.N[i][j] * b.N[j][k]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def loop_tau(b) -> list:
+    """The split's tau_k one k at a time, from `loop_R`."""
+    n = b.dim
+    R = loop_R(b)
+    Rj = (1.0 / (n - 1)) * functools.reduce(lambda u, v: u + v, [R[i][i] for i in range(n)])
+    sp, center = Rj.space, Rj.center
+    i0 = np.argmax(np.abs(b.yvals), axis=-1)
+
+    def pick(column):
+        c = np.stack([u.coeffs for u in column])
+        return c[i0] if c.ndim == 2 else c[i0, np.arange(c.shape[1])]
+
+    inv = jets.Jet(sp, center, pick([sp.variable(n + i, center) for i in range(n)])).reciprocal()
+    tau = []
+    for k in range(n):
+        Rk = jets.Jet(sp, center, pick([R[i][k] for i in range(n)]))
+        num = np.where(np.expand_dims(i0, -1) == k, (Rj - Rk).coeffs, (-1.0 * Rk).coeffs)
+        tau.append(jets.Jet(sp, center, num) * inv)
+    return tau
+
+
+def loop_inverse(m: np.ndarray) -> np.ndarray:
+    """The inverse by object-array matmuls of jets, every product through
+    the kernel, the constant ones included."""
+    n = m.shape[0]
+    order = min(int(u.order) for u in m.ravel())
+    jm = np.empty((n, n), dtype=object)
+    for i in range(n):
+        for j in range(n):
+            jm[i, j] = m[i, j].truncated(order)
+    sp, center = jm[0, 0].space, jm[0, 0].center
+    vals = np.empty(jm[0, 0].coeffs.shape[:-1] + (n, n))
+    for i in range(n):
+        for j in range(n):
+            vals[..., i, j] = jm[i, j].coeffs[..., 0]
+    w0 = np.linalg.inv(vals)
+    const = np.empty((n, n), dtype=object)
+    dm = np.empty((n, n), dtype=object)
+    for i in range(n):
+        for j in range(n):
+            const[i, j] = sp.constant(w0[..., i, j], center)
+            d = jets.Jet(sp, center, jm[i, j].coeffs.copy())
+            d.coeffs[..., 0] -= vals[..., i, j]
+            dm[i, j] = d
+    w = const
+    for _ in range(order):
+        w = const - (const @ dm) @ w
+    return w
+
+
+def same_jets(got, want) -> bool:
+    got, want = np.array(got, dtype=object).ravel(), np.array(want, dtype=object).ravel()
+    return len(got) == len(want) and all(
+        u.order == v.order and u.coeffs.tobytes() == v.coeffs.tobytes()
+        for u, v in zip(got, want))
+
+
+@PROPERTY_SETTINGS
+@given(sprays_at_blocks(), st.sampled_from([2, 3, 4]), st.booleans())
+def test_stacked_R_and_tau_equal_the_component_loops(case, order, at_block) -> None:
+    """At a block bundle and at the bundle of its first point."""
+    spray, block = case
+    b = CurvatureBundle(spray, block if at_block else block[0], order)
+    assert same_jets(b.R, loop_R(b))
+    assert same_jets(b.splits[1], loop_tau(b))
+
+
+@PROPERTY_SETTINGS
+@given(metrics_at_blocks(), st.sampled_from([0, 1, 2]), st.booleans())
+def test_stacked_inverse_and_metric_spray_equal_the_component_loops(
+        case, order, at_block) -> None:
+    """The inverse of the fundamental tensor, and the induced spray's
+    contractions one component at a time, at a block and at a point."""
+    n, terms, e, block = case
+    metric = metric_expression(n, terms, e)
+    p = block if at_block else block[0]
+    Lj, g, _ = geometry._fundamental_jets(metric, p, order, TOL)
+    w = jets.jet_matrix_inverse(g)
+    assert same_jets(w, loop_inverse(g))
+    ys = geometry._var_jets(n, p, order)[n:]
+    v = []
+    for l in range(n):
+        dl = Lj.dy(l)
+        acc = dl.dx(0) * ys[0]
+        for k in range(1, n):
+            acc = acc + dl.dx(k) * ys[k]
+        v.append(acc - Lj.dx(l))
+    want = []
+    for i in range(n):
+        acc = w[i, 0] * v[0]
+        for l in range(1, n):
+            acc = acc + w[i, l] * v[l]
+        want.append(0.25 * acc)
+    assert same_jets(geometry.spray_from_metric(metric, p, order), want)
 
 
 # -- prefix property of truncation --------------------------------------------

@@ -19,6 +19,10 @@ iff every captured output is.  It writes, as one JSON object:
   the maximum over the samples;
 - `recover` and `highdim`: the outcome of every job of those benchmark
   workloads at seed 7 (verdicts, metric reads, CLI JSON);
+- `metric_sprays`: every coefficient of `spray_from_metric` at orders 0
+  and 2, at 16 sample points one at a time and then at the block of all
+  16, for the elliptic2 metric and for the metrics that `decide` recovers
+  on ex7.1 and ex7.3, each at seeds 3 and 11;
 - `errors`: what `point_bundles`, `finsler_check`, `metric_spray_residuals`,
   `LambdaField`, `agreement_report` and the `oracle` command give on
   inputs where a block of samples, nodes or points fails: the rows
@@ -174,6 +178,36 @@ def job_outcomes(make_jobs, workdir: Path) -> dict:
             out[job.label] = {"exit": code, "json": sha(payload)}
         else:
             out[job.label] = enc(result)
+    return out
+
+
+METRIC_SPRAY_ORDERS = (0, 2)
+METRIC_SPRAY_POINTS = 16
+
+
+def metric_sprays() -> dict:
+    out = {}
+    for seed in SEEDS:
+        for name in ("elliptic2", "ex7.1", "ex7.3"):
+            fixture = corpus.load_fixture(name)
+            spray_obj = fixture.build()
+            if name == "elliptic2":
+                metric = fixture.metric()
+            else:
+                metric = metrize.decide(spray_obj, count=fixture.count, seed=seed,
+                                        box=fixture.box).recovered_metric
+            pts = sampling.sample_points(
+                spray_obj.dim, count=METRIC_SPRAY_POINTS, seed=seed, box=fixture.box,
+                accept=lambda pt: all(g > 1e-6 for g in spray_obj.guard_values(pt))
+            ).points()
+            for order in METRIC_SPRAY_ORDERS:
+                # the points first: a candidate keeps a block's jet row by
+                # row, and the point reads would take those rows
+                points = [[g.coeffs for g in geometry.spray_from_metric(metric, pt, order)]
+                          for pt in pts]
+                block = [g.coeffs for g in geometry.spray_from_metric(metric, pts, order)]
+                out[f"{name} seed {seed} order {order}"] = enc(
+                    {"points": points, "block": block})
     return out
 
 
@@ -383,6 +417,7 @@ def main(argv: list) -> int:
             record["highdim"] = job_outcomes(workloads.highdim_jobs, highdim)
         finally:
             os.chdir(here)
+        record["metric_sprays"] = metric_sprays()
         record["errors"] = failure_paths(workdir)
     target.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0
