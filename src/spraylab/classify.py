@@ -13,13 +13,19 @@ with an x-dependent 2-form omega, so it consumes grouped samples rather
 than single points.  Every base's fit is judged against the largest defect
 over all bases, so the flag does not depend on the order of the bases.
 
-The samples are evaluated in blocks of BLOCK_ROWS (`point_bundles`); a
-block that raises follows `rowwise`, and the self-check of the projective
-factor reads the block bundles through a `geometry.RowReader`.
+The samples are evaluated in blocks of BLOCK_ROWS (`point_bundles`), so a
+default sample set is one block.  Each class test (`is_isotropic`,
+`is_constant`, `is_berwald`, `_proportional`) is taken once per block: its
+arithmetic and max-abs reductions run over the block's rows, while each
+row's scale, tolerance test and self-check stay Python float code in
+sample order, so every row's answer has the bits of the test at its point
+alone.  A block that raises follows `rowwise`, and the self-check of the
+projective factor reads the block bundles through a `geometry.RowReader`.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,82 +92,135 @@ def decompose_scalar(b, tol: Tolerances = TOL) -> ScalarDecomposition:
     )
 
 
+def _rows(dec, bundle) -> list:
+    """The decompositions of the bundle's rows: `dec` itself at a block
+    bundle, where the class tests take one per row, else [dec]."""
+    return list(dec) if bundle.point is None else [dec]
+
+
+def _row_max(values: np.ndarray, rows: int) -> list:
+    """max |v| over each row's entries of a value array, as Python floats;
+    numpy's max keeps a nan, as it does over one point's entries."""
+    return np.max(np.abs(np.reshape(values, (rows, -1))), axis=-1).tolist()
+
+
+def _taus(decs: list, n: int) -> np.ndarray:
+    """The rows' tau values as one C-contiguous (rows, n) array."""
+    return np.array([d.tau for d in decs]).reshape(len(decs), n)
+
+
 def is_isotropic(dec: ScalarDecomposition, bundle,
-                 tol: Tolerances = TOL) -> Check:
+                 tol: Tolerances = TOL):
     """R_.i = 2 tau_i, cross-checked against the vanishing of chi.
 
     The two routes are equal identically on scalar-curvature sprays
     (chi_i = (n+1)(R_.i - 2 tau_i)), so when the decomposition holds they
     must agree; disagreement is an engine fault, not a property failure.
     `dec` is the bundle's decomposition; R_.i is read off the bundle
-    (`rdot_values`), taken once for a block bundle's rows.
+    (`rdot_values`).
+
+    At a block bundle `dec` is the sequence of its rows' decompositions
+    and the result is one Check per row.  The differences and the max-abs
+    reductions run once over the block's rows; each row's scale, its
+    tolerance test and the engine self-check stay Python float code, row
+    by row, so the first row that fails the self-check raises, and every
+    row's Check has the bits of the call at its point.
     """
     n = bundle.dim
-    rdot = bundle.rdot_values
-    defect = float(np.max(np.abs(rdot - 2.0 * dec.tau)))
-    chi_defect = float(np.max(np.abs(bundle.chi_values))) / (n + 1)
-    scale = max(abs(dec.R), float(np.max(np.abs(dec.tau))), 1.0)
-    if dec.holds and abs(defect - chi_defect) > 1e3 * (tol.abs + tol.rel * scale):
-        raise SprayLabError(
-            "isotropy defect and chi-curvature disagree on a scalar spray: "
-            f"{defect:.3e} vs {chi_defect:.3e}"
-        )
-    residual = max(defect, chi_defect)
-    return Check(holds=dec.holds and tol.zero(residual, scale), residual=residual)
+    decs = _rows(dec, bundle)
+    tau = _taus(decs, n)
+    defects = _row_max(bundle.rdot_values.reshape(len(decs), n) - 2.0 * tau, len(decs))
+    chis = _row_max(bundle.chi_values, len(decs))
+    tau_max = _row_max(tau, len(decs))
+    out = []
+    for d, defect, chi, tau_r in zip(decs, defects, chis, tau_max):
+        chi_defect = chi / (n + 1)
+        scale = max(abs(d.R), tau_r, 1.0)
+        if d.holds and abs(defect - chi_defect) > 1e3 * (tol.abs + tol.rel * scale):
+            raise SprayLabError(
+                "isotropy defect and chi-curvature disagree on a scalar spray: "
+                f"{defect:.3e} vs {chi_defect:.3e}"
+            )
+        residual = max(defect, chi_defect)
+        out.append(Check(holds=d.holds and tol.zero(residual, scale),
+                         residual=residual))
+    return out if bundle.point is None else out[0]
 
 
 def is_constant(dec: ScalarDecomposition, bundle,
-                tol: Tolerances = TOL) -> ConstantCheck:
+                tol: Tolerances = TOL):
     """tau_{i;k} = 0; equivalently Ric_{;i} = 0 when Ric != 0.
 
     `dec` is the bundle's decomposition; both covariant derivatives are
-    read off the bundle (`tau_cov`, `ric_cov`), taken once for a block
-    bundle's rows.
+    read off the bundle (`tau_cov`, `ric_cov`).  At a block bundle, as for
+    `is_isotropic`: `dec` holds the rows' decompositions, the result is
+    one ConstantCheck per row, and the self-check raises at the first row
+    that fails it.
     """
-    residual = float(np.max(np.abs(bundle.tau_cov)))
-    scale = max(1.0, float(np.max(np.abs(dec.tau))))
-    holds = dec.holds and tol.zero(residual, scale)
+    decs = _rows(dec, bundle)
+    rows = len(decs)
+    residuals = _row_max(bundle.tau_cov, rows)
+    tau_max = _row_max(_taus(decs, bundle.dim), rows)
+    rics = np.reshape(bundle.Ric_value, -1).tolist()
+    ric_covs = None
+    out = []
+    for r, d in enumerate(decs):
+        residual, ric = residuals[r], rics[r]
+        holds = d.holds and tol.zero(residual, max(1.0, tau_max[r]))
+        ric_residual = None
+        if not tol.zero(ric, max(1.0, abs(ric))):
+            if ric_covs is None:
+                ric_covs = _row_max(bundle.ric_cov, rows)
+            ric_residual = ric_covs[r]
+            if holds and not tol.zero(ric_residual, 1e3 * max(1.0, abs(ric))):
+                raise SprayLabError(
+                    "tau_{i;k} vanishes but Ric_{;i} does not; the two "
+                    "constancy tests must agree on a scalar spray"
+                )
+        out.append(ConstantCheck(holds=holds, residual=residual,
+                                 ric_residual=ric_residual))
+    return out if bundle.point is None else out[0]
 
-    ric_residual = None
-    ric = bundle.Ric_value
-    if not tol.zero(ric, max(1.0, abs(ric))):
-        ric_residual = float(np.max(np.abs(bundle.ric_cov)))
-        if holds and not tol.zero(ric_residual, 1e3 * max(1.0, abs(ric))):
-            raise SprayLabError(
-                "tau_{i;k} vanishes but Ric_{;i} does not; the two "
-                "constancy tests must agree on a scalar spray"
-            )
-    return ConstantCheck(holds=holds, residual=residual, ric_residual=ric_residual)
 
-
-def is_berwald(b, tol: Tolerances = TOL) -> Check:
-    """Quadraticity of G in y: all third vertical derivatives vanish."""
-    residual = float(np.max(np.abs(b.B_values)))
-    scale = max(1.0, float(np.max(np.abs(b.Gamma_values))))
-    return Check(holds=tol.zero(residual, scale), residual=residual)
+def is_berwald(b, tol: Tolerances = TOL):
+    """Quadraticity of G in y: all third vertical derivatives vanish.  One
+    Check per row at a block bundle."""
+    rows = len(np.reshape(b.yvals, (-1, b.dim)))
+    scales = _row_max(b.Gamma_values, rows)
+    out = [Check(holds=tol.zero(residual, max(1.0, scale)), residual=residual)
+           for residual, scale in zip(_row_max(b.B_values, rows), scales)]
+    return out if b.point is None else out[0]
 
 
 def _proportional(Gv: np.ndarray, yv: np.ndarray, tol: Tolerances):
-    n = len(yv)
-    worst = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            worst = max(worst, abs(Gv[i] * yv[j] - Gv[j] * yv[i]))
-    scale = max(1.0, float(np.max(np.abs(Gv))) * float(np.max(np.abs(yv))))
-    return tol.zero(worst, scale), worst
+    """(holds, worst cross product) of G^i = P y^i at a point's values, or
+    a list of them for the (B, n) values of a block: the cross products
+    are taken over the block's rows, and each row folds its worst with
+    Python max in pair order, as at its point."""
+    n = Gv.shape[-1]
+    G2, y2 = np.reshape(Gv, (-1, n)), np.reshape(yv, (-1, n))
+    accs = [G2[:, i] * y2[:, j] - G2[:, j] * y2[:, i]
+            for i in range(n) for j in range(i + 1, n)]
+    worsts = geometry._folds(accs, len(G2))
+    out = [(tol.zero(worst, max(1.0, g * y)), worst)
+           for worst, g, y in zip(worsts, _row_max(G2, len(G2)), _row_max(y2, len(y2)))]
+    return out if Gv.ndim == 2 else out[0]
 
 
-def projective_factor(bundle):
+def projective_factor(bundle, order: int | None = None):
     """The jet of P = G . y / |y|^2, the factor of a spray G^i = P y^i,
-    read through the Euclidean pairing of the chart."""
+    read through the Euclidean pairing of the chart; of order `order` when
+    given, from the jets of G truncated to it, whose coefficients are the
+    low ones of the full jets (truncation is exact), and so are P's."""
     n = bundle.dim
-    S = bundle.G[0].space
-    center = bundle.G[0].center
+    G = bundle.G if order is None else [g.truncated(order) for g in bundle.G]
+    S = G[0].space
+    center = G[0].center
     ys = [S.variable(n + i, center) for i in range(n)]
-    num = bundle.G[0] * ys[0]
+    num = G[0] * ys[0]
     den = ys[0] * ys[0]
     for i in range(1, n):
-        num = num + bundle.G[i] * ys[i]
+        num = num + G[i] * ys[i]
         den = den + ys[i] * ys[i]
     return num / den
 
@@ -276,9 +335,14 @@ class ClassificationReport:
         return self.samples.bases
 
 
-# consecutive samples evaluated as one block bundle by `point_bundles`; it
-# bounds the memory a block's tensors hold while its rows are read
-BLOCK_ROWS = 16
+# consecutive samples evaluated as one block bundle by `point_bundles`, so
+# that a default sample set (64 points, 66 in dim 3) is one block; it
+# bounds the memory a block's tensors hold while its rows are read, which
+# grows with the block.  Peak of one process (2-vCPU x86, numpy 2.4) at 258
+# samples, blocks of 16 rows / of this bound / one block: `classify
+# nonscalar3 --points 256` 44.7 / 45.9 / 48.9 MB, `oracle` 39.2 / 46.6 /
+# 48.9 MB.
+BLOCK_ROWS = 128
 
 
 def blocks(points: np.ndarray) -> list:
@@ -328,14 +392,39 @@ def point_bundles(spray, samples: SampleSet, order: int = 4,
 
 def _closed_factor_residual(bundle):
     """Curl of sigma where P = sigma_i(x) y^i, for the Berwald+projective
-    case; one per row at a block bundle, each folded as at its point."""
+    case; one per row at a block bundle, each folded as at its point.  The
+    curl reads second derivatives of P only, so P is taken at order 2,
+    which keeps a block's jets small."""
     n = bundle.dim
-    P = projective_factor(bundle)
+    P = projective_factor(bundle, 2)
     sig = [P.dy(i) for i in range(n)]
     curls = [np.reshape(sig[i].dx(j).value - sig[j].dx(i).value, -1)
              for i in range(n) for j in range(i + 1, n)]
     worst = geometry._folds(curls, len(np.reshape(bundle.yvals, (-1, n))))
     return worst if bundle.point is None else worst[0]
+
+
+def _block_of(triple):
+    """The block bundle a sample's bundle is a row of, else the bundle."""
+    b = triple[1]
+    return b if b._block is None else b._block[0]
+
+
+def _class_rows(run, tol: Tolerances) -> list:
+    """(isotropy, constancy, Berwald, proportionality, R_.i - 2 tau_i) of
+    each (point, bundle, decomposition) triple of `run`: the triples of
+    one block bundle's rows, whose class tests are each taken once at the
+    block, or a single sample, taken at its bundle."""
+    _, b, dec = run[0]
+    if len(run) > 1:
+        b, dec = b._block[0], [d for _, _, d in run]
+    checks = [is_isotropic(dec, b, tol), is_constant(dec, b, tol),
+              is_berwald(b, tol), _proportional(b.G_values, b.yvals, tol)]
+    if len(run) == 1:
+        checks = [[c] for c in checks]
+    defects = (b.rdot_values.reshape(len(run), b.dim)
+               - 2.0 * _taus([d for _, _, d in run], b.dim))
+    return list(zip(*checks, defects))
 
 
 def classify_spray(spray, count: int = 64, seed: int = 7,
@@ -362,15 +451,17 @@ def classify_samples(spray, samples: SampleSet, order: int = 4,
     triples = tuple(point_bundles(spray, samples, order, tol))
     m = samples.ys.shape[1]
 
+    def judged(run):
+        return _class_rows(run, tol)
+
+    entries = (entry for _, run in itertools.groupby(triples, key=_block_of)
+               for entry in rowwise(judged, tuple(run)))
     per_point = []
     worst = {name: 0.0 for name in FLAG_NAMES}
     rows = np.empty((len(triples), n))
-    for i, (_, bun, dec) in enumerate(triples):
-        iso = is_isotropic(dec, bun, tol)
-        con = is_constant(dec, bun, tol)
-        ber = is_berwald(bun, tol=tol)
-        prop_holds, prop_res = _proportional(bun.G_values, bun.yvals, tol)
-
+    for i, ((_, bun, dec), (iso, con, ber, prop, defect)) in enumerate(
+            zip(triples, entries)):
+        prop_holds, prop_res = prop
         if con.holds and not tol.zero(bun.Ric_value, 1.0) and not iso.holds:
             raise SprayLabError(
                 "constant curvature with Ric != 0 must be isotropic; "
@@ -389,8 +480,7 @@ def classify_samples(spray, samples: SampleSet, order: int = 4,
         worst["constant"] = max(worst["constant"], con.residual)
         worst["berwald"] = max(worst["berwald"], ber.residual)
         worst["projective_form"] = max(worst["projective_form"], prop_res)
-        if dec.holds:
-            rows[i] = bun.rdot_values - 2.0 * dec.tau
+        rows[i] = defect
 
     if all(pt["berwald"] and pt["projective_form"] and pt["isotropic"]
            for pt in per_point):

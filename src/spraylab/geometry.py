@@ -42,15 +42,16 @@ row's numbers those of its point alone.  A consumer that takes a result
 of its own per row bundle reads it through a `RowReader`, which states
 the rule for a block that raises.
 
-N, Gamma, R^i_k, the split's tau_k, the Berwald values and the induced
-spray of a metric are computed on stacks (see `jets`): one array per
-tensor, (components..., [B,] T), differentiated by gathers and multiplied
-with the components folded into the rows of the kernel.  Each sum over an
-index adds whole stacks in the order the formula's loop over the index
-added jets, so every entry keeps its bits: the bins of each product are
-summed in the kernel's order, and products by constant jets get + 0.0
-(`jets.constant_product`).  The bundle hands N, Gamma and R out as nested
-lists of jets whose coefficients are views of its stacks.
+N, Gamma, R^i_k and its y-gradient, the 3-tensor R^i_jk, V and chi, the
+split's tau_k, the Berwald values and the induced spray of a metric are
+computed on stacks (see `jets`): one array per tensor, (components...,
+[B,] T), differentiated by gathers and multiplied with the components
+folded into the rows of the kernel.  Each sum over an index adds whole
+stacks in the order the formula's loop over the index added jets, so
+every entry keeps its bits: the bins of each product are summed in the
+kernel's order, and products by constant jets get + 0.0
+(`jets.constant_product`).  The bundle hands N, Gamma, R, R3, V and chi
+out as nested lists of jets whose coefficients are views of its stacks.
 """
 
 from __future__ import annotations
@@ -571,40 +572,42 @@ class CurvatureBundle:
         """Values of Ric_{;i}."""
         return self.cov_h(self.Ric, ())
 
+    @cached_property
+    def _dR_stack(self) -> tuple:
+        """(space, stack) of dot_j R^i_k, [i, k, j]: the y-gradient of R,
+        which R3, V and chi read."""
+        sp, R = self._R_stack
+        dR = _dys(sp, R, self.dim, self._pa.ndim)  # an order-0 R raises OrderError
+        return _lower(sp), dR
+
+    @cached_property
+    def _R3_stack(self) -> tuple:
+        """(space, stack) of R^i_jk = (dot_j R^i_k - dot_k R^i_j)/3, [i, j, k]."""
+        sp, dR = self._dR_stack
+        return sp, (np.swapaxes(dR, 1, 2) + -dR) * (1.0 / 3.0)
+
     @_per_row
     def R3(self) -> list:
-        n = self.dim
-        third = 1.0 / 3.0
-        return [
-            [
-                [third * (self.R[i][k].dy(j) - self.R[i][j].dy(k)) for k in range(n)]
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
+        return self._tensor(self._R3_stack, 3)
 
     @_per_row
     def V(self) -> list:
         """The contracted 3-tensor V_k = R^m_{km}."""
-        n = self.dim
-        out = []
-        for k in range(n):
-            acc = self.R3[0][k][0]
-            for m in range(1, n):
-                acc = acc + self.R3[m][k][m]
-            out.append(acc)
-        return out
+        sp, R3 = self._R3_stack
+        acc = R3[0, :, 0]
+        for m in range(1, self.dim):
+            acc = acc + R3[m, :, m]
+        return self._tensor((sp, acc), 1)
 
     @_per_row
     def chi(self) -> list:
-        n = self.dim
-        out = []
-        for i in range(n):
-            acc = self.Ric.dy(i)
-            for m in range(n):
-                acc = acc + 2.0 * self.R[m][i].dy(m)
-            out.append(acc)
-        return out
+        """chi_i = dot_i Ric + sum_m 2 dot_m R^m_i, the terms added in
+        ascending m."""
+        sp, dR = self._dR_stack
+        acc = _dys(self._R_stack[0], self.Ric.coeffs, self.dim, self._pa.ndim)
+        for m in range(self.dim):
+            acc = acc + dR[m, :, m] * 2.0
+        return self._tensor((sp, acc), 1)
 
     # ---- derivatives
 

@@ -67,10 +67,9 @@ VALUE_FLOOR = 1e-12
 # it runs over chunks of rows holding about this many products, so its
 # temporaries (the transposed chunk, its products and their bins, cached
 # per height for the full table and built per call for a pruned one) stay
-# bounded however tall the block is.  A 16-row block of a dim-3 metric
-# spray, lifted to order 6 in 6 variables (18564 pairs), runs in three
-# chunks of the full table; the blocks of dim-2 sprays and fixtures fit
-# in one.
+# bounded however tall the block is.  The 66-row block of a dim-3 metric
+# spray, lifted to order 6 in 6 variables (18564 pairs), runs in ten
+# chunks of the full table.
 MUL_CHUNK = 1 << 17
 
 # A block multiply of at least this many products (table pairs x rows)

@@ -16,11 +16,12 @@ variable (tensor-product stencils).  The stencil plan depends only on the
 dimension and h, so it is built once per (dim, h) and cached: the offsets
 of every stencil row, and per stencil length the row indices and weights
 of each derivative.  The oracle works on blocks of points: for a block,
-one batched evaluation on the stencil rows of all its points and one
-grouped pass over the index and weight arrays give every derivative, and
-the curvature formulas run as stacked array operations.  Each row of a
-block equals the computation at that point alone, bit for bit, and the
-first point that fails alone decides the error.  `agreement_report`
+one batched evaluation on the stencil rows of each chunk of its points
+(`FD_STENCIL_ROWS` bounds a chunk's rows) and one grouped pass over the
+index and weight arrays give every derivative, and the curvature
+formulas run as stacked array operations.  Each row of a block equals
+the computation at that point alone, bit for bit, and the first point
+that fails alone decides the error.  `agreement_report`
 reads its bundles one at a time, and takes the differences of the rows
 of a block bundle once, through a `geometry.RowReader`.
 """
@@ -374,6 +375,16 @@ def _fd_plan(n: int, h: float) -> _FdPlan:
     return _FdPlan(n, h)
 
 
+# A block's stencils are evaluated in chunks of points holding at most this
+# many stencil rows (at least one point), because the spray's evaluation
+# on the rows, a metric spray's Taylor2 Hessians above all, grows with
+# them: 14 points of a dim-2 plan (73 rows each), 4 of a dim-3 plan (207).
+# Peak memory of the `oracle` benchmark (2-vCPU x86, numpy 2.4, 64-sample
+# blocks): 45.1-45.4 MB at this bound and 46.0-46.2 MB at 1 << 11; 44.0 MB
+# with blocks of 16 samples.
+FD_STENCIL_ROWS = 1 << 10
+
+
 def fd_curvature(spray, p, h: float = 1e-3) -> dict:
     """N, R, Ric, chi and B from central differences of G values.
 
@@ -395,9 +406,10 @@ def fd_curvature(spray, p, h: float = 1e-3) -> dict:
     numerically rather than assumed.
 
     A block is evaluated as a whole: one spray evaluation for the
-    homogeneity pairs, and at each step h one on the stencil rows of all
-    its points (the cached plan for (dim, h)), which the plan turns into
-    every derivative in one grouped pass.  A stencil row outside the
+    homogeneity pairs, and at each step h one on the stencil rows of each
+    chunk of its points (the cached plan for (dim, h); at most
+    `FD_STENCIL_ROWS` rows a chunk), which the plan turns into every
+    derivative in one grouped pass.  A stencil row outside the
     spray's domain gives a non-finite value, and that raises DomainError
     naming the point and h: a step too large for the domain is refused,
     not compared.  When a block raises, its points are run one at a time,
@@ -444,18 +456,9 @@ def _fd_stacked(fn, n: int, P: np.ndarray, h: float) -> dict:
     steps = []
     for hs in (h, 2.0 * h):
         plan = _fd_plan(n, hs)
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            rows = Q[:, None, :] + hs * plan.offsets  # (nb, rows, 2n)
-            vals = fn(rows.reshape(-1, 2 * n)).reshape(nb, -1, n)
-        finite = np.isfinite(vals).all(axis=2)
-        if not finite.all():
-            i = int(np.argmin(finite.all(axis=1)))
-            point = ", ".join(f"{v:.6g}" for v in Q[i])
-            raise DomainError(
-                f"the finite-difference stencil at ({point}) with step "
-                f"{hs:g} leaves the spray's domain: G is not finite on "
-                f"{int(np.sum(~finite[i]))} of {vals.shape[1]} stencil rows")
-        D = plan.derivatives(vals)  # (nb, keys, n)
+        chunk = max(1, FD_STENCIL_ROWS // len(plan.offsets))
+        D = np.concatenate([_fd_derivatives(fn, n, plan, Q[lo:lo + chunk], hs)
+                            for lo in range(0, nb, chunk)])  # (nb, keys, n)
 
         def columns(idx) -> np.ndarray:
             # (nb, n, n) with [b, i, j] = D[b, idx[j], i], C-contiguous: a
@@ -498,6 +501,23 @@ def _fd_stacked(fn, n: int, P: np.ndarray, h: float) -> dict:
         "chi": out["chi"] * L[:, None],
         "B": out["B"] / L[:, None, None, None, None],
     }
+
+
+def _fd_derivatives(fn, n: int, plan: _FdPlan, Q: np.ndarray, hs: float) -> np.ndarray:
+    """The plan's derivatives at the points Q, (len(Q), keys, n), from one
+    evaluation of the spray on all their stencil rows."""
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        rows = Q[:, None, :] + hs * plan.offsets  # (points, rows, 2n)
+        vals = fn(rows.reshape(-1, 2 * n)).reshape(len(Q), -1, n)
+    finite = np.isfinite(vals).all(axis=2)
+    if not finite.all():
+        i = int(np.argmin(finite.all(axis=1)))
+        point = ", ".join(f"{v:.6g}" for v in Q[i])
+        raise DomainError(
+            f"the finite-difference stencil at ({point}) with step "
+            f"{hs:g} leaves the spray's domain: G is not finite on "
+            f"{int(np.sum(~finite[i]))} of {vals.shape[1]} stencil rows")
+    return plan.derivatives(vals)
 
 
 def _unit(n: int, i: int) -> np.ndarray:

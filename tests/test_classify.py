@@ -417,9 +417,11 @@ def test_report_closed_factor_self_check_fires(monkeypatch) -> None:
     spray G1 = x2*y1*y1
     spray G2 = x2*y1*y2
     """)
+    # the 8 samples are one block: the stub gets their decompositions and
+    # gives one Check per row
     monkeypatch.setattr(classify, "is_isotropic",
-                        lambda dec, bundle, tol=sampling.TOL:
-                        classify.Check(holds=True, residual=0.0))
+                        lambda decs, bundle, tol=sampling.TOL:
+                        [classify.Check(holds=True, residual=0.0)] * len(decs))
     with pytest.raises(SprayLabError, match="closed projective factor"):
         classify.classify_spray(sp, count=8, seed=7)
 

@@ -101,8 +101,7 @@ def test_the_only_bundle_at_a_sample_is_its_report_row(name, order, tmp_path,
 
 
 @pytest.mark.parametrize("command,name,points,width", [
-    # the 66 samples of a dim-3 expression spray: four full blocks and one
-    # of two rows
+    # the 66 samples of a dim-3 expression spray: one block
     ("classify", "nonscalar3", 66, 6),
     # the spray of an expression metric, through classification, survey,
     # verdict and the metric candidate
@@ -112,19 +111,22 @@ def test_samples_are_evaluated_in_blocks(command, name, points, width,
                                          tmp_path, tally):
     code, data = run([command, name], tmp_path)
     assert code == 0 and data["sampling"]["used"] == points
-    rows = classify.BLOCK_ROWS
-    blocks = [(rows, width)] * (points // rows)
-    if points % rows:
-        blocks.append((points % rows, width))
+    blocks = [(len(block), width) for block in classify.blocks(range(points))]
     assert tally["blocks"] == blocks
     # no block fell back to building its samples one at a time
     assert tally["row_blocks"] == blocks
 
 
-@pytest.mark.parametrize("name,points", [("ex7.1", 64), ("nonscalar3", 66)])
-def test_survey_takes_identities_once_per_block(name, points, monkeypatch):
+@pytest.mark.parametrize("name,requested,points", [
+    ("ex7.1", 64, 64), ("nonscalar3", 64, 66),
+    # two full blocks and one of two rows
+    ("nonscalar3", 256, 258)],
+    ids=["ex7.1-64", "nonscalar3-66", "nonscalar3-258"])
+def test_survey_takes_identities_once_per_block(name, requested, points,
+                                                monkeypatch):
     # the survey asks for the identities of each block bundle once, at its
-    # first row, and each row reads its own dict from that call
+    # first row, and each row reads its own dict from that call; no row
+    # takes its own, as it would after its block's call raised
     calls = []
     identity_residuals = geometry.identity_residuals
 
@@ -133,22 +135,23 @@ def test_survey_takes_identities_once_per_block(name, points, monkeypatch):
         return identity_residuals(b, tol)
 
     monkeypatch.setattr(geometry, "identity_residuals", counting)
-    report = cli.cmd_classify(cli.RunConfig(input=name, seed=7))
+    report = cli.cmd_classify(cli.RunConfig(input=name, seed=7,
+                                            points=requested))
     assert report.data["sampling"]["used"] == points
-    assert calls == [None] * -(-points // classify.BLOCK_ROWS)
+    assert calls == [None] * len(classify.blocks(range(points)))
 
 
 def test_quadrature_builds_one_bundle_per_lambda_target(tmp_path, tally):
-    # ex7.1 recovers L = R/lambda.  Its 64 samples are classified in blocks
-    # of BLOCK_ROWS rows; then each point that lambda is integrated to
-    # costs one more block bundle, holding the 64 nodes of its segment.
+    # ex7.1 recovers L = R/lambda.  Its 64 samples are classified in the
+    # blocks of `classify.blocks`; then each point that lambda is
+    # integrated to costs one more block bundle, holding the 64 nodes of
+    # its segment.
     code, data = run(["metrize", "ex7.1"], tmp_path)
     assert code == 0
     assert data["verdict"]["rule"] == "omega exact; L = R/lambda"
     assert tally["draws"] == 1
     assert tally["lambda_targets"] > 0
-    rows = classify.BLOCK_ROWS
-    classification = [(rows, 4)] * (64 // rows)
+    classification = [(len(block), 4) for block in classify.blocks(range(64))]
     quadrature = [(64, 4)] * tally["lambda_targets"]
     assert tally["blocks"] == classification + quadrature
 

@@ -948,8 +948,7 @@ def test_shift_evaluates_blocks(tally) -> None:
     # blocks, and no block falls back to building its samples one at a
     # time; the verdict reads the shifted spray's bundles, drawing nothing
     metrize.projective_shift(metric_of(EQ3), 2.0, count=40)
-    rows = classify.BLOCK_ROWS
-    one_pass = [(rows, 4), (rows, 4), (40 - 2 * rows, 4)]
+    one_pass = [(len(block), 4) for block in classify.blocks(range(40))]
     assert tally["draws"] == 1
     assert tally["blocks"] == one_pass * 2
     assert tally["row_blocks"] == one_pass * 2
@@ -976,11 +975,11 @@ def test_shift_of_a_recovered_metric_builds_one_bundle_per_block(monkeypatch) ->
     assert built == [((8, 4), 8)] + [((4,), 8)] * 8
 
 
-def test_each_class_is_decided_once_per_classified_sample(monkeypatch) -> None:
+def test_each_class_is_decided_once_per_classified_block(monkeypatch) -> None:
     # the verdicts, projective_shift and the structure check read the
-    # classification report's flags, so each per-sample class test runs
-    # once per classified sample, and each candidate metric is checked for
-    # being Finsler once, by the verdict that made it
+    # classification report's flags, so each class test runs once per
+    # classified block of samples (`classify.blocks`), and each candidate
+    # metric is checked for being Finsler once, by the verdict that made it
     from spraylab import cli
 
     calls = {}
@@ -1001,18 +1000,20 @@ def test_each_class_is_decided_once_per_classified_sample(monkeypatch) -> None:
 
     monkeypatch.setattr(metrize, "finsler_check", counting_finsler)
 
-    classified_samples = 0
+    classified_blocks = 0
     for name in corpus.fixture_names():
         report = cli.cmd_metrize(cli.RunConfig(input=name, seed=7))
         assert not report.mismatches
-        classified_samples += report.data["sampling"]["used"]
+        used = report.data["sampling"]["used"]
+        classified_blocks += len(classify.blocks(range(used)))
     for c in (0.0, 1.0):
         # a metric per call: each call checks the metric it is given
         metric = corpus.load_fixture("elliptic2").metric()
         metrize.projective_shift(metric, c, count=16, seed=7)
-        classified_samples += sampling.draw(metric, count=16, seed=7).count
+        used = sampling.draw(metric, count=16, seed=7).count
+        classified_blocks += len(classify.blocks(range(used)))
 
-    assert calls == dict.fromkeys(calls, classified_samples)
+    assert calls == dict.fromkeys(calls, classified_blocks)
     assert len({id(m) for m in checked}) == len(checked)
 
 

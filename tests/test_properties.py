@@ -49,6 +49,19 @@ against the loop it ran one point at a time), and `metric_spray_residuals`
 over the triples of a classified block, for the random metrics and for
 the candidates.
 
+The class tests (`is_isotropic`, `is_constant`, `is_berwald` and
+`_proportional`) at a block bundle, one call for all its rows, give each
+row the holds and residual bits of the point tests they replaced, which
+are kept here as references, and so do they at each row's point bundle;
+`classify_samples` reports, bit for bit, what it reports with every
+sample a block of its own and the reference tests.  Their blocks carry an
+inf or nan in one coefficient of G at some rows (reaching G's value, R
+alone, Gamma and R, or the Berwald tensor), and engine faults at others
+(chi off the isotropy defect; tau parallel while Ric is not; both
+parallel, without isotropy), so that each self-check fires at some first
+row: the block raises there, with the message of the point test.  R^i_jk,
+V and chi, taken on stacks, equal the per-component loops they replaced.
+
 The prefix tests check that truncation is exact: a jet taken at order K
 and truncated to order k, with 1 <= k < K, equals the order-k jet byte for
 byte, signed zeros included.  Each coefficient of a truncated product or
@@ -87,6 +100,7 @@ same float bits, negative numbers and -0.0 included.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import struct
 
@@ -296,6 +310,237 @@ def test_block_split_and_identities_equal_point_calls_bytewise(case) -> None:
         assert identity_bytes(geometry.identity_residuals(rb)) == want
         assert check_bytes(classify.decompose_scalar(rb), rb) == \
             check_bytes(classify.decompose_scalar(pb), pb)
+
+
+class PoisonedSpray:
+    """A spray whose G jets at the marked points carry an inf or a nan in
+    one coefficient: marks[point bytes] = (component, monomial, value)."""
+
+    def __init__(self, spray, marks: dict):
+        self.spray, self.dim, self.name = spray, spray.dim, spray.name
+        self.marks = marks
+
+    def coeff_jets(self, p, order: int) -> list:
+        G = [jets.Jet(u.space, u.center, u.coeffs.copy())
+             for u in self.spray.coeff_jets(p, order)]
+        for r, pt in enumerate(np.reshape(p, (-1, 2 * self.dim))):
+            if pt.tobytes() in self.marks:
+                i, alpha, value = self.marks[pt.tobytes()]
+                c = G[i].coeffs
+                np.reshape(c, (-1, c.shape[-1]))[r, G[i].space.index[alpha]] = value
+        return G
+
+    def guard_values(self, p) -> list:
+        return self.spray.guard_values(p)
+
+
+def poison_monomial(n: int, name: str) -> tuple:
+    """The exponent of a monomial of G whose coefficient, made non-finite,
+    reaches G's value ("1"), R alone ("x1"), Gamma and R ("y1^2") or the
+    Berwald tensor ("y1^3")."""
+    alpha = [0] * (2 * n)
+    if name == "x1":
+        alpha[0] = 1
+    elif name != "1":
+        alpha[n] = int(name[-1])
+    return tuple(alpha)
+
+
+# enough examples that each self-check fires at some first row, in dim 2,
+# where every spray is of scalar curvature
+CLASS_TEST_SETTINGS = settings(PROPERTY_SETTINGS, max_examples=200)
+
+# the engine faults each self-check of the class tests is there to catch,
+# as factors on a bundle's tensor values: chi off the isotropy defect; tau
+# parallel while Ric is not; both parallel, so that the curvature is
+# constant, with Ric != 0, though not isotropic
+FAULTS = {
+    "isotropy": {"chi_values": 2.0},
+    "constancy": {"tau_cov": 0.0},
+    "constant, not isotropic": {"tau_cov": 0.0, "ric_cov": 0.0},
+}
+
+
+@st.composite
+def poisoned_blocks(draw):
+    """(spray, block, faults): a random spray, with or without its |y|
+    term, whose G carries an inf or nan at some rows of the block, and
+    some rows' engine faults (see `faulty`), as factors by tensor name."""
+    spray, block = draw(st.booleans().flatmap(lambda radial: sprays_at_blocks(radial)))
+    n = spray.dim
+    marks, faults = {}, {}
+    rows = st.integers(0, len(block) - 1)
+    for r in draw(st.sets(rows, max_size=2)):
+        name = draw(st.sampled_from(["1", "x1", "y1^2", "y1^3"]))
+        value = draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+        marks[block[r].tobytes()] = (draw(st.integers(0, n - 1)),
+                                     poison_monomial(n, name), value)
+    # one kind of fault at every faulty row, or two in turn
+    kinds = draw(st.lists(st.sampled_from(sorted(FAULTS)), min_size=1, max_size=2))
+    for k, r in enumerate(sorted(draw(st.sets(rows, min_size=1, max_size=3)))):
+        faults[block[r].tobytes()] = FAULTS[kinds[k % len(kinds)]]
+    return PoisonedSpray(spray, marks), block, faults
+
+
+@contextlib.contextmanager
+def faulty(faults: dict):
+    """Scale the values of the bundle tensors named in `faults` at its
+    points, at a point bundle and row by row at a block bundle, whose rows
+    read them, while the block runs."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("chi_values", "tau_cov", "ric_cov"):
+            fn = CurvatureBundle.__dict__[name].func.__wrapped__
+
+            @functools.wraps(fn)
+            def scaled(b, _name=name, _fn=fn):
+                v = _fn(b)
+                pts = np.reshape(b._pa, (-1, b._pa.shape[-1]))
+                k = [faults.get(pt.tobytes(), {}).get(_name, 1.0) for pt in pts]
+                if b.point is not None:
+                    return v * k[0]
+                return v * np.reshape(k, (-1,) + (1,) * (v.ndim - 1))
+
+            prop = geometry._per_row(scaled)
+            prop.__set_name__(CurvatureBundle, name)
+            mp.setattr(CurvatureBundle, name, prop)
+        yield
+
+
+# The class tests at one point, as they were written before they took
+# blocks: the references of the block tests below.
+
+
+def point_is_isotropic(dec, bundle, tol=TOL):
+    n = bundle.dim
+    rdot = bundle.rdot_values
+    defect = float(np.max(np.abs(rdot - 2.0 * dec.tau)))
+    chi_defect = float(np.max(np.abs(bundle.chi_values))) / (n + 1)
+    scale = max(abs(dec.R), float(np.max(np.abs(dec.tau))), 1.0)
+    if dec.holds and abs(defect - chi_defect) > 1e3 * (tol.abs + tol.rel * scale):
+        raise SprayLabError(
+            "isotropy defect and chi-curvature disagree on a scalar spray: "
+            f"{defect:.3e} vs {chi_defect:.3e}"
+        )
+    residual = max(defect, chi_defect)
+    return classify.Check(holds=dec.holds and tol.zero(residual, scale), residual=residual)
+
+
+def point_is_constant(dec, bundle, tol=TOL):
+    residual = float(np.max(np.abs(bundle.tau_cov)))
+    scale = max(1.0, float(np.max(np.abs(dec.tau))))
+    holds = dec.holds and tol.zero(residual, scale)
+    ric_residual = None
+    ric = bundle.Ric_value
+    if not tol.zero(ric, max(1.0, abs(ric))):
+        ric_residual = float(np.max(np.abs(bundle.ric_cov)))
+        if holds and not tol.zero(ric_residual, 1e3 * max(1.0, abs(ric))):
+            raise SprayLabError(
+                "tau_{i;k} vanishes but Ric_{;i} does not; the two "
+                "constancy tests must agree on a scalar spray"
+            )
+    return classify.ConstantCheck(holds=holds, residual=residual,
+                                  ric_residual=ric_residual)
+
+
+def point_is_berwald(b, tol=TOL):
+    residual = float(np.max(np.abs(b.B_values)))
+    scale = max(1.0, float(np.max(np.abs(b.Gamma_values))))
+    return classify.Check(holds=tol.zero(residual, scale), residual=residual)
+
+
+def point_proportional(Gv, yv, tol):
+    n = len(yv)
+    worst = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            worst = max(worst, abs(Gv[i] * yv[j] - Gv[j] * yv[i]))
+    scale = max(1.0, float(np.max(np.abs(Gv))) * float(np.max(np.abs(yv))))
+    return tol.zero(worst, scale), worst
+
+
+POINT_CLASS_TESTS = {"is_isotropic": point_is_isotropic,
+                     "is_constant": point_is_constant,
+                     "is_berwald": point_is_berwald,
+                     "_proportional": point_proportional}
+
+
+def check_rows(results) -> list:
+    """Per result, its holds and the bits of its residuals."""
+    rows = []
+    for c in results:
+        if isinstance(c, tuple):  # _proportional's (holds, worst)
+            rows.append((c[0], float(c[1]).hex()))
+            continue
+        ric = getattr(c, "ric_residual", None)
+        rows.append((c.holds, float(c.residual).hex(),
+                     None if ric is None else float(ric).hex()))
+    return rows
+
+
+def rows_or_error(results) -> list:
+    """`check_rows` of the results that `results()` gives, or the error it
+    raises."""
+    try:
+        return check_rows(results())
+    except SprayLabError as exc:
+        return [type(exc), str(exc)]
+
+
+@CLASS_TEST_SETTINGS
+@given(poisoned_blocks())
+def test_block_class_tests_equal_point_calls_bytewise(case) -> None:
+    """Each class test at a block bundle, one call for all rows, and at
+    each row's point bundle, gives every row the holds and residual bits
+    of the point test it replaced, at the row's point alone, and raises
+    the error of the first row at which that test raises."""
+    spray, block, faults = case
+    with np.errstate(all="ignore"), faulty(faults):
+        bb = CurvatureBundle(spray, block, 4)
+        decs = [classify.decompose_scalar(rb) for rb in bb.rows()]
+        points = [CurvatureBundle(spray, pt, 4) for pt in block]
+        point_decs = [classify.decompose_scalar(b) for b in points]
+        calls = {
+            "is_isotropic": ((decs, bb), [(d, b) for d, b in zip(point_decs, points)]),
+            "is_constant": ((decs, bb), [(d, b) for d, b in zip(point_decs, points)]),
+            "is_berwald": ((bb,), [(b,) for b in points]),
+            "_proportional": ((bb.G_values, bb.yvals),
+                              [(b.G_values, b.yvals) for b in points]),
+        }
+        for name, (block_args, point_args) in calls.items():
+            test, reference = getattr(classify, name), POINT_CLASS_TESTS[name]
+            want = rows_or_error(lambda: [reference(*args, TOL) for args in point_args])
+            assert rows_or_error(lambda: test(*block_args, TOL)) == want, name
+            assert rows_or_error(lambda: [test(*args, TOL) for args in point_args]) == want, name
+
+
+def report_bytes(spray, samples) -> list:
+    """A classification's flags, residual bits and per-sample flags, or
+    its error."""
+    try:
+        rep = classify.classify_samples(spray, samples)
+    except SprayLabError as exc:
+        return [type(exc), str(exc)]
+    return [rep.flags, {k: float(v).hex() for k, v in rep.residuals.items()},
+            list(rep.per_point)]
+
+
+@CLASS_TEST_SETTINGS
+@given(poisoned_blocks())
+def test_classification_of_a_block_equals_one_sample_at_a_time(case) -> None:
+    """`classify_samples` on blocks of `BLOCK_ROWS` samples reports, flag
+    and residual bits, what it reports with every sample a block of its
+    own and the point tests the class tests replaced, or raises the same
+    error at the same first sample."""
+    spray, block, faults = case
+    samples = samples_at(block)
+    with np.errstate(all="ignore"), faulty(faults):
+        got = report_bytes(spray, samples)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(classify, "BLOCK_ROWS", 1)
+            for name, reference in POINT_CLASS_TESTS.items():
+                mp.setattr(classify, name, reference)
+            want = report_bytes(spray, samples)
+    assert got == want
 
 
 @PROPERTY_SETTINGS
@@ -917,6 +1162,59 @@ def test_stacked_R_and_tau_equal_the_component_loops(case, order, at_block) -> N
     b = CurvatureBundle(spray, block if at_block else block[0], order)
     assert same_jets(b.R, loop_R(b))
     assert same_jets(b.splits[1], loop_tau(b))
+
+
+@PROPERTY_SETTINGS
+@given(st.booleans().flatmap(lambda radial: sprays_at_blocks(radial)), st.booleans())
+def test_closed_factor_curl_at_order_2_equals_the_full_order_curl(case, at_block) -> None:
+    """The curl of the projective factor, taken from G truncated to order
+    2, has the bits of the curl taken from the order-4 jets of G."""
+    spray, block = case
+    b = CurvatureBundle(spray, block if at_block else block[0], 4)
+    n = b.dim
+    P = classify.projective_factor(b)
+    assert P.order == 4
+    sig = [P.dy(i) for i in range(n)]
+    curls = [np.reshape(sig[i].dx(j).value - sig[j].dx(i).value, -1)
+             for i in range(n) for j in range(i + 1, n)]
+    want = geometry._folds(curls, len(np.reshape(b.yvals, (-1, n))))
+    got = classify._closed_factor_residual(b)
+    assert [float(v).hex() for v in np.reshape(got, -1)] == \
+        [float(v).hex() for v in want]
+
+
+def loop_R3_V_chi(b) -> tuple:
+    """R^i_jk, V and chi one component at a time, each y-derivative of R
+    a `Jet.diff`, as the bundle took them before they were stacked."""
+    n = b.dim
+    third = 1.0 / 3.0
+    R3 = [[[third * (b.R[i][k].dy(j) - b.R[i][j].dy(k)) for k in range(n)]
+           for j in range(n)] for i in range(n)]
+    V = []
+    for k in range(n):
+        acc = R3[0][k][0]
+        for m in range(1, n):
+            acc = acc + R3[m][k][m]
+        V.append(acc)
+    chi = []
+    for i in range(n):
+        acc = b.Ric.dy(i)
+        for m in range(n):
+            acc = acc + 2.0 * b.R[m][i].dy(m)
+        chi.append(acc)
+    return R3, V, chi
+
+
+@PROPERTY_SETTINGS
+@given(sprays_at_blocks(), st.sampled_from([3, 4]), st.booleans())
+def test_stacked_R3_V_and_chi_equal_the_component_loops(case, order, at_block) -> None:
+    """At a block bundle and at the bundle of its first point."""
+    spray, block = case
+    b = CurvatureBundle(spray, block if at_block else block[0], order)
+    R3, V, chi = loop_R3_V_chi(b)
+    assert same_jets(b.R3, R3)
+    assert same_jets(b.V, V)
+    assert same_jets(b.chi, chi)
 
 
 @PROPERTY_SETTINGS

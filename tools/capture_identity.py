@@ -10,13 +10,17 @@ iff every captured output is.  It writes, as one JSON object:
 - `cli`: the SHA-256 and exit code of the `classify`, `metrize` and
   `oracle` JSON of every fixture at seeds 3 and 11, and the SHA-256 of the
   lines each command prints;
+- `points_256`: the same for the `classify`, `metrize` and `oracle`
+  commands at `--points 256`, seed 3, on nonscalar3, ex7.1 and elliptic2,
+  whose samples span more than one block;
 - `run_fixture`: the corpus report of every fixture at seeds 3 and 11
   (passed, diffs, flags, residuals, checks and every verdict field);
 - `samples`: per sample of the `classify` command of every fixture at
   seeds 3 and 11, in the order the command computed them, its scalar
   split (R, tau, residual, holds), its isotropy and constancy checks, and
-  its identity dict with the keys in their order; the report keeps only
-  the maximum over the samples;
+  its identity dict with the keys in their order, whether a call gave one
+  sample's or a block's; the report keeps only the maximum over the
+  samples;
 - `recover` and `highdim`: the outcome of every job of those benchmark
   workloads at seed 7 (verdicts, metric reads, CLI JSON);
 - `metric_sprays`: every coefficient of `spray_from_metric` at orders 0
@@ -54,6 +58,9 @@ from spraylab import (classify, cli, corpus, dsl, geometry, metrize,  # noqa: E4
 
 SEEDS = (3, 11)
 JOB_SEED = 7
+# sample sets larger than one block of `classify.BLOCK_ROWS` samples
+POINTS_256_SEEDS = (3,)
+POINTS_256_NAMES = ("nonscalar3", "ex7.1", "elliptic2")
 
 
 def enc(obj):
@@ -92,11 +99,11 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def cli_outputs(workdir: Path) -> dict:
+def cli_outputs(workdir: Path, seeds=SEEDS, names=None, extra=()) -> dict:
     out = {}
     report = workdir / "report.json"
-    for seed in SEEDS:
-        for name in corpus.fixture_names():
+    for seed in seeds:
+        for name in names or corpus.fixture_names():
             for command in ("classify", "metrize", "oracle"):
                 if report.exists():
                     report.unlink()
@@ -104,7 +111,7 @@ def cli_outputs(workdir: Path) -> dict:
                 with contextlib.redirect_stdout(lines), \
                         contextlib.redirect_stderr(io.StringIO()):
                     code = cli.main([command, name, "--seed", str(seed),
-                                     "--out", str(report)])
+                                     *extra, "--out", str(report)])
                 out[f"{command} {name} seed {seed}"] = {
                     "exit": code,
                     "json": sha(report.read_bytes()) if report.exists() else None,
@@ -142,6 +149,12 @@ def recording(module, name: str, results: list):
         setattr(module, name, fn)
 
 
+def per_row(results: list) -> list:
+    """The results of calls at point and at block bundles, one per row: a
+    call at a block bundle gives a list of one result per row."""
+    return [r for res in results for r in (res if isinstance(res, list) else [res])]
+
+
 def sample_records() -> dict:
     out = {}
     for seed in SEEDS:
@@ -152,15 +165,12 @@ def sample_records() -> dict:
                     recording(classify, "is_constant", con), \
                     recording(geometry, "identity_residuals", idents):
                 cli.cmd_classify(cli.RunConfig(input=name, seed=seed))
-            # a call at a block bundle gives one dict per row
-            rows = [d for res in idents
-                    for d in (res if isinstance(res, list) else [res])]
             out[f"{name} seed {seed}"] = {
                 "split": [enc([d.R, d.tau, d.residual, d.holds]) for d in splits],
-                "isotropic": [enc([c.holds, c.residual]) for c in iso],
+                "isotropic": [enc([c.holds, c.residual]) for c in per_row(iso)],
                 "constant": [enc([c.holds, c.residual, c.ric_residual])
-                             for c in con],
-                "identities": [enc(list(d.items())) for d in rows],
+                             for c in per_row(con)],
+                "identities": [enc(list(d.items())) for d in per_row(idents)],
             }
     return out
 
@@ -406,6 +416,8 @@ def main(argv: list) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         record["cli"] = cli_outputs(workdir)
+        record["points_256"] = cli_outputs(workdir, POINTS_256_SEEDS,
+                                           POINTS_256_NAMES, ("--points", "256"))
         record["run_fixture"] = fixture_reports()
         record["samples"] = sample_records()
         record["recover"] = job_outcomes(workloads.recover_jobs, workdir)
