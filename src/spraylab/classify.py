@@ -386,8 +386,9 @@ def point_bundles(spray, samples: SampleSet, order: int = 4,
         return geometry.CurvatureBundle(spray, points, order).rows()
 
     for block in blocks(samples.points()):
-        for pt, b in zip(block, rowwise(rows, block)):
-            yield pt, b, decompose_scalar(b, tol=tol)
+        # no name here outlives the block's rows
+        yield from ((pt, b, decompose_scalar(b, tol=tol))
+                    for pt, b in zip(block, rowwise(rows, block)))
 
 
 def _closed_factor_residual(bundle):

@@ -221,6 +221,7 @@ def _surveyed(triples, tol: Tolerances, rows: list, identities: dict):
         for name, res in identities_at(b).items():
             identities[name] = max(identities.get(name, 0.0), float(res))
         yield b
+        del b, dec  # so that the next block is built without this one
 
 
 def _survey(triples, tol: Tolerances):

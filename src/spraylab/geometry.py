@@ -42,20 +42,23 @@ row's numbers those of its point alone.  A consumer that takes a result
 of its own per row bundle reads it through a `RowReader`, which states
 the rule for a block that raises.
 
-N, Gamma, R^i_k and its y-gradient, the 3-tensor R^i_jk, V and chi, the
-split's tau_k, the Berwald values and the induced spray of a metric are
+G, N, Gamma, R^i_k and its y-gradient, the 3-tensor R^i_jk, V and chi,
+Ric, the split, the Berwald values and the induced spray of a metric are
 computed on stacks (see `jets`): one array per tensor, (components...,
-[B,] T), differentiated by gathers and multiplied with the components
-folded into the rows of the kernel.  Each sum over an index adds whole
-stacks in the order the formula's loop over the index added jets, so
-every entry keeps its bits: the bins of each product are summed in the
-kernel's order, and products by constant jets get + 0.0
-(`jets.constant_product`).  The bundle hands N, Gamma, R, R3, V and chi
-out as nested lists of jets whose coefficients are views of its stacks.
+[B,] T), differentiated by one gather per derivative stack and multiplied
+with the components folded into the rows of the kernel, or without it at
+order 0.  Each sum over an index adds whole stacks in the order the
+formula's loop over the index added jets, so every entry keeps its bits:
+the bins of each product are summed in the kernel's order, and products
+by constant jets get + 0.0 (`jets.constant_product`).  The inverse of a
+metric's fundamental tensor is taken on its stack.  The bundle hands G, N,
+Gamma, R, R3, V and chi out as nested lists of jets whose coefficients are
+views of its stacks; a row bundle reads each stack off its block's row.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, wraps
 
@@ -210,11 +213,11 @@ class ShiftedSpray:
 
 
 def _fundamental_jets(metric, pa: np.ndarray, order: int, tol: Tolerances):
-    """Jets of L and of g_ij = half the y-Hessian, with a rank check.
+    """The jet of L and (space, stack) of g_ij = half the y-Hessian, with a
+    rank check.
 
     At a block of points the values are (B, n, n) and the rank is checked
-    row by row; the first failing row names the error.  The entries of g
-    are views of one (n, n, [B,] T) stack.
+    row by row; the first failing row names the error.
     """
     Lj = metric.jet(pa, order + 2)
     n, tail = metric.dim, pa.ndim
@@ -224,11 +227,6 @@ def _fundamental_jets(metric, pa: np.ndarray, order: int, tol: Tolerances):
     for i in range(n):
         for j in range(i, n):
             stack[i, j] = stack[j, i] = hessian[i, j] * 0.5
-    g = np.empty((n, n), dtype=object)
-    lower = _lower(_lower(sp))
-    for i in range(n):
-        for j in range(n):
-            g[i, j] = jets.Jet(lower, Lj.center, stack[i, j])
     vals = _stack_values(stack, 2)
     for v in (vals if vals.ndim == 3 else (vals,)):
         s = np.linalg.svd(v, compute_uv=False)
@@ -237,7 +235,7 @@ def _fundamental_jets(metric, pa: np.ndarray, order: int, tol: Tolerances):
                 f"fundamental tensor of {metric.name!r} is numerically singular "
                 f"(singular values {s})"
             )
-    return Lj, g, vals
+    return Lj, (_lower(_lower(sp)), stack), vals
 
 
 def spray_from_metric(metric, p, order: int = 4, tol: Tolerances = TOL) -> list:
@@ -250,20 +248,18 @@ def spray_from_metric(metric, p, order: int = 4, tol: Tolerances = TOL) -> list:
     """
     pa = _point_array(p, metric.dim)
     n, tail = metric.dim, pa.ndim
-    Lj, g, _ = _fundamental_jets(metric, pa, order, tol)
+    Lj, (sp, g), _ = _fundamental_jets(metric, pa, order, tol)
     try:
-        w = jets.jet_matrix_inverse(g)
+        W = jets.jet_matrix_inverse(sp, g)
     except DomainError as exc:
         raise DegenerateMetric(f"fundamental tensor of {metric.name!r}: {exc}") from exc
-    sp = jets.space(2 * n, min(order, w[0, 0].order))
-    W = np.array([[w[i, l].coeffs for l in range(n)] for i in range(n)])
     top = Lj.space
     dl = _dys(top, Lj.coeffs, n, tail)                  # [l] = L_{y^l}
     dlx = _dxs(_lower(top), dl, n, tail)
     # v_l = sum_k L_{y^l x^k} y^k - L_{x^l}, then sum_l g^{il} v_l / 4
-    v = (jets.contract(sp, np.moveaxis(dlx, 1, 0), _y_stack(n, pa, sp)[:, None])
+    v = (jets.contract(sp, dlx.swapaxes(0, 1), _y_stack(n, pa, sp)[:, None])
          + -_dxs(top, Lj.coeffs, n, tail)[..., :sp.T])
-    out = jets.contract(sp, np.moveaxis(W, 1, 0), v[:, None]) * 0.25
+    out = jets.contract(sp, W.swapaxes(0, 1), v[:, None]) * 0.25
     return [jets.Jet(sp, Lj.center, out[i]) for i in range(n)]
 
 
@@ -280,8 +276,14 @@ def _lower(sp):
 
 def _derivatives(sp, c: np.ndarray, vs, tail: int) -> np.ndarray:
     """The stack of d/dv c for v in `vs`, jets of `sp`, with the new
-    component axis last among c's."""
-    return np.stack([jets.diff_coeffs(sp, c, v) for v in vs], axis=c.ndim - tail)
+    component axis last among c's: one gather over the maps of every v,
+    whose v axis then moves in front of a block's row axis as the scale
+    factors multiply it.  Each entry is `jets.diff_coeffs`'s product."""
+    src, scale = sp._dmap(tuple(vs))
+    d = c.take(src, axis=-1).reshape(c.shape[:-1] + (len(vs), -1))
+    if tail == 2:
+        d = d.swapaxes(-2, -3)
+    return np.multiply(d, scale.reshape((len(vs),) + (1,) * (tail - 1) + (-1,)), order="C")
 
 
 def _dxs(sp, c: np.ndarray, n: int, tail: int) -> np.ndarray:
@@ -293,9 +295,13 @@ def _dys(sp, c: np.ndarray, n: int, tail: int) -> np.ndarray:
 
 
 def _y_stack(n: int, pa: np.ndarray, sp) -> np.ndarray:
-    """The stack of the jets of y^1..y^n, of `sp`, at the point or block pa."""
-    center = pa if pa.ndim == 2 else tuple(pa)
-    return np.array([sp.variable(n + i, center).coeffs for i in range(n)])
+    """The stack of the jets of y^1..y^n, of `sp`, at the point or block
+    pa, with the coefficients `JetSpace.variable` gives them."""
+    c = np.zeros((n,) + pa.shape[:-1] + (sp.T,))
+    c[..., 0] = pa[..., n:].T
+    if sp.order:
+        c[range(n), ..., jets._first_order_columns(2 * n)[n + 1:]] = 1.0
+    return c
 
 
 def _unstack(sp, center, c: np.ndarray, depth: int):
@@ -307,8 +313,10 @@ def _unstack(sp, center, c: np.ndarray, depth: int):
 
 
 def _stack_values(c: np.ndarray, depth: int) -> np.ndarray:
-    """The value parts of the stack c with `depth` component axes, as
-    `CurvatureBundle._values` gives them: block axis first, C-contiguous."""
+    """The value parts of the stack c with `depth` component axes, block
+    axis first.  The result is C-contiguous, so a row of a block's values
+    is laid out as a point's: numpy reductions and products over a
+    strided array may round differently."""
     vals = c[..., 0]
     if vals.ndim > depth:
         vals = np.moveaxis(vals, -1, 0)
@@ -320,10 +328,13 @@ def _stack_values(c: np.ndarray, depth: int) -> np.ndarray:
 
 def _row_of(value, r: int, center: tuple):
     """Row r of a block bundle's tensor: block jets, in nested lists or
-    tuples, become point jets at `center` over the same coefficients;
-    value arrays lose the block axis."""
+    tuples, become point jets at `center` over the same coefficients, and
+    a (space, stack) pair views the row of its stack; value arrays lose
+    the block axis."""
     if isinstance(value, jets.Jet):
         return jets.Jet(value.space, center, value.coeffs[r])
+    if isinstance(value, tuple) and isinstance(value[0], jets.JetSpace):
+        return value[0], value[1][..., r, :]
     if isinstance(value, (list, tuple)):
         return type(value)(_row_of(v, r, center) for v in value)
     return value[r]
@@ -403,6 +414,7 @@ class CurvatureBundle:
                 else PointTangent(tuple(pa[: self.dim]), tuple(pa[self.dim:]))
             )
         self._pa = pa
+        self._center = pa if pa.ndim == 2 else tuple(pa)
         self.yvals = pa[..., self.dim:]
 
     def rows(self) -> list:
@@ -427,29 +439,31 @@ class CurvatureBundle:
 
     # ---- raw jets
 
-    @_per_row
-    def G(self) -> list:
-        return self.spray.coeff_jets(self._pa, self.order)
-
-    def _G_stack(self) -> tuple:
-        """(space, stack) of the spray coefficients G^i, taken when needed
-        rather than kept, so that a bundle holds G once."""
-        sp = jets.space(2 * self.dim, min(u.order for u in self.G))
-        return sp, np.array([u.coeffs[..., :sp.T] for u in self.G])
-
     @cached_property
+    def G(self) -> list:
+        return self._tensor(self._G_stack, 1)
+
+    @_per_row
+    def _G_stack(self) -> tuple:
+        """(space, stack) of the spray coefficients G^i.  The jets of `G`
+        view it, so that a bundle holds G once."""
+        G = self.spray.coeff_jets(self._pa, self.order)
+        sp = jets.space(2 * self.dim, min(u.order for u in G))
+        return sp, np.array([u.coeffs[..., :sp.T] for u in G])
+
+    @_per_row
     def _N_stack(self) -> tuple:
         """(space, stack) of N^i_j = dot_j G^i."""
-        sp, G = self._G_stack()
+        sp, G = self._G_stack
         return _lower(sp), _dys(sp, G, self.dim, self._pa.ndim)
 
-    @cached_property
+    @_per_row
     def _Gamma_stack(self) -> tuple:
         """(space, stack) of Gamma^i_jk = dot_k N^i_j."""
         sp, N = self._N_stack
         return _lower(sp), _dys(sp, N, self.dim, self._pa.ndim)
 
-    @cached_property
+    @_per_row
     def _R_stack(self) -> tuple:
         """(space, stack) of R^i_k.
 
@@ -457,9 +471,10 @@ class CurvatureBundle:
         `jets.step_groups`: each of the three products of the terms is one
         stacked product over every (i, j, k) of the group, and the terms
         are added to the (i, k) stack one j at a time, in the order of the
-        formula."""
+        formula.  A group of one step adds each product as it is taken, so
+        that one is held at a time."""
         n, tail = self.dim, self._pa.ndim
-        sp, G = self._G_stack()
+        sp, G = self._G_stack
         mid, low = _lower(sp), _lower(_lower(sp))
         ys = _y_stack(n, self._pa, low)
         N, Gamma = self._N_stack[1], self._Gamma_stack[1]
@@ -468,21 +483,18 @@ class CurvatureBundle:
         acc = _dxs(mid, G[..., :mid.T], n, tail) * 2.0
         for lo, hi in jets.step_groups(low, n, acc.size // low.T):
             js = slice(lo, hi)
-            dGx = _derivatives(sp, G, range(lo, hi), tail)     # [i, j] = d_j G^i
-            dGxy = _dys(mid, dGx, n, tail)                      # [i, j, k]
-            terms = zip(
-                np.moveaxis(jets.stacked_product(low, ys[None, js, None], dGxy), 1, 0),
-                np.moveaxis(jets.stacked_product(low, G[None, js, None], Gamma[:, js]), 1, 0),
-                np.moveaxis(jets.stacked_product(low, N[:, js, None], N[None, js]), 1, 0))
-            for y_dGxy, G_Gamma, N_N in terms:
-                acc = acc + -y_dGxy
-                acc = acc + G_Gamma * 2.0
-                acc = acc + -N_N
+            dGxy = _dys(mid, _derivatives(sp, G, range(lo, hi), tail), n, tail)  # [i, j, k]
+            products = (jets.stacked_product(low, a, b).swapaxes(0, 1) for a, b in (
+                (ys[None, js, None], dGxy), (G[None, js, None], Gamma[:, js]),
+                (N[:, js, None], N[None, js])))  # [j, i, k], each taken when asked
+            for terms in zip(*products) if hi - lo > 1 else [(p[0] for p in products)]:
+                for t, p in enumerate(terms):  # y dGxy, G Gamma, N N
+                    acc = acc + (p * 2.0 if t == 1 else -p)
         return low, acc
 
     def _tensor(self, stack: tuple, depth: int) -> list:
         sp, c = stack
-        return _unstack(sp, self.G[0].center, c, depth)
+        return _unstack(sp, self._center, c, depth)
 
     @_per_row
     def N(self) -> list:
@@ -498,10 +510,11 @@ class CurvatureBundle:
 
     @_per_row
     def Ric(self):
-        acc = self.R[0][0]
+        sp, R = self._R_stack
+        acc = R[0, 0]
         for i in range(1, self.dim):
-            acc = acc + self.R[i][i]
-        return acc
+            acc = acc + R[i, i]
+        return jets.Jet(sp, self._center, acc)
 
     @_per_row
     def curvature_scalar(self):
@@ -523,20 +536,19 @@ class CurvatureBundle:
         quotients are one stacked product.
         """
         n = self.dim
+        sp, R = self._R_stack
         Rj = self.curvature_scalar
-        sp, center = Rj.space, Rj.center
         i0 = np.argmax(np.abs(self.yvals), axis=-1)
-        yj = jets.Jet(sp, center, _pick(_y_stack(n, self._pa, sp), i0))
-        inv = yj.reciprocal()
-        Rk = _pick(np.array([[u.coeffs for u in row] for row in self.R]), i0)
+        inv = jets.Jet(sp, self._center, _pick(_y_stack(n, self._pa, sp), i0)).reciprocal()
+        Rk = _pick(R, i0)
         k = np.arange(n).reshape((n,) + (1,) * np.ndim(i0) + (1,))
         num = np.where(np.expand_dims(i0, -1) == k, Rj.coeffs + -Rk, Rk * -1.0)
-        tau = _unstack(sp, center, jets.stacked_product(sp, num, inv.coeffs), 1)
-        tau_vals = self._values(tau)
+        tau = jets.stacked_product(sp, num, inv.coeffs)
+        tau_vals = _stack_values(tau, 1)
         recon = (np.multiply.outer(Rj.value, np.eye(n))
                  - self.yvals[..., :, None] * tau_vals[..., None, :])
         residual = np.max(np.abs(self.R_values - recon), axis=(-2, -1))
-        return Rj, tau, residual
+        return Rj, _unstack(sp, self._center, tau, 1), residual
 
     @cached_property
     def split(self) -> tuple:
@@ -560,7 +572,7 @@ class CurvatureBundle:
     def rdot_values(self) -> np.ndarray:
         """Values of R_.i, the y-gradient of the split's R."""
         Rj = self.curvature_scalar
-        return self._values([Rj.dy(i) for i in range(self.dim)])
+        return _stack_values(_dys(Rj.space, Rj.coeffs, self.dim, self._pa.ndim), 1)
 
     @_per_row
     def tau_cov(self) -> np.ndarray:
@@ -572,7 +584,7 @@ class CurvatureBundle:
         """Values of Ric_{;i}."""
         return self.cov_h(self.Ric, ())
 
-    @cached_property
+    @_per_row
     def _dR_stack(self) -> tuple:
         """(space, stack) of dot_j R^i_k, [i, k, j]: the y-gradient of R,
         which R3, V and chi read."""
@@ -684,22 +696,9 @@ class CurvatureBundle:
 
     # ---- value views
 
-    @staticmethod
-    def _values(obj) -> np.ndarray:
-        """The value parts of an array of jets; block jets put the block axis
-        first.  The result is C-contiguous, so a row of a block's values is
-        laid out as a point's: numpy reductions and products over a
-        strided array may round differently."""
-        arr = np.asarray(obj, dtype=object)
-        vals = [u.value for u in arr.ravel()]
-        if vals and not isinstance(vals[0], float):
-            return np.ascontiguousarray(
-                np.moveaxis(np.array(vals), -1, 0).reshape(vals[0].shape + arr.shape))
-        return np.array(vals, dtype=float).reshape(arr.shape)
-
     @_per_row
     def G_values(self) -> np.ndarray:
-        return self._values(self.G)
+        return _stack_values(self._G_stack[1], 1)
 
     @_per_row
     def N_values(self) -> np.ndarray:
@@ -726,7 +725,7 @@ class CurvatureBundle:
 
     @_per_row
     def chi_values(self) -> np.ndarray:
-        return self._values(self.chi)
+        return _stack_values(np.array([u.coeffs for u in self.chi]), 1)
 
 
 class RowReader:
@@ -737,7 +736,8 @@ class RowReader:
     `CurvatureBundle.rows`), the reader gives row r of `fn` at the row's
     block, computed at the first row read of that block and held until a
     row of another block is read; called with any other bundle, `fn` at
-    that bundle.
+    that bundle.  The reader refers to the block weakly, so that a
+    streaming consumer holds no block it has read to the end.
 
     This is the rule for a block that raises, for every consumer of row
     bundles: when `fn` at the block raises, each of its rows takes `fn` at
@@ -750,15 +750,15 @@ class RowReader:
     def __init__(self, fn, *args):
         self.fn = fn
         self.args = args
-        self._block = None  # the block whose rows `_rows` holds
+        self._block = lambda: None  # a weak reference to the block of `_rows`
         self._rows = None   # fn's rows at that block; None when it raised
 
     def __call__(self, bundle):
         if bundle._block is None:
             return self.fn(bundle, *self.args)
         block, r, _ = bundle._block
-        if block is not self._block:
-            self._block, self._rows = block, None
+        if block is not self._block():
+            self._block, self._rows = weakref.ref(block), None
             try:
                 self._rows = self.fn(block, *self.args)
             except Exception:
@@ -838,7 +838,7 @@ def identity_residuals(bundle: CurvatureBundle, tol: Tolerances = TOL):
         return out if bundle.point is None else out[0]
     Rj, tau, _ = bundle.splits
     Rv = np.reshape(Rj.value, -1)
-    tau_vals = CurvatureBundle._values(tau).reshape(rows, n)
+    tau_vals = _stack_values(np.array([u.coeffs for u in tau]), 1).reshape(rows, n)
     rdot = bundle.rdot_values.reshape(rows, n)
     chi = np.max(np.abs(bundle.chi_values.reshape(rows, n)
                         - (n + 1) * (rdot - 2.0 * tau_vals)), axis=-1)

@@ -35,8 +35,12 @@ in ascending order, as a loop over the jets adds them.  A product by a
 constant jet is taken as c * d + 0.0 while both operands are finite
 (`constant_product`): the kernel's other products are then +-0.0, which
 leave every partial sum from +0.0 as it is, and only a -0.0 product turns
-to +0.0.  A non-finite operand keeps the kernel.  `diff_coeffs`
-differentiates a stack with one gather.  The series
+to +0.0.  A non-finite operand keeps the kernel.  Over an order-0 space
+the table is one pair, which the kernel bins as 0.0 + a * b, so
+`stacked_product` takes a * b + 0.0 there, which has those bits for any
+operands.  `diff_coeffs` differentiates a stack with one gather, and
+`JetSpace._dmap` concatenates the maps of several variables, so their
+derivatives are one gather too (`geometry._derivatives`).  The series
 coefficients and value-floor checks of the transcendental functions are
 taken row by row with `math`.  A failed floor check names the first
 failing row of that operation.  A point jet's center is a tuple; a block
@@ -129,7 +133,7 @@ class JetSpace:
         )
         self._mul_table = self._build_mul_table(arr)
         self._pair_bins: dict[int, np.ndarray] = {}
-        self._dmaps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._dmaps: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     def _locate(self, enc: np.ndarray) -> np.ndarray:
         pos = np.searchsorted(self._enc_sorted, enc)
@@ -153,24 +157,22 @@ class JetSpace:
             bins = self._pair_bins[rows] = (ic[:, None] + self.T * np.arange(rows)).ravel()
             return bins
 
-    def _dmap(self, v: int) -> tuple[np.ndarray, np.ndarray]:
-        """Maps coefficients of this space onto d/dv coefficients in the space
-        one order down: (source indices, scale factors)."""
+    def _dmap(self, vs: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """Maps coefficients of this space onto the d/dv coefficients of the
+        space one order down, for each v in `vs` in turn, concatenated:
+        (source indices, scale factors)."""
         try:
-            return self._dmaps[v]
+            return self._dmaps[vs]
         except KeyError:
-            lower = space(self.nvars, self.order - 1)
-            step = (self.order + 1) ** v
-            src = self._locate(lower._enc_unclipped(self) + step)
-            scale = np.array([self.alphas[s][v] for s in src], dtype=float)
-            self._dmaps[v] = (src, scale)
-            return src, scale
-
-    def _enc_unclipped(self, parent: "JetSpace") -> np.ndarray:
-        # encodings of this (lower-order) space in the parent's base
-        arr = np.array(self.alphas, dtype=np.int64)
-        base = parent.order + 1
-        return arr @ (base ** np.arange(self.nvars, dtype=np.int64))
+            if self.order == 0:
+                raise OrderError(_EXHAUSTED) from None
+            # the space one order down is a prefix of this one
+            enc = self._enc[:space(self.nvars, self.order - 1).T]
+            srcs = [self._locate(enc + (self.order + 1) ** v) for v in vs]
+            scale = np.array([self.alphas[s][v] for v, src in zip(vs, srcs) for s in src],
+                             dtype=float)
+            out = self._dmaps[vs] = np.concatenate(srcs), scale
+            return out
 
     # -- constructors -------------------------------------------------------
 
@@ -295,8 +297,13 @@ def stacked_product(sp: JetSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     A call folds whole entries of the first axis while they hold at most
     `STACK_PRODUCTS` products, else the entries of the next axis in turn,
     down to one (rows, T) stack, which is one call whatever its size.
+    Order-0 products are a * b + 0.0, C-contiguous as the kernel's are.
     """
     a, b = a[..., :sp.T], b[..., :sp.T]
+    if sp.T == 1:  # the kernel's one pair, binned from 0.0
+        out = np.multiply(a, b, order="C")
+        out += 0.0
+        return out
     shape = np.broadcast_shapes(a.shape, b.shape)
     out = np.empty(shape)
     _fold_products(sp, np.broadcast_to(a, shape), np.broadcast_to(b, shape), out)
@@ -360,9 +367,7 @@ def constant_product(sp: JetSpace, c: np.ndarray, d: np.ndarray,
 def diff_coeffs(sp: JetSpace, c: np.ndarray, v: int) -> np.ndarray:
     """The coefficients of d/dv of the jets of `sp` in the stack `c`,
     (..., T), in the space one order down."""
-    if sp.order == 0:
-        raise OrderError(_EXHAUSTED)
-    src, scale = sp._dmap(v)
+    src, scale = sp._dmap((v,))
     return c[..., src] * scale
 
 
@@ -806,28 +811,24 @@ def fd_partial(fn: Callable, p: Sequence[float], alpha: Sequence[int], h: float 
     return (fd_partial(fn, pp, a, h) - fd_partial(fn, pm, a, h)) / (2.0 * h)
 
 
-def jet_matrix_inverse(m: np.ndarray) -> np.ndarray:
-    """Inverse of a square matrix of jets.
+def jet_matrix_inverse(sp: JetSpace, m: np.ndarray) -> np.ndarray:
+    """Inverse of a square matrix of jets of `sp`, given and returned as a
+    stack (n, n, [B,] T); m's coefficients past sp.T are not read.
 
     The value part is inverted by LAPACK (partial pivoting); derivative parts
     follow from (M^-1)' = -M^-1 M' M^-1, applied order by order in Horner form:
-    W <- W0 - (W0 dM) W gains one valid order per pass.  The jets may be
-    block jets: their (B, n, n) value parts are inverted as one stack, and
-    each row of the result equals the inverse at that point alone.
+    W <- W0 - (W0 dM) W gains one valid order per pass.  At a block the
+    (B, n, n) value parts are inverted as one stack, and each row of the
+    result equals the inverse at that point alone.
 
-    The entries are computed as one (n, n, [B,] T) stack.  W0 dM is taken
-    once, and so is the first pass's product with the constant W0, by
-    `constant_product`; a later pass multiplies its n^3 entry pairs by
-    `contract`.  Each sum over k adds the products in ascending k, the
-    order of an object-array matmul, so every entry has the bits of the
-    entry-by-entry loop.  The entries of the result are views of the
-    stack.
+    W0 dM is taken once, and so is the first pass's product with the
+    constant W0, by `constant_product`; a later pass multiplies its n^3
+    entry pairs by `contract`.  Each sum over k adds the products in
+    ascending k, the order of an object-array matmul, so every entry has
+    the bits of the entry-by-entry loop over jets.
     """
-    n = m.shape[0]
-    order = min(int(m[i, j].order) for i in range(n) for j in range(n))
-    sp = space(m[0, 0].space.nvars, order)
-    center = m[0, 0].center
-    dm = np.array([[m[i, j].coeffs[..., :sp.T] for j in range(n)] for i in range(n)])
+    n, order = m.shape[0], sp.order
+    dm = m[..., :sp.T].copy()
     # (B, n, n) at a block, C-contiguous as LAPACK saw it entry by entry
     vals = np.ascontiguousarray(np.moveaxis(dm[..., 0], (0, 1), (-2, -1)))
     try:
@@ -848,17 +849,13 @@ def jet_matrix_inverse(m: np.ndarray) -> np.ndarray:
     if order:
         # [k, i, j] = W0[i, k] and the entries M'[k, j], then W0 M' [i, k]
         # and the constant W0[k, j], each summed over k
-        w0_k = np.moveaxis(w0, 1, 0)[:, :, None]
+        w0_k = w0.swapaxes(0, 1)[:, :, None]
         w0_dm = constant_step(w0_k, dm[:, None], left=True)
-        x_k = np.moveaxis(w0_dm, 1, 0)[:, :, None]
+        x_k = w0_dm.swapaxes(0, 1)[:, :, None]
         step = constant_step(w0[:, None], x_k, left=False)
         const = w
         for _ in range(order - 1):
             w = const + -step
             step = contract(sp, x_k, w[:, None])
         w = const + -step
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = Jet(sp, center, w[i, j])
-    return out
+    return w

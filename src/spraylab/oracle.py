@@ -564,4 +564,5 @@ def agreement_report(bundles, h: float = 1e-3) -> dict:
                 entry["worst_tol"] = float(tol[k])
             if not np.all(err <= tol):  # a NaN error is no agreement
                 entry["ok"] = False
+        del b  # so that the next block is built without this one
     return report

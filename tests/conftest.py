@@ -9,13 +9,27 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from spraylab import classify, geometry, metrize, sampling
+from spraylab import classify, geometry, jets, metrize, sampling
 
 
 def classified(spray, count, seed=7, box=None):
     """The classification report a verdict reads, at order 4 and the
     default tolerances."""
     return classify.classify_spray(spray, count=count, seed=seed, box=box)
+
+
+def jet_inverse(m: np.ndarray) -> np.ndarray:
+    """The inverse of an n x n object array of jets, as such an array:
+    `jets.jet_matrix_inverse` of their stack, at the lowest of their
+    orders, with each entry a jet that views the inverse's stack."""
+    n = m.shape[0]
+    sp = min((u.space for u in m.ravel()), key=lambda s: s.order)
+    w = jets.jet_matrix_inverse(
+        sp, np.array([[m[i, j].coeffs[..., :sp.T] for j in range(n)] for i in range(n)]))
+    out = np.empty((n, n), dtype=object)
+    for idx in np.ndindex(n, n):
+        out[idx] = jets.Jet(sp, m[0, 0].center, w[idx])
+    return out
 
 
 @pytest.fixture

@@ -1,7 +1,9 @@
 """End-to-end runs of the command line driver."""
 
 import dataclasses
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -139,6 +141,38 @@ def test_survey_takes_identities_once_per_block(name, requested, points,
                                             points=requested))
     assert report.data["sampling"]["used"] == points
     assert calls == [None] * len(classify.blocks(range(points)))
+
+
+def test_oracle_drops_each_block_before_building_the_next(tmp_path, monkeypatch):
+    # nonscalar3 at --points 256 is three blocks of samples.  The command
+    # streams them: when a block bundle is built, and when the first row of
+    # a later block is split, no block read before is referred to any more
+    blocks, alive = [], []
+    init = geometry.CurvatureBundle.__init__
+    decompose_scalar = classify.decompose_scalar
+
+    def earlier_blocks_alive():
+        gc.collect()
+        return [ref() is not None for ref in blocks[:-1]]
+
+    def tracked_init(b, spray, p, order=4):
+        init(b, spray, p, order)
+        if b.point is None:
+            blocks.append(weakref.ref(b))
+            alive.append(("built", earlier_blocks_alive()))
+
+    def tracked_decompose(b, tol=cli.TOL):
+        if b._block is not None and b._block[1] == 0:
+            alive.append(("first row", earlier_blocks_alive()))
+        return decompose_scalar(b, tol)
+
+    monkeypatch.setattr(geometry.CurvatureBundle, "__init__", tracked_init)
+    monkeypatch.setattr(classify, "decompose_scalar", tracked_decompose)
+    code, data = run(["oracle", "nonscalar3", "--points", "256"], tmp_path)
+    assert code == 0 and data["sampling"]["used"] == 258
+    assert len(blocks) == len(classify.blocks(range(258))) == 3
+    assert alive == [(event, [False] * k) for k in range(3)
+                     for event in ("built", "first row")]
 
 
 def test_quadrature_builds_one_bundle_per_lambda_target(tmp_path, tally):

@@ -352,6 +352,35 @@ def test_a_fresh_value_has_the_bits_of_the_order_0_jet(name, tally) -> None:
         assert L.value(pt).hex() == got.hex() and tally["bundles"][key] == 1
 
 
+@pytest.mark.parametrize("name", ["elliptic2", "ex7.3"])
+def test_a_fresh_value_takes_no_order_0_kernel_product_and_no_R_jets(
+        name, monkeypatch) -> None:
+    # the curvature scalar and the split of an order-2 bundle are order-0
+    # jets: their products skip the kernel, and R is read off its stack
+    fx = corpus.load_fixture(name)
+    spray = fx.build()
+    L = metrize.decide(spray, count=fx.count, seed=7, box=fx.box).recovered_metric
+    assert isinstance(L, metrize.CurvatureMetric)
+    orders, built = Counter(), []
+    mul_coeffs, value_bundle = jets._mul_coeffs, metrize._value_bundle
+
+    def counting_mul(sp, a, b):
+        orders[sp.order] += 1
+        return mul_coeffs(sp, a, b)
+
+    def kept_bundle(metric, p):
+        built.append(value_bundle(metric, p))
+        return built[-1]
+
+    monkeypatch.setattr(jets, "_mul_coeffs", counting_mul)
+    monkeypatch.setattr(metrize, "_value_bundle", kept_bundle)
+    for pt in fresh_points(spray, fx.box, 3):
+        L.value(pt)
+    assert len(built) == 12 and all(b.order == 2 for b in built)
+    assert orders[0] == 0 and sum(orders.values()) > 0
+    assert not any("R" in b.__dict__ for b in built)
+
+
 def test_a_fresh_value_raises_what_the_jet_raises() -> None:
     lam = metrize.LambdaField(lambda xs: np.zeros_like(xs), (0.0,) * 3)
     flat = spray_of("dim 3\nspray G1 = 0\nspray G2 = 0\nspray G3 = 0\n")

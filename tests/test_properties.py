@@ -60,7 +60,12 @@ alone, Gamma and R, or the Berwald tensor), and engine faults at others
 (chi off the isotropy defect; tau parallel while Ric is not; both
 parallel, without isotropy), so that each self-check fires at some first
 row: the block raises there, with the message of the point test.  R^i_jk,
-V and chi, taken on stacks, equal the per-component loops they replaced.
+V and chi, taken on stacks, equal the per-component loops they replaced,
+and Ric, the curvature scalar, the split, the value views and the y stack,
+read off the stacks, equal the jet code they replaced.  Order-0 stacked
+products, which skip the kernel, have its bytes on operands with +-0.0,
+inf and nan, and a derivative stack taken in one gather has the bytes of
+the separate derivatives.
 
 The prefix tests check that truncation is exact: a jet taken at order K
 and truncated to order k, with 1 <= k < K, equals the order-k jet byte for
@@ -115,6 +120,8 @@ from spraylab.errors import DomainError, SprayLabError
 from spraylab.geometry import CurvatureBundle
 from spraylab.sampling import TOL
 
+from conftest import jet_inverse
+
 CONTRACTION_BOUND = 1e-12
 BIANCHI_BOUND = 1e-12
 TAYLOR2_BOUND = 1e-12
@@ -168,7 +175,7 @@ def test_cov_h_values_equal_the_jet_loop_bitwise(b) -> None:
                           (b.Ric, ())]:
         T = np.array(tensor, dtype=object)
         got = b.cov_h(T, slots)
-        want = CurvatureBundle._values(b._cov_h_jets(T, slots))
+        want = np.vectorize(lambda u: u.value, otypes=[float])(b._cov_h_jets(T, slots))
         assert got.shape == want.shape == T.shape + (b.dim,)
         assert np.array_equal(got, want), slots
 
@@ -883,8 +890,8 @@ def test_jet_matrix_inverse_of_a_stack_equals_point_inverses(centers) -> None:
         return m
 
     block = np.array(centers)
-    got = jets.jet_matrix_inverse(matrix(block))
-    want = [jets.jet_matrix_inverse(matrix(tuple(c))) for c in block]
+    got = jet_inverse(matrix(block))
+    want = [jet_inverse(matrix(tuple(c))) for c in block]
     for idx in np.ndindex(2, 2):
         assert _rows_equal(got[idx], [w[idx] for w in want])
 
@@ -1226,9 +1233,11 @@ def test_stacked_inverse_and_metric_spray_equal_the_component_loops(
     n, terms, e, block = case
     metric = metric_expression(n, terms, e)
     p = block if at_block else block[0]
-    Lj, g, _ = geometry._fundamental_jets(metric, p, order, TOL)
-    w = jets.jet_matrix_inverse(g)
-    assert same_jets(w, loop_inverse(g))
+    Lj, (sp, g), _ = geometry._fundamental_jets(metric, p, order, TOL)
+    w = np.array(geometry._unstack(sp, Lj.center, jets.jet_matrix_inverse(sp, g), 2),
+                 dtype=object)
+    assert same_jets(w, loop_inverse(np.array(geometry._unstack(sp, Lj.center, g, 2),
+                                              dtype=object)))
     ys = geometry._var_jets(n, p, order)[n:]
     v = []
     for l in range(n):
@@ -1244,6 +1253,128 @@ def test_stacked_inverse_and_metric_spray_equal_the_component_loops(
             acc = acc + w[i, l] * v[l]
         want.append(0.25 * acc)
     assert same_jets(geometry.spray_from_metric(metric, p, order), want)
+
+
+# references for the order-0 products, the one-gather derivatives and the
+# tensors read off the R stack: the code they replaced
+
+# one nan: numpy's multiply gives either operand of a product of two nans,
+# by the loop it takes for the layout and length, in the kernel as well
+SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+
+
+def special_stack(shape: tuple, rng: np.random.Generator) -> np.ndarray:
+    """Standard normals, each entry +-0.0, +-inf or nan with probability
+    0.4."""
+    x = rng.standard_normal(shape)
+    odd = rng.random(shape) < 0.4
+    x[odd] = rng.choice(SPECIALS, size=shape)[odd]
+    return x
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from([2, 4, 6, 8]), st.integers(1, 6), st.sampled_from([0, 1, 16, 17]),
+       st.sampled_from([1, 5]), st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_order_0_products_have_the_kernel_bytes(nvars, k, rows, width, broadcast,
+                                                 strided, seed) -> None:
+    """`stacked_product` and `contract` over an order-0 space skip the
+    kernel: every entry, +-0.0, inf and nan included, has the bytes of its
+    own `_mul_coeffs` call, and the result is C-contiguous.  Operands may
+    hold more coefficients than T = 1, broadcast, and be laid out in
+    Fortran order."""
+    sp = jets.space(nvars, 0)
+    rng = np.random.default_rng(seed)
+    tail = ((rows,) if rows else ())
+    a = special_stack((1 if broadcast else k,) + tail + (width,), rng)
+    b = special_stack((k,) + tail + (width,), rng)
+    if strided:  # the same entries, laid out in Fortran order
+        a, b = np.asfortranarray(a), np.asfortranarray(b)
+    with np.errstate(invalid="ignore"):
+        got = jets.stacked_product(sp, a, b)
+        want = np.array([jets._mul_coeffs(sp, a[0 if broadcast else c, ..., :1],
+                                          b[c, ..., :1]) for c in range(k)])
+        acc = jets.contract(sp, a, b)
+    assert got.shape == want.shape and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+    summed = want[0]
+    for c in range(1, k):
+        summed = summed + want[c]
+    assert acc.tobytes() == summed.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from([2, 4, 6]), st.integers(1, 4), st.sampled_from([(), (3,), (2, 3)]),
+       st.sampled_from([0, 1, 5]), st.data(), st.integers(0, 2**32 - 1))
+def test_one_gather_derivatives_equal_the_stacked_diff_coeffs(nvars, order, lead, rows,
+                                                               data, seed) -> None:
+    """At points and blocks, for any sequence of variables, repeats included."""
+    sp = jets.space(nvars, order)
+    vs = data.draw(st.lists(st.integers(0, nvars - 1), min_size=1, max_size=nvars + 1))
+    c = special_stack(lead + ((rows,) if rows else ()) + (sp.T,),
+                      np.random.default_rng(seed))
+    tail = 2 if rows else 1
+    with np.errstate(invalid="ignore"):
+        got = geometry._derivatives(sp, c, vs, tail)
+        want = np.stack([jets.diff_coeffs(sp, c, v) for v in vs], axis=c.ndim - tail)
+    assert got.shape == want.shape and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
+def loop_y_stack(n: int, pa: np.ndarray, sp: jets.JetSpace) -> np.ndarray:
+    center = pa if pa.ndim == 2 else tuple(pa)
+    return np.array([sp.variable(n + i, center).coeffs for i in range(n)])
+
+
+def loop_values(obj) -> np.ndarray:
+    """The value parts of an array of jets, block axis first, C-contiguous."""
+    arr = np.asarray(obj, dtype=object)
+    vals = [u.value for u in arr.ravel()]
+    if vals and not isinstance(vals[0], float):
+        return np.ascontiguousarray(
+            np.moveaxis(np.array(vals), -1, 0).reshape(vals[0].shape + arr.shape))
+    return np.array(vals, dtype=float).reshape(arr.shape)
+
+
+def loop_split(b) -> tuple:
+    """Ric by adding the jets of R, the curvature scalar, and the scalar
+    split with tau from `loop_tau`, its residual from their values."""
+    n = b.dim
+    R = b.R
+    ric = R[0][0]
+    for i in range(1, n):
+        ric = ric + R[i][i]
+    Rj = (1.0 / (n - 1)) * ric
+    tau = loop_tau(b)
+    tau_vals = loop_values(tau)
+    recon = (np.multiply.outer(Rj.value, np.eye(n))
+             - b.yvals[..., :, None] * tau_vals[..., None, :])
+    residual = np.max(np.abs(loop_values(R) - recon), axis=(-2, -1))
+    return ric, Rj, tau, residual
+
+
+@PROPERTY_SETTINGS
+@given(sprays_at_blocks(), st.sampled_from([2, 3, 4]), st.booleans())
+def test_Ric_split_and_values_read_off_the_stacks_equal_the_jet_code(
+        case, order, at_block) -> None:
+    """Ric, the curvature scalar, the split and the value views of G, chi
+    and R_.i, at a block bundle and at the bundle of its first point, and
+    the y stack at each order below the bundle's."""
+    spray, block = case
+    b = CurvatureBundle(spray, block if at_block else block[0], order)
+    ric, Rj, tau, residual = loop_split(b)
+    assert same_jets([b.Ric, b.curvature_scalar], [ric, Rj])
+    got = b.splits
+    assert same_jets([got[0]] + got[1], [Rj] + tau)
+    assert np.asarray(got[2]).tobytes() == np.asarray(residual).tobytes()
+    assert b.G_values.tobytes() == loop_values(b.G).tobytes()
+    if order >= 3:  # R is of order 1 or more
+        assert b.rdot_values.tobytes() == loop_values(
+            [Rj.dy(i) for i in range(b.dim)]).tobytes()
+        assert b.chi_values.tobytes() == loop_values(b.chi).tobytes()
+    for k in range(order + 1):
+        sp = jets.space(2 * b.dim, k)
+        assert (geometry._y_stack(b.dim, b._pa, sp).tobytes()
+                == loop_y_stack(b.dim, b._pa, sp).tobytes())
 
 
 # -- prefix property of truncation --------------------------------------------
@@ -1332,11 +1463,11 @@ def test_truncated_jet_matrix_inverse_equals_lower_order_inverse_bytewise(
         return m
 
     try:
-        high = jets.jet_matrix_inverse(matrix(high_order))
+        high = jet_inverse(matrix(high_order))
     except (DomainError, ArithmeticError):
         assume(False)
     assume(all(bool(np.all(np.isfinite(u.coeffs))) for u in high.ravel()))
-    low = jets.jet_matrix_inverse(matrix(low_order))
+    low = jet_inverse(matrix(low_order))
     for idx in np.ndindex(2, 2):
         assert same_bytes(high[idx], low[idx])
 

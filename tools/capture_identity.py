@@ -23,6 +23,12 @@ iff every captured output is.  It writes, as one JSON object:
   samples;
 - `recover` and `highdim`: the outcome of every job of those benchmark
   workloads at seed 7 (verdicts, metric reads, CLI JSON);
+- `point_bundles`: per fixture at seeds 3 and 11, at 8 fresh points
+  taken one at a time, the point bundle of orders 2, 3 and 4: every
+  coefficient of G, N, Gamma, R and Ric, the scalar split (R, tau,
+  residual) and `split_holds`; and, on ex7.1, elliptic2 and ex7.3, the
+  value of the metric `decide` recovers at each of those points, read
+  one point at a time;
 - `metric_sprays`: every coefficient of `spray_from_metric` at orders 0
   and 2, at 16 sample points one at a time and then at the block of all
   16, for the elliptic2 metric and for the metrics that `decide` recovers
@@ -188,6 +194,57 @@ def job_outcomes(make_jobs, workdir: Path) -> dict:
             out[job.label] = {"exit": code, "json": sha(payload)}
         else:
             out[job.label] = enc(result)
+    return out
+
+
+POINT_BUNDLE_ORDERS = (2, 3, 4)
+POINT_BUNDLE_POINTS = 8
+RECOVERED = ("ex7.1", "elliptic2", "ex7.3")
+
+
+def attempt(fn):
+    """fn() encoded, or the type and text of the error it raises."""
+    try:
+        return enc(fn())
+    except Exception as exc:  # an error is an outcome too
+        return {"error": f"{type(exc).__name__}: {exc}"}
+
+
+def coefficients(tensor):
+    """The coefficients of a jet or of nested lists of jets."""
+    if isinstance(tensor, list):
+        return [coefficients(u) for u in tensor]
+    return tensor.coeffs
+
+
+def point_bundles() -> dict:
+    out = {}
+    for seed in SEEDS:
+        for name in corpus.fixture_names():
+            fixture = corpus.load_fixture(name)
+            spray_obj = fixture.build()
+            # a seed stream the classification never samples from
+            pts = sampling.sample_points(
+                spray_obj.dim, count=POINT_BUNDLE_POINTS, seed=seed + 500,
+                box=fixture.box,
+                accept=lambda pt: all(g > 1e-6 for g in spray_obj.guard_values(pt))
+            ).points()
+            for order in POINT_BUNDLE_ORDERS:
+                rows = []
+                for pt in pts:
+                    b = geometry.CurvatureBundle(spray_obj, pt, order)
+                    rows.append({
+                        key: attempt(lambda key=key: coefficients(getattr(b, key)))
+                        for key in ("G", "N", "Gamma", "R", "Ric")})
+                    rows[-1]["split"] = attempt(lambda: [
+                        b.split[0].coeffs, coefficients(b.split[1]), b.split[2],
+                        geometry.split_holds(b)])
+                out[f"{name} seed {seed} order {order}"] = rows
+            if name in RECOVERED:
+                v = metrize.decide(spray_obj, count=fixture.count, seed=seed,
+                                   box=fixture.box)
+                out[f"{name} seed {seed} reads"] = [
+                    attempt(lambda pt=pt: v.recovered_metric.value(pt)) for pt in pts]
     return out
 
 
@@ -429,6 +486,7 @@ def main(argv: list) -> int:
             record["highdim"] = job_outcomes(workloads.highdim_jobs, highdim)
         finally:
             os.chdir(here)
+        record["point_bundles"] = point_bundles()
         record["metric_sprays"] = metric_sprays()
         record["errors"] = failure_paths(workdir)
     target.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
