@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -510,7 +511,9 @@ def _config(args, input_value: str = "") -> RunConfig:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built once per process: a parse leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="spraylab",
         description="curvature classification and metrizability decisions "

@@ -218,9 +218,10 @@ def _chk_delta_expr(fx, spray, verdict, rep, chk, tol):
         raise SprayLabError("delta_expr check needs one expression per axis")
     rel = float(chk.get("rel", 0.0))
     atol = float(chk.get("atol", tol.abs))
+    delta = geometry.RowReader(lambda b: b.cov_h(b.curvature_scalar, ()))
     worst, exceeded = _compare(
-        ((got, want_of[i](pt)) for pt, b, dec in rep.triples
-         for i, got in enumerate(b.cov_h(dec.R_jet, ()).tolist())),
+        ((got, want_of[i](pt)) for pt, b, _ in rep.triples
+         for i, got in enumerate(delta(b).tolist())),
         atol, rel)
     bad = []
     if exceeded > 0.0:

@@ -25,8 +25,8 @@ exhausting it raises OrderError rather than returning a wrong value.
 
 A covariant derivative at a point needs only the 1-jets of the tensor and
 the values of N and Gamma, so `cov_h` returns values and builds no jets.
-The jet-level loop `_cov_h_jets` stays for `delta_scalar`, whose results
-are differentiated again and so need the higher coefficients.
+`delta_scalar` returns jets, whose higher coefficients omega = delta R / R
+reads, from one stacked product of N with the scalar's y-gradient.
 
 A bundle may also be built at a (B, 2n) block of points: its jets then
 carry a leading block axis (see `jets`), its value views and `cov_h`
@@ -624,8 +624,16 @@ class CurvatureBundle:
     # ---- derivatives
 
     def delta_scalar(self, S) -> list:
-        """Horizontal derivatives delta_j S of a scalar jet, as jets."""
-        return list(self._cov_h_jets(S, ()))
+        """delta_j S = d_j S - N^r_j dot_r S of a scalar jet, as jets that
+        view one (n, [B,] T) stack: one stacked product, N the left factor,
+        subtracted from r = 0 up as acc + -p, as `Jet.__sub__` does it."""
+        n, tail = self.dim, S.coeffs.ndim
+        sp = jets.space(2 * n, min(S.order - 1, self._N_stack[0].order))
+        acc = _dxs(S.space, S.coeffs, n, tail)[..., :sp.T]
+        dS = _dys(S.space, S.coeffs, n, tail)
+        for p in jets.stacked_product(sp, self._N_stack[1], dS[:, None]):  # [r][j]
+            acc = acc + -p
+        return _unstack(sp, S.center, acc, 1)
 
     def cov_h(self, T, slots: tuple) -> np.ndarray:
         """Values of the horizontal covariant derivative of a jet tensor.
@@ -633,9 +641,10 @@ class CurvatureBundle:
         `T` is an object array of jets (0-d for scalars); `slots` marks each
         axis 'u' or 'd'.  The result is a float array with one extra trailing
         'd' axis.  Only the 1-jets of T's entries and the values of N and
-        Gamma enter, combined elementwise in the order of `_cov_h_jets`, so
-        each value equals that jet's value bit for bit, up to the sign of a
-        zero.  A block bundle puts its block axis first.
+        Gamma enter, combined elementwise in the order of the jet loop (d_j
+        T - N^r_j dot_r T, then the Gamma terms slot by slot), so each value
+        equals that jet's value bit for bit, up to the sign of a zero.  A
+        block bundle puts its block axis first.
         """
         T = np.asarray(T, dtype=object)
         if T.ndim != len(slots):
@@ -664,35 +673,6 @@ class CurvatureBundle:
                 else:
                     out = out - Gam[:, r].reshape(shape) * swapped
         return out if self._pa.ndim == 2 else out[0]
-
-    def _cov_h_jets(self, T, slots: tuple) -> np.ndarray:
-        """Horizontal covariant derivative of a jet tensor, as jets.
-
-        The reference for `cov_h`, and the path for chains of derivatives,
-        which need the higher coefficients.  Returns an object array shaped
-        like `cov_h`'s result.
-        """
-        T = np.asarray(T, dtype=object)
-        if T.ndim != len(slots):
-            raise ValueError("slot list does not match tensor rank")
-        n = self.dim
-        out = np.empty(T.shape + (n,), dtype=object)
-        for idx in np.ndindex(*T.shape):
-            base = T[idx]
-            for j in range(n):
-                acc = base.dx(j)
-                for r in range(n):
-                    acc = acc - self.N[r][j] * base.dy(r)
-                for a, s in enumerate(slots):
-                    ia = idx[a]
-                    for r in range(n):
-                        swapped = idx[:a] + (r,) + idx[a + 1:]
-                        if s == "u":
-                            acc = acc + self.Gamma[ia][r][j] * T[swapped]
-                        else:
-                            acc = acc - self.Gamma[r][ia][j] * T[swapped]
-                out[idx + (j,)] = acc
-        return out
 
     # ---- value views
 

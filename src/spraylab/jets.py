@@ -760,24 +760,6 @@ def first_order(entries: Sequence[Jet], like: Jet) -> np.ndarray:
     return out
 
 
-def quotients(nums: Sequence[Jet], den: Jet) -> list[Jet]:
-    """[u / den for u in nums] with one reciprocal of `den` per order.
-
-    u / den is u * den.reciprocal() once both are truncated to the lower
-    of their orders, so each quotient has those bits; a value part of
-    `den` at the floor raises the DomainError of `reciprocal` before any
-    product is taken.
-    """
-    inverse: dict[int, Jet] = {}
-    out = []
-    for u in nums:
-        k = min(u.order, den.order)
-        if k not in inverse:
-            inverse[k] = den.truncated(k).reciprocal()
-        out.append(u * inverse[k])
-    return out
-
-
 def _eval_float(fn: Callable, p: Sequence[float]) -> float:
     try:
         out = fn(list(map(float, p)))

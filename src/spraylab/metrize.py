@@ -30,9 +30,11 @@ the classification builds: `finsler_check` takes one 2-jet per block,
 `metric_spray_residuals` one jet of L, one `cov_h` and one induced spray
 per block bundle, and the recovered candidates (`CurvatureMetric`,
 `ScaledCurvatureMetric`) take a jet at a block off the report's block
-bundle.  Every row equals its sample alone, bit for bit.  A block that
-raises follows `classify.rowwise` (`finsler_check`, the quadrature's
-nodes) or `geometry.RowReader` (`metric_spray_residuals`).
+bundle, and the quotients omega = delta R / R and t = tau / R are one
+reciprocal and one stacked product per block bundle.  Every row equals
+its sample alone, bit for bit.  A block that raises follows
+`classify.rowwise` (`finsler_check`, the quadrature's nodes) or
+`geometry.RowReader` (`metric_spray_residuals`, the quotients).
 """
 
 from __future__ import annotations
@@ -377,7 +379,7 @@ class ScaledCurvatureMetric:
     def _jet_at(self, b, order: int):
         n = self.dim
         Rj = b.curvature_scalar.truncated(max(order, 1))
-        om = jets.quotients(b.delta_scalar(Rj), Rj)
+        om = _divided(Rj, b.delta_scalar(Rj), 0.0)[1]
         osp = om[0].space
         msp = jets.space(2 * n, order)
         coeffs = np.zeros(Rj.coeffs.shape[:-1] + (msp.T,))
@@ -544,6 +546,42 @@ def _certified(L, report: classify.ClassificationReport, fc: FinslerCheck,
                    omega=omega, bases=report.bases, evidence=ev)
 
 
+def _divided(Rj, nums: list, floor: float) -> tuple:
+    """(rows, jets): the mask of the rows (one at a point) whose |R|, Rj's
+    value, is not under `floor`, a nan included, and u / R for the jets u
+    of `nums`, of one space: one reciprocal and one stacked product, u the
+    left factor.  The other rows are divided by 1, so none of them raises."""
+    sp = nums[0].space
+    rows = ~(np.abs(Rj.coeffs[..., 0]) < floor)
+    R = np.where(rows[..., None], Rj.coeffs[..., :sp.T], sp.constant(1.0, Rj.center).coeffs)
+    inv = jets.Jet(sp, Rj.center, R).reciprocal()
+    q = jets.stacked_product(sp, np.array([u.coeffs for u in nums]), inv.coeffs)
+    return np.reshape(rows, -1), geometry._unstack(sp, Rj.center, q, 1)
+
+
+def _first_orders(rows, q: list) -> list:
+    """Per row: None off the mask `rows`, else [u, d_0 u, ...] for u in `q`."""
+    J = np.moveaxis(jets.first_order(q, q[0]).reshape(len(q), len(rows), -1), 1, 0)
+    return [j if used else None for j, used in zip(J.tolist(), rows)]
+
+
+def _omega_rows(b, floor: float):
+    """`_first_orders` of omega = delta R / R, one per row at a block."""
+    Rj = b.splits[0]
+    out = _first_orders(*_divided(Rj, b.delta_scalar(Rj), floor))
+    return out if b.point is None else out[0]
+
+
+def _t_rows(b, floor: float):
+    """None, or (`_first_orders` of t = tau / R, max |t_{i;j}|), from the
+    bundle's split and one `cov_h`, per row as for `_omega_rows`."""
+    Rj, tau, _ = b.splits
+    rows, t = _divided(Rj, tau, floor)
+    cov = np.max(np.abs(b.cov_h(np.array(t, dtype=object), ("d",)).reshape(len(rows), -1)), 1)
+    out = [None if J is None else (J, c) for J, c in zip(_first_orders(rows, t), cov.tolist())]
+    return out if b.point is None else out[0]
+
+
 # -- decision procedures -------------------------------------------------------
 
 
@@ -584,25 +622,25 @@ def verdict_isotropic(spray, report: classify.ClassificationReport,
     if not fc.holds:
         return _not_finsler(samples, "R is not a Finsler metric", fc, tol)
 
-    # the omega stage: jets of delta_i R / R at every sample whose R value
-    # is safely divisible
+    # the omega stage: delta_i R / R at every sample where R is divisible
     floor = max(tol.abs, 1e-6 * max_R)
     m = samples.ys.shape[1]
     om_vals = np.full((len(triples), n), np.nan)
     y_dep = 0.0
     curl = 0.0
     om_scale = 1.0
-    for i, (pt, b, dec) in enumerate(triples):
-        if abs(dec.R) < floor:
+    omega_at = geometry.RowReader(_omega_rows, floor)
+    for i, (_, b, _) in enumerate(triples):
+        om = omega_at(b)  # om[a] = [omega_a, its d_x..., its d_y...], or None
+        if om is None:
             continue
-        om = jets.quotients(b.delta_scalar(dec.R_jet), dec.R_jet)
-        om_vals[i] = [o.value for o in om]
+        om_vals[i] = [o[0] for o in om]
         om_scale = max(om_scale, float(np.max(np.abs(om_vals[i]))))
         for a in range(n):
             for j in range(n):
-                y_dep = max(y_dep, abs(om[a].dy(j).value))
+                y_dep = max(y_dep, abs(om[a][n + 1 + j]))
             for j in range(a + 1, n):
-                curl = max(curl, abs(om[a].dx(j).value - om[j].dx(a).value))
+                curl = max(curl, abs(om[a][1 + j] - om[j][1 + a]))
     # per base: the spread of omega across its tangents, and their mean
     base_omega = np.empty((samples.bases.shape[0], n))
     for bidx in range(samples.bases.shape[0]):
@@ -704,21 +742,17 @@ def nonmetrizable_scalar(spray, report: classify.ClassificationReport,
     floor = max(tol.abs, 1e-2 * max_R)
     worst = 0.0
     t_scale = 1.0
-    used = 0
-    for pt, b, dec in triples:
-        if abs(dec.R) < floor:
-            continue
-        used += 1
-        t = jets.quotients(dec.tau_jets, dec.R_jet)
-        t_scale = max(t_scale, max(abs(ti.value) for ti in t))
-        cov = b.cov_h(np.array(t, dtype=object), ("d",))
-        worst = max(worst, float(np.max(np.abs(cov))))
+    t_at = geometry.RowReader(_t_rows, floor)
+    rows = [row for row in (t_at(b) for _, b, _ in triples) if row is not None]
+    for t, cov in rows:
+        t_scale = max(t_scale, max(abs(ti[0]) for ti in t))
+        worst = max(worst, cov)
         for i in range(n):
             for j in range(i + 1, n):
-                worst = max(worst, abs(t[i].dy(j).value - t[j].dy(i).value))
+                worst = max(worst, abs(t[i][n + 1 + j] - t[j][n + 1 + i]))
     return decided(worst > 10.0 * (tol.abs + tol.rel * t_scale),
                    "tau/R fails covariant-constancy or vertical symmetry",
-                   worst, quotient_residual=worst, samples_used=used)
+                   worst, quotient_residual=worst, samples_used=len(rows))
 
 
 def projective_shift(metric, c: float, count: int = 64, seed: int = 7,

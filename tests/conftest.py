@@ -32,6 +32,34 @@ def jet_inverse(m: np.ndarray) -> np.ndarray:
     return out
 
 
+def cov_h_jets(b, T, slots: tuple) -> np.ndarray:
+    """The horizontal covariant derivative of a jet tensor at the bundle
+    b, as jets, by the loop over jets that `cov_h` and
+    `CurvatureBundle.delta_scalar` replaced: an object array shaped like
+    `cov_h`'s result."""
+    T = np.asarray(T, dtype=object)
+    if T.ndim != len(slots):
+        raise ValueError("slot list does not match tensor rank")
+    n = b.dim
+    out = np.empty(T.shape + (n,), dtype=object)
+    for idx in np.ndindex(*T.shape):
+        base = T[idx]
+        for j in range(n):
+            acc = base.dx(j)
+            for r in range(n):
+                acc = acc - b.N[r][j] * base.dy(r)
+            for a, s in enumerate(slots):
+                ia = idx[a]
+                for r in range(n):
+                    swapped = idx[:a] + (r,) + idx[a + 1:]
+                    if s == "u":
+                        acc = acc + b.Gamma[ia][r][j] * T[swapped]
+                    else:
+                        acc = acc - b.Gamma[r][ia][j] * T[swapped]
+            out[idx + (j,)] = acc
+    return out
+
+
 @pytest.fixture
 def tally(monkeypatch):
     """Count sample draws, bundle builds, scalar splits and quadratures.

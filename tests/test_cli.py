@@ -379,6 +379,26 @@ def test_help_and_usage_exit_codes(capsys):
     capsys.readouterr()
 
 
+def test_one_parser_serves_every_call_of_main(tmp_path, capsys):
+    # the parser is built once per process, so nothing one call parses may
+    # reach the next: a --const, then none; a bad argv and --help keep
+    # their exit codes in between
+    assert cli._build_parser() is cli._build_parser()
+    code, data = run(["classify", "ex7.3", "--points", "6", "--const", "c=3"],
+                     tmp_path)
+    assert code == 0 and data["config"]["consts"] == {"c": 3.0}
+    code, data = run(["classify", "ex7.3", "--points", "6"], tmp_path, "b.json")
+    assert code == 0 and data["config"]["consts"] == {}
+    assert data["fixture"]["compared"] is True
+    assert cli.main(["classify", "ex7.3", "--points", "six"]) == 1
+    assert cli.main(["--help"]) == 0
+    assert cli.main(["classify", "--help"]) == 0
+    capsys.readouterr()
+    code, data = run(["classify", "ex7.3", "--points", "6"], tmp_path, "c.json")
+    assert code == 0 and data["config"]["consts"] == {}
+    assert data["config"]["points"] == 6 and data["fixture"]["compared"] is True
+
+
 def test_order_below_minimum_is_rejected_up_front(tmp_path, capsys):
     # order 3 leaves the curvature 3-tensor at order 0, so the survey could
     # not differentiate it; the config is refused before any work is done

@@ -907,47 +907,54 @@ def test_decide_nonscalar() -> None:
     assert v.rule == "not of scalar curvature"
 
 
-def test_divisions_by_R_take_one_reciprocal_per_sample(monkeypatch) -> None:
-    # the n quotients delta_i R / R of the omega stage and of the scaled
-    # candidate's jets, and tau_i / R of the scalar route, share one
-    # reciprocal of R per sample (per block, for the candidate's jets)
+def test_divisions_by_R_take_one_reciprocal_per_block(monkeypatch) -> None:
+    # the n quotients delta_i R / R of the omega stage and tau_i / R of the
+    # scalar route share one reciprocal of R per block of samples, and so
+    # do those of the scaled candidate's jets per call
     recips, uses = Counter(), Counter()
     reciprocal = jets.Jet.reciprocal
     delta_scalar = geometry.CurvatureBundle.delta_scalar
+    stages = ("_omega_rows", "_t_rows", "_jet_at")
 
-    def caller() -> str:
-        # the innermost metrize function below the counting wrapper, a
-        # comprehension's frame counted as its function's
+    def stage() -> str:
+        # the innermost of `stages` that the call runs in
         f = sys._getframe(2)
-        while f is not None and (f.f_code.co_filename != metrize.__file__
-                                 or f.f_code.co_name.startswith("<")):
+        while f is not None and not (f.f_code.co_filename == metrize.__file__
+                                     and f.f_code.co_name in stages):
             f = f.f_back
         return f.f_code.co_name if f is not None else ""
 
     def counting_reciprocal(u):
-        recips[caller()] += 1
+        recips[stage()] += 1
         return reciprocal(u)
 
     def counting_delta_scalar(b, S):
-        uses[caller()] += 1
+        uses[stage()] += 1
         return delta_scalar(b, S)
 
     monkeypatch.setattr(jets.Jet, "reciprocal", counting_reciprocal)
     monkeypatch.setattr(geometry.CurvatureBundle, "delta_scalar",
                         counting_delta_scalar)
-    for name, rule in (("ex7.1", "omega exact; L = R/lambda"),
-                       ("cms19", "scalar non-metrizability tests passed; "
-                                 "the conditions are sufficient only")):
+    for name, rule, run in (("ex7.1", "omega exact; L = R/lambda", "_omega_rows"),
+                            ("cms19", "scalar non-metrizability tests passed; "
+                                      "the conditions are sufficient only", "_t_rows")):
         fx = corpus.load_fixture(name)
-        v = metrize.decide(fx.build(), count=64, seed=7, box=fx.box)
-        assert v.rule == rule
-    # one delta_scalar per used sample of the omega stage, and per call
-    # of the candidate's jets
-    assert uses["verdict_isotropic"] > 0 and uses["_jet_at"] > 0
-    assert recips["verdict_isotropic"] == uses["verdict_isotropic"]
-    assert recips["_jet_at"] == uses["_jet_at"]
-    assert v.evidence["samples_used"] > 0
-    assert recips["nonmetrizable_scalar"] == v.evidence["samples_used"]
+        spray = fx.build()
+        for count in (64, 300):  # one block of samples, and three
+            rep = classify.classify_spray(spray, count=count, seed=7, box=fx.box)
+            blocks = len(classify.blocks(rep.samples.points()))
+            assert blocks == (1 if count == 64 else 3)
+            recips.clear()
+            uses.clear()
+            v = metrize.route(spray, rep)
+            assert v.rule == rule
+            assert recips[run] == blocks
+            if run == "_omega_rows":
+                assert uses[run] == blocks
+                assert uses["_jet_at"] > 0
+                assert recips["_jet_at"] == uses["_jet_at"]
+            else:
+                assert v.evidence["samples_used"] > 0
 
 
 # -- projective_shift -----------------------------------------------------------

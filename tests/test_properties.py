@@ -65,7 +65,13 @@ and Ric, the curvature scalar, the split, the value views and the y stack,
 read off the stacks, equal the jet code they replaced.  Order-0 stacked
 products, which skip the kernel, have its bytes on operands with +-0.0,
 inf and nan, and a derivative stack taken in one gather has the bytes of
-the separate derivatives.
+the separate derivatives.  `delta_scalar`, one stacked product, has the
+bytes of the loop over jets it replaced (`conftest.cov_h_jets`) at points
+and blocks in dims 2 to 4, and the omega and t stages of the verdicts,
+once per block, give each sample what their loops over samples gave
+(`float.hex` for `float.hex`, which drops the sign of a nan): on
+poisoned blocks and on blocks where R is 0.0 at some rows, at floors that
+skip no row, some rows or every row, and at blocks whose stage raises.
 
 The prefix tests check that truncation is exact: a jet taken at order K
 and truncated to order k, with 1 <= k < K, equals the order-k jet byte for
@@ -108,6 +114,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import struct
+import types
 
 import numpy as np
 import pytest
@@ -120,7 +127,7 @@ from spraylab.errors import DomainError, SprayLabError
 from spraylab.geometry import CurvatureBundle
 from spraylab.sampling import TOL
 
-from conftest import jet_inverse
+from conftest import cov_h_jets, jet_inverse
 
 CONTRACTION_BOUND = 1e-12
 BIANCHI_BOUND = 1e-12
@@ -175,7 +182,7 @@ def test_cov_h_values_equal_the_jet_loop_bitwise(b) -> None:
                           (b.Ric, ())]:
         T = np.array(tensor, dtype=object)
         got = b.cov_h(T, slots)
-        want = np.vectorize(lambda u: u.value, otypes=[float])(b._cov_h_jets(T, slots))
+        want = np.vectorize(lambda u: u.value, otypes=[float])(cov_h_jets(b, T, slots))
         assert got.shape == want.shape == T.shape + (b.dim,)
         assert np.array_equal(got, want), slots
 
@@ -1294,11 +1301,11 @@ def test_order_0_products_have_the_kernel_bytes(nvars, k, rows, width, broadcast
         want = np.array([jets._mul_coeffs(sp, a[0 if broadcast else c, ..., :1],
                                           b[c, ..., :1]) for c in range(k)])
         acc = jets.contract(sp, a, b)
+        summed = want[0]
+        for c in range(1, k):
+            summed = summed + want[c]
     assert got.shape == want.shape and got.flags.c_contiguous
     assert got.tobytes() == want.tobytes()
-    summed = want[0]
-    for c in range(1, k):
-        summed = summed + want[c]
     assert acc.tobytes() == summed.tobytes()
 
 
@@ -1375,6 +1382,150 @@ def test_Ric_split_and_values_read_off_the_stacks_equal_the_jet_code(
         sp = jets.space(2 * b.dim, k)
         assert (geometry._y_stack(b.dim, b._pa, sp).tobytes()
                 == loop_y_stack(b.dim, b._pa, sp).tobytes())
+
+
+# references for delta_scalar and the quotients by R: the jet loop
+# (`conftest.cov_h_jets`) and the omega and t stages' loops over samples
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(2, 4), st.integers(1, 3), st.integers(-2, 1), st.sampled_from([0, 1, 5]),
+       st.integers(0, 2**32 - 1))
+def test_stacked_delta_scalar_equals_the_jet_loop(n, order, shift, rows, seed) -> None:
+    """At a point and at a block, in dims 2 to 4, for a jet S of order 1
+    to 3 and an N of the order below S's, or one more or less: finite
+    coefficients with signed zeros."""
+    rng = np.random.default_rng(seed)
+    pa = rng.uniform(-1.0, 1.0, ((rows,) if rows else ()) + (2 * n,))
+    b = CurvatureBundle(types.SimpleNamespace(dim=n), pa, 4)
+    nsp = jets.space(2 * n, max(0, order - 1 + shift))
+    b.__dict__["_N_stack"] = (nsp, signed_zero_stack(nsp, (n, n) + pa.shape[:-1], rng))
+    sp = jets.space(2 * n, order)
+    S = jets.Jet(sp, b._center, signed_zero_stack(sp, pa.shape[:-1], rng))
+    got = b.delta_scalar(S)
+    assert all(u.coeffs.base is got[0].coeffs.base for u in got)  # one stack
+    assert same_jets(got, cov_h_jets(b, S, ()))
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(2, 3), st.integers(0, 3), st.sampled_from([0, 1, 5]),
+       st.integers(0, 2**32 - 1))
+def test_quotients_by_R_equal_the_jet_divisions(n, order, rows, seed) -> None:
+    """`metrize._divided` at a floor of 0.0, as the scaled candidate takes
+    it, gives each u / R, jet for jet, at a point and at a block, for
+    numerators of order 0 to 3 and an R one order above them."""
+    rng = np.random.default_rng(seed)
+    pa = rng.uniform(-1.0, 1.0, ((rows,) if rows else ()) + (2 * n,))
+    center = pa if rows else tuple(pa)
+    sp, rsp = jets.space(2 * n, order), jets.space(2 * n, order + 1)
+    R = jets.Jet(rsp, center, signed_zero_stack(rsp, pa.shape[:-1], rng))
+    R.coeffs[..., 0] = rng.choice([-1.0, 1.0], pa.shape[:-1]) * rng.uniform(0.5, 2.0, pa.shape[:-1])
+    nums = [jets.Jet(sp, center, signed_zero_stack(sp, pa.shape[:-1], rng)) for _ in range(n)]
+    divided, got = metrize._divided(R, nums, 0.0)
+    assert divided.all() and same_jets(got, [u / R for u in nums])
+
+
+def first_orders(u) -> list:
+    """[u, d_0 u, ..., d_{m-1} u], each derivative a `Jet.diff`."""
+    return [u.value] + [u.diff(v).value for v in range(u.space.nvars)]
+
+
+def loop_omega_rows(triples, floor: float) -> list:
+    """Per sample, what the omega stage read when it took one sample at a
+    time: None where |R| < floor, else `first_orders` of each delta_a R / R,
+    delta R from the jet loop."""
+    return [None if abs(dec.R) < floor else
+            [first_orders(d / dec.R_jet) for d in cov_h_jets(b, dec.R_jet, ())]
+            for _, b, dec in triples]
+
+
+def loop_t_rows(triples, floor: float) -> list:
+    """The same for the t stage: `first_orders` of each t_i = tau_i / R and
+    max |t_{i;j}|, from the sample's own `cov_h`."""
+    out = []
+    for _, b, dec in triples:
+        if abs(dec.R) < floor:
+            out.append(None)
+            continue
+        t = [u / dec.R_jet for u in dec.tau_jets]
+        cov = b.cov_h(np.array(t, dtype=object), ("d",))
+        out.append(([first_orders(u) for u in t], float(np.max(np.abs(cov)))))
+    return out
+
+
+@st.composite
+def vanishing_R_blocks(draw):
+    """(spray, block): G^i = x1 y1 y^i, whose R = (x1^2 - 1) y1^2 is 0.0
+    where y1 = 0, as it is at some rows of the block."""
+    n = draw(st.sampled_from([2, 3]))
+    src = f"dim {n}\n" + "".join(f"spray G{i} = x1*y1*y{i}\n" for i in range(1, n + 1))
+    rows = draw(st.integers(1, 5))
+    block = np.array(draw(st.lists(st.lists(st.floats(-1.0, 1.0), min_size=2 * n,
+                                            max_size=2 * n), min_size=rows, max_size=rows)))
+    # y2 away from 0, so that y is not where y1 = 0
+    block[:, n + 1] = np.where(np.abs(block[:, n + 1]) < 0.3, 0.5, block[:, n + 1])
+    block[draw(st.lists(st.booleans(), min_size=rows, max_size=rows)), n] = 0.0
+    return geometry.ExprSpray(dsl.parse(src)), block
+
+
+def hex_outcome(fn):
+    """fn()'s floats as `float.hex`, in nested lists, or its error.  A hex
+    keeps the sign of a zero and drops that of a nan: a product of two nans
+    has either one's sign, by the loop numpy takes (see SPECIALS), and no
+    reader of omega or t sees it."""
+    def as_hex(obj):
+        if isinstance(obj, (list, tuple)):
+            return [as_hex(o) for o in obj]
+        return obj if obj is None else float(obj).hex()
+
+    try:
+        return as_hex(fn())
+    except (SprayLabError, ArithmeticError) as exc:
+        return (type(exc), str(exc))
+
+
+@contextlib.contextmanager
+def failing_at_blocks(names):
+    """The bundle methods `names` raise at a block bundle, so that a stage
+    taken there falls back to the block's rows."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name in names:
+            def at_points(b, *args, _fn=getattr(CurvatureBundle, name)):
+                if b.point is None:
+                    raise SprayLabError("not at a block")
+                return _fn(b, *args)
+            mp.setattr(CurvatureBundle, name, at_points)
+        yield
+
+
+@settings(PROPERTY_SETTINGS, max_examples=150)
+@given(st.one_of(poisoned_blocks().map(lambda case: case[:2]), vanishing_R_blocks()),
+       st.sampled_from(["0", "row", "inf"]), st.integers(0, 4), st.booleans())
+def test_quotient_stages_equal_the_loops_over_samples(case, floor_kind, k, fails) -> None:
+    """The omega and t stages, read through a `geometry.RowReader` as the
+    verdicts read them, give each sample the `float.hex` of the loop over
+    samples they replaced, or raise its first error: on sprays with an
+    inf or nan at some rows, or with R = 0.0 at some, for a floor of 0.0
+    (every row divided), the |R| of a row (the rows under it skipped) or
+    inf (no row divided); with the block's stage failing, each row is
+    taken alone.  A block that succeeds takes one reciprocal of R."""
+    spray, block = case
+    with np.errstate(all="ignore"):
+        triples = tuple(classify.point_bundles(spray, samples_at(block)))
+        floor = {"0": 0.0, "row": abs(triples[k % len(triples)][2].R),
+                 "inf": np.inf}[floor_kind]
+        for stage, loop, names in ((metrize._omega_rows, loop_omega_rows, ["delta_scalar"]),
+                                   (metrize._t_rows, loop_t_rows, ["cov_h"])):
+            recips = []
+            reciprocal = jets.Jet.reciprocal
+            with pytest.MonkeyPatch.context() as mp, \
+                    failing_at_blocks(names if fails else []):
+                mp.setattr(jets.Jet, "reciprocal", lambda u: recips.append(u) or reciprocal(u))
+                read = geometry.RowReader(stage, floor)
+                got = hex_outcome(lambda: [read(b) for _, b, _ in triples])
+            assert got == hex_outcome(lambda: loop(triples, floor))
+            if not fails and isinstance(got, list):
+                assert [len(u.coeffs) for u in recips] == [len(block)]
 
 
 # -- prefix property of truncation --------------------------------------------

@@ -33,6 +33,12 @@ iff every captured output is.  It writes, as one JSON object:
   and 2, at 16 sample points one at a time and then at the block of all
   16, for the elliptic2 metric and for the metrics that `decide` recovers
   on ex7.1 and ex7.3, each at seeds 3 and 11;
+- `decision_stages`: per fixture at seeds 3 and 11, at each sample of its
+  classification at the command's default count, omega = delta R / R (each component's value and
+  first-order coefficients), and t = tau / R (its values, `cov_h` of t and
+  the y-derivatives of t), each quotient one `Jet` division at the
+  sample's bundle; and at each block bundle, every coefficient of
+  `delta_scalar` of its curvature scalar;
 - `errors`: what `point_bundles`, `finsler_check`, `metric_spray_residuals`,
   `LambdaField`, `agreement_report` and the `oracle` command give on
   inputs where a block of samples, nodes or points fails: the rows
@@ -335,6 +341,38 @@ spray G2 = 0
 """
 
 
+def first_orders(u) -> list:
+    return [u.value] + [u.diff(v).value for v in range(u.space.nvars)]
+
+
+def decision_stages() -> dict:
+    out = {}
+    for seed in SEEDS:
+        for name in corpus.fixture_names():
+            fixture = corpus.load_fixture(name)
+            rep = classify.classify_spray(fixture.build(), count=cli.RunConfig.points,
+                                          seed=seed, box=fixture.box)
+            rows = []
+            for _, b, dec in rep.triples:
+                def t_parts(b=b, dec=dec):
+                    t = [u / dec.R_jet for u in dec.tau_jets]
+                    n = len(t)
+                    return [[u.value for u in t],
+                            b.cov_h(np.array(t, dtype=object), ("d",)),
+                            [[u.dy(j).value for j in range(n)] for u in t]]
+                rows.append({
+                    "omega": attempt(lambda b=b, dec=dec: [
+                        first_orders(d / dec.R_jet) for d in b.delta_scalar(dec.R_jet)]),
+                    "t": attempt(t_parts)})
+            blocks = {id(b._block[0]): b._block[0] for _, b, _ in rep.triples
+                      if b._block is not None}
+            out[f"{name} seed {seed}"] = {"samples": rows, "blocks": [
+                attempt(lambda blk=blk: coefficients(
+                    blk.delta_scalar(blk.curvature_scalar)))
+                for blk in blocks.values()]}
+    return out
+
+
 def spray(src: str):
     return geometry.spray_of(dsl.parse(src))
 
@@ -488,6 +526,7 @@ def main(argv: list) -> int:
             os.chdir(here)
         record["point_bundles"] = point_bundles()
         record["metric_sprays"] = metric_sprays()
+        record["decision_stages"] = decision_stages()
         record["errors"] = failure_paths(workdir)
     target.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0
