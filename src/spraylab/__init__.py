@@ -11,9 +11,10 @@ Modules:
                carrier everything else is built on.
     dsl:       the small expression language .spray files are written in.
     geometry:  sprays, metrics, and the CurvatureBundle of tensors at a
-               point; spray_from_metric; covariant derivatives.
+               point or a block of points; spray_from_metric; covariant
+               derivatives.
     classify:  per-point curvature tests and the sampled ClassificationReport,
-               which keeps its samples and per-point curvature bundles.
+               which keeps its samples and their block curvature bundles.
     metrize:   decision procedures; route() hands a ClassificationReport to
                the sharpest rule its flags license, and decide() is
                classify_spray() followed by route().  A spray not of scalar

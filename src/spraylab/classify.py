@@ -13,19 +13,20 @@ with an x-dependent 2-form omega, so it consumes grouped samples rather
 than single points.  Every base's fit is judged against the largest defect
 over all bases, so the flag does not depend on the order of the bases.
 
-The samples are evaluated in blocks of BLOCK_ROWS (`point_bundles`), so a
-default sample set is one block.  Each class test (`is_isotropic`,
-`is_constant`, `is_berwald`, `_proportional`) is taken once per block: its
-arithmetic and max-abs reductions run over the block's rows, while each
-row's scale, tolerance test and self-check stay Python float code in
-sample order, so every row's answer has the bits of the test at its point
-alone.  A block that raises follows `rowwise`, and the self-check of the
-projective factor reads the block bundles through a `geometry.RowReader`.
+The samples are evaluated in blocks of BLOCK_ROWS (`block_bundles`), so a
+default sample set is one block, and the report holds each block's bundle
+and its rows' decompositions.  Each class test (`is_isotropic`,
+`is_constant`, `is_berwald`, `_proportional`) and the self-check of the
+projective factor is taken once per block: its arithmetic and max-abs
+reductions run over the block's rows, while each row's scale, tolerance
+test and self-check stay Python float code in sample order, so every row's
+answer has the bits of the test at its point alone.  Every consumer of a
+report's blocks runs per block, and a block that raises follows `rowwise`
+(`bundle_rows` for a stage run on a block bundle).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,9 @@ __all__ = [
     "euler_residual",
     "projective_isotropy_residual",
     "rowwise",
-    "point_bundles",
+    "bundle_rows",
+    "sample_rows",
+    "block_bundles",
     "classify_samples",
     "classify_spray",
 ]
@@ -69,27 +72,27 @@ class ConstantCheck(Check):
 
 @dataclass(frozen=True)
 class ScalarDecomposition:
-    """R^i_k = R delta^i_k - tau_k y^i at a point, with the jet handles the
-    downstream tests differentiate."""
+    """The values of R^i_k = R delta^i_k - tau_k y^i at a point; the jets
+    of R and tau are the bundle's `splits`."""
 
     R: float
     tau: np.ndarray
     residual: float
     holds: bool
-    R_jet: object
-    tau_jets: tuple
 
 
-def decompose_scalar(b, tol: Tolerances = TOL) -> ScalarDecomposition:
-    Rj, tau, residual = b.split
-    return ScalarDecomposition(
-        R=Rj.value,
-        tau=np.array([t.value for t in tau]),
-        residual=residual,
-        holds=geometry.split_holds(b, tol),
-        R_jet=Rj,
-        tau_jets=tuple(tau),
-    )
+def decompose_scalar(b, tol: Tolerances = TOL):
+    """The bundle's ScalarDecomposition, or at a block bundle one per row,
+    read off its `splits` and `split_holds`, with R and the residual as
+    Python floats at both."""
+    Rj, tau, residual = b.splits
+    holds = geometry.split_holds(b, tol)
+    if b.point is not None:
+        return ScalarDecomposition(R=Rj.value, tau=np.array([t.value for t in tau]),
+                                   residual=float(residual), holds=holds)
+    taus = geometry._stack_values(np.array([t.coeffs for t in tau]), 1)
+    return [ScalarDecomposition(R=R, tau=t, residual=res, holds=h)
+            for R, t, res, h in zip(Rj.value.tolist(), taus, residual.tolist(), holds)]
 
 
 def _rows(dec, bundle) -> list:
@@ -310,8 +313,9 @@ _CHART_NOTE = (
 class ClassificationReport:
     """Aggregated flags plus everything the classification computed them from.
 
-    `triples` holds one (point, CurvatureBundle, ScalarDecomposition) per
-    sample, in `samples.points()` order; the verdicts, the CLI survey and
+    `blocks` holds one (points, block CurvatureBundle, its rows'
+    ScalarDecompositions) per block of `blocks(samples.points())`, in
+    sample order (see `block_bundles`); the verdicts, the CLI survey and
     the corpus checks read them instead of drawing and building again, and
     the verdicts take their preconditions from `flags`.
     `omega[b]` is the antisymmetrized weak-isotropy fit at `samples.bases[b]`;
@@ -324,7 +328,7 @@ class ClassificationReport:
     omega: np.ndarray | None
     notes: tuple
     samples: SampleSet
-    triples: tuple
+    blocks: tuple
 
     @property
     def count(self) -> int:
@@ -335,7 +339,7 @@ class ClassificationReport:
         return self.samples.bases
 
 
-# consecutive samples evaluated as one block bundle by `point_bundles`, so
+# consecutive samples evaluated as one block bundle by `block_bundles`, so
 # that a default sample set (64 points, 66 in dim 3) is one block; it
 # bounds the memory a block's tensors hold while its rows are read, which
 # grows with the block.  Peak of one process (2-vCPU x86, numpy 2.4) at 258
@@ -347,20 +351,21 @@ BLOCK_ROWS = 128
 
 def blocks(points: np.ndarray) -> list:
     """The points in runs of BLOCK_ROWS consecutive rows: the blocks whose
-    bundles `point_bundles` builds, and that the metric checks reuse."""
+    bundles `block_bundles` builds, and that the metric checks reuse."""
     return [points[lo:lo + BLOCK_ROWS] for lo in range(0, len(points), BLOCK_ROWS)]
 
 
 def rowwise(run, block):
-    """Yield the per-row entries of `run(block)`, in row order.
+    """Yield the entries of `run(block)`, in row order.
 
     This is the rule for a block that raises, for every stage that runs
     the rows of a block of samples or nodes at once: when `run(block)`
     raises, whatever it raised, each row is run alone, as the one-row
     slice `block[r:r + 1]`, in row order, so the first row that fails
     alone raises its own error, after the entries of the rows before it
-    are yielded.  `run` gives one entry per row of what it is given, each
-    equal, bit for bit, to the row's entry in a block.
+    are yielded.  `run` gives the entries of what it is given, one per row
+    or one for the whole, and a block's entries hold, bit for bit, what
+    its rows' hold.
     """
     try:
         entries = run(block)
@@ -371,61 +376,70 @@ def rowwise(run, block):
     yield from entries
 
 
-def point_bundles(spray, samples: SampleSet, order: int = 4,
-                  tol: Tolerances = TOL):
-    """Yield (point, bundle, ScalarDecomposition) for each sample in turn.
+def _one_row(b, rows: range):
+    """A fresh one-row block bundle at the row `rows` of the bundle b; a
+    point bundle is one row."""
+    points = np.reshape(b._pa, (-1, b._pa.shape[-1]))
+    return geometry.CurvatureBundle(b.spray, points[rows.start:rows.stop], b.order)
 
-    Runs of BLOCK_ROWS consecutive samples share one block bundle, and each
-    sample's bundle is a row of it (`CurvatureBundle.rows`), equal bit for
-    bit to the bundle built at that point alone; a block that raises is
-    run under the rule of `rowwise`.  A generator, so a caller that
-    summarizes each bundle and drops it holds one block at a time; callers
-    that revisit the points collect a tuple.
+
+def bundle_rows(run, b, *args):
+    """Yield the per-row entries of `run(b, *args)` for the block bundle b,
+    under the rule of `rowwise`: when it raises, row r is run on a fresh
+    one-row block bundle at its point.  A point bundle is one row."""
+    block = range(1 if b.point is not None else len(b._pa))
+    return rowwise(lambda rows: run(b if rows is block else _one_row(b, rows), *args),
+                   block)
+
+
+def sample_rows(run, blocks, *args):
+    """Yield (point, ScalarDecomposition, entry) for each sample of the
+    (points, bundle, decompositions) `blocks` of a report, in sample order,
+    the entry its row of `run(bundle, *args)` (`bundle_rows`)."""
+    for points, b, decs in blocks:
+        yield from zip(points, decs, bundle_rows(run, b, *args))
+
+
+def block_bundles(spray, samples: SampleSet, order: int = 4,
+                  tol: Tolerances = TOL):
+    """Yield (points, bundle, decompositions) for each block of
+    `blocks(samples.points())` in turn: the block bundle at its points and
+    its rows' ScalarDecompositions, in row order.
+
+    A block whose bundle or split raises is run under the rule of
+    `rowwise`: its rows become one-row entries, and the first row that
+    fails alone raises its own error.  A generator, so a caller that
+    summarizes each block and drops it holds one block at a time; callers
+    that revisit the samples collect a tuple.
     """
-    def rows(points):
-        return geometry.CurvatureBundle(spray, points, order).rows()
+    def built(points):
+        b = geometry.CurvatureBundle(spray, points, order)
+        return [(points, b, decompose_scalar(b, tol=tol))]
 
     for block in blocks(samples.points()):
-        # no name here outlives the block's rows
-        yield from ((pt, b, decompose_scalar(b, tol=tol))
-                    for pt, b in zip(block, rowwise(rows, block)))
+        yield from rowwise(built, block)
 
 
-def _closed_factor_residual(bundle):
+def _closed_factor_residual(bundle) -> list:
     """Curl of sigma where P = sigma_i(x) y^i, for the Berwald+projective
-    case; one per row at a block bundle, each folded as at its point.  The
-    curl reads second derivatives of P only, so P is taken at order 2,
+    case, one per row of the block bundle, each folded as at its point.
+    The curl reads second derivatives of P only, so P is taken at order 2,
     which keeps a block's jets small."""
     n = bundle.dim
     P = projective_factor(bundle, 2)
     sig = [P.dy(i) for i in range(n)]
-    curls = [np.reshape(sig[i].dx(j).value - sig[j].dx(i).value, -1)
+    curls = [sig[i].dx(j).value - sig[j].dx(i).value
              for i in range(n) for j in range(i + 1, n)]
-    worst = geometry._folds(curls, len(np.reshape(bundle.yvals, (-1, n))))
-    return worst if bundle.point is None else worst[0]
+    return geometry._folds(curls, len(bundle._pa))
 
 
-def _block_of(triple):
-    """The block bundle a sample's bundle is a row of, else the bundle."""
-    b = triple[1]
-    return b if b._block is None else b._block[0]
-
-
-def _class_rows(run, tol: Tolerances) -> list:
+def _class_rows(b, decs: list, tol: Tolerances) -> list:
     """(isotropy, constancy, Berwald, proportionality, R_.i - 2 tau_i) of
-    each (point, bundle, decomposition) triple of `run`: the triples of
-    one block bundle's rows, whose class tests are each taken once at the
-    block, or a single sample, taken at its bundle."""
-    _, b, dec = run[0]
-    if len(run) > 1:
-        b, dec = b._block[0], [d for _, _, d in run]
-    checks = [is_isotropic(dec, b, tol), is_constant(dec, b, tol),
+    each row of the block bundle b, whose rows' decompositions are `decs`:
+    each class test is taken once for the block."""
+    checks = [is_isotropic(decs, b, tol), is_constant(decs, b, tol),
               is_berwald(b, tol), _proportional(b.G_values, b.yvals, tol)]
-    if len(run) == 1:
-        checks = [[c] for c in checks]
-    defects = (b.rdot_values.reshape(len(run), b.dim)
-               - 2.0 * _taus([d for _, _, d in run], b.dim))
-    return list(zip(*checks, defects))
+    return list(zip(*checks, b.rdot_values - 2.0 * _taus(decs, b.dim)))
 
 
 def classify_spray(spray, count: int = 64, seed: int = 7,
@@ -449,21 +463,23 @@ def classify_samples(spray, samples: SampleSet, order: int = 4,
     pointwise proportionality test does not trigger it.
     """
     n = spray.dim
-    triples = tuple(point_bundles(spray, samples, order, tol))
+    report_blocks = tuple(block_bundles(spray, samples, order, tol))
     m = samples.ys.shape[1]
 
-    def judged(run):
-        return _class_rows(run, tol)
+    def judged(b, decs):
+        # `bundle_rows`, with each row rerun on its own decomposition
+        block = range(len(decs))
+        return rowwise(lambda rows: _class_rows(b, decs, tol) if rows is block else
+                       _class_rows(_one_row(b, rows), decs[rows.start:rows.stop], tol), block)
 
-    entries = (entry for _, run in itertools.groupby(triples, key=_block_of)
-               for entry in rowwise(judged, tuple(run)))
+    samples_of = ((dec, ric, entry) for _, b, decs in report_blocks
+                  for dec, ric, entry in zip(decs, b.Ric_value.tolist(), judged(b, decs)))
     per_point = []
     worst = {name: 0.0 for name in FLAG_NAMES}
-    rows = np.empty((len(triples), n))
-    for i, ((_, bun, dec), (iso, con, ber, prop, defect)) in enumerate(
-            zip(triples, entries)):
+    rows = np.empty((samples.count, n))
+    for i, (dec, ric, (iso, con, ber, prop, defect)) in enumerate(samples_of):
         prop_holds, prop_res = prop
-        if con.holds and not tol.zero(bun.Ric_value, 1.0) and not iso.holds:
+        if con.holds and not tol.zero(ric, 1.0) and not iso.holds:
             raise SprayLabError(
                 "constant curvature with Ric != 0 must be isotropic; "
                 "classification is inconsistent"
@@ -485,9 +501,7 @@ def classify_samples(spray, samples: SampleSet, order: int = 4,
 
     if all(pt["berwald"] and pt["projective_form"] and pt["isotropic"]
            for pt in per_point):
-        closed_factor = geometry.RowReader(_closed_factor_residual)
-        for _, bun, dec in triples:
-            curl = closed_factor(bun)
+        for _, dec, curl in sample_rows(_closed_factor_residual, report_blocks):
             if not tol.zero(curl, max(1.0, abs(dec.R))):
                 raise SprayLabError(
                     "Berwald + projective form + isotropic requires a "
@@ -526,5 +540,5 @@ def classify_samples(spray, samples: SampleSet, order: int = 4,
         omega=omega,
         notes=(_CHART_NOTE,),
         samples=samples,
-        triples=triples,
+        blocks=report_blocks,
     )

@@ -4,10 +4,11 @@ Each command reads a problem (a .spray file path or a named corpus fixture),
 samples it deterministically, and emits one JSON report plus a short human
 summary.  `classify`, `metrize` and `gen-pflat` draw their samples once, in
 the classification; the per-point survey and the verdict read that
-classification's bundles, and the survey reads a block's identities once
-(`geometry.RowReader` states the rule for a block that raises).  The JSON goes to stdout, or to --out PATH; the
-human lines go to whichever stream the JSON is not using, so scripts can
-always pipe the JSON.
+classification's block bundles, and the survey takes a block's identities
+in one call (`classify.bundle_rows` states the rule for a block that
+raises).  The JSON goes to stdout, or to --out PATH; the human lines go
+to whichever stream the JSON is not using, so scripts can always pipe the
+JSON.
 
 Identical configuration (including the seed) produces byte-identical JSON.
 The default seed is 7 and can be overridden by the SPRAYLAB_SEED environment
@@ -201,35 +202,38 @@ def _accounting(cfg: RunConfig, samples: SampleSet) -> dict:
     }
 
 
-def _surveyed(triples, tol: Tolerances, rows: list, identities: dict):
-    """Summarize each (point, bundle, decomposition) triple into `rows` and
-    the aggregated identity table, then pass its bundle on.  `triples` may
-    be a generator; each bundle is summarized once and not kept.  The
-    identities of the rows of a block bundle are taken once for the block,
-    through a `geometry.RowReader`."""
-    identities_at = geometry.RowReader(geometry.identity_residuals, tol)
-    for pt, b, dec in triples:
-        row = {
-            "point": [float(v) for v in pt],
-            "G": _jsonable(b.G_values),
-            "Ric": float(b.Ric_value),
-            "scalar_split": bool(dec.holds),
-        }
-        if dec.holds:
-            row["R"] = float(dec.R)
-            row["tau"] = _jsonable(dec.tau)
-        rows.append(row)
-        for name, res in identities_at(b).items():
-            identities[name] = max(identities.get(name, 0.0), float(res))
+def _surveyed(blocks, tol: Tolerances, rows: list, identities: dict):
+    """Summarize each sample of the (points, bundle, decompositions)
+    entries of `blocks` into `rows` and the aggregated identity table,
+    then pass each block bundle on.  `blocks` may be a generator; each
+    bundle is summarized once and not kept.  The identities of a block
+    bundle's rows are taken in one call (`classify.bundle_rows`)."""
+    for points, b, decs in blocks:
+        for pt, G, ric, dec, res in zip(
+                points, b.G_values, b.Ric_value.tolist(), decs,
+                classify.bundle_rows(geometry.identity_residuals, b, tol)):
+            row = {
+                "point": [float(v) for v in pt],
+                "G": _jsonable(G),
+                "Ric": ric,
+                "scalar_split": bool(dec.holds),
+            }
+            if dec.holds:
+                row["R"] = float(dec.R)
+                row["tau"] = _jsonable(dec.tau)
+            rows.append(row)
+            for name, value in res.items():
+                identities[name] = max(identities.get(name, 0.0), float(value))
         yield b
-        del b, dec  # so that the next block is built without this one
+        # so that the next block is built without this one
+        del b, decs, G, dec, res
 
 
-def _survey(triples, tol: Tolerances):
+def _survey(blocks, tol: Tolerances):
     """Per-point summaries plus the identity table, as `_surveyed` makes."""
     rows: list = []
     identities: dict = {}
-    for _ in _surveyed(triples, tol, rows, identities):
+    for _ in _surveyed(blocks, tol, rows, identities):
         pass
     return rows, identities
 
@@ -282,7 +286,7 @@ def _decision(spray, cfg: RunConfig, box: SampleBox, tol: Tolerances):
     rep = classify.classify_spray(spray, count=cfg.points, seed=cfg.seed,
                                   box=box, order=cfg.order, tol=tol)
     verdict = metrize.route(spray, rep, tol=tol)
-    rows, identities = _survey(rep.triples, tol)
+    rows, identities = _survey(rep.blocks, tol)
     return rep, verdict, {
         "sampling": _accounting(cfg, rep.samples),
         "points": rows,
@@ -380,11 +384,11 @@ def cmd_gen_pflat(q: pflat.QuadraticData, cfg: RunConfig,
     roundtrip = None
     if adm.admissible:
         spray_match = ric_match = 0.0
-        for pt, b, _, _, err in metrize.metric_spray_residuals(
-                metric, rep.triples, parallel=False):
+        rics = (ric for _, b, _ in rep.blocks for ric in b.Ric_value.tolist())
+        for (pt, _, _, _, err), ric in zip(metrize.metric_spray_residuals(
+                metric, rep.blocks, parallel=False), rics):
             spray_match = max(spray_match, err)
-            ric_match = max(ric_match,
-                            abs(b.Ric_value - (n - 1) * metric.value(pt)))
+            ric_match = max(ric_match, abs(ric - (n - 1) * metric.value(pt)))
         roundtrip = {"spray_match": spray_match, "ric_identity": ric_match}
 
     data = {
@@ -422,13 +426,13 @@ def cmd_oracle(cfg: RunConfig, box_flagged: bool = False) -> Report:
 
     samples = sampling.draw(spray, count=cfg.points, seed=cfg.seed, box=box)
     accounting = _accounting(cfg, samples)
-    # each bundle is summarized as it is read, then agreement_report
+    # each block bundle is summarized as it is read, then agreement_report
     # compares it against the finite differences and drops it
     rows: list = []
     identities: dict = {}
-    triples = classify.point_bundles(spray, samples, cfg.order, tol)
+    blocks = classify.block_bundles(spray, samples, cfg.order, tol)
     table = oracle.agreement_report(
-        _surveyed(triples, tol, rows, identities), h=cfg.fd_step)
+        _surveyed(blocks, tol, rows, identities), h=cfg.fd_step)
 
     data = {
         "command": "oracle",

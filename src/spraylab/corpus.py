@@ -9,6 +9,10 @@ record, so the corpus doubles as an end-to-end regression suite.
 
 Expectations pin only what they list: a record may leave a flag or the rule
 string out, and then nothing is asserted about it.
+
+The checks read the classification report's block bundles: a value per
+sample is read off its block's rows, and a derivative is taken once per
+block (`classify.sample_rows`).
 """
 
 from __future__ import annotations
@@ -188,7 +192,7 @@ def _compare(pairs, atol: float, rel: float):
 #
 # Each handler gets (fixture, spray, verdict, classification report,
 # check-record, tol) and returns (worst residual, diff lines).  The report's
-# samples, bundles and fits are read, not drawn or built again.  A handler
+# samples, block bundles and fits are read, not drawn or built again.  A handler
 # never raises on a failed bound; hard errors (bad record, missing
 # prerequisites) do raise.
 
@@ -198,9 +202,11 @@ def _chk_scalar_expr(fx, spray, verdict, rep, chk, tol):
     rel = float(chk.get("rel", 0.0))
     atol = float(chk.get("atol", tol.abs))
     if chk["field"] == "Ric":
-        pairs = ((b.Ric_value, want_of(pt)) for pt, b, _ in rep.triples)
+        pairs = ((ric, want_of(pt)) for points, b, _ in rep.blocks
+                 for pt, ric in zip(points, b.Ric_value.tolist()))
     elif chk["field"] == "R":
-        pairs = ((dec.R, want_of(pt)) for pt, _, dec in rep.triples)
+        pairs = ((dec.R, want_of(pt)) for points, _, decs in rep.blocks
+                 for pt, dec in zip(points, decs))
     else:
         raise SprayLabError(f"scalar_expr check: unknown field {chk['field']!r}")
     worst, exceeded = _compare(pairs, atol, rel)
@@ -218,10 +224,12 @@ def _chk_delta_expr(fx, spray, verdict, rep, chk, tol):
         raise SprayLabError("delta_expr check needs one expression per axis")
     rel = float(chk.get("rel", 0.0))
     atol = float(chk.get("atol", tol.abs))
-    delta = geometry.RowReader(lambda b: b.cov_h(b.curvature_scalar, ()))
+    def delta(b) -> list:  # delta_i R at each row of the block bundle
+        return b.cov_h(b.curvature_scalar, ()).tolist()
+
     worst, exceeded = _compare(
-        ((got, want_of[i](pt)) for pt, b, _ in rep.triples
-         for i, got in enumerate(delta(b).tolist())),
+        ((got, want_of[i](pt)) for pt, _, row in classify.sample_rows(delta, rep.blocks)
+         for i, got in enumerate(row)),
         atol, rel)
     bad = []
     if exceeded > 0.0:
@@ -286,10 +294,10 @@ def _chk_witness_metric(fx, spray, verdict, rep, chk, tol):
     worst = 0.0
     bad = []
     semi_worst = match_worst = 0.0
-    for _, b, _, semi, err in metrize.metric_spray_residuals(witness,
-                                                             rep.triples):
+    for _, G, _, semi, err in metrize.metric_spray_residuals(witness,
+                                                             rep.blocks):
         semi_worst = max(semi_worst, semi)
-        scale = max(1.0, float(np.max(np.abs(b.G_values))))
+        scale = max(1.0, float(np.max(np.abs(G))))
         match_worst = max(match_worst, err - rel * scale)
         worst = max(worst, semi, err)
     if semi_worst > atol:

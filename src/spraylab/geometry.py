@@ -32,15 +32,13 @@ A bundle may also be built at a (B, 2n) block of points: its jets then
 carry a leading block axis (see `jets`), its value views and `cov_h`
 results gain a leading axis of length B, and row r of each equals, bit
 for bit, what the bundle at point r alone gives.  Every spray and metric
-evaluates a block in one pass.  `rows` turns a block bundle into one
-point bundle per row, which reads its tensors off the block's rows: the
-tensors of many points come from one walk through the formulas, and every
-consumer of point bundles reads them unchanged.  The scalar split
-(`splits`), the covariant derivatives the class tests take of its parts,
-and `identity_residuals` are likewise taken once for a block, with each
-row's numbers those of its point alone.  A consumer that takes a result
-of its own per row bundle reads it through a `RowReader`, which states
-the rule for a block that raises.
+evaluates a block in one pass, so the tensors of many points come from
+one walk through the formulas.  The scalar split (`splits`), the
+covariant derivatives the class tests take of its parts, and
+`identity_residuals` are likewise taken once for a block, with each row's
+numbers those of its point alone.  A consumer reads a block bundle's rows
+off its results; `classify.rowwise` states the rule for a block that
+raises.
 
 G, N, Gamma, R^i_k and its y-gradient, the 3-tensor R^i_jk, V and chi,
 Ric, the split, the Berwald values and the induced spray of a metric are
@@ -53,19 +51,18 @@ the bins of each product are summed in the kernel's order, and products
 by constant jets get + 0.0 (`jets.constant_product`).  The inverse of a
 metric's fundamental tensor is taken on its stack.  The bundle hands G, N,
 Gamma, R, R3, V and chi out as nested lists of jets whose coefficients are
-views of its stacks; a row bundle reads each stack off its block's row.
+views of its stacks.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
-from functools import cached_property, wraps
+from functools import cached_property
 
 import numpy as np
 
 from . import dsl, jets
-from .errors import DegenerateMetric, DomainError, PreconditionError, SprayLabError
+from .errors import DegenerateMetric, DomainError, PreconditionError
 from .sampling import TOL, Tolerances
 
 
@@ -326,46 +323,6 @@ def _stack_values(c: np.ndarray, depth: int) -> np.ndarray:
 # -- the bundle ---------------------------------------------------------------
 
 
-def _row_of(value, r: int, center: tuple):
-    """Row r of a block bundle's tensor: block jets, in nested lists or
-    tuples, become point jets at `center` over the same coefficients, and
-    a (space, stack) pair views the row of its stack; value arrays lose
-    the block axis."""
-    if isinstance(value, jets.Jet):
-        return jets.Jet(value.space, center, value.coeffs[r])
-    if isinstance(value, tuple) and isinstance(value[0], jets.JetSpace):
-        return value[0], value[1][..., r, :]
-    if isinstance(value, (list, tuple)):
-        return type(value)(_row_of(v, r, center) for v in value)
-    return value[r]
-
-
-def _per_row(fn):
-    """A cached tensor that a row bundle (see `CurvatureBundle.rows`) reads
-    off its block's instead of computing it.  When the block's raises (the
-    scalar split of a later row meets the reciprocal floor, say), the
-    block records the failure, so that it is attempted once, and each row
-    computes its own: a row that fails alone raises its own error, in its
-    turn."""
-    name = fn.__name__
-
-    @wraps(fn)
-    def get(self):
-        if self._block is None:
-            return fn(self)
-        block, r, center = self._block
-        if name in block._failed:
-            return fn(self)
-        try:
-            value = getattr(block, name)
-        except SprayLabError:
-            block._failed = block._failed | {name}
-            return fn(self)
-        return _row_of(value, r, center)
-
-    return cached_property(get)
-
-
 def _pick(c: np.ndarray, i0) -> np.ndarray:
     """The stack whose row r is row r of entry i0[r] of the stack c, for
     jets at a block; entry i0 at a point.  c's first axis is picked from,
@@ -387,13 +344,6 @@ class CurvatureBundle:
     `p` may be a (B, 2n) block of points instead of one point; see the
     module docstring.  A block bundle has no `point`.
     """
-
-    # (block bundle, row, center of the row's jets) for a row bundle made
-    # by `rows`, else None
-    _block = None
-    # the names of the `_per_row` tensors whose computation at this block
-    # bundle raised
-    _failed = frozenset()
 
     def __init__(self, spray, p, order: int = 4):
         self.spray = spray
@@ -417,33 +367,13 @@ class CurvatureBundle:
         self._center = pa if pa.ndim == 2 else tuple(pa)
         self.yvals = pa[..., self.dim:]
 
-    def rows(self) -> list:
-        """One point bundle per row of this block bundle, in row order.
-
-        Row r's bundle reads its jets and value views off row r of this
-        bundle's, so every tensor is computed once for the whole block,
-        and each equals, bit for bit, what the bundle built at that point
-        alone computes.  Each row bundle takes its own scalar split.  G is
-        evaluated here, so an error in evaluating the spray is raised
-        before any row is returned.
-        """
-        if self._pa.ndim != 2:
-            raise PreconditionError("only a block bundle has rows")
-        self.G  # evaluated now, so its errors come before any row
-        out = []
-        for r, pa in enumerate(self._pa):
-            b = CurvatureBundle(self.spray, pa, self.order)
-            b._block = (self, r, tuple(pa))
-            out.append(b)
-        return out
-
     # ---- raw jets
 
     @cached_property
     def G(self) -> list:
         return self._tensor(self._G_stack, 1)
 
-    @_per_row
+    @cached_property
     def _G_stack(self) -> tuple:
         """(space, stack) of the spray coefficients G^i.  The jets of `G`
         view it, so that a bundle holds G once."""
@@ -451,19 +381,19 @@ class CurvatureBundle:
         sp = jets.space(2 * self.dim, min(u.order for u in G))
         return sp, np.array([u.coeffs[..., :sp.T] for u in G])
 
-    @_per_row
+    @cached_property
     def _N_stack(self) -> tuple:
         """(space, stack) of N^i_j = dot_j G^i."""
         sp, G = self._G_stack
         return _lower(sp), _dys(sp, G, self.dim, self._pa.ndim)
 
-    @_per_row
+    @cached_property
     def _Gamma_stack(self) -> tuple:
         """(space, stack) of Gamma^i_jk = dot_k N^i_j."""
         sp, N = self._N_stack
         return _lower(sp), _dys(sp, N, self.dim, self._pa.ndim)
 
-    @_per_row
+    @cached_property
     def _R_stack(self) -> tuple:
         """(space, stack) of R^i_k.
 
@@ -496,19 +426,19 @@ class CurvatureBundle:
         sp, c = stack
         return _unstack(sp, self._center, c, depth)
 
-    @_per_row
+    @cached_property
     def N(self) -> list:
         return self._tensor(self._N_stack, 2)
 
-    @_per_row
+    @cached_property
     def Gamma(self) -> list:
         return self._tensor(self._Gamma_stack, 3)
 
-    @_per_row
+    @cached_property
     def R(self) -> list:
         return self._tensor(self._R_stack, 2)
 
-    @_per_row
+    @cached_property
     def Ric(self):
         sp, R = self._R_stack
         acc = R[0, 0]
@@ -516,14 +446,14 @@ class CurvatureBundle:
             acc = acc + R[i, i]
         return jets.Jet(sp, self._center, acc)
 
-    @_per_row
+    @cached_property
     def curvature_scalar(self):
         """The jet of R = Ric/(n-1), the R of the scalar split."""
         if self.dim < 2:
             raise PreconditionError("scalar decomposition needs dimension at least 2")
         return (1.0 / (self.dim - 1)) * self.Ric
 
-    @_per_row
+    @cached_property
     def splits(self) -> tuple:
         """The scalar split of the point, or of every row of a block at
         once: (R jet, [tau_k jets], residual), with block jets and one
@@ -559,8 +489,7 @@ class CurvatureBundle:
         conditioned division); the residual is the worst value-level
         violation of the reconstruction over all (i,k).  It is exactly zero
         on the chosen row, so the residual measures whether the remaining
-        rows agree, which is the scalar-curvature property.  A row bundle
-        reads its row of its block's `splits`.
+        rows agree, which is the scalar-curvature property.
         """
         if self._pa.ndim == 2:
             raise PreconditionError("the scalar split is taken at one point, "
@@ -568,23 +497,23 @@ class CurvatureBundle:
         Rj, tau, residual = self.splits
         return Rj, tau, float(residual)
 
-    @_per_row
+    @cached_property
     def rdot_values(self) -> np.ndarray:
         """Values of R_.i, the y-gradient of the split's R."""
         Rj = self.curvature_scalar
         return _stack_values(_dys(Rj.space, Rj.coeffs, self.dim, self._pa.ndim), 1)
 
-    @_per_row
+    @cached_property
     def tau_cov(self) -> np.ndarray:
         """Values of tau_{i;k}, from the split's tau jets."""
         return self.cov_h(np.array(self.splits[1], dtype=object), ("d",))
 
-    @_per_row
+    @cached_property
     def ric_cov(self) -> np.ndarray:
         """Values of Ric_{;i}."""
         return self.cov_h(self.Ric, ())
 
-    @_per_row
+    @cached_property
     def _dR_stack(self) -> tuple:
         """(space, stack) of dot_j R^i_k, [i, k, j]: the y-gradient of R,
         which R3, V and chi read."""
@@ -598,11 +527,11 @@ class CurvatureBundle:
         sp, dR = self._dR_stack
         return sp, (np.swapaxes(dR, 1, 2) + -dR) * (1.0 / 3.0)
 
-    @_per_row
+    @cached_property
     def R3(self) -> list:
         return self._tensor(self._R3_stack, 3)
 
-    @_per_row
+    @cached_property
     def V(self) -> list:
         """The contracted 3-tensor V_k = R^m_{km}."""
         sp, R3 = self._R3_stack
@@ -611,7 +540,7 @@ class CurvatureBundle:
             acc = acc + R3[m, :, m]
         return self._tensor((sp, acc), 1)
 
-    @_per_row
+    @cached_property
     def chi(self) -> list:
         """chi_i = dot_i Ric + sum_m 2 dot_m R^m_i, the terms added in
         ascending m."""
@@ -676,26 +605,26 @@ class CurvatureBundle:
 
     # ---- value views
 
-    @_per_row
+    @cached_property
     def G_values(self) -> np.ndarray:
         return _stack_values(self._G_stack[1], 1)
 
-    @_per_row
+    @cached_property
     def N_values(self) -> np.ndarray:
         return _stack_values(self._N_stack[1], 2)
 
-    @_per_row
+    @cached_property
     def Gamma_values(self) -> np.ndarray:
         return _stack_values(self._Gamma_stack[1], 3)
 
-    @_per_row
+    @cached_property
     def B_values(self) -> np.ndarray:
         # the Berwald tensor is read only through its values, so its n^4
         # jets are not kept: bundles stay small while a report holds them
         sp, Gamma = self._Gamma_stack
         return _stack_values(_dys(sp, Gamma, self.dim, self._pa.ndim), 4)
 
-    @_per_row
+    @cached_property
     def R_values(self) -> np.ndarray:
         return _stack_values(self._R_stack[1], 2)
 
@@ -703,49 +632,9 @@ class CurvatureBundle:
     def Ric_value(self):
         return self.Ric.value
 
-    @_per_row
+    @cached_property
     def chi_values(self) -> np.ndarray:
         return _stack_values(np.array([u.coeffs for u in self.chi]), 1)
-
-
-class RowReader:
-    """`fn(bundle, *args)` read one bundle at a time, a block's once.
-
-    `fn` gives, at a point bundle, its result, and at a block bundle, a
-    sequence of one result per row.  Called with a row bundle (see
-    `CurvatureBundle.rows`), the reader gives row r of `fn` at the row's
-    block, computed at the first row read of that block and held until a
-    row of another block is read; called with any other bundle, `fn` at
-    that bundle.  The reader refers to the block weakly, so that a
-    streaming consumer holds no block it has read to the end.
-
-    This is the rule for a block that raises, for every consumer of row
-    bundles: when `fn` at the block raises, each of its rows takes `fn` at
-    its own bundle instead, so a row that fails alone raises its own
-    error, in its turn, after the rows before it are read.  Each row's
-    result equals, bit for bit, what `fn` at that row's point alone gives,
-    and the results live in the reader, not on the bundles.
-    """
-
-    def __init__(self, fn, *args):
-        self.fn = fn
-        self.args = args
-        self._block = lambda: None  # a weak reference to the block of `_rows`
-        self._rows = None   # fn's rows at that block; None when it raised
-
-    def __call__(self, bundle):
-        if bundle._block is None:
-            return self.fn(bundle, *self.args)
-        block, r, _ = bundle._block
-        if block is not self._block():
-            self._block, self._rows = weakref.ref(block), None
-            try:
-                self._rows = self.fn(block, *self.args)
-            except Exception:
-                pass  # each row takes its own below; one that fails raises
-        if self._rows is None:
-            return self.fn(bundle, *self.args)
-        return self._rows[r]
 
 
 # -- scalar decomposition ------------------------------------------------------

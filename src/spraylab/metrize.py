@@ -33,8 +33,10 @@ per block bundle, and the recovered candidates (`CurvatureMetric`,
 bundle, and the quotients omega = delta R / R and t = tau / R are one
 reciprocal and one stacked product per block bundle.  Every row equals
 its sample alone, bit for bit.  A block that raises follows
-`classify.rowwise` (`finsler_check`, the quadrature's nodes) or
-`geometry.RowReader` (`metric_spray_residuals`, the quotients).
+`classify.rowwise`: `finsler_check` and the quadrature's nodes run the
+rows of a block of points alone, and `metric_spray_residuals`, the
+quotients and the candidates' split checks run them on one-row block
+bundles (`classify.bundle_rows`).
 """
 
 from __future__ import annotations
@@ -153,42 +155,28 @@ def _key(pa: np.ndarray) -> tuple:
     return pa.shape, pa.tobytes()
 
 
-def _bundle_table(bundles) -> dict:
-    """The given point bundles keyed by their points, and the row bundles
-    of each block bundle among them, in row order, keyed by the block."""
-    table: dict = {}
-    for b in bundles:
-        table[_key(b.point.array())] = b
-        if b._block is not None:
-            table.setdefault(_key(b._block[0]._pa), []).append(b)
-    return table
+def _check_splits(b) -> None:
+    """The scalar split must hold at each point of the bundle, checked in
+    row order, so the first failing row names the error."""
+    def split_rows(b) -> zip:  # (split holds, split residual) per row
+        return zip(np.reshape(geometry.split_holds(b, TOL), -1).tolist(),
+                   np.reshape(b.splits[2], -1).tolist())
 
-
-def _check_splits(rows) -> None:
-    """The scalar split must hold at each of the point bundles `rows`,
-    checked in row order, so the first failing row names the error."""
-    for row in rows:
-        if not geometry.split_holds(row, TOL):
+    for holds, residual in classify.bundle_rows(split_rows, b):
+        if not holds:
             raise PreconditionError(
                 "curvature scalar is undefined: the spray is not of scalar "
-                f"curvature at this point (split residual {row.split[2]:.3e})")
+                f"curvature at this point (split residual {residual:.3e})")
 
 
 def _split_bundle(metric, pa: np.ndarray, key: tuple, order: int):
     """The curvature bundle of order at least `order` at the point or block
     pa: the one `metric._bundles` holds there, else a new one of order
     max(order, 3).  The scalar split must hold at each of its points."""
-    known = metric._bundles.get(key)
-    if pa.ndim == 1:
-        if known is None or known.order < order:
-            known = geometry.CurvatureBundle(metric.spray, pa, max(order, 3))
-        b, rows = known, [known]
-    elif known is not None and len(known) == len(pa) and known[0].order >= order:
-        b, rows = known[0]._block[0], known
-    else:
+    b = metric._bundles.get(key)
+    if b is None or b.order < order:
         b = geometry.CurvatureBundle(metric.spray, pa, max(order, 3))
-        rows = b.rows()
-    _check_splits(rows)
+    _check_splits(b)
     return b
 
 
@@ -205,7 +193,7 @@ def _value_bundle(metric, p):
     if pa.ndim != 1 or key in metric._jets or key in metric._bundles:
         return None
     b = geometry.CurvatureBundle(metric.spray, pa, 2)
-    _check_splits([b])
+    _check_splits(b)
     return b
 
 
@@ -237,10 +225,11 @@ class CurvatureMetric:
 
     Exists numerically: a jet request reads the curvature bundle two orders
     above the point and splits it; the split must hold.  Where `bundles`
-    (the classification report's, typically) has a bundle of high enough
-    order at the point, that bundle is read; elsewhere one is built for
-    the request.  Per point, the jet of the highest order asked for is
-    kept, not the bundle, and a request of lower order gets its
+    (the classification report's block bundles, typically) has a bundle of
+    high enough order at the point or block, that bundle is read;
+    elsewhere one is built for the request.  Per point, the jet of the
+    highest order asked for is kept, not the bundle, and a request of lower
+    order gets its
     truncation.  Truncation is exact, since each coefficient is computed
     from coefficients of no higher degree only, so this is bit for bit
     what a bundle built for the request would give.  A request of order k
@@ -249,18 +238,19 @@ class CurvatureMetric:
     (`_value_bundle`).
 
     `p` may also be a (B, 2n) block of points.  Its jet is read off the
-    block bundle that `bundles` holds for that block (the rows of one
-    block of a classification), else off a block bundle built for the
-    request, and row r equals, bit for bit, the jet at point r alone.
-    Each row's split is checked in row order.  The block's jet is kept
-    for the block and, row by row, for its points.
+    block bundle that `bundles` holds for that block (one block of a
+    classification), else off a block bundle built for the request, and
+    row r equals, bit for bit, the jet at point r alone.  Each row's split
+    is checked in row order.  The block's jet is kept for the block and,
+    row by row, for its points, so a read at a sample point of a block
+    that was asked for truncates that row.
     """
 
     def __init__(self, spray, bundles=()):
         self.spray = spray
         self.dim = spray.dim
         self.name = f"curvature({spray.name})"
-        self._bundles = _bundle_table(bundles)
+        self._bundles = {_key(b._pa): b for b in bundles}
         self._jets: dict = {}
 
     def _jet_at(self, b, order: int):
@@ -373,7 +363,7 @@ class ScaledCurvatureMetric:
         self.lam = lam
         self.dim = spray.dim
         self.name = f"curvature({spray.name})/lambda"
-        self._bundles = _bundle_table(bundles)
+        self._bundles = {_key(b._pa): b for b in bundles}
         self._jets: dict = {}
 
     def _jet_at(self, b, order: int):
@@ -420,11 +410,11 @@ class ScaledCurvatureMetric:
 # -- shared plumbing -----------------------------------------------------------
 
 
-def _residual_rows(b, L, parallel: bool):
-    """`metric_spray_residuals`' (L value, max |L_{;i}|, max |G_L - G|) at
-    the bundle's point, or one per row of a block bundle."""
+def _residual_rows(b, L, parallel: bool) -> list:
+    """`metric_spray_residuals`' (G values, L value, max |L_{;i}|,
+    max |G_L - G|) at each row of the block bundle b."""
     n = L.dim
-    rows = len(np.reshape(b._pa, (-1, 2 * n)))
+    rows = len(b._pa)
     values = semis = [None] * rows
     if parallel:
         Lj = L.jet(b._pa, 1)
@@ -432,30 +422,28 @@ def _residual_rows(b, L, parallel: bool):
         semis = [max(abs(d) for d in cov)
                  for cov in b.cov_h(Lj, ()).reshape(rows, n).tolist()]
     gv = np.array([g.value for g in geometry.spray_from_metric(L, b._pa, 0)])
-    match = np.max(np.abs(gv.reshape(n, rows).T - b.G_values.reshape(rows, n)),
-                   axis=1).tolist()
-    out = list(zip(values, semis, match))
-    return out if b.point is None else out[0]
+    match = np.max(np.abs(gv.T - b.G_values), axis=1).tolist()
+    return list(zip(b.G_values, values, semis, match))
 
 
-def metric_spray_residuals(L, triples, parallel: bool = True):
-    """Compare a metric with a spray at each (point, bundle, _) triple.
+def metric_spray_residuals(L, blocks, parallel: bool = True):
+    """Compare a metric with a spray at each sample of `blocks`.
 
-    `triples` are a classification's, as `ClassificationReport` holds them,
-    and their bundles stand for the spray.  Yields (point, bundle, L value,
-    max |L_{;i}|, max |G_L - G|) per sample in turn, where L_{;i} is the
-    horizontal derivative of L along the spray and G_L the spray that L
-    induces.  With `parallel` false, L and L_{;i} are not evaluated and
-    their places hold None.  The pass rules are the callers'.
+    `blocks` are a classification's (points, bundle, decompositions), as
+    `ClassificationReport.blocks` holds them, and their bundles stand for
+    the spray.  Yields (point, G values, L value, max |L_{;i}|,
+    max |G_L - G|) per sample in turn, where G is the spray at the point,
+    L_{;i} the horizontal derivative of L along the spray and G_L the
+    spray that L induces.  With `parallel` false, L and L_{;i} are not
+    evaluated and their places hold None.  The pass rules are the callers'.
 
-    The rows of one block bundle are compared at once, through a
-    `geometry.RowReader`: one jet of L at the block, one `cov_h` of the
+    The rows of one block bundle are compared at once
+    (`classify.sample_rows`): one jet of L at the block, one `cov_h` of the
     block bundle and one `spray_from_metric` at the block, each row equal,
     bit for bit, to its sample alone.
     """
-    residuals = geometry.RowReader(_residual_rows, L, parallel)
-    for pt, b, _ in triples:
-        yield (pt, b, *residuals(b))
+    for pt, _, row in classify.sample_rows(_residual_rows, blocks, L, parallel):
+        yield (pt, *row)
 
 
 def _certify(L, report: classify.ClassificationReport, fc: FinslerCheck,
@@ -473,10 +461,10 @@ def _certify(L, report: classify.ClassificationReport, fc: FinslerCheck,
     match_worst = 0.0
     scale_L = 1.0
     scale_G = 1.0
-    for _, b, value, semi, match in metric_spray_residuals(L, report.triples):
+    for _, G, value, semi, match in metric_spray_residuals(L, report.blocks):
         scale_L = max(scale_L, abs(value))
         semi_worst = max(semi_worst, semi)
-        scale_G = max(scale_G, float(np.max(np.abs(b.G_values))))
+        scale_G = max(scale_G, float(np.max(np.abs(G))))
         match_worst = max(match_worst, match)
     ev["L_semicolon"] = semi_worst
     ev["spray_match"] = match_worst
@@ -565,21 +553,25 @@ def _first_orders(rows, q: list) -> list:
     return [j if used else None for j, used in zip(J.tolist(), rows)]
 
 
-def _omega_rows(b, floor: float):
-    """`_first_orders` of omega = delta R / R, one per row at a block."""
+def _omega_rows(b, floor: float) -> list:
+    """`_first_orders` of omega = delta R / R at each row of the block
+    bundle b."""
     Rj = b.splits[0]
-    out = _first_orders(*_divided(Rj, b.delta_scalar(Rj), floor))
-    return out if b.point is None else out[0]
+    return _first_orders(*_divided(Rj, b.delta_scalar(Rj), floor))
 
 
-def _t_rows(b, floor: float):
-    """None, or (`_first_orders` of t = tau / R, max |t_{i;j}|), from the
-    bundle's split and one `cov_h`, per row as for `_omega_rows`."""
+def _t_rows(b, floor: float) -> list:
+    """None, or (`_first_orders` of t = tau / R, max |t_{i;j}|), at each
+    row of the block bundle b, from its split and one `cov_h`."""
     Rj, tau, _ = b.splits
     rows, t = _divided(Rj, tau, floor)
     cov = np.max(np.abs(b.cov_h(np.array(t, dtype=object), ("d",)).reshape(len(rows), -1)), 1)
-    out = [None if J is None else (J, c) for J, c in zip(_first_orders(rows, t), cov.tolist())]
-    return out if b.point is None else out[0]
+    return [None if J is None else (J, c) for J, c in zip(_first_orders(rows, t), cov.tolist())]
+
+
+def _decompositions(report: classify.ClassificationReport):
+    """The report's ScalarDecompositions, one per sample, in sample order."""
+    return (dec for _, _, decs in report.blocks for dec in decs)
 
 
 # -- decision procedures -------------------------------------------------------
@@ -604,19 +596,20 @@ def verdict_isotropic(spray, report: classify.ClassificationReport,
     anchored at the chart origin.
 
     `report` is the spray's classification: its isotropic flag is the
-    precondition, and its samples and (point, bundle, ScalarDecomposition)
-    triples are the only input.  Nothing is drawn or classified again.
+    precondition, and its samples and blocks (block bundles with their
+    rows' ScalarDecompositions) are the only input.  Nothing is drawn or
+    classified again.
     """
     _require(report, "isotropic", "isotropy")
     n = spray.dim
-    samples, triples = report.samples, report.triples
+    samples = report.samples
 
-    max_R = max(abs(dec.R) for _, _, dec in triples)
+    max_R = max(abs(dec.R) for dec in _decompositions(report))
     if tol.zero(max_R, 1.0):
         return _vanishing(samples, "R vanishes on samples", "max_R", max_R)
 
     # the metric candidates read the classification's bundles
-    known = [b for _, b, _ in triples]
+    known = [b for _, b, _ in report.blocks]
     R = CurvatureMetric(spray, bundles=known)
     fc = finsler_check(R, samples, tol)
     if not fc.holds:
@@ -625,13 +618,12 @@ def verdict_isotropic(spray, report: classify.ClassificationReport,
     # the omega stage: delta_i R / R at every sample where R is divisible
     floor = max(tol.abs, 1e-6 * max_R)
     m = samples.ys.shape[1]
-    om_vals = np.full((len(triples), n), np.nan)
+    om_vals = np.full((samples.count, n), np.nan)
     y_dep = 0.0
     curl = 0.0
     om_scale = 1.0
-    omega_at = geometry.RowReader(_omega_rows, floor)
-    for i, (_, b, _) in enumerate(triples):
-        om = omega_at(b)  # om[a] = [omega_a, its d_x..., its d_y...], or None
+    # om[a] = [omega_a, its d_x..., its d_y...], or None
+    for i, (_, _, om) in enumerate(classify.sample_rows(_omega_rows, report.blocks, floor)):
         if om is None:
             continue
         om_vals[i] = [o[0] for o in om]
@@ -694,14 +686,14 @@ def verdict_constant(spray, report: classify.ClassificationReport,
     `verdict_isotropic`, with the constant flag as the precondition.
     """
     _require(report, "constant", "constant curvature")
-    samples, triples = report.samples, report.triples
+    samples = report.samples
 
-    max_ric = max(abs(b.Ric_value) for _, b, _ in triples)
+    max_ric = max(abs(ric) for _, b, _ in report.blocks for ric in b.Ric_value.tolist())
     if tol.zero(max_ric, 1.0):
         return _vanishing(samples, "Ric vanishes on samples", "max_Ric",
                           max_ric)
 
-    L = CurvatureMetric(spray, bundles=[b for _, b, _ in triples])
+    L = CurvatureMetric(spray, bundles=[b for _, b, _ in report.blocks])
     fc = finsler_check(L, samples, tol)
     if not fc.holds:
         return _not_finsler(samples, "Ric is not a Finsler metric", fc, tol)
@@ -721,10 +713,10 @@ def nonmetrizable_scalar(spray, report: classify.ClassificationReport,
     """
     _require(report, "scalar", "the scalar decomposition")
     n = spray.dim
-    samples, triples = report.samples, report.triples
+    samples = report.samples
 
-    max_R = max(abs(dec.R) for _, _, dec in triples)
-    max_tau = max(float(np.max(np.abs(dec.tau))) for _, _, dec in triples)
+    max_R = max(abs(dec.R) for dec in _decompositions(report))
+    max_tau = max(float(np.max(np.abs(dec.tau))) for dec in _decompositions(report))
 
     def decided(fired: bool, rule: str, residual: float, **evidence):
         # a rule that fires is decisive; one that passes leaves it open
@@ -742,8 +734,8 @@ def nonmetrizable_scalar(spray, report: classify.ClassificationReport,
     floor = max(tol.abs, 1e-2 * max_R)
     worst = 0.0
     t_scale = 1.0
-    t_at = geometry.RowReader(_t_rows, floor)
-    rows = [row for row in (t_at(b) for _, b, _ in triples) if row is not None]
+    rows = [row for _, _, row in classify.sample_rows(_t_rows, report.blocks, floor)
+            if row is not None]
     for t, cov in rows:
         t_scale = max(t_scale, max(abs(ti[0]) for ti in t))
         worst = max(worst, cov)
@@ -794,8 +786,9 @@ def projective_shift(metric, c: float, count: int = 64, seed: int = 7,
 
     base = geometry.MetricSpray(metric)
     lam_vals = []
-    for L, (_, _, dec) in zip(L_vals,
-                              classify.point_bundles(base, samples, order, tol)):
+    decs = (dec for _, _, ds in classify.block_bundles(base, samples, order, tol)
+            for dec in ds)
+    for L, dec in zip(L_vals, decs):
         if not dec.holds:
             raise PreconditionError(
                 "the metric's spray is not of scalar curvature; projective "
@@ -817,7 +810,7 @@ def projective_shift(metric, c: float, count: int = 64, seed: int = 7,
             "the shifted spray lost isotropy; the shift identity is violated "
             f"(worst residual {report.residuals['isotropic']:.3e})")
     shift_worst = 0.0
-    for L, (_, _, dec) in zip(L_vals, report.triples):
+    for L, dec in zip(L_vals, _decompositions(report)):
         want = (lam_hat + c * c) * L
         shift_worst = max(shift_worst, abs(dec.R - want))
     if not tol.zero(shift_worst, max(1.0, (abs(lam_hat) + c * c))):

@@ -21,9 +21,9 @@ one batched evaluation on the stencil rows of each chunk of its points
 index and weight arrays give every derivative, and the curvature
 formulas run as stacked array operations.  Each row of a block equals
 the computation at that point alone, bit for bit, and the first point
-that fails alone decides the error.  `agreement_report`
-reads its bundles one at a time, and takes the differences of the rows
-of a block bundle once, through a `geometry.RowReader`.
+that fails alone decides the error.  `agreement_report` reads its
+bundles one at a time, and takes the differences at the rows of a block
+bundle in one call (`classify.bundle_rows`).
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import dsl, jets
+from .classify import bundle_rows, rowwise
 from .errors import DomainError
-from .geometry import (ExprMetric, ExprSpray, MetricSpray, RowReader,
-                       ShiftedSpray, _point_array)
+from .geometry import ExprMetric, ExprSpray, MetricSpray, ShiftedSpray, _point_array
 
 _FLOOR = 1e-12
 
@@ -412,8 +412,9 @@ def fd_curvature(spray, p, h: float = 1e-3) -> dict:
     derivative in one grouped pass.  A stencil row outside the
     spray's domain gives a non-finite value, and that raises DomainError
     naming the point and h: a step too large for the domain is refused,
-    not compared.  When a block raises, its points are run one at a time,
-    so the first point that fails alone raises its own error.
+    not compared.  When a block raises, its points are run one at a time
+    (`classify.rowwise`), so the first point that fails alone raises its
+    own error.
     """
     n = spray.dim
     P = _point_array(p, n)
@@ -421,13 +422,10 @@ def fd_curvature(spray, p, h: float = 1e-3) -> dict:
     if P.ndim == 1:
         fd = _fd_stacked(fn, n, P[None, :], h)
         return {key: float(v[0]) if key == "Ric" else v[0] for key, v in fd.items()}
-    try:
-        return _fd_stacked(fn, n, P, h)
-    except Exception:
-        # whatever the block raised, a point that fails alone raises its
-        # own error again below
-        rows = [_fd_stacked(fn, n, P[i:i + 1], h) for i in range(len(P))]
-        return {key: np.concatenate([r[key] for r in rows]) for key in rows[0]}
+    parts = list(rowwise(lambda Q: [_fd_stacked(fn, n, Q, h)], P))
+    if len(parts) == 1:
+        return parts[0]
+    return {key: np.concatenate([r[key] for r in parts]) for key in parts[0]}
 
 
 def _fd_stacked(fn, n: int, P: np.ndarray, h: float) -> dict:
@@ -526,43 +524,43 @@ def _unit(n: int, i: int) -> np.ndarray:
     return e
 
 
-def _fd_rows(b, h: float):
-    """`fd_curvature`'s tensors at the bundle's point, or one dict of them
-    per row of a block bundle; a point is taken as a block of one row."""
+def _fd_rows(b, h: float) -> list:
+    """`fd_curvature`'s tensors, one dict per row of the bundle's points;
+    a point bundle is a block of one row."""
     P = np.reshape(b._pa, (-1, b._pa.shape[-1]))
     fd = fd_curvature(b.spray, P, h=h)
-    rows = [{key: v[r] for key, v in fd.items()} for r in range(len(P))]
-    return rows if b._pa.ndim == 2 else rows[0]
+    return [{key: v[r] for key, v in fd.items()} for r in range(len(P))]
 
 
 def agreement_report(bundles, h: float = 1e-3) -> dict:
     """Worst-case jets-vs-FD disagreement for R, chi, B over the bundles.
 
-    Each CurvatureBundle supplies the jet side; the finite differences
-    read only its spray's coefficient values around its point.  `bundles`
-    may be a generator: each bundle is compared as it is read, in order,
-    and the rows of one block bundle share one `fd_curvature` call (see
-    `geometry.RowReader`).  A tensor passes when every component error is
-    at most max(1e-5, 1e-4 |component|); the report carries the worst
-    error and the tolerance in force at the worst spot.
+    Each CurvatureBundle, at a point or a block, supplies the jet side;
+    the finite differences read only its spray's coefficient values around
+    its points.  `bundles` may be a generator: each bundle is compared as
+    it is read, row by row, in order, and the rows of a block bundle share
+    one `fd_curvature` call (`classify.bundle_rows`).  A tensor passes when
+    every component error is at most max(1e-5, 1e-4 |component|); the
+    report carries the worst error and the tolerance in force at the worst
+    spot.
     """
     report = {
         key: {"max_err": 0.0, "worst_tol": float("inf"), "ok": True}
         for key in ("R", "chi", "B")
     }
-    fd_at = RowReader(_fd_rows, h)
     for b in bundles:
-        fd = fd_at(b)
-        for key, got in (("R", b.R_values), ("chi", b.chi_values),
-                         ("B", b.B_values)):
-            err = np.abs(got - fd[key])
-            tol = np.maximum(1e-5, 1e-4 * np.abs(got))
-            k = np.unravel_index(np.argmax(err - tol), err.shape)
-            entry = report[key]
-            if err[k] - tol[k] > entry["max_err"] - entry["worst_tol"]:
-                entry["max_err"] = float(err[k])
-                entry["worst_tol"] = float(tol[k])
-            if not np.all(err <= tol):  # a NaN error is no agreement
-                entry["ok"] = False
+        for r, fd in enumerate(bundle_rows(_fd_rows, b, h)):
+            for key, name in (("R", "R_values"), ("chi", "chi_values"),
+                              ("B", "B_values")):
+                got = np.reshape(getattr(b, name), (-1,) + fd[key].shape)[r]
+                err = np.abs(got - fd[key])
+                tol = np.maximum(1e-5, 1e-4 * np.abs(got))
+                k = np.unravel_index(np.argmax(err - tol), err.shape)
+                entry = report[key]
+                if err[k] - tol[k] > entry["max_err"] - entry["worst_tol"]:
+                    entry["max_err"] = float(err[k])
+                    entry["worst_tol"] = float(tol[k])
+                if not np.all(err <= tol):  # a NaN error is no agreement
+                    entry["ok"] = False
         del b  # so that the next block is built without this one
     return report

@@ -206,9 +206,12 @@ def quadratic_structure_check(spray, report: classify.ClassificationReport,
     has vanishing third x-derivatives.  `residual` is the worst |u_{ijk}|
     over the samples, with u normalized to 1 at the chart origin.
     `report` is the spray's classification: its projective_form and
-    berwald flags are the preconditions, and its samples and bundles are
-    read, not drawn or built again.  Raises PreconditionError when the
-    spray is not of the required form or sigma_k is not closed.
+    berwald flags are the preconditions, and its samples and block
+    bundles are read, not drawn or built again.  The factor and its
+    x-derivatives are taken once per block bundle, and each sample's tests
+    and brackets are folded from its row, in sample order.  Raises
+    PreconditionError when the spray is not of the required form or
+    sigma_k is not closed; the first sample that fails names the error.
     """
     n = spray.dim
     if not report.flags["projective_form"]:
@@ -225,36 +228,45 @@ def quadratic_structure_check(spray, report: classify.ClassificationReport,
         P = classify.projective_factor(b)
         return [P.dy(i) for i in range(n)]
 
+    def factor_rows(b: geometry.CurvatureBundle) -> list:
+        # per row of the block bundle: (y-dependence of sigma, max |sigma|,
+        # curl of sigma, max |sigma_{i,j}|, worst bracket), each folded in
+        # the (i, j, k) order of one sample's loops
+        sig = factor_jets(b)
+        sx = [[s.dx(j) for j in range(n)] for s in sig]
+        sv = [s.value for s in sig]
+        sd = [[u.value for u in row] for row in sx]
+        rows = len(b._pa)
+        y_dep = [max(abs(v) for v in row) for row in
+                 np.array([sig[i].dy(j).value for i in range(n)
+                           for j in range(n)]).T.tolist()]
+        curl = [max((abs(v) for v in row), default=0.0) for row in
+                np.array([sd[i][j] - sd[j][i] for i in range(n)
+                          for j in range(i + 1, n)]).reshape(-1, rows).T.tolist()]
+        brackets = []
+        for i in range(n):
+            for j in range(i, n):
+                for k in range(j, n):
+                    brackets.append(
+                        sx[i][j].dx(k).value
+                        - 2.0 * (sv[i] * sd[j][k] + sv[j] * sd[i][k] + sv[k] * sd[i][j])
+                        + 4.0 * sv[i] * sv[j] * sv[k])
+        return list(zip(y_dep, classify._row_max(np.array(sv).T, rows), curl,
+                        classify._row_max(np.moveaxis(np.array(sd), -1, 0), rows),
+                        geometry._folds(brackets, rows)))
+
     brackets = []
     u_scale = 1.0
     worst = 0.0
-    for pt, b, _ in report.triples:
-        sig = factor_jets(b)
-        sv = np.array([s.value for s in sig])
-        sd = np.array([[sig[i].dx(j).value for j in range(n)]
-                       for i in range(n)])
-        y_dep = max(abs(sig[i].dy(j).value)
-                    for i in range(n) for j in range(n))
-        if not tol.zero(y_dep, max(1.0, float(np.max(np.abs(sv))))):
+    for pt, _, (y_dep, sv_max, curl, sd_max, worst_pt) in classify.sample_rows(
+            factor_rows, report.blocks):
+        if not tol.zero(y_dep, max(1.0, sv_max)):
             raise PreconditionError(
                 f"the factor's base form depends on y ({y_dep:.3e})")
-        curl = max(abs(sd[i, j] - sd[j, i])
-                   for i in range(n) for j in range(i + 1, n)) if n > 1 else 0.0
-        if not tol.zero(curl, max(1.0, float(np.max(np.abs(sd))))):
+        if not tol.zero(curl, max(1.0, sd_max)):
             raise PreconditionError(
                 f"the factor's base form is not closed ({curl:.3e}); "
                 "no single-valued potential exists")
-        worst_pt = 0.0
-        for i in range(n):
-            for j in range(i, n):
-                sij = sig[i].dx(j)
-                for k in range(j, n):
-                    sijk = sij.dx(k).value
-                    br = (sijk
-                          - 2.0 * (sv[i] * sd[j, k] + sv[j] * sd[i, k]
-                                   + sv[k] * sd[i, j])
-                          + 4.0 * sv[i] * sv[j] * sv[k])
-                    worst_pt = max(worst_pt, abs(br))
         brackets.append((pt, worst_pt))
 
     # the bracket is u_{ijk} up to the positive factor -2 e^{-2 sigma};

@@ -65,23 +65,21 @@ def tally(monkeypatch):
     """Count sample draws, bundle builds, scalar splits and quadratures.
 
     `draws` counts calls of sampling.sample_points, through whichever
-    spraylab module binds it.  `bundles` counts builds of point bundles,
-    the row bundles of a block bundle included, per (point bytes, order)
-    key, so a value above 1 is a rebuilt bundle;
-    `splits` counts scalar-split computations per the same key.  `blocks`
-    lists the point-block shape of each block bundle built, `row_blocks`
-    that of each block bundle whose `rows` returned (a block that fell
-    back to point bundles is missing there), and
+    spraylab module binds it.  `bundles` counts builds of point bundles
+    per (point bytes, order) key, so a value above 1 is a rebuilt bundle;
+    `blocks` lists the point-block shape of each block bundle built, and
+    `rows` counts the rows of block bundles per the same key.
+    `splits` counts scalar-split computations (`splits`) per (point or
+    block bytes, order) key, at point and block bundles alike.
     `lambda_targets` counts the points a LambdaField integrated to (its
     cache misses).
     """
     counts = {"draws": 0, "bundles": Counter(), "splits": Counter(),
-              "blocks": [], "row_blocks": [], "lambda_targets": 0}
+              "blocks": [], "rows": Counter(), "lambda_targets": 0}
     sample_points = sampling.sample_points
     bundle = geometry.CurvatureBundle
     init = bundle.__init__
-    rows = bundle.rows
-    split = bundle.__dict__["split"]
+    splits = bundle.__dict__["splits"]
     call = metrize.LambdaField.__call__
 
     def counting_sample_points(*args, **kwargs):
@@ -92,17 +90,13 @@ def tally(monkeypatch):
         init(b, spray, p, order)
         if b._pa.ndim == 2:
             counts["blocks"].append(b._pa.shape)
+            counts["rows"].update((pt.tobytes(), b.order) for pt in b._pa)
         else:
             counts["bundles"][(b._pa.tobytes(), b.order)] += 1
 
-    def counting_rows(b):
-        out = rows(b)
-        counts["row_blocks"].append(b._pa.shape)
-        return out
-
-    def counting_split(b):
+    def counting_splits(b):
         counts["splits"][(b._pa.tobytes(), b.order)] += 1
-        return split.func(b)
+        return splits.func(b)
 
     def counting_call(field, x):
         if np.asarray(x, dtype=float).tobytes() not in field._cache:
@@ -113,10 +107,9 @@ def tally(monkeypatch):
         if (name.split(".")[0] == "spraylab"
                 and getattr(module, "sample_points", None) is sample_points):
             monkeypatch.setattr(module, "sample_points", counting_sample_points)
-    counted_split = cached_property(counting_split)
-    counted_split.__set_name__(bundle, "split")
+    counted_splits = cached_property(counting_splits)
+    counted_splits.__set_name__(bundle, "splits")
     monkeypatch.setattr(bundle, "__init__", counting_init)
-    monkeypatch.setattr(bundle, "split", counted_split)
-    monkeypatch.setattr(bundle, "rows", counting_rows)
+    monkeypatch.setattr(bundle, "splits", counted_splits)
     monkeypatch.setattr(metrize.LambdaField, "__call__", counting_call)
     return counts

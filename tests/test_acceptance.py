@@ -97,7 +97,7 @@ def test_rotor_curvature_closed_forms_and_verdict():
         dec = classify.decompose_scalar(b)
         assert dec.holds
         assert abs(dec.R - yy) <= 1e-8 * yy
-        grad = [g.value for g in b.delta_scalar(dec.R_jet)]
+        grad = [g.value for g in b.delta_scalar(b.split[0])]
         root = np.sqrt(yy)
         want = (y2 * root, -y1 * root)
         for got, ref in zip(grad, want):

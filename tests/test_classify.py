@@ -232,13 +232,13 @@ def test_projective_form() -> None:
 
     flat = classified_at(FLAT, PROT)
     assert flat.flags["projective_form"]
-    assert classify.projective_factor(flat.triples[0][1]).value == pytest.approx(
+    assert classify.projective_factor(flat.blocks[0][1]).value[0] == pytest.approx(
         0.0, abs=1e-12)
 
     p = (0.3, -0.2, 0.7, 0.5)
     proj = classified_at(PROJ, p)
     assert proj.flags["projective_form"]
-    assert classify.projective_factor(proj.triples[0][1]).value == pytest.approx(
+    assert classify.projective_factor(proj.blocks[0][1]).value[0] == pytest.approx(
         0.3 * 0.7 - 0.2 * 0.5, rel=1e-12)
 
     assert not classified_at(ROTOR, PROT).flags["projective_form"]
@@ -262,8 +262,8 @@ def test_projective_gradient_identity_pform() -> None:
     assert dec.R == pytest.approx(-0.2976, abs=1e-10)
     assert np.allclose(dec.tau, [0.628, -1.6], atol=1e-10)
     # both sides evaluate to (-3 y2, 3 y1); frozen from the sympy run
-    grad = [dec.R_jet.dy(i).value - 2.0 * dec.tau_jets[i].value
-            for i in range(2)]
+    Rj, tau, _ = b.split
+    grad = [Rj.dy(i).value - 2.0 * tau[i].value for i in range(2)]
     assert np.allclose(grad, [-1.5, 2.4], atol=1e-10)
     assert np.allclose(b.chi_values, [-4.5, 7.2], atol=1e-9)
     assert classify.projective_isotropy_residual(b) <= 1e-8
@@ -299,10 +299,13 @@ def fit_residual(rep) -> float:
     report's bases, without the antisymmetry defect `residuals` adds."""
     n = rep.samples.bases.shape[1]
     m = rep.samples.ys.shape[1]
+    defects = np.concatenate([
+        np.array([b.splits[0].dy(i).value for i in range(n)]).T
+        - 2.0 * np.array([dec.tau for dec in decs])
+        for _, b, decs in rep.blocks])
     worst = 0.0
     for b, (_, Yd) in enumerate(rep.samples.grouped()):
-        rows = np.array([[dec.R_jet.dy(i).value for i in range(n)] - 2.0 * dec.tau
-                         for _, _, dec in rep.triples[b * m:(b + 1) * m]])
+        rows = defects[b * m:(b + 1) * m]
         worst = max(worst, classify._fit_base_omega(Yd, rows, sampling.TOL)[1])
     return worst
 
@@ -348,7 +351,7 @@ def test_weak_isotropy_rank_error() -> None:
     for k, y in enumerate(Yd):
         b = geometry.CurvatureBundle(sp, np.concatenate([xb, y]), 4)
         dec = classify.decompose_scalar(b)
-        rows[k] = [dec.R_jet.dy(i).value for i in range(2)] - 2.0 * dec.tau
+        rows[k] = [b.split[0].dy(i).value for i in range(2)] - 2.0 * dec.tau
     with pytest.raises(RankError):
         classify._fit_base_omega(Yd, rows, sampling.TOL)
 
@@ -483,11 +486,13 @@ def test_point_bundles_raise_the_earliest_sample_error() -> None:
     # sample 1 is fine, sample 2 fails in G2, sample 3 in G1
     samples = _samples_at([[0.5, 0.5], [0.5, -0.2], [-0.3, 0.5]])
     with pytest.raises(DomainError, match="ln of jet"):
-        geometry.CurvatureBundle(spray, samples.points(), 4).rows()
-    gen = classify.point_bundles(spray, samples)
-    pt, b, dec = next(gen)
-    assert np.array_equal(pt, samples.points()[0])
-    assert dec.holds and b.point == geometry.CurvatureBundle(spray, pt).point
+        geometry.CurvatureBundle(spray, samples.points(), 4).G
+    # the block raises, so its rows become one-row entries, in order
+    gen = classify.block_bundles(spray, samples)
+    pts, b, decs = next(gen)
+    assert np.array_equal(pts, samples.points()[:1])
+    assert b.point is None and np.array_equal(b._pa, pts)
+    assert len(decs) == 1 and decs[0].holds
     with pytest.raises(DomainError, match="sqrt of jet with value part -0.2"):
         next(gen)
 
@@ -501,7 +506,7 @@ def test_point_bundles_raise_a_degenerate_metric_before_a_later_domain_error() -
     with pytest.raises(DomainError, match="sqrt of jet"):
         geometry.spray_from_metric(metric, samples.points(), 4)
     with pytest.raises(DegenerateMetric, match="numerically singular"):
-        list(classify.point_bundles(spray, samples))
+        list(classify.block_bundles(spray, samples))
 
 
 def test_block_rank_check_names_the_first_degenerate_row() -> None:

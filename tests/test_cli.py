@@ -62,12 +62,25 @@ def test_sampling_accounting_counts_rejections(tmp_path):
     assert data["verdict"]["rule"] == "omega y-dependent"
 
 
+def assert_one_bundle_per_block(tally, data, order: int = 4) -> None:
+    """The report's samples were evaluated as the block bundles of
+    `classify.blocks`, one each, built first and at `order`, and no other
+    bundle, at a point or in a block, holds a sample."""
+    points = [np.array(row["point"]).tobytes() for row in data["points"]]
+    width = len(data["points"][0]["point"])
+    blocks = [(len(block), width) for block in classify.blocks(points)]
+    assert tally["blocks"][:len(blocks)] == blocks
+    assert {k: c for k, c in tally["rows"].items() if k[0] in set(points)} == {
+        (pt, order): 1 for pt in points}
+    assert not any(pt in set(points) for pt, _ in tally["bundles"])
+
+
 @pytest.mark.parametrize("command,name,points", [
     ("classify", "flat", 64),
     ("metrize", "nonscalar3", 66),
     ("oracle", "ex7.3", 64),
     # the metric candidates L = R/lambda and Ric/(n-1), whose jets at the
-    # samples are truncations of the report's order-4 bundles
+    # samples are truncations of the report's order-4 block bundles
     ("metrize", "ex7.1", 64),
     ("metrize", "ex7.3", 64),
 ], ids=["classify-flat-64", "metrize-nonscalar3-66", "oracle-ex7.3-64",
@@ -75,16 +88,15 @@ def test_sampling_accounting_counts_rejections(tmp_path):
 def test_one_draw_and_one_bundle_per_point(command, name, points, tmp_path,
                                            tally):
     # classification, survey and verdict share the classification's draw
-    # and its bundles; the oracle's survey and its jets-vs-FD table share
-    # one bundle per point
+    # and its block bundles, so each point has one bundle, its block's; the
+    # oracle's survey and its jets-vs-FD table share them too
     code, data = run([command, name], tmp_path)
     assert code == 0 and data["sampling"]["used"] == points
     assert tally["draws"] == 1
-    assert len(tally["bundles"]) == points
-    assert set(tally["bundles"].values()) == {1}
-    assert {order for _, order in tally["bundles"]} == {4}
-    # every reader of the scalar split shares the bundle's one split
-    assert tally["splits"] == tally["bundles"]
+    assert_one_bundle_per_block(tally, data)
+    # every reader of the scalar split shares each block's one split
+    assert set(tally["splits"].values()) == {1}
+    assert len(tally["splits"]) == len(classify.blocks(range(points)))
 
 
 @pytest.mark.parametrize("name,order", [
@@ -92,14 +104,11 @@ def test_one_draw_and_one_bundle_per_point(command, name, points, tmp_path,
 def test_the_only_bundle_at_a_sample_is_its_report_row(name, order, tmp_path,
                                                        tally):
     # classification, survey, verdict, metric candidates and re-verification
-    # all read the one row bundle each sample gets from its block
+    # all read the one block bundle of the report that each sample is a row
+    # of
     code, data = run(["metrize", name, "--order", str(order)], tmp_path)
     assert code == 0
-    points = [np.array(row["point"]).tobytes() for row in data["points"]]
-    assert sum(rows for rows, _ in tally["row_blocks"]) == len(points)
-    for pt in points:
-        built = {k: c for k, c in tally["bundles"].items() if k[0] == pt}
-        assert built == {(pt, order): 1}, name
+    assert_one_bundle_per_block(tally, data, order)
 
 
 @pytest.mark.parametrize("command,name,points,width", [
@@ -113,10 +122,9 @@ def test_samples_are_evaluated_in_blocks(command, name, points, width,
                                          tmp_path, tally):
     code, data = run([command, name], tmp_path)
     assert code == 0 and data["sampling"]["used"] == points
+    # no block fell back to one-row block bundles
     blocks = [(len(block), width) for block in classify.blocks(range(points))]
     assert tally["blocks"] == blocks
-    # no block fell back to building its samples one at a time
-    assert tally["row_blocks"] == blocks
 
 
 @pytest.mark.parametrize("name,requested,points", [
@@ -145,8 +153,8 @@ def test_survey_takes_identities_once_per_block(name, requested, points,
 
 def test_oracle_drops_each_block_before_building_the_next(tmp_path, monkeypatch):
     # nonscalar3 at --points 256 is three blocks of samples.  The command
-    # streams them: when a block bundle is built, and when the first row of
-    # a later block is split, no block read before is referred to any more
+    # streams them: when a block bundle is built, and when a later block is
+    # split, no block read before is referred to any more
     blocks, alive = [], []
     init = geometry.CurvatureBundle.__init__
     decompose_scalar = classify.decompose_scalar
@@ -162,8 +170,8 @@ def test_oracle_drops_each_block_before_building_the_next(tmp_path, monkeypatch)
             alive.append(("built", earlier_blocks_alive()))
 
     def tracked_decompose(b, tol=cli.TOL):
-        if b._block is not None and b._block[1] == 0:
-            alive.append(("first row", earlier_blocks_alive()))
+        if b.point is None:
+            alive.append(("split", earlier_blocks_alive()))
         return decompose_scalar(b, tol)
 
     monkeypatch.setattr(geometry.CurvatureBundle, "__init__", tracked_init)
@@ -172,7 +180,7 @@ def test_oracle_drops_each_block_before_building_the_next(tmp_path, monkeypatch)
     assert code == 0 and data["sampling"]["used"] == 258
     assert len(blocks) == len(classify.blocks(range(258))) == 3
     assert alive == [(event, [False] * k) for k in range(3)
-                     for event in ("built", "first row")]
+                     for event in ("built", "split")]
 
 
 def test_quadrature_builds_one_bundle_per_lambda_target(tmp_path, tally):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from spraylab import classify, corpus, geometry, metrize
+from spraylab import classify, corpus, geometry, metrize, sampling
 from spraylab.errors import PreconditionError, UnknownFixture
 
 ALL_NAMES = corpus.fixture_names()
@@ -91,12 +91,18 @@ def test_replay_draws_once(tally) -> None:
 def test_replay_builds_each_bundle_once(name, tally) -> None:
     # the omega_fit (cms19), scalar_expr and delta_expr (ex7.2) and
     # structure_check (elliptic2, pflat_exp, pflat_lin) checks read the
-    # classification's bundles instead of building them again
+    # classification's block bundles instead of building them again: each
+    # sample is a row of one order-4 block bundle, and of no other order-4
+    # bundle (flag_ode, on cms19, takes order-5 bundles of its own)
     rep = corpus.run_fixture(name)
     assert rep.passed
-    order4 = [n for (_, order), n in tally["bundles"].items() if order == 4]
-    assert len(order4) == rep.count
-    assert max(order4) == 1
+    fx = corpus.load_fixture(name)
+    samples = sampling.draw(fx.build(), count=rep.count, seed=rep.seed, box=fx.box)
+    points = {pt.tobytes() for pt in samples.points()}
+    assert len(points) == rep.count
+    assert {k: c for k, c in tally["rows"].items() if k[0] in points} == {
+        (pt, 4): 1 for pt in points}
+    assert not any(pt in points for pt, order in tally["bundles"] if order == 4)
 
 
 def test_omega_fit_needs_scalar_curvature() -> None:

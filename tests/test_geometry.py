@@ -305,7 +305,7 @@ def test_shifted_spray_curvature_closed_form() -> None:
 
 def test_shifted_spray_of_a_metric_spray_evaluates_blocks() -> None:
     # the spray projective_shift builds: both parts evaluate a block in one
-    # pass, and each row bundle equals the bundle at its point
+    # pass, and each row of the block bundle equals the bundle at its point
     metric = geometry.ExprMetric(dsl.parse(ROUND_METRIC))
     shapes = []
     jet = metric.jet
@@ -313,14 +313,15 @@ def test_shifted_spray_of_a_metric_spray_evaluates_blocks() -> None:
     sh = geometry.ShiftedSpray(geometry.MetricSpray(metric), metric, 0.5)
     block = np.array([[0.1, -0.2, 0.6, 0.8], [0.3, 0.1, -0.5, 0.4],
                       [-0.2, 0.25, 0.3, -0.9]])
-    rows = CurvatureBundle(sh, block).rows()
+    bb = CurvatureBundle(sh, block)
+    bb.G
     # one jet of L for the induced spray and one for the shift
     assert shapes == [block.shape, block.shape]
-    for pt, rb in zip(block, rows):
+    for r, pt in enumerate(block):
         b = CurvatureBundle(sh, pt)
-        assert np.array_equal(rb.G_values, b.G_values)
-        assert np.array_equal(rb.R_values, b.R_values)
-        assert rb.split[2] == b.split[2]
+        assert np.array_equal(bb.G_values[r], b.G_values)
+        assert np.array_equal(bb.R_values[r], b.R_values)
+        assert bb.splits[2][r] == b.split[2]
 
 
 def test_order_budget_raises_order_error() -> None:
@@ -378,28 +379,6 @@ def test_block_bundle_of_an_induced_spray_equals_point_bundles() -> None:
         assert np.array_equal(
             one_pass.cov_h(np.array(one_pass.R, dtype=object), ("u", "d"))[r],
             b.cov_h(np.array(b.R, dtype=object), ("u", "d")))
-
-
-def test_row_bundles_read_the_block_tensors() -> None:
-    # the spray is evaluated once, for the block, and each row bundle's
-    # jets and values are views of the block's rows
-    spray = spray_of(ROTOR)
-    calls = []
-    coeff_jets = spray.coeff_jets
-    spray.coeff_jets = lambda p, order: calls.append(np.shape(p)) or coeff_jets(p, order)
-    bb = CurvatureBundle(spray, np.array([PROT, PCUB]))
-    rows = bb.rows()
-    assert calls == [(2, 4)]
-    assert [b.point for b in rows] == [PointTangent(PROT[:2], PROT[2:]),
-                                       PointTangent(PCUB[:2], PCUB[2:])]
-    for r, b in enumerate(rows):
-        assert np.shares_memory(b.R[1][0].coeffs, bb.R[1][0].coeffs)
-        assert np.shares_memory(b.chi[0].coeffs, bb.chi[0].coeffs)
-        assert np.shares_memory(b.B_values, bb.B_values)
-        b.split  # row r of the block's split, taken once for the block
-    assert calls == [(2, 4)]
-    with pytest.raises(PreconditionError, match="block bundle"):
-        rows[0].rows()
 
 
 def test_block_bundle_checks_its_points() -> None:

@@ -252,7 +252,7 @@ def test_kept_candidate_jets_truncate_to_the_requested_jets() -> None:
     rep = classified(sp, 12)
     lam = metrize.verdict_isotropic(sp, rep).evidence["lambda"]
     samples = rep.samples
-    known = [b for _, b, _ in rep.triples]
+    known = [b for _, b, _ in rep.blocks]
     off = [np.array([0.3, -0.2, 0.6, -0.5]), np.array([-0.1, 0.4, 0.2, 0.9])]
     for pt in list(samples.points()) + off:
         for make in (lambda: metrize.CurvatureMetric(sp, bundles=known),
@@ -276,14 +276,17 @@ def two_samples(*pts) -> sampling.SampleSet:
 
 def test_finsler_check_of_a_block_keeps_the_first_failing_sample() -> None:
     # the first sample is not of scalar curvature, and the spray cannot be
-    # evaluated at the second: the block raises the second's DomainError
-    # while building its bundle, and the samples taken one at a time raise
-    # the first's PreconditionError, as before
+    # evaluated at the second: the block bundle raises the second's
+    # DomainError, so the candidate checks the split of each row on its
+    # own, and the first's PreconditionError names the error, for a jet at
+    # the block and for the samples taken one at a time
     sp = spray_of("dim 3\nspray G1 = x2 * y3^2 * sqrt(x1)\nspray G2 = 0\n"
                   "spray G3 = 0\n")
     samples = two_samples((0.5, 0.2, -0.1, 0.7, 0.5, -0.4),
                           (-0.5, 0.2, -0.1, 0.7, 0.5, -0.4))
     with pytest.raises(DomainError):
+        geometry.CurvatureBundle(sp, samples.points(), 4).G
+    with pytest.raises(PreconditionError, match="curvature scalar is undefined"):
         metrize.CurvatureMetric(sp).jet(samples.points(), 2)
     with pytest.raises(PreconditionError, match="curvature scalar is undefined"):
         metrize.finsler_check(metrize.CurvatureMetric(sp), samples)
@@ -298,13 +301,13 @@ def test_metric_spray_residuals_of_a_block_keep_the_first_failing_sample() -> No
 
     metric = metric_of("dim 2\nmetric L = y1^2 + x1^2*y2^2 + sqrt(x2)*y1^2\n")
     samples = two_samples((1e-9, 0.25, 0.6, 0.8), (0.3, -0.25, 0.6, 0.8))
-    triples = tuple(classify.point_bundles(spray_of(FLAT), samples))
-    assert triples[0][1]._block[0] is triples[1][1]._block[0]
+    blocks = tuple(classify.block_bundles(spray_of(FLAT), samples))
+    assert len(blocks) == 1 and len(blocks[0][0]) == 2
     with pytest.raises(DomainError):
         metric.jet(samples.points(), 1)
     got = []
     with pytest.raises(DegenerateMetric):
-        for row in metrize.metric_spray_residuals(metric, triples):
+        for row in metrize.metric_spray_residuals(metric, blocks):
             got.append(row)
     assert got == []
 
@@ -981,20 +984,19 @@ def test_shift_round_metric() -> None:
 
 def test_shift_evaluates_blocks(tally) -> None:
     # the metric's spray and the shifted spray each take the 40 samples in
-    # blocks, and no block falls back to building its samples one at a
-    # time; the verdict reads the shifted spray's bundles, drawing nothing
+    # blocks, and no block falls back to one-row block bundles; the
+    # verdict reads the shifted spray's bundles, drawing nothing
     metrize.projective_shift(metric_of(EQ3), 2.0, count=40)
     one_pass = [(len(block), 4) for block in classify.blocks(range(40))]
     assert tally["draws"] == 1
     assert tally["blocks"] == one_pass * 2
-    assert tally["row_blocks"] == one_pass * 2
 
 
 def test_shift_of_a_recovered_metric_builds_one_bundle_per_block(monkeypatch) -> None:
     # the recovered metric is asked first for the order its spray lifts it
     # to (order 6, on order-8 bundles); its values and its Finsler check
     # truncate that jet, so the spray it came from gets one order-8 block
-    # bundle per block and its rows, and no bundle of order 3 or 4
+    # bundle per block, and no other bundle
     fx = corpus.load_fixture("elliptic2")
     L = metrize.decide(fx.build(), count=16, seed=7, box=fx.box).recovered_metric
     assert isinstance(L, metrize.CurvatureMetric)
@@ -1008,7 +1010,7 @@ def test_shift_of_a_recovered_metric_builds_one_bundle_per_block(monkeypatch) ->
 
     monkeypatch.setattr(geometry.CurvatureBundle, "__init__", recording_init)
     metrize.projective_shift(L, 0.7, count=8, seed=3, box=fx.box)
-    assert built == [((8, 4), 8)] + [((4,), 8)] * 8
+    assert built == [((8, 4), 8)]
 
 
 def test_each_class_is_decided_once_per_classified_block(monkeypatch) -> None:

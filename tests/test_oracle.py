@@ -157,7 +157,6 @@ def test_agreement_report_nan_is_no_agreement() -> None:
     class NanR:
         spray = b.spray
         point = b.point
-        _block = None
         _pa = b._pa
         R_values = np.full_like(b.R_values, np.nan)
         chi_values = b.chi_values
@@ -441,25 +440,23 @@ def test_agreement_report_takes_one_call_per_block_of_one_spray(monkeypatch) -> 
     rng = np.random.default_rng(3)
     pts = np.concatenate([rng.uniform(-0.3, 0.3, (40, 2)),
                           rng.uniform(0.5, 1.0, (40, 2))], axis=1)
-    # the rows of three block bundles of the ball, a point bundle of the
-    # rotor between two of them, and five point bundles of the rotor
-    bundles = geometry.CurvatureBundle(ball, pts[:16]).rows()
-    bundles += geometry.CurvatureBundle(ball, pts[16:20]).rows()
-    bundles.append(geometry.CurvatureBundle(rotor, pts[0]))
-    bundles += geometry.CurvatureBundle(ball, pts[20:35]).rows()
-    bundles += [geometry.CurvatureBundle(rotor, p) for p in pts[35:]]
+    # three block bundles of the ball, a point bundle of the rotor between
+    # two of them, and five point bundles of the rotor
+    parts = [(ball, pts[:16]), (ball, pts[16:20]), (rotor, pts[0]), (ball, pts[20:35])]
+    parts += [(rotor, p) for p in pts[35:]]
     calls = []
     fd_curvature = oracle.fd_curvature
     monkeypatch.setattr(oracle, "fd_curvature",
                         lambda sp, p, h: calls.append((sp, len(p))) or fd_curvature(sp, p, h))
-    report = oracle.agreement_report(iter(bundles))
+    report = oracle.agreement_report(geometry.CurvatureBundle(sp, p) for sp, p in parts)
     assert calls == [(ball, 16), (ball, 4), (rotor, 1), (ball, 15)] + [(rotor, 1)] * 5
     # the same table as one bundle per call, each built at its point alone,
     # compared in the same order
     calls.clear()
-    one_by_one = [oracle.agreement_report(
-        [geometry.CurvatureBundle(b.spray, b.point.array())]) for b in bundles]
-    assert len(calls) == len(bundles)
+    points = [(sp, pt) for sp, p in parts for pt in np.reshape(p, (-1, 4))]
+    one_by_one = [oracle.agreement_report([geometry.CurvatureBundle(sp, pt)])
+                  for sp, pt in points]
+    assert len(calls) == len(points) == 41
     for key, entry in report.items():
         assert entry["ok"] == all(r[key]["ok"] for r in one_by_one)
         worst = max(one_by_one, key=lambda r: r[key]["max_err"] - r[key]["worst_tol"])

@@ -13,18 +13,18 @@ contraction and 5.8e-14 for the Bianchi identity, both relative to max|R|.
 Each bound is that worst case rounded up to the next power of ten, times ten.
 
 The block tests draw blocks of 1 to 5 such points and check that every row
-of a block bundle's jets and values, and every row bundle it hands out,
-equals the bundle at that point alone, bit for bit.  So do each row's
-scalar split (a view of the block's), its identity residuals, taken in
-one call for the block, and its isotropy and constancy checks; a block
-whose later row meets the reciprocal floor of the split (the spray
-without its |y| term, at a tangent of length 1e-13) attempts the block's
-split once, yields the rows before it and raises that row's own error.
-The two rules for a block that raises, `classify.rowwise` and
-`geometry.RowReader`, are checked on blocks of 1 to 20 rows with failing
-rows at random positions: the first row that fails alone raises its own
-error after exactly the rows before it, and a block that succeeds is
-computed once.  The same holds for the
+of a block bundle's jets and values equals the bundle at that point alone,
+bit for bit.  So do each row's scalar split and decomposition, its
+identity residuals, taken in one call for the block, and its isotropy and
+constancy checks; a block whose later row meets the reciprocal floor of
+the split (the spray without its |y| term, at a tangent of length 1e-13)
+attempts the block's split once, yields the rows before it as one-row
+entries and raises that row's own error.  The rule for a block that
+raises, `classify.rowwise`, is checked on blocks of 1 to 20 rows with
+failing rows at random positions, on its own and over a bundle's rows
+(`classify.bundle_rows`): the first row that fails alone raises its own
+error after exactly the rows before it, each rerun on a one-row block
+bundle, and a block that succeeds is computed once.  The same holds for the
 spray of a random metric
 
     L = sum_{j<=k} (a_jk + b_jk x_l) y^j y^k + e y^1 |y|
@@ -46,15 +46,16 @@ metric half of the decision layer: the jets of both recovered-metric
 candidates of a random spray at a block, the rows of `finsler_check` for
 those candidates and for the random metrics (and `finsler_check` itself
 against the loop it ran one point at a time), and `metric_spray_residuals`
-over the triples of a classified block, for the random metrics and for
-the candidates.
+over a classified block, against the loop over point bundles it
+replaced, for the random metrics and for the candidates.
 
 The class tests (`is_isotropic`, `is_constant`, `is_berwald` and
 `_proportional`) at a block bundle, one call for all its rows, give each
 row the holds and residual bits of the point tests they replaced, which
 are kept here as references, and so do they at each row's point bundle;
 `classify_samples` reports, bit for bit, what it reports with every
-sample a block of its own and the reference tests.  Their blocks carry an
+sample a block of its own and the reference tests at each row's point
+bundle.  Their blocks carry an
 inf or nan in one coefficient of G at some rows (reaching G's value, R
 alone, Gamma and R, or the Berwald tensor), and engine faults at others
 (chi off the isotropy defect; tau parallel while Ric is not; both
@@ -115,6 +116,7 @@ import contextlib
 import functools
 import struct
 import types
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -256,28 +258,6 @@ def _all_equal(a, b) -> bool:
         for u, v in zip(a, b))
 
 
-@PROPERTY_SETTINGS
-@given(sprays_at_blocks())
-def test_row_bundles_equal_point_bundles_bitwise(case) -> None:
-    spray, block = case
-    rows = CurvatureBundle(spray, block, 4).rows()
-    assert len(rows) == len(block)
-    for pt, rb in zip(block, rows):
-        pb = CurvatureBundle(spray, pt, 4)
-        assert rb.point == pb.point
-        for name in ("G", "N", "Gamma", "R", "Ric", "curvature_scalar", "R3",
-                     "V", "chi"):
-            assert _all_equal(getattr(rb, name), getattr(pb, name)), name
-        for name in ("G_values", "N_values", "Gamma_values", "B_values",
-                     "R_values", "chi_values"):
-            assert np.array_equal(getattr(rb, name), getattr(pb, name)), name
-        (r_jet, tau, residual), (p_jet, p_tau, p_residual) = rb.split, pb.split
-        assert _all_equal(r_jet, p_jet) and _all_equal(tau, p_tau)
-        assert residual == p_residual
-        assert geometry.identity_residuals(rb) == geometry.identity_residuals(pb)
-        assert geometry.h_tensor_residuals(rb) == geometry.h_tensor_residuals(pb)
-
-
 def split_bytes(split) -> tuple:
     """A split's jets and residual as bytes, the residual's type kept."""
     r_jet, tau, residual = split
@@ -285,22 +265,34 @@ def split_bytes(split) -> tuple:
             type(residual), float(residual).hex())
 
 
+def row_split(split, r: int) -> tuple:
+    """Row r of a block bundle's `splits`, as a point's split: jets at the
+    row's center over the row's coefficients, and a Python float."""
+    r_jet, tau, residual = split
+    center = tuple(r_jet.center[r])
+    return (jets.Jet(r_jet.space, center, r_jet.coeffs[r]),
+            [jets.Jet(t.space, center, t.coeffs[r]) for t in tau], float(residual[r]))
+
+
 def identity_bytes(res: dict) -> list:
     """An identity dict's keys in order, with each value's type and bits."""
     return [(k, type(v), float(v).hex()) for k, v in res.items()]
 
 
+def dec_bytes(dec) -> tuple:
+    """A ScalarDecomposition's fields, with the types of R and the residual."""
+    return (type(dec.R), float(dec.R).hex(), dec.tau.tobytes(), type(dec.residual),
+            float(dec.residual).hex(), dec.holds)
+
+
 def check_bytes(dec, b) -> list:
-    """The isotropy and constancy checks of a sample, or the error of the
-    first that raises."""
-    try:
-        iso = classify.is_isotropic(dec, b)
-        con = classify.is_constant(dec, b)
-    except SprayLabError as exc:
-        return [type(exc), str(exc)]
-    return [iso.holds, float(iso.residual).hex(), con.holds,
-            float(con.residual).hex(),
-            None if con.ric_residual is None else float(con.ric_residual).hex()]
+    """The isotropy and constancy checks of each row of the bundle."""
+    iso, con = classify.is_isotropic(dec, b), classify.is_constant(dec, b)
+    if b.point is not None:
+        iso, con = [iso], [con]
+    return [[i.holds, float(i.residual).hex(), c.holds, float(c.residual).hex(),
+             None if c.ric_residual is None else float(c.ric_residual).hex()]
+            for i, c in zip(iso, con)]
 
 
 @PROPERTY_SETTINGS
@@ -310,20 +302,16 @@ def test_block_split_and_identities_equal_point_calls_bytewise(case) -> None:
     bb = CurvatureBundle(spray, block, 4)
     block_res = geometry.identity_residuals(bb)
     assert len(block_res) == len(block)
-    block_jet, block_tau, _ = bb.splits
-    for r, (pt, rb) in enumerate(zip(block, bb.rows())):
-        pb = CurvatureBundle(spray, pt, 4)
-        # the row's split is row r of the block's, not a split of its own
-        r_jet, tau, _ = rb.split
-        assert np.shares_memory(r_jet.coeffs, block_jet.coeffs)
-        assert all(np.shares_memory(t.coeffs, u.coeffs)
-                   for t, u in zip(tau, block_tau))
-        assert split_bytes(rb.split) == split_bytes(pb.split)
-        want = identity_bytes(geometry.identity_residuals(pb))
-        assert identity_bytes(block_res[r]) == want
-        assert identity_bytes(geometry.identity_residuals(rb)) == want
-        assert check_bytes(classify.decompose_scalar(rb), rb) == \
-            check_bytes(classify.decompose_scalar(pb), pb)
+    decs = classify.decompose_scalar(bb)
+    assert len(decs) == len(block)
+    points = [CurvatureBundle(spray, pt, 4) for pt in block]
+    for r, pb in enumerate(points):
+        assert split_bytes(row_split(bb.splits, r)) == split_bytes(pb.split)
+        assert identity_bytes(block_res[r]) == \
+            identity_bytes(geometry.identity_residuals(pb))
+        assert dec_bytes(decs[r]) == dec_bytes(classify.decompose_scalar(pb))
+    assert check_bytes(decs, bb) == [
+        row for pb in points for row in check_bytes(classify.decompose_scalar(pb), pb)]
 
 
 class PoisonedSpray:
@@ -399,11 +387,11 @@ def poisoned_blocks(draw):
 @contextlib.contextmanager
 def faulty(faults: dict):
     """Scale the values of the bundle tensors named in `faults` at its
-    points, at a point bundle and row by row at a block bundle, whose rows
-    read them, while the block runs."""
+    points, at a point bundle and row by row at a block bundle, while the
+    block runs."""
     with pytest.MonkeyPatch.context() as mp:
         for name in ("chi_values", "tau_cov", "ric_cov"):
-            fn = CurvatureBundle.__dict__[name].func.__wrapped__
+            fn = CurvatureBundle.__dict__[name].func
 
             @functools.wraps(fn)
             def scaled(b, _name=name, _fn=fn):
@@ -414,7 +402,7 @@ def faulty(faults: dict):
                     return v * k[0]
                 return v * np.reshape(k, (-1,) + (1,) * (v.ndim - 1))
 
-            prop = geometry._per_row(scaled)
+            prop = cached_property(scaled)
             prop.__set_name__(CurvatureBundle, name)
             mp.setattr(CurvatureBundle, name, prop)
         yield
@@ -478,6 +466,25 @@ POINT_CLASS_TESTS = {"is_isotropic": point_is_isotropic,
                      "_proportional": point_proportional}
 
 
+def point_bundle(b, r: int) -> CurvatureBundle:
+    """The bundle built at row r of the block bundle b alone."""
+    return CurvatureBundle(b.spray, b._pa[r], b.order)
+
+
+# the reference tests as a block's class tests, one point test per row, at
+# each row's point bundle
+ROW_CLASS_TESTS = {
+    "is_isotropic": lambda decs, b, tol: [
+        point_is_isotropic(d, point_bundle(b, r), tol) for r, d in enumerate(decs)],
+    "is_constant": lambda decs, b, tol: [
+        point_is_constant(d, point_bundle(b, r), tol) for r, d in enumerate(decs)],
+    "is_berwald": lambda b, tol: [
+        point_is_berwald(point_bundle(b, r), tol) for r in range(len(b._pa))],
+    "_proportional": lambda Gv, yv, tol: [
+        point_proportional(g, y, tol) for g, y in zip(Gv, yv)],
+}
+
+
 def check_rows(results) -> list:
     """Per result, its holds and the bits of its residuals."""
     rows = []
@@ -510,7 +517,7 @@ def test_block_class_tests_equal_point_calls_bytewise(case) -> None:
     spray, block, faults = case
     with np.errstate(all="ignore"), faulty(faults):
         bb = CurvatureBundle(spray, block, 4)
-        decs = [classify.decompose_scalar(rb) for rb in bb.rows()]
+        decs = classify.decompose_scalar(bb)
         points = [CurvatureBundle(spray, pt, 4) for pt in block]
         point_decs = [classify.decompose_scalar(b) for b in points]
         calls = {
@@ -543,15 +550,15 @@ def report_bytes(spray, samples) -> list:
 def test_classification_of_a_block_equals_one_sample_at_a_time(case) -> None:
     """`classify_samples` on blocks of `BLOCK_ROWS` samples reports, flag
     and residual bits, what it reports with every sample a block of its
-    own and the point tests the class tests replaced, or raises the same
-    error at the same first sample."""
+    own and the point tests the class tests replaced, taken at each row's
+    point bundle, or raises the same error at the same first sample."""
     spray, block, faults = case
     samples = samples_at(block)
     with np.errstate(all="ignore"), faulty(faults):
         got = report_bytes(spray, samples)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(classify, "BLOCK_ROWS", 1)
-            for name, reference in POINT_CLASS_TESTS.items():
+            for name, reference in ROW_CLASS_TESTS.items():
                 mp.setattr(classify, name, reference)
             want = report_bytes(spray, samples)
     assert got == want
@@ -562,7 +569,7 @@ def test_classification_of_a_block_equals_one_sample_at_a_time(case) -> None:
 def test_block_split_past_the_reciprocal_floor_fails_at_that_row(case, k) -> None:
     # a row whose largest |y^i| is below jets.VALUE_FLOOR: its split cannot
     # divide by y^{i0}, so the block's split raises, the rows before it
-    # read their own, and that row raises what it raises alone
+    # become one-row entries, and that row raises what it raises alone
     spray, block = case
     n = spray.dim
     bad = block[0].copy()
@@ -574,26 +581,27 @@ def test_block_split_past_the_reciprocal_floor_fails_at_that_row(case, k) -> Non
     with pytest.raises(DomainError):
         CurvatureBundle(spray, full, 4).splits
     got = []
-    # the block's split is attempted once, however many rows read it
+    # the block's split is attempted once, then one split per row up to
+    # the bad one
     attempts = []
     splits = CurvatureBundle.__dict__["splits"]
     split_of = splits.func
 
     def counted(b):
-        if b._block is None and b.point is None:
-            attempts.append(len(b._pa))
+        attempts.append(b._pa.shape)
         return split_of(b)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(splits, "func", counted)
         with pytest.raises(DomainError) as in_block:
-            for pt, b, dec in classify.point_bundles(spray, samples_at(full)):
-                assert b._block is not None
-                got.append(split_bytes(b.split))
-    assert attempts == [len(full)]
+            for pts, b, decs in classify.block_bundles(spray, samples_at(full)):
+                assert len(pts) == len(decs) == 1 and b._pa.shape == (1, 2 * n)
+                got.append((split_bytes(row_split(b.splits, 0)), dec_bytes(decs[0])))
+    assert attempts == [full.shape] + [(1, 2 * n)] * (len(block) + 1)
     assert str(in_block.value) == str(alone.value)
-    assert got == [split_bytes(CurvatureBundle(spray, pt, 4).split)
-                   for pt in block]
+    points = [CurvatureBundle(spray, pt, 4) for pt in block]
+    assert got == [(split_bytes(b.split), dec_bytes(classify.decompose_scalar(b)))
+                   for b in points]
 
 
 @st.composite
@@ -641,32 +649,35 @@ FLAT_SPRAY = geometry.ExprSpray(dsl.parse("dim 2\nspray G1 = 0\nspray G2 = 0\n")
 
 @PROPERTY_SETTINGS
 @given(blocks_with_failures(), st.integers(-3, 3))
-def test_row_reader_reads_the_rows_before_the_first_failing_row(case, shift) -> None:
+def test_bundle_rows_reads_the_rows_before_the_first_failing_row(case, shift) -> None:
     block, failing = case
     # the rows' points hold (r, 2r) in x, so fn can tell them apart
     pts = np.concatenate([block, np.full_like(block, 0.6)], axis=1)
-    calls, got = [], []
+    calls, shapes, got = [], [], []
     run = failing_run(failing, calls)
 
     def fn(b, plus):
-        rows = [r + plus for r in run(np.reshape(b._pa, (-1, 4)))]
-        return rows if b.point is None else rows[0]
+        shapes.append(b._pa.shape)
+        return [r + plus for r in run(np.reshape(b._pa, (-1, 4)))]
 
-    reader = geometry.RowReader(fn, shift)
-    bundles = CurvatureBundle(FLAT_SPRAY, pts, 2).rows()
+    bb = CurvatureBundle(FLAT_SPRAY, pts, 2)
     if not failing:
-        assert [reader(b) for b in bundles] == [r + shift for r in range(len(block))]
+        assert list(classify.bundle_rows(fn, bb, shift)) == [
+            r + shift for r in range(len(block))]
         assert calls == [len(block)]  # computed once
-        # a point bundle takes its own
-        assert reader(CurvatureBundle(FLAT_SPRAY, pts[0], 2)) == shift
+        # a point bundle is one row
+        assert list(classify.bundle_rows(fn, CurvatureBundle(FLAT_SPRAY, pts[0], 2),
+                                         shift)) == [shift]
         assert calls == [len(block), 1]
         return
     first = min(failing)
     with pytest.raises(DomainError, match=f"^row {first}$"):
-        for b in bundles:
-            got.append(reader(b))
+        for entry in classify.bundle_rows(fn, bb, shift):
+            got.append(entry)
     assert got == [r + shift for r in range(first)]
+    # the block, then a one-row block bundle per row up to the first failing
     assert calls == [len(block)] + [1] * (first + 1)
+    assert shapes == [pts.shape] + [(1, 4)] * (first + 1)
 
 
 def metric_terms(n: int, draw) -> tuple:
@@ -845,16 +856,30 @@ def point_finsler_check(field_obj, points) -> list:
     return [holds, worst_euler, min_ratio]
 
 
-def residuals(L, triples, parallel=True) -> list:
-    return [row[2:] for row in metrize.metric_spray_residuals(L, triples, parallel)]
+def residuals(L, blocks, parallel=True) -> list:
+    return [row[2:] for row in metrize.metric_spray_residuals(L, blocks, parallel)]
 
 
-def block_and_point_triples(spray, block) -> tuple:
-    """The classification's triples of the block (rows of one block
-    bundle), and triples of point bundles built at each row alone."""
-    rows = tuple(classify.point_bundles(spray, samples_at(block)))
-    points = tuple((pt, CurvatureBundle(spray, pt, 4), None) for pt in block)
-    return rows, points
+def point_residuals(L, points, parallel=True) -> list:
+    """`metric_spray_residuals`' (L value, max |L_{;i}|, max |G_L - G|) as
+    it took them at one point bundle at a time."""
+    out = []
+    for b in points:
+        value = semi = None
+        if parallel:
+            Lj = L.jet(b._pa, 1)
+            value = Lj.value
+            semi = max(abs(d) for d in b.cov_h(Lj, ()).tolist())
+        gv = np.array([g.value for g in geometry.spray_from_metric(L, b._pa, 0)])
+        out.append((value, semi, float(np.max(np.abs(gv - b.G_values)))))
+    return out
+
+
+def block_and_point_bundles(spray, block) -> tuple:
+    """The classification's entries of the block, and point bundles built
+    at each row alone."""
+    blocks = tuple(classify.block_bundles(spray, samples_at(block)))
+    return blocks, [CurvatureBundle(spray, pt, 4) for pt in block]
 
 
 @PROPERTY_SETTINGS
@@ -863,23 +888,23 @@ def test_block_metric_spray_residuals_equal_point_rows_bitwise(case, parallel) -
     n, terms, e, block = case
     metric = metric_expression(n, terms, e)
     try:
-        rows, points = block_and_point_triples(geometry.MetricSpray(metric), block)
+        blocks, points = block_and_point_bundles(geometry.MetricSpray(metric), block)
     except SprayLabError:
         assume(False)
-    assert all(b._block is not None for _, b, _ in rows)
-    rows_agree(lambda: residuals(metric, rows, parallel),
-               lambda: residuals(metric, points, parallel))
+    assert len(blocks) == 1  # no row of the block fell back
+    rows_agree(lambda: residuals(metric, blocks, parallel),
+               lambda: point_residuals(metric, points, parallel))
 
 
 @PROPERTY_SETTINGS
 @given(sprays_at_blocks())
 def test_block_candidate_residuals_equal_point_rows_bitwise(case) -> None:
     spray, block = case
-    rows, points = block_and_point_triples(spray, block)
+    blocks, points = block_and_point_bundles(spray, block)
     for k in range(2):
         rows_agree(
-            lambda: residuals(candidates(spray, [b for _, b, _ in rows])[k], rows),
-            lambda: residuals(candidates(spray, [b for _, b, _ in points])[k], points))
+            lambda: residuals(candidates(spray, [b for _, b, _ in blocks])[k], blocks),
+            lambda: point_residuals(candidates(spray, points)[k], points))
 
 
 @PROPERTY_SETTINGS
@@ -1182,9 +1207,10 @@ def test_stacked_R_and_tau_equal_the_component_loops(case, order, at_block) -> N
 @given(st.booleans().flatmap(lambda radial: sprays_at_blocks(radial)), st.booleans())
 def test_closed_factor_curl_at_order_2_equals_the_full_order_curl(case, at_block) -> None:
     """The curl of the projective factor, taken from G truncated to order
-    2, has the bits of the curl taken from the order-4 jets of G."""
+    2, has the bits of the curl taken from the order-4 jets of G, at a
+    block bundle and at the one-row block of its first point."""
     spray, block = case
-    b = CurvatureBundle(spray, block if at_block else block[0], 4)
+    b = CurvatureBundle(spray, block if at_block else block[:1], 4)
     n = b.dim
     P = classify.projective_factor(b)
     assert P.order == 4
@@ -1430,24 +1456,28 @@ def first_orders(u) -> list:
     return [u.value] + [u.diff(v).value for v in range(u.space.nvars)]
 
 
-def loop_omega_rows(triples, floor: float) -> list:
+def loop_omega_rows(points, floor: float) -> list:
     """Per sample, what the omega stage read when it took one sample at a
-    time: None where |R| < floor, else `first_orders` of each delta_a R / R,
-    delta R from the jet loop."""
-    return [None if abs(dec.R) < floor else
-            [first_orders(d / dec.R_jet) for d in cov_h_jets(b, dec.R_jet, ())]
-            for _, b, dec in triples]
+    time, at its point bundle: None where |R| < floor, else `first_orders`
+    of each delta_a R / R, delta R from the jet loop."""
+    out = []
+    for b in points:
+        Rj = b.split[0]
+        out.append(None if abs(Rj.value) < floor else
+                   [first_orders(d / Rj) for d in cov_h_jets(b, Rj, ())])
+    return out
 
 
-def loop_t_rows(triples, floor: float) -> list:
+def loop_t_rows(points, floor: float) -> list:
     """The same for the t stage: `first_orders` of each t_i = tau_i / R and
     max |t_{i;j}|, from the sample's own `cov_h`."""
     out = []
-    for _, b, dec in triples:
-        if abs(dec.R) < floor:
+    for b in points:
+        Rj, tau, _ = b.split
+        if abs(Rj.value) < floor:
             out.append(None)
             continue
-        t = [u / dec.R_jet for u in dec.tau_jets]
+        t = [u / Rj for u in tau]
         cov = b.cov_h(np.array(t, dtype=object), ("d",))
         out.append(([first_orders(u) for u in t], float(np.max(np.abs(cov)))))
     return out
@@ -1485,16 +1515,16 @@ def hex_outcome(fn):
 
 
 @contextlib.contextmanager
-def failing_at_blocks(names):
-    """The bundle methods `names` raise at a block bundle, so that a stage
-    taken there falls back to the block's rows."""
+def failing_at(bundles, names):
+    """The bundle methods `names` raise at the given bundles, so that a
+    stage taken there falls back to one-row block bundles."""
     with pytest.MonkeyPatch.context() as mp:
         for name in names:
-            def at_points(b, *args, _fn=getattr(CurvatureBundle, name)):
-                if b.point is None:
-                    raise SprayLabError("not at a block")
+            def elsewhere(b, *args, _fn=getattr(CurvatureBundle, name)):
+                if any(b is x for x in bundles):
+                    raise SprayLabError("not at this block")
                 return _fn(b, *args)
-            mp.setattr(CurvatureBundle, name, at_points)
+            mp.setattr(CurvatureBundle, name, elsewhere)
         yield
 
 
@@ -1502,28 +1532,31 @@ def failing_at_blocks(names):
 @given(st.one_of(poisoned_blocks().map(lambda case: case[:2]), vanishing_R_blocks()),
        st.sampled_from(["0", "row", "inf"]), st.integers(0, 4), st.booleans())
 def test_quotient_stages_equal_the_loops_over_samples(case, floor_kind, k, fails) -> None:
-    """The omega and t stages, read through a `geometry.RowReader` as the
-    verdicts read them, give each sample the `float.hex` of the loop over
-    samples they replaced, or raise its first error: on sprays with an
-    inf or nan at some rows, or with R = 0.0 at some, for a floor of 0.0
-    (every row divided), the |R| of a row (the rows under it skipped) or
-    inf (no row divided); with the block's stage failing, each row is
-    taken alone.  A block that succeeds takes one reciprocal of R."""
+    """The omega and t stages, read per block through
+    `classify.bundle_rows` as the verdicts read them, give each sample the
+    `float.hex` of the loop over samples they replaced, or raise its first
+    error: on sprays with an inf or nan at some rows, or with R = 0.0 at
+    some, for a floor of 0.0 (every row divided), the |R| of a row (the
+    rows under it skipped) or inf (no row divided); with the block's stage
+    failing, each row is taken on a one-row block bundle.  A block that
+    succeeds takes one reciprocal of R."""
     spray, block = case
     with np.errstate(all="ignore"):
-        triples = tuple(classify.point_bundles(spray, samples_at(block)))
-        floor = {"0": 0.0, "row": abs(triples[k % len(triples)][2].R),
+        blocks = tuple(classify.block_bundles(spray, samples_at(block)))
+        decs = [dec for _, _, ds in blocks for dec in ds]
+        floor = {"0": 0.0, "row": abs(decs[k % len(decs)].R),
                  "inf": np.inf}[floor_kind]
+        points = [CurvatureBundle(spray, pt, 4) for pt in block]
         for stage, loop, names in ((metrize._omega_rows, loop_omega_rows, ["delta_scalar"]),
                                    (metrize._t_rows, loop_t_rows, ["cov_h"])):
             recips = []
             reciprocal = jets.Jet.reciprocal
             with pytest.MonkeyPatch.context() as mp, \
-                    failing_at_blocks(names if fails else []):
+                    failing_at([b for _, b, _ in blocks], names if fails else []):
                 mp.setattr(jets.Jet, "reciprocal", lambda u: recips.append(u) or reciprocal(u))
-                read = geometry.RowReader(stage, floor)
-                got = hex_outcome(lambda: [read(b) for _, b, _ in triples])
-            assert got == hex_outcome(lambda: loop(triples, floor))
+                got = hex_outcome(lambda: [row for _, b, _ in blocks
+                                           for row in classify.bundle_rows(stage, b, floor)])
+            assert got == hex_outcome(lambda: loop(points, floor))
             if not fails and isinstance(got, list):
                 assert [len(u.coeffs) for u in recips] == [len(block)]
 
@@ -1705,17 +1738,20 @@ def _bundle_jets(b) -> list:
 
 @pytest.mark.parametrize("name", corpus.fixture_names())
 def test_order_4_bundles_truncate_to_order_3_bundles_bytewise(name) -> None:
-    # the report's order-4 row bundles against the order-3 point bundles
-    # the metric candidates and the witness check once built at each sample
+    # the rows of the report's order-4 block bundles against the order-3
+    # point bundles the metric candidates and the witness check once built
+    # at each sample
     fx = corpus.load_fixture(name)
     spray = fx.build()
     samples = sampling.draw(spray, count=64, seed=7, box=fx.box)
-    for pt, b4, _ in classify.point_bundles(spray, samples, 4):
-        b3 = CurvatureBundle(spray, pt, 3)
-        pairs = list(zip(_bundle_jets(b4), _bundle_jets(b3)))
-        assert len(pairs) == spray.dim * (1 + 2 * spray.dim) + 1
-        for high, low in pairs:
-            assert same_bytes(high, low), (name, pt)
+    for points, b4, _ in classify.block_bundles(spray, samples, 4):
+        for r, pt in enumerate(points):
+            b3 = CurvatureBundle(spray, pt, 3)
+            pairs = list(zip(_bundle_jets(b4), _bundle_jets(b3)))
+            assert len(pairs) == spray.dim * (1 + 2 * spray.dim) + 1
+            for high, low in pairs:
+                assert same_bytes(jets.Jet(high.space, tuple(pt), high.coeffs[r]), low), (
+                    name, pt)
 
 
 # -- the expression tape -------------------------------------------------------

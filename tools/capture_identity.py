@@ -34,12 +34,13 @@ iff every captured output is.  It writes, as one JSON object:
   16, for the elliptic2 metric and for the metrics that `decide` recovers
   on ex7.1 and ex7.3, each at seeds 3 and 11;
 - `decision_stages`: per fixture at seeds 3 and 11, at each sample of its
-  classification at the command's default count, omega = delta R / R (each component's value and
-  first-order coefficients), and t = tau / R (its values, `cov_h` of t and
-  the y-derivatives of t), each quotient one `Jet` division at the
-  sample's bundle; and at each block bundle, every coefficient of
+  classification at the command's default count, omega = delta R / R
+  (each component's value and first-order coefficients), and t = tau / R
+  (its values, `cov_h` of t and the y-derivatives of t), each quotient
+  one `Jet` division at the bundle built at the sample alone; and at each
+  block bundle of the classification, every coefficient of
   `delta_scalar` of its curvature scalar;
-- `errors`: what `point_bundles`, `finsler_check`, `metric_spray_residuals`,
+- `errors`: what `block_bundles`, `finsler_check`, `metric_spray_residuals`,
   `LambdaField`, `agreement_report` and the `oracle` command give on
   inputs where a block of samples, nodes or points fails: the rows
   yielded before the error, and the error's type and text.  A block that
@@ -178,7 +179,8 @@ def sample_records() -> dict:
                     recording(geometry, "identity_residuals", idents):
                 cli.cmd_classify(cli.RunConfig(input=name, seed=seed))
             out[f"{name} seed {seed}"] = {
-                "split": [enc([d.R, d.tau, d.residual, d.holds]) for d in splits],
+                "split": [enc([d.R, d.tau, d.residual, d.holds])
+                          for d in per_row(splits)],
                 "isotropic": [enc([c.holds, c.residual]) for c in per_row(iso)],
                 "constant": [enc([c.holds, c.residual, c.ric_residual])
                              for c in per_row(con)],
@@ -350,26 +352,29 @@ def decision_stages() -> dict:
     for seed in SEEDS:
         for name in corpus.fixture_names():
             fixture = corpus.load_fixture(name)
-            rep = classify.classify_spray(fixture.build(), count=cli.RunConfig.points,
+            spray_obj = fixture.build()
+            rep = classify.classify_spray(spray_obj, count=cli.RunConfig.points,
                                           seed=seed, box=fixture.box)
             rows = []
-            for _, b, dec in rep.triples:
-                def t_parts(b=b, dec=dec):
-                    t = [u / dec.R_jet for u in dec.tau_jets]
-                    n = len(t)
-                    return [[u.value for u in t],
-                            b.cov_h(np.array(t, dtype=object), ("d",)),
-                            [[u.dy(j).value for j in range(n)] for u in t]]
-                rows.append({
-                    "omega": attempt(lambda b=b, dec=dec: [
-                        first_orders(d / dec.R_jet) for d in b.delta_scalar(dec.R_jet)]),
-                    "t": attempt(t_parts)})
-            blocks = {id(b._block[0]): b._block[0] for _, b, _ in rep.triples
-                      if b._block is not None}
+            for points, _, _ in rep.blocks:
+                for pt in points:
+                    b = geometry.CurvatureBundle(spray_obj, pt, cli.RunConfig.order)
+                    R_jet, tau, _ = b.split
+
+                    def t_parts(b=b, R_jet=R_jet, tau=tau):
+                        t = [u / R_jet for u in tau]
+                        n = len(t)
+                        return [[u.value for u in t],
+                                b.cov_h(np.array(t, dtype=object), ("d",)),
+                                [[u.dy(j).value for j in range(n)] for u in t]]
+                    rows.append({
+                        "omega": attempt(lambda b=b, R_jet=R_jet: [
+                            first_orders(d / R_jet) for d in b.delta_scalar(R_jet)]),
+                        "t": attempt(t_parts)})
             out[f"{name} seed {seed}"] = {"samples": rows, "blocks": [
                 attempt(lambda blk=blk: coefficients(
                     blk.delta_scalar(blk.curvature_scalar)))
-                for blk in blocks.values()]}
+                for _, blk, _ in rep.blocks]}
     return out
 
 
@@ -395,8 +400,10 @@ def outcome(rows) -> dict:
 
 
 def splits(spray_obj, samples):
-    for _, b, dec in classify.point_bundles(spray_obj, samples):
-        yield [dec.R, dec.tau, dec.residual, dec.holds, b.point is None]
+    for points, b, decs in classify.block_bundles(spray_obj, samples):
+        for pt, row, dec in zip(points, b._pa, decs):
+            # the last entry is False while each row's bundle holds it
+            yield [dec.R, dec.tau, dec.residual, dec.holds, not np.array_equal(pt, row)]
 
 
 def finsler(field_obj, samples):
@@ -405,9 +412,9 @@ def finsler(field_obj, samples):
 
 
 def residuals(metric, spray_obj, samples, parallel: bool):
-    triples = tuple(classify.point_bundles(spray_obj, samples))
+    blocks = tuple(classify.block_bundles(spray_obj, samples))
     for _, _, value, semi, match in metrize.metric_spray_residuals(
-            metric, triples, parallel=parallel):
+            metric, blocks, parallel=parallel):
         yield [value, semi, match]
 
 
@@ -419,7 +426,7 @@ def lambdas(src: str, form, targets):
 
 def agreement(spray_obj, points, h: float, block: bool):
     pts = np.array(points, dtype=float)
-    bundles = (geometry.CurvatureBundle(spray_obj, pts).rows() if block
+    bundles = ([geometry.CurvatureBundle(spray_obj, pts)] if block
                else [geometry.CurvatureBundle(spray_obj, p) for p in pts])
     table = oracle.agreement_report(iter(bundles), h=h)
     yield [table[key] for key in sorted(table)]
@@ -440,6 +447,9 @@ def failure_paths(workdir: Path) -> dict:
     edge_file = workdir / "edge.spray"
     edge_file.write_text(EDGE)
     island = spray(ISLAND)
+    # the labels are the record's keys: they keep the names they were first
+    # recorded under (`point_bundles` is now `block_bundles`), so that the
+    # records of older checkouts compare
     cases = {
         "point_bundles two domains: ok, G2, G1": lambda: splits(
             two, at_bases([[0.5, 0.5], [0.5, -0.2], [-0.3, 0.5]])),
