@@ -20,9 +20,10 @@ and its rows' decompositions.  Each class test (`is_isotropic`,
 projective factor is taken once per block: its arithmetic and max-abs
 reductions run over the block's rows, while each row's scale, tolerance
 test and self-check stay Python float code in sample order, so every row's
-answer has the bits of the test at its point alone.  Every consumer of a
-report's blocks runs per block, and a block that raises follows `rowwise`
-(`bundle_rows` for a stage run on a block bundle).
+answer has the bits of the test at its point alone.  Every reader of a
+bundle here returns one entry per row, and a point bundle is one row.
+Every consumer of a report's blocks runs per block, and a block that
+raises follows `rowwise` (`bundle_rows` for a stage run on a bundle).
 """
 
 from __future__ import annotations
@@ -81,24 +82,16 @@ class ScalarDecomposition:
     holds: bool
 
 
-def decompose_scalar(b, tol: Tolerances = TOL):
-    """The bundle's ScalarDecomposition, or at a block bundle one per row,
-    read off its `splits` and `split_holds`, with R and the residual as
-    Python floats at both."""
+def decompose_scalar(b, tol: Tolerances = TOL) -> list:
+    """One ScalarDecomposition per row of the bundle (a point bundle is
+    one row), read off its `splits` and `split_holds`, with R and the
+    residual as Python floats."""
     Rj, tau, residual = b.splits
-    holds = geometry.split_holds(b, tol)
-    if b.point is not None:
-        return ScalarDecomposition(R=Rj.value, tau=np.array([t.value for t in tau]),
-                                   residual=float(residual), holds=holds)
-    taus = geometry._stack_values(np.array([t.coeffs for t in tau]), 1)
+    taus = geometry._stack_values(np.array([t.coeffs for t in tau]), 1).reshape(-1, b.dim)
     return [ScalarDecomposition(R=R, tau=t, residual=res, holds=h)
-            for R, t, res, h in zip(Rj.value.tolist(), taus, residual.tolist(), holds)]
-
-
-def _rows(dec, bundle) -> list:
-    """The decompositions of the bundle's rows: `dec` itself at a block
-    bundle, where the class tests take one per row, else [dec]."""
-    return list(dec) if bundle.point is None else [dec]
+            for R, t, res, h in zip(np.reshape(Rj.value, -1).tolist(), taus,
+                                    np.reshape(residual, -1).tolist(),
+                                    geometry.split_holds(b, tol))]
 
 
 def _row_max(values: np.ndarray, rows: int) -> list:
@@ -112,25 +105,22 @@ def _taus(decs: list, n: int) -> np.ndarray:
     return np.array([d.tau for d in decs]).reshape(len(decs), n)
 
 
-def is_isotropic(dec: ScalarDecomposition, bundle,
-                 tol: Tolerances = TOL):
+def is_isotropic(decs: list, bundle, tol: Tolerances = TOL) -> list:
     """R_.i = 2 tau_i, cross-checked against the vanishing of chi.
 
     The two routes are equal identically on scalar-curvature sprays
     (chi_i = (n+1)(R_.i - 2 tau_i)), so when the decomposition holds they
     must agree; disagreement is an engine fault, not a property failure.
-    `dec` is the bundle's decomposition; R_.i is read off the bundle
-    (`rdot_values`).
+    `decs` are the bundle's rows' decompositions (`decompose_scalar`);
+    R_.i is read off the bundle (`rdot_values`).
 
-    At a block bundle `dec` is the sequence of its rows' decompositions
-    and the result is one Check per row.  The differences and the max-abs
-    reductions run once over the block's rows; each row's scale, its
-    tolerance test and the engine self-check stay Python float code, row
-    by row, so the first row that fails the self-check raises, and every
-    row's Check has the bits of the call at its point.
+    One Check per row; a point bundle is one row.  The differences and the
+    max-abs reductions run once over the bundle's rows; each row's scale,
+    its tolerance test and the engine self-check stay Python float code,
+    row by row, so the first row that fails the self-check raises, and
+    every row's Check has the bits of the call at its point alone.
     """
     n = bundle.dim
-    decs = _rows(dec, bundle)
     tau = _taus(decs, n)
     defects = _row_max(bundle.rdot_values.reshape(len(decs), n) - 2.0 * tau, len(decs))
     chis = _row_max(bundle.chi_values, len(decs))
@@ -147,20 +137,17 @@ def is_isotropic(dec: ScalarDecomposition, bundle,
         residual = max(defect, chi_defect)
         out.append(Check(holds=d.holds and tol.zero(residual, scale),
                          residual=residual))
-    return out if bundle.point is None else out[0]
+    return out
 
 
-def is_constant(dec: ScalarDecomposition, bundle,
-                tol: Tolerances = TOL):
+def is_constant(decs: list, bundle, tol: Tolerances = TOL) -> list:
     """tau_{i;k} = 0; equivalently Ric_{;i} = 0 when Ric != 0.
 
-    `dec` is the bundle's decomposition; both covariant derivatives are
-    read off the bundle (`tau_cov`, `ric_cov`).  At a block bundle, as for
-    `is_isotropic`: `dec` holds the rows' decompositions, the result is
-    one ConstantCheck per row, and the self-check raises at the first row
-    that fails it.
+    As for `is_isotropic`: `decs` are the bundle's rows' decompositions,
+    the result is one ConstantCheck per row, and the self-check raises at
+    the first row that fails it.  Both covariant derivatives are read off
+    the bundle (`tau_cov`, `ric_cov`).
     """
-    decs = _rows(dec, bundle)
     rows = len(decs)
     residuals = _row_max(bundle.tau_cov, rows)
     tau_max = _row_max(_taus(decs, bundle.dim), rows)
@@ -182,32 +169,30 @@ def is_constant(dec: ScalarDecomposition, bundle,
                 )
         out.append(ConstantCheck(holds=holds, residual=residual,
                                  ric_residual=ric_residual))
-    return out if bundle.point is None else out[0]
+    return out
 
 
-def is_berwald(b, tol: Tolerances = TOL):
+def is_berwald(b, tol: Tolerances = TOL) -> list:
     """Quadraticity of G in y: all third vertical derivatives vanish.  One
-    Check per row at a block bundle."""
+    Check per row; a point bundle is one row."""
     rows = len(np.reshape(b.yvals, (-1, b.dim)))
     scales = _row_max(b.Gamma_values, rows)
-    out = [Check(holds=tol.zero(residual, max(1.0, scale)), residual=residual)
-           for residual, scale in zip(_row_max(b.B_values, rows), scales)]
-    return out if b.point is None else out[0]
+    return [Check(holds=tol.zero(residual, max(1.0, scale)), residual=residual)
+            for residual, scale in zip(_row_max(b.B_values, rows), scales)]
 
 
-def _proportional(Gv: np.ndarray, yv: np.ndarray, tol: Tolerances):
-    """(holds, worst cross product) of G^i = P y^i at a point's values, or
-    a list of them for the (B, n) values of a block: the cross products
-    are taken over the block's rows, and each row folds its worst with
-    Python max in pair order, as at its point."""
+def _proportional(Gv: np.ndarray, yv: np.ndarray, tol: Tolerances) -> list:
+    """(holds, worst cross product) of G^i = P y^i, one per row of the
+    values (a point's are one row): the cross products are taken over the
+    rows, and each row folds its worst with Python max in pair order, as
+    at its point alone."""
     n = Gv.shape[-1]
     G2, y2 = np.reshape(Gv, (-1, n)), np.reshape(yv, (-1, n))
     accs = [G2[:, i] * y2[:, j] - G2[:, j] * y2[:, i]
             for i in range(n) for j in range(i + 1, n)]
     worsts = geometry._folds(accs, len(G2))
-    out = [(tol.zero(worst, max(1.0, g * y)), worst)
-           for worst, g, y in zip(worsts, _row_max(G2, len(G2)), _row_max(y2, len(y2)))]
-    return out if Gv.ndim == 2 else out[0]
+    return [(tol.zero(worst, max(1.0, g * y)), worst)
+            for worst, g, y in zip(worsts, _row_max(G2, len(G2)), _row_max(y2, len(y2)))]
 
 
 def projective_factor(bundle, order: int | None = None):
@@ -243,7 +228,7 @@ def euler_residual(S, degree: int) -> float:
     return float(worst) if worst.ndim == 0 else worst
 
 
-def projective_isotropy_residual(b, tol: Tolerances = TOL) -> float:
+def projective_isotropy_residual(b, tol: Tolerances = TOL) -> list:
     """Defect of the curvature identity tied to the form G^i = P y^i.
 
     For such sprays the vertical gradient of R and the trace part are
@@ -252,31 +237,38 @@ def projective_isotropy_residual(b, tol: Tolerances = TOL) -> float:
         R_.i - 2 tau_i = 3 (P_;i - (P_.i)_{;j} y^j)
 
     with P read off as G . y / |y|^2 in the chart pairing.  Returns the
-    worst componentwise defect of the two sides' values.  Raises
-    PreconditionError when the spray is not of that form at the point; the
-    identity has no content then.
+    worst componentwise defect of the two sides' values, one per row of
+    the bundle (a point bundle is one row).  Raises PreconditionError at
+    the first row where the spray is not of that form or the split fails;
+    the identity has no content there.
     """
     n = b.dim
-    holds, worst = _proportional(b.G_values, b.yvals, tol)
-    if not holds:
-        raise PreconditionError(
-            "spray is not of the form G^i = P y^i in this chart (worst "
-            f"cross product {worst:.3e}); the identity does not apply")
-    dec = decompose_scalar(b, tol=tol)
-    if not dec.holds:
-        raise PreconditionError(
-            "scalar decomposition fails at the point (residual "
-            f"{dec.residual:.3e})")
+    for holds, worst in _proportional(b.G_values, b.yvals, tol):
+        if not holds:
+            raise PreconditionError(
+                "spray is not of the form G^i = P y^i in this chart (worst "
+                f"cross product {worst:.3e}); the identity does not apply")
+    decs = decompose_scalar(b, tol=tol)
+    for dec in decs:
+        if not dec.holds:
+            raise PreconditionError(
+                "scalar decomposition fails at the point (residual "
+                f"{dec.residual:.3e})")
+    rows = len(decs)
     P = projective_factor(b)
-    P_semi = b.cov_h(P, ())
+    P_semi = b.cov_h(P, ()).reshape(rows, n)
     P_cov = b.cov_h(np.array([P.dy(i) for i in range(n)], dtype=object),
-                    ("d",))
-    out = 0.0
-    for i in range(n):
-        lhs = b.rdot_values[i] - 2.0 * dec.tau[i]
-        contracted = sum(b.yvals[j] * P_cov[i, j] for j in range(n))
-        out = max(out, abs(lhs - 3.0 * (P_semi[i] - contracted)))
-    return float(out)
+                    ("d",)).reshape(rows, n, n)
+    lhs = b.rdot_values.reshape(rows, n) - 2.0 * _taus(decs, n)
+    y = b.yvals.reshape(rows, n)
+    out = []
+    for r in range(rows):
+        worst = 0.0
+        for i in range(n):
+            contracted = sum(y[r, j] * P_cov[r, i, j] for j in range(n))
+            worst = max(worst, abs(lhs[r, i] - 3.0 * (P_semi[r, i] - contracted)))
+        out.append(float(worst))
+    return out
 
 
 def _fit_base_omega(Yd: np.ndarray, rows: np.ndarray, tol: Tolerances):
@@ -379,15 +371,15 @@ def rowwise(run, block):
 def _one_row(b, rows: range):
     """A fresh one-row block bundle at the row `rows` of the bundle b; a
     point bundle is one row."""
-    points = np.reshape(b._pa, (-1, b._pa.shape[-1]))
-    return geometry.CurvatureBundle(b.spray, points[rows.start:rows.stop], b.order)
+    return geometry.CurvatureBundle(b.spray, np.atleast_2d(b._pa)[rows.start:rows.stop],
+                                    b.order)
 
 
 def bundle_rows(run, b, *args):
-    """Yield the per-row entries of `run(b, *args)` for the block bundle b,
-    under the rule of `rowwise`: when it raises, row r is run on a fresh
-    one-row block bundle at its point.  A point bundle is one row."""
-    block = range(1 if b.point is not None else len(b._pa))
+    """Yield the per-row entries of `run(b, *args)` for the bundle b, under
+    the rule of `rowwise`: when it raises, row r is run on a fresh one-row
+    block bundle at its point.  A point bundle is one row."""
+    block = range(len(np.atleast_2d(b._pa)))
     return rowwise(lambda rows: run(b if rows is block else _one_row(b, rows), *args),
                    block)
 

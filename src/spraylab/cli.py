@@ -139,8 +139,9 @@ class Report:
 def _jsonable(obj):
     """Coerce report values to deterministic JSON-safe types.
 
-    A Python float, the most common value (every element of a float array
-    comes out of `tolist` as one), is tested first and with `math`."""
+    Each command converts its whole report once, with one call.  A Python
+    float, the most common value (every element of a float array comes
+    out of `tolist` as one), is tested first and with `math`."""
     if type(obj) is float:
         return obj if math.isfinite(obj) else None
     if isinstance(obj, dict):
@@ -214,13 +215,13 @@ def _surveyed(blocks, tol: Tolerances, rows: list, identities: dict):
                 classify.bundle_rows(geometry.identity_residuals, b, tol)):
             row = {
                 "point": [float(v) for v in pt],
-                "G": _jsonable(G),
+                "G": G,
                 "Ric": ric,
                 "scalar_split": bool(dec.holds),
             }
             if dec.holds:
                 row["R"] = float(dec.R)
-                row["tau"] = _jsonable(dec.tau)
+                row["tau"] = dec.tau
             rows.append(row)
             for name, value in res.items():
                 identities[name] = max(identities.get(name, 0.0), float(value))
@@ -241,7 +242,7 @@ def _survey(blocks, tol: Tolerances):
 def _classification_json(rep) -> dict:
     return {
         flag: {"value": bool(rep.flags[flag]),
-               "residual": _jsonable(rep.residuals.get(flag))}
+               "residual": rep.residuals.get(flag)}
         for flag in rep.flags
     }
 
@@ -250,8 +251,8 @@ def _verdict_json(v, samples) -> dict:
     out = {
         "outcome": v.outcome,
         "rule": v.rule,
-        "residual": _jsonable(v.residual),
-        "evidence": _jsonable(v.evidence),
+        "residual": v.residual,
+        "evidence": v.evidence,
     }
     if v.recovered_metric is not None:
         pts = samples.points()
@@ -401,7 +402,7 @@ def cmd_gen_pflat(q: pflat.QuadraticData, cfg: RunConfig,
             "admissible": {"value": bool(adm.admissible), "mode": adm.mode,
                            "margin": float(adm.margin)},
         },
-        "roundtrip": _jsonable(roundtrip),
+        "roundtrip": roundtrip,
         **blocks,
     }
 
@@ -439,7 +440,7 @@ def cmd_oracle(cfg: RunConfig, box_flagged: bool = False) -> Report:
         "config": cfg.echo(),
         "sampling": accounting,
         "points": rows,
-        "oracle": _jsonable(table),
+        "oracle": table,
         "classification": None,
         "verdict": None,
         "identities": identities,

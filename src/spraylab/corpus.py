@@ -243,13 +243,13 @@ def _chk_values_at(fx, spray, verdict, rep, chk, tol):
     b = geometry.CurvatureBundle(spray, pt, 4)
     field = chk["field"]
     if field == "tau":
-        got = classify.decompose_scalar(b, tol=tol).tau
+        got = classify.decompose_scalar(b, tol=tol)[0].tau
     elif field == "chi":
         got = b.chi_values
     elif field == "G":
         got = b.G_values
     elif field == "R":
-        got = np.array([classify.decompose_scalar(b, tol=tol).R])
+        got = np.array([classify.decompose_scalar(b, tol=tol)[0].R])
     elif field == "Ric":
         got = np.array([b.Ric_value])
     else:

@@ -140,9 +140,9 @@ def flag_ode_residual(metric, p, tol: Tolerances = TOL) -> float:
     """
     sp = geometry.MetricSpray(metric)
     b = geometry.CurvatureBundle(sp, p, 5)
-    if not geometry.split_holds(b, tol):
+    if not geometry.split_holds(b, tol)[0]:
         raise PreconditionError(
-            f"scalar decomposition fails at the point ({b.split[2]:.3e})")
+            f"scalar decomposition fails at the point ({b.splits[2]:.3e})")
     lam = b.curvature_scalar / metric.jet(p, 3)
     fj = _FrameJets(metric, p, order=2, tol=tol)
     lam1 = fj.angle_derivative(lam)

@@ -15,8 +15,6 @@ the spray coefficients and cached.  Conventions:
   R^i_jk         curvature 3-tensor, (dot_j R^i_k - dot_k R^i_j)/3, so that
                  contracting with y on the first lower slot recovers R^i_k
   chi_i          2 dot_m R^m_i + dot_i Ric
-  H family       third-order invariants built from y-gradients of the
-                 3-tensor; H^{ i}_{j kl} = dot_j R^i_{kl}
 
 The horizontal derivative is delta_j = d_j - N^r_j dot_r; covariant
 derivatives of tensors add Gamma terms with sign by slot variance.  Every
@@ -36,9 +34,10 @@ evaluates a block in one pass, so the tensors of many points come from
 one walk through the formulas.  The scalar split (`splits`), the
 covariant derivatives the class tests take of its parts, and
 `identity_residuals` are likewise taken once for a block, with each row's
-numbers those of its point alone.  A consumer reads a block bundle's rows
-off its results; `classify.rowwise` states the rule for a block that
-raises.
+numbers those of its point alone.  Every reader of a bundle that gives
+per-sample results (`split_holds`, `identity_residuals` and the class
+tests of `classify`) returns one entry per row, and a point bundle is one
+row; `classify.rowwise` states the rule for a block that raises.
 
 G, N, Gamma, R^i_k and its y-gradient, the 3-tensor R^i_jk, V and chi,
 Ric, the split, the Berwald values and the induced spray of a metric are
@@ -56,7 +55,6 @@ views of its stacks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -66,35 +64,9 @@ from .errors import DegenerateMetric, DomainError, PreconditionError
 from .sampling import TOL, Tolerances
 
 
-@dataclass(frozen=True)
-class PointTangent:
-    """A chart point with a nonzero tangent vector attached."""
-
-    x: tuple
-    y: tuple
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", tuple(float(v) for v in self.x))
-        object.__setattr__(self, "y", tuple(float(v) for v in self.y))
-        if len(self.x) != len(self.y):
-            raise DomainError("chart point and tangent vector lengths differ")
-        if max(abs(v) for v in self.y) == 0.0:
-            raise DomainError("tangent vector is zero")
-
-    @property
-    def dim(self) -> int:
-        return len(self.x)
-
-    def array(self) -> np.ndarray:
-        return np.asarray(self.x + self.y)
-
-
 def _point_array(p, dim: int) -> np.ndarray:
     """A point as a (2n,) array, or a block of points as a (B, 2n) array."""
-    if isinstance(p, PointTangent):
-        pa = p.array()
-    else:
-        pa = np.asarray(p, dtype=float)
+    pa = np.asarray(p, dtype=float)
     if pa.shape[-1:] != (2 * dim,) or pa.ndim not in (1, 2):
         raise DomainError(f"expected {2 * dim} coordinates, got shape {pa.shape}")
     return pa
@@ -338,11 +310,11 @@ class CurvatureBundle:
 
     `order` is the jet budget K: the spray coefficients are lifted to order
     K, and each derived tensor sits as many orders lower as it has taken
-    derivatives.  K=4 supports the full H family and second covariant
-    derivatives of the curvature scalar.
+    derivatives.  K=4 supports second covariant derivatives of the
+    curvature scalar.
 
     `p` may be a (B, 2n) block of points instead of one point; see the
-    module docstring.  A block bundle has no `point`.
+    module docstring.  Every tangent vector must be nonzero.
     """
 
     def __init__(self, spray, p, order: int = 4):
@@ -350,19 +322,12 @@ class CurvatureBundle:
         self.dim = spray.dim
         self.order = order
         pa = _point_array(p, spray.dim)
+        if not np.all(np.max(np.abs(pa[..., self.dim:]), axis=-1) > 0.0):
+            raise DomainError("tangent vector is zero")
         if pa.ndim == 2:
-            if not np.all(np.max(np.abs(pa[:, self.dim:]), axis=1) > 0.0):
-                raise DomainError("tangent vector is zero")
             # the block is every jet's center, so it must not change
             pa = pa.copy()
             pa.flags.writeable = False
-            self.point = None
-        else:
-            self.point = (
-                p
-                if isinstance(p, PointTangent)
-                else PointTangent(tuple(pa[: self.dim]), tuple(pa[self.dim:]))
-            )
         self._pa = pa
         self._center = pa if pa.ndim == 2 else tuple(pa)
         self.yvals = pa[..., self.dim:]
@@ -455,15 +420,20 @@ class CurvatureBundle:
 
     @cached_property
     def splits(self) -> tuple:
-        """The scalar split of the point, or of every row of a block at
-        once: (R jet, [tau_k jets], residual), with block jets and one
-        residual per row at a block.  `split` is a point's.
+        """Split R^i_k as R delta^i_k - tau_k y^i, at the point or at every
+        row of a block at once: (R jet, [tau_k jets], residual), with block
+        jets and one residual per row at a block.
 
-        At each point i0 is the index of the largest |y^i|.  y^{i0} is one
-        jet, whose rows each have their own value and unit slot, and its
-        one reciprocal serves every tau_k, as `Jet.__truediv__` would take
-        it; each row's numerator is picked with np.where, and the n
-        quotients are one stacked product.
+        R = Ric/(n-1); tau is read off the row i0 of R^i_k with the largest
+        |y^i| (best conditioned division); the residual is the worst
+        value-level violation of the reconstruction over all (i,k).  It is
+        exactly zero on the chosen row, so the residual measures whether
+        the remaining rows agree, which is the scalar-curvature property.
+
+        y^{i0} is one jet, whose rows each have their own value and unit
+        slot at a block, and its one reciprocal serves every tau_k, as
+        `Jet.__truediv__` would take it; each row's numerator is picked
+        with np.where, and the n quotients are one stacked product.
         """
         n = self.dim
         sp, R = self._R_stack
@@ -479,23 +449,6 @@ class CurvatureBundle:
                  - self.yvals[..., :, None] * tau_vals[..., None, :])
         residual = np.max(np.abs(self.R_values - recon), axis=(-2, -1))
         return Rj, _unstack(sp, self._center, tau, 1), residual
-
-    @cached_property
-    def split(self) -> tuple:
-        """Split R^i_k as R delta^i_k - tau_k y^i: (R jet, [tau_k jets],
-        residual).
-
-        R = Ric/(n-1); tau is read off the row with the largest |y^i| (best
-        conditioned division); the residual is the worst value-level
-        violation of the reconstruction over all (i,k).  It is exactly zero
-        on the chosen row, so the residual measures whether the remaining
-        rows agree, which is the scalar-curvature property.
-        """
-        if self._pa.ndim == 2:
-            raise PreconditionError("the scalar split is taken at one point, "
-                                    "not on a block; `splits` holds each row's")
-        Rj, tau, residual = self.splits
-        return Rj, tau, float(residual)
 
     @cached_property
     def rdot_values(self) -> np.ndarray:
@@ -601,7 +554,7 @@ class CurvatureBundle:
                     out = out + Gam[:, :, r, :].reshape(shape) * swapped
                 else:
                     out = out - Gam[:, r].reshape(shape) * swapped
-        return out if self._pa.ndim == 2 else out[0]
+        return out.reshape(self._pa.shape[:-1] + out.shape[1:])
 
     # ---- value views
 
@@ -640,14 +593,13 @@ class CurvatureBundle:
 # -- scalar decomposition ------------------------------------------------------
 
 
-def split_holds(bundle: CurvatureBundle, tol: Tolerances = TOL):
-    """Does the bundle's scalar split hold, relative to max |R^i_k|?  At a
-    block bundle, a list of one answer per row."""
+def split_holds(bundle: CurvatureBundle, tol: Tolerances = TOL) -> list:
+    """Does the bundle's scalar split hold, relative to max |R^i_k|?  One
+    answer per row; a point bundle is one row."""
     residuals = np.reshape(bundle.splits[2], -1)
     R_values = bundle.R_values.reshape(len(residuals), -1)
-    out = [tol.zero(float(res), float(np.max(np.abs(Rv))))
-           for res, Rv in zip(residuals, R_values)]
-    return out if bundle.point is None else out[0]
+    return [tol.zero(float(res), float(np.max(np.abs(Rv))))
+            for res, Rv in zip(residuals, R_values)]
 
 
 # -- identity residuals --------------------------------------------------------
@@ -665,19 +617,19 @@ def _folds(accs: list, rows: int) -> list:
     return out
 
 
-def identity_residuals(bundle: CurvatureBundle, tol: Tolerances = TOL):
-    """Structural identities as value-level residuals at the bundle's point.
+def identity_residuals(bundle: CurvatureBundle, tol: Tolerances = TOL) -> list:
+    """Structural identities as value-level residuals, one dict per row of
+    the bundle; a point bundle is one row.
 
     Always present: 'curvature_contraction' (R^i_k y^k) and 'bianchi'.
-    When the scalar split holds at the point, also 'tau_trace',
+    When the scalar split holds at the row, also 'tau_trace',
     'chi_consistency', and for n >= 3 'scalar_gradient'.  Identities whose
     hypothesis fails are omitted, not reported as violations.
 
-    At a block bundle, a list of one such dict per row, each equal, key
-    order and bits, to the call at that row's point: the covariant
-    derivatives are taken once for the block and the sums over their
-    slots run elementwise over its rows, while the two dot products and
-    each row's worst-case fold are taken row by row, as at a point.
+    Each row's dict equals, key order and bits, the call at that row's
+    point alone: the covariant derivatives are taken once for the block
+    and the sums over their slots run elementwise over its rows, while the
+    two dot products and each row's worst-case fold are taken row by row.
     """
     n = bundle.dim
     y = bundle.yvals.reshape(-1, n)
@@ -702,9 +654,9 @@ def identity_residuals(bundle: CurvatureBundle, tol: Tolerances = TOL):
     for res, worst in zip(out, _folds(accs, rows)):
         res["bianchi"] = worst
 
-    holds = np.reshape(split_holds(bundle, tol), -1)
+    holds = np.array(split_holds(bundle, tol))
     if not holds.any():
-        return out if bundle.point is None else out[0]
+        return out
     Rj, tau, _ = bundle.splits
     Rv = np.reshape(Rj.value, -1)
     tau_vals = _stack_values(np.array([u.coeffs for u in tau]), 1).reshape(rows, n)
@@ -729,62 +681,4 @@ def identity_residuals(bundle: CurvatureBundle, tol: Tolerances = TOL):
         worst = _folds(accs, rows)
         for r in np.flatnonzero(holds):
             out[r]["scalar_gradient"] = worst[r]
-    return out if bundle.point is None else out[0]
-
-
-# -- H family -------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HTensors:
-    H4: np.ndarray  # [j, i, k, l] = H^{ i}_{j kl}
-    Hij: np.ndarray
-    H0i: np.ndarray
-    Hi0: np.ndarray
-    Hi: np.ndarray
-
-
-def h_tensors(b: CurvatureBundle) -> HTensors:
-    """The hh-curvature family at a point (values)."""
-    n = b.dim
-    H4 = np.empty((n, n, n, n))
-    for i in range(n):
-        for k in range(n):
-            for l in range(n):
-                jet = b.R3[i][k][l]
-                for j in range(n):
-                    H4[j, i, k, l] = jet.dy(j).value
-    Hij = np.einsum("imjm->ij", H4)
-    H0i = b.yvals @ Hij
-    Hi0 = Hij @ b.yvals
-    Hi = (n * H0i + Hi0) / (n - 1)
-    return HTensors(H4, Hij, H0i, Hi0, Hi)
-
-
-def h_tensor_residuals(bundle: CurvatureBundle, tol: Tolerances = TOL) -> dict:
-    """Residuals of the H-family identities for scalar-curvature sprays.
-
-    Empty when the scalar split fails (the identities presuppose it).
-    """
-    if not split_holds(bundle, tol):
-        return {}
-    _, tau, _ = bundle.split
-    n = bundle.dim
-    h = h_tensors(bundle)
-    rdot = bundle.rdot_values
-    tau_vals = np.array([t.value for t in tau])
-    tau_curl = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            tau_curl[i, j] = tau[j].dy(i).value - tau[i].dy(j).value
-    third = (n + 1) / 3.0
-    return {
-        "h_curl": float(np.max(np.abs(h.Hij - h.Hij.T - third * tau_curl))),
-        "h_contract_left": float(
-            np.max(np.abs(h.H0i - ((n - 2) * rdot + (n + 1) * tau_vals) / 3.0))
-        ),
-        "h_contract_right": float(
-            np.max(np.abs(h.Hi0 - ((2 * n - 1) * rdot - (n + 1) * tau_vals) / 3.0))
-        ),
-        "h_mean": float(np.max(np.abs(h.Hi - third * (rdot + tau_vals)))),
-    }
+    return out

@@ -159,8 +159,7 @@ def _check_splits(b) -> None:
     """The scalar split must hold at each point of the bundle, checked in
     row order, so the first failing row names the error."""
     def split_rows(b) -> zip:  # (split holds, split residual) per row
-        return zip(np.reshape(geometry.split_holds(b, TOL), -1).tolist(),
-                   np.reshape(b.splits[2], -1).tolist())
+        return zip(geometry.split_holds(b, TOL), np.reshape(b.splits[2], -1).tolist())
 
     for holds, residual in classify.bundle_rows(split_rows, b):
         if not holds:

@@ -527,7 +527,7 @@ def _unit(n: int, i: int) -> np.ndarray:
 def _fd_rows(b, h: float) -> list:
     """`fd_curvature`'s tensors, one dict per row of the bundle's points;
     a point bundle is a block of one row."""
-    P = np.reshape(b._pa, (-1, b._pa.shape[-1]))
+    P = np.atleast_2d(b._pa)
     fd = fd_curvature(b.spray, P, h=h)
     return [{key: v[r] for key, v in fd.items()} for r in range(len(P))]
 

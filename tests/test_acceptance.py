@@ -94,10 +94,10 @@ def test_rotor_curvature_closed_forms_and_verdict():
         x1, x2, y1, y2 = (float(v) for v in pt)
         yy = y1 * y1 + y2 * y2
         b = geometry.CurvatureBundle(spray, pt, 4)
-        dec = classify.decompose_scalar(b)
+        dec, = classify.decompose_scalar(b)
         assert dec.holds
         assert abs(dec.R - yy) <= 1e-8 * yy
-        grad = [g.value for g in b.delta_scalar(b.split[0])]
+        grad = [g.value for g in b.delta_scalar(b.splits[0])]
         root = np.sqrt(yy)
         want = (y2 * root, -y1 * root)
         for got, ref in zip(grad, want):
@@ -206,13 +206,13 @@ def test_curvature_identity_suite():
         spray = spray_of(name)
         for pt in guarded(name, 8).points():
             b = geometry.CurvatureBundle(spray, pt, 4)
-            for key, res in geometry.identity_residuals(b).items():
+            for key, res in geometry.identity_residuals(b)[0].items():
                 seen.add(key)
                 assert res <= 1e-8, (
                     f"{name}: identity {key} fails at {pt} "
                     f"(residual {res:.3e})")
             try:
-                res = classify.projective_isotropy_residual(b)
+                res = classify.projective_isotropy_residual(b)[0]
             except PreconditionError:
                 continue
             lemma_seen += 1

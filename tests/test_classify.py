@@ -8,10 +8,12 @@ before being trusted here.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from spraylab import classify, dsl, geometry, sampling
+from spraylab import classify, corpus, dsl, geometry, sampling
 from spraylab.errors import (
     DegenerateMetric,
     DomainError,
@@ -97,7 +99,7 @@ WHIRL_TAU_COV = np.array([[1.2, 0.0], [0.48, 0.0]])
 
 def bundle(src: str, p, consts: dict | None = None) -> geometry.CurvatureBundle:
     sp = geometry.ExprSpray(dsl.parse(src, consts=consts))
-    return geometry.CurvatureBundle(sp, geometry.PointTangent(p[:len(p) // 2], p[len(p) // 2:]))
+    return geometry.CurvatureBundle(sp, p)
 
 
 def spray_of(src: str, consts: dict | None = None):
@@ -115,7 +117,7 @@ def guarded(sp):
 
 
 def test_decompose_rotor() -> None:
-    dec = classify.decompose_scalar(bundle(ROTOR, PROT))
+    dec = classify.decompose_scalar(bundle(ROTOR, PROT))[0]
     assert dec.holds
     assert dec.R == pytest.approx(25.0, abs=1e-10)
     assert np.allclose(dec.tau, [3.0, 4.0], atol=1e-10)
@@ -123,7 +125,7 @@ def test_decompose_rotor() -> None:
 
 
 def test_decompose_flat() -> None:
-    dec = classify.decompose_scalar(bundle(FLAT, PROT))
+    dec = classify.decompose_scalar(bundle(FLAT, PROT))[0]
     assert dec.holds
     assert dec.R == 0.0
     assert np.allclose(dec.tau, 0.0)
@@ -131,7 +133,7 @@ def test_decompose_flat() -> None:
 
 
 def test_decompose_nonscalar() -> None:
-    dec = classify.decompose_scalar(bundle(NONSCALAR3, (0.1, 0.4, -0.2, 0.5, 0.8, 0.9)))
+    dec = classify.decompose_scalar(bundle(NONSCALAR3, (0.1, 0.4, -0.2, 0.5, 0.8, 0.9)))[0]
     assert not dec.holds
     assert dec.residual > 1e-3
 
@@ -142,18 +144,21 @@ def test_decompose_nonscalar() -> None:
 def test_isotropic_rotor_and_whirl() -> None:
     for src, p in ((ROTOR, PROT), (WHIRL, PW), (FLAT, PROT)):
         b = bundle(src, p)
-        chk = classify.is_isotropic(classify.decompose_scalar(b), b)
+        chk = classify.is_isotropic(classify.decompose_scalar(b), b)[0]
         assert chk.holds
         assert chk.residual <= 1e-8
 
 
 def test_isotropic_cubic_false() -> None:
     b = bundle(CUBIC, PCUB)
-    chk = classify.is_isotropic(classify.decompose_scalar(b), b)
+    chk = classify.is_isotropic(classify.decompose_scalar(b), b)[0]
     assert not chk.holds
     # R = 0 and tau = (-12, 12) at y=(1,1): residual is max |0 - 2 tau| = 24,
     # and the chi route must agree: |chi_i|/(n+1) = 72/3 = 24
     assert chk.residual == pytest.approx(24.0, rel=1e-9)
+    # R = 0 on CUBIC, yet R^i_k does not vanish: it is not R-flat
+    for src, p, flat in ((FLAT, PROT, True), (CUBIC, PCUB, False), (ROTOR, PROT, False)):
+        assert (np.max(np.abs(bundle(src, p).R_values)) <= 1e-9) == flat
 
 
 # -- constancy -----------------------------------------------------------------
@@ -161,7 +166,7 @@ def test_isotropic_cubic_false() -> None:
 
 def test_constant_rotor_false_with_frozen_residuals() -> None:
     b = bundle(ROTOR, PROT)
-    chk = classify.is_constant(classify.decompose_scalar(b), b)
+    chk = classify.is_constant(classify.decompose_scalar(b), b)[0]
     assert not chk.holds
     assert chk.residual == pytest.approx(np.max(np.abs(ROTOR_TAU_COV)), rel=1e-9)
     assert chk.ric_residual == pytest.approx(20.0, rel=1e-9)
@@ -169,7 +174,7 @@ def test_constant_rotor_false_with_frozen_residuals() -> None:
 
 def test_constant_whirl_false() -> None:
     b = bundle(WHIRL, PW)
-    chk = classify.is_constant(classify.decompose_scalar(b), b)
+    chk = classify.is_constant(classify.decompose_scalar(b), b)[0]
     assert not chk.holds
     assert chk.residual == pytest.approx(np.max(np.abs(WHIRL_TAU_COV)), rel=1e-9)
     assert chk.ric_residual == pytest.approx(0.696, rel=1e-9)
@@ -177,44 +182,44 @@ def test_constant_whirl_false() -> None:
 
 def test_constant_ball_c2_true_c1_false() -> None:
     b2 = bundle(BALL, (0.1, -0.2, 0.7, 0.4))
-    chk2 = classify.is_constant(classify.decompose_scalar(b2), b2)
+    chk2 = classify.is_constant(classify.decompose_scalar(b2), b2)[0]
     assert chk2.holds and chk2.residual <= 1e-8
 
     b1 = bundle(BALL, (0.1, -0.2, 0.7, 0.4), consts={"c": 1.0})
-    chk1 = classify.is_constant(classify.decompose_scalar(b1), b1)
+    chk1 = classify.is_constant(classify.decompose_scalar(b1), b1)[0]
     assert not chk1.holds
 
 
 def test_constant_flat_true() -> None:
     b = bundle(FLAT, PROT)
-    chk = classify.is_constant(classify.decompose_scalar(b), b)
+    chk = classify.is_constant(classify.decompose_scalar(b), b)[0]
     assert chk.holds
     assert chk.ric_residual is None  # Ric = 0, the equivalent test is skipped
 
 
 def test_cubic_not_constant() -> None:
     b = bundle(CUBIC, PCUB)
-    chk = classify.is_constant(classify.decompose_scalar(b), b)
+    chk = classify.is_constant(classify.decompose_scalar(b), b)[0]
     assert not chk.holds
     assert chk.residual == pytest.approx(144.0, rel=1e-9)
 
 
 def test_constant_implies_isotropic() -> None:
     b = bundle(BALL, (0.1, -0.2, 0.7, 0.4))
-    dec = classify.decompose_scalar(b)
-    assert classify.is_constant(dec, b).holds
+    decs = classify.decompose_scalar(b)
+    assert classify.is_constant(decs, b)[0].holds
     assert abs(b.Ric_value) > 1.0
-    assert classify.is_isotropic(dec, b).holds
+    assert classify.is_isotropic(decs, b)[0].holds
 
 
 # -- berwald and projective form -----------------------------------------------
 
 
 def test_berwald() -> None:
-    assert classify.is_berwald(bundle(WHIRL, PW)).holds
-    assert classify.is_berwald(bundle(BALL, (0.1, -0.2, 0.7, 0.4))).holds
-    assert classify.is_berwald(bundle(FLAT, PROT)).holds
-    rot = classify.is_berwald(bundle(ROTOR, PROT))
+    assert classify.is_berwald(bundle(WHIRL, PW))[0].holds
+    assert classify.is_berwald(bundle(BALL, (0.1, -0.2, 0.7, 0.4)))[0].holds
+    assert classify.is_berwald(bundle(FLAT, PROT))[0].holds
+    rot, = classify.is_berwald(bundle(ROTOR, PROT))
     assert not rot.holds
     assert rot.residual > 0.01
 
@@ -257,22 +262,22 @@ PP = (0.2, -0.4, 0.8, 0.5)
 
 def test_projective_gradient_identity_pform() -> None:
     b = bundle(PFORM, PP)
-    dec = classify.decompose_scalar(b)
+    dec, = classify.decompose_scalar(b)
     assert dec.holds
     assert dec.R == pytest.approx(-0.2976, abs=1e-10)
     assert np.allclose(dec.tau, [0.628, -1.6], atol=1e-10)
     # both sides evaluate to (-3 y2, 3 y1); frozen from the sympy run
-    Rj, tau, _ = b.split
+    Rj, tau, _ = b.splits
     grad = [Rj.dy(i).value - 2.0 * tau[i].value for i in range(2)]
     assert np.allclose(grad, [-1.5, 2.4], atol=1e-10)
     assert np.allclose(b.chi_values, [-4.5, 7.2], atol=1e-9)
-    assert classify.projective_isotropy_residual(b) <= 1e-8
+    assert classify.projective_isotropy_residual(b)[0] <= 1e-8
 
 
 def test_projective_gradient_identity_proj_family() -> None:
-    assert classify.projective_isotropy_residual(bundle(PROJ, PROT)) <= 1e-8
+    assert classify.projective_isotropy_residual(bundle(PROJ, PROT))[0] <= 1e-8
     assert classify.projective_isotropy_residual(
-        bundle(PROJ, (0.3, -0.2, 0.7, 0.5))) <= 1e-8
+        bundle(PROJ, (0.3, -0.2, 0.7, 0.5)))[0] <= 1e-8
 
 
 def test_projective_gradient_identity_needs_form() -> None:
@@ -285,7 +290,7 @@ def test_projective_gradient_identity_needs_form() -> None:
 
 def test_euler_degrees() -> None:
     b = bundle(ROTOR, PROT)
-    Rj, tau, _ = b.split
+    Rj, tau, _ = b.splits
     assert classify.euler_residual(Rj, 2) <= 1e-9
     for t in tau:
         assert classify.euler_residual(t, 1) <= 1e-9
@@ -350,8 +355,8 @@ def test_weak_isotropy_rank_error() -> None:
     rows = np.empty((len(Yd), 2))
     for k, y in enumerate(Yd):
         b = geometry.CurvatureBundle(sp, np.concatenate([xb, y]), 4)
-        dec = classify.decompose_scalar(b)
-        rows[k] = [b.split[0].dy(i).value for i in range(2)] - 2.0 * dec.tau
+        dec, = classify.decompose_scalar(b)
+        rows[k] = [b.splits[0].dy(i).value for i in range(2)] - 2.0 * dec.tau
     with pytest.raises(RankError):
         classify._fit_base_omega(Yd, rows, sampling.TOL)
 
@@ -436,29 +441,6 @@ def test_report_nonscalar() -> None:
     assert rep.omega is None
 
 
-def test_report_h_coupling_matches_isotropy() -> None:
-    # the H-family skew part equals (n+1)/3 times the tau-curl, so a spray
-    # failing isotropy through tau shows it in H as well (and conversely)
-    for src, p, iso in ((ROTOR, PROT, True), (CUBIC, PCUB, False)):
-        b = bundle(src, p)
-        h = geometry.h_tensors(b)
-        skew = float(np.max(np.abs(h.Hij - h.Hij.T)))
-        chk = classify.is_isotropic(classify.decompose_scalar(b), b)
-        assert chk.holds == iso
-        if iso:
-            assert skew <= 1e-8
-        else:
-            assert skew > 1e-3
-
-
-def test_rflat_iff_h_vanishes() -> None:
-    for src, p, flat in ((FLAT, PROT, True), (CUBIC, PCUB, False), (ROTOR, PROT, False)):
-        b = bundle(src, p)
-        h = geometry.h_tensors(b)
-        assert (np.max(np.abs(h.Hij)) <= 1e-9) == flat
-        assert (np.max(np.abs(b.R_values)) <= 1e-9) == flat
-
-
 # G1 is evaluated before G2, so a block fails first in G1, at whichever row
 # that is, while point by point the earliest failing sample fails first
 TWO_DOMAINS = """
@@ -491,7 +473,7 @@ def test_point_bundles_raise_the_earliest_sample_error() -> None:
     gen = classify.block_bundles(spray, samples)
     pts, b, decs = next(gen)
     assert np.array_equal(pts, samples.points()[:1])
-    assert b.point is None and np.array_equal(b._pa, pts)
+    assert np.array_equal(b._pa, pts)
     assert len(decs) == 1 and decs[0].holds
     with pytest.raises(DomainError, match="sqrt of jet with value part -0.2"):
         next(gen)
@@ -521,3 +503,64 @@ def test_block_rank_check_names_the_first_degenerate_row() -> None:
     with pytest.raises(DegenerateMetric) as err:
         geometry.spray_from_metric(metric, pts, 2)
     assert str(err.value) == messages[0]
+
+
+# -- a point bundle is one row ---------------------------------------------------
+
+
+# every reader of a bundle that gives per-sample results, as a stage of one
+# bundle argument
+READERS = {
+    "split_holds": geometry.split_holds,
+    "identity_residuals": geometry.identity_residuals,
+    "decompose_scalar": classify.decompose_scalar,
+    "is_isotropic": lambda b: classify.is_isotropic(classify.decompose_scalar(b), b),
+    "is_constant": lambda b: classify.is_constant(classify.decompose_scalar(b), b),
+    "is_berwald": classify.is_berwald,
+    "_proportional": lambda b: classify._proportional(b.G_values, b.yvals, sampling.TOL),
+    "projective_isotropy_residual": classify.projective_isotropy_residual,
+}
+
+
+def hexed(obj):
+    """obj with each float as its type and `float.hex`, in nested lists."""
+    if dataclasses.is_dataclass(obj):
+        return [type(obj).__name__, hexed(vars(obj))]
+    if isinstance(obj, dict):
+        return [[k, hexed(v)] for k, v in obj.items()]
+    if isinstance(obj, np.ndarray):
+        return hexed(obj.tolist())
+    if isinstance(obj, (list, tuple)):
+        return [hexed(v) for v in obj]
+    if obj is None or isinstance(obj, (bool, np.bool_)):
+        return obj
+    return [type(obj).__name__, float(obj).hex()]
+
+
+def rows_of(reader, b):
+    """The entries `classify.bundle_rows` yields for the reader at b, or
+    the type and text of the error it raises."""
+    try:
+        return hexed(list(classify.bundle_rows(reader, b)))
+    except PreconditionError as exc:
+        return [type(exc).__name__, str(exc)]
+
+
+@pytest.mark.parametrize("name", ["ex7.1", "nonscalar3", "flat"])
+def test_bundle_rows_reads_a_point_bundle_as_one_row(name) -> None:
+    # each reader yields one entry at a point bundle, with the bits of the
+    # entry of the one-row block bundle at that point
+    fixture = corpus.load_fixture(name)
+    spray = fixture.build()
+    pt = sampling.draw(spray, count=1, seed=7, box=fixture.box).points()[0]
+    point = geometry.CurvatureBundle(spray, pt)
+    row = geometry.CurvatureBundle(spray, pt[None])
+    entries = 0
+    for reader_name, reader in READERS.items():
+        got = rows_of(reader, point)
+        assert got == rows_of(reader, row), reader_name
+        if got[0] != "PreconditionError":
+            assert len(got) == 1, reader_name
+            entries += 1
+    # only the projective identity may not apply
+    assert entries >= len(READERS) - 1

@@ -141,14 +141,14 @@ def test_survey_takes_identities_once_per_block(name, requested, points,
     identity_residuals = geometry.identity_residuals
 
     def counting(b, tol=cli.TOL):
-        calls.append(b.point)  # None at a block bundle
+        calls.append(b._pa.ndim)  # 2 at a block bundle
         return identity_residuals(b, tol)
 
     monkeypatch.setattr(geometry, "identity_residuals", counting)
     report = cli.cmd_classify(cli.RunConfig(input=name, seed=7,
                                             points=requested))
     assert report.data["sampling"]["used"] == points
-    assert calls == [None] * len(classify.blocks(range(points)))
+    assert calls == [2] * len(classify.blocks(range(points)))
 
 
 def test_oracle_drops_each_block_before_building_the_next(tmp_path, monkeypatch):
@@ -165,12 +165,12 @@ def test_oracle_drops_each_block_before_building_the_next(tmp_path, monkeypatch)
 
     def tracked_init(b, spray, p, order=4):
         init(b, spray, p, order)
-        if b.point is None:
+        if b._pa.ndim == 2:
             blocks.append(weakref.ref(b))
             alive.append(("built", earlier_blocks_alive()))
 
     def tracked_decompose(b, tol=cli.TOL):
-        if b.point is None:
+        if b._pa.ndim == 2:
             alive.append(("split", earlier_blocks_alive()))
         return decompose_scalar(b, tol)
 

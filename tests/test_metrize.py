@@ -653,7 +653,7 @@ def test_rotor_omega_is_y_dependent() -> None:
     sp = spray_of(ROTOR)
     for y, expected in (((3.0, 4.0), (0.8, -0.6)), ((1.0, 0.0), (0.0, -1.0))):
         b = geometry.CurvatureBundle(sp, (0.1, -0.2) + y, 4)
-        Rj, _, _ = b.split
+        Rj, _, _ = b.splits
         om = [(d / Rj).value for d in b.delta_scalar(Rj)]
         assert np.allclose(om, expected, atol=1e-9)
 
@@ -728,7 +728,7 @@ def test_ball_curvature_closed_forms() -> None:
             ((c - 1.0) * xx + c + 1.0) * (yy * x + 2.0 * xy * y)
             - 2.0 * c * (c - 1.0) * xy ** 2 * x)
         b = geometry.CurvatureBundle(sp, pt, 4)
-        Rj, _, _ = b.split
+        Rj, _, _ = b.splits
         assert Rj.value == pytest.approx(want_R, rel=1e-8)
         got = [d.value for d in b.delta_scalar(Rj)]
         assert np.allclose(got, want_Rs, rtol=1e-8, atol=1e-10)
@@ -736,7 +736,7 @@ def test_ball_curvature_closed_forms() -> None:
 
 def test_verdict_degenerate_family_member() -> None:
     sp = spray_of(DEGEN)
-    dec = classify.decompose_scalar(geometry.CurvatureBundle(sp, PD, 4))
+    dec, = classify.decompose_scalar(geometry.CurvatureBundle(sp, PD, 4))
     assert dec.R == pytest.approx(1.3456, abs=1e-10)
     assert np.allclose(dec.tau, [1.392, -1.856], atol=1e-10)
     v = metrize.verdict_isotropic(sp, classified(sp, 12))
@@ -823,7 +823,7 @@ def test_berwald_flat_witness() -> None:
 
 def test_cubic_flat_with_torsion() -> None:
     sp = spray_of(CUBIC)
-    dec = classify.decompose_scalar(geometry.CurvatureBundle(sp, PCUB, 4))
+    dec, = classify.decompose_scalar(geometry.CurvatureBundle(sp, PCUB, 4))
     assert abs(dec.R) <= 1e-10
     assert np.allclose(dec.tau, [-12.0, 12.0], atol=1e-9)
     v = metrize.nonmetrizable_scalar(sp, classified(sp, 12))
@@ -835,7 +835,7 @@ def test_cubic_flat_with_torsion() -> None:
 def test_twist_fails_quotient_constancy() -> None:
     sp = spray_of(TWIST)
     b = geometry.CurvatureBundle(sp, PC, 4)
-    Rj, tau, _ = b.split
+    Rj, tau, _ = b.splits
     assert Rj.value == pytest.approx(-1.2576, abs=1e-10)
     assert np.allclose([t.value for t in tau], [-1.392, -0.24], atol=1e-10)
     t = np.array([tau[i] / Rj for i in range(2)], dtype=object)
@@ -849,7 +849,7 @@ def test_twist_fails_quotient_constancy() -> None:
 
 def test_drift_stays_inconclusive() -> None:
     sp = spray_of(DRIFT)
-    dec = classify.decompose_scalar(geometry.CurvatureBundle(sp, PC, 4))
+    dec, = classify.decompose_scalar(geometry.CurvatureBundle(sp, PC, 4))
     assert dec.R == pytest.approx(-2.0 * 0.8 * 0.6, abs=1e-10)
     assert np.allclose(dec.tau, [0.0, -1.6], atol=1e-10)
     v = metrize.nonmetrizable_scalar(sp, classified(sp, 12))

@@ -156,7 +156,6 @@ def test_agreement_report_nan_is_no_agreement() -> None:
 
     class NanR:
         spray = b.spray
-        point = b.point
         _pa = b._pa
         R_values = np.full_like(b.R_values, np.nan)
         chi_values = b.chi_values

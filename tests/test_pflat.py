@@ -165,11 +165,11 @@ def test_round_trip_mixed_instance() -> None:
                     for g, v in zip(G_ind, b.G_values))
         assert worst <= 1e-8 * scale
         assert b.Ric_value == pytest.approx(m.value(pt), rel=1e-8)
-        assert classify.is_berwald(b).holds
+        assert classify.is_berwald(b)[0].holds
         assert flags["projective_form"]
-        dec = classify.decompose_scalar(b)
-        assert classify.is_constant(dec, b).holds
-        assert classify.projective_isotropy_residual(b) <= 1e-8
+        decs = classify.decompose_scalar(b)
+        assert classify.is_constant(decs, b)[0].holds
+        assert classify.projective_isotropy_residual(b)[0] <= 1e-8
 
 
 def test_round_trip_decide() -> None:
@@ -195,8 +195,8 @@ def test_round_trip_dimension_three() -> None:
     G_ind = geometry.spray_from_metric(m, pt, 0)
     assert max(abs(g.value - v) for g, v in zip(G_ind, b.G_values)) <= 1e-8
     assert b.Ric_value == pytest.approx(2.0 * m.value(pt), rel=1e-10)
-    dec = classify.decompose_scalar(b)
-    assert classify.is_constant(dec, b).holds
+    decs = classify.decompose_scalar(b)
+    assert classify.is_constant(decs, b)[0].holds
 
 
 # -- quadratic structure check -------------------------------------------------

@@ -179,7 +179,7 @@ def sprays_at_points(draw):
 @PROPERTY_SETTINGS
 @given(sprays_at_points())
 def test_cov_h_values_equal_the_jet_loop_bitwise(b) -> None:
-    _, tau, _ = b.split
+    _, tau, _ = b.splits
     for tensor, slots in [(b.R, ("u", "d")), (b.V, ("d",)), (tau, ("d",)),
                           (b.Ric, ())]:
         T = np.array(tensor, dtype=object)
@@ -192,7 +192,7 @@ def test_cov_h_values_equal_the_jet_loop_bitwise(b) -> None:
 @PROPERTY_SETTINGS
 @given(sprays_at_points())
 def test_curvature_identities_vanish_to_roundoff(b) -> None:
-    res = geometry.identity_residuals(b)
+    res, = geometry.identity_residuals(b)
     scale = float(np.max(np.abs(b.R_values)))
     assert res["curvature_contraction"] <= CONTRACTION_BOUND * scale
     assert res["bianchi"] <= BIANCHI_BOUND * scale
@@ -259,15 +259,15 @@ def _all_equal(a, b) -> bool:
 
 
 def split_bytes(split) -> tuple:
-    """A split's jets and residual as bytes, the residual's type kept."""
+    """A point's split, its jets and residual, as bytes."""
     r_jet, tau, residual = split
     return (r_jet.coeffs.tobytes(), [t.coeffs.tobytes() for t in tau],
-            type(residual), float(residual).hex())
+            float(residual).hex())
 
 
 def row_split(split, r: int) -> tuple:
     """Row r of a block bundle's `splits`, as a point's split: jets at the
-    row's center over the row's coefficients, and a Python float."""
+    row's center over the row's coefficients, and the row's residual."""
     r_jet, tau, residual = split
     center = tuple(r_jet.center[r])
     return (jets.Jet(r_jet.space, center, r_jet.coeffs[r]),
@@ -285,11 +285,9 @@ def dec_bytes(dec) -> tuple:
             float(dec.residual).hex(), dec.holds)
 
 
-def check_bytes(dec, b) -> list:
+def check_bytes(decs, b) -> list:
     """The isotropy and constancy checks of each row of the bundle."""
-    iso, con = classify.is_isotropic(dec, b), classify.is_constant(dec, b)
-    if b.point is not None:
-        iso, con = [iso], [con]
+    iso, con = classify.is_isotropic(decs, b), classify.is_constant(decs, b)
     return [[i.holds, float(i.residual).hex(), c.holds, float(c.residual).hex(),
              None if c.ric_residual is None else float(c.ric_residual).hex()]
             for i, c in zip(iso, con)]
@@ -306,10 +304,10 @@ def test_block_split_and_identities_equal_point_calls_bytewise(case) -> None:
     assert len(decs) == len(block)
     points = [CurvatureBundle(spray, pt, 4) for pt in block]
     for r, pb in enumerate(points):
-        assert split_bytes(row_split(bb.splits, r)) == split_bytes(pb.split)
+        assert split_bytes(row_split(bb.splits, r)) == split_bytes(pb.splits)
         assert identity_bytes(block_res[r]) == \
-            identity_bytes(geometry.identity_residuals(pb))
-        assert dec_bytes(decs[r]) == dec_bytes(classify.decompose_scalar(pb))
+            identity_bytes(geometry.identity_residuals(pb)[0])
+        assert dec_bytes(decs[r]) == dec_bytes(classify.decompose_scalar(pb)[0])
     assert check_bytes(decs, bb) == [
         row for pb in points for row in check_bytes(classify.decompose_scalar(pb), pb)]
 
@@ -398,8 +396,6 @@ def faulty(faults: dict):
                 v = _fn(b)
                 pts = np.reshape(b._pa, (-1, b._pa.shape[-1]))
                 k = [faults.get(pt.tobytes(), {}).get(_name, 1.0) for pt in pts]
-                if b.point is not None:
-                    return v * k[0]
                 return v * np.reshape(k, (-1,) + (1,) * (v.ndim - 1))
 
             prop = cached_property(scaled)
@@ -460,8 +456,9 @@ def point_proportional(Gv, yv, tol):
     return tol.zero(worst, scale), worst
 
 
-POINT_CLASS_TESTS = {"is_isotropic": point_is_isotropic,
-                     "is_constant": point_is_constant,
+# taking the one-row decompositions of a point bundle
+POINT_CLASS_TESTS = {"is_isotropic": lambda decs, b, tol: point_is_isotropic(decs[0], b, tol),
+                     "is_constant": lambda decs, b, tol: point_is_constant(decs[0], b, tol),
                      "is_berwald": point_is_berwald,
                      "_proportional": point_proportional}
 
@@ -531,7 +528,8 @@ def test_block_class_tests_equal_point_calls_bytewise(case) -> None:
             test, reference = getattr(classify, name), POINT_CLASS_TESTS[name]
             want = rows_or_error(lambda: [reference(*args, TOL) for args in point_args])
             assert rows_or_error(lambda: test(*block_args, TOL)) == want, name
-            assert rows_or_error(lambda: [test(*args, TOL) for args in point_args]) == want, name
+            assert rows_or_error(lambda: [row for args in point_args
+                                          for row in test(*args, TOL)]) == want, name
 
 
 def report_bytes(spray, samples) -> list:
@@ -577,7 +575,7 @@ def test_block_split_past_the_reciprocal_floor_fails_at_that_row(case, k) -> Non
     bad[n + k % n] = 1e-13
     full = np.vstack([block, bad, block[:1]])
     with pytest.raises(DomainError) as alone:
-        CurvatureBundle(spray, bad, 4).split
+        CurvatureBundle(spray, bad, 4).splits
     with pytest.raises(DomainError):
         CurvatureBundle(spray, full, 4).splits
     got = []
@@ -600,7 +598,7 @@ def test_block_split_past_the_reciprocal_floor_fails_at_that_row(case, k) -> Non
     assert attempts == [full.shape] + [(1, 2 * n)] * (len(block) + 1)
     assert str(in_block.value) == str(alone.value)
     points = [CurvatureBundle(spray, pt, 4) for pt in block]
-    assert got == [(split_bytes(b.split), dec_bytes(classify.decompose_scalar(b)))
+    assert got == [(split_bytes(b.splits), dec_bytes(classify.decompose_scalar(b)[0]))
                    for b in points]
 
 
@@ -1462,7 +1460,7 @@ def loop_omega_rows(points, floor: float) -> list:
     of each delta_a R / R, delta R from the jet loop."""
     out = []
     for b in points:
-        Rj = b.split[0]
+        Rj = b.splits[0]
         out.append(None if abs(Rj.value) < floor else
                    [first_orders(d / Rj) for d in cov_h_jets(b, Rj, ())])
     return out
@@ -1473,7 +1471,7 @@ def loop_t_rows(points, floor: float) -> list:
     max |t_{i;j}|, from the sample's own `cov_h`."""
     out = []
     for b in points:
-        Rj, tau, _ = b.split
+        Rj, tau, _ = b.splits
         if abs(Rj.value) < floor:
             out.append(None)
             continue

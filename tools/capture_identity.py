@@ -18,9 +18,8 @@ iff every captured output is.  It writes, as one JSON object:
 - `samples`: per sample of the `classify` command of every fixture at
   seeds 3 and 11, in the order the command computed them, its scalar
   split (R, tau, residual, holds), its isotropy and constancy checks, and
-  its identity dict with the keys in their order, whether a call gave one
-  sample's or a block's; the report keeps only the maximum over the
-  samples;
+  its identity dict with the keys in their order; the report keeps only
+  the maximum over the samples;
 - `recover` and `highdim`: the outcome of every job of those benchmark
   workloads at seed 7 (verdicts, metric reads, CLI JSON);
 - `point_bundles`: per fixture at seeds 3 and 11, at 8 fresh points
@@ -163,9 +162,9 @@ def recording(module, name: str, results: list):
 
 
 def per_row(results: list) -> list:
-    """The results of calls at point and at block bundles, one per row: a
-    call at a block bundle gives a list of one result per row."""
-    return [r for res in results for r in (res if isinstance(res, list) else [res])]
+    """The results of the recorded calls, one per row: each call gives a
+    list of one result per row of its bundle."""
+    return [r for res in results for r in res]
 
 
 def sample_records() -> dict:
@@ -245,8 +244,8 @@ def point_bundles() -> dict:
                         key: attempt(lambda key=key: coefficients(getattr(b, key)))
                         for key in ("G", "N", "Gamma", "R", "Ric")})
                     rows[-1]["split"] = attempt(lambda: [
-                        b.split[0].coeffs, coefficients(b.split[1]), b.split[2],
-                        geometry.split_holds(b)])
+                        b.splits[0].coeffs, coefficients(b.splits[1]), b.splits[2],
+                        geometry.split_holds(b)[0]])
                 out[f"{name} seed {seed} order {order}"] = rows
             if name in RECOVERED:
                 v = metrize.decide(spray_obj, count=fixture.count, seed=seed,
@@ -359,7 +358,7 @@ def decision_stages() -> dict:
             for points, _, _ in rep.blocks:
                 for pt in points:
                     b = geometry.CurvatureBundle(spray_obj, pt, cli.RunConfig.order)
-                    R_jet, tau, _ = b.split
+                    R_jet, tau, _ = b.splits
 
                     def t_parts(b=b, R_jet=R_jet, tau=tau):
                         t = [u / R_jet for u in tau]
