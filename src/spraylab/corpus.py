@@ -11,8 +11,8 @@ Expectations pin only what they list: a record may leave a flag or the rule
 string out, and then nothing is asserted about it.
 
 The checks read the classification report's block bundles: a value per
-sample is read off its block's rows, and a derivative is taken once per
-block (`classify.sample_rows`).
+sample is read off its block's rows, and a derivative, a Berwald frame or
+a flag-ODE residual is taken once per block (`classify.rowwise`).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -354,9 +355,9 @@ def _chk_main_scalar_sq(fx, spray, verdict, rep, chk, tol):
     want = float(chk["want"])
     rel = float(chk.get("rel", tol.rel))
     worst = 0.0
-    for pt in rep.samples.points():
-        fr = dim2.frame(m, pt, tol=tol)
-        worst = max(worst, abs(fr.main_scalar ** 2 - want))
+    for points, _, _ in rep.blocks:
+        for fr in classify.rowwise(lambda rows: dim2.frame(m, rows, tol=tol), points):
+            worst = max(worst, abs(fr.main_scalar ** 2 - want))
     bad = []
     if worst > rel * abs(want) + tol.abs:
         bad.append(f"{chk['name']}: main scalar squared off by {worst:.3e} "
@@ -367,11 +368,10 @@ def _chk_main_scalar_sq(fx, spray, verdict, rep, chk, tol):
 def _chk_flag_ode(fx, spray, verdict, rep, chk, tol):
     m = fx.metric()
     atol = float(chk.get("atol", 1e-6))
-    pts = rep.samples.points()
-    limit = int(chk.get("limit", len(pts)))
+    rows = classify.sample_rows(lambda b: dim2.flag_ode_residual(m, b, tol), rep.blocks)
     worst = 0.0
-    for pt in pts[:limit]:
-        worst = max(worst, dim2.flag_ode_residual(m, pt, tol=tol))
+    for _, _, res in islice(rows, int(chk.get("limit", rep.count))):
+        worst = max(worst, res)
     bad = []
     if worst > atol:
         bad.append(f"{chk['name']}: flag ODE residual {worst:.3e} above "

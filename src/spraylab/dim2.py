@@ -7,11 +7,16 @@ indicatrix arc length, the second-order ODE residual |lambda'' + eps I
 lambda'| for the flag curvature of weakly isotropic metrics, and
 generators for the three classical families with constant main scalar
 together with their predicted curvature 2-form component omega12.
+
+`frame` and `flag_ode_residual` give one entry per row of a (B, 4) block
+or a bundle, a point being one row, each with the bits of its point alone;
+a block that fails a check raises the error of its first row that fails it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable
 
 import numpy as np
@@ -45,57 +50,52 @@ class BerwaldFrame:
 
 
 class _FrameJets:
-    """Jet-level frame at a point; `order` is the truncation the m-jets
-    carry (the metric is evaluated two orders higher to pay for the two
-    y-derivatives in g)."""
+    """Jet-level frame at a point or at each row of a block (eps is one
+    sign per row); `order` is the truncation the m-jets carry (the metric
+    is evaluated two orders higher to pay for the two y-derivatives in g)."""
 
     def __init__(self, metric, p, order: int = 2, tol: Tolerances = TOL):
         if metric.dim != 2:
             raise PreconditionError("the Berwald frame needs dimension 2")
-        pa = geometry._point_array(p, 2)
-        Lj = metric.jet(pa, order + 2)
-        if Lj.value <= 0.0:
-            raise NegativeMetric(
-                f"frame needs L > 0 at the point (got {Lj.value:.3e})")
-        self.L = Lj
-        self.F = jets.sqrt(Lj)
-        self.ell = [self.F.dy(i) for i in range(2)]
+        Lj = metric.jet(geometry._point_array(p, 2), order + 2)
         g = [[0.5 * Lj.dy(i).dy(j) for j in range(2)] for i in range(2)]
-        self.g = g
         det = g[0][0] * g[1][1] - g[0][1] * g[0][1]
-        scale = max(abs(g[i][j].value) for i in range(2) for j in range(2))
-        if abs(det.value) <= tol.rank * max(1e-30, scale * scale):
-            raise DegenerateMetric(
-                f"det g ~ 0 at the point ({det.value:.3e})")
-        self.det = det
-        self.eps = 1.0 if det.value > 0.0 else -1.0
-        root = jets.sqrt(self.eps * det)
+        scales = np.max(np.abs([np.atleast_1d(gij.value) for row in g for gij in row]), axis=0)
+        for v, d, scale in zip(np.atleast_1d(Lj.value).tolist(),
+                               np.atleast_1d(det.value).tolist(), scales.tolist()):
+            if v <= 0.0:
+                raise NegativeMetric(f"frame needs L > 0 at the point (got {v:.3e})")
+            if v <= jets.VALUE_FLOOR:
+                break  # the square root of L raises at this row, as at its point
+            if abs(d) <= tol.rank * max(1e-30, scale * scale):
+                raise DegenerateMetric(f"det g ~ 0 at the point ({d:.3e})")
+        self.L, self.det, self.F = Lj, det, jets.sqrt(Lj)
+        self.ell = [self.F.dy(i) for i in range(2)]
+        self.eps = np.where(det.value > 0.0, 1.0, -1.0)
+        root = jets.sqrt(det * self.eps)
         self.m_up = [-1.0 * self.ell[1] / root, self.ell[0] / root]
         self.m_low = [g[i][0] * self.m_up[0] + g[i][1] * self.m_up[1]
                       for i in range(2)]
 
-    def main_scalar(self) -> float:
-        mv = np.array([m.value for m in self.m_low])
-        best = None
-        best_mag = 0.0
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    mmm = mv[i] * mv[j] * mv[k]
-                    if abs(mmm) > best_mag:
-                        best_mag = abs(mmm)
-                        best = (i, j, k)
-        i, j, k = best
-        C = 0.25 * self.L.dy(i).dy(j).dy(k).value
-        return float(self.F.value * C / (mv[i] * mv[j] * mv[k]))
+    def main_scalar(self):
+        """I = F C_ijk / (m_i m_j m_k) at the first (i, j, k), in loop
+        order, with the largest |m_i m_j m_k|, per row."""
+        mv = [m.value for m in self.m_low]
+        slots = list(product(range(2), repeat=3))
+        mmm = np.array([mv[i] * mv[j] * mv[k] for i, j, k in slots])
+        C = np.array([0.25 * self.L.dy(i).dy(j).dy(k).value for i, j, k in slots])
+        best = np.argmax(np.abs(mmm), axis=0)[None]
+        return (self.F.value * np.take_along_axis(C, best, 0)[0]
+                / np.take_along_axis(mmm, best, 0)[0])
 
     def angle_derivative(self, S):
         acc = self.m_up[0] * S.dy(0) + self.m_up[1] * S.dy(1)
-        return self.eps * (self.F * acc)
+        return (self.F * acc) * self.eps
 
 
-def frame(metric, p, tol: Tolerances = TOL) -> BerwaldFrame:
-    """Berwald frame of a 2-D metric at a point.
+def frame(metric, p, tol: Tolerances = TOL) -> list:
+    """Berwald frames of a 2-D metric, one per row of p: a (B, 4) block
+    of points, or a point, which is one row.
 
     ell is the unit vector along y, m its companion with
     (m^1, m^2) = (eps det g)^{-1/2} (-ell_2, ell_1); together they split
@@ -103,15 +103,13 @@ def frame(metric, p, tol: Tolerances = TOL) -> BerwaldFrame:
     read off F C_ijk = I m_i m_j m_k at the largest m-component.
     """
     fj = _FrameJets(metric, p, order=1, tol=tol)
-    return BerwaldFrame(
-        ell_low=np.array([e.value for e in fj.ell]),
-        ell_up=np.array(geometry._point_array(p, 2)[2:]) / fj.F.value,
-        m_low=np.array([m.value for m in fj.m_low]),
-        m_up=np.array([m.value for m in fj.m_up]),
-        eps=fj.eps,
-        det_g=float(fj.det.value),
-        main_scalar=fj.main_scalar(),
-    )
+    ys = np.reshape(geometry._point_array(p, 2), (-1, 4))[:, 2:]
+    ell, m_low, m_up = (np.column_stack([np.atleast_1d(u.value) for u in pair])
+                        for pair in (fj.ell, fj.m_low, fj.m_up))
+    F, eps, det, I = (np.atleast_1d(v).tolist() for v in (
+        fj.F.value, fj.eps, fj.det.value, fj.main_scalar()))
+    return [BerwaldFrame(ell[r], ys[r] / F[r], m_low[r], m_up[r], eps[r], det[r], I[r])
+            for r in range(len(ys))]
 
 
 def angle_derivative(S, metric, p, tol: Tolerances = TOL):
@@ -130,25 +128,23 @@ def angle_derivative(S, metric, p, tol: Tolerances = TOL):
     return fj.angle_derivative(S)
 
 
-def flag_ode_residual(metric, p, tol: Tolerances = TOL) -> float:
-    """|lambda'' + eps I lambda'| for lambda = R/L at one point.
+def flag_ode_residual(metric, b, tol: Tolerances = TOL) -> list:
+    """|lambda'' + eps I lambda'| for lambda = R/L, one value per row of
+    the order-4 (or higher) curvature bundle b of the metric's spray.
 
     Weakly isotropic 2-D metrics satisfy this ODE along each indicatrix,
     so the residual vanishing (at tolerance) is a necessary sign of weak
     isotropy; the caller establishes weak isotropy itself with the 2-form
     fit.
     """
-    sp = geometry.MetricSpray(metric)
-    b = geometry.CurvatureBundle(sp, p, 5)
-    if not geometry.split_holds(b, tol)[0]:
-        raise PreconditionError(
-            f"scalar decomposition fails at the point ({b.splits[2]:.3e})")
-    lam = b.curvature_scalar / metric.jet(p, 3)
-    fj = _FrameJets(metric, p, order=2, tol=tol)
+    for holds, res in zip(geometry.split_holds(b, tol), np.atleast_1d(b.splits[2]).tolist()):
+        if not holds:
+            raise PreconditionError(f"scalar decomposition fails at the point ({res:.3e})")
+    fj = _FrameJets(metric, b._pa, order=2, tol=tol)
+    lam = b.curvature_scalar / fj.L
     lam1 = fj.angle_derivative(lam)
     lam2 = fj.angle_derivative(lam1)
-    I = fj.main_scalar()
-    return float(abs(lam2.value + fj.eps * I * lam1.value))
+    return np.atleast_1d(abs(lam2.value + fj.eps * fj.main_scalar() * lam1.value)).tolist()
 
 
 # -- constant-main-scalar generators ---------------------------------------------

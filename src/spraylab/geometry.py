@@ -314,7 +314,8 @@ class CurvatureBundle:
     curvature scalar.
 
     `p` may be a (B, 2n) block of points instead of one point; see the
-    module docstring.  Every tangent vector must be nonzero.
+    module docstring.  Every tangent vector must be finite and nonzero;
+    the first row that fails names the error.
     """
 
     def __init__(self, spray, p, order: int = 4):
@@ -322,8 +323,10 @@ class CurvatureBundle:
         self.dim = spray.dim
         self.order = order
         pa = _point_array(p, spray.dim)
-        if not np.all(np.max(np.abs(pa[..., self.dim:]), axis=-1) > 0.0):
-            raise DomainError("tangent vector is zero")
+        m = np.reshape(np.max(np.abs(pa[..., self.dim:]), axis=-1), -1)
+        if not (m.min() > 0.0 and m.max() < np.inf):  # a nan compares false
+            r = np.flatnonzero(~((m > 0.0) & (m < np.inf)))[0]
+            raise DomainError("tangent vector is " + ("zero" if m[r] == 0.0 else "not finite"))
         if pa.ndim == 2:
             # the block is every jet's center, so it must not change
             pa = pa.copy()

@@ -248,7 +248,7 @@ def test_main_scalar_family_weak_isotropy(name, omega_form):
             f"gives {want}")
     metric = fx.metric()
     for pt in samples.points()[:4]:
-        res = dim2.flag_ode_residual(metric, pt)
+        res, = dim2.flag_ode_residual(metric, geometry.CurvatureBundle(spray, pt, 4))
         assert res <= 1e-6, f"{name}: flag ODE residual {res:.3e} at {pt}"
 
 

@@ -86,14 +86,11 @@ def test_replay_draws_once(tally) -> None:
     assert tally["draws"] == 1
 
 
-@pytest.mark.parametrize("name", ["cms19", "ex7.2", "elliptic2", "pflat_exp",
-                                  "pflat_lin"])
+@pytest.mark.parametrize("name", ALL_NAMES)
 def test_replay_builds_each_bundle_once(name, tally) -> None:
-    # the omega_fit (cms19), scalar_expr and delta_expr (ex7.2) and
-    # structure_check (elliptic2, pflat_exp, pflat_lin) checks read the
-    # classification's block bundles instead of building them again: each
-    # sample is a row of one order-4 block bundle, and of no other order-4
-    # bundle (flag_ode, on cms19, takes order-5 bundles of its own)
+    # every check reads the classification's block bundles instead of
+    # building its own: each sample is a row of one order-4 block bundle,
+    # and of no other bundle of any order
     rep = corpus.run_fixture(name)
     assert rep.passed
     fx = corpus.load_fixture(name)
@@ -102,7 +99,7 @@ def test_replay_builds_each_bundle_once(name, tally) -> None:
     assert len(points) == rep.count
     assert {k: c for k, c in tally["rows"].items() if k[0] in points} == {
         (pt, 4): 1 for pt in points}
-    assert not any(pt in points for pt, order in tally["bundles"] if order == 4)
+    assert not any(pt in points for pt, _ in tally["bundles"])
 
 
 def test_omega_fit_needs_scalar_curvature() -> None:

@@ -40,6 +40,11 @@ def cms_fixtures():
     ]
 
 
+def bundle(m, p) -> geometry.CurvatureBundle:
+    """The order-4 curvature bundle of the metric's spray at p."""
+    return geometry.CurvatureBundle(geometry.MetricSpray(m), p, 4)
+
+
 def draw(m, count: int, seed: int) -> sampling.SampleSet:
     def accept(pt: np.ndarray) -> bool:
         return all(g > 1e-6 for g in m.guard_values(pt))
@@ -52,7 +57,7 @@ def draw(m, count: int, seed: int) -> sampling.SampleSet:
 
 
 def test_frame_euclidean() -> None:
-    fr = dim2.frame(metric_of(EUC), (0.3, -0.2, 0.6, 0.8))
+    fr, = dim2.frame(metric_of(EUC), (0.3, -0.2, 0.6, 0.8))
     assert np.allclose(fr.ell_low, [0.6, 0.8], atol=1e-12)
     assert np.allclose(fr.ell_up, [0.6, 0.8], atol=1e-12)
     assert np.allclose(fr.m_up, [-0.8, 0.6], atol=1e-12)
@@ -66,7 +71,7 @@ def test_frame_invariants_on_cms() -> None:
     for cms in cms_fixtures():
         m = cms.metric
         for pt in draw(m, 4, 13).points():
-            fr = dim2.frame(m, pt)
+            fr, = dim2.frame(m, pt)
             Lj = m.jet(pt, 3)
             F = np.sqrt(Lj.value)
             g = np.array([[0.5 * Lj.dy(i).dy(j).value for j in range(2)]
@@ -89,11 +94,11 @@ def test_main_scalar_predictions() -> None:
     pts = [(0.1, -0.2, 0.4, 0.7), (0.0, 0.3, 0.9, 0.2)]
     for cms in cms_fixtures():
         for pt in pts:
-            fr = dim2.frame(cms.metric, pt)
+            fr, = dim2.frame(cms.metric, pt)
             assert fr.main_scalar ** 2 == pytest.approx(cms.main_scalar_sq,
                                                         rel=1e-8)
     # the power family at s = 1/3 has an indefinite fundamental tensor
-    fr = dim2.frame(cms_fixtures()[0].metric, pts[0])
+    fr, = dim2.frame(cms_fixtures()[0].metric, pts[0])
     assert fr.eps == -1.0
 
 
@@ -107,6 +112,82 @@ def test_frame_errors() -> None:
     with pytest.raises(PreconditionError):
         dim2.frame(metric_of("dim 3\nmetric L = y1^2 + y2^2 + y3^2"),
                    (0.0, 0.0, 0.0, 1.0, 0.5, 0.2))
+
+
+def frame_bits(fr: dim2.BerwaldFrame) -> list:
+    return [[float(v).hex() for v in np.ravel(getattr(fr, f))]
+            for f in ("ell_low", "ell_up", "m_low", "m_up", "eps", "det_g",
+                      "main_scalar")]
+
+
+def test_block_equals_points_bytewise() -> None:
+    # one frame and one flag-ODE residual per row of a block, each with
+    # the bits of the call at that row's point alone
+    for cms in cms_fixtures():
+        m = cms.metric
+        pts = draw(m, 8, 21).points()
+        frames = dim2.frame(m, pts)
+        residuals = dim2.flag_ode_residual(m, bundle(m, pts))
+        assert len(frames) == len(residuals) == len(pts)
+        for pt, fr, res in zip(pts, frames, residuals):
+            at_point, = dim2.frame(m, pt)
+            assert frame_bits(fr) == frame_bits(at_point)
+            assert type(fr.eps) is type(fr.main_scalar) is float
+            assert [res.hex()] == [r.hex() for r in
+                                   dim2.flag_ode_residual(m, bundle(m, pt))]
+
+
+# g = diag(x1, 1): L <= 0 where x1 < 0 and |y2| is small, det g = 0 at x1 = 0
+SIGNED = "dim 2\nmetric L = x1*y1^2 + y2^2"
+FINE = [(0.5, 0.0, 0.6, 0.8), (0.7, 0.1, 0.6, 0.8)]
+NEGATIVE = (-1.0, 0.0, 1.0, 0.5)
+DEGENERATE = (0.0, 0.0, 1.0, 0.5)
+
+
+def point_error(call, pt) -> Exception:
+    try:
+        call(pt)
+    except Exception as exc:
+        return exc
+    raise AssertionError(f"no error at {pt}")
+
+
+@pytest.mark.parametrize("third,fourth", [(NEGATIVE, DEGENERATE),
+                                          (DEGENERATE, NEGATIVE)])
+def test_block_frame_raises_its_first_failing_row(third, fourth) -> None:
+    m = metric_of(SIGNED)
+    block = np.array(FINE + [third, fourth])
+    want = point_error(lambda pt: dim2.frame(m, pt), third)
+    assert isinstance(want, (NegativeMetric, DegenerateMetric))
+    with pytest.raises(type(want)) as err:
+        dim2.frame(m, block)
+    assert str(err.value) == str(want)
+    # under the row rule the rows before it come first
+    got = []
+    with pytest.raises(type(want)) as err:
+        for fr in classify.rowwise(lambda rows: dim2.frame(m, rows), block):
+            got.append(fr)
+    assert str(err.value) == str(want)
+    assert [frame_bits(fr) for fr in got] == [
+        frame_bits(dim2.frame(m, pt)[0]) for pt in FINE]
+
+
+def test_block_flag_ode_raises_its_first_failing_row() -> None:
+    m = metric_of(SIGNED)
+    block = np.array(FINE + [NEGATIVE, FINE[0]])
+    want = point_error(lambda pt: dim2.flag_ode_residual(m, bundle(m, pt)), NEGATIVE)
+    assert isinstance(want, NegativeMetric)
+    with pytest.raises(NegativeMetric) as err:
+        dim2.flag_ode_residual(m, bundle(m, block))
+    assert str(err.value) == str(want)
+    got = []
+    with pytest.raises(NegativeMetric) as err:
+        for res in classify.bundle_rows(lambda b: dim2.flag_ode_residual(m, b),
+                                        bundle(m, block)):
+            got.append(res)
+    assert str(err.value) == str(want)
+    assert [r.hex() for r in got] == [
+        dim2.flag_ode_residual(m, bundle(m, pt))[0].hex() for pt in FINE]
 
 
 # -- angle derivatives -----------------------------------------------------------
@@ -143,13 +224,15 @@ def test_angle_derivative_needs_degree_zero() -> None:
 def test_flag_ode_constant_curvature() -> None:
     m = metric_of(EQ3M)
     for pt in ((0.25, -0.3, 0.6, 0.9), (0.1, 0.2, -0.4, 0.8)):
-        assert dim2.flag_ode_residual(m, pt) <= 1e-9
+        res, = dim2.flag_ode_residual(m, bundle(m, pt))
+        assert res <= 1e-9
 
 
 def test_flag_ode_cms_families() -> None:
     for cms in cms_fixtures():
         for pt in draw(cms.metric, 4, 17).points():
-            assert dim2.flag_ode_residual(cms.metric, pt) <= 1e-6
+            res, = dim2.flag_ode_residual(cms.metric, bundle(cms.metric, pt))
+            assert res <= 1e-6
 
 
 # -- generated families vs the 2-form fit ----------------------------------------

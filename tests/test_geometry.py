@@ -344,6 +344,8 @@ def test_point_tangent_validation_and_layout() -> None:
     assert b.Ric_value == pytest.approx(25.0, rel=1e-12)
     with pytest.raises(DomainError, match="^tangent vector is zero$"):
         CurvatureBundle(spray_of(ROTOR), (0.1, -0.2, 0.0, 0.0))
+    with pytest.raises(DomainError, match="^tangent vector is not finite$"):
+        CurvatureBundle(spray_of(ROTOR), (0.1, -0.2, np.nan, 1.0))
     with pytest.raises(DomainError, match="expected 4 coordinates"):
         CurvatureBundle(spray_of(ROTOR), (0.1, -0.2, 3.0))
 
@@ -370,3 +372,10 @@ def test_block_bundle_of_an_induced_spray_equals_point_bundles() -> None:
 def test_block_bundle_checks_its_points() -> None:
     with pytest.raises(DomainError, match="^tangent vector is zero$"):
         CurvatureBundle(spray_of(ROTOR), np.array([PROT, (0.1, 0.2, 0.0, 0.0)]))
+    # the first row that fails names the error
+    with pytest.raises(DomainError, match="^tangent vector is not finite$"):
+        CurvatureBundle(spray_of(ROTOR), np.array(
+            [PROT, (0.1, 0.2, np.nan, 1.0), (0.1, 0.2, 0.0, 0.0)]))
+    with pytest.raises(DomainError, match="^tangent vector is zero$"):
+        CurvatureBundle(spray_of(ROTOR), np.array(
+            [PROT, (0.1, 0.2, 0.0, 0.0), (0.1, 0.2, np.inf, 1.0)]))

@@ -39,6 +39,13 @@ iff every captured output is.  It writes, as one JSON object:
   one `Jet` division at the bundle built at the sample alone; and at each
   block bundle of the classification, every coefficient of
   `delta_scalar` of its curvature scalar;
+- `dim2`: per sample of cms19, cms20 and cms21 at seeds 3 and 11, in
+  classifications of 8 and 24 samples, the main scalar of its Berwald
+  frame and its flag-ODE residual, or the error's type and text.  A
+  checkout whose `dim2` takes blocks gives them one frame per block and
+  one residual per row of the report's block bundle; one whose `dim2`
+  takes one point at a time gives them at each sample alone, so the two
+  compare;
 - `errors`: what `block_bundles`, `finsler_check`, `metric_spray_residuals`,
   `LambdaField`, `agreement_report` and the `oracle` command give on
   inputs where a block of samples, nodes or points fails: the rows
@@ -52,6 +59,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -65,8 +73,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 
 import workloads  # noqa: E402
-from spraylab import (classify, cli, corpus, dsl, geometry, metrize,  # noqa: E402
-                      oracle, sampling)
+from spraylab import (classify, cli, corpus, dim2, dsl, geometry,  # noqa: E402
+                      metrize, oracle, sampling)
 
 SEEDS = (3, 11)
 JOB_SEED = 7
@@ -282,6 +290,42 @@ def metric_sprays() -> dict:
                 block = [g.coeffs for g in geometry.spray_from_metric(metric, pts, order)]
                 out[f"{name} seed {seed} order {order}"] = enc(
                     {"points": points, "block": block})
+    return out
+
+
+DIM2_NAMES = ("cms19", "cms20", "cms21")
+DIM2_COUNTS = (8, 24)
+# a checkout whose flag-ODE residual takes a point, and builds its own bundle
+DIM2_AT_POINTS = "p" in inspect.signature(dim2.flag_ode_residual).parameters
+
+
+def dim2_samples() -> dict:
+    out = {}
+    for seed in SEEDS:
+        for count in DIM2_COUNTS:
+            for name in DIM2_NAMES:
+                fixture = corpus.load_fixture(name)
+                metric = fixture.metric()
+                rep = classify.classify_spray(fixture.build(), count=count, seed=seed,
+                                              box=fixture.box)
+                rows = []
+                for points, b, _ in rep.blocks:
+                    if DIM2_AT_POINTS:
+                        rows += [[attempt(lambda pt=pt: dim2.frame(metric, pt).main_scalar),
+                                  attempt(lambda pt=pt: dim2.flag_ode_residual(metric, pt))]
+                                 for pt in points]
+                        continue
+                    try:
+                        main = [fr.main_scalar for fr in dim2.frame(metric, points)]
+                        rows += enc([list(r) for r in zip(main, dim2.flag_ode_residual(metric, b))])
+                    except Exception:  # each row alone, as a one-row block
+                        rows += [[attempt(lambda r=r: dim2.frame(metric, points[r:r + 1])[0]
+                                          .main_scalar),
+                                  attempt(lambda r=r: dim2.flag_ode_residual(
+                                      metric, geometry.CurvatureBundle(
+                                          b.spray, points[r:r + 1], b.order))[0])]
+                                 for r in range(len(points))]
+                out[f"{name} seed {seed} count {count}"] = rows
     return out
 
 
@@ -536,6 +580,7 @@ def main(argv: list) -> int:
         record["point_bundles"] = point_bundles()
         record["metric_sprays"] = metric_sprays()
         record["decision_stages"] = decision_stages()
+        record["dim2"] = dim2_samples()
         record["errors"] = failure_paths(workdir)
     target.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0
