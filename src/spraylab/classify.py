@@ -271,9 +271,10 @@ def projective_isotropy_residual(b, tol: Tolerances = TOL) -> list:
     return out
 
 
-def _fit_base_omega(Yd: np.ndarray, rows: np.ndarray, tol: Tolerances):
-    """Least-squares omega_ir with omega_ir y^r = rows_i per sample."""
-    s = np.linalg.svd(Yd, compute_uv=False)
+def _fit_base_omega(Yd: np.ndarray, rows: np.ndarray, tol: Tolerances,
+                    s: np.ndarray):
+    """Least-squares omega_ir with omega_ir y^r = rows_i per sample; `s`
+    holds Yd's singular values."""
     if s[-1] <= tol.rank * s[0]:
         raise RankError(
             "tangent samples at a base point do not span; cannot fit the "
@@ -508,8 +509,9 @@ def classify_samples(spray, samples: SampleSet, order: int = 4,
         omega = np.empty((samples.bases.shape[0], n, n))
         ok = True
         scale = max(1.0, float(np.max(np.abs(rows))))
-        for b, (xb, Yd) in enumerate(samples.grouped()):
-            omega[b], fit, anti = _fit_base_omega(Yd, base_rows[b], tol)
+        svs = geometry.singular_values(samples.ys)
+        for b, ((xb, Yd), s) in enumerate(zip(samples.grouped(), svs)):
+            omega[b], fit, anti = _fit_base_omega(Yd, base_rows[b], tol, s)
             res = max(fit, anti)
             worst["weak_isotropic"] = max(worst["weak_isotropic"], res)
             good = tol.zero(fit, scale) and tol.zero(anti, scale)

@@ -132,8 +132,69 @@ class Report:
     mismatches: tuple = ()
 
     def json_bytes(self) -> bytes:
-        return (json.dumps(self.data, indent=2, sort_keys=True,
-                           allow_nan=False) + "\n").encode()
+        out = []
+        _write_json(self.data, "", out)
+        out.append("\n")
+        return "".join(out).encode()
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _write_json(obj, pad: str, out: list) -> None:
+    """Append to `out` the text `json.dumps(obj, indent=2, sort_keys=True,
+    allow_nan=False)` gives for obj at the indent `pad`, in one recursive
+    pass over what `_jsonable` gives: dicts with str keys, lists, str,
+    None, bool, int and float.  A list of floats is joined in one call;
+    `float.__repr__` writes an inf or a nan with an "n", which no finite
+    float's text holds, so such a list takes the per-item path, which
+    refuses it as `json` does."""
+    if type(obj) is float:
+        text = float.__repr__(obj)
+        if "n" in text:
+            raise ValueError(f"Out of range float values are not JSON compliant: {text}")
+        out.append(text)
+    elif isinstance(obj, str):
+        out.append(_quote(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key, value in sorted(obj.items()):
+            out.append(sep + _quote(key) + ": ")
+            sep = ",\n" + inner
+            _write_json(value, inner, out)
+        out.append("\n" + pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        try:
+            text = (",\n" + inner).join(map(float.__repr__, obj))
+        except TypeError:  # an item is not a float
+            text = "n"
+        if "n" not in text:
+            out.append("[\n" + inner + text + "\n" + pad + "]")
+            return
+        sep = "[\n" + inner
+        for value in obj:
+            out.append(sep)
+            sep = ",\n" + inner
+            _write_json(value, inner, out)
+        out.append("\n" + pad + "]")
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _jsonable(obj):

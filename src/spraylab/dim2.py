@@ -9,8 +9,9 @@ generators for the three classical families with constant main scalar
 together with their predicted curvature 2-form component omega12.
 
 `frame` and `flag_ode_residual` give one entry per row of a (B, 4) block
-or a bundle, a point being one row, each with the bits of its point alone;
-a block that fails a check raises the error of its first row that fails it.
+or a bundle, a point being one row, each with the bits of its point alone,
+and `angle_derivative` takes a block jet at a block; a block that fails a
+check raises the error of its first row that fails it.
 """
 
 from __future__ import annotations
@@ -118,12 +119,17 @@ def angle_derivative(S, metric, p, tol: Tolerances = TOL):
     S must be positively 0-homogeneous in y (its value depends only on the
     direction); then F S_{.i} is proportional to m_i and the returned jet
     is the proportionality factor S'(theta).  Apply twice for S''(theta).
+
+    At a (B, 4) block of points S is a block jet, and the degree is
+    checked row by row, in order; the first failing row raises its
+    point's error.
     """
-    defect = classify.euler_residual(S, 0)
-    if not tol.zero(defect, max(1.0, abs(S.value))):
-        raise PreconditionError(
-            f"scalar is not 0-homogeneous in y (defect {defect:.3e}); "
-            "the angle derivative is defined for degree 0 only")
+    defects = np.atleast_1d(classify.euler_residual(S, 0)).tolist()
+    for defect, value in zip(defects, np.atleast_1d(S.value).tolist()):
+        if not tol.zero(defect, max(1.0, abs(value))):
+            raise PreconditionError(
+                f"scalar is not 0-homogeneous in y (defect {defect:.3e}); "
+                "the angle derivative is defined for degree 0 only")
     fj = _FrameJets(metric, p, order=max(1, S.space.order - 1), tol=tol)
     return fj.angle_derivative(S)
 

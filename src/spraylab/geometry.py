@@ -181,6 +181,20 @@ class ShiftedSpray:
 # -- metric pipeline ---------------------------------------------------------
 
 
+def singular_values(mats: np.ndarray):
+    """The singular values of each matrix of the (B, m, n) stack, in order.
+
+    One stacked `np.linalg.svd`, whose rows equal, bit for bit, each
+    matrix's own call.  A matrix holding a nan makes the stacked call raise
+    LinAlgError; then each matrix is taken alone, lazily, so a caller that
+    judges the rows in order meets that error at the matrix that raises it.
+    """
+    try:
+        return np.linalg.svd(mats, compute_uv=False)
+    except np.linalg.LinAlgError:
+        return (np.linalg.svd(m, compute_uv=False) for m in mats)
+
+
 def _fundamental_jets(metric, pa: np.ndarray, order: int, tol: Tolerances):
     """The jet of L and (space, stack) of g_ij = half the y-Hessian, with a
     rank check.
@@ -197,8 +211,7 @@ def _fundamental_jets(metric, pa: np.ndarray, order: int, tol: Tolerances):
         for j in range(i, n):
             stack[i, j] = stack[j, i] = hessian[i, j] * 0.5
     vals = _stack_values(stack, 2)
-    for v in (vals if vals.ndim == 3 else (vals,)):
-        s = np.linalg.svd(v, compute_uv=False)
+    for s in singular_values(vals.reshape(-1, n, n)):
         if s[-1] <= tol.rank * s[0] or s[0] == 0.0:
             raise DegenerateMetric(
                 f"fundamental tensor of {metric.name!r} is numerically singular "
@@ -600,9 +613,9 @@ def split_holds(bundle: CurvatureBundle, tol: Tolerances = TOL) -> list:
     """Does the bundle's scalar split hold, relative to max |R^i_k|?  One
     answer per row; a point bundle is one row."""
     residuals = np.reshape(bundle.splits[2], -1)
-    R_values = bundle.R_values.reshape(len(residuals), -1)
-    return [tol.zero(float(res), float(np.max(np.abs(Rv))))
-            for res, Rv in zip(residuals, R_values)]
+    scales = np.max(np.abs(bundle.R_values.reshape(len(residuals), -1)), axis=1)
+    return [tol.zero(res, scale)
+            for res, scale in zip(residuals.tolist(), scales.tolist())]
 
 
 # -- identity residuals --------------------------------------------------------
@@ -631,15 +644,17 @@ def identity_residuals(bundle: CurvatureBundle, tol: Tolerances = TOL) -> list:
 
     Each row's dict equals, key order and bits, the call at that row's
     point alone: the covariant derivatives are taken once for the block
-    and the sums over their slots run elementwise over its rows, while the
-    two dot products and each row's worst-case fold are taken row by row.
+    and the sums over their slots run elementwise over its rows, the two
+    contractions with y are one stacked matmul each, whose rows round as
+    each row's own product does, and each row's worst-case fold is taken
+    row by row.
     """
     n = bundle.dim
     y = bundle.yvals.reshape(-1, n)
     rows = len(y)
     R_values = bundle.R_values.reshape(rows, n, n)
-    out = [{"curvature_contraction": float(np.max(np.abs(R_values[r] @ y[r])))}
-           for r in range(rows)]
+    contraction = np.max(np.abs(np.matmul(R_values, y[:, :, None])), axis=(1, 2))
+    out = [{"curvature_contraction": c} for c in contraction.tolist()]
 
     Rcov = bundle.cov_h(np.array(bundle.R, dtype=object), ("u", "d"))
     Vcov = bundle.cov_h(np.array(bundle.V, dtype=object), ("d",))
@@ -666,9 +681,11 @@ def identity_residuals(bundle: CurvatureBundle, tol: Tolerances = TOL) -> list:
     rdot = bundle.rdot_values.reshape(rows, n)
     chi = np.max(np.abs(bundle.chi_values.reshape(rows, n)
                         - (n + 1) * (rdot - 2.0 * tau_vals)), axis=-1)
-    for r in np.flatnonzero(holds):
-        out[r]["tau_trace"] = float(abs(tau_vals[r] @ y[r] - Rv[r]))
-        out[r]["chi_consistency"] = float(chi[r])
+    trace = np.abs(np.matmul(tau_vals[:, None, :], y[:, :, None])[:, 0, 0] - Rv).tolist()
+    chi = chi.tolist()
+    for r in np.flatnonzero(holds).tolist():
+        out[r]["tau_trace"] = trace[r]
+        out[r]["chi_consistency"] = chi[r]
 
     if n >= 3:
         rdot_jets = np.array([Rj.dy(i) for i in range(n)], dtype=object)

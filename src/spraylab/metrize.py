@@ -112,8 +112,7 @@ def _finsler_rows(field_obj, p, tol: Tolerances) -> list:
         for j in range(n):
             H[..., i, j] = 0.5 * di.dy(j).value
     out = []
-    for e, v, h in zip(euler, scales, H.reshape(-1, n, n)):
-        sv = np.linalg.svd(h, compute_uv=False)
+    for e, v, sv in zip(euler, scales, geometry.singular_values(H.reshape(-1, n, n))):
         ratio = float(sv[-1] / sv[0]) if sv[0] > 0.0 else 0.0
         fails = ratio < tol.rank or not tol.zero(e, max(1.0, abs(v)))
         out.append((e, ratio, not fails))

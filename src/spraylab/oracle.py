@@ -538,29 +538,34 @@ def agreement_report(bundles, h: float = 1e-3) -> dict:
     Each CurvatureBundle, at a point or a block, supplies the jet side;
     the finite differences read only its spray's coefficient values around
     its points.  `bundles` may be a generator: each bundle is compared as
-    it is read, row by row, in order, and the rows of a block bundle share
-    one `fd_curvature` call (`classify.bundle_rows`).  A tensor passes when
-    every component error is at most max(1e-5, 1e-4 |component|); the
-    report carries the worst error and the tolerance in force at the worst
-    spot.
+    it is read, and the rows of a block bundle share one `fd_curvature`
+    call (`classify.bundle_rows`).  A tensor passes when every component
+    error is at most max(1e-5, 1e-4 |component|); the report carries the
+    worst error and the tolerance in force at the worst spot.  A block's
+    errors and tolerances are taken at once, and each row's worst spot
+    (its first, when several tie) is folded into the report in row order.
     """
     report = {
         key: {"max_err": 0.0, "worst_tol": float("inf"), "ok": True}
         for key in ("R", "chi", "B")
     }
     for b in bundles:
-        for r, fd in enumerate(bundle_rows(_fd_rows, b, h)):
-            for key, name in (("R", "R_values"), ("chi", "chi_values"),
-                              ("B", "B_values")):
-                got = np.reshape(getattr(b, name), (-1,) + fd[key].shape)[r]
-                err = np.abs(got - fd[key])
-                tol = np.maximum(1e-5, 1e-4 * np.abs(got))
-                k = np.unravel_index(np.argmax(err - tol), err.shape)
-                entry = report[key]
-                if err[k] - tol[k] > entry["max_err"] - entry["worst_tol"]:
-                    entry["max_err"] = float(err[k])
-                    entry["worst_tol"] = float(tol[k])
-                if not np.all(err <= tol):  # a NaN error is no agreement
-                    entry["ok"] = False
-        del b  # so that the next block is built without this one
+        fds = list(bundle_rows(_fd_rows, b, h))
+        for key, name in (("R", "R_values"), ("chi", "chi_values"),
+                          ("B", "B_values")):
+            want = np.stack([fd[key] for fd in fds]).reshape(len(fds), -1)
+            got = np.reshape(getattr(b, name), want.shape)
+            err = np.abs(got - want)
+            tol = np.maximum(1e-5, 1e-4 * np.abs(got))
+            over = err - tol
+            k = np.argmax(over, axis=1)[:, None]
+            entry = report[key]
+            # each row's worst spot, folded over the rows in order
+            for d, e, t in zip(*(np.take_along_axis(a, k, 1)[:, 0].tolist()
+                                 for a in (over, err, tol))):
+                if d > entry["max_err"] - entry["worst_tol"]:
+                    entry["max_err"], entry["worst_tol"] = e, t
+            if not np.all(err <= tol):  # a NaN error is no agreement
+                entry["ok"] = False
+        del b, fds  # so that the next block is built without this one
     return report

@@ -118,6 +118,11 @@ def sample_points(
     (one that constrains x alone) cannot drain the budget through their
     tangents.  So at most 10 x (bases + 1) bases are tried, with at most
     10 x 2n tangents at each.
+
+    A base's tangent tries are drawn in one call and screened against
+    Y_FLOOR at once; `accept` then sees the survivors one at a time, in
+    draw order, and the generator is moved back to just after the last
+    try used, so the stream is the one a draw per try would read.
     """
     if count < 1:
         raise SamplingError("sample count must be at least 1")
@@ -128,21 +133,6 @@ def sample_points(
     budget = 10 * (nb + nb * m)
 
     candidates = rejected = 0
-
-    def ok(pt: np.ndarray) -> bool:
-        nonlocal candidates, rejected
-        if np.max(np.abs(pt[dim:])) < Y_FLOOR:
-            return False
-        candidates += 1
-        if accept is None:
-            return True
-        try:
-            good = bool(accept(pt))
-        except Exception:
-            good = False
-        rejected += not good
-        return good
-
     bases = np.empty((nb, dim))
     ys = np.empty((nb, m, dim))
     b = 0
@@ -153,26 +143,40 @@ def sample_points(
             )
         budget -= 1
         x = rng.uniform(box.x_lo, box.x_hi, size=dim)
-        group = np.empty((m, dim))
-        k = 0
         # a base whose guard region excludes most tangents (or all of them,
         # when the guard constrains x alone) must not drain the whole budget;
         # give it a bounded number of tries, then redraw the base
-        tries = 10 * m
-        start = budget
-        while k < m and tries > 0 and budget > 0:
-            tries -= 1
-            budget -= 1
-            y = rng.uniform(box.y_lo, box.y_hi, size=dim)
-            if ok(np.concatenate([x, y])):
-                group[k] = y
-                k += 1
-        if k == m:
+        tries = min(10 * m, budget)
+        Y = rng.uniform(box.y_lo, box.y_hi, size=(tries, dim))
+        pts = np.concatenate([np.broadcast_to(x, (tries, dim)), Y], axis=1)
+        floor = (np.max(np.abs(Y), axis=1) < Y_FLOOR).tolist()
+        kept = []
+        used = tries
+        for j, low in enumerate(floor):
+            if low:
+                continue
+            candidates += 1
+            if accept is not None:
+                try:
+                    good = bool(accept(pts[j]))
+                except Exception:
+                    good = False
+                if not good:
+                    rejected += 1
+                    continue
+            kept.append(j)
+            if len(kept) == m:
+                used = j + 1
+                break
+        if used < tries:
+            rng.bit_generator.advance((used - tries) * dim)
+        if len(kept) == m:
             bases[b] = x
-            ys[b] = group
+            ys[b] = Y[kept]
             b += 1
+            budget -= used
         else:
-            budget = max(budget, start - m)
+            budget -= min(used, m)
     return SampleSet(bases, ys, candidates, rejected)
 
 

@@ -10,12 +10,70 @@ import numpy as np
 import pytest
 
 from spraylab import classify, geometry, jets, metrize, sampling
+from spraylab.errors import SamplingError
 
 
 def classified(spray, count, seed=7, box=None):
     """The classification report a verdict reads, at order 4 and the
     default tolerances."""
     return classify.classify_spray(spray, count=count, seed=seed, box=box)
+
+
+def loop_sample_points(dim, count=64, seed=7, box=None, accept=None):
+    """`sampling.sample_points` as it drew one tangent try at a time: one
+    `rng.uniform` per try and one Y_FLOOR test per point."""
+    if count < 1:
+        raise SamplingError("sample count must be at least 1")
+    box = box or sampling.SampleBox()
+    rng = np.random.default_rng(seed)
+    m = 2 * dim
+    nb = -(-count // m)
+    budget = 10 * (nb + nb * m)
+
+    candidates = rejected = 0
+
+    def ok(pt: np.ndarray) -> bool:
+        nonlocal candidates, rejected
+        if np.max(np.abs(pt[dim:])) < sampling.Y_FLOOR:
+            return False
+        candidates += 1
+        if accept is None:
+            return True
+        try:
+            good = bool(accept(pt))
+        except Exception:
+            good = False
+        rejected += not good
+        return good
+
+    bases = np.empty((nb, dim))
+    ys = np.empty((nb, m, dim))
+    b = 0
+    while b < nb:
+        if budget <= 0:
+            raise SamplingError(
+                f"sampling exhausted after rejections: {b}/{nb} base groups filled"
+            )
+        budget -= 1
+        x = rng.uniform(box.x_lo, box.x_hi, size=dim)
+        group = np.empty((m, dim))
+        k = 0
+        tries = 10 * m
+        start = budget
+        while k < m and tries > 0 and budget > 0:
+            tries -= 1
+            budget -= 1
+            y = rng.uniform(box.y_lo, box.y_hi, size=dim)
+            if ok(np.concatenate([x, y])):
+                group[k] = y
+                k += 1
+        if k == m:
+            bases[b] = x
+            ys[b] = group
+            b += 1
+        else:
+            budget = max(budget, start - m)
+    return sampling.SampleSet(bases, ys, candidates, rejected)
 
 
 def jet_inverse(m: np.ndarray) -> np.ndarray:

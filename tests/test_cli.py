@@ -7,6 +7,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from spraylab import classify, cli, corpus, geometry
 from spraylab.errors import ParamError
@@ -461,3 +463,46 @@ def test_oracle_step_outside_float_range_is_refused(step, tmp_path, capsys):
     assert code == 1 and data is None
     err = capsys.readouterr().err
     assert err.startswith("error:") and "out of range" in err
+
+
+# -- the JSON writer -----------------------------------------------------------
+
+TEXTS = st.one_of(st.text(max_size=12),
+                  st.sampled_from(['"', "\\", "\n\t\r\b\f", "\x00\x1f\x7f", "\u2028",
+                                   "caf\u00e9", "\U0001f600", "", "a/b", "\ud800"]))
+FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([-0.0, 0.0, 1e16, -1e16, 5e-324, 1e-7, 1.5e300, 0.1]))
+SCALARS = st.one_of(FLOATS, st.integers(), st.sampled_from([2**100, -2**70, 0, -1]),
+                    st.booleans(), st.none(), TEXTS)
+
+
+def reports(leaves=SCALARS):
+    """JSON-safe trees: str-keyed dicts, lists of floats alone, and lists
+    that mix floats with other values."""
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(st.lists(inner, max_size=5), st.lists(FLOATS, max_size=6),
+                                st.dictionaries(TEXTS, inner, max_size=5)),
+        max_leaves=40)
+
+
+def json_dumps_bytes(obj) -> bytes:
+    return (json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(reports())
+def test_json_writer_equals_json_dumps(tree) -> None:
+    assert cli.Report(data=tree, human=()).json_bytes() == json_dumps_bytes(tree)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("shape", ["scalar", "float list", "mixed list", "in a dict"])
+def test_json_writer_refuses_non_finite_floats_as_json_dumps(bad, shape) -> None:
+    tree = {"scalar": bad, "float list": [1.0, bad, 2.0], "mixed list": [1, bad],
+            "in a dict": {"a": [0.5], "b": bad}}[shape]
+    for write in (json_dumps_bytes, lambda obj: cli.Report(data=obj, human=()).json_bytes()):
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            write(tree)
+

@@ -218,6 +218,33 @@ def test_angle_derivative_needs_degree_zero() -> None:
         dim2.angle_derivative(S, m, pt)
 
 
+def test_angle_derivative_at_a_block_equals_the_point_calls() -> None:
+    m = metric_of(EQ3M)
+    block = np.array([[0.1, -0.2, 0.6, 0.8], [0.3, 0.25, -0.5, 0.7]])
+    for expr in ("atan(y2/y1)", "y1*y2/(y1^2 + y2^2) + x1", "2.5"):
+        got = dim2.angle_derivative(scalar_jet(expr, block, 3), m, block)
+        got2 = dim2.angle_derivative(got, m, block)
+        for r, pt in enumerate(block):
+            d1 = dim2.angle_derivative(scalar_jet(expr, pt, 3), m, pt)
+            d2 = dim2.angle_derivative(d1, m, pt)
+            for blk, point in ((got, d1), (got2, d2)):
+                assert [v.hex() for v in blk.coeffs[r].tolist()] == \
+                    [v.hex() for v in point.coeffs.tolist()]
+
+
+def test_angle_derivative_at_a_block_raises_its_first_failing_row() -> None:
+    # 0-homogeneous in y only where x1 < 0.3: the second row fails
+    m = metric_of(EUC)
+    expr = "atan(y2/y1) + (x1 - 0.3 + abs(x1 - 0.3))*sqrt(y1^2 + y2^2)"
+    block = np.array([[0.0, 0.1, 0.6, 0.8], [0.5, 0.1, 0.6, 0.8], [0.7, 0.1, 0.8, 0.6]])
+    dim2.angle_derivative(scalar_jet(expr, block[0]), m, block[0])
+    with pytest.raises(PreconditionError) as point:
+        dim2.angle_derivative(scalar_jet(expr, block[1]), m, block[1])
+    with pytest.raises(PreconditionError) as blk:
+        dim2.angle_derivative(scalar_jet(expr, block), m, block)
+    assert str(blk.value) == str(point.value)
+
+
 # -- flag curvature ODE ----------------------------------------------------------
 
 

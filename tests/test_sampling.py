@@ -1,9 +1,21 @@
-"""Seeded structured sampling: determinism, grouping, rejection, exhaustion."""
+"""Seeded structured sampling: determinism, grouping, rejection, exhaustion.
+
+`sample_points` draws a base's tangent tries in one call and moves the
+generator back to just after the last try it used; the property test
+checks it against the loop that drew one try at a time
+(`conftest.loop_sample_points`).
+"""
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from conftest import loop_sample_points
 
 from spraylab import dsl, geometry
 from spraylab.errors import DomainError, SamplingError
@@ -147,3 +159,51 @@ def test_tolerance_zero_test_is_scale_aware() -> None:
     assert not tol.zero(5e-7)
     assert tol.zero(5e-5, scale=100.0)
     assert TOL.rank == pytest.approx(1e-6)
+
+
+def hashed_accept(kind: str, salt: int, calls: list):
+    """An accept function that records each point it sees and, by a hash
+    of the point (of its x alone for "veto bases"), keeps it, rejects it or
+    raises."""
+    def accept(pt: np.ndarray):
+        calls.append(pt.tobytes())
+        key = pt[:len(pt) // 2] if kind == "veto bases" else pt
+        h = hashlib.blake2b(key.tobytes(), digest_size=4, salt=bytes([salt])).digest()[0]
+        if kind == "raise" and h % 4 == 0:
+            raise ZeroDivisionError("vetoed by raising")
+        if kind == "never":
+            return False
+        if kind == "rarely":
+            return h % 16 == 0
+        return h % 3 != 0
+    return accept
+
+
+def draw_outcome(sampler, calls: list, *args):
+    """The sample set's bits and counts, or the SamplingError text, and the
+    points `accept` saw, in order."""
+    try:
+        s = sampler(*args)
+        got = (s.bases.tobytes(), s.ys.tobytes(), s.ys.shape, s.candidates, s.rejected)
+    except SamplingError as exc:
+        got = str(exc)
+    return got, list(calls)
+
+
+BOXES = [None, SampleBox(), SampleBox(-0.5, 0.5, -0.012, 0.012),
+         SampleBox(0.1, 2.0, -0.3, 1.7), SampleBox(-1.0, 1.0, -0.05, 0.02)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(1, 4), st.integers(1, 50), st.integers(0, 2**32 - 1),
+       st.sampled_from(BOXES),
+       st.sampled_from([None, "mostly", "raise", "veto bases", "rarely", "never"]),
+       st.integers(0, 255))
+def test_sample_points_equals_the_loop_over_tries(dim, count, seed, box, kind, salt) -> None:
+    outcomes = []
+    for sampler in (sample_points, loop_sample_points):
+        calls = []
+        accept = None if kind is None else hashed_accept(kind, salt, calls)
+        outcomes.append(draw_outcome(sampler, calls, dim, count, seed, box, accept))
+    assert outcomes[0] == outcomes[1]

@@ -46,6 +46,13 @@ iff every captured output is.  It writes, as one JSON object:
   one residual per row of the report's block bundle; one whose `dim2`
   takes one point at a time gives them at each sample alone, so the two
   compare;
+- `draws`: `sample_points` at every dim from 1 to 4, at counts 1, 7 and
+  40, at seeds 3 and 11, in three boxes (one whose tangents fall below
+  Y_FLOOR most of the time), with no `accept` and with `accept`
+  functions that reject (40 % or 90 %) or raise by a hash of the point, veto whole
+  bases by a hash of x, or veto every point: the bases and tangents,
+  `candidates` and `rejected`, or the error's type and text, and the
+  SHA-256 of the points `accept` saw, in order;
 - `errors`: what `block_bundles`, `finsler_check`, `metric_spray_residuals`,
   `LambdaField`, `agreement_report` and the `oracle` command give on
   inputs where a block of samples, nodes or points fails: the rows
@@ -329,6 +336,59 @@ def dim2_samples() -> dict:
     return out
 
 
+DRAW_BOXES = {"default": None,
+              "tangents below the floor": sampling.SampleBox(-0.5, 0.5, -0.012, 0.012),
+              "shifted": sampling.SampleBox(0.1, 2.0, -0.3, 1.7)}
+
+
+def point_hash(a: np.ndarray) -> int:
+    return int.from_bytes(hashlib.sha256(a.tobytes()).digest()[:4], "little")
+
+
+def raising(pt: np.ndarray) -> bool:
+    h = point_hash(pt) % 5
+    if h == 0:
+        raise ValueError("vetoed by raising")
+    return h != 1
+
+
+DRAW_ACCEPTS = {
+    "none": None,
+    "reject 40%": lambda pt: point_hash(pt) % 10 >= 4,
+    "reject 90%": lambda pt: point_hash(pt) % 10 == 0,
+    "raise 20%, reject 20%": raising,
+    "veto a third of the bases": lambda pt: point_hash(pt[:len(pt) // 2]) % 3 != 0,
+    "never": lambda pt: False,
+}
+
+
+def drawn(*args) -> dict:
+    s = sampling.sample_points(*args)
+    return {"bases": s.bases, "ys": s.ys, "candidates": s.candidates,
+            "rejected": s.rejected}
+
+
+def draws() -> dict:
+    out = {}
+    for dim in (1, 2, 3, 4):
+        for count in (1, 7, 40):
+            for seed in SEEDS:
+                for box_name, box in DRAW_BOXES.items():
+                    for accept_name, accept in DRAW_ACCEPTS.items():
+                        seen = hashlib.sha256()
+
+                        def watched(pt, accept=accept, seen=seen):
+                            seen.update(pt.tobytes())
+                            return accept(pt)
+
+                        rec = attempt(lambda: drawn(dim, count, seed, box,
+                                                    accept and watched))
+                        rec["accept_calls"] = seen.hexdigest()
+                        out[f"dim {dim} count {count} seed {seed} {box_name}, "
+                            f"accept {accept_name}"] = rec
+    return out
+
+
 # G1 is evaluated before G2, so a block fails first in G1, at whichever row
 # that is, while one sample at a time the earliest failing one fails first
 TWO_DOMAINS = """
@@ -581,6 +641,7 @@ def main(argv: list) -> int:
         record["metric_sprays"] = metric_sprays()
         record["decision_stages"] = decision_stages()
         record["dim2"] = dim2_samples()
+        record["draws"] = draws()
         record["errors"] = failure_paths(workdir)
     target.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0
