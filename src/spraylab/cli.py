@@ -122,8 +122,12 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class Report:
-    """One command's outcome: the JSON payload plus printable lines.
+    """One command's outcome: the report dict as the command built it,
+    plus printable lines.
 
+    `data` holds the command's values as they are: numpy scalars and
+    arrays, tuples, non-finite floats, richer objects.  `json_bytes` is the
+    one conversion of a report to JSON; `_write_json` states its rules.
     `mismatches` is nonempty only when a fixture comparison failed; the
     process exit code keys off it."""
 
@@ -142,18 +146,26 @@ _quote = json.encoder.encode_basestring_ascii
 
 
 def _write_json(obj, pad: str, out: list) -> None:
-    """Append to `out` the text `json.dumps(obj, indent=2, sort_keys=True,
-    allow_nan=False)` gives for obj at the indent `pad`, in one recursive
-    pass over what `_jsonable` gives: dicts with str keys, lists, str,
-    None, bool, int and float.  A list of floats is joined in one call;
-    `float.__repr__` writes an inf or a nan with an "n", which no finite
-    float's text holds, so such a list takes the per-item path, which
-    refuses it as `json` does."""
+    """Append to `out` the JSON text of the report value obj at the indent
+    `pad`, in one recursive pass: the text `json.dumps(indent=2,
+    sort_keys=True)` gives for obj made JSON-safe by these rules.
+
+    - a finite float is written with `float.__repr__`, and a non-finite
+      float as null;
+    - numpy floats, ints and bools are written as Python's `float`, `int`
+      and `bool` would be;
+    - an ndarray is written as its `tolist()`;
+    - a tuple is written as a list, and dict keys as `str(k)`, sorted;
+    - any other object (a recovered metric, a quadrature table) is written
+      as "<TypeName>": reprs carry addresses and would break
+      byte-determinism.
+
+    A list of floats is joined in one call; `float.__repr__` writes an inf
+    or a nan with an "n", which no finite float's text holds, so such a
+    list takes the per-item path, which writes null there."""
     if type(obj) is float:
         text = float.__repr__(obj)
-        if "n" in text:
-            raise ValueError(f"Out of range float values are not JSON compliant: {text}")
-        out.append(text)
+        out.append("null" if "n" in text else text)
     elif isinstance(obj, str):
         out.append(_quote(obj))
     elif isinstance(obj, dict):
@@ -162,7 +174,7 @@ def _write_json(obj, pad: str, out: list) -> None:
             return
         inner = pad + "  "
         sep = "{\n" + inner
-        for key, value in sorted(obj.items()):
+        for key, value in sorted({str(k): v for k, v in obj.items()}.items()):
             out.append(sep + _quote(key) + ": ")
             sep = ",\n" + inner
             _write_json(value, inner, out)
@@ -185,44 +197,18 @@ def _write_json(obj, pad: str, out: list) -> None:
             sep = ",\n" + inner
             _write_json(value, inner, out)
         out.append("\n" + pad + "]")
+    elif isinstance(obj, np.ndarray):
+        _write_json(obj.tolist(), pad, out)
     elif obj is None:
         out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
+    elif isinstance(obj, (bool, np.bool_)):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(int.__repr__(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        _write_json(float(obj), pad, out)
     else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def _jsonable(obj):
-    """Coerce report values to deterministic JSON-safe types.
-
-    Each command converts its whole report once, with one call.  A Python
-    float, the most common value (every element of a float array comes
-    out of `tolist` as one), is tested first and with `math`."""
-    if type(obj) is float:
-        return obj if math.isfinite(obj) else None
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        v = float(obj)
-        return v if math.isfinite(v) else None
-    if obj is None or isinstance(obj, str):
-        return obj
-    # anything richer (recovered metrics, quadrature tables) is summarized
-    # by type only; reprs carry addresses and would break byte-determinism
-    return f"<{type(obj).__name__}>"
+        out.append(_quote(f"<{type(obj).__name__}>"))
 
 
 # -- problem loading ---------------------------------------------------------
@@ -274,18 +260,13 @@ def _surveyed(blocks, tol: Tolerances, rows: list, identities: dict):
         for pt, G, ric, dec, res in zip(
                 points, b.G_values, b.Ric_value.tolist(), decs,
                 classify.bundle_rows(geometry.identity_residuals, b, tol)):
-            row = {
-                "point": [float(v) for v in pt],
-                "G": G,
-                "Ric": ric,
-                "scalar_split": bool(dec.holds),
-            }
+            row = {"point": pt, "G": G, "Ric": ric, "scalar_split": dec.holds}
             if dec.holds:
-                row["R"] = float(dec.R)
+                row["R"] = dec.R
                 row["tau"] = dec.tau
             rows.append(row)
             for name, value in res.items():
-                identities[name] = max(identities.get(name, 0.0), float(value))
+                identities[name] = max(identities.get(name, 0.0), value)
         yield b
         # so that the next block is built without this one
         del b, decs, G, dec, res
@@ -302,8 +283,7 @@ def _survey(blocks, tol: Tolerances):
 
 def _classification_json(rep) -> dict:
     return {
-        flag: {"value": bool(rep.flags[flag]),
-               "residual": rep.residuals.get(flag)}
+        flag: {"value": rep.flags[flag], "residual": rep.residuals.get(flag)}
         for flag in rep.flags
     }
 
@@ -321,8 +301,7 @@ def _verdict_json(v, samples) -> dict:
             "name": getattr(v.recovered_metric, "name",
                             type(v.recovered_metric).__name__),
             "sample_values": [
-                {"point": [float(x) for x in pt],
-                 "value": float(v.recovered_metric.value(pt))}
+                {"point": pt, "value": v.recovered_metric.value(pt)}
                 for pt in pts[: min(6, len(pts))]
             ],
         }
@@ -394,7 +373,7 @@ def _decide_command(command: str, headline, cfg: RunConfig,
                      + ("expectations matched" if not mism
                         else f"{len(mism)} mismatch(es)"))
         human += [f"    {d}" for d in mism]
-    return Report(data=_jsonable(data), human=tuple(human), mismatches=mism)
+    return Report(data=data, human=tuple(human), mismatches=mism)
 
 
 def _classify_lines(name: str, spray, cfg: RunConfig, rep, verdict) -> list:
@@ -460,8 +439,8 @@ def cmd_gen_pflat(q: pflat.QuadraticData, cfg: RunConfig,
             "spray_path": str(spray_path),
             "metric_path": str(metric_path),
             "dim": n,
-            "admissible": {"value": bool(adm.admissible), "mode": adm.mode,
-                           "margin": float(adm.margin)},
+            "admissible": {"value": adm.admissible, "mode": adm.mode,
+                           "margin": adm.margin},
         },
         "roundtrip": roundtrip,
         **blocks,
@@ -477,7 +456,7 @@ def cmd_gen_pflat(q: pflat.QuadraticData, cfg: RunConfig,
         human.append("  round trip skipped: the pair is not admissible, the "
                      "metric side is degenerate")
     human += _flag_lines(rep, verdict)
-    return Report(data=_jsonable(data), human=tuple(human))
+    return Report(data=data, human=tuple(human))
 
 
 def cmd_oracle(cfg: RunConfig, box_flagged: bool = False) -> Report:
@@ -513,7 +492,7 @@ def cmd_oracle(cfg: RunConfig, box_flagged: bool = False) -> Report:
         status = "ok" if entry["ok"] else "DISAGREES"
         human.append(f"  {key:<4} worst error {entry['max_err']:.3e} "
                      f"(tolerance there {entry['worst_tol']:.3e})  {status}")
-    return Report(data=_jsonable(data), human=tuple(human))
+    return Report(data=data, human=tuple(human))
 
 
 # -- argument plumbing -------------------------------------------------------

@@ -23,7 +23,7 @@ formulas run as stacked array operations.  Each row of a block equals
 the computation at that point alone, bit for bit, and the first point
 that fails alone decides the error.  `agreement_report` reads its
 bundles one at a time, and takes the differences at the rows of a block
-bundle in one call (`classify.bundle_rows`).
+bundle in one `fd_curvature` call.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import dsl, jets
-from .classify import bundle_rows, rowwise
+from .classify import rowwise
 from .errors import DomainError
 from .geometry import ExprMetric, ExprSpray, MetricSpray, ShiftedSpray, _point_array
 
@@ -524,22 +524,15 @@ def _unit(n: int, i: int) -> np.ndarray:
     return e
 
 
-def _fd_rows(b, h: float) -> list:
-    """`fd_curvature`'s tensors, one dict per row of the bundle's points;
-    a point bundle is a block of one row."""
-    P = np.atleast_2d(b._pa)
-    fd = fd_curvature(b.spray, P, h=h)
-    return [{key: v[r] for key, v in fd.items()} for r in range(len(P))]
-
-
 def agreement_report(bundles, h: float = 1e-3) -> dict:
     """Worst-case jets-vs-FD disagreement for R, chi, B over the bundles.
 
     Each CurvatureBundle, at a point or a block, supplies the jet side;
     the finite differences read only its spray's coefficient values around
     its points.  `bundles` may be a generator: each bundle is compared as
-    it is read, and the rows of a block bundle share one `fd_curvature`
-    call (`classify.bundle_rows`).  A tensor passes when every component
+    it is read, and the rows of a bundle share one `fd_curvature` call (a
+    point bundle is a block of one row), which raises the error of the
+    first point that fails alone.  A tensor passes when every component
     error is at most max(1e-5, 1e-4 |component|); the report carries the
     worst error and the tolerance in force at the worst spot.  A block's
     errors and tolerances are taken at once, and each row's worst spot
@@ -550,10 +543,11 @@ def agreement_report(bundles, h: float = 1e-3) -> dict:
         for key in ("R", "chi", "B")
     }
     for b in bundles:
-        fds = list(bundle_rows(_fd_rows, b, h))
+        P = np.atleast_2d(b._pa)
+        fd = fd_curvature(b.spray, P, h)
         for key, name in (("R", "R_values"), ("chi", "chi_values"),
                           ("B", "B_values")):
-            want = np.stack([fd[key] for fd in fds]).reshape(len(fds), -1)
+            want = fd[key].reshape(len(P), -1)
             got = np.reshape(getattr(b, name), want.shape)
             err = np.abs(got - want)
             tol = np.maximum(1e-5, 1e-4 * np.abs(got))
@@ -567,5 +561,5 @@ def agreement_report(bundles, h: float = 1e-3) -> dict:
                     entry["max_err"], entry["worst_tol"] = e, t
             if not np.all(err <= tol):  # a NaN error is no agreement
                 entry["ok"] = False
-        del b, fds  # so that the next block is built without this one
+        del b, fd  # so that the next block is built without this one
     return report

@@ -46,6 +46,7 @@ class QuadraticData:
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
         B = np.asarray(self.B, dtype=float)
+        C = np.asarray(self.C, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ParamError("A must be a square matrix")
         n = A.shape[0]
@@ -53,6 +54,9 @@ class QuadraticData:
             raise ParamError(f"B must have length {n} to match A")
         if n < 2:
             raise ParamError("the family needs dimension >= 2")
+        for name, values in (("A", A), ("B", B), ("C", C)):
+            if not np.all(np.isfinite(values)):
+                raise ParamError(f"{name} must be finite, got {values.tolist()}")
         scale = max(1.0, float(np.max(np.abs(A))))
         if float(np.max(np.abs(A - A.T))) > 1e-12 * scale:
             raise ParamError("A must be symmetric")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import sys
 from collections import Counter
 from functools import cached_property
@@ -74,6 +75,30 @@ def loop_sample_points(dim, count=64, seed=7, box=None, accept=None):
         else:
             budget = max(budget, start - m)
     return sampling.SampleSet(bases, ys, candidates, rejected)
+
+
+def loop_jsonable(obj):
+    """A report value as JSON-safe types, by the copy each command made of
+    its whole report before `cli.Report.json_bytes` wrote it: the reference
+    for the writer's rules."""
+    if type(obj) is float:
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {str(k): loop_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [loop_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [loop_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        v = float(obj)
+        return v if math.isfinite(v) else None
+    if obj is None or isinstance(obj, str):
+        return obj
+    return f"<{type(obj).__name__}>"
 
 
 def jet_inverse(m: np.ndarray) -> np.ndarray:

@@ -94,13 +94,21 @@ def loop_finsler_rows(field_obj, p, tol=TOL) -> list:
     return out
 
 
+def loop_fd_rows(b, h: float) -> list:
+    """`fd_curvature`'s tensors, one dict per row of the bundle's points;
+    a point bundle is a block of one row."""
+    P = np.atleast_2d(b._pa)
+    fd = oracle.fd_curvature(b.spray, P, h=h)
+    return [{key: v[r] for key, v in fd.items()} for r in range(len(P))]
+
+
 def loop_agreement_report(bundles, h: float = 1e-3) -> dict:
     report = {
         key: {"max_err": 0.0, "worst_tol": float("inf"), "ok": True}
         for key in ("R", "chi", "B")
     }
     for b in bundles:
-        for r, fd in enumerate(bundle_rows(oracle._fd_rows, b, h)):
+        for r, fd in enumerate(bundle_rows(loop_fd_rows, b, h)):
             for key, name in (("R", "R_values"), ("chi", "chi_values"),
                               ("B", "B_values")):
                 got = np.reshape(getattr(b, name), (-1,) + fd[key].shape)[r]
@@ -319,15 +327,19 @@ def test_agreement_report_at_non_finite_and_later_worst_rows() -> None:
 
 
 class Table:
-    """A stand-in bundle of two rows whose finite differences are given:
-    `fd[r]` is row r's dict, which `_fd_rows` hands out."""
+    """A stand-in bundle, and its own spray, of two rows whose finite
+    differences are given: `fd` stacks the rows' tensors, which
+    `fd_curvature` hands out."""
 
     def __init__(self, got: list, fd: list):
-        self._pa = np.zeros((len(got), 4))
+        rows = len(got)
+        self.spray = self
+        self._pa = np.zeros((rows, 4))
         self.R_values = np.array(got)
-        self.chi_values = np.zeros((len(got), 2))
-        self.B_values = np.zeros((len(got),) + (2,) * 4)
-        self.fd = [{"R": f, "chi": np.zeros(2), "B": np.zeros((2,) * 4)} for f in fd]
+        self.chi_values = np.zeros((rows, 2))
+        self.B_values = np.zeros((rows,) + (2,) * 4)
+        self.fd = {"R": np.array(fd), "chi": np.zeros((rows, 2)),
+                   "B": np.zeros((rows,) + (2,) * 4)}
 
 
 def test_agreement_report_keeps_the_first_of_tied_rows(monkeypatch) -> None:
@@ -335,7 +347,7 @@ def test_agreement_report_keeps_the_first_of_tied_rows(monkeypatch) -> None:
     # tol 1.25e-05; both exceed their tolerance by 1.8017578125e-05 exactly
     a = (np.zeros((2, 2)), np.full((2, 2), 2.8017578125e-05))
     b = (np.full((2, 2), 0.125), np.full((2, 2), 0.125 + 2.0 ** -15))
-    monkeypatch.setattr(oracle, "_fd_rows", lambda t, h: t.fd)
+    monkeypatch.setattr(oracle, "fd_curvature", lambda t, P, h: t.fd)
     for first, second in ((a, b), (b, a)):
         table = Table([first[0], second[0]], [first[1], second[1]])
         got = oracle.agreement_report([table])
@@ -359,3 +371,17 @@ def test_agreement_report_raises_at_the_first_failing_row() -> None:
         got = outcome(lambda: oracle.agreement_report(iter(bundles), h=0.05))
         assert got == outcome(lambda: loop_agreement_report(iter(bundles), h=0.05))
         assert got.startswith("DomainError: the finite-difference stencil at (-0.44")
+
+
+def test_agreement_report_builds_no_bundle_when_a_later_point_fails(tally) -> None:
+    # the third point's stencil leaves the domain: the block's error is its
+    # error alone, and no one-row bundle is built to find it
+    spray = geometry.spray_of(dsl.parse(EDGE))
+    pts = np.array([(0.2, 0.1, 0.6, 0.8), (0.1, 0.3, 0.6, -0.8), (-0.44, 0.1, 0.6, 0.8)])
+    bundle = geometry.CurvatureBundle(spray, pts)
+    alone = outcome(lambda: oracle.fd_curvature(spray, pts[2], h=0.05))
+    built = len(tally["blocks"]), sum(tally["bundles"].values())
+    got = outcome(lambda: oracle.agreement_report(iter([bundle]), h=0.05))
+    assert got == alone
+    assert got.startswith("DomainError: the finite-difference stencil at (-0.44")
+    assert (len(tally["blocks"]), sum(tally["bundles"].values())) == built

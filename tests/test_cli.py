@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from conftest import loop_jsonable
 from spraylab import classify, cli, corpus, geometry
 from spraylab.errors import ParamError
 
@@ -373,6 +375,23 @@ def test_gen_pflat_rejects_ragged_matrix():
                      "--C", "1"]) == 1
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["A", "B", "C"])
+def test_gen_pflat_rejects_non_finite_data_before_writing(tmp_path, capsys, field, bad):
+    # non-finite data once gave unparseable .spray files, then a parse
+    # error in them or an SVD that did not converge
+    data = {"A": "1,0,0,1", "B": "0,0", "C": "1"}
+    data[field] = {"A": f"1,0,0,{bad}", "B": f"0,{bad}", "C": bad}[field]
+    out = tmp_path / "gen"
+    out.mkdir()
+    code = cli.main(["gen-pflat", *(f"--{k}={v}" for k, v in data.items()),
+                     "--dir", str(out), "--out", str(tmp_path / "report.json")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {field} must be finite")
+    assert list(out.iterdir()) == []
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_oracle_agreement(tmp_path):
     code, data = run(["oracle", "ex7.1", "--points", "4"], tmp_path)
     assert code == 0
@@ -497,12 +516,56 @@ def test_json_writer_equals_json_dumps(tree) -> None:
     assert cli.Report(data=tree, human=()).json_bytes() == json_dumps_bytes(tree)
 
 
+NON_FINITE = st.sampled_from([float("nan"), float("inf"), -float("inf")])
+RAW_FLOATS = st.one_of(FLOATS, NON_FINITE)
+
+
+class Opaque:
+    """A value the writer knows nothing of."""
+
+
+RAW_SCALARS = st.one_of(
+    SCALARS, NON_FINITE,
+    RAW_FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.builds(Opaque))
+RAW_ARRAYS = st.one_of(
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4),
+               elements=RAW_FLOATS),
+    hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=3)),
+    hnp.arrays(np.bool_, hnp.array_shapes(min_dims=1, max_dims=1, max_side=3)))
+KEYS = st.one_of(TEXTS, st.integers(-3, 3), st.sampled_from([0.5, None, (1, "a"), "1", "None"]))
+
+
+def raw_reports():
+    """Report values as commands build them: numpy scalars and arrays,
+    tuples, non-str keys, non-finite floats (as a scalar, in a float list,
+    in a mixed list and in a dict) and objects of other types."""
+    return st.recursive(
+        st.one_of(RAW_SCALARS, RAW_ARRAYS),
+        lambda inner: st.one_of(st.lists(inner, max_size=5),
+                                st.lists(RAW_FLOATS, max_size=6),
+                                st.lists(inner, max_size=4).map(tuple),
+                                st.dictionaries(KEYS, inner, max_size=5)),
+        max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(raw_reports())
+def test_json_writer_equals_json_dumps_of_the_coerced_copy(raw) -> None:
+    assert cli.Report(data=raw, human=()).json_bytes() == json_dumps_bytes(loop_jsonable(raw))
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 @pytest.mark.parametrize("shape", ["scalar", "float list", "mixed list", "in a dict"])
-def test_json_writer_refuses_non_finite_floats_as_json_dumps(bad, shape) -> None:
-    tree = {"scalar": bad, "float list": [1.0, bad, 2.0], "mixed list": [1, bad],
-            "in a dict": {"a": [0.5], "b": bad}}[shape]
-    for write in (json_dumps_bytes, lambda obj: cli.Report(data=obj, human=()).json_bytes()):
-        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
-            write(tree)
+def test_json_writer_writes_non_finite_floats_as_null(bad, shape) -> None:
+    tree, want = {"scalar": (bad, None),
+                  "float list": ([1.0, bad, 2.0], [1.0, None, 2.0]),
+                  "mixed list": ([1, bad], [1, None]),
+                  "in a dict": ({"a": [0.5], "b": bad}, {"a": [0.5], "b": None})}[shape]
+    for raw in (tree, np.float64(bad)) if shape == "scalar" else (tree,):
+        assert cli.Report(data=raw, human=()).json_bytes() == json_dumps_bytes(want)
 

@@ -53,6 +53,10 @@ iff every captured output is.  It writes, as one JSON object:
   bases by a hash of x, or veto every point: the bases and tangents,
   `candidates` and `rejected`, or the error's type and text, and the
   SHA-256 of the points `accept` saw, in order;
+- `reports`: the SHA-256 and exit code of the `gen-pflat` JSON on
+  quadratic data that `highdim`'s regular-A jobs never give: a singular A
+  (empirical admissibility, with and without a round trip) and a regular
+  A whose metric is degenerate (`roundtrip: null`);
 - `errors`: what `block_bundles`, `finsler_check`, `metric_spray_residuals`,
   `LambdaField`, `agreement_report` and the `oracle` command give on
   inputs where a block of samples, nodes or points fails: the rows
@@ -543,6 +547,34 @@ def oracle_command(args: list, workdir: Path):
     yield [code, err.getvalue()]
 
 
+# (label, A, B, C): empirical and admissible, empirical and flat (A = 0,
+# not admissible), exact and not admissible (4C = B'A^{-1}B)
+GEN_PFLAT_CASES = (
+    ("singular A", "1,0,0,0", "0,1", "1"),
+    ("flat", "0,0,0,0", "1,0", "1"),
+    ("degenerate metric", "1,0,0,1", "2,0", "1"),
+)
+
+
+def gen_pflat_reports() -> dict:
+    """Runs in a scratch directory as the current one, so the paths that
+    gen-pflat writes into its report are relative and repeat."""
+    out = {}
+    for label, A, B, C in GEN_PFLAT_CASES:
+        report = Path("report.json")
+        if report.exists():
+            report.unlink()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["gen-pflat", f"--A={A}", f"--B={B}", f"--C={C}",
+                             "--dir=gen", "--seed", str(JOB_SEED), "--out", str(report)])
+        out[f"gen-pflat {label}"] = {
+            "exit": code,
+            "json": sha(report.read_bytes()) if report.exists() else None,
+        }
+    return out
+
+
 def failure_paths(workdir: Path) -> dict:
     two = spray(TWO_DOMAINS)
     degenerate = geometry.ExprMetric(dsl.parse(DEGENERATE_ROW))
@@ -635,6 +667,7 @@ def main(argv: list) -> int:
         os.chdir(highdim)  # gen-pflat writes relative paths into its report
         try:
             record["highdim"] = job_outcomes(workloads.highdim_jobs, highdim)
+            record["reports"] = gen_pflat_reports()
         finally:
             os.chdir(here)
         record["point_bundles"] = point_bundles()
