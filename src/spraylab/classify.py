@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, sampling
-from .errors import PreconditionError, RankError, SprayLabError
+from .errors import RankError, SprayLabError
 from .sampling import TOL, SampleBox, SampleSet, Tolerances
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "is_berwald",
     "projective_factor",
     "euler_residual",
-    "projective_isotropy_residual",
     "rowwise",
     "bundle_rows",
     "sample_rows",
@@ -226,49 +225,6 @@ def euler_residual(S, degree: int) -> float:
         acc = acc + yj * S.dy(i)
     worst = np.max(np.abs(acc.coeffs), axis=-1)
     return float(worst) if worst.ndim == 0 else worst
-
-
-def projective_isotropy_residual(b, tol: Tolerances = TOL) -> list:
-    """Defect of the curvature identity tied to the form G^i = P y^i.
-
-    For such sprays the vertical gradient of R and the trace part are
-    locked to the factor's derivatives:
-
-        R_.i - 2 tau_i = 3 (P_;i - (P_.i)_{;j} y^j)
-
-    with P read off as G . y / |y|^2 in the chart pairing.  Returns the
-    worst componentwise defect of the two sides' values, one per row of
-    the bundle (a point bundle is one row).  Raises PreconditionError at
-    the first row where the spray is not of that form or the split fails;
-    the identity has no content there.
-    """
-    n = b.dim
-    for holds, worst in _proportional(b.G_values, b.yvals, tol):
-        if not holds:
-            raise PreconditionError(
-                "spray is not of the form G^i = P y^i in this chart (worst "
-                f"cross product {worst:.3e}); the identity does not apply")
-    decs = decompose_scalar(b, tol=tol)
-    for dec in decs:
-        if not dec.holds:
-            raise PreconditionError(
-                "scalar decomposition fails at the point (residual "
-                f"{dec.residual:.3e})")
-    rows = len(decs)
-    P = projective_factor(b)
-    P_semi = b.cov_h(P, ()).reshape(rows, n)
-    P_cov = b.cov_h(np.array([P.dy(i) for i in range(n)], dtype=object),
-                    ("d",)).reshape(rows, n, n)
-    lhs = b.rdot_values.reshape(rows, n) - 2.0 * _taus(decs, n)
-    y = b.yvals.reshape(rows, n)
-    out = []
-    for r in range(rows):
-        worst = 0.0
-        for i in range(n):
-            contracted = sum(y[r, j] * P_cov[r, i, j] for j in range(n))
-            worst = max(worst, abs(lhs[r, i] - 3.0 * (P_semi[r, i] - contracted)))
-        out.append(float(worst))
-    return out
 
 
 def _fit_base_omega(Yd: np.ndarray, rows: np.ndarray, tol: Tolerances,

@@ -154,9 +154,17 @@ class MetricSpray:
 
 
 class ShiftedSpray:
-    """A projective shift of a base spray along a metric: G^i + c sqrt(L) y^i."""
+    """A projective shift of a base spray along a metric: G^i + c sqrt(L) y^i.
 
-    def __init__(self, base, metric, c: float):
+    `bundles` are curvature bundles of the base spray, such as the block
+    bundles of its classification.  A request at the point or block of one
+    of them, of its order, reads the base G off that bundle's stack
+    instead of asking the base spray again, so a metric's spray is lifted
+    once per block; the jets are the ones the base spray gives there, bit
+    for bit.
+    """
+
+    def __init__(self, base, metric, c: float, bundles=()):
         if base.dim != metric.dim:
             raise PreconditionError("base spray and metric dimensions differ")
         self.base = base
@@ -164,12 +172,14 @@ class ShiftedSpray:
         self.c = float(c)
         self.dim = base.dim
         self.name = f"{base.name}+{self.c}*F*y"
+        self._bundles = {(b._pa.shape, b._pa.tobytes()): b for b in bundles}
 
     def coeff_jets(self, p, order: int) -> list:
-        G = self.base.coeff_jets(p, order)
+        pa = _point_array(p, self.dim)
+        b = self._bundles.get((pa.shape, pa.tobytes()))
+        G = b.G if b is not None and b.order == order else self.base.coeff_jets(pa, order)
         if self.c == 0.0:
             return G
-        pa = _point_array(p, self.dim)
         F = jets.sqrt(self.metric.jet(pa, order))
         ys = _var_jets(self.dim, pa, order)[self.dim:]
         return [G[i] + self.c * (F * ys[i]) for i in range(self.dim)]
@@ -196,20 +206,21 @@ def singular_values(mats: np.ndarray):
 
 
 def _fundamental_jets(metric, pa: np.ndarray, order: int, tol: Tolerances):
-    """The jet of L and (space, stack) of g_ij = half the y-Hessian, with a
-    rank check.
+    """The jet of L, the stack of its y-gradient, and (space, stack) and
+    values of g_ij = half the y-Hessian, with a rank check.
 
-    At a block of points the values are (B, n, n) and the rank is checked
-    row by row; the first failing row names the error.
+    g is symmetric by construction: entry (i, j) and (j, i) both hold the
+    upper triangle's half of the Hessian, i <= j.  At a block of points
+    the values are (B, n, n) and the rank is checked row by row; the first
+    failing row names the error.
     """
     Lj = metric.jet(pa, order + 2)
     n, tail = metric.dim, pa.ndim
     sp = Lj.space
-    hessian = _dys(_lower(sp), _dys(sp, Lj.coeffs, n, tail), n, tail)
-    stack = np.empty(hessian.shape)
-    for i in range(n):
-        for j in range(i, n):
-            stack[i, j] = stack[j, i] = hessian[i, j] * 0.5
+    dl = _dys(sp, Lj.coeffs, n, tail)                   # [l] = L_{y^l}
+    half = _dys(_lower(sp), dl, n, tail) * 0.5
+    r = np.arange(n)
+    stack = np.where((r[:, None] <= r).reshape((n, n) + (1,) * tail), half, half.swapaxes(0, 1))
     vals = _stack_values(stack, 2)
     for s in singular_values(vals.reshape(-1, n, n)):
         if s[-1] <= tol.rank * s[0] or s[0] == 0.0:
@@ -217,7 +228,7 @@ def _fundamental_jets(metric, pa: np.ndarray, order: int, tol: Tolerances):
                 f"fundamental tensor of {metric.name!r} is numerically singular "
                 f"(singular values {s})"
             )
-    return Lj, (_lower(_lower(sp)), stack), vals
+    return Lj, dl, (_lower(_lower(sp)), stack), vals
 
 
 def spray_from_metric(metric, p, order: int = 4, tol: Tolerances = TOL) -> list:
@@ -230,13 +241,12 @@ def spray_from_metric(metric, p, order: int = 4, tol: Tolerances = TOL) -> list:
     """
     pa = _point_array(p, metric.dim)
     n, tail = metric.dim, pa.ndim
-    Lj, (sp, g), _ = _fundamental_jets(metric, pa, order, tol)
+    Lj, dl, (sp, g), _ = _fundamental_jets(metric, pa, order, tol)
     try:
         W = jets.jet_matrix_inverse(sp, g)
     except DomainError as exc:
         raise DegenerateMetric(f"fundamental tensor of {metric.name!r}: {exc}") from exc
     top = Lj.space
-    dl = _dys(top, Lj.coeffs, n, tail)                  # [l] = L_{y^l}
     dlx = _dxs(_lower(top), dl, n, tail)
     # v_l = sum_k L_{y^l x^k} y^k - L_{x^l}, then sum_l g^{il} v_l / 4
     v = (jets.contract(sp, dlx.swapaxes(0, 1), _y_stack(n, pa, sp)[:, None])

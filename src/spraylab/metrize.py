@@ -267,19 +267,40 @@ class CurvatureMetric:
         return self.spray.guard_values(p)
 
 
+# Nodes that one `omega` call of a block request holds at most, in runs of
+# whole targets: 4 targets of the 64-node rule.  It bounds the block bundle
+# at the nodes.  A seed-7 `decide ex7.1` integrates to 16 targets in one
+# request: its traced peak (tracemalloc; 2-vCPU x86, numpy 2.4) is 0.90 /
+# 1.44 / 1.98 / 3.52 MB at runs of 64 / 256 / 512 / 1024 nodes, and its
+# CPU time, median of 20 interleaved passes, 22.7 / 17.8 / 19.0 / 20.2 ms.
+RUN_NODES = 256
+
+
 class LambdaField:
     """exp of the line integral of a 1-form along straight segments.
 
-    Callable on chart points; the integral runs from `x0` with a composite
-    Gauss-Legendre rule (`panels` x `nodes` evaluations).  `accept` vetoes
-    nodes outside the admissible chart; a vetoed node raises PathError
-    because the segment is then not contained in the domain.
+    Callable on chart points, and `values` takes a block of them, the
+    request of a block of samples; the integral runs from `x0` with a
+    composite Gauss-Legendre rule (`panels` x `nodes` evaluations).
+    `accept` vetoes nodes outside the admissible chart; a vetoed node
+    raises PathError because the segment is then not contained in the
+    domain.  Each target's value is kept, by its bytes, and a call is one
+    request of one target.
 
     `omega` takes a block of K nodes, shaped (K, n), and returns the form
-    at each, shaped (K, n): one call per segment evaluates every node
-    before the first veto, under the rule of `classify.rowwise`.  `accept`
-    runs node by node, in path order, and the earliest node that fails
-    decides the error, as if the nodes were visited one at a time.
+    at each, shaped (K, n).  The targets of a request that are not kept
+    are taken once each, in request order and in runs of whole targets of
+    at most `RUN_NODES` nodes: one call evaluates every node of a run
+    before its first veto, under the rule of `classify.rowwise`.  `accept`
+    runs node by node, in path order, target by target, and the earliest
+    (target, node) that fails decides the error, after the targets before
+    it are kept: as if each target were asked alone, in turn.
+
+    Each value has the bits of its target asked alone: the nodes x0 + t d
+    are one array, the form's dot product with d at every node is one
+    `np.vecdot`, which rounds each node as `om_k @ d` does, and each
+    target's weighted sum is a float loop in path order, with one scalar
+    `np.exp`.
     """
 
     panels = 8
@@ -292,52 +313,67 @@ class LambdaField:
         ts, ws = np.polynomial.legendre.leggauss(self.nodes)
         width = 1.0 / self.panels
         # (t, weight) of every node along the segment, in path order
-        self._rule = [(p * width + 0.5 * width * (tk + 1.0), 0.5 * width * wk)
+        self._rule = [(float(p * width + 0.5 * width * (tk + 1.0)),
+                       float(0.5 * width * wk))
                       for p in range(self.panels) for tk, wk in zip(ts, ws)]
+        self._ts = np.array([t for t, _ in self._rule])[:, None]
         self._cache: dict[bytes, float] = {}
 
     def __call__(self, x) -> float:
-        xa = np.asarray(x, dtype=float)
-        key = xa.tobytes()
-        try:
-            return self._cache[key]
-        except KeyError:
-            pass
-        d = xa - self.x0
-        xs = []
-        veto = None
-        for t, _ in self._rule:
-            xt = self.x0 + t * d
-            try:
-                ok = self.accept is None or self.accept(xt)
-            except Exception as exc:
-                # raised once the nodes before this one are evaluated, one
-                # of which may fail first
-                veto = exc
-                break
-            if not ok:
-                veto = PathError("integration segment leaves the admissible "
-                                 f"chart at t={t:.4f}")
-                break
-            xs.append(xt)
-        om = self._omega_block(np.array(xs).reshape(len(xs), len(d)))
-        if veto is not None:
-            raise veto
-        total = 0.0
-        for (_, w), om_k in zip(self._rule, om):
-            total += w * float(om_k @ d)
-        out = float(np.exp(total))
-        self._cache[key] = out
-        return out
+        return self.values(np.asarray(x, dtype=float)[None])[0]
 
-    def _omega_block(self, xs: np.ndarray) -> np.ndarray:
-        if not len(xs):
-            return xs
-        om = np.array(list(classify.rowwise(self.omega, xs)))
-        if np.shape(om) != xs.shape:
-            raise ValueError(f"omega maps {xs.shape} nodes to shape "
-                             f"{np.shape(om)}, not one row per node")
-        return om
+    def values(self, xs) -> list:
+        """lambda at each row of the (m, n) block of targets, as floats."""
+        xa = np.asarray(xs, dtype=float)
+        keys = [x.tobytes() for x in xa]
+        todo = list({key: x for key, x in zip(keys, xa) if key not in self._cache}.items())
+        per = max(1, RUN_NODES // len(self._rule))
+        for lo in range(0, len(todo), per):
+            self._integrate(todo[lo:lo + per])
+        return [self._cache[key] for key in keys]
+
+    def _integrate(self, targets: list) -> None:
+        """Keep the value at each (key, x) of one run, or raise what the
+        first failing (target, node) raises, after keeping the targets
+        before it."""
+        K, n = len(self._rule), len(self.x0)
+        d = np.array([x for _, x in targets]) - self.x0
+        nodes = (self.x0 + self._ts * d[:, None, :]).reshape(-1, n)
+        count, failure = (len(nodes), None) if self.accept is None else self._accepted(nodes)
+        om = []
+        try:
+            om.extend(classify.rowwise(self.omega, nodes[:count]))
+        except Exception as exc:
+            failure = exc  # at a node that comes before any veto
+        else:
+            om = np.array(om)
+            if count and om.shape != (count, n):
+                raise ValueError(f"omega maps {(count, n)} nodes to shape "
+                                 f"{om.shape}, not one row per node")
+        done = len(om) // K  # the targets whose every node is evaluated
+        if done:
+            dots = np.vecdot(np.asarray(om[:done * K]), np.repeat(d[:done], K, axis=0))
+            for (key, _), row in zip(targets, dots.reshape(done, K).tolist()):
+                total = 0.0
+                for (_, w), v in zip(self._rule, row):
+                    total += w * v
+                self._cache[key] = float(np.exp(total))
+        if failure is not None:
+            raise failure
+
+    def _accepted(self, nodes: np.ndarray) -> tuple:
+        """(the count of nodes before the first veto, its error or None):
+        `accept` asked node by node, in order.  The error is raised once
+        the nodes before it are evaluated, one of which may fail first."""
+        for k, x in enumerate(nodes):
+            try:
+                if not self.accept(x):
+                    t = self._rule[k % len(self._rule)][0]
+                    return k, PathError("integration segment leaves the "
+                                        f"admissible chart at t={t:.4f}")
+            except Exception as exc:
+                return k, exc
+        return len(nodes), None
 
 
 class ScaledCurvatureMetric:
@@ -372,8 +408,8 @@ class ScaledCurvatureMetric:
         msp = jets.space(2 * n, order)
         coeffs = np.zeros(Rj.coeffs.shape[:-1] + (msp.T,))
         # np.log of each row's float, as at a point
-        logs = [np.log(self.lam(x)) for x in np.reshape(b._pa, (-1, 2 * n))[:, :n]]
-        coeffs[..., 0] = np.reshape(logs, coeffs.shape[:-1])
+        lams = self.lam.values(np.reshape(b._pa, (-1, 2 * n))[:, :n])
+        coeffs[..., 0] = np.reshape([np.log(v) for v in lams], coeffs.shape[:-1])
         for idx in range(1, msp.T):
             alpha = msp.alphas[idx]
             if any(alpha[n:]):
@@ -476,18 +512,20 @@ def lambda_field(spray, samples: SampleSet, order: int,
     """Integrate a 1-form that the spray's bundles give, at a fixed tangent.
 
     The form is taken at the first sample's tangent: `form` maps the
-    order-`order` block bundle at a segment's K nodes to the (K, n) form
-    values there.  The integral runs from the chart origin, and a node
-    where the spray's guards fail at that tangent vetoes the segment (see
-    `LambdaField`).  A spray without guards admits every node, so its
-    nodes are not asked.  The samples must be admissible points of the
-    spray: the guards are counted at the first.
+    order-`order` block bundle at K nodes to the (K, n) form values there,
+    one bundle per run of a request's nodes (`LambdaField`), so a block
+    request of the samples' x builds one bundle per `RUN_NODES` nodes,
+    not one per target.  The integral runs from the chart origin, and a
+    node where the spray's guards fail at that tangent vetoes the segment.
+    A spray without guards admits every node, so its nodes are not asked.
+    The samples must be admissible points of the spray: the guards are
+    counted at the first.
     """
     n = spray.dim
     y_ref = samples.ys[0, 0].copy()
 
     def omega(xs: np.ndarray) -> np.ndarray:
-        # one block bundle for the nodes of a segment
+        # one block bundle for the nodes of a run
         pts = np.concatenate([xs, np.broadcast_to(y_ref, xs.shape)], axis=1)
         return form(geometry.CurvatureBundle(spray, pts, order))
 
@@ -756,6 +794,10 @@ def projective_shift(metric, c: float, count: int = 64, seed: int = 7,
     one classification, and cross-checks it against the closed-form rule:
     metrizable iff lambda = -c^2 or c = 0.  Returns (shifted spray,
     verdict).
+
+    The metric's spray is lifted once per block of samples: the shifted
+    spray reads the base G off the block bundles that the flag-curvature
+    test builds (`geometry.ShiftedSpray`'s `bundles`).
     """
     if metric.dim < 2:
         raise PreconditionError("projective shift needs dimension >= 2")
@@ -783,10 +825,16 @@ def projective_shift(metric, c: float, count: int = 64, seed: int = 7,
             f"rank ratio {fc.rank_ratio:.3e})")
 
     base = geometry.MetricSpray(metric)
+    base_bundles = []
+
+    def base_decs():
+        # each block bundle is kept for the shifted spray, which reads G there
+        for _, b, ds in classify.block_bundles(base, samples, order, tol):
+            base_bundles.append(b)
+            yield from ds
+
     lam_vals = []
-    decs = (dec for _, _, ds in classify.block_bundles(base, samples, order, tol)
-            for dec in ds)
-    for L, dec in zip(L_vals, decs):
+    for L, dec in zip(L_vals, base_decs()):
         if not dec.holds:
             raise PreconditionError(
                 "the metric's spray is not of scalar curvature; projective "
@@ -801,7 +849,7 @@ def projective_shift(metric, c: float, count: int = 64, seed: int = 7,
 
     # the shifted spray's guards are the metric's, so the metric's samples
     # are also the ones a draw on the shifted spray gives
-    shifted = geometry.ShiftedSpray(base, metric, c)
+    shifted = geometry.ShiftedSpray(base, metric, c, bundles=base_bundles)
     report = classify.classify_samples(shifted, samples, order, tol)
     if not report.flags["isotropic"]:
         raise SprayLabError(

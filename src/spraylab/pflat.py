@@ -57,6 +57,12 @@ class QuadraticData:
         for name, values in (("A", A), ("B", B), ("C", C)):
             if not np.all(np.isfinite(values)):
                 raise ParamError(f"{name} must be finite, got {values.tolist()}")
+        with np.errstate(over="ignore"):
+            doubled = 2.0 * A
+        if not np.all(np.isfinite(doubled)):
+            # `sources` writes 2A into the spray text, which must parse back
+            raise ParamError(f"A is too large: 2A, which the spray text holds, "
+                             f"overflows to {doubled.tolist()}")
         scale = max(1.0, float(np.max(np.abs(A))))
         if float(np.max(np.abs(A - A.T))) > 1e-12 * scale:
             raise ParamError("A must be symmetric")
@@ -280,8 +286,9 @@ def quadratic_structure_check(spray, report: classify.ClassificationReport,
         return np.stack([s.value for s in factor_jets(b)], axis=1)
 
     lam = metrize.lambda_field(spray, report.samples, 2, sigma_at)
-    for pt, br in brackets:
-        u_val = lam(pt[:n]) ** -2.0
+    lams = lam.values(np.array([pt[:n] for pt, _ in brackets]))
+    for (_, br), lam_pt in zip(brackets, lams):
+        u_val = lam_pt ** -2.0
         u_scale = max(u_scale, u_val)
         worst = max(worst, 2.0 * u_val * br)
     return classify.Check(holds=tol.zero(worst, u_scale), residual=worst)

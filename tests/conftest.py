@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from spraylab import classify, geometry, jets, metrize, sampling
-from spraylab.errors import SamplingError
+from spraylab.errors import PathError, PreconditionError, SamplingError
 
 
 def classified(spray, count, seed=7, box=None):
@@ -101,6 +101,91 @@ def loop_jsonable(obj):
     return f"<{type(obj).__name__}>"
 
 
+def loop_lambda(field, x) -> float:
+    """`LambdaField.__call__` as it integrated one target at a time: the
+    nodes built one by one, `accept` asked at each in path order, one
+    `omega` call for the nodes before the first veto, and each node's dot
+    product `om_k @ d`.  The reference for the block requests' bits and
+    errors; it reads and fills the field's cache as the call did."""
+    xa = np.asarray(x, dtype=float)
+    key = xa.tobytes()
+    if key in field._cache:
+        return field._cache[key]
+    d = xa - field.x0
+    xs = []
+    veto = None
+    for t, _ in field._rule:
+        xt = field.x0 + t * d
+        try:
+            ok = field.accept is None or field.accept(xt)
+        except Exception as exc:
+            veto = exc
+            break
+        if not ok:
+            veto = PathError("integration segment leaves the admissible "
+                             f"chart at t={t:.4f}")
+            break
+        xs.append(xt)
+    xs = np.array(xs).reshape(len(xs), len(d))
+    om = xs
+    if len(xs):
+        om = np.array(list(classify.rowwise(field.omega, xs)))
+        if np.shape(om) != xs.shape:
+            raise ValueError(f"omega maps {xs.shape} nodes to shape "
+                             f"{np.shape(om)}, not one row per node")
+    if veto is not None:
+        raise veto
+    total = 0.0
+    for (_, w), om_k in zip(field._rule, om):
+        total += w * float(om_k @ d)
+    out = float(np.exp(total))
+    field._cache[key] = out
+    return out
+
+
+def projective_isotropy_residual(b, tol=sampling.TOL) -> list:
+    """Defect of the curvature identity tied to the form G^i = P y^i.
+
+    For such sprays the vertical gradient of R and the trace part are
+    locked to the factor's derivatives:
+
+        R_.i - 2 tau_i = 3 (P_;i - (P_.i)_{;j} y^j)
+
+    with P read off as G . y / |y|^2 in the chart pairing.  Returns the
+    worst componentwise defect of the two sides' values, one per row of
+    the bundle (a point bundle is one row).  Raises PreconditionError at
+    the first row where the spray is not of that form or the split fails;
+    the identity has no content there.
+    """
+    n = b.dim
+    for holds, worst in classify._proportional(b.G_values, b.yvals, tol):
+        if not holds:
+            raise PreconditionError(
+                "spray is not of the form G^i = P y^i in this chart (worst "
+                f"cross product {worst:.3e}); the identity does not apply")
+    decs = classify.decompose_scalar(b, tol=tol)
+    for dec in decs:
+        if not dec.holds:
+            raise PreconditionError(
+                "scalar decomposition fails at the point (residual "
+                f"{dec.residual:.3e})")
+    rows = len(decs)
+    P = classify.projective_factor(b)
+    P_semi = b.cov_h(P, ()).reshape(rows, n)
+    P_cov = b.cov_h(np.array([P.dy(i) for i in range(n)], dtype=object),
+                    ("d",)).reshape(rows, n, n)
+    lhs = b.rdot_values.reshape(rows, n) - 2.0 * classify._taus(decs, n)
+    y = b.yvals.reshape(rows, n)
+    out = []
+    for r in range(rows):
+        worst = 0.0
+        for i in range(n):
+            contracted = sum(y[r, j] * P_cov[r, i, j] for j in range(n))
+            worst = max(worst, abs(lhs[r, i] - 3.0 * (P_semi[r, i] - contracted)))
+        out.append(float(worst))
+    return out
+
+
 def jet_inverse(m: np.ndarray) -> np.ndarray:
     """The inverse of an n x n object array of jets, as such an array:
     `jets.jet_matrix_inverse` of their stack, at the lowest of their
@@ -155,7 +240,7 @@ def tally(monkeypatch):
     `splits` counts scalar-split computations (`splits`) per (point or
     block bytes, order) key, at point and block bundles alike.
     `lambda_targets` counts the points a LambdaField integrated to (its
-    cache misses).
+    cache misses), whether asked alone or in a block request.
     """
     counts = {"draws": 0, "bundles": Counter(), "splits": Counter(),
               "blocks": [], "rows": Counter(), "lambda_targets": 0}
@@ -163,7 +248,7 @@ def tally(monkeypatch):
     bundle = geometry.CurvatureBundle
     init = bundle.__init__
     splits = bundle.__dict__["splits"]
-    call = metrize.LambdaField.__call__
+    integrate = metrize.LambdaField._integrate
 
     def counting_sample_points(*args, **kwargs):
         counts["draws"] += 1
@@ -181,10 +266,9 @@ def tally(monkeypatch):
         counts["splits"][(b._pa.tobytes(), b.order)] += 1
         return splits.func(b)
 
-    def counting_call(field, x):
-        if np.asarray(x, dtype=float).tobytes() not in field._cache:
-            counts["lambda_targets"] += 1
-        return call(field, x)
+    def counting_integrate(field, targets):
+        counts["lambda_targets"] += len(targets)
+        return integrate(field, targets)
 
     for name, module in list(sys.modules.items()):
         if (name.split(".")[0] == "spraylab"
@@ -194,5 +278,5 @@ def tally(monkeypatch):
     counted_splits.__set_name__(bundle, "splits")
     monkeypatch.setattr(bundle, "__init__", counting_init)
     monkeypatch.setattr(bundle, "splits", counted_splits)
-    monkeypatch.setattr(metrize.LambdaField, "__call__", counting_call)
+    monkeypatch.setattr(metrize.LambdaField, "_integrate", counting_integrate)
     return counts

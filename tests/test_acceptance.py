@@ -33,7 +33,7 @@ from spraylab import classify, corpus, dim2, dsl, geometry, metrize, oracle, pfl
 from spraylab.errors import PreconditionError
 from spraylab.sampling import sample_points
 
-from conftest import classified
+from conftest import classified, projective_isotropy_residual
 
 EX7 = ("ex7.1", "ex7.2", "ex7.3", "ex7.4", "ex7.5", "ex7.6")
 CMS = ("cms19", "cms20", "cms21")
@@ -212,7 +212,7 @@ def test_curvature_identity_suite():
                     f"{name}: identity {key} fails at {pt} "
                     f"(residual {res:.3e})")
             try:
-                res = classify.projective_isotropy_residual(b)[0]
+                res = projective_isotropy_residual(b)[0]
             except PreconditionError:
                 continue
             lemma_seen += 1

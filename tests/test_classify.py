@@ -22,6 +22,8 @@ from spraylab.errors import (
     SprayLabError,
 )
 
+from conftest import projective_isotropy_residual
+
 FLAT = """
 dim 2
 spray G1 = 0
@@ -271,18 +273,18 @@ def test_projective_gradient_identity_pform() -> None:
     grad = [Rj.dy(i).value - 2.0 * tau[i].value for i in range(2)]
     assert np.allclose(grad, [-1.5, 2.4], atol=1e-10)
     assert np.allclose(b.chi_values, [-4.5, 7.2], atol=1e-9)
-    assert classify.projective_isotropy_residual(b)[0] <= 1e-8
+    assert projective_isotropy_residual(b)[0] <= 1e-8
 
 
 def test_projective_gradient_identity_proj_family() -> None:
-    assert classify.projective_isotropy_residual(bundle(PROJ, PROT))[0] <= 1e-8
-    assert classify.projective_isotropy_residual(
+    assert projective_isotropy_residual(bundle(PROJ, PROT))[0] <= 1e-8
+    assert projective_isotropy_residual(
         bundle(PROJ, (0.3, -0.2, 0.7, 0.5)))[0] <= 1e-8
 
 
 def test_projective_gradient_identity_needs_form() -> None:
     with pytest.raises(PreconditionError):
-        classify.projective_isotropy_residual(bundle(ROTOR, PROT))
+        projective_isotropy_residual(bundle(ROTOR, PROT))
 
 
 # -- homogeneity ---------------------------------------------------------------
@@ -519,7 +521,7 @@ READERS = {
     "is_constant": lambda b: classify.is_constant(classify.decompose_scalar(b), b),
     "is_berwald": classify.is_berwald,
     "_proportional": lambda b: classify._proportional(b.G_values, b.yvals, sampling.TOL),
-    "projective_isotropy_residual": classify.projective_isotropy_residual,
+    "projective_isotropy_residual": projective_isotropy_residual,
 }
 
 

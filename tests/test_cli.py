@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import loop_jsonable
-from spraylab import classify, cli, corpus, geometry
+from spraylab import classify, cli, corpus, geometry, metrize
 from spraylab.errors import ParamError
 
 FLAGS = ("scalar", "isotropic", "constant", "berwald", "projective_form",
@@ -187,18 +187,21 @@ def test_oracle_drops_each_block_before_building_the_next(tmp_path, monkeypatch)
                      for event in ("built", "split")]
 
 
-def test_quadrature_builds_one_bundle_per_lambda_target(tmp_path, tally):
+def test_quadrature_builds_one_bundle_per_run_of_lambda_targets(tmp_path, tally):
     # ex7.1 recovers L = R/lambda.  Its 64 samples are classified in the
-    # blocks of `classify.blocks`; then each point that lambda is
-    # integrated to costs one more block bundle, holding the 64 nodes of
-    # its segment.
+    # blocks of `classify.blocks`; then lambda is integrated to the x of
+    # each of its 16 bases in one request, whose 64-node segments are
+    # evaluated in runs of whole targets of at most RUN_NODES nodes, one
+    # block bundle per run, not one per target.
     code, data = run(["metrize", "ex7.1"], tmp_path)
     assert code == 0
     assert data["verdict"]["rule"] == "omega exact; L = R/lambda"
     assert tally["draws"] == 1
-    assert tally["lambda_targets"] > 0
+    assert tally["lambda_targets"] == 16
+    per = metrize.RUN_NODES // 64
     classification = [(len(block), 4) for block in classify.blocks(range(64))]
-    quadrature = [(64, 4)] * tally["lambda_targets"]
+    quadrature = [(64 * min(per, 16 - lo), 4) for lo in range(0, 16, per)]
+    assert len(quadrature) == -(-16 * 64 // metrize.RUN_NODES) < 16
     assert tally["blocks"] == classification + quadrature
 
 
@@ -388,6 +391,23 @@ def test_gen_pflat_rejects_non_finite_data_before_writing(tmp_path, capsys, fiel
                      "--dir", str(out), "--out", str(tmp_path / "report.json")])
     assert code == 1
     assert capsys.readouterr().err.startswith(f"error: {field} must be finite")
+    assert list(out.iterdir()) == []
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("A", ["1e308,0,0,1e308", "1,-1.5e308,-1.5e308,1"])
+def test_gen_pflat_rejects_data_whose_doubled_A_overflows(tmp_path, capsys, A):
+    # the spray text holds 2A: near the float maximum it once overflowed to
+    # inf, and gen-pflat failed to parse the files it had written
+    out = tmp_path / "gen"
+    out.mkdir()
+    code = cli.main(["gen-pflat", f"--A={A}", "--B=0,0", "--C=1", "--dir", str(out),
+                     "--out", str(tmp_path / "report.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: A is too large: 2A, which the spray text holds, "
+                          "overflows")
+    assert "Warning" not in err
     assert list(out.iterdir()) == []
     assert not (tmp_path / "report.json").exists()
 

@@ -17,12 +17,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spraylab import (classify, cli, corpus, dsl, geometry, jets, metrize,
                       sampling)
 from spraylab.errors import DomainError, PathError, PreconditionError
 
-from conftest import classified
+from conftest import classified, loop_lambda
 
 FLAT = """
 dim 2
@@ -573,6 +575,147 @@ def test_lambda_field_of_a_spray_without_guards_asks_no_node() -> None:
     assert len(calls) == 1
 
 
+# -- block requests of a LambdaField ---------------------------------------------
+#
+# `values` against `loop_lambda`, the call as it integrated one target at a
+# time: on block requests with repeated and already-kept targets, requests
+# of more than one run of RUN_NODES nodes, forms that raise at a node and
+# guards that veto, or raise, at a node.
+
+LAMBDA_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
+                           database=None)
+
+# ex7.1, isotropic with R = 0 nowhere near the box, behind a guard that
+# ends the chart along a line: {wall} is the guard's text
+WHIRL_GUARDED = """
+dim 2
+spray G1 = x1 * (y1^2 - y2^2)
+spray G2 = 2 * x1 * y1 * y2
+guard = {wall}
+"""
+
+
+def form_field(n: int, a: tuple, fail_at: float | None, wall: float | None,
+               raise_at: float | None) -> metrize.LambdaField:
+    """A field of an elementwise form in dim n, whose rows do not depend on
+    the block: it raises at the nodes with x1 > fail_at, naming the first
+    in its block; `accept` vetoes the nodes with x1 + x2 >= wall and raises
+    at those with x2 > raise_at."""
+    a = np.array(a[:n])
+
+    def omega(xs):
+        bad = xs[:, 0] > (np.inf if fail_at is None else fail_at)
+        if bad.any():
+            raise DomainError(f"form undefined at {xs[bad][0].tolist()}")
+        return 0.3 * np.cos(xs[:, ::-1] * a + 0.1) - 0.2 * xs
+
+    def accept(x):
+        if raise_at is not None and x[1] > raise_at:
+            raise DomainError(f"guard undefined at {x.tolist()}")
+        return wall is None or x[0] + x[1] < wall
+
+    guarded = wall is not None or raise_at is not None
+    return metrize.LambdaField(omega, np.zeros(n), accept=accept if guarded else None)
+
+
+def whirl_field(wall: str) -> metrize.LambdaField:
+    """The isotropic route's field on the guarded whirl: omega = delta R / R
+    at the nodes, which raises where |R| is under 1e-3."""
+    spray = spray_of(WHIRL_GUARDED.format(wall=wall))
+
+    def omega_at(b):
+        Rj = b.curvature_scalar
+        if np.any(np.abs(Rj.value) < 1e-3):
+            raise PathError("curvature scalar vanishes on the integration path")
+        return b.cov_h(Rj, ()) / Rj.value[:, None]
+
+    samples = sampling.SampleSet(np.full((1, 2), 0.1), np.array([[[0.6, 0.8]]]))
+    return metrize.lambda_field(spray, samples, 3, omega_at)
+
+
+def request_outcome(fn, field) -> tuple:
+    """(float.hex of each value, or the error's type and text; float.hex of
+    every kept value, by key)."""
+    try:
+        got = [v.hex() for v in fn()]
+    except Exception as exc:
+        got = f"{type(exc).__name__}: {exc}"
+    return got, {key: v.hex() for key, v in field._cache.items()}
+
+
+def assert_requests_equal_the_loop(make, pool, kept, request) -> None:
+    """`values` and the call, each on a fresh field that first asked for the
+    `kept` targets, give the bits and error that `loop_lambda` gives, target
+    by target, and keep the same values."""
+    targets = np.array([pool[k] for k in request])
+    outcomes = []
+    for ask in ("block", "call", "loop"):
+        field = make()
+        one = (lambda x: loop_lambda(field, x)) if ask == "loop" else field
+        for k in kept:
+            try:
+                one(pool[k])
+            except Exception:
+                pass
+        if ask == "block":
+            outcomes.append(request_outcome(lambda: field.values(targets), field))
+        else:
+            outcomes.append(request_outcome(lambda: [one(x) for x in targets], field))
+    assert outcomes[0] == outcomes[2]
+    assert outcomes[1] == outcomes[2]
+
+
+@st.composite
+def requests(draw, n: int, lo: float, hi: float):
+    """(pool of targets, indices asked first, indices of the request): up
+    to 3 runs' worth of targets, each in the request, with repeats."""
+    size = draw(st.integers(1, 3 * (metrize.RUN_NODES // 64)))
+    pool = [np.array(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+            for _ in range(size)]
+    index = st.integers(0, size - 1)
+    kept = draw(st.lists(index, max_size=3))
+    request = draw(st.permutations(list(range(size)) + draw(st.lists(index, max_size=4))))
+    return pool, kept, request
+
+
+@LAMBDA_SETTINGS
+@given(st.integers(2, 4).flatmap(lambda n: st.tuples(
+           st.just(n), requests(n, -1.5, 1.5))),
+       st.tuples(*[st.floats(-2.0, 2.0)] * 4),
+       st.sampled_from([None, 0.6, 1.2]), st.sampled_from([None, 0.8, 1.6]),
+       st.sampled_from([None, 0.9]))
+def test_block_requests_equal_the_loop_over_targets(case, a, fail_at, wall,
+                                                    raise_at) -> None:
+    n, (pool, kept, request) = case
+    assert_requests_equal_the_loop(
+        lambda: form_field(n, a, fail_at, wall, raise_at), pool, kept, request)
+
+
+@settings(LAMBDA_SETTINGS, max_examples=25)
+@given(requests(2, -0.9, 0.9),
+       st.sampled_from(["0.5 - x1 - 0.5*x2", "sqrt(0.6 - x2) + 1", "1"]))
+def test_block_requests_on_a_guarded_spray_equal_the_loop(case, wall) -> None:
+    # the guards veto, or fail to evaluate, at the nodes beyond a line, at
+    # a node of each target that its distance decides
+    pool, kept, request = case
+    assert_requests_equal_the_loop(lambda: whirl_field(wall), pool, kept, request)
+
+
+def test_block_request_keeps_the_targets_before_the_failing_one() -> None:
+    # a request whose third target leaves the chart keeps the two before
+    # it, as two calls would have, and integrates each target once
+    field = form_field(2, (1.0, -1.0, 0.0, 0.0), None, 0.8, None)
+    calls = []
+    omega = field.omega
+    field.omega = lambda xs: calls.append(len(xs)) or omega(xs)
+    targets = np.array([[0.1, 0.2], [0.3, -0.1], [0.9, 0.5], [0.2, 0.2]])
+    with pytest.raises(PathError, match="leaves the admissible chart"):
+        field.values(np.concatenate([targets[:2], targets[:2], targets[2:]]))
+    assert list(field._cache) == [x.tobytes() for x in targets[:2]]
+    k = next(k for k, (t, _) in enumerate(field._rule) if t * 1.4 >= 0.8)
+    assert calls == [2 * 64 + k]
+
+
 # float.hex of ex7.1's recovered L and lambda at 12 fixed points, recorded
 # while the quadrature still built one bundle per node
 RECOVERY_HEX = Path(__file__).resolve().parent / "data" / "ex7_1_recovery_hex.json"
@@ -1011,6 +1154,39 @@ def test_shift_of_a_recovered_metric_builds_one_bundle_per_block(monkeypatch) ->
     monkeypatch.setattr(geometry.CurvatureBundle, "__init__", recording_init)
     metrize.projective_shift(L, 0.7, count=8, seed=3, box=fx.box)
     assert built == [((8, 4), 8)]
+
+
+@pytest.mark.parametrize("c", [0.0, 1.0])
+def test_shift_lifts_the_metric_spray_once_per_block(monkeypatch, c) -> None:
+    # the flag-curvature test builds the metric spray's block bundles, and
+    # the shifted spray reads G off them: one order-4 lift of the metric
+    # per block of samples, not one per spray
+    fx = corpus.load_fixture("elliptic2")
+    metric = fx.metric()
+    lifts = []
+    spray_from_metric = geometry.spray_from_metric
+
+    def counting(m, p, order=4, tol=sampling.TOL):
+        if m is metric and order == 4:
+            lifts.append(np.shape(p))
+        return spray_from_metric(m, p, order, tol)
+
+    monkeypatch.setattr(geometry, "spray_from_metric", counting)
+    metrize.projective_shift(metric, c, count=64, seed=7, box=fx.box)
+    assert lifts == [(64, 4)]
+
+
+def test_shifted_spray_reads_the_base_bundles_bitwise() -> None:
+    metric = corpus.load_fixture("elliptic2").metric()
+    base = geometry.MetricSpray(metric)
+    block = sampling.draw(metric, count=16, seed=7).points()
+    b = geometry.CurvatureBundle(base, block, 4)
+    for c in (0.0, 1.0):
+        plain = geometry.ShiftedSpray(base, metric, c)
+        read = geometry.ShiftedSpray(base, metric, c, bundles=[b])
+        for p, order in ((block, 4), (block, 3), (block[:8], 4), (block[0], 4)):
+            assert [u.coeffs.tobytes() for u in read.coeff_jets(p, order)] == \
+                [u.coeffs.tobytes() for u in plain.coeff_jets(p, order)]
 
 
 def test_each_class_is_decided_once_per_classified_block(monkeypatch) -> None:

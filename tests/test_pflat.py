@@ -14,7 +14,7 @@ from spraylab import classify, dsl, geometry, metrize, pflat, sampling
 from spraylab.errors import ParamError, PreconditionError
 from spraylab.sampling import SampleBox
 
-from conftest import classified
+from conftest import classified, projective_isotropy_residual
 
 Q_EQ3 = pflat.QuadraticData(A=((1.0, 0.0), (0.0, 1.0)), B=(0.0, 0.0), C=1.0)
 Q_MIX = pflat.QuadraticData(A=((1.0, 0.5), (0.5, 2.0)), B=(0.3, 0.0), C=1.0)
@@ -169,7 +169,7 @@ def test_round_trip_mixed_instance() -> None:
         assert flags["projective_form"]
         decs = classify.decompose_scalar(b)
         assert classify.is_constant(decs, b)[0].holds
-        assert classify.projective_isotropy_residual(b)[0] <= 1e-8
+        assert projective_isotropy_residual(b)[0] <= 1e-8
 
 
 def test_round_trip_decide() -> None:

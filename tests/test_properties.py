@@ -1264,7 +1264,7 @@ def test_stacked_inverse_and_metric_spray_equal_the_component_loops(
     n, terms, e, block = case
     metric = metric_expression(n, terms, e)
     p = block if at_block else block[0]
-    Lj, (sp, g), _ = geometry._fundamental_jets(metric, p, order, TOL)
+    Lj, _, (sp, g), _ = geometry._fundamental_jets(metric, p, order, TOL)
     w = np.array(geometry._unstack(sp, Lj.center, jets.jet_matrix_inverse(sp, g), 2),
                  dtype=object)
     assert same_jets(w, loop_inverse(np.array(geometry._unstack(sp, Lj.center, g, 2),

@@ -57,6 +57,12 @@ iff every captured output is.  It writes, as one JSON object:
   quadratic data that `highdim`'s regular-A jobs never give: a singular A
   (empirical admissibility, with and without a round trip) and a regular
   A whose metric is degenerate (`roundtrip: null`);
+- `lambda`: the lambda fields that `decide` makes on ex7.1 and on a
+  guarded ex7.1 whose chart has a hole, which vetoes the segments behind
+  it, and that `pflat.quadratic_structure_check` makes on elliptic2, each
+  at seeds 3, 7 and 11: the outcome, every value a field keeps, in the
+  order it kept them, and its value, or error, at 8 fixed targets asked
+  one at a time;
 - `errors`: what `block_bundles`, `finsler_check`, `metric_spray_residuals`,
   `LambdaField`, `agreement_report` and the `oracle` command give on
   inputs where a block of samples, nodes or points fails: the rows
@@ -85,7 +91,7 @@ import numpy as np  # noqa: E402
 
 import workloads  # noqa: E402
 from spraylab import (classify, cli, corpus, dim2, dsl, geometry,  # noqa: E402
-                      metrize, oracle, sampling)
+                      metrize, oracle, pflat, sampling)
 
 SEEDS = (3, 11)
 JOB_SEED = 7
@@ -489,6 +495,51 @@ def spray(src: str):
     return geometry.spray_of(dsl.parse(src))
 
 
+LAMBDA_SEEDS = (3, 7, 11)
+# ex7.1 outside a disc about (0.5, 0.3): the segments from the chart origin
+# to the samples behind the disc leave the chart (at seed 3, the fifth)
+HOLED_WHIRL = """
+dim 2
+spray G1 = x1 * (y1^2 - y2^2)
+spray G2 = 2 * x1 * y1 * y2
+guard = (x1 - 0.5)^2 + (x2 - 0.3)^2 - 0.1
+"""
+LAMBDA_TARGETS = ((-0.6, -0.4), (-0.3, 0.5), (0.0, 0.0), (0.2, -0.7),
+                  (0.45, 0.1), (0.7, 0.6), (0.9, 0.3), (-0.8, 0.8))
+
+
+def structure_check(spray_obj, seed: int, box):
+    report = classify.classify_spray(spray_obj, count=64, seed=seed, box=box)
+    check = pflat.quadratic_structure_check(spray_obj, report)
+    return [check.holds, check.residual]
+
+
+def lambda_values() -> dict:
+    whirl = corpus.load_fixture("ex7.1")
+    sphere = corpus.load_fixture("elliptic2")
+    holed = spray(HOLED_WHIRL)
+    out = {}
+    for seed in LAMBDA_SEEDS:
+        runs = {
+            "ex7.1 decide": lambda: metrize.decide(
+                whirl.build(), count=64, seed=seed, box=whirl.box),
+            "elliptic2 structure check": lambda: structure_check(
+                sphere.build(), seed, sphere.box),
+            "holed ex7.1 decide": lambda: metrize.decide(holed, count=64, seed=seed),
+        }
+        for label, run in runs.items():
+            fields = []
+            with recording(metrize, "lambda_field", fields):
+                result = attempt(run)
+            out[f"{label} seed {seed}"] = {
+                "result": result,
+                "kept": [enc(list(f._cache.values())) for f in fields],
+                "targets": [[attempt(lambda: f(np.array(x))) for x in LAMBDA_TARGETS]
+                            for f in fields],
+            }
+    return out
+
+
 def at_bases(bases) -> sampling.SampleSet:
     """One sample per base, all with the tangent (0.7, 0.7)."""
     bases = np.array(bases, dtype=float)
@@ -675,6 +726,7 @@ def main(argv: list) -> int:
         record["decision_stages"] = decision_stages()
         record["dim2"] = dim2_samples()
         record["draws"] = draws()
+        record["lambda"] = lambda_values()
         record["errors"] = failure_paths(workdir)
     target.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0
