@@ -379,7 +379,7 @@ def _closed_factor_residual(bundle) -> list:
     sig = [P.dy(i) for i in range(n)]
     curls = [sig[i].dx(j).value - sig[j].dx(i).value
              for i in range(n) for j in range(i + 1, n)]
-    return geometry._folds(curls, len(bundle._pa))
+    return geometry._folds(curls, len(np.reshape(bundle.yvals, (-1, n))))
 
 
 def _class_rows(b, decs: list, tol: Tolerances) -> list:

@@ -632,15 +632,15 @@ def split_holds(bundle: CurvatureBundle, tol: Tolerances = TOL) -> list:
 
 
 def _folds(accs: list, rows: int) -> list:
-    """Per row, max |acc| over the arrays of `accs`, folded with Python max
-    from 0.0 in list order, as one point's loop folds its sums."""
-    out = []
-    for r in range(rows):
-        worst = 0.0
-        for acc in accs:
-            worst = max(worst, abs(acc[r]))
-        out.append(worst)
-    return out
+    """Per row, max |acc| over the `accs` (arrays of `rows` values, or a
+    point's floats), as one point's loop folds its sums with Python max
+    from 0.0 in list order.  It is one `np.fmax` fold from 0.0 over the
+    block, which skips a nan as that max does; |acc| is never -0.0, so
+    ties keep their bits.  A row the fold never moves off its start is
+    the float 0.0, as the loop leaves it, and any other a np.float64."""
+    stack = np.reshape(np.array(accs, dtype=float), (len(accs), rows))
+    worst = np.fmax.reduce(np.abs(stack), axis=0, initial=0.0)
+    return [w if w > 0.0 else 0.0 for w in worst]
 
 
 def identity_residuals(bundle: CurvatureBundle, tol: Tolerances = TOL) -> list:

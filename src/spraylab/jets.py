@@ -47,6 +47,44 @@ failing row of that operation.  A point jet's center is a tuple; a block
 jet's center is the (B, m) array itself, and jets combine only with jets
 at the same center.
 
+Three routines are Horner sweeps that make one more Taylor degree valid
+per pass: `Jet.reciprocal` (1/u = (1/v) sum_k (-e)^k with e = u/v - 1),
+`Jet._compose` (sum_k c[k] h^k with h = u - u0) and `jet_matrix_inverse`
+(W <- W0 - X W with X = W0 dM).  The factor e, h or X has an exact 0.0
+value slot, so degree d of a pass's product reads the previous iterate
+up to degree d - 1, but for the products factor[0] * iterate[d].  Over a
+block whose operands pass `_sweep_finite`, each pass runs on the prefix
+space of the order it makes valid: `reciprocal`'s step m on
+space(nvars, m), `_compose`'s step toward c[k] on space(nvars, K - k),
+and the inverse's j-th `contract` on space(nvars, j + 2).  Every bit
+stays that of the full passes:
+
+- the prefix table is the full table's pairs whose bin lies in the
+  prefix, in the same order (graded-lex order nests the spaces), so each
+  kept coefficient is summed from the same products in the same order;
+- the one product a prefix pass computes differently is factor[0] times
+  an iterate coefficient of the pass's top degree, not yet valid; the
+  prefix pass reads a stale coefficient there, left over from the
+  first, full pass, and the full pass its current one.  Both are finite,
+  so both products are +-0.0, which leave a partial sum from +0.0 as it
+  is (see `_mul_coeffs`);
+- the coefficients above the prefix are not computed until their pass.
+
+The finiteness is what `_sweep_finite` bounds.  A pass X' = c + F X
+(a sum over k of such products, for the inverse) has
+|X'|_1 <= |c| + |F|_1 |X|_1 in exact arithmetic, with |.|_1 the l1 norm
+over a row's coefficients (and, for a matrix, the largest row sum of its
+entries' norms), since a truncated product drops terms.  Each kernel
+bin, each product and the addition of c round by a factor below 2 over
+the whole pass, so after p passes
+|X_p|_1 <= M^p (|X_0|_1 + 2 p C) <= (2p + 1) S M^p, with M = max(1, 2|F|_1),
+C the largest |c| and S = max(C, |X_0|_1, 1).  `_sweep_finite` asks
+(2p + 1) S M^p to stay at most 2**SWEEP_LOG2_BOUND, for the largest norms
+over the rows: every coefficient and every partial sum of the full
+passes is then finite.
+An inf or nan, or an operand over the bound, keeps the full passes, and
+so does a point jet, whose passes are one kernel call each either way.
+
 The finite-difference oracle `fd_partial` lives here as well. It never touches
 jet coefficients: it evaluates the callable over plain floats with nested
 central differences, one step per derivative level, and is kept deliberately
@@ -93,6 +131,12 @@ PRUNE_PRODUCTS = 1 << 13
 # dim-2 spray and the inverse of a dim-2 metric's order-2 Hessian fold
 # whole; larger stacks fold by steps and entries.
 STACK_PRODUCTS = 1 << 14
+
+# A Horner sweep over a block runs its passes on prefix spaces only while
+# log2 of its bound on every coefficient of the full passes stays at most
+# this (`_sweep_finite`), 24 binades below the overflow threshold 2**1024,
+# which absorbs the bound's rounding factors.
+SWEEP_LOG2_BOUND = 1000.0
 
 _EXHAUSTED = "jet order exhausted: cannot differentiate an order-0 jet"
 
@@ -364,6 +408,22 @@ def constant_product(sp: JetSpace, c: np.ndarray, d: np.ndarray,
     return stacked_product(sp, const, d) if left else stacked_product(sp, d, const)
 
 
+def _sweep_finite(scale: float, start: np.ndarray, factor: np.ndarray, passes: int,
+                  axes=-1) -> bool:
+    """Whether `passes` full Horner passes X <- c + F X (or c - F X) keep
+    every coefficient of X finite, so that they may run on prefix spaces
+    (see the module docstring): X starts as the block `start`, each c is
+    at most `scale` in magnitude, and F is the block `factor`.  Norms are
+    l1 over `axes` (the coefficients, and for a matrix of jets its row's
+    entries too), the largest over rows; a nan or inf anywhere fails."""
+    norm = float(np.abs(factor).sum(axis=axes).max())
+    size = max(float(scale), float(np.abs(start).sum(axis=axes).max()), 1.0)
+    if not (math.isfinite(norm) and math.isfinite(size)):
+        return False
+    return (math.log2(size * (2 * passes + 1))
+            + passes * math.log2(max(1.0, 2.0 * norm)) <= SWEEP_LOG2_BOUND)
+
+
 def diff_coeffs(sp: JetSpace, c: np.ndarray, v: int) -> np.ndarray:
     """The coefficients of d/dv of the jets of `sp` in the stack `c`,
     (..., T), in the space one order down."""
@@ -465,6 +525,10 @@ class Jet:
     __rmul__ = __mul__
 
     def reciprocal(self) -> "Jet":
+        """1/u, by Horner steps s <- 1 - e s from s = 1, e = u/v - 1.  Step
+        m makes degree m valid; over a block within `_sweep_finite` it runs
+        on space(nvars, m), with the bits of the full steps (see the
+        module docstring)."""
         self._check_values(lambda v: abs(v) <= VALUE_FLOOR,
                          "division by jet with value part {!r}")
         # 1/u = (1/v) * sum_k (-e)^k with e = u/v - 1 nilpotent; Horner form.
@@ -480,6 +544,14 @@ class Jet:
         if steps and math.isfinite(e.coeffs.sum()):
             # the kernel's e * 1.0 for finite e: e, with -0.0 summed to +0.0
             s, steps = 1.0 - Jet(self.space, self.center, e.coeffs + 0.0), steps - 1
+            if e.coeffs.ndim == 2 and _sweep_finite(1.0, s.coeffs, e.coeffs, steps):
+                # step m on space(nvars, m), over s's finite coefficients
+                nvars, c = self.space.nvars, s.coeffs
+                for m in range(2, self.order + 1):
+                    sp = space(nvars, m)
+                    c[:, :sp.T] = -_mul_coeffs(sp, e.coeffs[:, :sp.T], c[:, :sp.T])
+                    c[:, 0] += 1.0
+                steps = 0
         for _ in range(steps):
             s = 1.0 - e * s
         return s * (1.0 / v)
@@ -502,7 +574,10 @@ class Jet:
 
     def _compose(self, c: Sequence) -> "Jet":
         """Evaluate sum_k c[k] * (u - u0)^k by Horner; c[k] = f^(k)(u0)/k!
-        (for a block, c[k] holds one coefficient per row)."""
+        (for a block, c[k] holds one coefficient per row).  The step toward
+        c[k] makes degree K - k valid; over a block within `_sweep_finite`
+        it runs on space(nvars, K - k), with the bits of the full steps
+        (see the module docstring)."""
         h = Jet(self.space, self.center, self.coeffs.copy())
         h.coeffs.T[0] = 0.0  # the value part, of every row of a block
         top = self.order
@@ -512,6 +587,15 @@ class Jet:
             # summed to +0.0
             out = Jet(self.space, self.center, (h * c[top]).coeffs + 0.0) + c[top - 1]
             top -= 1
+            if h.coeffs.ndim == 2 and _sweep_finite(np.abs(c).max(), out.coeffs,
+                                                    h.coeffs, top):
+                # the step toward c[k] on space(nvars, K - k)
+                nvars, acc = self.space.nvars, out.coeffs
+                for k in range(top - 1, -1, -1):
+                    sp = space(nvars, self.order - k)
+                    acc[:, :sp.T] = _mul_coeffs(sp, acc[:, :sp.T], h.coeffs[:, :sp.T])
+                    acc[:, 0] += c[k]
+                top = 0
         for k in range(top - 1, -1, -1):
             out = out * h + c[k]
         return out
@@ -807,7 +891,11 @@ def jet_matrix_inverse(sp: JetSpace, m: np.ndarray) -> np.ndarray:
     constant W0, by `constant_product`; a later pass multiplies its n^3
     entry pairs by `contract`.  Each sum over k adds the products in
     ascending k, the order of an object-array matmul, so every entry has
-    the bits of the entry-by-entry loop over jets.
+    the bits of the entry-by-entry loop over jets.  The j-th `contract`
+    makes degree j + 2 valid; over a block within `_sweep_finite` (X's
+    value slot is the exact 0.0 of W0 times dM's +0.0 value slot) it
+    runs on space(nvars, j + 2), with the bits of the full passes (see
+    the module docstring).
     """
     n, order = m.shape[0], sp.order
     dm = m[..., :sp.T].copy()
@@ -835,9 +923,15 @@ def jet_matrix_inverse(sp: JetSpace, m: np.ndarray) -> np.ndarray:
         w0_dm = constant_step(w0_k, dm[:, None], left=True)
         x_k = w0_dm.swapaxes(0, 1)[:, :, None]
         step = constant_step(w0[:, None], x_k, left=False)
-        const = w
-        for _ in range(order - 1):
-            w = const + -step
-            step = contract(sp, x_k, w[:, None])
-        w = const + -step
+        const, w = w, w + -step
+        if dm.ndim == 4 and _sweep_finite(np.abs(w0).sum(axis=1).max(), w, w0_dm,
+                                          order - 1, axes=(1, -1)):
+            # the j-th contract on space(nvars, j + 2), over w's finite
+            # coefficients
+            for j in range(order - 1):
+                sub = space(sp.nvars, j + 2)
+                w[..., :sub.T] = const[..., :sub.T] + -contract(sub, x_k, w[:, None])
+        else:
+            for _ in range(order - 1):
+                w = const + -contract(sp, x_k, w[:, None])
     return w

@@ -186,6 +186,19 @@ def projective_isotropy_residual(b, tol=sampling.TOL) -> list:
     return out
 
 
+def loop_folds(accs: list, rows: int) -> list:
+    """`geometry._folds` as it folded one row at a time with Python max
+    from 0.0, in list order: the reference for the block fold's values and
+    types."""
+    out = []
+    for r in range(rows):
+        worst = 0.0
+        for acc in accs:
+            worst = max(worst, abs(acc[r]))
+        out.append(worst)
+    return out
+
+
 def jet_inverse(m: np.ndarray) -> np.ndarray:
     """The inverse of an n x n object array of jets, as such an array:
     `jets.jet_matrix_inverse` of their stack, at the lowest of their
@@ -194,6 +207,63 @@ def jet_inverse(m: np.ndarray) -> np.ndarray:
     sp = min((u.space for u in m.ravel()), key=lambda s: s.order)
     w = jets.jet_matrix_inverse(
         sp, np.array([[m[i, j].coeffs[..., :sp.T] for j in range(n)] for i in range(n)]))
+    out = np.empty((n, n), dtype=object)
+    for idx in np.ndindex(n, n):
+        out[idx] = jets.Jet(sp, m[0, 0].center, w[idx])
+    return out
+
+
+def loop_reciprocal(u: jets.Jet) -> jets.Jet:
+    """`Jet.reciprocal` with every Horner step at the jet's full order and
+    through the multiply kernel, the first one from the constant jet 1
+    included: the reference for the steps on prefix spaces."""
+    v = u.coeffs[..., 0].copy()
+    e = jets.Jet(u.space, u.center, u.coeffs / (v[:, None] if u.coeffs.ndim == 2 else v))
+    e.coeffs[..., 0] -= 1.0
+    s = u.space.constant(1.0, u.center)
+    for _ in range(u.order):
+        s = 1.0 - e * s
+    return s * (1.0 / v if u.coeffs.ndim == 2 else 1.0 / float(v))
+
+
+def loop_compose(u: jets.Jet, c: list) -> jets.Jet:
+    """`Jet._compose` with every Horner step at the jet's full order and
+    through the multiply kernel."""
+    h = jets.Jet(u.space, u.center, u.coeffs.copy())
+    h.coeffs.T[0] = 0.0
+    out = u.space.constant(c[u.order], u.center)
+    for k in range(u.order - 1, -1, -1):
+        out = out * h + c[k]
+    return out
+
+
+def loop_inverse(m: np.ndarray) -> np.ndarray:
+    """`jet_inverse` by the Horner passes of `jets.jet_matrix_inverse`
+    (W <- W0 - (W0 dM) W) all at the full order: the products with the
+    constant W0 by `jets.constant_product`, each later pass one full
+    `jets.contract`.  The reference for the passes on prefix spaces."""
+    n = m.shape[0]
+    sp = min((u.space for u in m.ravel()), key=lambda s: s.order)
+    dm = np.array([[m[i, j].coeffs[..., :sp.T] for j in range(n)] for i in range(n)])
+    vals = np.ascontiguousarray(np.moveaxis(dm[..., 0], (0, 1), (-2, -1)))
+    w0 = np.moveaxis(np.linalg.inv(vals), (-2, -1), (0, 1))
+    dm[..., 0] -= np.moveaxis(vals, (-2, -1), (0, 1))
+
+    def constant_step(c, d, left):
+        acc = jets.constant_product(sp, c[0], d[0], left)
+        for k in range(1, n):
+            acc = acc + jets.constant_product(sp, c[k], d[k], left)
+        return acc
+
+    w = np.zeros(dm.shape)
+    w[..., 0] = w0
+    if sp.order:
+        x_k = constant_step(w0.swapaxes(0, 1)[:, :, None], dm[:, None], True)
+        x_k = x_k.swapaxes(0, 1)[:, :, None]
+        const = w
+        w = const + -constant_step(w0[:, None], x_k, False)
+        for _ in range(sp.order - 1):
+            w = const + -jets.contract(sp, x_k, w[:, None])
     out = np.empty((n, n), dtype=object)
     for idx in np.ndindex(n, n):
         out[idx] = jets.Jet(sp, m[0, 0].center, w[idx])

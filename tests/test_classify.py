@@ -567,3 +567,15 @@ def test_bundle_rows_reads_a_point_bundle_as_one_row(name) -> None:
             entries += 1
     # only the projective identity may not apply
     assert entries >= len(READERS) - 1
+
+
+def test_closed_factor_residual_reads_a_point_bundle_as_one_row() -> None:
+    # G^i = P y^i with P = sigma(x) . y, whose sigma has a curl; a point
+    # bundle is one row, with the bits of the one-row block bundle
+    sp = spray_of("dim 3\n" + "".join(
+        f"spray G{i} = (x2*y1 + 0.5*x3*y2 + x1^2*y3)*y{i}\n" for i in (1, 2, 3)))
+    p = np.array([0.3, -0.2, 0.6, 1.0, 0.4, -0.7])
+    point = classify._closed_factor_residual(geometry.CurvatureBundle(sp, p))
+    block = classify._closed_factor_residual(geometry.CurvatureBundle(sp, p[None]))
+    assert len(point) == 1 and point[0] > 0.1
+    assert [float(v).hex() for v in point] == [float(v).hex() for v in block]

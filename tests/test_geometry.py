@@ -23,7 +23,7 @@ from spraylab.errors import DomainError, OrderError
 from spraylab.geometry import CurvatureBundle
 from spraylab.sampling import TOL, Tolerances
 
-from conftest import cov_h_jets
+from conftest import cov_h_jets, loop_folds
 
 FLAT = """
 dim 2
@@ -379,3 +379,24 @@ def test_block_bundle_checks_its_points() -> None:
     with pytest.raises(DomainError, match="^tangent vector is zero$"):
         CurvatureBundle(spray_of(ROTOR), np.array(
             [PROT, (0.1, 0.2, 0.0, 0.0), (0.1, 0.2, np.inf, 1.0)]))
+
+
+def test_folds_equal_the_per_row_loop() -> None:
+    # values and types: a row whose fold never leaves 0.0 (nan, -0.0 and
+    # 0.0 entries only) is the float 0.0, any other the loop's np.float64
+    fixed = [np.array([np.nan, -0.0, 0.0, np.inf, -3.0, -np.inf]),
+             np.array([-0.0, np.nan, 2.0, np.nan, np.nan, 5.0])]
+    assert [type(v) for v in geometry._folds(fixed, 6)] == [float] * 2 + [np.float64] * 4
+    rng = np.random.default_rng(5)
+    cases = [(fixed, 6), ([], 4)]
+    for rows in (1, 3, 17):
+        for count in (1, 2, 5):
+            drawn = [rng.standard_normal(rows) for _ in range(count)]
+            for acc in drawn:
+                hit = rng.random(rows) < 0.5
+                acc[hit] = rng.choice([np.nan, np.inf, -np.inf, -0.0, 0.0], rows)[hit]
+            cases.append((drawn, rows))
+    for accs, rows in cases:
+        got, want = geometry._folds(accs, rows), loop_folds(accs, rows)
+        assert [type(v) for v in got] == [type(v) for v in want]
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in want]

@@ -20,10 +20,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spraylab import jets
+from spraylab import corpus, geometry, jets
 from spraylab.errors import DomainError, OrderError
 
-from conftest import jet_inverse
+from conftest import jet_inverse, loop_compose, loop_reciprocal
 
 P = (0.3, -0.7, 0.4, 1.1)
 
@@ -258,42 +258,20 @@ def test_block_and_point_jets_do_not_mix() -> None:
 # -- the first Horner step ------------------------------------------------------
 
 
-def kernel_reciprocal(u: jets.Jet) -> jets.Jet:
-    """`Jet.reciprocal` with every Horner step through the multiply kernel,
-    the first one from the constant jet 1 included."""
-    v = u.coeffs[..., 0].copy()
-    e = jets.Jet(u.space, u.center, u.coeffs / (v[:, None] if u.coeffs.ndim == 2 else v))
-    e.coeffs[..., 0] -= 1.0
-    s = u.space.constant(1.0, u.center)
-    for _ in range(u.order):
-        s = 1.0 - e * s
-    return s * (1.0 / v if u.coeffs.ndim == 2 else 1.0 / float(v))
-
-
-def kernel_compose(u: jets.Jet, c: list) -> jets.Jet:
-    """`Jet._compose` with every Horner step through the multiply kernel."""
-    h = jets.Jet(u.space, u.center, u.coeffs.copy())
-    h.coeffs.T[0] = 0.0
-    out = u.space.constant(c[u.order], u.center)
-    for k in range(u.order - 1, -1, -1):
-        out = out * h + c[k]
-    return out
-
-
-def signed_zero_jet(rows: int, order: int, seed: int, spoil: float) -> jets.Jet:
-    """A jet of 4 variables at a point (rows == 0) or a block, with a third
-    of its derivative coefficients +0.0 or -0.0 and value parts away from
-    0; `spoil`, if nonzero, is put at a first-order coefficient of the
+def signed_zero_jet(rows: int, order: int, seed, spoil: float, nvars: int = 4) -> jets.Jet:
+    """A jet of `nvars` variables at a point (rows == 0) or a block, with a
+    third of its derivative coefficients +0.0 or -0.0 and value parts away
+    from 0; `spoil`, if nonzero, is put at a first-order coefficient of the
     last row."""
     rng = np.random.default_rng(seed)
-    sp = jets.space(4, order)
+    sp = jets.space(nvars, order)
     x = rng.standard_normal((max(rows, 1), sp.T))
     zero = rng.random(x.shape) < 0.33
     x[zero] = np.where(rng.random(x.shape) < 0.5, 0.0, -0.0)[zero]
     x[:, 0] = rng.uniform(0.5, 2.0, len(x)) * rng.choice([-1.0, 1.0], len(x))
     if spoil and order:
         x[-1, 1] = spoil
-    center = rng.uniform(-1.0, 1.0, (len(x), 4))
+    center = rng.uniform(-1.0, 1.0, (len(x), nvars))
     return jets.Jet(sp, center if rows else tuple(center[0]), x if rows else x[0])
 
 
@@ -306,8 +284,8 @@ def test_first_horner_step_has_the_kernel_bytes(rows, order, spoil) -> None:
          for k in range(order + 1)]
     c = [x if rows else float(x[0]) for x in c]
     with np.errstate(invalid="ignore"):  # a spoiled jet makes nans
-        assert u.reciprocal().coeffs.tobytes() == kernel_reciprocal(u).coeffs.tobytes()
-        assert u._compose(c).coeffs.tobytes() == kernel_compose(u, c).coeffs.tobytes()
+        assert u.reciprocal().coeffs.tobytes() == loop_reciprocal(u).coeffs.tobytes()
+        assert u._compose(c).coeffs.tobytes() == loop_compose(u, c).coeffs.tobytes()
 
 
 # -- the multiply kernel's bits -------------------------------------------------
@@ -424,14 +402,23 @@ def test_mul_coeffs_bits_match_record(case) -> None:
 # component at a time: n x n matrices over 2n variables, at a point and at
 # 1, 16 and 17 rows, orders 0 to 4.  The two spoiled cases put an inf or a
 # nan at a derivative coefficient, which the constant products must leave
-# to the kernel.
+# to the kernel.  The cases at 64 rows, at orders 5 and 6 and the spoiled
+# ones at orders 2, 4 and 6 (an inf, a nan or 1e150, whose powers
+# overflow) were recorded with every Horner pass at the full order, before
+# the passes ran on prefix spaces.
 INVERSE_HEX = Path(__file__).resolve().parent / "data" / "jet_inverse_hex.json"
+SPOILS = {"inf": np.inf, "nan": np.nan, "huge": 1e150}
 
 
 def inverse_cases() -> list[str]:
     out = [f"n {n} order {order} rows {rows}"
            for n in (2, 3, 4) for order in range(5) for rows in (0, 1, 16, 17)]
-    return out + ["n 2 order 3 rows 16 inf", "n 3 order 2 rows 0 nan"]
+    out += ["n 2 order 3 rows 16 inf", "n 3 order 2 rows 0 nan"]
+    out += [f"n {n} order {order} rows 64" for n in (2, 3) for order in range(5)]
+    out += [f"n {n} order {order} rows {rows}" for n, orders in ((2, (5, 6)), (3, (5,)))
+            for order in orders for rows in (0, 1, 16, 17, 64)]
+    return out + [f"n 2 order {order} rows {rows} {spoil}" for order in (2, 4, 6)
+                  for rows in (0, 17, 64) for spoil in ("inf", "nan", "huge")]
 
 
 def inverse_operand(n: int, order: int, rows: int, spoil: float) -> np.ndarray:
@@ -461,8 +448,8 @@ def inverse_operand(n: int, order: int, rows: int, spoil: float) -> np.ndarray:
 def inverse_digest(case: str) -> str:
     words = case.split()
     n, order, rows = int(words[1]), int(words[3]), int(words[5])
-    spoil = {"inf": np.inf, "nan": np.nan}.get(words[-1], 0.0)
-    with np.errstate(invalid="ignore"):  # a spoiled entry makes nans
+    spoil = SPOILS.get(words[-1], 0.0)
+    with np.errstate(all="ignore"):  # a spoiled entry makes infs and nans
         w = jet_inverse(inverse_operand(n, order, rows, spoil))
     coeffs = np.stack([w[i, j].coeffs for i in range(n) for j in range(n)])
     assert coeffs.shape[-1] == jets.space(2 * n, order).T
@@ -472,3 +459,113 @@ def inverse_digest(case: str) -> str:
 @pytest.mark.parametrize("case", inverse_cases())
 def test_jet_matrix_inverse_bits_match_record(case) -> None:
     assert inverse_digest(case) == json.loads(INVERSE_HEX.read_text())[case]
+
+
+# -- the series' bits ------------------------------------------------------------
+
+# SHA-256 of the coefficient bytes of `Jet.reciprocal` and of the seven
+# series, recorded with every Horner pass at the full order, before the
+# passes ran on prefix spaces.  One digest per function, space and spoil
+# covers the jet at a point and at blocks of 1, 16, 17 and 64 rows
+# (`signed_zero_jet`, positive value parts for ln, sqrt and the real
+# power).  The spoil puts an inf, a nan or 1e150, whose powers overflow,
+# at a first-order coefficient of the last row, so those cases keep the
+# full passes.
+SERIES_HEX = Path(__file__).resolve().parent / "data" / "series_hex.json"
+SERIES_SPACES = [(4, order) for order in range(8)] + [(6, 3), (6, 6), (8, 2), (8, 4)]
+SERIES = {"reciprocal": jets.Jet.reciprocal, "exp": jets.exp, "ln": jets.ln,
+          "sqrt": jets.sqrt, "sin": jets.sin, "cos": jets.cos, "atan": jets.atan,
+          "pow_real": lambda u: jets.pow_real(u, -1.35)}
+
+
+def series_cases() -> list[str]:
+    return [f"{fn} {nvars},{order} {spoil}" for nvars, order in SERIES_SPACES
+            for spoil in ("signed zeros", *SPOILS) for fn in SERIES]
+
+
+def series_digest(case: str) -> str:
+    fn, space_key, spoil = case.split(" ", 2)
+    nvars, order = map(int, space_key.split(","))
+    digest = hashlib.sha256()
+    for rows in (0, 1, 16, 17, 64):
+        seed = [nvars, order, rows, ["signed zeros", *SPOILS].index(spoil)]
+        u = signed_zero_jet(rows, order, seed, SPOILS.get(spoil, 0.0), nvars)
+        if fn in ("ln", "sqrt", "pow_real"):
+            u.coeffs[..., 0] = np.abs(u.coeffs[..., 0])
+        with np.errstate(all="ignore"):  # a spoiled row makes infs and nans
+            out = SERIES[fn](u)
+        assert out.coeffs.shape == u.coeffs.shape and out.coeffs.dtype == np.float64
+        digest.update(out.coeffs.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("case", series_cases())
+def test_series_bits_match_record(case) -> None:
+    assert series_digest(case) == json.loads(SERIES_HEX.read_text())[case]
+
+
+# -- the kernel work of the Horner passes ----------------------------------------
+
+
+def kernel_work(monkeypatch, run, prefix: bool) -> int:
+    """Table pairs x rows over the multiply kernel calls of run(), with the
+    Horner passes on prefix spaces, or all at the full order."""
+    work = 0
+    mul = jets._mul_coeffs
+
+    def counting(sp, a, b):
+        nonlocal work
+        work += len(sp._mul_table[0]) * a.shape[0]
+        return mul(sp, a, b)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(jets, "_mul_coeffs", counting)
+        if not prefix:
+            mp.setattr(jets, "_sweep_finite", lambda *args, **kwargs: False)
+        run()
+    return work
+
+
+def cms20_inverse_operand() -> tuple:
+    """The (space, stack) that cms20's order-4 metric spray inverts at a
+    64-row block: g = 1/2 d_y d_y L of order 4."""
+    seen = []
+    metric = corpus.load_fixture("cms20").metric()
+    rng = np.random.default_rng(7)
+    block = np.column_stack([rng.uniform(0.0, 0.3, (64, 2)), rng.uniform(0.5, 1.0, 64),
+                             rng.uniform(-0.3, 0.3, 64)])
+    with pytest.MonkeyPatch.context() as mp:
+        inverse = jets.jet_matrix_inverse
+        mp.setattr(jets, "jet_matrix_inverse",
+                   lambda sp, g: seen.append((sp, g)) or inverse(sp, g))
+        geometry.spray_from_metric(metric, block, 4)
+    return seen[0]
+
+
+def dense_jet(nvars: int, order: int, rows: int) -> jets.Jet:
+    rng = np.random.default_rng([nvars, order, rows])
+    x = rng.standard_normal((rows, jets.space(nvars, order).T)) * 0.3
+    x[:, 0] = rng.uniform(0.5, 2.0, rows)
+    return jets.Jet(jets.space(nvars, order), rng.uniform(-1.0, 1.0, (rows, nvars)), x)
+
+
+# per row (and per entry product of the inverse's n^3): the table pairs of
+# the passes on space(4, k), against those of the passes at the full order
+@pytest.mark.parametrize("case, prefix_pairs, full_pairs", [
+    ("exp order 6", 45 + 165 + 495 + 1287 + 3003, 5 * 3003),
+    ("reciprocal order 4", 45 + 165 + 495, 3 * 495),
+    ("cms20 inverse order 4", 8 * (45 + 165 + 495), 8 * 3 * 495),
+])
+def test_prefix_passes_take_the_predicted_kernel_work(
+        monkeypatch, case, prefix_pairs, full_pairs) -> None:
+    if case.startswith("cms20"):
+        sp, g = cms20_inverse_operand()
+        assert (sp.nvars, sp.order, g.shape[:3]) == (4, 4, (2, 2, 64))
+
+        def run():
+            jets.jet_matrix_inverse(sp, g)
+    else:
+        u = dense_jet(4, int(case.split()[-1]), 64)
+        run = {"exp": u.exp, "reciprocal": u.reciprocal}[case.split()[0]]
+    counts = [kernel_work(monkeypatch, run, prefix) for prefix in (True, False, True, False)]
+    assert counts == [64 * prefix_pairs, 64 * full_pairs] * 2

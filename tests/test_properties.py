@@ -129,7 +129,8 @@ from spraylab.errors import DomainError, SprayLabError
 from spraylab.geometry import CurvatureBundle
 from spraylab.sampling import TOL
 
-from conftest import cov_h_jets, jet_inverse
+from conftest import (cov_h_jets, jet_inverse, loop_compose, loop_inverse,
+                      loop_reciprocal)
 
 CONTRACTION_BOUND = 1e-12
 BIANCHI_BOUND = 1e-12
@@ -1652,6 +1653,86 @@ def test_truncated_jet_matrix_inverse_equals_lower_order_inverse_bytewise(
     low = jet_inverse(matrix(low_order))
     for idx in np.ndindex(2, 2):
         assert same_bytes(high[idx], low[idx])
+
+
+# -- Horner passes on prefix spaces against the full passes ----------------------
+
+
+# the exponent k of the magnitude 2**k of a sweep operand's derivative
+# coefficients: half the draws small, half from small to past overflow, so
+# that operands fall on both sides of the bound of `jets._sweep_finite`
+SWEEP_EXPONENTS = st.one_of(st.integers(-8, 16), st.integers(-8, 600))
+SWEEP_SPOILS = st.sampled_from([0.0, 0.0, 0.0, np.inf, -np.inf, np.nan])
+
+
+def sweep_coeffs(sp: jets.JetSpace, rows: int, seed: int, k: int,
+                 spoil: float) -> np.ndarray:
+    """(rows, T) coefficients, or (T,) for rows == 0: value parts of
+    magnitude 0.5 to 2, and standard-normal derivative coefficients times
+    2**k, a third of them +0.0 or -0.0; `spoil`, if nonzero, sits at one
+    derivative coefficient of one row."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((max(rows, 1), sp.T)) * 2.0 ** k
+    zero = rng.random(x.shape) < 0.33
+    x[zero] = np.where(rng.random(x.shape) < 0.5, 0.0, -0.0)[zero]
+    x[:, 0] = rng.uniform(0.5, 2.0, len(x)) * rng.choice([-1.0, 1.0], len(x))
+    if spoil and sp.order:
+        x[rng.integers(len(x)), rng.integers(1, sp.T)] = spoil
+    return x if rows else x[0]
+
+
+def nan_blind_bytes(x: np.ndarray) -> bytes:
+    """The bytes of x with every nan made one nan.  numpy's float64 loops
+    return either operand of an operation on two nans, by the loop they
+    take for the arrays' length and layout, so a nan's sign is not the
+    arithmetic's: the same order-1 inverse at a point, on the path the
+    prefix passes leave alone, gave a nan of either sign by what the
+    process had run before it."""
+    return np.where(np.isnan(x), np.nan, x).tobytes()
+
+
+def sweep_center(nvars: int, rows: int):
+    center = np.linspace(-1.0, 1.0, max(rows, 1) * nvars).reshape(-1, nvars)
+    return center if rows else tuple(center[0])
+
+
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(st.sampled_from([(2, 7), (4, 6), (6, 4), (8, 3)]).flatmap(
+           lambda space: st.tuples(st.just(space[0]), st.integers(0, space[1]))),
+       st.sampled_from([0, 1, 2, 17, 64]), st.integers(0, 2**32 - 1),
+       SWEEP_EXPONENTS, SWEEP_SPOILS, SWEEP_EXPONENTS)
+def test_reciprocal_and_series_passes_equal_the_full_passes_bytewise(
+        space, rows, seed, k, spoil, kc) -> None:
+    sp = jets.space(*space)
+    u = jets.Jet(sp, sweep_center(sp.nvars, rows), sweep_coeffs(sp, rows, seed, k, spoil))
+    c = [np.where(np.arange(max(rows, 1)) % 5 == j % 5, -0.0,
+                  np.linspace(-1.0, 2.0, max(rows, 1)) * 2.0 ** kc / (j + 1))
+         for j in range(sp.order + 1)]
+    c = c if rows else [float(x[0]) for x in c]
+    with np.errstate(all="ignore"):
+        assert u.reciprocal().coeffs.tobytes() == loop_reciprocal(u).coeffs.tobytes()
+        assert u._compose(c).coeffs.tobytes() == loop_compose(u, c).coeffs.tobytes()
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(st.sampled_from([(2, 6), (3, 4)]).flatmap(
+           lambda space: st.tuples(st.just(space[0]), st.integers(0, space[1]))),
+       st.sampled_from([0, 1, 17, 64]), st.integers(0, 2**32 - 1),
+       SWEEP_EXPONENTS, SWEEP_SPOILS)
+def test_jet_matrix_inverse_passes_equal_the_full_passes_bytewise(
+        shape, rows, seed, k, spoil) -> None:
+    n, order = shape
+    sp = jets.space(2 * n, order)
+    m = np.empty((n, n), dtype=object)
+    for i, j in np.ndindex(n, n):
+        spoilt = spoil if (i, j) == (seed % n, (seed // n) % n) else 0.0
+        x = sweep_coeffs(sp, rows, seed + n * i + j, k, spoilt)
+        x[..., 0] = np.abs(x[..., 0]) * (2.0 * n if i == j else 0.25)
+        m[i, j] = jets.Jet(sp, sweep_center(2 * n, rows), x)
+    with np.errstate(all="ignore"):
+        got, want = jet_inverse(m), loop_inverse(m)
+    for idx in np.ndindex(n, n):
+        assert nan_blind_bytes(got[idx].coeffs) == nan_blind_bytes(want[idx].coeffs)
 
 
 # -- jets against the oracle's Taylor2, and the series laws ----------------------
