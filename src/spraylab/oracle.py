@@ -1,10 +1,11 @@
 """Independent check path: batched Taylor arithmetic and FD curvature.
 
 Everything here reconstructs what the jet engine computes, by different
-means: Taylor2 carries (value, gradient, Hessian) with longhand forward
-rules over numpy batches, and the curvature reconstruction uses classical
-central-difference stencils on the spray coefficient *values* only.  The
-point is to be an oracle, so none of this calls into the jet pipeline.
+means: Taylor2 carries (value, gradient, the Hessian's y-columns) with
+longhand forward rules over numpy batches, and the curvature
+reconstruction uses classical central-difference stencils on the spray
+coefficient *values* only.  The point is to be an oracle, so none of this
+calls into the jet pipeline.
 
 Coefficient values come from one of three routes, all jet-free:
   expression sprays   vectorized float evaluation of the parse tree
@@ -41,7 +42,32 @@ _FLOOR = 1e-12
 
 
 class Taylor2:
-    """Value, gradient and Hessian of a scalar over a batch of points."""
+    """Value, gradient and the Hessian's y-columns of a scalar over a batch
+    of B points z = (x, y) in a chart of dim n.
+
+    `val` is (B,), `grad` (B, 2n) and `hess` (B, 2n, n), with hess[:, i, j]
+    = d2/dz^i dy^j: the columns the induced spray reads (L_{yy} and
+    L_{xy}), and no others.  `variables` stores grad and hess batch-last
+    in memory, and numpy's elementwise operations keep that layout, so each
+    runs its inner loop along the batch instead of along 2n or n entries.
+
+    Each entry has the bits it had when the full 2n x 2n Hessian was
+    carried, with every product taken and every sum written out.  Entry
+    (i, j) of every rule (product, reciprocal, chain) reads only entry
+    (i, j) of its operands' Hessians and their gradient entries i and j, so
+    dropping the x-columns leaves the operations of every kept entry as
+    they were, and an elementwise operation rounds each entry alone,
+    whatever the layout.
+    The rules skip work without changing a bit:
+      u * u      takes each of its equal products once and adds it to
+                 itself: equal products are the same rounded values
+      constants  a constant operand of +, - or * enters as the scalar 0.0
+                 (-0.0 when subtracted) in the operations its zero gradient
+                 and Hessian entered, which give the same x + 0.0, 0.0 * x
+                 and x + (-0.0)
+      sums       the Hessian's terms are added in place, in the order the
+                 sums were written; a reciprocal takes inv * inv once
+    """
 
     __slots__ = ("val", "grad", "hess")
 
@@ -56,9 +82,10 @@ class Taylor2:
         nb, m = P.shape
         out = []
         for v in range(m):
-            g = np.zeros((nb, m))
-            g[:, v] = 1.0
-            out.append(cls(P[:, v].copy(), g, np.zeros((nb, m, m))))
+            g = np.zeros((m, nb))  # batch-last in memory
+            g[v] = 1.0
+            hess = np.zeros((m, m // 2, nb)).transpose(2, 0, 1)
+            out.append(cls(P[:, v].copy(), g.T, hess))
         return out
 
     def _lift(self, other) -> "Taylor2":
@@ -67,33 +94,61 @@ class Taylor2:
         val = np.broadcast_to(np.asarray(other, dtype=float), self.val.shape).copy()
         return Taylor2(val, np.zeros_like(self.grad), np.zeros_like(self.hess))
 
+    def _outer(self, other: "Taylor2") -> np.ndarray:
+        """grad(self)^i grad(other)^j over the Hessian's entries."""
+        return self.grad[:, :, None] * other.grad[:, None, self.hess.shape[2]:]
+
     # -- ring ----------------------------------------------------------------
 
     def __add__(self, other):
-        o = self._lift(other)
-        return Taylor2(self.val + o.val, self.grad + o.grad, self.hess + o.hess)
+        if isinstance(other, Taylor2):
+            return Taylor2(self.val + other.val, self.grad + other.grad,
+                           self.hess + other.hess)
+        return self._shifted(float(other), 0.0)
 
     __radd__ = __add__
+
+    def _shifted(self, c: float, zero: float) -> "Taylor2":
+        """self + c, where the constant's gradient and Hessian are `zero`."""
+        return Taylor2(self.val + c, self.grad + zero, self.hess + zero)
 
     def __neg__(self):
         return Taylor2(-self.val, -self.grad, -self.hess)
 
     def __sub__(self, other):
-        return self + (-self._lift(other))
+        if isinstance(other, Taylor2):
+            return self + (-other)
+        return self._shifted(-float(other), -0.0)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._lift(other)
-        u, v = self, o
-        grad = u.grad * v.val[:, None] + v.grad * u.val[:, None]
-        hess = (
-            u.hess * v.val[:, None, None]
-            + v.hess * u.val[:, None, None]
-            + u.grad[:, :, None] * v.grad[:, None, :]
-            + v.grad[:, :, None] * u.grad[:, None, :]
-        )
+        u, v = self, other
+        if not isinstance(v, Taylor2):
+            c = float(v)
+            grad = u.grad * c
+            grad += 0.0 * u.val[:, None]
+            hess = u.hess * c
+            hess += 0.0 * u.val[:, None, None]
+            hess += u.grad[:, :, None] * 0.0
+            hess += 0.0 * u.grad[:, None, u.hess.shape[2]:]
+            return Taylor2(u.val * c, grad, hess)
+        if v is u:  # each of the equal products once, added to itself
+            grad = u.grad * u.val[:, None]
+            grad += grad
+            hess = u.hess * u.val[:, None, None]
+            hess += hess
+            outer = u._outer(u)
+            hess += outer
+            hess += outer
+            return Taylor2(u.val * u.val, grad, hess)
+        grad = u.grad * v.val[:, None]
+        grad += v.grad * u.val[:, None]
+        hess = u.hess * v.val[:, None, None]
+        hess += v.hess * u.val[:, None, None]
+        hess += u._outer(v)
+        hess += v._outer(u)
         return Taylor2(u.val * v.val, grad, hess)
 
     __rmul__ = __mul__
@@ -102,10 +157,14 @@ class Taylor2:
         if np.any(np.abs(self.val) <= _FLOOR):
             raise DomainError("reciprocal of a value hitting zero in the batch")
         inv = 1.0 / self.val
-        grad = -self.grad * (inv * inv)[:, None]
-        hess = -self.hess * (inv * inv)[:, None, None] + 2.0 * (
-            self.grad[:, :, None] * self.grad[:, None, :]
-        ) * (inv**3)[:, None, None]
+        inv2 = inv * inv
+        grad = -self.grad
+        grad *= inv2[:, None]
+        hess = -self.hess
+        hess *= inv2[:, None, None]
+        outer = 2.0 * self._outer(self)
+        outer *= (inv**3)[:, None, None]
+        hess += outer
         return Taylor2(inv, grad, hess)
 
     def __truediv__(self, other):
@@ -116,17 +175,18 @@ class Taylor2:
         return self.reciprocal() * other
 
     def __pow__(self, k):
-        if isinstance(k, int):
-            return jets.powi(self, k)
+        if isinstance(k, int) or (isinstance(k, float) and k.is_integer()):
+            return jets.powi(self, int(k))
         return (self.ln() * float(k)).exp()
 
     # -- chain rule ------------------------------------------------------------
 
     def _chain(self, f0: np.ndarray, f1: np.ndarray, f2: np.ndarray) -> "Taylor2":
         grad = f1[:, None] * self.grad
-        hess = f1[:, None, None] * self.hess + f2[:, None, None] * (
-            self.grad[:, :, None] * self.grad[:, None, :]
-        )
+        hess = f1[:, None, None] * self.hess
+        outer = self._outer(self)
+        outer *= f2[:, None, None]
+        hess += outer
         return Taylor2(f0, grad, hess)
 
     def exp(self) -> "Taylor2":
@@ -198,7 +258,7 @@ def spray_values(spray):
         def induced(P: np.ndarray) -> np.ndarray:
             P = np.asarray(P, dtype=float)
             t = _metric_taylor(spray.metric, P)
-            g = 0.5 * t.hess[:, n:, n:]
+            g = 0.5 * t.hess[:, n:]
             try:
                 w = np.linalg.inv(g)
             except np.linalg.LinAlgError as exc:
@@ -206,7 +266,7 @@ def spray_values(spray):
                     "the metric's fundamental tensor is singular at a point "
                     f"of the finite-difference batch: {exc}") from exc
             # v_l = L_{x^k y^l} y^k - L_{x^l}
-            v = np.einsum("bkl,bk->bl", t.hess[:, :n, n:], P[:, n:]) - t.grad[:, :n]
+            v = np.einsum("bkl,bk->bl", t.hess[:, :n], P[:, n:]) - t.grad[:, :n]
             return 0.25 * np.einsum("bil,bl->bi", w, v)
 
         return induced
@@ -379,9 +439,11 @@ def _fd_plan(n: int, h: float) -> _FdPlan:
 # many stencil rows (at least one point), because the spray's evaluation
 # on the rows, a metric spray's Taylor2 Hessians above all, grows with
 # them: 14 points of a dim-2 plan (73 rows each), 4 of a dim-3 plan (207).
-# Peak memory of the `oracle` benchmark (2-vCPU x86, numpy 2.4, 64-sample
-# blocks): 45.1-45.4 MB at this bound and 46.0-46.2 MB at 1 << 11; 44.0 MB
-# with blocks of 16 samples.
+# On elliptic2's 64-point block (2-vCPU x86, numpy 2.4), `fd_curvature`
+# peaks at 0.66, 1.16, 2.04 and 4.41 MB traced (tracemalloc) with bounds of
+# 1 << 9, 10, 11 and 13 (one chunk), in 14.7, 11.3, 12.7 and 12.9 ms (best
+# of 15).  The `oracle` benchmark's peak RSS reads 44.5-45.0 MB at each of
+# 1 << 9, 10 and 11.
 FD_STENCIL_ROWS = 1 << 10
 
 

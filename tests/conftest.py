@@ -10,8 +10,8 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from spraylab import classify, geometry, jets, metrize, sampling
-from spraylab.errors import PathError, PreconditionError, SamplingError
+from spraylab import classify, dsl, geometry, jets, metrize, sampling
+from spraylab.errors import DomainError, PathError, PreconditionError, SamplingError
 
 
 def classified(spray, count, seed=7, box=None):
@@ -268,6 +268,141 @@ def loop_inverse(m: np.ndarray) -> np.ndarray:
     for idx in np.ndindex(n, n):
         out[idx] = jets.Jet(sp, m[0, 0].center, w[idx])
     return out
+
+
+class FullTaylor2:
+    """`oracle.Taylor2` as it carried the full (B, 2n, 2n) Hessian: every
+    product taken, a constant lifted to zero arrays, and a fresh array per
+    term of a sum.  The reference for the y-columns' bits.  Tapes never
+    call a power method, so it has none."""
+
+    __slots__ = ("val", "grad", "hess")
+
+    def __init__(self, val: np.ndarray, grad: np.ndarray, hess: np.ndarray):
+        self.val = val
+        self.grad = grad
+        self.hess = hess
+
+    def _lift(self, other) -> "FullTaylor2":
+        if isinstance(other, FullTaylor2):
+            return other
+        val = np.broadcast_to(np.asarray(other, dtype=float), self.val.shape).copy()
+        return FullTaylor2(val, np.zeros_like(self.grad), np.zeros_like(self.hess))
+
+    def __add__(self, other):
+        o = self._lift(other)
+        return FullTaylor2(self.val + o.val, self.grad + o.grad, self.hess + o.hess)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FullTaylor2(-self.val, -self.grad, -self.hess)
+
+    def __sub__(self, other):
+        return self + (-self._lift(other))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        u, v = self, self._lift(other)
+        grad = u.grad * v.val[:, None] + v.grad * u.val[:, None]
+        hess = (
+            u.hess * v.val[:, None, None]
+            + v.hess * u.val[:, None, None]
+            + u.grad[:, :, None] * v.grad[:, None, :]
+            + v.grad[:, :, None] * u.grad[:, None, :]
+        )
+        return FullTaylor2(u.val * v.val, grad, hess)
+
+    __rmul__ = __mul__
+
+    def reciprocal(self) -> "FullTaylor2":
+        if np.any(np.abs(self.val) <= 1e-12):
+            raise DomainError("reciprocal of a value hitting zero in the batch")
+        inv = 1.0 / self.val
+        grad = -self.grad * (inv * inv)[:, None]
+        hess = -self.hess * (inv * inv)[:, None, None] + 2.0 * (
+            self.grad[:, :, None] * self.grad[:, None, :]
+        ) * (inv**3)[:, None, None]
+        return FullTaylor2(inv, grad, hess)
+
+    def __truediv__(self, other):
+        return self * self._lift(other).reciprocal()
+
+    def __rtruediv__(self, other):
+        return self.reciprocal() * other
+
+    def _chain(self, f0, f1, f2) -> "FullTaylor2":
+        grad = f1[:, None] * self.grad
+        hess = f1[:, None, None] * self.hess + f2[:, None, None] * (
+            self.grad[:, :, None] * self.grad[:, None, :]
+        )
+        return FullTaylor2(f0, grad, hess)
+
+    def exp(self):
+        e = np.exp(self.val)
+        return self._chain(e, e, e)
+
+    def ln(self):
+        if np.any(self.val <= 1e-12):
+            raise DomainError("ln of a nonpositive value in the batch")
+        inv = 1.0 / self.val
+        return self._chain(np.log(self.val), inv, -inv * inv)
+
+    def sqrt(self):
+        if np.any(self.val <= 1e-12):
+            raise DomainError("sqrt of a nonpositive value in the batch")
+        s = np.sqrt(self.val)
+        return self._chain(s, 0.5 / s, -0.25 / (s * self.val))
+
+    def sin(self):
+        return self._chain(np.sin(self.val), np.cos(self.val), -np.sin(self.val))
+
+    def cos(self):
+        return self._chain(np.cos(self.val), -np.sin(self.val), -np.cos(self.val))
+
+    def atan(self):
+        d = 1.0 + self.val * self.val
+        return self._chain(np.arctan(self.val), 1.0 / d, -2.0 * self.val / (d * d))
+
+    def absolute(self):
+        s = np.sign(self.val)
+        if np.any(s == 0.0):
+            raise DomainError("absolute value at zero in the batch")
+        return self._chain(np.abs(self.val), s, np.zeros_like(s))
+
+
+def loop_taylor2(P: np.ndarray) -> list:
+    """The variables of the (B, 2n) points P as `FullTaylor2`s."""
+    P = np.asarray(P, dtype=float)
+    nb, m = P.shape
+    out = []
+    for v in range(m):
+        g = np.zeros((nb, m))
+        g[:, v] = 1.0
+        out.append(FullTaylor2(P[:, v].copy(), g, np.zeros((nb, m, m))))
+    return out
+
+
+def loop_induced(metric, P: np.ndarray) -> np.ndarray:
+    """The G values of the spray that the expression metric induces, at
+    the (B, 2n) points P, by `oracle.spray_values`' induced route through
+    `FullTaylor2`: the reference for its bits and errors."""
+    n = metric.dim
+    P = np.asarray(P, dtype=float)
+    env = loop_taylor2(P)
+    t = dsl.evaluate(metric.problem.tape, env, dim=n)[0]
+    t = t if isinstance(t, FullTaylor2) else env[0]._lift(t)
+    g = 0.5 * t.hess[:, n:, n:]
+    try:
+        w = np.linalg.inv(g)
+    except np.linalg.LinAlgError as exc:
+        raise DomainError(
+            "the metric's fundamental tensor is singular at a point "
+            f"of the finite-difference batch: {exc}") from exc
+    v = np.einsum("bkl,bk->bl", t.hess[:, :n, n:], P[:, n:]) - t.grad[:, :n]
+    return 0.25 * np.einsum("bil,bl->bi", w, v)
 
 
 def cov_h_jets(b, T, slots: tuple) -> np.ndarray:

@@ -1,10 +1,10 @@
 """The finite-difference oracle must stand on its own feet.
 
-Taylor2 (batched value/gradient/Hessian forward arithmetic) is checked
-against jets on a transcendental expression; the FD curvature reconstruction
-is checked against the same frozen symbolic values used in test_geometry,
-with no engine code in the loop; finally the jets-vs-FD agreement report is
-exercised end to end.  The FD tensors are pinned as float.hex, from point
+Taylor2 (batched forward arithmetic on the value, the gradient and the
+Hessian's y-columns) is checked against jets on a transcendental
+expression; the FD curvature reconstruction is checked against the same
+frozen symbolic values used in test_geometry, with no engine code in the
+loop; finally the jets-vs-FD agreement report is exercised end to end.  The FD tensors are pinned as float.hex, from point
 calls and from block calls, and a block raises the error of its first
 failing point.
 """
@@ -72,11 +72,13 @@ def test_taylor2_value_gradient_hessian_match_jets() -> None:
             a = [0, 0, 0, 0]
             a[v] = 1
             assert t.grad[b, v] == pytest.approx(j.partial(a), rel=1e-10, abs=1e-13)
+        # the Hessian's y-columns: hess[b, v, w] = d2/dz^v dy^w
+        assert t.hess.shape == (2, 4, 2)
         for v in range(4):
-            for w in range(4):
+            for w in range(2):
                 a = [0, 0, 0, 0]
                 a[v] += 1
-                a[w] += 1
+                a[2 + w] += 1
                 assert t.hess[b, v, w] == pytest.approx(
                     j.partial(a), rel=1e-10, abs=1e-12
                 )
@@ -88,7 +90,12 @@ def test_taylor2_division_power_and_abs() -> None:
     w = jets.powi(x2, -2)
     assert w.val[0] == pytest.approx(0.25)
     assert w.grad[0, 1] == pytest.approx(-2.0 / 8.0)
-    assert w.hess[0, 1, 1] == pytest.approx(6.0 / 16.0)
+    assert not w.hess.any()  # d2/dx2 dx2 is not a y-column
+    w = jets.powi(y2, -2)
+    assert w.val[0] == pytest.approx(1.0 / 1.5**2)
+    assert w.grad[0, 3] == pytest.approx(-2.0 / 1.5**3)
+    assert w.hess[0, 3, 1] == pytest.approx(6.0 / 1.5**4)
+    assert np.count_nonzero(w.hess) == 1
     q = jets.absval(y1)
     assert q.val[0] == pytest.approx(0.3)
     assert q.grad[0, 2] == pytest.approx(-1.0)
@@ -96,6 +103,21 @@ def test_taylor2_division_power_and_abs() -> None:
     assert r.val[0] == pytest.approx(2.0 / 1.5)
     with pytest.raises(DomainError):
         jets.ln(x1 - 0.5)  # zero value part somewhere in the batch
+
+
+def test_taylor2_integral_float_power_is_an_integer_power() -> None:
+    # y1 < 0: exp(2 ln y1) would raise, and a jet gives the square
+    P = np.array([[0.5, 2.0, -0.3, 1.5]])
+    y1 = oracle.Taylor2.variables(P)[2]
+    t = y1 ** 2.0
+    j = jets.lift(lambda v: v[2] ** 2.0, P[0], 2)
+    assert t.val[0] == j.value == 0.3 * 0.3
+    assert t.grad[0, 2] == j.partial((0, 0, 1, 0)) == -0.6
+    assert t.hess[0, 2, 0] == j.partial((0, 0, 2, 0)) == 2.0
+    want = y1 ** 2
+    for a, b in ((t.val, want.val), (t.grad, want.grad), (t.hess, want.hess)):
+        assert a.tobytes() == b.tobytes()
+    assert (y1 ** -1.0).val[0] == 1.0 / -0.3
 
 
 def test_spray_value_batches_expr_route() -> None:
@@ -291,18 +313,25 @@ def test_fd_curvature_builds_one_value_map(monkeypatch) -> None:
 # float.hex of fd_curvature's tensors at chosen points of an expression
 # spray (ex7.1, its seed-7 samples 0-15), a metric spray (elliptic2) and its
 # projective shift, at the default step and at --fd-step 0.01; recorded
-# with `fd_hex`, one point per call, before fd_curvature took blocks
+# with `fd_hex`, one point per call, before fd_curvature took blocks.  The
+# cms19, cms20 and cms21 cases (seed-7 samples 0-3) and cms20's shift
+# (seed-3 samples 0-3) were recorded before Taylor2 kept only the Hessian's
+# y-columns: they take ln, exp, atan, real powers and constant factors
+# through the metric route.
 FD_HEX = Path(__file__).resolve().parent / "data" / "fd_curvature_hex.json"
 FD_KEYS = ("N", "R", "Ric", "chi", "B")
 
 
 def fd_sprays() -> dict:
     """The sprays the record pins, by its labels."""
-    ell = corpus.load_fixture("elliptic2")
-    return {"ex7.1": corpus.load_fixture("ex7.1").build(),
-            "elliptic2": ell.build(),
-            "elliptic2 shifted by 0.5": geometry.ShiftedSpray(
-                ell.build(), ell.metric(), 0.5)}
+    out = {"ex7.1": corpus.load_fixture("ex7.1").build()}
+    for name in ("elliptic2", "cms19", "cms20", "cms21"):
+        out[name] = corpus.load_fixture(name).build()
+    for name in ("elliptic2", "cms20"):
+        fixture = corpus.load_fixture(name)
+        out[f"{name} shifted by 0.5"] = geometry.ShiftedSpray(
+            fixture.build(), fixture.metric(), 0.5)
+    return out
 
 
 def fd_hex(fd: dict) -> dict:

@@ -87,9 +87,10 @@ of -0.0 gives -0.0 at order 0 and +0.0 above.  The random DSL trees use
 all seven functions, division, integer powers and non-integer powers.
 
 Three checks tie the jets to independent arithmetic on random DSL trees.
-Value, gradient and Hessian of an order-2 jet agree with `oracle.Taylor2`
-to TAYLOR2_BOUND times the largest of Taylor2's entries; the worst over
-7000 examples was 5.7e-14.  The series laws exp(ln u) = u and
+Value, gradient and the Hessian's y-columns of an order-2 jet agree with
+`oracle.Taylor2` to TAYLOR2_BOUND times the largest of Taylor2's entries;
+the worst over 7000 examples, taken when Taylor2 carried the full Hessian,
+was 5.7e-14.  The series laws exp(ln u) = u and
 u * u.reciprocal() = 1 hold per row to LAW_BOUND times the condition
 max(1, max|u| / |u(0)|)^k of the order-k jet (times max|u| for the first
 law); the worst over 14000 examples was 8.6e-16 in those units.  The first
@@ -106,6 +107,12 @@ The tape tests check that sharing changes no bit: one `dsl.Tape` over
 roots with repeated subtrees gives each root the bytes of that root's own
 tape, over floats, arrays, point and block jets and `oracle.Taylor2`, and
 when a root fails, the first failing root raises the same error.  The
+induced-route test checks that Taylor2, which carries only the Hessian's
+y-columns, gives `oracle.spray_values` of a random metric the bytes, or
+the error, of the full-Hessian route kept in `conftest` (`loop_induced`
+on `loop_taylor2`), at blocks of 1 to 1024 points with an inf or nan at
+some rows, and every subtree of the metric the bytes of each entry it
+carries, signed zeros included.  The
 round-trip test checks that `pretty` text parses back to a tree with the
 same float bits, negative numbers and -0.0 included.
 """
@@ -129,8 +136,8 @@ from spraylab.errors import DomainError, SprayLabError
 from spraylab.geometry import CurvatureBundle
 from spraylab.sampling import TOL
 
-from conftest import (cov_h_jets, jet_inverse, loop_compose, loop_inverse,
-                      loop_reciprocal)
+from conftest import (FullTaylor2, cov_h_jets, jet_inverse, loop_compose,
+                      loop_induced, loop_inverse, loop_reciprocal, loop_taylor2)
 
 CONTRACTION_BOUND = 1e-12
 BIANCHI_BOUND = 1e-12
@@ -1737,11 +1744,16 @@ def test_jet_matrix_inverse_passes_equal_the_full_passes_bytewise(
 
 # -- jets against the oracle's Taylor2, and the series laws ----------------------
 
-# first and second partials in the order of Taylor2's gradient and of the
-# upper triangle of its Hessian
+# first and second partials in the order of a gradient and of the upper
+# triangle of a Hessian
 FIRST_AND_SECOND = [tuple(int(v == i) for v in range(4)) for i in range(4)] + [
     tuple(int(v == i) + int(v == j) for v in range(4))
     for i in range(4) for j in range(i, 4)]
+# first and second partials in the order of Taylor2's gradient and of its
+# Hessian's entries, d2/dz^i dy^j for i in 0..3 and j in 0..1
+TAYLOR2_PARTIALS = FIRST_AND_SECOND[:4] + [
+    tuple(int(v == i) + int(v == 2 + j) for v in range(4))
+    for i in range(4) for j in range(2)]
 
 
 @settings(PROPERTY_SETTINGS, max_examples=200)
@@ -1755,10 +1767,72 @@ def test_jet_value_gradient_and_hessian_match_taylor2(tree, point) -> None:
     except (DomainError, ArithmeticError, ValueError):
         assume(False)
     t = t if isinstance(t, oracle.Taylor2) else env[0]._lift(t)
-    want = np.concatenate([t.val, t.grad[0], t.hess[0][np.triu_indices(4)]])
-    got = np.array([jet.value] + [jet.partial(a) for a in FIRST_AND_SECOND])
+    want = np.concatenate([t.val, t.grad[0], t.hess[0].ravel()])
+    got = np.array([jet.value] + [jet.partial(a) for a in TAYLOR2_PARTIALS])
     assume(bool(np.all(np.isfinite(want)) and np.all(np.isfinite(got))))
     assert np.max(np.abs(got - want)) <= TAYLOR2_BOUND * np.max(np.abs(want)), \
+        dsl.pretty(tree)
+
+
+@st.composite
+def metric_trees(draw):
+    """y1 y1 + y2^2 + t, with t a dsl tree or c a^2 + b b + d of dsl trees
+    a, b and numbers c, d: constant factors and addends, and both kinds of
+    square.  The y-squares keep most fundamental tensors regular."""
+    y1, y2 = dsl.var("y1"), dsl.var("y2")
+    t = draw(dsl_trees())
+    if draw(st.booleans()):
+        b = draw(dsl_trees())
+        c, d = (dsl.num(draw(st.integers(-14, 14)) / 7) for _ in range(2))
+        t = dsl.add(dsl.add(dsl.mul(c, dsl.powi(t, 2)), dsl.mul(b, b)), d)
+    return dsl.add(dsl.add(dsl.mul(y1, y1), dsl.powi(y2, 2)), t)
+
+
+def spray_outcome(fn, P):
+    """The bytes of fn(P), or the type and text of its error."""
+    try:
+        with np.errstate(all="ignore"):
+            return fn(P).tobytes()
+    except (DomainError, ArithmeticError, ValueError) as exc:
+        return (type(exc), str(exc))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(metric_trees(), st.one_of(st.integers(1, 64), st.integers(1, 1024)),
+       st.sampled_from([-1.0, 0.1]), st.integers(0, 2**32 - 1),
+       st.lists(st.sampled_from([np.inf, -np.inf, np.nan]), max_size=3))
+def test_induced_route_equals_the_full_hessian_route_bytewise(
+        tree, rows, low, seed, spoils) -> None:
+    # points in [-1, 1] or [0.1, 1], where fewer rows leave a domain, with
+    # an inf or nan at some rows
+    rng = np.random.default_rng(seed)
+    P = rng.uniform(low, 1.0, size=(rows, 4))
+    for v in spoils:
+        P[rng.integers(rows), rng.integers(4)] = v
+    metric = geometry.ExprMetric(dsl.ProblemDef(dim=2, kind="metric", exprs=(tree,)))
+    got = spray_outcome(oracle.spray_values(geometry.MetricSpray(metric)), P)
+    assert got == spray_outcome(lambda Q: loop_induced(metric, Q), P), \
+        dsl.pretty(tree)
+
+    # and every subtree of L: each entry Taylor2 carries, signed zeros
+    # included, which the spray's values can hide
+    subtrees, todo = [], [tree]
+    while todo:
+        node = todo.pop()
+        subtrees.append(node)
+        todo += [c for c in (node.a, node.b) if c is not None]
+    tape = dsl.Tape(subtrees, 2)
+
+    def taylor2(env):
+        out = []
+        for t in dsl.evaluate(tape, env):
+            t = t if isinstance(t, (oracle.Taylor2, FullTaylor2)) else env[0]._lift(t)
+            hess = t.hess[:, :, 2:] if isinstance(t, FullTaylor2) else t.hess
+            out += [t.val, t.grad.ravel(), hess.ravel()]
+        return np.concatenate(out)
+
+    got = spray_outcome(lambda Q: taylor2(oracle.Taylor2.variables(Q)), P)
+    assert got == spray_outcome(lambda Q: taylor2(loop_taylor2(Q)), P), \
         dsl.pretty(tree)
 
 

@@ -46,6 +46,11 @@ iff every captured output is.  It writes, as one JSON object:
   one residual per row of the report's block bundle; one whose `dim2`
   takes one point at a time gives them at each sample alone, so the two
   compare;
+- `fd`: every `fd_curvature` tensor (N, R, Ric, chi and B) at h = 1e-3,
+  at each block of the `classify` samples of cms19, cms20, cms21 and
+  elliptic2 and of elliptic2 shifted by 0.5, at seeds 3 and 11, or the
+  error's type and text: blocks of 64 points, whose stencil rows span
+  several `oracle.FD_STENCIL_ROWS` chunks;
 - `draws`: `sample_points` at every dim from 1 to 4, at counts 1, 7 and
   40, at seeds 3 and 11, in three boxes (one whose tangents fall below
   Y_FLOOR most of the time), with no `accept` and with `accept`
@@ -343,6 +348,28 @@ def dim2_samples() -> dict:
                                           b.spray, points[r:r + 1], b.order))[0])]
                                  for r in range(len(points))]
                 out[f"{name} seed {seed} count {count}"] = rows
+    return out
+
+
+FD_NAMES = ("cms19", "cms20", "cms21", "elliptic2")
+FD_SHIFTED = "elliptic2"
+FD_STEP = 1e-3
+
+
+def fd_blocks() -> dict:
+    out = {}
+    for seed in SEEDS:
+        for name in FD_NAMES + (FD_SHIFTED + " shifted by 0.5",):
+            fixture = corpus.load_fixture(name.split()[0])
+            spray_obj = fixture.build()
+            if name != fixture.name:
+                spray_obj = geometry.ShiftedSpray(spray_obj, fixture.metric(), 0.5)
+            rep = classify.classify_spray(spray_obj, count=cli.RunConfig.points,
+                                          seed=seed, box=fixture.box)
+            out[f"{name} seed {seed}"] = [
+                attempt(lambda points=points: oracle.fd_curvature(spray_obj, points,
+                                                                  h=FD_STEP))
+                for points, _, _ in rep.blocks]
     return out
 
 
@@ -725,6 +752,7 @@ def main(argv: list) -> int:
         record["metric_sprays"] = metric_sprays()
         record["decision_stages"] = decision_stages()
         record["dim2"] = dim2_samples()
+        record["fd"] = fd_blocks()
         record["draws"] = draws()
         record["lambda"] = lambda_values()
         record["errors"] = failure_paths(workdir)
