@@ -51,6 +51,7 @@ __all__ = [
     "bundle_rows",
     "sample_rows",
     "block_bundles",
+    "classify_blocks",
     "classify_samples",
     "classify_spray",
 ]
@@ -401,8 +402,16 @@ def classify_spray(spray, count: int = 64, seed: int = 7,
 
 def classify_samples(spray, samples: SampleSet, order: int = 4,
                      tol: Tolerances = TOL) -> ClassificationReport:
-    """Classify the spray on the samples; a flag holds iff it holds at
-    every sample.
+    """`classify_blocks` of the spray's `block_bundles` on the samples."""
+    return classify_blocks(samples, block_bundles(spray, samples, order, tol), tol)
+
+
+def classify_blocks(samples: SampleSet, blocks,
+                    tol: Tolerances = TOL) -> ClassificationReport:
+    """Classify a spray on the samples from the (points, bundle,
+    decompositions) `blocks` that `block_bundles` yields for it there; a
+    flag holds iff it holds at every sample.  It draws nothing, and builds
+    a bundle only to rerun a row of a block that raises (`bundle_rows`).
 
     Also enforces two cross-point theorems as engine self-checks: constant
     curvature with Ric != 0 forces isotropy, and a spray that is Berwald, in
@@ -411,9 +420,8 @@ def classify_samples(spray, samples: SampleSet, order: int = 4,
     it runs only once all three flags hold; a lone point that passes the
     pointwise proportionality test does not trigger it.
     """
-    n = spray.dim
-    report_blocks = tuple(block_bundles(spray, samples, order, tol))
-    m = samples.ys.shape[1]
+    _, m, n = samples.ys.shape
+    report_blocks = tuple(blocks)
 
     def judged(b, decs):
         # `bundle_rows`, with each row rerun on its own decomposition

@@ -72,7 +72,7 @@ class RunConfig:
     tol_rel: float = TOL.rel
     fd_step: float = 1e-3
     out: str = ""
-    box: tuple = dataclasses.astuple(SampleBox())
+    box: tuple | None = None  # None: no --box was given
     consts: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -91,6 +91,8 @@ class RunConfig:
             if not math.isfinite(value) or value <= 0.0:
                 raise ParamError(f"{name} must be positive and finite, "
                                  f"got {value}")
+        if self.box is None:
+            return
         if len(self.box) != 4:
             raise ParamError("box needs four numbers: x_lo x_hi y_lo y_hi")
         if not all(math.isfinite(v) for v in self.box):
@@ -104,7 +106,7 @@ class RunConfig:
 
     @property
     def sample_box(self) -> SampleBox:
-        return SampleBox(*(float(v) for v in self.box))
+        return SampleBox() if self.box is None else SampleBox(*map(float, self.box))
 
     def echo(self) -> dict:
         return {
@@ -115,7 +117,7 @@ class RunConfig:
             "tol_abs": self.tol_abs,
             "tol_rel": self.tol_rel,
             "fd_step": self.fd_step,
-            "box": [float(v) for v in self.box],
+            "box": list(dataclasses.astuple(self.sample_box)),
             "consts": {k: float(v) for k, v in sorted(self.consts.items())},
         }
 
@@ -215,7 +217,7 @@ def _write_json(obj, pad: str, out: list) -> None:
 
 
 def _resolve(cfg: RunConfig):
-    """Input path or fixture name -> (ProblemDef, fixture or None, box)."""
+    """Input path or fixture name -> (ProblemDef, fixture or None)."""
     path = Path(cfg.input)
     if path.exists():
         text = path.read_text()
@@ -234,9 +236,9 @@ def _resolve(cfg: RunConfig):
     return problem, fixture
 
 
-def _pick_box(cfg: RunConfig, fixture, box_flagged: bool) -> SampleBox:
-    """Fixture boxes win unless the user asked for a box explicitly."""
-    if fixture is not None and fixture.box is not None and not box_flagged:
+def _pick_box(cfg: RunConfig, fixture) -> SampleBox:
+    """A fixture's box wins unless --box was given."""
+    if cfg.box is None and fixture is not None and fixture.box is not None:
         return fixture.box
     return cfg.sample_box
 
@@ -352,14 +354,12 @@ def _flag_lines(rep, verdict) -> list:
 # -- commands ----------------------------------------------------------------
 
 
-def _decide_command(command: str, headline, cfg: RunConfig,
-                    box_flagged: bool) -> Report:
+def _decide_command(command: str, headline, cfg: RunConfig) -> Report:
     """The body of `classify` and `metrize`: they differ only in the
     report's "command" field and in the human lines `headline` gives."""
     problem, fixture = _resolve(cfg)
     spray = geometry.spray_of(problem)
-    rep, verdict, blocks = _decision(spray, cfg,
-                                     _pick_box(cfg, fixture, box_flagged),
+    rep, verdict, blocks = _decision(spray, cfg, _pick_box(cfg, fixture),
                                      cfg.tolerances)
     fdiff = _fixture_diff(fixture, cfg, rep, verdict)
     data = {"command": command, "config": cfg.echo(), **blocks}
@@ -393,17 +393,16 @@ def _metrize_lines(name: str, spray, cfg: RunConfig, rep, verdict) -> list:
     return human
 
 
-def cmd_classify(cfg: RunConfig, box_flagged: bool = False) -> Report:
-    return _decide_command("classify", _classify_lines, cfg, box_flagged)
+def cmd_classify(cfg: RunConfig) -> Report:
+    return _decide_command("classify", _classify_lines, cfg)
 
 
-def cmd_metrize(cfg: RunConfig, box_flagged: bool = False) -> Report:
-    return _decide_command("metrize", _metrize_lines, cfg, box_flagged)
+def cmd_metrize(cfg: RunConfig) -> Report:
+    return _decide_command("metrize", _metrize_lines, cfg)
 
 
 def cmd_gen_pflat(q: pflat.QuadraticData, cfg: RunConfig,
-                  directory: str = ".", name: str = "pflat_gen",
-                  box_flagged: bool = False) -> Report:
+                  directory: str = ".", name: str = "pflat_gen") -> Report:
     """Write the generated spray/metric pair and replay the round trip."""
     tol = cfg.tolerances
     spray_src, metric_src = pflat.sources(q)
@@ -459,11 +458,11 @@ def cmd_gen_pflat(q: pflat.QuadraticData, cfg: RunConfig,
     return Report(data=data, human=tuple(human))
 
 
-def cmd_oracle(cfg: RunConfig, box_flagged: bool = False) -> Report:
+def cmd_oracle(cfg: RunConfig) -> Report:
     problem, fixture = _resolve(cfg)
     spray = geometry.spray_of(problem)
     tol = cfg.tolerances
-    box = _pick_box(cfg, fixture, box_flagged)
+    box = _pick_box(cfg, fixture)
 
     samples = sampling.draw(spray, count=cfg.points, seed=cfg.seed, box=box)
     accounting = _accounting(cfg, samples)
@@ -514,7 +513,7 @@ def _add_common(sub: argparse.ArgumentParser, with_input: bool = True) -> None:
     sub.add_argument("--box", type=float, nargs=4, default=None,
                      metavar=("XLO", "XHI", "YLO", "YHI"),
                      help="sample box (default "
-                          f"{' '.join(f'{v:g}' for v in RunConfig.box)})")
+                          f"{' '.join(f'{v:g}' for v in dataclasses.astuple(SampleBox()))})")
     sub.add_argument("--const", action="append", default=[],
                      metavar="NAME=VALUE",
                      help="override a const declared in the source")
@@ -551,7 +550,7 @@ def _config(args, input_value: str = "") -> RunConfig:
         tol_rel=args.tol_rel,
         fd_step=args.fd_step,
         out=args.out,
-        box=tuple(args.box) if args.box else RunConfig.box,
+        box=tuple(args.box) if args.box is not None else None,
         consts=_parse_consts(args.const),
     )
 
@@ -625,8 +624,7 @@ def main(argv=None) -> int:
                 "B": _csv_floats(args.B, "B"),
                 "C": args.C,
             })
-            report = cmd_gen_pflat(q, cfg, directory=args.dir, name=args.name,
-                                   box_flagged=args.box is not None)
+            report = cmd_gen_pflat(q, cfg, directory=args.dir, name=args.name)
         else:
             cfg = _config(args, input_value=args.input)
             command = {
@@ -634,7 +632,7 @@ def main(argv=None) -> int:
                 "metrize": cmd_metrize,
                 "oracle": cmd_oracle,
             }[args.command]
-            report = command(cfg, box_flagged=args.box is not None)
+            report = command(cfg)
     except SamplingError as exc:
         print(f"sampling exhausted: {exc}", file=sys.stderr)
         return EXIT_SAMPLING

@@ -247,12 +247,6 @@ def _chk_values_at(fx, spray, verdict, rep, chk, tol):
         got = classify.decompose_scalar(b, tol=tol)[0].tau
     elif field == "chi":
         got = b.chi_values
-    elif field == "G":
-        got = b.G_values
-    elif field == "R":
-        got = np.array([classify.decompose_scalar(b, tol=tol)[0].R])
-    elif field == "Ric":
-        got = np.array([b.Ric_value])
     else:
         raise SprayLabError(f"values_at check: unknown field {field!r}")
     want = np.asarray(chk["want"], dtype=float)

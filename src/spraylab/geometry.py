@@ -72,6 +72,12 @@ def _point_array(p, dim: int) -> np.ndarray:
     return pa
 
 
+def point_key(pa: np.ndarray) -> tuple:
+    """The key of a point, or of a block of points, in a table of kept
+    bundles or jets; a block of one row keys apart from its point."""
+    return pa.shape, pa.tobytes()
+
+
 def _var_jets(dim: int, pa: np.ndarray, order: int) -> list:
     sp = jets.space(2 * dim, order)
     center = pa if pa.ndim == 2 else tuple(pa)
@@ -172,11 +178,11 @@ class ShiftedSpray:
         self.c = float(c)
         self.dim = base.dim
         self.name = f"{base.name}+{self.c}*F*y"
-        self._bundles = {(b._pa.shape, b._pa.tobytes()): b for b in bundles}
+        self._bundles = {point_key(b._pa): b for b in bundles}
 
     def coeff_jets(self, p, order: int) -> list:
         pa = _point_array(p, self.dim)
-        b = self._bundles.get((pa.shape, pa.tobytes()))
+        b = self._bundles.get(point_key(pa))
         G = b.G if b is not None and b.order == order else self.base.coeff_jets(pa, order)
         if self.c == 0.0:
             return G
@@ -223,7 +229,7 @@ def _fundamental_jets(metric, pa: np.ndarray, order: int, tol: Tolerances):
     stack = np.where((r[:, None] <= r).reshape((n, n) + (1,) * tail), half, half.swapaxes(0, 1))
     vals = _stack_values(stack, 2)
     for s in singular_values(vals.reshape(-1, n, n)):
-        if s[-1] <= tol.rank * s[0] or s[0] == 0.0:
+        if s[-1] <= tol.rank * s[0]:
             raise DegenerateMetric(
                 f"fundamental tensor of {metric.name!r} is numerically singular "
                 f"(singular values {s})"

@@ -84,11 +84,6 @@ over the rows: every coefficient and every partial sum of the full
 passes is then finite.
 An inf or nan, or an operand over the bound, keeps the full passes, and
 so does a point jet, whose passes are one kernel call each either way.
-
-The finite-difference oracle `fd_partial` lives here as well. It never touches
-jet coefficients: it evaluates the callable over plain floats with nested
-central differences, one step per derivative level, and is kept deliberately
-naive so it can serve as an independent cross-check of the jet pipeline.
 """
 
 from __future__ import annotations
@@ -804,11 +799,6 @@ def lift(fn: Callable, p, order: int) -> Jet:
     return out
 
 
-def partial(fn: Callable, p: Sequence[float], alpha: Sequence[int]) -> float:
-    """Exact partial derivative d^alpha fn at p via a lift of order |alpha|."""
-    return lift(fn, p, sum(alpha)).partial(alpha)
-
-
 @lru_cache(maxsize=None)
 def _first_order_columns(nvars: int) -> np.ndarray:
     # the degree <= 1 block sits at the same places in every space of order
@@ -842,39 +832,6 @@ def first_order(entries: Sequence[Jet], like: Jet) -> np.ndarray:
             raise ValueError("jets have different centers")
         out[k] = u.coeffs[cols] if u.coeffs.ndim == 1 else u.coeffs[:, cols]
     return out
-
-
-def _eval_float(fn: Callable, p: Sequence[float]) -> float:
-    try:
-        out = fn(list(map(float, p)))
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise DomainError(f"float evaluation failed at {tuple(p)}: {exc}") from exc
-    out = float(out)
-    if not math.isfinite(out):
-        raise DomainError(f"non-finite value at {tuple(p)}")
-    return out
-
-
-def fd_partial(fn: Callable, p: Sequence[float], alpha: Sequence[int], h: float = 1e-3) -> float:
-    """Nested central-difference estimate of d^alpha fn at p.
-
-    One central difference per derivative level with a fixed step, no
-    extrapolation: the error is O(h^2) per level. |alpha| <= 4 is the
-    supported range.
-    """
-    a = list(alpha)
-    total = sum(a)
-    if total > 4:
-        raise ValueError("fd_partial supports |alpha| <= 4")
-    if total == 0:
-        return _eval_float(fn, p)
-    v = next(i for i, e in enumerate(a) if e > 0)
-    a[v] -= 1
-    pp = list(p)
-    pm = list(p)
-    pp[v] += h
-    pm[v] -= h
-    return (fd_partial(fn, pp, a, h) - fd_partial(fn, pm, a, h)) / (2.0 * h)
 
 
 def jet_matrix_inverse(sp: JetSpace, m: np.ndarray) -> np.ndarray:

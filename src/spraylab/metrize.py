@@ -148,12 +148,6 @@ def finsler_check(field_obj, samples: SampleSet,
                         rank_ratio=min_ratio)
 
 
-def _key(pa: np.ndarray) -> tuple:
-    """The key of a point, or of a block of points, in the candidates'
-    tables; a block of one row keys apart from its point."""
-    return pa.shape, pa.tobytes()
-
-
 def _check_splits(b) -> None:
     """The scalar split must hold at each point of the bundle, checked in
     row order, so the first failing row names the error."""
@@ -187,7 +181,7 @@ def _value_bundle(metric, p):
     the bits of the value of a higher-order bundle's: a value coefficient
     is summed from the value coefficients alone, at every order."""
     pa = geometry._point_array(p, metric.dim)
-    key = _key(pa)
+    key = geometry.point_key(pa)
     if pa.ndim != 1 or key in metric._jets or key in metric._bundles:
         return None
     b = geometry.CurvatureBundle(metric.spray, pa, 2)
@@ -205,16 +199,16 @@ def _candidate_jet(metric, p, order: int, jet_order: int):
     row at its points, for the reads there.
     """
     pa = geometry._point_array(p, metric.dim)
-    key = _key(pa)
+    key = geometry.point_key(pa)
     out = metric._jets.get(key)
     if out is None or out.order < jet_order:
         out = metric._jet_at(_split_bundle(metric, pa, key, order + 2), order)
         metric._jets[key] = out
         for r, row in enumerate(pa if pa.ndim == 2 else ()):
-            kept = metric._jets.get(_key(row))
+            row_key = geometry.point_key(row)
+            kept = metric._jets.get(row_key)
             if kept is None or kept.order < out.order:
-                metric._jets[_key(row)] = jets.Jet(out.space, tuple(row),
-                                                   out.coeffs[r])
+                metric._jets[row_key] = jets.Jet(out.space, tuple(row), out.coeffs[r])
     return out.truncated(jet_order)
 
 
@@ -248,7 +242,7 @@ class CurvatureMetric:
         self.spray = spray
         self.dim = spray.dim
         self.name = f"curvature({spray.name})"
-        self._bundles = {_key(b._pa): b for b in bundles}
+        self._bundles = {geometry.point_key(b._pa): b for b in bundles}
         self._jets: dict = {}
 
     def _jet_at(self, b, order: int):
@@ -397,7 +391,7 @@ class ScaledCurvatureMetric:
         self.lam = lam
         self.dim = spray.dim
         self.name = f"curvature({spray.name})/lambda"
-        self._bundles = {_key(b._pa): b for b in bundles}
+        self._bundles = {geometry.point_key(b._pa): b for b in bundles}
         self._jets: dict = {}
 
     def _jet_at(self, b, order: int):
@@ -797,7 +791,9 @@ def projective_shift(metric, c: float, count: int = 64, seed: int = 7,
 
     The metric's spray is lifted once per block of samples: the shifted
     spray reads the base G off the block bundles that the flag-curvature
-    test builds (`geometry.ShiftedSpray`'s `bundles`).
+    test builds (`geometry.ShiftedSpray`'s `bundles`).  At c = 0 the
+    shifted spray is the base spray, and its classification reads those
+    blocks themselves.
     """
     if metric.dim < 2:
         raise PreconditionError("projective shift needs dimension >= 2")
@@ -825,13 +821,13 @@ def projective_shift(metric, c: float, count: int = 64, seed: int = 7,
             f"rank ratio {fc.rank_ratio:.3e})")
 
     base = geometry.MetricSpray(metric)
-    base_bundles = []
+    base_blocks = []
 
     def base_decs():
-        # each block bundle is kept for the shifted spray, which reads G there
-        for _, b, ds in classify.block_bundles(base, samples, order, tol):
-            base_bundles.append(b)
-            yield from ds
+        # each block is kept: the shifted spray reads G off its bundle
+        for block in classify.block_bundles(base, samples, order, tol):
+            base_blocks.append(block)
+            yield from block[2]
 
     lam_vals = []
     for L, dec in zip(L_vals, base_decs()):
@@ -849,8 +845,9 @@ def projective_shift(metric, c: float, count: int = 64, seed: int = 7,
 
     # the shifted spray's guards are the metric's, so the metric's samples
     # are also the ones a draw on the shifted spray gives
-    shifted = geometry.ShiftedSpray(base, metric, c, bundles=base_bundles)
-    report = classify.classify_samples(shifted, samples, order, tol)
+    shifted = geometry.ShiftedSpray(base, metric, c, bundles=[b for _, b, _ in base_blocks])
+    blocks = base_blocks if c == 0.0 else classify.block_bundles(shifted, samples, order, tol)
+    report = classify.classify_blocks(samples, blocks, tol)
     if not report.flags["isotropic"]:
         raise SprayLabError(
             "the shifted spray lost isotropy; the shift identity is violated "

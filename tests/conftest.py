@@ -199,6 +199,34 @@ def loop_folds(accs: list, rows: int) -> list:
     return out
 
 
+def fd_partial(fn, p, alpha, h: float = 1e-3) -> float:
+    """Nested central-difference estimate of d^alpha fn at p, |alpha| <= 4.
+
+    One central difference per derivative level with a fixed step, no
+    extrapolation, so the error is O(h^2) per level.  It evaluates fn over
+    plain floats and never touches jet coefficients: a naive, independent
+    cross-check of the jet pipeline.
+    """
+    a = list(alpha)
+    if sum(a) > 4:
+        raise ValueError("fd_partial supports |alpha| <= 4")
+    if sum(a) == 0:
+        try:
+            out = fn(list(map(float, p)))
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise DomainError(f"float evaluation failed at {tuple(p)}: {exc}") from exc
+        out = float(out)
+        if not math.isfinite(out):
+            raise DomainError(f"non-finite value at {tuple(p)}")
+        return out
+    v = next(i for i, e in enumerate(a) if e > 0)
+    a[v] -= 1
+    pp, pm = list(p), list(p)
+    pp[v] += h
+    pm[v] -= h
+    return (fd_partial(fn, pp, a, h) - fd_partial(fn, pm, a, h)) / (2.0 * h)
+
+
 def jet_inverse(m: np.ndarray) -> np.ndarray:
     """The inverse of an n x n object array of jets, as such an array:
     `jets.jet_matrix_inverse` of their stack, at the lowest of their

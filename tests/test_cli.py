@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import loop_jsonable
-from spraylab import classify, cli, corpus, geometry, metrize
+from spraylab import classify, cli, corpus, geometry, metrize, pflat, sampling
 from spraylab.errors import ParamError
 
 FLAGS = ("scalar", "isotropic", "constant", "berwald", "projective_form",
@@ -358,6 +358,55 @@ def test_gen_pflat_round_trip(tmp_path):
                         "--points", "6"], tmp_path, "replay.json")
     assert code2 == 0
     assert data2["classification"]["constant"]["value"] is True
+
+
+DEFAULT_BOX = [-0.8, 0.8, -1.0, 1.0]
+
+
+def drawn_points(spray, box, count=8, seed=7) -> list:
+    return sampling.draw(spray, count=count, seed=seed, box=box).points().tolist()
+
+
+@pytest.mark.parametrize("command", ["classify", "metrize", "oracle"])
+def test_box_precedence_between_flag_and_fixture(command, tmp_path):
+    # without --box, cms19's own box wins; --box wins even when it spells
+    # the default's values; the config echo shows the default box when no
+    # box is given
+    fixture = corpus.load_fixture("cms19")
+    spray = fixture.build()
+    assert fixture.box is not None and fixture.box != sampling.SampleBox()
+    _, plain = run([command, "cms19", "--points", "8"], tmp_path)
+    assert plain["config"]["box"] == DEFAULT_BOX
+    assert [row["point"] for row in plain["points"]] == drawn_points(spray, fixture.box)
+    _, flagged = run([command, "cms19", "--points", "8", "--box",
+                      *map(str, DEFAULT_BOX)], tmp_path, "flagged.json")
+    assert flagged["config"]["box"] == DEFAULT_BOX
+    assert [row["point"] for row in flagged["points"]] == \
+        drawn_points(spray, sampling.SampleBox())
+
+
+def test_gen_pflat_samples_in_the_box_flag(tmp_path):
+    box = [-0.5, 0.3, 0.2, 0.9]
+    spray = pflat.gen_spray(pflat.QuadraticData.from_mapping(
+        {"A": [1.0, 0.0, 0.0, 1.0], "B": [0.0, 0.0], "C": 1.0}))
+    args = ["gen-pflat", "--A", "1,0,0,1", "--B", "0,0", "--C", "1",
+            "--dir", str(tmp_path / "gen"), "--points", "8"]
+    code, plain = run(args, tmp_path)
+    assert code == 0 and plain["config"]["box"] == DEFAULT_BOX
+    assert [row["point"] for row in plain["points"]] == \
+        drawn_points(spray, sampling.SampleBox())
+    code, flagged = run(args + ["--box", *map(str, box)], tmp_path, "flagged.json")
+    assert code == 0 and flagged["config"]["box"] == box
+    assert [row["point"] for row in flagged["points"]] == \
+        drawn_points(spray, sampling.SampleBox(*box))
+
+
+def test_config_box_is_none_without_the_flag():
+    cfg = cli.RunConfig()
+    assert cfg.box is None
+    assert cfg.sample_box == sampling.SampleBox()
+    assert cfg.echo()["box"] == DEFAULT_BOX
+    assert cli.RunConfig(box=(0, 1, 0, 1)).echo()["box"] == [0.0, 1.0, 0.0, 1.0]
 
 
 def test_gen_pflat_inadmissible_still_reports(tmp_path):

@@ -351,7 +351,7 @@ def test_a_fresh_value_has_the_bits_of_the_order_0_jet(name, tally) -> None:
         got = L.value(pt)
         # read off one order-2 bundle, and nothing kept for the point
         assert tally["bundles"][key] == 1
-        assert metrize._key(pt) not in L._jets
+        assert geometry.point_key(pt) not in L._jets
         assert got.hex() == L.jet(pt, 0).value.hex()
         # a known point reads its kept jet
         assert L.value(pt).hex() == got.hex() and tally["bundles"][key] == 1
@@ -1174,6 +1174,25 @@ def test_shift_lifts_the_metric_spray_once_per_block(monkeypatch, c) -> None:
     monkeypatch.setattr(geometry, "spray_from_metric", counting)
     metrize.projective_shift(metric, c, count=64, seed=7, box=fx.box)
     assert lifts == [(64, 4)]
+
+
+@pytest.mark.parametrize("c, passes", [(0.0, 1), (1.0, 2)])
+def test_shift_at_zero_classifies_the_base_blocks(monkeypatch, c, passes) -> None:
+    # at c = 0 the shifted spray is the base spray, so its classification
+    # reads the flag-curvature test's block bundles: one order-4 bundle per
+    # block of samples; any other c builds the shifted spray's own
+    fx = corpus.load_fixture("elliptic2")
+    built = []
+    init = geometry.CurvatureBundle.__init__
+
+    def recording_init(b, spray, p, order=4):
+        init(b, spray, p, order)
+        if b._pa.ndim == 2 and order == 4:
+            built.append(len(b._pa))
+
+    monkeypatch.setattr(geometry.CurvatureBundle, "__init__", recording_init)
+    metrize.projective_shift(fx.metric(), c, count=136, seed=7, box=fx.box)
+    assert built == [len(block) for block in classify.blocks(range(136))] * passes
 
 
 def test_shifted_spray_reads_the_base_bundles_bitwise() -> None:

@@ -94,7 +94,7 @@ was 5.7e-14.  The series laws exp(ln u) = u and
 u * u.reciprocal() = 1 hold per row to LAW_BOUND times the condition
 max(1, max|u| / |u(0)|)^k of the order-k jet (times max|u| for the first
 law); the worst over 14000 examples was 8.6e-16 in those units.  The first
-and second partials of an order-4 jet agree with `jets.fd_partial` at step
+and second partials of an order-4 jet agree with `conftest.fd_partial` at step
 FD_STEP to FD_BOUND times the largest partial of order at most 4 at the
 point (the step's truncation error is h^2 times a fourth partial, and its
 roundoff at most eps/h^2 times the value); the worst over 3000 examples
@@ -136,8 +136,9 @@ from spraylab.errors import DomainError, SprayLabError
 from spraylab.geometry import CurvatureBundle
 from spraylab.sampling import TOL
 
-from conftest import (FullTaylor2, cov_h_jets, jet_inverse, loop_compose,
-                      loop_induced, loop_inverse, loop_reciprocal, loop_taylor2)
+from conftest import (FullTaylor2, cov_h_jets, fd_partial, jet_inverse,
+                      loop_compose, loop_induced, loop_inverse, loop_reciprocal,
+                      loop_taylor2)
 
 CONTRACTION_BOUND = 1e-12
 BIANCHI_BOUND = 1e-12
@@ -1866,7 +1867,7 @@ def test_jet_partials_match_fd_partial(tree, point) -> None:
     try:
         with np.errstate(all="ignore"):
             jet = tree_jet(tree, 4, tuple(point))
-            fd, half = (np.array([jets.fd_partial(f, point, a, h)
+            fd, half = (np.array([fd_partial(f, point, a, h)
                                   for a in FIRST_AND_SECOND])
                         for h in (FD_STEP, FD_STEP / 2))
     except (DomainError, ArithmeticError, ValueError):

@@ -51,6 +51,11 @@ iff every captured output is.  It writes, as one JSON object:
   elliptic2 and of elliptic2 shifted by 0.5, at seeds 3 and 11, or the
   error's type and text: blocks of 64 points, whose stencil rows span
   several `oracle.FD_STENCIL_ROWS` chunks;
+- `shift`: the verdict of `projective_shift` at c = 0, 0.7 and 1 (every
+  field, the recovered metric's value among them), or the error's type
+  and text, on elliptic2's metric and on the metrics `decide` recovers on
+  elliptic2 and ex7.3 (negative, so the shift refuses it), at seeds 3
+  and 11;
 - `draws`: `sample_points` at every dim from 1 to 4, at counts 1, 7 and
   40, at seeds 3 and 11, in three boxes (one whose tangents fall below
   Y_FLOOR most of the time), with no `accept` and with `accept`
@@ -376,6 +381,26 @@ def fd_blocks() -> dict:
 DRAW_BOXES = {"default": None,
               "tangents below the floor": sampling.SampleBox(-0.5, 0.5, -0.012, 0.012),
               "shifted": sampling.SampleBox(0.1, 2.0, -0.3, 1.7)}
+
+
+SHIFT_CS = (0.0, 0.7, 1.0)
+
+
+def shifts() -> dict:
+    out = {}
+    for seed in SEEDS:
+        for name, recovered in (("elliptic2", False), ("elliptic2", True), ("ex7.3", True)):
+            fixture = corpus.load_fixture(name)
+            for c in SHIFT_CS:
+                # a metric of its own per shift: a recovered metric keeps
+                # the jets asked of it
+                metric = (metrize.decide(fixture.build(), count=fixture.count, seed=seed,
+                                         box=fixture.box).recovered_metric
+                          if recovered else fixture.metric())
+                label = f"{name}{' recovered' if recovered else ''} seed {seed} c {c}"
+                out[label] = attempt(
+                    lambda: metrize.projective_shift(metric, c, seed=seed, box=fixture.box)[1])
+    return out
 
 
 def point_hash(a: np.ndarray) -> int:
@@ -753,6 +778,7 @@ def main(argv: list) -> int:
         record["decision_stages"] = decision_stages()
         record["dim2"] = dim2_samples()
         record["fd"] = fd_blocks()
+        record["shift"] = shifts()
         record["draws"] = draws()
         record["lambda"] = lambda_values()
         record["errors"] = failure_paths(workdir)
