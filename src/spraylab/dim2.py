@@ -3,10 +3,8 @@
 Surface-specific machinery that only exists for n = 2: the orthonormal
 frame (ell, m) along the indicatrix, the main scalar I extracted from the
 Cartan tensor, derivatives of degree-0 scalars with respect to the
-indicatrix arc length, the second-order ODE residual |lambda'' + eps I
-lambda'| for the flag curvature of weakly isotropic metrics, and
-generators for the three classical families with constant main scalar
-together with their predicted curvature 2-form component omega12.
+indicatrix arc length, and the second-order ODE residual
+|lambda'' + eps I lambda'| for the flag curvature of weakly isotropic metrics.
 
 `frame` and `flag_ode_residual` give one entry per row of a (B, 4) block
 or a bundle, a point being one row, each with the bits of its point alone,
@@ -18,22 +16,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable
 
 import numpy as np
 
-from . import classify, dsl, geometry, jets
-from .errors import (DegenerateMetric, NegativeMetric, ParamError,
-                     PreconditionError)
+from . import classify, geometry, jets
+from .errors import DegenerateMetric, NegativeMetric, PreconditionError
 from .sampling import TOL, Tolerances
 
 __all__ = [
     "BerwaldFrame",
-    "CmsMetric",
     "frame",
     "angle_derivative",
     "flag_ode_residual",
-    "gen_cms_metric",
 ]
 
 
@@ -151,117 +145,3 @@ def flag_ode_residual(metric, b, tol: Tolerances = TOL) -> list:
     lam1 = fj.angle_derivative(lam)
     lam2 = fj.angle_derivative(lam1)
     return np.atleast_1d(abs(lam2.value + fj.eps * fj.main_scalar() * lam1.value)).tolist()
-
-
-# -- constant-main-scalar generators ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class CmsMetric:
-    """A generated constant-main-scalar metric with its predictions.
-
-    `omega12` maps a base point (x1, x2) to the predicted curvature 2-form
-    component; `main_scalar_sq` is the predicted I^2.
-    """
-
-    kind: int
-    metric: geometry.ExprMetric
-    source: str
-    omega12: Callable
-    main_scalar_sq: float
-
-
-def _param_field(expr: str, label: str) -> geometry.ExprMetric:
-    src = f"dim 2\nmetric L = {expr}\n"
-    try:
-        return geometry.ExprMetric(dsl.parse(src, name=label))
-    except Exception as e:
-        raise ParamError(f"cannot parse {label} = {expr!r}: {e}") from e
-
-
-def _param_jets(field_obj: geometry.ExprMetric, x) -> tuple:
-    pt = np.array([x[0], x[1], 1.0, 1.0])
-    j = field_obj.jet(pt, 2)
-    return (j.value, j.dx(0).value, j.dx(1).value,
-            j.dx(0).dx(1).value, j.dx(0).dx(0).value, j.dx(1).dx(1).value)
-
-
-def gen_cms_metric(kind: int, p: str = "1", q: str = "1",
-                   s: float | None = None,
-                   r: float | None = None) -> CmsMetric:
-    """One of the three constant-main-scalar families on beta = p(x) y1,
-    gamma = q(x) y2.
-
-    kind 19: L = beta^{2s} gamma^{2(1-s)}, s constant outside {0, 1};
-    kind 20: L = beta^2 exp(2 gamma/beta);
-    kind 21: L = (beta^2 + gamma^2) exp(2 r arctan(beta/gamma)).
-
-    The returned omega12 prediction evaluates the closed form for the
-    family on the parameter functions' jets; the guards in the metric
-    source keep beta, gamma and the parameter functions positive so the
-    fractional powers and the arctan branch stay single-valued.
-    """
-    pf = _param_field(p, "p")
-    qf = _param_field(q, "q")
-    beta = f"(({p})*y1)"
-    gamma = f"(({q})*y2)"
-    if kind == 19:
-        if s is None or s in (0.0, 1.0):
-            raise ParamError("kind 19 needs a constant s outside {0, 1}")
-        body = f"{beta}^({2.0 * s!r}) * {gamma}^({2.0 * (1.0 - s)!r})"
-        guards = ["y1 - 0.05", "y2 - 0.05", f"({p}) - 0.05", f"({q}) - 0.05"]
-        I_sq = (2.0 * s - 1.0) ** 2 / abs(s * (s - 1.0))
-
-        def omega12(x) -> float:
-            pv, p1, p2, p12, _, _ = _param_jets(pf, x)
-            qv, q1, q2, q12, _, _ = _param_jets(qf, x)
-            num = ((pv * pv * qv * q12 - pv * qv * qv * p12
-                    + qv * qv * p1 * p2 - pv * pv * q1 * q2) * s
-                   - pv * pv * qv * q12 + pv * pv * q1 * q2)
-            return ((1.0 - 2.0 * s) / (s * (1.0 - s))
-                    * num / (pv * pv * qv * qv))
-
-    elif kind == 20:
-        if s is not None or r is not None:
-            raise ParamError("kind 20 takes no s or r parameter")
-        body = f"{beta}^2 * exp(2*{gamma} / {beta})"
-        # the cone guards bound |gamma/beta| so the exponential stays in a
-        # range where double precision keeps downstream fits conditioned
-        guards = ["y1 - 0.05", f"({p}) - 0.05", f"({q}) - 0.05",
-                  "2*y1 - y2", "y2 + 2*y1"]
-        I_sq = 4.0
-
-        def omega12(x) -> float:
-            pv, p1, p2, p12, _, p22 = _param_jets(pf, x)
-            qv, q1, q2, q12, _, _ = _param_jets(qf, x)
-            num = (pv * pv * qv * p22 + pv * qv * qv * p12
-                   - pv * pv * qv * q12 + pv * pv * q1 * q2
-                   - qv * qv * p1 * p2 - pv * pv * p2 * q2)
-            return -2.0 * num / (pv * pv * qv * qv)
-
-    elif kind == 21:
-        if r is None:
-            raise ParamError("kind 21 needs a constant r")
-        body = (f"({beta}^2 + {gamma}^2) * exp(({2.0 * r!r}) "
-                f"* atan({beta} / {gamma}))")
-        guards = ["y2 - 0.05", f"({p}) - 0.05", f"({q}) - 0.05"]
-        I_sq = 4.0 * r * r / (1.0 + r * r)
-
-        def omega12(x) -> float:
-            pv, p1, p2, p12, p11, p22 = _param_jets(pf, x)
-            qv, q1, q2, q12, q11, _ = _param_jets(qf, x)
-            num = ((pv * pv * qv * q12 - pv * qv * qv * p12
-                    - pv * pv * q1 * q2 + qv * qv * p1 * p2) * r
-                   + pv * pv * qv * p22 + pv * qv * qv * q11
-                   - qv * qv * p1 * q1 - pv * pv * p2 * q2)
-            return 2.0 * r / (1.0 + r * r) * num / (pv * pv * qv * qv)
-
-    else:
-        raise ParamError(f"unknown family kind {kind}; expected 19, 20, 21")
-
-    lines = ["dim 2", f"metric L = {body}"]
-    lines.extend(f"guard = {g}" for g in guards)
-    src = "\n".join(lines) + "\n"
-    metric = geometry.ExprMetric(dsl.parse(src, name=f"cms{kind}"))
-    return CmsMetric(kind=kind, metric=metric, source=src, omega12=omega12,
-                     main_scalar_sq=I_sq)

@@ -17,12 +17,45 @@ a block result equals, bit for bit, the jet computed at point r alone.
 `_mul_coeffs` multiplies a block pair-major: it transposes the operands to
 (T, rows), gathers whole rows of them per pair of the multiply table, and
 bins product p of row r at r*T + ic[p], so one `np.bincount` sums each
-coefficient from 0.0 in ascending p, the single-point order.  A block of
-at least `PRUNE_PRODUCTS` products whose operands are both finite drops
-the table pairs whose `a` or `b` column is zero in every row: such a pair
-adds only +0.0 or -0.0 to a sum that starts from +0.0 and is never -0.0,
-so no bit moves.  An inf or nan keeps the full table, since inf * 0.0 is
-nan.
+coefficient from 0.0 in ascending p, the single-point order.
+
+A block jet built from `JetSpace.variable` and `constant` carries a
+column mask, `Jet.mask`: an int whose bit c is set for each coefficient c
+that may be nonzero in some row, and every coefficient outside it is
++-0.0 in every row.  A point jet has none (None), and neither has a jet
+made from a stack (`geometry._unstack`) or by `diff`.  So the jets that
+`dsl.evaluate` gives at a block carry masks, and those of the geometry
+stacks do not.
+
+- `variable` sets {0, its variable's column}, and `constant` sets {0}.
+- Negation, `abs`, truncation (cut to the lower space) and a product by
+  a finite scalar or by finite per-row factors keep the mask.
+- `+` and `-` of two jets take the union; adding a number adds column 0.
+- A product of two masked jets (`_product`) takes the `ProductTable` of
+  the two masks: the table pairs inside both, in table order.  It gathers
+  only the mask columns, checks that they are finite, and multiplies them
+  by the kept pairs; the product's mask is the bins those pairs reach.
+- `reciprocal` and the series (`_compose`) carry masks through their
+  Horner steps, the factor e or h without column 0, which holds an exact
+  0.0, so powi, division and the seven functions keep masks too.
+- An inf or nan drops the mask.  A product of jets with a non-finite
+  mask column takes the full table, since inf * 0.0 = nan can land
+  outside any mask, and gives no mask; a product by a non-finite scalar
+  or per-row factor turns a +-0.0 into nan and gives no mask.  A finite
+  scalar keeps every +-0.0 a +-0.0, whatever else the jet holds.
+
+No bit moves, by the argument for any pruned pair.  With finite operands
+a pair whose `a` or `b` column is +-0.0 in every row adds +-0.0 to its
+bin.  Each bin is summed from +0.0 in ascending p, and such a partial sum
+is never -0.0 (x + (-x) rounds to +0.0), so adding +-0.0 leaves its bits
+as they are, and a bin whose pairs are all dropped comes out +0.0, as the
+full table gives it.  So the product of finite operands has the same bits
+for any kept set that holds every pair of two nonzero columns: the full
+table, the pairs inside both masks (which may be wider than the nonzero
+columns), or those of a scan.  Operands without masks, the stacks, find
+their nonzero columns by a scan, `any` over the rows, under the same rule
+(`JetSpace._kept_pairs`), when the product has at least `PRUNE_PRODUCTS`
+products and both operands have a finite sum.
 
 The jets of a tensor, all of one space, may also be held as one
 coefficient array, a stack, shaped (components..., [rows,] T): the
@@ -109,13 +142,17 @@ VALUE_FLOOR = 1e-12
 # chunks of the full table.
 MUL_CHUNK = 1 << 17
 
-# A block multiply of at least this many products (table pairs x rows)
-# drops the pairs of empty columns.  Finding them costs about 15-20 us a
-# call, which the smaller multiplies do not win back: on 2-vCPU x86 with
-# numpy 2.4, operands of seed-7 benchmark runs took 9 -> 24 us at (4, 2)
-# with 16 rows (720 products), about even at (4, 4) with 16 rows (7920),
-# and 115 -> 48 us at (6, 4) with 16 rows (29120).
-PRUNE_PRODUCTS = 1 << 13
+# A block multiply of operands without masks (the stacks) and of at least
+# this many products (table pairs x rows) scans for the empty columns and
+# drops their pairs; jets with masks never scan.  The scan costs 15-20 us
+# a call.  Stack products of seed-7 passes of the four benchmark workloads
+# (2-vCPU x86, numpy 2.4), full table against scan and pruned table, mean
+# per call: 7.4 against 19.7 us at 1024-2047 products, 23.1 against 34.3 us
+# at 4096-8191, 39.0 against 55.4 us at 8192-16383, and 95.8 against
+# 90.3 us at 16384-32767.  In-process passes, best of 10, with this gate at
+# 1 << 13 / 1 << 14 / 1 << 15: `recover` 307.7 / 296.5 / 315.2 ms,
+# `corpus` 280.0 / 271.8 / 275.2 ms, `oracle` 160.2 / 156.7 / 157.7 ms.
+PRUNE_PRODUCTS = 1 << 14
 
 # A product of stacked jets (`stacked_product`, `contract`) folds at most
 # this many products into one kernel call, because the kernel's
@@ -126,6 +163,11 @@ PRUNE_PRODUCTS = 1 << 13
 # dim-2 spray and the inverse of a dim-2 metric's order-2 Hessian fold
 # whole; larger stacks fold by steps and entries.
 STACK_PRODUCTS = 1 << 14
+
+# A space keeps the `ProductTable`s of at most this many pairs of masks,
+# the oldest dropped first.  A seed-7 pass of `highdim` keeps 78 at (8, 4)
+# and 215 over all its spaces, 0.2 MB of kept pairs.
+PRODUCT_TABLES = 1 << 8
 
 # A Horner sweep over a block runs its passes on prefix spaces only while
 # log2 of its bound on every coefficient of the full passes stays at most
@@ -172,6 +214,7 @@ class JetSpace:
         )
         self._mul_table = self._build_mul_table(arr)
         self._pair_bins: dict[int, np.ndarray] = {}
+        self._tables: dict[tuple[int, int], ProductTable] = {}
         self._dmaps: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     def _locate(self, enc: np.ndarray) -> np.ndarray:
@@ -195,6 +238,25 @@ class JetSpace:
             ic = self._mul_table[2]
             bins = self._pair_bins[rows] = (ic[:, None] + self.T * np.arange(rows)).ravel()
             return bins
+
+    def _kept_pairs(self, in_a: np.ndarray, in_b: np.ndarray) -> np.ndarray:
+        """The one pruning rule: the places, in table order, of the pairs
+        whose `a` column is in `in_a` and `b` column in `in_b` (boolean
+        (T,) supports, carried or scanned)."""
+        ia, ib, _ = self._mul_table
+        return np.flatnonzero(in_a[ia] & in_b[ib])
+
+    def product_table(self, mask_a: int, mask_b: int) -> "ProductTable":
+        """The `ProductTable` of a pair of masks, kept for the next product
+        of the same masks; the oldest is dropped past `PRODUCT_TABLES`."""
+        key = (mask_a, mask_b)
+        try:
+            return self._tables[key]
+        except KeyError:
+            if len(self._tables) >= PRODUCT_TABLES:
+                del self._tables[next(iter(self._tables))]
+            table = self._tables[key] = ProductTable(self, mask_a, mask_b)
+            return table
 
     def _dmap(self, vs: tuple) -> tuple[np.ndarray, np.ndarray]:
         """Maps coefficients of this space onto the d/dv coefficients of the
@@ -222,9 +284,9 @@ class JetSpace:
         if isinstance(center, np.ndarray):
             coeffs = np.zeros((center.shape[0], self.T))
             coeffs[:, 0] = value
-        else:
-            coeffs = np.zeros(self.T)
-            coeffs[0] = float(value)
+            return Jet(self, center, coeffs, 1)
+        coeffs = np.zeros(self.T)
+        coeffs[0] = float(value)
         return Jet(self, center, coeffs)
 
     def variable(self, v: int, center) -> "Jet":
@@ -237,10 +299,54 @@ class JetSpace:
         else:
             coeffs = np.zeros(self.T)
             coeffs[0] = float(center[v])
+        mask = 1  # the value column
         if self.order >= 1:
-            e = tuple(1 if k == v else 0 for k in range(self.nvars))
-            coeffs.T[self.index[e]] = 1.0
-        return Jet(self, center, coeffs)
+            e = self.index[tuple(1 if k == v else 0 for k in range(self.nvars))]
+            coeffs.T[e] = 1.0
+            mask |= 1 << e
+        return Jet(self, center, coeffs, mask if coeffs.ndim == 2 else None)
+
+
+def _columns(mask: int, T: int) -> np.ndarray:
+    """The columns of a mask, as a boolean (T,) array."""
+    raw = np.frombuffer(mask.to_bytes((T + 7) // 8, "little"), np.uint8)
+    return np.unpackbits(raw, count=T, bitorder="little").astype(bool)
+
+
+def _mask(columns: np.ndarray) -> int:
+    """The mask of a boolean (T,) array of columns."""
+    return int.from_bytes(np.packbits(columns, bitorder="little").tobytes(), "little")
+
+
+class ProductTable:
+    """The multiply table of a space kept for a pair of column masks, as
+    `_mul_coeffs` takes it in place of the space.
+
+    `_mul_table` holds the kept pairs (`JetSpace._kept_pairs`) in table
+    order, with each `a` and `b` column given by its place among the
+    mask's columns `cols`: the kernel's operands are a block's mask
+    columns alone, (rows, len(cols[0])) and (rows, len(cols[1])).  The
+    bins stay those of `space`, so the product comes out (rows, T), and
+    `mask` is the mask of the bins the kept pairs reach.
+    """
+
+    __slots__ = ("space", "T", "cols", "mask", "_mul_table")
+
+    def __init__(self, sp: JetSpace, mask_a: int, mask_b: int):
+        in_a, in_b = _columns(mask_a, sp.T), _columns(mask_b, sp.T)
+        keep = sp._kept_pairs(in_a, in_b)
+        ia, ib, ic = (x[keep] for x in sp._mul_table)
+        self.space, self.T = sp, sp.T
+        self.cols = np.flatnonzero(in_a), np.flatnonzero(in_b)
+        self._mul_table = np.cumsum(in_a)[ia] - 1, np.cumsum(in_b)[ib] - 1, ic
+        reached = np.zeros(sp.T, dtype=bool)
+        reached[ic] = True
+        self.mask = _mask(reached)
+
+    def _bins(self, rows: int) -> np.ndarray:
+        """The bins of a pair-major (pairs, rows) block of the kept pairs'
+        products, as `JetSpace._bins` gives them for the full table."""
+        return (self._mul_table[2][:, None] + self.T * np.arange(rows)).ravel()
 
 
 @lru_cache(maxsize=None)
@@ -264,48 +370,42 @@ def _same_center(a, b) -> bool:
             and a.shape == b.shape and bool(np.array_equal(a, b)))
 
 
-def _mul_coeffs(sp: JetSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The coefficients of the product of two jets of `sp`: (T,) for a
-    point, (B, T) for a block.
+def _mul_coeffs(sp, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The coefficients of the product of two jets of the space `sp`: (T,)
+    for a point, (B, T) for a block; or of two masked block jets, whose
+    mask columns alone a and b hold, by `sp` their `ProductTable`.
 
     A point multiply sums the products a[ia[p]] * b[ib[p]] of the table
     `sp._mul_table` into bins ic[p] with one `np.bincount`.  A block runs
     over chunks of at most `MUL_CHUNK` products, pair-major: the chunk's
-    rows are transposed to C-contiguous (T, rows) arrays, so gathering a
-    table entry copies one whole row of `rows` doubles, and product p of
-    row r lands at flat position p*rows + r with bin r*T + ic[p]
-    (`JetSpace._bins`).  The sums come out in (rows, T) order.
+    rows are transposed to C-contiguous (columns, rows) arrays, so
+    gathering a table entry copies one whole row of `rows` doubles, and
+    product p of row r lands at flat position p*rows + r with bin
+    r*T + ic[p] (`_bins`).  The sums come out in (rows, T) order.
 
     Every row has the bits of the point multiply: `bincount` adds the
     weights of each bin in the order they appear, starting from 0.0, and
     bin (r, c) receives the products a[r, ia[p]] * b[r, ib[p]] with
     ic[p] == c in ascending p, as the point multiply of row r does.
 
-    A block of at least `PRUNE_PRODUCTS` products whose operands both have
-    a finite sum keeps only the pairs whose `a` column and `b` column are
-    nonzero in some row, in their table order, with bins built for this
-    call.  That keeps every bit:
-
-    - with finite operands, a dropped pair contributes +0.0 or -0.0;
-    - each bin is summed from +0.0 in ascending p, and such a partial sum
-      is never -0.0 (x + (-x) rounds to +0.0), so adding +-0.0 to it
-      never changes its bits;
-    - a bin whose pairs are all dropped comes out +0.0, as the full table
-      gives it.
-
-    An inf or nan makes its operand's sum non-finite and keeps the full
-    table, since inf * 0.0 = nan must stay; a finite sum that overflows
-    only sends the call to the full table too.  Below the size gate
-    finding the empty columns costs more than it saves.
+    A product table's operands are finite (`_product`), and it keeps the
+    pairs inside both masks.  A space's block of at least `PRUNE_PRODUCTS`
+    products whose operands both have a finite sum scans for the columns
+    that are nonzero in some row and keeps the pairs inside both, in table
+    order, with bins built for this call.  Either keeps every bit (see the
+    module docstring).  An inf or nan makes its operand's sum non-finite
+    and keeps the full table, since inf * 0.0 = nan must stay; a finite sum
+    that overflows only sends the call to the full table too.  Below the
+    size gate finding the empty columns costs more than it saves.
     """
     ia, ib, ic = sp._mul_table
     if a.ndim == 1:
         return np.bincount(ic, weights=a[ia] * b[ib], minlength=sp.T)
     rows = a.shape[0]
     bins = sp._bins
-    if (len(ic) * rows >= PRUNE_PRODUCTS
+    if (isinstance(sp, JetSpace) and len(ic) * rows >= PRUNE_PRODUCTS
             and math.isfinite(a.sum()) and math.isfinite(b.sum())):
-        keep = np.flatnonzero(a.any(axis=0)[ia] & b.any(axis=0)[ib])
+        keep = sp._kept_pairs(a.any(axis=0), b.any(axis=0))
         ia, ib, ic = ia[keep], ib[keep], ic[keep]
 
         def bins(height: int) -> np.ndarray:
@@ -320,6 +420,30 @@ def _mul_coeffs(sp: JetSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         out[lo:hi] = np.bincount(bins(hi - lo), weights=w.ravel(),
                                  minlength=(hi - lo) * sp.T).reshape(hi - lo, sp.T)
     return out
+
+
+def _product(sp: JetSpace, a: np.ndarray, mask_a, b: np.ndarray, mask_b) -> tuple:
+    """The coefficients and the mask of the product of the jets of `sp`
+    with coefficients a and b and masks mask_a and mask_b (None for no
+    mask).  Masked operands whose mask columns are finite multiply by
+    their `ProductTable`; any other pair by the space, with no mask."""
+    if mask_a is None or mask_b is None:
+        return _mul_coeffs(sp, a, b), None
+    table = sp.product_table(mask_a, mask_b)
+    ga, gb = a.take(table.cols[0], axis=1), b.take(table.cols[1], axis=1)
+    if math.isfinite(ga.sum()) and math.isfinite(gb.sum()):
+        return _mul_coeffs(table, ga, gb), table.mask
+    return _mul_coeffs(sp, a, b), None
+
+
+def _truncate(mask, T: int):
+    """A mask cut to the first T columns, or None."""
+    return None if mask is None else mask & ((1 << T) - 1)
+
+
+def _union(mask_a, mask_b):
+    """The mask of a sum: the union, or None if either has none."""
+    return None if mask_a is None or mask_b is None else mask_a | mask_b
 
 
 def stacked_product(sp: JetSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -427,12 +551,13 @@ def diff_coeffs(sp: JetSpace, c: np.ndarray, v: int) -> np.ndarray:
 
 
 class Jet:
-    __slots__ = ("space", "center", "coeffs")
+    __slots__ = ("space", "center", "coeffs", "mask")
 
-    def __init__(self, sp: JetSpace, center: tuple, coeffs: np.ndarray):
+    def __init__(self, sp: JetSpace, center: tuple, coeffs: np.ndarray, mask=None):
         self.space = sp
         self.center = center
         self.coeffs = coeffs
+        self.mask = mask  # a block's column mask (module docstring), or None
 
     @property
     def order(self) -> int:
@@ -458,7 +583,8 @@ class Jet:
         if order > self.order:
             raise OrderError(f"cannot extend a jet of order {self.order} to {order}")
         lower = space(self.space.nvars, order)
-        return Jet(lower, self.center, self.coeffs[..., : lower.T].copy())
+        return Jet(lower, self.center, self.coeffs[..., : lower.T].copy(),
+                   _truncate(self.mask, lower.T))
 
     def _pair(self, other: "Jet") -> tuple["Jet", "Jet"]:
         if self.space.nvars != other.space.nvars:
@@ -490,18 +616,19 @@ class Jet:
     def __add__(self, other):
         if isinstance(other, Jet):
             a, b = self._pair(other)
-            return Jet(a.space, a.center, a.coeffs + b.coeffs)
+            return Jet(a.space, a.center, a.coeffs + b.coeffs, _union(a.mask, b.mask))
         c = self.coeffs.copy()
         if c.ndim == 1:
             c[0] += float(other)
-        else:  # one addend for every row, or one per row
-            c[:, 0] += other if np.ndim(other) == 1 else float(other)
-        return Jet(self.space, self.center, c)
+            return Jet(self.space, self.center, c)
+        # one addend for every row, or one per row
+        c[:, 0] += other if np.ndim(other) == 1 else float(other)
+        return Jet(self.space, self.center, c, _union(self.mask, 1))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.space, self.center, -self.coeffs)
+        return Jet(self.space, self.center, -self.coeffs, self.mask)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Jet) else -float(other))
@@ -512,10 +639,20 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, Jet):
             a, b = self._pair(other)
-            return Jet(a.space, a.center, _mul_coeffs(a.space, a.coeffs, b.coeffs))
+            if a.mask is None or b.mask is None:  # points take no mask work
+                return Jet(a.space, a.center, _mul_coeffs(a.space, a.coeffs, b.coeffs))
+            return Jet(a.space, a.center, *_product(a.space, a.coeffs, a.mask,
+                                                    b.coeffs, b.mask))
+        # a finite factor keeps every +-0.0 a +-0.0, and so the mask
+        mask = self.mask
         if self.coeffs.ndim == 2 and np.ndim(other) == 1:  # one factor per row
-            return Jet(self.space, self.center, self.coeffs * other[:, None])
-        return Jet(self.space, self.center, self.coeffs * float(other))
+            if mask is not None and not math.isfinite(other.sum()):
+                mask = None
+            return Jet(self.space, self.center, self.coeffs * other[:, None], mask)
+        other = float(other)
+        if mask is not None and not math.isfinite(other):
+            mask = None
+        return Jet(self.space, self.center, self.coeffs * other, mask)
 
     __rmul__ = __mul__
 
@@ -537,15 +674,21 @@ class Jet:
             e.coeffs[0] -= 1.0
         s, steps = self._const(1.0), self.order
         if steps and math.isfinite(e.coeffs.sum()):
+            # a finite e has the exact value slot 0.0 = v/v - 1
+            e.mask = None if self.mask is None else self.mask & ~1
             # the kernel's e * 1.0 for finite e: e, with -0.0 summed to +0.0
-            s, steps = 1.0 - Jet(self.space, self.center, e.coeffs + 0.0), steps - 1
+            s = 1.0 - Jet(self.space, self.center, e.coeffs + 0.0, e.mask)
+            steps -= 1
             if e.coeffs.ndim == 2 and _sweep_finite(1.0, s.coeffs, e.coeffs, steps):
                 # step m on space(nvars, m), over s's finite coefficients
                 nvars, c = self.space.nvars, s.coeffs
                 for m in range(2, self.order + 1):
                     sp = space(nvars, m)
-                    c[:, :sp.T] = -_mul_coeffs(sp, e.coeffs[:, :sp.T], c[:, :sp.T])
+                    prod, mask = _product(sp, e.coeffs[:, :sp.T], _truncate(e.mask, sp.T),
+                                          c[:, :sp.T], _truncate(s.mask, sp.T))
+                    c[:, :sp.T] = -prod
                     c[:, 0] += 1.0
+                    s.mask = _union(s.mask, mask)
                 steps = 0
         for _ in range(steps):
             s = 1.0 - e * s
@@ -573,14 +716,16 @@ class Jet:
         c[k] makes degree K - k valid; over a block within `_sweep_finite`
         it runs on space(nvars, K - k), with the bits of the full steps
         (see the module docstring)."""
-        h = Jet(self.space, self.center, self.coeffs.copy())
+        h = Jet(self.space, self.center, self.coeffs.copy(),
+                None if self.mask is None else self.mask & ~1)
         h.coeffs.T[0] = 0.0  # the value part, of every row of a block
         top = self.order
         out = self._const(c[top])
         if top and math.isfinite(np.sum(c[top])) and math.isfinite(h.coeffs.sum()):
             # the kernel's out * h for finite factors: h * c[top], with -0.0
             # summed to +0.0
-            out = Jet(self.space, self.center, (h * c[top]).coeffs + 0.0) + c[top - 1]
+            first = h * c[top]
+            out = Jet(self.space, self.center, first.coeffs + 0.0, first.mask) + c[top - 1]
             top -= 1
             if h.coeffs.ndim == 2 and _sweep_finite(np.abs(c).max(), out.coeffs,
                                                     h.coeffs, top):
@@ -588,8 +733,11 @@ class Jet:
                 nvars, acc = self.space.nvars, out.coeffs
                 for k in range(top - 1, -1, -1):
                     sp = space(nvars, self.order - k)
-                    acc[:, :sp.T] = _mul_coeffs(sp, acc[:, :sp.T], h.coeffs[:, :sp.T])
+                    acc[:, :sp.T], mask = _product(
+                        sp, acc[:, :sp.T], _truncate(out.mask, sp.T),
+                        h.coeffs[:, :sp.T], _truncate(h.mask, sp.T))
                     acc[:, 0] += c[k]
+                    out.mask = _union(out.mask, mask)
                 top = 0
         for k in range(top - 1, -1, -1):
             out = out * h + c[k]
@@ -649,7 +797,7 @@ class Jet:
         if self.coeffs.ndim == 2:
             positive = self.coeffs[:, :1] > 0
             return Jet(self.space, self.center,
-                       np.where(positive, self.coeffs, -self.coeffs))
+                       np.where(positive, self.coeffs, -self.coeffs), self.mask)
         return self if self.value > 0 else -self
 
     # -- derivatives ---------------------------------------------------------

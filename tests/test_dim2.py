@@ -9,6 +9,8 @@ from spraylab import classify, dim2, dsl, geometry, sampling
 from spraylab.errors import (DegenerateMetric, NegativeMetric, ParamError,
                              PreconditionError)
 
+from conftest import gen_cms_metric
+
 EUC = """
 dim 2
 metric L = y1^2 + y2^2
@@ -34,9 +36,9 @@ def scalar_jet(expr: str, pt, order: int = 2):
 
 def cms_fixtures():
     return [
-        dim2.gen_cms_metric(19, p="1", q="1 + x1 + x2", s=1.0 / 3.0),
-        dim2.gen_cms_metric(20, p="1", q="1 + x1 + x2"),
-        dim2.gen_cms_metric(21, p="1 + x2^2", q="1", r=1.0),
+        gen_cms_metric(19, p="1", q="1 + x1 + x2", s=1.0 / 3.0),
+        gen_cms_metric(20, p="1", q="1 + x1 + x2"),
+        gen_cms_metric(21, p="1 + x2^2", q="1", r=1.0),
     ]
 
 
@@ -268,11 +270,11 @@ def test_flag_ode_cms_families() -> None:
 def test_cms_closed_forms_specialize() -> None:
     x = (0.2, -0.1)
     q = 1.0 + x[0] + x[1]
-    c19 = dim2.gen_cms_metric(19, p="1", q="1 + x1 + x2", s=1.0 / 3.0)
+    c19 = gen_cms_metric(19, p="1", q="1 + x1 + x2", s=1.0 / 3.0)
     assert c19.omega12(x) == pytest.approx(1.0 / q ** 2, rel=1e-12)
-    c20 = dim2.gen_cms_metric(20, p="1", q="1 + x1 + x2")
+    c20 = gen_cms_metric(20, p="1", q="1 + x1 + x2")
     assert c20.omega12(x) == pytest.approx(-2.0 / q ** 2, rel=1e-12)
-    c21 = dim2.gen_cms_metric(21, p="1 + x2^2", q="1", r=1.0)
+    c21 = gen_cms_metric(21, p="1 + x2^2", q="1", r=1.0)
     assert c21.omega12(x) == pytest.approx(2.0, rel=1e-12)
 
 
@@ -289,14 +291,14 @@ def test_cms_omega_fit_matches_prediction() -> None:
 
 def test_gen_cms_param_errors() -> None:
     with pytest.raises(ParamError):
-        dim2.gen_cms_metric(19, p="1", q="1")
+        gen_cms_metric(19, p="1", q="1")
     with pytest.raises(ParamError):
-        dim2.gen_cms_metric(19, p="1", q="1", s=1.0)
+        gen_cms_metric(19, p="1", q="1", s=1.0)
     with pytest.raises(ParamError):
-        dim2.gen_cms_metric(20, p="1", q="1", s=0.5)
+        gen_cms_metric(20, p="1", q="1", s=0.5)
     with pytest.raises(ParamError):
-        dim2.gen_cms_metric(21, p="1", q="1")
+        gen_cms_metric(21, p="1", q="1")
     with pytest.raises(ParamError):
-        dim2.gen_cms_metric(22, p="1", q="1")
+        gen_cms_metric(22, p="1", q="1")
     with pytest.raises(ParamError):
-        dim2.gen_cms_metric(19, p="1 +", q="1", s=2.0)
+        gen_cms_metric(19, p="1 +", q="1", s=2.0)

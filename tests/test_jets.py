@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spraylab import corpus, geometry, jets
+from spraylab import classify, corpus, dsl, geometry, jets
 from spraylab.errors import DomainError, OrderError
 
 from conftest import fd_partial, jet_inverse, loop_compose, loop_reciprocal
@@ -569,3 +569,57 @@ def test_prefix_passes_take_the_predicted_kernel_work(
         run = {"exp": u.exp, "reciprocal": u.reciprocal}[case.split()[0]]
     counts = [kernel_work(monkeypatch, run, prefix) for prefix in (True, False, True, False)]
     assert counts == [64 * prefix_pairs, 64 * full_pairs] * 2
+
+
+# -- the kernel work of masked products ------------------------------------------
+
+
+def random_spray_source(n: int, rng: np.random.Generator) -> str:
+    """A 2-homogeneous spray: quadratic y-terms with x-linear coefficients
+    plus y^i |y|, guarded where |y|^2 stays away from zero."""
+    norm2 = " + ".join(f"y{j}^2" for j in range(1, n + 1))
+    lines = [f"dim {n}"]
+    for i in range(1, n + 1):
+        terms = [f"({a:.4f} + {b:.4f}*x{rng.integers(1, n + 1)})*y{j}*y{k}"
+                 for j in range(1, n + 1) for k in range(j, n + 1)
+                 for a, b in [rng.uniform(-0.5, 0.5, size=2)]]
+        terms.append(f"{rng.uniform(0.1, 0.5):.4f}*y{i}*sqrt({norm2})")
+        lines.append(f"spray G{i} = " + " + ".join(terms))
+    lines.append(f"guard = {norm2} - 0.04")
+    return "\n".join(lines) + "\n"
+
+
+def test_dsl_block_products_run_from_masks_and_scan_nothing(monkeypatch) -> None:
+    # every (8, 4) block product of a dim-4 spray's tape multiplies by the
+    # table of its operands' masks, and no kernel call looks for empty
+    # columns
+    spray = geometry.spray_of(dsl.parse(random_spray_source(4, np.random.default_rng(7))))
+    evaluate, mul, kept = dsl.evaluate, jets._mul_coeffs, jets.JetSpace._kept_pairs
+    inside, scans, calls = [False], [0], []
+
+    def in_evaluate(*args, **kwargs):
+        inside[0] = True
+        try:
+            return evaluate(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    def counting_kept(sp, in_a, in_b):
+        scans[0] += 1
+        return kept(sp, in_a, in_b)
+
+    def counting_mul(sp, a, b):
+        space = sp.space if isinstance(sp, jets.ProductTable) else sp
+        if not (inside[0] and a.ndim == 2 and (space.nvars, space.order) == (8, 4)):
+            return mul(sp, a, b)
+        before = scans[0]
+        out = mul(sp, a, b)
+        calls.append((isinstance(sp, jets.ProductTable), scans[0] - before))
+        return out
+
+    monkeypatch.setattr(dsl, "evaluate", in_evaluate)
+    monkeypatch.setattr(jets, "_mul_coeffs", counting_mul)
+    monkeypatch.setattr(jets.JetSpace, "_kept_pairs", counting_kept)
+    classify.classify_spray(spray, count=64, seed=7)
+    assert len(calls) > 50
+    assert calls == [(True, 0)] * len(calls)

@@ -115,6 +115,16 @@ some rows, and every subtree of the metric the bytes of each entry it
 carries, signed zeros included.  The
 round-trip test checks that `pretty` text parses back to a tree with the
 same float bits, negative numbers and -0.0 included.
+
+The mask test evaluates tapes of random trees, in charts of dim 1 to 4,
+over variable jets of order 0 to 4 at blocks of 1 to 64 rows, with an
+inf, -inf or nan at some entries and numbers that may be inf, -inf or
+nan, one of them a factor of a root.  The jets it gives, or the error,
+have the bytes of the same evaluation with the masks stripped
+(`conftest.unmasked_evaluate`); every jet made along the way is +-0.0
+outside its mask; a product by a jet holding an inf or nan, or by such a
+number, carries no mask; and where every jet is finite, every jet the
+tape gives carries one.
 """
 
 from __future__ import annotations
@@ -138,7 +148,7 @@ from spraylab.sampling import TOL
 
 from conftest import (FullTaylor2, cov_h_jets, fd_partial, jet_inverse,
                       loop_compose, loop_induced, loop_inverse, loop_reciprocal,
-                      loop_taylor2)
+                      loop_taylor2, unmasked_evaluate)
 
 CONTRACTION_BOUND = 1e-12
 BIANCHI_BOUND = 1e-12
@@ -1571,11 +1581,13 @@ def test_quotient_stages_equal_the_loops_over_samples(case, floor_kind, k, fails
 # -- prefix property of truncation --------------------------------------------
 
 
-def dsl_trees(numbers=st.integers(-14, 14).map(lambda k: k / 7)):
-    """Random expression trees in the variables of a dim-2 chart."""
+def dsl_trees(numbers=st.integers(-14, 14).map(lambda k: k / 7),
+              names=("x1", "x2", "y1", "y2")):
+    """Random expression trees in the variables `names`, by default those
+    of a dim-2 chart."""
     leaves = st.one_of(
         numbers.map(dsl.num),
-        st.sampled_from(["x1", "x2", "y1", "y2"]).map(dsl.var))
+        st.sampled_from(names).map(dsl.var))
 
     def extend(children):
         binary = st.sampled_from([dsl.add, dsl.sub, dsl.mul, dsl.div])
@@ -1988,3 +2000,84 @@ def test_pretty_text_parses_back_to_the_same_float_bits(tree, point) -> None:
     again = dsl.parse(f"dim 2\nmetric L = {text}\n").exprs[0]
     assert (outcome(lambda: [dsl.evaluate(again, point)])
             == outcome(lambda: [dsl.evaluate(tree, point)])), text
+
+
+# -- column masks ----------------------------------------------------------------
+
+
+# dsl_trees' numbers, and inf, -inf and nan at about one number in eleven
+MASK_NUMBERS = st.integers(-17, 14).map(
+    lambda k: k / 7 if k >= -14 else (np.inf, -np.inf, np.nan)[k + 17])
+
+
+@st.composite
+def masked_evaluations(draw):
+    """(tape, dim, env): a tape of 1 to 3 random trees in a chart of dim 1
+    to 4, and the first times a number that may be inf, -inf or nan, and
+    the variable jets of order 0 to 4 at a block of 1 to 64 rows in
+    [-1, 1], with an inf, -inf or nan at up to 3 entries."""
+    n = draw(st.sampled_from([4, 3, 2, 1]))
+    names = tuple(f"{c}{i}" for c in "xy" for i in range(1, n + 1))
+    trees = draw(st.lists(dsl_trees(MASK_NUMBERS, names), min_size=1, max_size=3))
+    scalar = draw(st.sampled_from([0.5, np.inf, -np.inf, np.nan]))
+    trees.append(dsl.mul(trees[0], dsl.num(scalar)))
+    rows, order = draw(st.integers(1, 64)), draw(st.sampled_from([4, 3, 2, 1, 0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    center = rng.uniform(-1.0, 1.0, size=(rows, 2 * n))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        center[rng.integers(rows), rng.integers(2 * n)] = draw(
+            st.sampled_from([np.inf, -np.inf, np.nan]))
+    sp = jets.space(2 * n, order)
+    return dsl.Tape(trees, n), n, [sp.variable(v, center) for v in range(2 * n)]
+
+
+def finite(x) -> bool:
+    return bool(np.all(np.isfinite(x.coeffs if isinstance(x, jets.Jet) else x)))
+
+
+@contextlib.contextmanager
+def recorded_jets(created: list, products: list):
+    """Record every jet made while the block runs, and each product by a
+    jet or a scalar as (left factor, right factor, result)."""
+    init, mul = jets.Jet.__init__, jets.Jet.__mul__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        created.append(self)
+
+    def recording_mul(self, other):
+        out = mul(self, other)
+        products.append((self, other, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jets.Jet, "__init__", recording_init)
+        mp.setattr(jets.Jet, "__mul__", recording_mul)
+        mp.setattr(jets.Jet, "__rmul__", recording_mul)
+        yield
+
+
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(masked_evaluations())
+def test_masked_jets_are_zero_outside_their_masks_and_keep_every_bit(case) -> None:
+    tape, n, env = case
+    created, products = [], []
+    with recorded_jets(created, products):
+        got = outcome(lambda: dsl.evaluate(tape, env, dim=n))
+    assert got == outcome(lambda: unmasked_evaluate(tape, env, n))
+    # every jet of the evaluation, intermediates included, in its final state
+    for u in created:
+        if u.mask is not None:
+            outside = ~jets._columns(u.mask, u.space.T)
+            assert np.all(u.coeffs[..., outside] == 0.0)
+    # a product by a jet with an inf or nan, or by such a scalar, has no
+    # mask; a finite scalar keeps every +-0.0 of a jet a +-0.0
+    for a, b, out in products:
+        T = out.space.T
+        factors = [a.coeffs[..., :T], b.coeffs[..., :T]] if isinstance(b, jets.Jet) else [b]
+        if not all(map(finite, factors)):
+            assert out.mask is None
+    # and with none anywhere, every jet the tape gives has one
+    if isinstance(got, list) and all(map(finite, created)):
+        outs = dsl.evaluate(tape, env, dim=n)
+        assert all(u.mask is not None for u in outs if isinstance(u, jets.Jet))

@@ -63,6 +63,14 @@ iff every captured output is.  It writes, as one JSON object:
   bases by a hash of x, or veto every point: the bases and tangents,
   `candidates` and `rejected`, or the error's type and text, and the
   SHA-256 of the points `accept` saw, in order;
+- `tapes`: every coefficient of the jets `dsl.evaluate` gives for the
+  tape of every fixture and of the sources of the `highdim` jobs at seed 7
+  (the random sprays, and the spray and metric `gen-pflat` writes, in dims
+  3 and 4): at each block of the `classify` samples at seeds 3 and 11, at
+  the first 8 of the seed-3 samples one at a time, and at the first seed-3
+  block with its first row set to nan, and to inf; at orders 2 and 4, and
+  6 in dim 2; each jet as the `float.hex` of its coefficients, one string
+  per row, or the error's type and text;
 - `reports`: the SHA-256 and exit code of the `gen-pflat` JSON on
   quadratic data that `highdim`'s regular-A jobs never give: a singular A
   (empirical admissibility, with and without a round trip) and a regular
@@ -659,6 +667,59 @@ GEN_PFLAT_CASES = (
 )
 
 
+TAPE_POINTS = 8
+
+
+def tape_jets(problem, pa: np.ndarray, order: int) -> list:
+    """The coefficients of the tape's jets at the point or block pa, each
+    row (a point's one) a string of `float.hex`es."""
+    env = geometry._var_jets(problem.dim, pa, order)
+    outs = dsl.evaluate(problem.tape, env, dim=problem.dim)
+    return [[" ".join(map(float.hex, row))
+             for row in np.atleast_2d(geometry._as_jet(u, env[0]).coeffs).tolist()]
+            for u in outs]
+
+
+def tape_sources(highdim: Path) -> dict:
+    """Name -> (problem, box, count) of every fixture and of the highdim
+    sources written under `highdim` by its jobs."""
+    out = {}
+    for name in corpus.fixture_names():
+        fixture = corpus.load_fixture(name)
+        out[name] = fixture.problem, fixture.box, fixture.count
+    for n in workloads.HIGHDIM_DIMS:
+        for path in (f"sprays/random{n}.spray", f"gen/pflat{n}_spray.spray",
+                     f"gen/pflat{n}_metric.spray"):
+            out[path] = (dsl.parse((highdim / path).read_text(), name=path),
+                         None, workloads.POINTS)
+    return out
+
+
+def tapes(highdim: Path) -> dict:
+    out = {}
+    for name, (problem, box, count) in tape_sources(highdim).items():
+        field = geometry.spray_of(problem)
+        samples = {seed: sampling.draw(field, count=count, seed=seed, box=box).points()
+                   for seed in SEEDS}
+        orders = (2, 4, 6) if problem.dim == 2 else (2, 4)
+        first = classify.blocks(samples[SEEDS[0]])[0]
+        for order in orders:
+            for seed in SEEDS:
+                for k, block in enumerate(classify.blocks(samples[seed])):
+                    out[f"{name} order {order} seed {seed} block {k}"] = attempt(
+                        lambda: tape_jets(problem, block, order))
+            out[f"{name} order {order} points"] = [
+                attempt(lambda pt=pt: tape_jets(problem, pt, order))
+                for pt in samples[SEEDS[0]][:TAPE_POINTS]]
+            for bad in (np.nan, np.inf):
+                block = first.copy()
+                block[0] = bad
+                with np.errstate(all="ignore"):
+                    out[f"{name} order {order} {bad} row"] = attempt(
+                        lambda: tape_jets(problem, block, order))
+    return out
+
+
 def gen_pflat_reports() -> dict:
     """Runs in a scratch directory as the current one, so the paths that
     gen-pflat writes into its report are relative and repeat."""
@@ -773,6 +834,7 @@ def main(argv: list) -> int:
             record["reports"] = gen_pflat_reports()
         finally:
             os.chdir(here)
+        record["tapes"] = tapes(highdim)
         record["point_bundles"] = point_bundles()
         record["metric_sprays"] = metric_sprays()
         record["decision_stages"] = decision_stages()
