@@ -91,14 +91,9 @@ class RunConfig:
             if not math.isfinite(value) or value <= 0.0:
                 raise ParamError(f"{name} must be positive and finite, "
                                  f"got {value}")
-        if self.box is None:
-            return
-        if len(self.box) != 4:
+        if self.box is not None and len(self.box) != 4:
             raise ParamError("box needs four numbers: x_lo x_hi y_lo y_hi")
-        if not all(math.isfinite(v) for v in self.box):
-            raise ParamError(f"sample box {self.box} must be finite")
-        if not (self.box[0] < self.box[1] and self.box[2] < self.box[3]):
-            raise ParamError(f"empty sample box {self.box}")
+        self.sample_box  # SampleBox refuses a box that is not finite or is empty
 
     @property
     def tolerances(self) -> Tolerances:

@@ -65,10 +65,13 @@ from .sampling import TOL, Tolerances
 
 
 def _point_array(p, dim: int) -> np.ndarray:
-    """A point as a (2n,) array, or a block of points as a (B, 2n) array."""
+    """A point as a (2n,) array, or a block of points as a (B, 2n) array
+    with B >= 1."""
     pa = np.asarray(p, dtype=float)
     if pa.shape[-1:] != (2 * dim,) or pa.ndim not in (1, 2):
         raise DomainError(f"expected {2 * dim} coordinates, got shape {pa.shape}")
+    if not len(pa):
+        raise DomainError(f"expected at least one point, got shape {pa.shape}")
     return pa
 
 

@@ -18,12 +18,13 @@ GUARD_MARGIN.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import SamplingError
+from .errors import ParamError, SamplingError
 
 # y vectors with all components this small are rejected outright: every
 # spray here is positively 2-homogeneous, so near the zero section values
@@ -57,6 +58,13 @@ class SampleBox:
     x_hi: float = 0.8
     y_lo: float = -1.0
     y_hi: float = 1.0
+
+    def __post_init__(self):
+        box = (self.x_lo, self.x_hi, self.y_lo, self.y_hi)
+        if not all(math.isfinite(v) for v in box):
+            raise ParamError(f"sample box {box} must be finite")
+        if not (self.x_lo < self.x_hi and self.y_lo < self.y_hi):
+            raise ParamError(f"empty sample box {box}")
 
     @classmethod
     def from_hint(cls, hint: dict | None) -> "SampleBox":

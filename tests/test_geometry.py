@@ -18,7 +18,7 @@ import functools
 import numpy as np
 import pytest
 
-from spraylab import dsl, geometry, jets
+from spraylab import corpus, dsl, geometry, jets
 from spraylab.errors import DomainError, OrderError
 from spraylab.geometry import CurvatureBundle
 from spraylab.sampling import TOL, Tolerances
@@ -379,6 +379,24 @@ def test_block_bundle_checks_its_points() -> None:
     with pytest.raises(DomainError, match="^tangent vector is zero$"):
         CurvatureBundle(spray_of(ROTOR), np.array(
             [PROT, (0.1, 0.2, 0.0, 0.0), (0.1, 0.2, np.inf, 1.0)]))
+
+
+EMPTY_BLOCK = r"^expected at least one point, got shape \(0, 4\)$"
+
+
+@pytest.mark.parametrize("read", ["bundle", "spray", "metric"])
+def test_an_empty_block_is_refused_up_front(read) -> None:
+    # a (0, 4) block used to reach numpy's reductions, which raised
+    # "zero-size array to reduction operation"
+    empty = np.empty((0, 4))
+    spray = corpus.load_fixture("ex7.3").build()
+    calls = {
+        "bundle": lambda: CurvatureBundle(spray, empty),
+        "spray": lambda: spray.coeff_jets(empty, 2),
+        "metric": lambda: corpus.load_fixture("elliptic2").metric().jet(empty, 2),
+    }
+    with pytest.raises(DomainError, match=EMPTY_BLOCK):
+        calls[read]()
 
 
 def test_folds_equal_the_per_row_loop() -> None:

@@ -508,14 +508,15 @@ def test_series_bits_match_record(case) -> None:
 
 
 def kernel_work(monkeypatch, run, prefix: bool) -> int:
-    """Table pairs x rows over the multiply kernel calls of run(), with the
-    Horner passes on prefix spaces, or all at the full order."""
+    """Table pairs x rows over the multiply kernel calls of run(), a point
+    operand one row, with the Horner passes on prefix spaces, or all at
+    the full order."""
     work = 0
     mul = jets._mul_coeffs
 
     def counting(sp, a, b):
         nonlocal work
-        work += len(sp._mul_table[0]) * a.shape[0]
+        work += len(sp._mul_table[0]) * (a.shape[0] if a.ndim == 2 else 1)
         return mul(sp, a, b)
 
     with monkeypatch.context() as mp:
@@ -550,25 +551,33 @@ def dense_jet(nvars: int, order: int, rows: int) -> jets.Jet:
 
 
 # per row (and per entry product of the inverse's n^3): the table pairs of
-# the passes on space(4, k), against those of the passes at the full order
+# the passes on space(4, k), against those of the passes at the full order;
+# a point's passes (row 0 of the block) stay at the full order
 @pytest.mark.parametrize("case, prefix_pairs, full_pairs", [
     ("exp order 6", 45 + 165 + 495 + 1287 + 3003, 5 * 3003),
     ("reciprocal order 4", 45 + 165 + 495, 3 * 495),
     ("cms20 inverse order 4", 8 * (45 + 165 + 495), 8 * 3 * 495),
+    ("exp order 6 point", 5 * 3003, 5 * 3003),
+    ("reciprocal order 4 point", 3 * 495, 3 * 495),
+    ("cms20 inverse order 4 point", 8 * 3 * 495, 8 * 3 * 495),
 ])
 def test_prefix_passes_take_the_predicted_kernel_work(
         monkeypatch, case, prefix_pairs, full_pairs) -> None:
+    rows = 1 if case.endswith("point") else 64
     if case.startswith("cms20"):
         sp, g = cms20_inverse_operand()
         assert (sp.nvars, sp.order, g.shape[:3]) == (4, 4, (2, 2, 64))
+        g = g[:, :, 0] if rows == 1 else g
 
         def run():
             jets.jet_matrix_inverse(sp, g)
     else:
-        u = dense_jet(4, int(case.split()[-1]), 64)
+        u = dense_jet(4, int(case.split()[2]), 64)
+        if rows == 1:
+            u = jets.Jet(u.space, tuple(u.center[0]), u.coeffs[0])
         run = {"exp": u.exp, "reciprocal": u.reciprocal}[case.split()[0]]
     counts = [kernel_work(monkeypatch, run, prefix) for prefix in (True, False, True, False)]
-    assert counts == [64 * prefix_pairs, 64 * full_pairs] * 2
+    assert counts == [rows * prefix_pairs, rows * full_pairs] * 2
 
 
 # -- the kernel work of masked products ------------------------------------------

@@ -299,6 +299,14 @@ def test_stencil_leaving_the_domain_raises() -> None:
         oracle.fd_curvature(sp, (-0.44, 0.1, 1.2, 1.6), h=0.05)
 
 
+def test_fd_curvature_refuses_an_empty_block() -> None:
+    # a (0, 4) block used to end in an IndexError
+    spray = corpus.load_fixture("ex7.3").build()
+    with pytest.raises(DomainError, match=r"^expected at least one point, got shape "
+                       r"\(0, 4\)$"):
+        oracle.fd_curvature(spray, np.empty((0, 4)))
+
+
 def test_fd_curvature_builds_one_value_map(monkeypatch) -> None:
     built = []
     spray_values = oracle.spray_values

@@ -9,6 +9,7 @@ checks it against the loop that drew one try at a time
 from __future__ import annotations
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from conftest import loop_sample_points
 
 from spraylab import dsl, geometry
-from spraylab.errors import DomainError, SamplingError
+from spraylab.errors import DomainError, ParamError, SamplingError
 from spraylab.sampling import TOL, SampleBox, Tolerances, draw, sample_points
 
 GUARDED = """
@@ -104,6 +105,25 @@ def test_accept_domain_error_rejects_the_point() -> None:
     s = sample_points(2, count=16, seed=7, accept=off_domain)
     assert s.rejected > 0
     assert np.all(s.points()[:, 2] >= 0.0)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("bounds, reason", [
+    ((1.0, -1.0, 0.5, 1.0), "empty sample box (1.0, -1.0, 0.5, 1.0)"),
+    ((-1.0, 1.0, 0.5, 0.5), "empty sample box (-1.0, 1.0, 0.5, 0.5)"),
+    ((-1.0, 1.0, NAN, 1.0), "sample box (-1.0, 1.0, nan, 1.0) must be finite"),
+    ((-1.0, INF, 0.0, 1.0), "sample box (-1.0, inf, 0.0, 1.0) must be finite"),
+], ids=["reversed", "flat", "nan", "inf"])
+def test_sample_box_refuses_a_box_that_is_not_finite_or_is_empty(bounds, reason) -> None:
+    # a reversed box used to reach numpy's "high - low < 0" in the draw,
+    # and a nan bound an OverflowError; a fixture's hint is checked alike
+    x_lo, x_hi, y_lo, y_hi = bounds
+    for make in (lambda: SampleBox(*bounds),
+                 lambda: SampleBox.from_hint({"x": [x_lo, x_hi], "y": [y_lo, y_hi]})):
+        with pytest.raises(ParamError, match=f"^{re.escape(reason)}$"):
+            make()
 
 
 def test_exhaustion_raises_sampling_error() -> None:

@@ -71,6 +71,14 @@ iff every captured output is.  It writes, as one JSON object:
   block with its first row set to nan, and to inf; at orders 2 and 4, and
   6 in dim 2; each jet as the `float.hex` of its coefficients, one string
   per row, or the error's type and text;
+- `sweeps`: every coefficient of `reciprocal`, the seven series (exp,
+  ln, sqrt, sin, cos, atan and a real power) and `jet_matrix_inverse`,
+  on spaces (4, 4), (4, 6) and (6, 4), at a point and at blocks of 1, 17
+  and 64 rows, with operands in bound, with a first-order coefficient of
+  1e150 (over the bound of `jets._sweep_finite`), of inf and of nan; the
+  series of a block also with a column mask over the columns that are
+  nonzero in some row, the others zeroed; each as the `float.hex` of
+  its coefficients, one string per row, or the error's type and text;
 - `reports`: the SHA-256 and exit code of the `gen-pflat` JSON on
   quadratic data that `highdim`'s regular-A jobs never give: a singular A
   (empirical admissibility, with and without a round trip) and a regular
@@ -109,7 +117,7 @@ import numpy as np  # noqa: E402
 
 import workloads  # noqa: E402
 from spraylab import (classify, cli, corpus, dim2, dsl, geometry,  # noqa: E402
-                      metrize, oracle, pflat, sampling)
+                      jets, metrize, oracle, pflat, sampling)
 
 SEEDS = (3, 11)
 JOB_SEED = 7
@@ -720,6 +728,69 @@ def tapes(highdim: Path) -> dict:
     return out
 
 
+SWEEP_SPACES = ((4, 4), (4, 6), (6, 4))
+SWEEP_ROWS = (0, 1, 17, 64)  # 0: a point
+SWEEP_SPOILS = {"in bound": 0.0, "1e150": 1e150, "inf": np.inf, "nan": np.nan}
+SWEEP_SERIES = {"reciprocal": jets.Jet.reciprocal, "exp": jets.exp, "ln": jets.ln,
+                "sqrt": jets.sqrt, "sin": jets.sin, "cos": jets.cos, "atan": jets.atan,
+                "pow_real": lambda u: jets.pow_real(u, -1.35)}
+
+
+def sweep_operand(sp, rows: int, seed: list, spoil: float) -> np.ndarray:
+    """(rows, T) coefficients, or (T,) at rows 0: value parts of magnitude
+    0.5 to 2 and derivative coefficients 0.3 times standard normals, a
+    third of them +0.0 or -0.0; `spoil`, if nonzero, at a first-order
+    coefficient of the last row."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((max(rows, 1), sp.T)) * 0.3
+    zero = rng.random(x.shape) < 0.33
+    x[zero] = np.where(rng.random(x.shape) < 0.5, 0.0, -0.0)[zero]
+    x[:, 0] = rng.uniform(0.5, 2.0, len(x)) * rng.choice([-1.0, 1.0], len(x))
+    if spoil:
+        x[-1, 1] = spoil
+    return x if rows else x[0]
+
+
+def hex_rows(c: np.ndarray) -> list:
+    return [" ".join(map(float.hex, row)) for row in c.reshape(-1, c.shape[-1]).tolist()]
+
+
+def sweeps() -> dict:
+    out = {}
+    for nvars, order in SWEEP_SPACES:
+        sp, n = jets.space(nvars, order), nvars // 2
+        for rows in SWEEP_ROWS:
+            center = np.linspace(-1.0, 1.0, max(rows, 1) * nvars).reshape(-1, nvars)
+            center = center if rows else tuple(center[0])
+            for k, (label, spoil) in enumerate(SWEEP_SPOILS.items()):
+                key = f"{nvars},{order} rows {rows} {label}"
+                x = sweep_operand(sp, rows, [nvars, order, rows, k], spoil)
+                # half the columns but the value's empty, and their mask
+                empty = np.random.default_rng([nvars, order, rows, k, 1]).random(sp.T) < 0.5
+                empty[0] = False
+                masked = np.where(empty, 0.0, x)
+                mask = jets._mask(~empty)
+                for name, fn in SWEEP_SERIES.items():
+                    sign = np.abs if name in ("ln", "sqrt", "pow_real") else np.asarray
+                    for tag, coeffs, jet_mask in ((key, x, None), (f"{key} masked", masked, mask)):
+                        if jet_mask is not None and not rows:
+                            continue
+                        c = coeffs.copy()
+                        c[..., 0] = sign(c[..., 0])
+                        u = jets.Jet(sp, center, c, jet_mask)
+                        with np.errstate(all="ignore"):
+                            out[f"{name} {tag}"] = attempt(lambda: hex_rows(fn(u).coeffs))
+                m = np.array([[sweep_operand(sp, rows, [nvars, order, rows, k, i, j],
+                                             spoil if (i, j) == (0, n - 1) else 0.0)
+                               for j in range(n)] for i in range(n)])
+                for i, j in np.ndindex(n, n):
+                    m[i, j][..., 0] = np.abs(m[i, j][..., 0]) * (2.0 * n if i == j else 0.25)
+                with np.errstate(all="ignore"):
+                    out[f"inverse {key}"] = attempt(
+                        lambda: hex_rows(jets.jet_matrix_inverse(sp, m)))
+    return out
+
+
 def gen_pflat_reports() -> dict:
     """Runs in a scratch directory as the current one, so the paths that
     gen-pflat writes into its report are relative and repeat."""
@@ -835,6 +906,7 @@ def main(argv: list) -> int:
         finally:
             os.chdir(here)
         record["tapes"] = tapes(highdim)
+        record["sweeps"] = sweeps()
         record["point_bundles"] = point_bundles()
         record["metric_sprays"] = metric_sprays()
         record["decision_stages"] = decision_stages()
