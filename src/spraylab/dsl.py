@@ -12,9 +12,20 @@ A problem file is line oriented:
 Expressions use +, -, *, / with the usual precedence, right-associative ^
 binding tighter than unary minus, parentheses, one-argument function calls
 (sqrt, exp, ln, abs, atan, sin, cos) and the chart variables x1..xn, y1..yn.
-'#' starts a comment. Constants are substituted at parse time, so a parsed
-tree contains only numbers, variables and operations; families of problems
-are swept by re-parsing with overrides, not by the tree.
+'#' starts a comment.  Statements run in order: a const is declared once,
+before its first use, under a name that is no chart variable's (x<digits>,
+y<digits>).  Constants are substituted at parse time, so a parsed tree
+holds only numbers, variables and operations; families of problems are
+swept by re-parsing with overrides, not by the tree.
+
+`parse` scans each line into its tokens by one `findall` and reads them by
+index: an expression in one precedence loop, in which an infix operator
+first reduces the pending ones that bind at least as tightly (none, for
+the right-associative ^).  A line's error is its first character that
+starts no token, or number beyond float range, if it has one.  The trees
+are the grammar's recursive descent's, node for node, each number the
+`float` of its token, so every value keeps its bits; a subtree that recurs
+in one parse is one object, which a tape walks once.
 
 `parse` gives a `ProblemDef` of trees.  On first use the problem compiles
 its expressions, and separately its guards, into a `Tape`: one list of
@@ -41,11 +52,11 @@ from .errors import ArityError, DimensionError, ParamError, SpraySyntaxError
 FUNCTIONS = ("sqrt", "exp", "ln", "abs", "atan", "sin", "cos")
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()=,])"
-    r"|(?P<bad>\S))"
+    r"\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"  # a number
+    r"|[A-Za-z_][A-Za-z_0-9]*"  # a name
+    r"|\S"  # an operator, or a character that starts no token
 )
+_INFIX = {"+": "add", "-": "sub", "*": "mul", "/": "div", "^": "pow"}
 
 
 @dataclass(frozen=True)
@@ -121,135 +132,139 @@ class ProblemDef:
         return evaluate(self.guard_tape, list(point), dim=self.dim)
 
 
-class _Tokens:
-    def __init__(self, text: str, line: int):
-        self.line = line
-        self.toks: list[tuple[str, str, int]] = []  # (type, text, col)
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if not m or m.end() == pos:
-                break
-            pos = m.end()
-            col = m.start(m.lastgroup) + 1
-            if m.lastgroup == "bad":
-                raise SpraySyntaxError(line, col, "a token", m.group("bad"))
-            if m.lastgroup == "num" and not math.isfinite(float(m.group("num"))):
-                raise SpraySyntaxError(line, col, "a number within float range", m.group("num"))
-            self.toks.append((m.lastgroup, m.group(m.lastgroup), col))
-        self.i = 0
+class _Line:
+    """One source line, scanned into its tokens by one `findall`, with ""
+    after the last, and parsed by index into them."""
 
-    def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else ("end", "", -1)
+    def __init__(self, number: int, src: str):
+        self.number, self.src = number, src
+        self.toks = _TOKEN.findall(src) + [""]
 
-    def next(self):
-        t = self.peek()
-        self.i += 1
-        return t
+    def fail(self, i: int, expected: str, error=None):
+        """Raise the line's first token that no rule reads, if it has one,
+        as a scan of the whole line before parsing would; else `error` of
+        the column of token i, or a syntax error that expected `expected`
+        there."""
+        cols = []
+        for m in _TOKEN.finditer(self.src):
+            cols.append(m.start() + 1)
+            kind = _kind(m.group())
+            if kind in ("bad", "big"):
+                raise SpraySyntaxError(self.number, cols[-1], "a token" if kind == "bad"
+                                       else "a number within float range", m.group())
+        col = cols[i] if i < len(cols) else 1
+        raise error(col) if error else SpraySyntaxError(self.number, col, expected, self.toks[i])
 
-    def expect(self, text: str, what: str):
-        typ, tok, col = self.next()
-        if tok != text:
-            raise SpraySyntaxError(self.line, col if col > 0 else 1, what, tok)
-        return tok
-
-    def done(self) -> bool:
-        return self.i >= len(self.toks)
-
-
-class _ExprParser:
-    def __init__(self, toks: _Tokens, dim: int, consts: dict):
-        self.t = toks
-        self.dim = dim
-        self.consts = consts
-
-    def parse(self) -> Node:
-        node = self.expr()
-        if not self.t.done():
-            typ, tok, col = self.t.peek()
-            raise SpraySyntaxError(self.t.line, col, "end of expression", tok)
+    def leaf(self, i: int, dim: int, consts: dict, shared: dict) -> Node | None:
+        """The number or variable at token i, kept in `shared` under its
+        text; None if the token names the function of a call."""
+        tok = self.toks[i]
+        kind = _kind(tok)
+        if kind == "name" and self.toks[i + 1] == "(":
+            if tok not in FUNCTIONS:
+                self.fail(i, f"one of {', '.join(FUNCTIONS)}")
+            return None
+        if kind == "num":
+            node = num(float(tok))
+        elif kind != "name":
+            self.fail(i, "a value")
+        elif tok in consts:
+            node = num(consts[tok])
+        elif tok[0] in "xy" and tok[1:].isdigit():
+            if not 1 <= int(tok[1:]) <= dim:
+                self.fail(i, "", lambda col: DimensionError(
+                    f"line {self.number}, col {col}: variable {tok} out of range for dim {dim}"))
+            node = var(tok)
+        else:
+            self.fail(i, "a variable, declared const or function")
+        shared[tok] = node
         return node
 
-    def expr(self) -> Node:
-        node = self.term()
-        while self.t.peek()[1] in ("+", "-"):
-            op = self.t.next()[1]
-            rhs = self.term()
-            node = add(node, rhs) if op == "+" else sub(node, rhs)
-        return node
+    def expr(self, i: int, dim: int, consts: dict, shared: dict) -> Node:
+        """The expression from token i to the end of the line."""
+        toks = self.toks
+        vals: list[Node] = []
+        ops: list[str] = []  # pending kinds; "(" or the function name per open group
+        args: list[int] = []  # the argument count of each open call
+        while True:
+            tok = toks[i]
+            if tok == "-" or tok == "(":
+                ops.append("neg" if tok == "-" else "(")
+                i += 1
+                continue
+            node = shared.get(tok)
+            if node is None or toks[i + 1] == "(":
+                node = self.leaf(i, dim, consts, shared)
+                if node is None:
+                    ops.append(tok)
+                    args.append(1)
+                    i += 2
+                    continue
+            vals.append(node)
+            while True:  # after an operand
+                i += 1
+                tok = toks[i]
+                kind = _INFIX.get(tok)
+                if kind != "pow":  # ^ reduces nothing; a closer reduces to its group
+                    prec = _PREC[kind] if kind else 1
+                    while ops and _PREC.get(ops[-1], 0) >= prec:
+                        k = ops.pop()
+                        b = None if k == "neg" else vals.pop()
+                        vals[-1] = _shared(shared, k, vals[-1], b)
+                if kind:
+                    ops.append(kind)
+                    i += 1
+                    break
+                if not ops:
+                    if tok:
+                        self.fail(i, "end of expression")
+                    return vals[0]
+                if tok == ")":
+                    group = ops.pop()
+                    if group != "(":
+                        n = args.pop()
+                        if n != 1:
+                            self.fail(i, "", lambda col: ArityError(
+                                f"line {self.number}: {group} takes 1 argument, got {n}"))
+                        vals[-1] = _shared(shared, group, vals[-1])
+                elif tok == "," and ops[-1] != "(":
+                    args[-1] += 1
+                    i += 1
+                    break
+                else:
+                    self.fail(i, "')'")
 
-    def term(self) -> Node:
-        node = self.unary()
-        while self.t.peek()[1] in ("*", "/"):
-            op = self.t.next()[1]
-            rhs = self.unary()
-            node = mul(node, rhs) if op == "*" else div(node, rhs)
-        return node
 
-    def unary(self) -> Node:
-        if self.t.peek()[1] == "-":
-            self.t.next()
-            return neg(self.unary())
-        return self.power()
+def _kind(tok: str) -> str:
+    """"num", "big" (a number beyond float range), "name", "op" or "bad" (a
+    character that starts no token) for a token of `_TOKEN`."""
+    if tok[:1].isdecimal() or tok[:1] == "." and tok != ".":
+        return "num" if float(tok) < math.inf else "big"
+    if tok.isascii() and tok.isidentifier():
+        return "name"
+    return "op" if tok in "-+*/^()=," else "bad"
 
-    def power(self) -> Node:
-        base = self.atom()
-        if self.t.peek()[1] == "^":
-            self.t.next()
-            expo = self.unary()  # right-assoc, unary minus allowed in exponent
-            return self._make_pow(base, expo)
-        return base
 
-    def _make_pow(self, base: Node, expo: Node) -> Node:
-        lit = expo
-        sign = 1
-        while lit.kind == "neg":
-            sign, lit = -sign, lit.a
-        if lit.kind == "num" and float(lit.value).is_integer():
-            return powi(base, sign * int(lit.value))
-        # non-integer exponent routes through exp(e * ln(base)) and inherits
-        # the positivity requirement on the base
-        return Node("pow", a=base, b=expo)
+def _shared(shared: dict, kind: str, a: Node, b: Node | None = None) -> Node:
+    """The node of `kind`, or the call of the function `kind`, over a and
+    b, kept in `shared` under the three, so that it is one object."""
+    key = (kind, id(a), id(b))
+    if key not in shared:
+        shared[key] = (_make_pow(a, b) if kind == "pow" else Node(kind, a, b) if kind in _PREC
+                       else call(kind, a))
+    return shared[key]
 
-    def atom(self) -> Node:
-        typ, tok, col = self.t.next()
-        if typ == "num":
-            return num(float(tok))
-        if tok == "(":
-            node = self.expr()
-            self.t.expect(")", "')'")
-            return node
-        if typ == "ident":
-            if self.t.peek()[1] == "(":
-                return self.call(tok, col)
-            return self.name(tok, col)
-        raise SpraySyntaxError(self.t.line, col if col > 0 else 1, "a value", tok)
 
-    def call(self, fname: str, col: int) -> Node:
-        if fname not in FUNCTIONS:
-            raise SpraySyntaxError(self.t.line, col, f"one of {', '.join(FUNCTIONS)}", fname)
-        self.t.expect("(", "'('")
-        args = [self.expr()]
-        while self.t.peek()[1] == ",":
-            self.t.next()
-            args.append(self.expr())
-        self.t.expect(")", "')'")
-        if len(args) != 1:
-            raise ArityError(f"line {self.t.line}: {fname} takes 1 argument, got {len(args)}")
-        return call(fname, args[0])
-
-    def name(self, tok: str, col: int) -> Node:
-        if tok in self.consts:
-            return num(self.consts[tok])
-        m = re.fullmatch(r"([xy])([0-9]+)", tok)
-        if m:
-            idx = int(m.group(2))
-            if not 1 <= idx <= self.dim:
-                raise DimensionError(
-                    f"line {self.t.line}, col {col}: variable {tok} out of range for dim {self.dim}"
-                )
-            return var(tok)
-        raise SpraySyntaxError(self.t.line, col, "a variable, declared const or function", tok)
+def _make_pow(base: Node, expo: Node) -> Node:
+    lit = expo
+    sign = 1
+    while lit.kind == "neg":
+        sign, lit = -sign, lit.a
+    if lit.kind == "num" and float(lit.value).is_integer():
+        return powi(base, sign * int(lit.value))
+    # non-integer exponent routes through exp(e * ln(base)) and inherits
+    # the positivity requirement on the base
+    return Node("pow", a=base, b=expo)
 
 
 def parse(text: str, consts: dict | None = None, name: str = "") -> ProblemDef:
@@ -258,106 +273,83 @@ def parse(text: str, consts: dict | None = None, name: str = "") -> ProblemDef:
     bad = sorted(k for k, v in overrides.items() if not math.isfinite(v))
     if bad:
         raise ParamError(f"const override for {', '.join(bad)} is not a finite number")
-    decl: dict[str, float] = {}
+    lines = text.splitlines()
     dim = 0
+    values: dict = {}  # const name -> its value in force, the override if given
+    shared: dict = {}  # token, or (kind, id, id) of an operation -> its one node
     sprays: dict[int, Node] = {}
     metric: Node | None = None
     guards: list[Node] = []
-    seen_header = False
-
-    lines = text.splitlines()
-    # Collect const declarations first so overrides can be validated, then
-    # parse statements in order.
-    pending: list[tuple[int, str]] = []
-    for ln, raw in enumerate(lines, start=1):
-        stripped = raw.split("#", 1)[0].rstrip()
-        if stripped.strip():
-            pending.append((ln, stripped))
-
-    if not pending:
-        raise SpraySyntaxError(1, 1, "'dim INT' header", "")
-
-    for ln, src in pending:
-        toks = _Tokens(src, ln)
-        typ, kw, col = toks.next()
-        if not seen_header:
+    for number, raw in enumerate(lines, start=1):
+        src = raw.split("#", 1)[0].rstrip()
+        if not src:
+            continue
+        line = _Line(number, src)
+        toks = line.toks
+        kw = toks[0]
+        if not dim:
             if kw != "dim":
-                raise SpraySyntaxError(ln, col, "'dim INT' header", kw)
-            t2, v, c2 = toks.next()
-            if t2 != "num" or not float(v).is_integer() or int(float(v)) < 1:
-                raise SpraySyntaxError(ln, c2 if c2 > 0 else 1, "a positive integer dim", v)
-            dim = int(float(v))
-            if not toks.done():
-                raise SpraySyntaxError(ln, toks.peek()[2], "end of line", toks.peek()[1])
-            seen_header = True
-            continue
-
-        if kw == "const":
-            t2, cname, c2 = toks.next()
-            if t2 != "ident":
-                raise SpraySyntaxError(ln, c2 if c2 > 0 else 1, "a constant name", cname)
-            toks.expect("=", "'='")
-            sign = 1.0
-            t3, v, c3 = toks.next()
-            if v == "-":
-                sign = -1.0
-                t3, v, c3 = toks.next()
-            if t3 != "num":
-                raise SpraySyntaxError(ln, c3 if c3 > 0 else 1, "a number", v)
-            if not toks.done():
-                raise SpraySyntaxError(ln, toks.peek()[2], "end of line", toks.peek()[1])
-            decl[cname] = sign * float(v)
-            continue
-
-        if kw in ("spray", "metric", "guard"):
-            consts_now = dict(decl)
-            consts_now.update({k: v for k, v in overrides.items() if k in decl})
+                line.fail(0, "'dim INT' header")
+            if _kind(toks[1]) != "num" or not float(toks[1]).is_integer() or float(toks[1]) < 1:
+                line.fail(1, "a positive integer dim")
+            if toks[2]:
+                line.fail(2, "end of line")
+            dim = int(float(toks[1]))
+        elif kw == "const":
+            cname = toks[1]
+            if _kind(cname) != "name":
+                line.fail(1, "a constant name")
+            if toks[2] != "=":
+                line.fail(2, "'='")
+            j = 4 if toks[3] == "-" else 3
+            if _kind(toks[j]) != "num":
+                line.fail(j, "a number")
+            if toks[j + 1]:
+                line.fail(j + 1, "end of line")
+            if cname[0] in "xy" and cname[1:].isdigit():
+                line.fail(1, "a constant name that is not a chart variable")
+            if cname in values:
+                line.fail(1, f"a single declaration of {cname}")
+            values[cname] = overrides.get(cname, (-1.0 if j == 4 else 1.0) * float(toks[j]))
+        elif kw in ("spray", "metric", "guard"):
+            ident = toks[1]
+            at = 2 if kw == "guard" else 3  # the first token of the expression
+            if kw != "guard" and _kind(ident) != "name":
+                line.fail(1, "a component name")
+            if toks[at - 1] != "=":
+                line.fail(at - 1, "'='")
+            node = line.expr(at, dim, values, shared)
             if kw == "guard":
-                toks.expect("=", "'='")
-                guards.append(_ExprParser(toks, dim, consts_now).parse())
-                continue
-            t2, ident, c2 = toks.next()
-            if t2 != "ident":
-                raise SpraySyntaxError(ln, c2 if c2 > 0 else 1, "a component name", ident)
-            toks.expect("=", "'='")
-            node = _ExprParser(toks, dim, consts_now).parse()
-            if kw == "spray":
+                guards.append(node)
+            elif kw == "spray":
                 if metric is not None:
-                    raise SpraySyntaxError(ln, 1, "no spray statements in a metric file", kw)
-                m = re.fullmatch(r"G([0-9]+)", ident)
-                if not m or not 1 <= int(m.group(1)) <= dim:
-                    raise SpraySyntaxError(ln, c2, f"a component name G1..G{dim}", ident)
-                i = int(m.group(1)) - 1
+                    raise SpraySyntaxError(number, 1, "no spray statements in a metric file", kw)
+                i = int(ident[1:]) - 1 if ident[0] == "G" and ident[1:].isdigit() else -1
+                if not 0 <= i < dim:
+                    line.fail(1, f"a component name G1..G{dim}")
                 if i in sprays:
-                    raise SpraySyntaxError(ln, c2, f"a single definition of {ident}", ident)
+                    line.fail(1, f"a single definition of {ident}")
                 sprays[i] = node
             else:
                 if sprays:
-                    raise SpraySyntaxError(ln, 1, "no metric statements in a spray file", kw)
+                    raise SpraySyntaxError(number, 1, "no metric statements in a spray file", kw)
                 if metric is not None:
-                    raise SpraySyntaxError(ln, c2, "a single metric statement", ident)
+                    line.fail(1, "a single metric statement")
                 metric = node
-            continue
+        else:
+            line.fail(0, "'spray', 'metric', 'guard' or 'const'")
 
-        raise SpraySyntaxError(ln, col if col > 0 else 1, "'spray', 'metric', 'guard' or 'const'", kw)
-
-    unknown = set(overrides) - set(decl)
+    if not dim:
+        raise SpraySyntaxError(1, 1, "'dim INT' header", "")
+    unknown = set(overrides) - set(values)
     if unknown:
         raise ParamError(f"const override for undeclared name(s): {', '.join(sorted(unknown))}")
-
-    if metric is not None:
-        exprs: tuple[Node, ...] = (metric,)
-        kind = "metric"
-    else:
-        missing = [f"G{i+1}" for i in range(dim) if i not in sprays]
-        if missing:
-            raise SpraySyntaxError(len(lines), 1, f"definitions for {', '.join(missing)}", "")
-        exprs = tuple(sprays[i] for i in range(dim))
-        kind = "spray"
-
-    resolved = dict(decl)
-    resolved.update({k: v for k, v in overrides.items() if k in decl})
-    return ProblemDef(dim=dim, kind=kind, exprs=exprs, guards=tuple(guards), name=name, consts=resolved)
+    missing = [f"G{i+1}" for i in range(dim) if i not in sprays]
+    if metric is None and missing:
+        raise SpraySyntaxError(len(lines), 1, f"definitions for {', '.join(missing)}", "")
+    exprs = (metric,) if metric is not None else tuple(sprays[i] for i in range(dim))
+    return ProblemDef(dim=dim, kind="spray" if metric is None else "metric", exprs=exprs,
+                      guards=tuple(guards), name=name, consts=values)
 
 
 class Tape:
@@ -392,34 +384,42 @@ class Tape:
         def op(fn, a: int, b: int = -1) -> int:
             return slot((fn, a, b), op=(fn, a, b))
 
+        walked: dict[int, int] = {}  # id(node) -> its slot, so a shared subtree is walked once
+
         def walk(node: Node) -> int:
+            s = walked.get(id(node))
+            if s is not None:
+                return s
             k = node.kind
             if k == "num":
-                return slot(("num", float(node.value).hex()), node.value)
-            if k == "var":
+                s = slot(("num", float(node.value).hex()), node.value)
+            elif k == "var":
                 idx = int(node.name[1:]) - 1 + (dim if node.name[0] == "y" else 0)
                 if ("var", idx) not in slots:
-                    self.loads.append((slot(("var", idx)), idx))
-                return slots[("var", idx)]
-            if k == "neg":
-                return op(operator.neg, walk(node.a))
-            if k in _BINARY:
+                    self.loads.append((len(self.consts), idx))
+                s = slot(("var", idx))
+            elif k == "neg":
+                s = op(operator.neg, walk(node.a))
+            elif k in _BINARY:
                 a = walk(node.a)
-                return op(_BINARY[k], a, walk(node.b))
-            if k == "powi":
-                return op(jets.powi, walk(node.a), slot(("int", node.k), node.k))
-            if k == "pow":
+                s = op(_BINARY[k], a, walk(node.b))
+            elif k == "powi":
+                s = op(jets.powi, walk(node.a), slot(("int", node.k), node.k))
+            elif k == "pow":
                 e = walk(node.b)
-                return op(jets.exp, op(operator.mul, e, op(jets.ln, walk(node.a))))
-            if k == "call":
-                return op(_CALLS[node.name], walk(node.a))
-            raise ValueError(f"unknown node kind {k!r}")
+                s = op(jets.exp, op(operator.mul, e, op(jets.ln, walk(node.a))))
+            elif k == "call":
+                s = op(_CALLS[node.name], walk(node.a))
+            else:
+                raise ValueError(f"unknown node kind {k!r}")
+            walked[id(node)] = s
+            return s
 
         self.outputs = tuple(walk(r) for r in roots)
         last: dict[int, int] = {}  # slot -> index of the last op that reads it
         for i, (_, _, a, b) in enumerate(ops):
             last[a] = last[b] = i
-        freed = {out for out, *_ in ops} - set(self.outputs)
+        freed = {o[0] for o in ops} - set(self.outputs)
         dead: list[list[int]] = [[] for _ in ops]
         for s, i in last.items():
             if s in freed:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -13,8 +14,8 @@ import numpy as np
 import pytest
 
 from spraylab import classify, dsl, geometry, jets, metrize, sampling
-from spraylab.errors import (DomainError, ParamError, PathError, PreconditionError,
-                             SamplingError)
+from spraylab.errors import (ArityError, DimensionError, DomainError, ParamError,
+                             PathError, PreconditionError, SamplingError, SpraySyntaxError)
 
 
 def classified(spray, count, seed=7, box=None):
@@ -266,6 +267,256 @@ def unmasked_evaluate(tape: dsl.Tape, env: list, dim: int) -> list:
                    lambda sp, a, mask_a, b, mask_b: (jets._mul_coeffs(sp, a, b), None))
         return dsl.evaluate(tape, [jets.Jet(u.space, u.center, u.coeffs) for u in env],
                             dim=dim)
+
+
+LOOP_TOKEN = re.compile(
+    r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<op>[-+*/^()=,])"
+    r"|(?P<bad>\S))"
+)
+
+
+class LoopTokens:
+    def __init__(self, text: str, line: int):
+        self.line = line
+        self.toks: list[tuple[str, str, int]] = []  # (type, text, col)
+        pos = 0
+        while pos < len(text):
+            m = LOOP_TOKEN.match(text, pos)
+            if not m or m.end() == pos:
+                break
+            pos = m.end()
+            col = m.start(m.lastgroup) + 1
+            if m.lastgroup == "bad":
+                raise SpraySyntaxError(line, col, "a token", m.group("bad"))
+            if m.lastgroup == "num" and not math.isfinite(float(m.group("num"))):
+                raise SpraySyntaxError(line, col, "a number within float range", m.group("num"))
+            self.toks.append((m.lastgroup, m.group(m.lastgroup), col))
+        self.i = 0
+
+    def peek(self):
+        return self.toks[self.i] if self.i < len(self.toks) else ("end", "", -1)
+
+    def next(self):
+        t = self.peek()
+        self.i += 1
+        return t
+
+    def expect(self, text: str, what: str):
+        typ, tok, col = self.next()
+        if tok != text:
+            raise SpraySyntaxError(self.line, col if col > 0 else 1, what, tok)
+        return tok
+
+    def done(self) -> bool:
+        return self.i >= len(self.toks)
+
+
+class LoopExprParser:
+    def __init__(self, toks: LoopTokens, dim: int, consts: dict):
+        self.t = toks
+        self.dim = dim
+        self.consts = consts
+
+    def parse(self) -> dsl.Node:
+        node = self.expr()
+        if not self.t.done():
+            typ, tok, col = self.t.peek()
+            raise SpraySyntaxError(self.t.line, col, "end of expression", tok)
+        return node
+
+    def expr(self) -> dsl.Node:
+        node = self.term()
+        while self.t.peek()[1] in ("+", "-"):
+            op = self.t.next()[1]
+            rhs = self.term()
+            node = dsl.add(node, rhs) if op == "+" else dsl.sub(node, rhs)
+        return node
+
+    def term(self) -> dsl.Node:
+        node = self.unary()
+        while self.t.peek()[1] in ("*", "/"):
+            op = self.t.next()[1]
+            rhs = self.unary()
+            node = dsl.mul(node, rhs) if op == "*" else dsl.div(node, rhs)
+        return node
+
+    def unary(self) -> dsl.Node:
+        if self.t.peek()[1] == "-":
+            self.t.next()
+            return dsl.neg(self.unary())
+        return self.power()
+
+    def power(self) -> dsl.Node:
+        base = self.atom()
+        if self.t.peek()[1] == "^":
+            self.t.next()
+            expo = self.unary()  # right-assoc, unary minus allowed in exponent
+            return self._make_pow(base, expo)
+        return base
+
+    def _make_pow(self, base: dsl.Node, expo: dsl.Node) -> dsl.Node:
+        lit = expo
+        sign = 1
+        while lit.kind == "neg":
+            sign, lit = -sign, lit.a
+        if lit.kind == "num" and float(lit.value).is_integer():
+            return dsl.powi(base, sign * int(lit.value))
+        # non-integer exponent routes through exp(e * ln(base)) and inherits
+        # the positivity requirement on the base
+        return dsl.Node("pow", a=base, b=expo)
+
+    def atom(self) -> dsl.Node:
+        typ, tok, col = self.t.next()
+        if typ == "num":
+            return dsl.num(float(tok))
+        if tok == "(":
+            node = self.expr()
+            self.t.expect(")", "')'")
+            return node
+        if typ == "ident":
+            if self.t.peek()[1] == "(":
+                return self.call(tok, col)
+            return self.name(tok, col)
+        raise SpraySyntaxError(self.t.line, col if col > 0 else 1, "a value", tok)
+
+    def call(self, fname: str, col: int) -> dsl.Node:
+        if fname not in dsl.FUNCTIONS:
+            raise SpraySyntaxError(self.t.line, col, f"one of {', '.join(dsl.FUNCTIONS)}", fname)
+        self.t.expect("(", "'('")
+        args = [self.expr()]
+        while self.t.peek()[1] == ",":
+            self.t.next()
+            args.append(self.expr())
+        self.t.expect(")", "')'")
+        if len(args) != 1:
+            raise ArityError(f"line {self.t.line}: {fname} takes 1 argument, got {len(args)}")
+        return dsl.call(fname, args[0])
+
+    def name(self, tok: str, col: int) -> dsl.Node:
+        if tok in self.consts:
+            return dsl.num(self.consts[tok])
+        m = re.fullmatch(r"([xy])([0-9]+)", tok)
+        if m:
+            idx = int(m.group(2))
+            if not 1 <= idx <= self.dim:
+                raise DimensionError(
+                    f"line {self.t.line}, col {col}: variable {tok} out of range for dim {self.dim}"
+                )
+            return dsl.var(tok)
+        raise SpraySyntaxError(self.t.line, col, "a variable, declared const or function", tok)
+
+
+def loop_parse(text: str, consts: dict | None = None, name: str = "") -> dsl.ProblemDef:
+    """`dsl.parse` as it tokenized each line by one `match` per token and
+    parsed it by recursive descent (expr, term, unary, power, atom): the
+    reference for the trees and errors of the scan and the precedence
+    loop.  It takes a second `const` of one name, the last one winning,
+    and a `const` named like a chart variable, which `dsl.parse` refuses."""
+    overrides = dict(consts or {})
+    bad = sorted(k for k, v in overrides.items() if not math.isfinite(v))
+    if bad:
+        raise ParamError(f"const override for {', '.join(bad)} is not a finite number")
+    decl: dict[str, float] = {}
+    dim = 0
+    sprays: dict[int, dsl.Node] = {}
+    metric: dsl.Node | None = None
+    guards: list[dsl.Node] = []
+    seen_header = False
+
+    lines = text.splitlines()
+    # the lines that hold a statement, parsed in order below
+    pending: list[tuple[int, str]] = []
+    for ln, raw in enumerate(lines, start=1):
+        stripped = raw.split("#", 1)[0].rstrip()
+        if stripped.strip():
+            pending.append((ln, stripped))
+
+    if not pending:
+        raise SpraySyntaxError(1, 1, "'dim INT' header", "")
+
+    for ln, src in pending:
+        toks = LoopTokens(src, ln)
+        typ, kw, col = toks.next()
+        if not seen_header:
+            if kw != "dim":
+                raise SpraySyntaxError(ln, col, "'dim INT' header", kw)
+            t2, v, c2 = toks.next()
+            if t2 != "num" or not float(v).is_integer() or int(float(v)) < 1:
+                raise SpraySyntaxError(ln, c2 if c2 > 0 else 1, "a positive integer dim", v)
+            dim = int(float(v))
+            if not toks.done():
+                raise SpraySyntaxError(ln, toks.peek()[2], "end of line", toks.peek()[1])
+            seen_header = True
+            continue
+
+        if kw == "const":
+            t2, cname, c2 = toks.next()
+            if t2 != "ident":
+                raise SpraySyntaxError(ln, c2 if c2 > 0 else 1, "a constant name", cname)
+            toks.expect("=", "'='")
+            sign = 1.0
+            t3, v, c3 = toks.next()
+            if v == "-":
+                sign = -1.0
+                t3, v, c3 = toks.next()
+            if t3 != "num":
+                raise SpraySyntaxError(ln, c3 if c3 > 0 else 1, "a number", v)
+            if not toks.done():
+                raise SpraySyntaxError(ln, toks.peek()[2], "end of line", toks.peek()[1])
+            decl[cname] = sign * float(v)
+            continue
+
+        if kw in ("spray", "metric", "guard"):
+            consts_now = dict(decl)
+            consts_now.update({k: v for k, v in overrides.items() if k in decl})
+            if kw == "guard":
+                toks.expect("=", "'='")
+                guards.append(LoopExprParser(toks, dim, consts_now).parse())
+                continue
+            t2, ident, c2 = toks.next()
+            if t2 != "ident":
+                raise SpraySyntaxError(ln, c2 if c2 > 0 else 1, "a component name", ident)
+            toks.expect("=", "'='")
+            node = LoopExprParser(toks, dim, consts_now).parse()
+            if kw == "spray":
+                if metric is not None:
+                    raise SpraySyntaxError(ln, 1, "no spray statements in a metric file", kw)
+                m = re.fullmatch(r"G([0-9]+)", ident)
+                if not m or not 1 <= int(m.group(1)) <= dim:
+                    raise SpraySyntaxError(ln, c2, f"a component name G1..G{dim}", ident)
+                i = int(m.group(1)) - 1
+                if i in sprays:
+                    raise SpraySyntaxError(ln, c2, f"a single definition of {ident}", ident)
+                sprays[i] = node
+            else:
+                if sprays:
+                    raise SpraySyntaxError(ln, 1, "no metric statements in a spray file", kw)
+                if metric is not None:
+                    raise SpraySyntaxError(ln, c2, "a single metric statement", ident)
+                metric = node
+            continue
+
+        raise SpraySyntaxError(ln, col if col > 0 else 1, "'spray', 'metric', 'guard' or 'const'", kw)
+
+    unknown = set(overrides) - set(decl)
+    if unknown:
+        raise ParamError(f"const override for undeclared name(s): {', '.join(sorted(unknown))}")
+
+    if metric is not None:
+        exprs: tuple[dsl.Node, ...] = (metric,)
+        kind = "metric"
+    else:
+        missing = [f"G{i+1}" for i in range(dim) if i not in sprays]
+        if missing:
+            raise SpraySyntaxError(len(lines), 1, f"definitions for {', '.join(missing)}", "")
+        exprs = tuple(sprays[i] for i in range(dim))
+        kind = "spray"
+
+    resolved = dict(decl)
+    resolved.update({k: v for k, v in overrides.items() if k in decl})
+    return dsl.ProblemDef(dim=dim, kind=kind, exprs=exprs, guards=tuple(guards), name=name, consts=resolved)
 
 
 def loop_compose(u: jets.Jet, c: list) -> jets.Jet:

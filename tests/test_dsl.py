@@ -120,6 +120,28 @@ def test_dimension_error_for_out_of_range_variable() -> None:
         dsl.parse("dim 2\nspray G1 = y3^2\nspray G2 = 0\n")
 
 
+@pytest.mark.parametrize("src, col", [
+    ("dim 1\nconst y1 = 3\nmetric L = y1^2\n", 7),
+    ("dim 2\nconst  x02 = 1\nmetric L = y1^2\n", 8),
+], ids=["y1", "x02"])
+def test_a_const_named_like_a_chart_variable_is_refused(src, col) -> None:
+    with pytest.raises(SpraySyntaxError) as err:
+        dsl.parse(src)
+    assert (err.value.line, err.value.col) == (2, col)
+    assert err.value.expected == "a constant name that is not a chart variable"
+
+
+def test_a_second_declaration_of_a_const_is_refused() -> None:
+    src = "dim 1\nconst c = 1\nmetric L = c*y1^2\n  const c = 2\n"
+    with pytest.raises(SpraySyntaxError) as err:
+        dsl.parse(src)
+    assert (err.value.line, err.value.col, err.value.found) == (4, 9, "c")
+    assert str(err.value) == "line 4, col 9: expected a single declaration of c, found 'c'"
+    # a const is read from its declaration on, so a use before it is unknown
+    with pytest.raises(SpraySyntaxError, match="line 2, col 12: expected a variable"):
+        dsl.parse("dim 1\nmetric L = c*y1^2\nconst c = 1\n")
+
+
 def test_arity_error() -> None:
     with pytest.raises(ArityError):
         dsl.parse("dim 1\nspray G1 = sqrt(y1, y1)\n")

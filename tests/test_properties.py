@@ -116,6 +116,17 @@ carries, signed zeros included.  The
 round-trip test checks that `pretty` text parses back to a tree with the
 same float bits, negative numbers and -0.0 included.
 
+The parser test checks `dsl.parse` against the recursive descent kept in
+`conftest` (`loop_parse`), on printed random trees and on runs of random
+tokens: characters that start no token, unbalanced parentheses, 1e999,
+variables out of range, unknown names, calls of other than one argument,
+bad `dim` headers and comments, with and without const overrides.  Each
+source gives an equal problem with an equal repr, or an error of the same
+type and text.  The one exception is a `const` named like a chart variable
+or declared twice, which `dsl.parse` refuses and the recursive descent
+took: the lines before it must parse there, and the name must be one of
+those.
+
 The mask test evaluates tapes of random trees, in charts of dim 1 to 4,
 over variable jets of order 0 to 4 at blocks of 1 to 64 rows, with an
 inf, -inf or nan at some entries and numbers that may be inf, -inf or
@@ -131,6 +142,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import re
 import struct
 import types
 from functools import cached_property
@@ -142,13 +154,13 @@ from hypothesis import strategies as st
 
 from spraylab import (classify, corpus, dsl, geometry, jets, metrize, oracle,
                       sampling)
-from spraylab.errors import DomainError, SprayLabError
+from spraylab.errors import DomainError, ParamError, SprayLabError, SpraySyntaxError
 from spraylab.geometry import CurvatureBundle
 from spraylab.sampling import TOL
 
 from conftest import (FullTaylor2, cov_h_jets, fd_partial, jet_inverse,
-                      loop_compose, loop_induced, loop_inverse, loop_reciprocal,
-                      loop_taylor2, unmasked_evaluate)
+                      loop_compose, loop_induced, loop_inverse, loop_parse,
+                      loop_reciprocal, loop_taylor2, unmasked_evaluate)
 
 CONTRACTION_BOUND = 1e-12
 BIANCHI_BOUND = 1e-12
@@ -2000,6 +2012,99 @@ def test_pretty_text_parses_back_to_the_same_float_bits(tree, point) -> None:
     again = dsl.parse(f"dim 2\nmetric L = {text}\n").exprs[0]
     assert (outcome(lambda: [dsl.evaluate(again, point)])
             == outcome(lambda: [dsl.evaluate(tree, point)])), text
+
+
+# -- the parser against the recursive descent -----------------------------------
+
+
+# tokens of every kind: numbers (one beyond float range, one in other digits),
+# chart variables in and out of range, consts, names no rule reads,
+# functions, operators, keywords, characters that start no token, comments
+SOURCE_TOKENS = st.sampled_from([
+    "0", "2", "2.5", ".5", "3.", "1e3", "2.5E-1", "1e999", "\u0663",
+    "x1", "x2", "y1", "y2", "x3", "y0", "x01", "c", "r", "bogus", "G1", "L", "_",
+    *dsl.FUNCTIONS, "+", "-", "*", "/", "^", "(", ")", "=", ",",
+    "dim", "const", "spray", "metric", "guard", "@", "$", "\u00e9", ".", "# note"])
+FRAGMENTS = st.sampled_from([
+    "sqrt(x1, y1)", "exp(y1, y2, 2)", "ln()", "cos(x1", "(x1 + (y1)", "x1 ^ -2 ^ 0.5",
+    "-(-y1)^-2", "2^3^2", "1e999 * y1", "c*y1^2", "r^c", "y1 y2", "+y1", "x1^(-0)",
+    "x3 + y1", "y0*y1", "x01^2", "sin(c)^-c"])
+HEADERS = st.sampled_from(["dim 2"] * 4 + [
+    "dim 1", "  dim 2", "dim 0", "dim 2.0", "dim 1e0", "dim 2.5", "dim 1e999", "dim",
+    "dim 2 x1", "dim x", "dims 2", "dim @", "", "# only a comment"])
+HEADS = st.sampled_from(["spray G1 =", "spray G2 =", "metric L =", "guard ="] * 2 + [
+    "spray G3 =", "spray G01 =", "spray G0 =", "spray G =", "spray 1 =", "spray G1",
+    "metric =", "guard", "  spray G2 =", "dim 2", "bogus =", ""])
+# whole const statements, some of which no parse takes
+CONSTS = st.sampled_from([
+    "const r = 2", "const r = -0.5", "const x1 = 3", "const y2 = 1", "const c = 0.25",
+    "const r =", "const r = -", "const r = 1e999", "const r = -1e999", "const r = 2 2",
+    "const r", "const 1 = 2", "const r = x1", "  const r = .5e1 # note"])
+# the trees of a dim-2 chart, with the const c among their variables
+SOURCE_TREES = dsl_trees(SIGNED_NUMBERS, ("x1", "x2", "y1", "y2", "c")).map(dsl.pretty)
+
+
+@st.composite
+def spray_texts(draw):
+    """(text, consts): a header and statements, or a spray or metric file
+    with a const and a guard, with statements put in; the bodies of the
+    statements other than const are printed trees, fragments, runs of
+    random tokens, or empty."""
+    body = st.one_of(st.just(""), SOURCE_TREES, SOURCE_TREES, FRAGMENTS, FRAGMENTS,
+                     st.lists(SOURCE_TOKENS, max_size=10).map(" ".join),
+                     st.lists(SOURCE_TOKENS, max_size=10).map("".join))
+    statement = st.one_of(CONSTS, st.tuples(HEADS, body).map(" ".join))
+    if draw(st.booleans()):
+        lines = [draw(HEADERS)]
+        for _ in range(draw(st.integers(0, 6))):
+            lines.append(draw(statement))
+    else:
+        exprs = (["spray G1", "spray G2"] if draw(st.booleans()) else ["metric L"]) + ["guard"]
+        tree = st.one_of(SOURCE_TREES, SOURCE_TREES, SOURCE_TREES, FRAGMENTS)
+        lines = ["dim 2", "const c = 0.5"] + [f"{e} = {draw(tree)}" for e in exprs]
+        for _ in range(draw(st.integers(0, 3))):
+            lines.insert(draw(st.integers(1, len(lines))), draw(statement))
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["\n", ""]))
+    consts = draw(st.sampled_from([None] * 4 + [{"c": 0.25}, {"c": -0.0}, {"r": 3},
+                                                {"nope": 1.0}, {"c": float("nan")}]))
+    return text, consts
+
+
+def parsed(parse, text: str, consts):
+    """The problem `parse` gives and its repr, or its error's type and text."""
+    try:
+        problem = parse(text, consts, "p")
+    except Exception as exc:
+        return type(exc), str(exc)
+    return problem, repr(problem)
+
+
+# what `dsl.parse` refuses and the recursive descent took
+REFUSED = re.compile(r"line (\d+), col \d+: expected (a constant name that is not a chart "
+                     r"variable|a single declaration of \w+), found '(\w+)'")
+
+
+@settings(PROPERTY_SETTINGS, max_examples=600)
+@given(spray_texts())
+def test_parse_gives_the_trees_and_errors_of_the_recursive_descent(case) -> None:
+    text, consts = case
+    got = parsed(dsl.parse, text, consts)
+    want = parsed(loop_parse, text, consts)
+    refused = got[0] is SpraySyntaxError and REFUSED.fullmatch(got[1])
+    if not refused:
+        assert got == want, text
+        return
+    # a refusal: the lines before it and its own parse in the recursive
+    # descent, and its const is named like a chart variable or declared twice
+    line, reason, const = refused.groups()
+    head = text.splitlines()[:int(line)]
+    before = parsed(loop_parse, "\n".join(head), consts)
+    assert (isinstance(before[0], dsl.ProblemDef) or before[0] is ParamError
+            or before[0] is SpraySyntaxError and "expected definitions for" in before[1])
+    if "chart" in reason:
+        assert re.fullmatch(r"[xy][0-9]+", const)
+    else:
+        assert sum(re.match(rf"\s*const\s+{const}\b", t) is not None for t in head) == 2
 
 
 # -- column masks ----------------------------------------------------------------

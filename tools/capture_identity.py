@@ -71,6 +71,13 @@ iff every captured output is.  It writes, as one JSON object:
   block with its first row set to nan, and to inf; at orders 2 and 4, and
   6 in dim 2; each jet as the `float.hex` of its coefficients, one string
   per row, or the error's type and text;
+- `parse`: the repr of the `ProblemDef` of every fixture and of the
+  `highdim` sources at seeds 3, 7 and 11, and of its tape and guard tape
+  the consts, loads and outputs and each op as its function's name, its
+  slots and the slots it frees; and the source and the error's type and
+  text of each of a fixed list of malformed sources, one or more per error
+  `dsl.parse` raises (a const named like a chart variable, or declared
+  twice, which older checkouts took, is left out);
 - `sweeps`: every coefficient of `reciprocal`, the seven series (exp,
   ln, sqrt, sin, cos, atan and a real power) and `jet_matrix_inverse`,
   on spaces (4, 4), (4, 6) and (6, 4), at a point and at blocks of 1, 17
@@ -728,6 +735,72 @@ def tapes(highdim: Path) -> dict:
     return out
 
 
+PARSE_SEEDS = (3, 7, 11)
+MALFORMED = (
+    ("", None), ("\n  # a comment\n", None), ("spray G1 = y1^2\n", None),
+    ("dim\n", None), ("dim 0\n", None), ("dim 2.5\n", None), ("dim 1e999\n", None),
+    ("dim 2 3\n", None), ("dim x\n", None), ("dim 1\ndim 1\n", None),
+    ("dim 1\nfrob L = 2\n", None), ("dim 1\nspray G1 = y1 @ 2\n", None),
+    ("dim 1\nspray G1 = ) + \u00e9\n", None), ("dim 1\nmetric L = 1e999*y1^2\n", None),
+    ("dim 1\nmetric L = (y1 + 2\n", None), ("dim 1\nmetric L = y1 + 2)\n", None),
+    ("dim 1\nmetric L = ((y1)\n", None), ("dim 1\nmetric L = (y1, 2)\n", None),
+    ("dim 2\nspray G1 = y3^2\nspray G2 = 0\n", None), ("dim 2\nmetric L = x0*y1\n", None),
+    ("dim 1\nmetric L = bogus*y1\n", None), ("dim 1\nmetric L = sqrt(y1, y1)\n", None),
+    ("dim 1\nmetric L = sqrt()\n", None), ("dim 1\nmetric L = foo(y1)\n", None),
+    ("dim 1\nmetric L = x1(2)\n", None), ("dim 1\nmetric L = 2(y1)\n", None),
+    ("dim 1\nmetric L = y1 y1\n", None), ("dim 1\nmetric L = +y1\n", None),
+    ("dim 1\nmetric L = y1^\n", None), ("dim 1\r\nmetric L = y1 +\r\n", None),
+    ("dim 1\nmetric L = sqrt(y1, y1 @)\n", None), ("dim 1\nmetric L = x5 + $\n", None),
+    ("dim 1\nmetric L = y1 . 2\n", None), ("dim 1\nmetric L = \u0663 * y1 ^ 1e400\n", None),
+    ("dim 2\nspray G1 = y1\n", None), ("dim 1\nspray G1 = y1\nspray G01 = y1\n", None),
+    ("dim 1\nspray G2 = y1\n", None), ("dim 1\nspray 2 = y1\n", None),
+    ("dim 1\nspray G1 y1\n", None), ("dim 1\nmetric L = y1^2\nspray G1 = y1\n", None),
+    ("dim 1\n  spray G1 = y1 # a note\n  metric L = y1^2\n", None),
+    ("dim 1\nmetric L = y1^2\nmetric M = y1^2\n", None), ("dim 1\nguard y1\n", None),
+    ("dim 1\nconst = 2\n", None), ("dim 1\nconst c 2\n", None),
+    ("dim 1\nconst c = x1\n", None), ("dim 1\nconst c = -\n", None),
+    ("dim 1\nconst c = 2 3\n", None), ("dim 1\nconst c = -1e999\n", None),
+    ("dim 1\nmetric L = c*y1^2\nconst c = 1\n", None),
+    ("dim 1\nconst c = 1\nmetric L = c*y1^2\n", {"d": 2.0}),
+    ("dim 1\nconst c = 1\nmetric L = c*y1^2\n", {"c": float("nan")}),
+)
+
+
+def tape_record(tape) -> dict:
+    return {"consts": enc(tape.consts), "loads": tape.loads, "outputs": tape.outputs,
+            "ops": [[fn.__name__, out, a, b, list(dead)] for out, fn, a, b, dead in tape.ops]}
+
+
+def problem_record(problem) -> dict:
+    return {"repr": repr(problem), "tape": tape_record(problem.tape),
+            "guard_tape": tape_record(problem.guard_tape)}
+
+
+def parses(workdir: Path) -> dict:
+    out = {name: problem_record(corpus.load_fixture(name).problem)
+           for name in corpus.fixture_names()}
+    for seed in PARSE_SEEDS:
+        here = workdir / f"parse seed {seed}"
+        here.mkdir()
+        cwd = os.getcwd()
+        os.chdir(here)  # gen-pflat writes its sources under the current directory
+        try:
+            for job in workloads.highdim_jobs(seed, here):
+                if job.label.startswith("gen-pflat"):
+                    job.call()
+        finally:
+            os.chdir(cwd)
+        for n in workloads.HIGHDIM_DIMS:
+            for path in (f"sprays/random{n}.spray", f"gen/pflat{n}_spray.spray",
+                         f"gen/pflat{n}_metric.spray"):
+                out[f"{path} seed {seed}"] = problem_record(
+                    dsl.parse((here / path).read_text(), name=path))
+    for k, (src, consts) in enumerate(MALFORMED):
+        out[f"malformed {k}"] = [src, consts and enc(consts),
+                                 attempt(lambda: dsl.parse(src, consts))]
+    return out
+
+
 SWEEP_SPACES = ((4, 4), (4, 6), (6, 4))
 SWEEP_ROWS = (0, 1, 17, 64)  # 0: a point
 SWEEP_SPOILS = {"in bound": 0.0, "1e150": 1e150, "inf": np.inf, "nan": np.nan}
@@ -906,6 +979,7 @@ def main(argv: list) -> int:
         finally:
             os.chdir(here)
         record["tapes"] = tapes(highdim)
+        record["parse"] = parses(workdir)
         record["sweeps"] = sweeps()
         record["point_bundles"] = point_bundles()
         record["metric_sprays"] = metric_sprays()
