@@ -84,12 +84,11 @@ class ScalarDecomposition:
 
 def decompose_scalar(b, tol: Tolerances = TOL) -> list:
     """One ScalarDecomposition per row of the bundle (a point bundle is
-    one row), read off its `splits` and `split_holds`, with R and the
-    residual as Python floats."""
-    Rj, tau, residual = b.splits
-    taus = geometry._stack_values(np.array([t.coeffs for t in tau]), 1).reshape(-1, b.dim)
+    one row), read off its `split_values` and `split_holds`, with R and
+    the residual as Python floats."""
+    R, tau, residual = b.split_values
     return [ScalarDecomposition(R=R, tau=t, residual=res, holds=h)
-            for R, t, res, h in zip(np.reshape(Rj.value, -1).tolist(), taus,
+            for R, t, res, h in zip(np.reshape(R, -1).tolist(), tau.reshape(-1, b.dim),
                                     np.reshape(residual, -1).tolist(),
                                     geometry.split_holds(b, tol))]
 

@@ -137,7 +137,7 @@ def flag_ode_residual(metric, b, tol: Tolerances = TOL) -> list:
     isotropy; the caller establishes weak isotropy itself with the 2-form
     fit.
     """
-    for holds, res in zip(geometry.split_holds(b, tol), np.atleast_1d(b.splits[2]).tolist()):
+    for holds, res in zip(geometry.split_holds(b, tol), np.atleast_1d(b.split_values[2]).tolist()):
         if not holds:
             raise PreconditionError(f"scalar decomposition fails at the point ({res:.3e})")
     fj = _FrameJets(metric, b._pa, order=2, tol=tol)

@@ -386,34 +386,52 @@ class Tape:
 
         walked: dict[int, int] = {}  # id(node) -> its slot, so a shared subtree is walked once
 
-        def walk(node: Node) -> int:
-            s = walked.get(id(node))
-            if s is not None:
-                return s
-            k = node.kind
-            if k == "num":
-                s = slot(("num", float(node.value).hex()), node.value)
-            elif k == "var":
-                idx = int(node.name[1:]) - 1 + (dim if node.name[0] == "y" else 0)
-                if ("var", idx) not in slots:
-                    self.loads.append((len(self.consts), idx))
-                s = slot(("var", idx))
-            elif k == "neg":
-                s = op(operator.neg, walk(node.a))
-            elif k in _BINARY:
-                a = walk(node.a)
-                s = op(_BINARY[k], a, walk(node.b))
-            elif k == "powi":
-                s = op(jets.powi, walk(node.a), slot(("int", node.k), node.k))
-            elif k == "pow":
-                e = walk(node.b)
-                s = op(jets.exp, op(operator.mul, e, op(jets.ln, walk(node.a))))
-            elif k == "call":
-                s = op(_CALLS[node.name], walk(node.a))
-            else:
-                raise ValueError(f"unknown node kind {k!r}")
-            walked[id(node)] = s
-            return s
+        def walk(root: Node) -> int:
+            """The root's slot, its nodes emitted in post-order by an
+            explicit stack, so that a deep tree takes no Python frames.  A
+            node with operands is pushed under a None, which pops once its
+            operands are walked; the operands are pushed last first, a
+            real power's base before its exponent."""
+            stack = [root]
+            while stack:
+                node = stack.pop()
+                if node is not None:
+                    if id(node) in walked:
+                        continue
+                    k = node.kind
+                    if k in _BINARY:
+                        stack += (node, None, node.b, node.a)
+                        continue
+                    if k == "pow":
+                        stack += (node, None, node.a, node.b)
+                        continue
+                    if k in ("neg", "powi", "call"):
+                        stack += (node, None, node.a)
+                        continue
+                    if k == "num":
+                        s = slot(("num", float(node.value).hex()), node.value)
+                    elif k == "var":
+                        idx = int(node.name[1:]) - 1 + (dim if node.name[0] == "y" else 0)
+                        if ("var", idx) not in slots:
+                            self.loads.append((len(self.consts), idx))
+                        s = slot(("var", idx))
+                    else:
+                        raise ValueError(f"unknown node kind {k!r}")
+                else:  # the operands of the node below are walked
+                    node = stack.pop()
+                    k, a = node.kind, walked[id(node.a)]
+                    if k in _BINARY:
+                        s = op(_BINARY[k], a, walked[id(node.b)])
+                    elif k == "pow":
+                        s = op(jets.exp, op(operator.mul, walked[id(node.b)], op(jets.ln, a)))
+                    elif k == "powi":
+                        s = op(jets.powi, a, slot(("int", node.k), node.k))
+                    elif k == "neg":
+                        s = op(operator.neg, a)
+                    else:
+                        s = op(_CALLS[node.name], a)
+                walked[id(node)] = s
+            return walked[id(root)]
 
         self.outputs = tuple(walk(r) for r in roots)
         last: dict[int, int] = {}  # slot -> index of the last op that reads it

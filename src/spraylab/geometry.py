@@ -31,10 +31,10 @@ carry a leading block axis (see `jets`), its value views and `cov_h`
 results gain a leading axis of length B, and row r of each equals, bit
 for bit, what the bundle at point r alone gives.  Every spray and metric
 evaluates a block in one pass, so the tensors of many points come from
-one walk through the formulas.  The scalar split (`splits`), the
-covariant derivatives the class tests take of its parts, and
-`identity_residuals` are likewise taken once for a block, with each row's
-numbers those of its point alone.  Every reader of a bundle that gives
+one walk through the formulas.  The scalar split (`split_values`, and
+its jets `splits`), the covariant derivatives the class tests take of its
+parts, and `identity_residuals` are likewise taken once for a block, with
+each row's numbers those of its point alone.  Every reader of a bundle that gives
 per-sample results (`split_holds`, `identity_residuals` and the class
 tests of `classify`) returns one entry per row, and a point bundle is one
 row; `classify.rowwise` states the rule for a block that raises.
@@ -454,16 +454,55 @@ class CurvatureBundle:
         return (1.0 / (self.dim - 1)) * self.Ric
 
     @cached_property
-    def splits(self) -> tuple:
-        """Split R^i_k as R delta^i_k - tau_k y^i, at the point or at every
-        row of a block at once: (R jet, [tau_k jets], residual), with block
-        jets and one residual per row at a block.
+    def split_values(self) -> tuple:
+        """Split R^i_k as R delta^i_k - tau_k y^i at the point or at every
+        row of a block, in values: (R, tau, residual), shaped (), (n,) and
+        () at a point and with a leading block axis at a block.  The one
+        place the split's residual is computed; `splits` gives its jets.
 
         R = Ric/(n-1); tau is read off the row i0 of R^i_k with the largest
         |y^i| (best conditioned division); the residual is the worst
         value-level violation of the reconstruction over all (i,k).  It is
         exactly zero on the chosen row, so the residual measures whether
         the remaining rows agree, which is the scalar-curvature property.
+
+        Each number has the bits of the value slot of the jet `splits`
+        gives, at every order, because a value coefficient is summed from
+        value coefficients alone: Ric adds the diagonal of R_values from
+        i = 0 up and is scaled by 1/(n-1), as `curvature_scalar` scales
+        its jet; 1/y^{i0} passes the floor check of `Jet.reciprocal`,
+        whose value is 1.0 * (1/y^{i0}), since its Horner sum's value stays
+        1.0; and the kernel bins a product's value as 0.0 + a * b, so
+        tau = num * inv + 0.0.
+        """
+        n = self.dim
+        if n < 2:
+            raise PreconditionError("scalar decomposition needs dimension at least 2")
+        # one row per point, reshaped to the bundle's rows at the end, where
+        # [()] leaves a point's scalars numpy scalars
+        Rv, y = self.R_values.reshape(-1, n, n), self.yvals.reshape(-1, n)
+        rows = np.arange(len(y))
+        ric = Rv[:, 0, 0]
+        for i in range(1, n):
+            ric = ric + Rv[:, i, i]
+        R = ric * (1.0 / (n - 1))
+        i0 = np.abs(y).argmax(axis=1)
+        y0 = y[rows, i0]
+        jets.check_divisor(y0)
+        Rk = Rv[rows, i0]  # R^{i0}_k
+        num = Rk * -1.0
+        num[rows, i0] = R + -Rk[rows, i0]
+        tau = num * (1.0 * (1.0 / y0))[:, None] + 0.0
+        recon = R[:, None, None] * np.eye(n) - y[:, :, None] * tau[:, None, :]
+        residual = np.abs(Rv - recon).reshape(len(y), -1).max(axis=1)
+        shape = self._pa.shape[:-1]
+        return R.reshape(shape)[()], tau.reshape(shape + (n,)), residual.reshape(shape)[()]
+
+    @cached_property
+    def splits(self) -> tuple:
+        """The split of `split_values` as jets, at the point or at every
+        row of a block at once: (R jet, [tau_k jets], residual), with block
+        jets at a block, and the residual of `split_values`.
 
         y^{i0} is one jet, whose rows each have their own value and unit
         slot at a block, and its one reciprocal serves every tau_k, as
@@ -479,11 +518,7 @@ class CurvatureBundle:
         k = np.arange(n).reshape((n,) + (1,) * np.ndim(i0) + (1,))
         num = np.where(np.expand_dims(i0, -1) == k, Rj.coeffs + -Rk, Rk * -1.0)
         tau = jets.stacked_product(sp, num, inv.coeffs)
-        tau_vals = _stack_values(tau, 1)
-        recon = (np.multiply.outer(Rj.value, np.eye(n))
-                 - self.yvals[..., :, None] * tau_vals[..., None, :])
-        residual = np.max(np.abs(self.R_values - recon), axis=(-2, -1))
-        return Rj, _unstack(sp, self._center, tau, 1), residual
+        return Rj, _unstack(sp, self._center, tau, 1), self.split_values[2]
 
     @cached_property
     def rdot_values(self) -> np.ndarray:
@@ -631,7 +666,7 @@ class CurvatureBundle:
 def split_holds(bundle: CurvatureBundle, tol: Tolerances = TOL) -> list:
     """Does the bundle's scalar split hold, relative to max |R^i_k|?  One
     answer per row; a point bundle is one row."""
-    residuals = np.reshape(bundle.splits[2], -1)
+    residuals = np.reshape(bundle.split_values[2], -1)
     scales = np.max(np.abs(bundle.R_values.reshape(len(residuals), -1)), axis=1)
     return [tol.zero(res, scale)
             for res, scale in zip(residuals.tolist(), scales.tolist())]
@@ -694,9 +729,8 @@ def identity_residuals(bundle: CurvatureBundle, tol: Tolerances = TOL) -> list:
     holds = np.array(split_holds(bundle, tol))
     if not holds.any():
         return out
-    Rj, tau, _ = bundle.splits
-    Rv = np.reshape(Rj.value, -1)
-    tau_vals = _stack_values(np.array([u.coeffs for u in tau]), 1).reshape(rows, n)
+    Rv, tau_vals, _ = bundle.split_values
+    Rv, tau_vals = np.reshape(Rv, -1), tau_vals.reshape(rows, n)
     rdot = bundle.rdot_values.reshape(rows, n)
     chi = np.max(np.abs(bundle.chi_values.reshape(rows, n)
                         - (n + 1) * (rdot - 2.0 * tau_vals)), axis=-1)
@@ -707,6 +741,7 @@ def identity_residuals(bundle: CurvatureBundle, tol: Tolerances = TOL) -> list:
         out[r]["chi_consistency"] = chi[r]
 
     if n >= 3:
+        Rj = bundle.curvature_scalar
         rdot_jets = np.array([Rj.dy(i) for i in range(n)], dtype=object)
         rdot_cov = bundle.cov_h(rdot_jets, ("d",)).reshape(rows, n, n)
         tau_cov = bundle.tau_cov.reshape(rows, n, n)

@@ -528,6 +528,16 @@ def constant_product(sp: JetSpace, c: np.ndarray, d: np.ndarray,
     return stacked_product(sp, const, d) if left else stacked_product(sp, d, const)
 
 
+def check_divisor(values) -> None:
+    """Raise the DomainError of `Jet.reciprocal` at the first of the value
+    parts `values` (one, or one per row) within VALUE_FLOOR of zero: the
+    floor check of a division, for a reader that needs the quotient's
+    value alone."""
+    for v in np.reshape(values, -1).tolist():
+        if abs(v) <= VALUE_FLOOR:
+            raise DomainError(f"division by jet with value part {v!r}")
+
+
 def _sweep_finite(scale: float, start: np.ndarray, factor: np.ndarray, passes: int,
                   axes=-1) -> bool:
     """Whether `passes` full Horner passes X <- c + F X (or c - F X) keep
@@ -666,8 +676,7 @@ class Jet:
     def reciprocal(self) -> "Jet":
         """1/u, by Horner steps s <- 1 - e s from s = 1, e = u/v - 1; step
         m makes degree m valid (see the module docstring)."""
-        self._check_values(lambda v: abs(v) <= VALUE_FLOOR,
-                         "division by jet with value part {!r}")
+        check_divisor(self.coeffs[..., 0])
         # 1/u = (1/v) * sum_k (-e)^k with e = u/v - 1 nilpotent; Horner form.
         if self.coeffs.ndim == 2:
             v = self.coeffs[:, 0].copy()
@@ -987,28 +996,39 @@ def jet_matrix_inverse(sp: JetSpace, m: np.ndarray) -> np.ndarray:
     result equals the inverse at that point alone.
 
     W0 dM is taken once, and so is the first pass's product with the
-    constant W0, by `constant_product`; a later pass multiplies its n^3
-    entry pairs by `contract`.  Each sum over k adds the products in
-    ascending k, the order of an object-array matmul, so every entry has
-    the bits of the entry-by-entry loop over jets.  The j-th `contract`
+    constant W0, as `constant_product` takes them, with the finiteness of
+    each step's two operand stacks checked once: finite stacks are finite
+    entry by entry, and any other keeps `constant_product` per k.  A
+    later pass multiplies its n^3 entry pairs by `contract`.  Each sum
+    over k adds the products in ascending k, the order of an object-array
+    matmul, so every entry has the bits of the entry-by-entry loop over
+    jets.  The j-th `contract`
     makes degree j + 2 valid (see the module docstring); X's value slot
     is the exact 0.0 of W0 times dM's +0.0 value slot.
     """
     n, order = m.shape[0], sp.order
     dm = m[..., :sp.T].copy()
-    # (B, n, n) at a block, C-contiguous as LAPACK saw it entry by entry
-    vals = np.ascontiguousarray(np.moveaxis(dm[..., 0], (0, 1), (-2, -1)))
+    # the value parts' axes: (n, n, [B]) in the stack, ([B,] n, n) for LAPACK
+    rank = dm.ndim - 1
+    to_lapack = tuple(range(2, rank)) + (0, 1)
+    to_stack = (rank - 2, rank - 1) + tuple(range(rank - 2))
+    # C-contiguous, as LAPACK saw it entry by entry
+    vals = np.ascontiguousarray(dm[..., 0].transpose(to_lapack))
     try:
         w0 = np.linalg.inv(vals)
     except np.linalg.LinAlgError as exc:
         raise DomainError(f"matrix value part is singular: {exc}") from exc
-    dm[..., 0] -= np.moveaxis(vals, (-2, -1), (0, 1))
-    w0 = np.moveaxis(w0, (-2, -1), (0, 1))  # (n, n, [B]), like the stack
+    dm[..., 0] -= vals.transpose(to_stack)
+    w0 = w0.transpose(to_stack)  # (n, n, [B]), like the stack
 
     def constant_step(c: np.ndarray, d: np.ndarray, left: bool) -> np.ndarray:
-        acc = constant_product(sp, c[0], d[0], left)
-        for k in range(1, n):
-            acc = acc + constant_product(sp, c[k], d[k], left)
+        if math.isfinite(c.sum()) and math.isfinite(d.sum()):
+            terms = (c[k, ..., None] * d[k, ..., :sp.T] + 0.0 for k in range(n))
+        else:
+            terms = (constant_product(sp, c[k], d[k], left) for k in range(n))
+        acc = next(terms)
+        for term in terms:
+            acc = acc + term
         return acc
 
     w = np.zeros(dm.shape)

@@ -152,7 +152,7 @@ def _check_splits(b) -> None:
     """The scalar split must hold at each point of the bundle, checked in
     row order, so the first failing row names the error."""
     def split_rows(b) -> zip:  # (split holds, split residual) per row
-        return zip(geometry.split_holds(b, TOL), np.reshape(b.splits[2], -1).tolist())
+        return zip(geometry.split_holds(b, TOL), np.reshape(b.split_values[2], -1).tolist())
 
     for holds, residual in classify.bundle_rows(split_rows, b):
         if not holds:
@@ -177,9 +177,9 @@ def _value_bundle(metric, p):
     jet and `metric._bundles` holds no bundle, an order-2 point bundle
     there, whose split holds; else None, and the read goes through `jet`.
 
-    Its curvature scalar is of order 0, all that a value needs, and has
-    the bits of the value of a higher-order bundle's: a value coefficient
-    is summed from the value coefficients alone, at every order."""
+    The read takes R off the bundle's `split_values`, which have the bits
+    of any order's jets' values, so it builds the bundle's G and R and no
+    jet after them."""
     pa = geometry._point_array(p, metric.dim)
     key = geometry.point_key(pa)
     if pa.ndim != 1 or key in metric._jets or key in metric._bundles:
@@ -255,7 +255,7 @@ class CurvatureMetric:
         b = _value_bundle(self, p)
         if b is None:
             return float(self.jet(p, 0).value)
-        return b.curvature_scalar.value
+        return float(b.split_values[0])
 
     def guard_values(self, p) -> list[float]:
         return self.spray.guard_values(p)
@@ -425,11 +425,11 @@ class ScaledCurvatureMetric:
         b = _value_bundle(self, p)
         if b is None:
             return float(self.jet(p, 0).value)
-        Rj = b.curvature_scalar
-        Rj.reciprocal()  # the floor check of the quotients in `_jet_at`
+        R = float(b.split_values[0])
+        jets.check_divisor(R)  # the floor check of the quotients in `_jet_at`
         mu = np.log(self.lam(b._pa[:self.dim]))
         # the kernel's product of two order-0 jets: one term summed from 0.0
-        return 0.0 + Rj.value * math.exp(mu * -1.0)
+        return 0.0 + R * math.exp(mu * -1.0)
 
     def guard_values(self, p) -> list[float]:
         return self.spray.guard_values(p)
@@ -586,7 +586,7 @@ def _first_orders(rows, q: list) -> list:
 def _omega_rows(b, floor: float) -> list:
     """`_first_orders` of omega = delta R / R at each row of the block
     bundle b."""
-    Rj = b.splits[0]
+    Rj = b.curvature_scalar
     return _first_orders(*_divided(Rj, b.delta_scalar(Rj), floor))
 
 

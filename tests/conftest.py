@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 import re
 import sys
 from collections import Counter
@@ -519,6 +520,54 @@ def loop_parse(text: str, consts: dict | None = None, name: str = "") -> dsl.Pro
     return dsl.ProblemDef(dim=dim, kind=kind, exprs=exprs, guards=tuple(guards), name=name, consts=resolved)
 
 
+def loop_tape(roots, dim: int) -> tuple:
+    """(consts, loads, outputs, ops) of `dsl.Tape(roots, dim)` as its walk
+    took them by recursion, one Python frame per tree level: the reference
+    for the op order of the explicit stack."""
+    consts, loads, ops, slots, walked = [], [], [], {}, {}
+
+    def slot(key: tuple, value=None, op=None) -> int:
+        if key not in slots:
+            slots[key] = len(consts)
+            consts.append(value)
+            if op is not None:
+                ops.append((slots[key],) + op)
+        return slots[key]
+
+    def op(fn, a: int, b: int = -1) -> int:
+        return slot((fn, a, b), op=(fn, a, b))
+
+    def walk(node) -> int:
+        s = walked.get(id(node))
+        if s is not None:
+            return s
+        k = node.kind
+        if k == "num":
+            s = slot(("num", float(node.value).hex()), node.value)
+        elif k == "var":
+            idx = int(node.name[1:]) - 1 + (dim if node.name[0] == "y" else 0)
+            if ("var", idx) not in slots:
+                loads.append((len(consts), idx))
+            s = slot(("var", idx))
+        elif k == "neg":
+            s = op(operator.neg, walk(node.a))
+        elif k in dsl._BINARY:
+            a = walk(node.a)
+            s = op(dsl._BINARY[k], a, walk(node.b))
+        elif k == "powi":
+            s = op(jets.powi, walk(node.a), slot(("int", node.k), node.k))
+        elif k == "pow":
+            e = walk(node.b)
+            s = op(jets.exp, op(operator.mul, e, op(jets.ln, walk(node.a))))
+        else:
+            s = op(dsl._CALLS[node.name], walk(node.a))
+        walked[id(node)] = s
+        return s
+
+    outputs = tuple(walk(r) for r in roots)
+    return consts, loads, outputs, ops
+
+
 def loop_compose(u: jets.Jet, c: list) -> jets.Jet:
     """`Jet._compose` with every Horner step at the jet's full order and
     through the multiply kernel."""
@@ -735,8 +784,9 @@ def tally(monkeypatch):
     per (point bytes, order) key, so a value above 1 is a rebuilt bundle;
     `blocks` lists the point-block shape of each block bundle built, and
     `rows` counts the rows of block bundles per the same key.
-    `splits` counts scalar-split computations (`splits`) per (point or
-    block bytes, order) key, at point and block bundles alike.
+    `splits` counts scalar-split computations (`split_values`, where the
+    split's residual is computed) per (point or block bytes, order) key,
+    at point and block bundles alike.
     `lambda_targets` counts the points a LambdaField integrated to (its
     cache misses), whether asked alone or in a block request.
     """
@@ -745,7 +795,7 @@ def tally(monkeypatch):
     sample_points = sampling.sample_points
     bundle = geometry.CurvatureBundle
     init = bundle.__init__
-    splits = bundle.__dict__["splits"]
+    splits = bundle.__dict__["split_values"]
     integrate = metrize.LambdaField._integrate
 
     def counting_sample_points(*args, **kwargs):
@@ -773,9 +823,9 @@ def tally(monkeypatch):
                 and getattr(module, "sample_points", None) is sample_points):
             monkeypatch.setattr(module, "sample_points", counting_sample_points)
     counted_splits = cached_property(counting_splits)
-    counted_splits.__set_name__(bundle, "splits")
+    counted_splits.__set_name__(bundle, "split_values")
     monkeypatch.setattr(bundle, "__init__", counting_init)
-    monkeypatch.setattr(bundle, "splits", counted_splits)
+    monkeypatch.setattr(bundle, "split_values", counted_splits)
     monkeypatch.setattr(metrize.LambdaField, "_integrate", counting_integrate)
     return counts
 

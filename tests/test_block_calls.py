@@ -31,7 +31,7 @@ from spraylab.sampling import TOL
 
 
 def loop_split_holds(bundle, tol=TOL) -> list:
-    residuals = np.reshape(bundle.splits[2], -1)
+    residuals = np.reshape(bundle.split_values[2], -1)
     R_values = bundle.R_values.reshape(len(residuals), -1)
     return [tol.zero(float(res), float(np.max(np.abs(Rv))))
             for res, Rv in zip(residuals, R_values)]
@@ -218,12 +218,12 @@ def test_split_holds_and_contractions_at_non_finite_rows() -> None:
         R_values = np.array([[[1.0, -2.0], [0.5, 0.0]], [[np.inf, 0.0], [0.0, 1.0]],
                              [[np.nan, 3.0], [0.0, 1.0]], [[-np.inf, np.nan], [0.0, 0.0]],
                              [[1e-300, 0.0], [0.0, -0.0]]])
-        splits = (None, None, np.array([1e-9, 1e300, 0.0, 0.0, np.nan]))
+        split_values = (None, None, np.array([1e-9, 1e300, 0.0, 0.0, np.nan]))
 
     # residuals between the thresholds of max |R| and of max R
     Values.R_values = np.concatenate(
         [Values.R_values, [[[-1e3, 0.0], [0.0, 1.0]], [[2.0, -0.5], [-1e2, 0.0]]]])
-    Values.splits = (None, None, np.concatenate([Values.splits[2], [1e-4, 1e-5]]))
+    Values.split_values = (None, None, np.concatenate([Values.split_values[2], [1e-4, 1e-5]]))
 
     assert bits(geometry.split_holds(Values())) == bits(loop_split_holds(Values()))
 

@@ -52,6 +52,15 @@ def test_classify_report_schema(tmp_path):
     assert data["fixture"] == {"name": "ex7.1", "compared": True, "diffs": []}
 
 
+def test_a_long_sum_classifies(tmp_path):
+    # 1,200 terms nest deeper than Python's frame limit
+    src = tmp_path / "long.spray"
+    src.write_text("dim 2\nmetric L = y1^2 + y2^2" + " + 0.001*y1^2" * 1198 + "\n")
+    code, data = run(["classify", str(src), "--points", "8"], tmp_path)
+    assert code == 0 and data["sampling"]["used"] == 8
+    assert data["verdict"]["outcome"] == "metrizable_locally"
+
+
 def test_sampling_accounting_counts_rejections(tmp_path):
     # the ex7.2 guard carves a hole out of the tangent box, so some
     # candidates must be rejected and the report has to say how many

@@ -230,6 +230,18 @@ def test_a_tape_gives_its_roots_in_order() -> None:
         dsl.evaluate(pd.tape, env + [0.0, 0.0], dim=3)
 
 
+def test_a_tree_deeper_than_the_frame_limit_compiles() -> None:
+    # a left-nested sum of 1,200 terms: the tape's walk takes no frame per
+    # level, and the shared term is one slot
+    src = "dim 2\nmetric L = y1^2 + y2^2" + " + 0.001*y1^2" * 1198 + "\n"
+    pd = dsl.parse(src)
+    assert len(pd.tape.ops) == 4 + 1198
+    want = 3.0 * 3.0 + 4.0 * 4.0
+    for _ in range(1198):
+        want = want + 0.001 * 9.0
+    assert dsl.evaluate(pd.tape, [0.0, 0.0, 3.0, 4.0])[0].hex() == want.hex()
+
+
 def test_signed_zeros_are_distinct_numbers() -> None:
     zero, minus_zero = dsl.num(0.0), dsl.num(-0.0)
     tape = dsl.Tape((zero, minus_zero, dsl.mul(zero, dsl.var("y1"))), 1)

@@ -377,13 +377,33 @@ def test_a_fresh_value_takes_no_order_0_kernel_product_and_no_R_jets(
         built.append(value_bundle(metric, p))
         return built[-1]
 
+    # reciprocals taken outside the spray's own coefficients: the split's
+    # floor check is a test on the value, and no tau jet is built
+    reciprocals, in_spray = Counter(), []
+    reciprocal, coeff_jets = jets.Jet.reciprocal, L.spray.coeff_jets
+
+    def counting_reciprocal(u):
+        reciprocals["spray" if in_spray else "read"] += 1
+        return reciprocal(u)
+
+    def spray_jets(p, order):
+        in_spray.append(p)
+        try:
+            return coeff_jets(p, order)
+        finally:
+            in_spray.pop()
+
     monkeypatch.setattr(jets, "_mul_coeffs", counting_mul)
     monkeypatch.setattr(metrize, "_value_bundle", kept_bundle)
+    monkeypatch.setattr(jets.Jet, "reciprocal", counting_reciprocal)
+    monkeypatch.setattr(L.spray, "coeff_jets", spray_jets)
     for pt in fresh_points(spray, fx.box, 3):
         L.value(pt)
     assert len(built) == 12 and all(b.order == 2 for b in built)
     assert orders[0] == 0 and sum(orders.values()) > 0
     assert not any("R" in b.__dict__ for b in built)
+    assert reciprocals["read"] == 0 and reciprocals["spray"] > 0
+    assert not any(key in b.__dict__ for b in built for key in ("splits", "curvature_scalar"))
 
 
 def test_a_fresh_value_raises_what_the_jet_raises() -> None:
@@ -405,6 +425,20 @@ def test_a_fresh_value_raises_what_the_jet_raises() -> None:
             make(sp).value(pt)
         assert str(got.value) == str(want.value)
     assert metrize.CurvatureMetric(flat).value(pt) == 0.0
+    # tangents the split cannot divide by, and one the bundle refuses
+    lam2 = metrize.LambdaField(lambda xs: np.zeros_like(xs), (0.0,) * 2)
+    for y, text in [((1e-13, 0.0), "division by jet with value part 1e-13"),
+                    ((1e-300, 1e-301), "division by jet with value part 1e-300"),
+                    ((np.nan, 1.0), "tangent vector is not finite")]:
+        for source in (WHIRL, BALL):
+            sp = spray_of(source)
+            for make in (metrize.CurvatureMetric,
+                         lambda sp: metrize.ScaledCurvatureMetric(sp, lam2)):
+                with pytest.raises(DomainError) as want:
+                    make(sp).jet((0.1, 0.2) + y, 0)
+                with pytest.raises(DomainError) as got:
+                    make(sp).value((0.1, 0.2) + y)
+                assert str(got.value) == str(want.value) == text
 
 
 # -- LambdaField ----------------------------------------------------------------

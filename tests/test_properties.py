@@ -160,7 +160,7 @@ from spraylab.sampling import TOL
 
 from conftest import (FullTaylor2, cov_h_jets, fd_partial, jet_inverse,
                       loop_compose, loop_induced, loop_inverse, loop_parse,
-                      loop_reciprocal, loop_taylor2, unmasked_evaluate)
+                      loop_reciprocal, loop_tape, loop_taylor2, unmasked_evaluate)
 
 CONTRACTION_BOUND = 1e-12
 BIANCHI_BOUND = 1e-12
@@ -611,9 +611,9 @@ def test_block_split_past_the_reciprocal_floor_fails_at_that_row(case, k) -> Non
         CurvatureBundle(spray, full, 4).splits
     got = []
     # the block's split is attempted once, then one split per row up to
-    # the bad one
+    # the bad one; `split_values` is where a split is computed and fails
     attempts = []
-    splits = CurvatureBundle.__dict__["splits"]
+    splits = CurvatureBundle.__dict__["split_values"]
     split_of = splits.func
 
     def counted(b):
@@ -631,6 +631,69 @@ def test_block_split_past_the_reciprocal_floor_fails_at_that_row(case, k) -> Non
     points = [CurvatureBundle(spray, pt, 4) for pt in block]
     assert got == [(split_bytes(b.splits), dec_bytes(classify.decompose_scalar(b)[0]))
                    for b in points]
+
+
+# tangent entries past the reciprocal floor, subnormal, huge, and nan
+SPLIT_SPECIALS = np.array([1e-12, -1e-13, 1e-300, 5e-324, -2.5e-320, 1e150, -1e200,
+                           1.7e308, np.nan])
+
+
+@st.composite
+def split_cases(draw):
+    """(spray, point or block, order): a random polynomial spray of the
+    module docstring, without its |y| term, in dim 2-4, at an order of 2-4,
+    at a point or a block of 1-64 rows.  Rows are scaled to tiny, subnormal
+    or huge tangents, and some entries are replaced by `SPLIT_SPECIALS`,
+    or by nan in x."""
+    n = draw(st.sampled_from([2, 3, 4]))
+    count = n * (n * (n + 1) + 2)
+    grid = st.integers(-64, 64).map(lambda k: k / 32)
+    coeffs = draw(st.lists(grid, min_size=count, max_size=count))
+    spray = geometry.ExprSpray(dsl.parse(spray_source(n, coeffs, radial=False)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = draw(st.integers(1, 64))
+    scales = np.array([1.0, 1e-13, 1e-310, 1e100, 1e200])[
+        rng.choice(5, rows, p=draw(st.sampled_from([(1, 0, 0, 0, 0), (0.6, 0.1, 0.1, 0.1, 0.1),
+                                                   (0.92, 0.02, 0.02, 0.02, 0.02),
+                                                   (0.5, 0, 0, 0.25, 0.25)])))]
+    y = rng.uniform(-1.0, 1.0, (rows, n)) * scales[:, None]
+    spoil = rng.random((rows, n)) < draw(st.sampled_from([0.0, 0.005, 0.05]))
+    y[spoil] = rng.choice(SPLIT_SPECIALS, int(spoil.sum()))
+    x = rng.uniform(-1.0, 1.0, (rows, n))
+    x[rng.random((rows, n)) < draw(st.sampled_from([0.0, 0.0, 0.02]))] = np.nan
+    pts = np.hstack([x, y])
+    return spray, pts[0] if draw(st.booleans()) else pts, draw(st.integers(2, 4))
+
+
+def split_outcome(case, read):
+    """`read` of a new bundle at the case's points, or the type and text of
+    the error that raises."""
+    spray, pts, order = case
+    try:
+        with np.errstate(all="ignore"):
+            return read(CurvatureBundle(spray, pts, order))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def hex_parts(*parts) -> list:
+    """Each array's shape and the `float.hex` of its entries."""
+    return [(np.shape(p), [float(v).hex() for v in np.ravel(p)]) for p in parts]
+
+
+@settings(PROPERTY_SETTINGS, max_examples=120)
+@given(split_cases())
+def test_split_values_are_the_value_slots_of_the_split_jets(case) -> None:
+    """`split_values` gives R, tau and the residual with the bits of the
+    value slots of the jets of `splits`, at points and blocks, or raises
+    the error `splits` raises, of the same row.  About 2 s."""
+    def jet_values(b):
+        Rj, tau, residual = b.splits
+        return hex_parts(Rj.value, np.stack([u.coeffs[..., 0] for u in tau], axis=-1),
+                         residual)
+
+    assert split_outcome(case, lambda b: hex_parts(*b.split_values)) == \
+        split_outcome(case, jet_values)
 
 
 @st.composite
@@ -1568,10 +1631,13 @@ def test_quotient_stages_equal_the_loops_over_samples(case, floor_kind, k, fails
     some, for a floor of 0.0 (every row divided), the |R| of a row (the
     rows under it skipped) or inf (no row divided); with the block's stage
     failing, each row is taken on a one-row block bundle.  A block that
-    succeeds takes one reciprocal of R."""
+    succeeds takes one reciprocal of R; the split's jets, whose tau the t
+    stage reads, are taken before, with their own reciprocal of y^{i0}."""
     spray, block = case
     with np.errstate(all="ignore"):
         blocks = tuple(classify.block_bundles(spray, samples_at(block)))
+        for _, b, _ in blocks:
+            b.splits
         decs = [dec for _, _, ds in blocks for dec in ds]
         floor = {"0": 0.0, "row": abs(decs[k % len(decs)].R),
                  "inf": np.inf}[floor_kind]
@@ -1996,6 +2062,18 @@ def test_one_tape_gives_each_root_the_bytes_of_its_own_tape(roots, kind, rows) -
     # root by root, in order: the first root that fails decides the error
     alone = outcome(lambda: [dsl.evaluate(dsl.Tape((r,), 2), env)[0] for r in roots])
     assert shared == alone
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(shared_roots())
+def test_a_tape_has_the_ops_of_the_recursive_walk(roots) -> None:
+    # the explicit stack emits each node in the post-order of the recursion
+    tape = dsl.Tape(roots, 2)
+    consts, loads, outputs, ops = loop_tape(roots, 2)
+    assert [c if c is None else (type(c), float(c).hex()) for c in tape.consts] == \
+        [c if c is None else (type(c), float(c).hex()) for c in consts]
+    assert (tape.loads, tape.outputs) == (loads, outputs)
+    assert [o[:4] for o in tape.ops] == ops
 
 
 # dsl_trees' numbers plus negative numbers of every size, -0.0 among them

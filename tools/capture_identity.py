@@ -78,6 +78,12 @@ iff every captured output is.  It writes, as one JSON object:
   text of each of a fixed list of malformed sources, one or more per error
   `dsl.parse` raises (a const named like a chart variable, or declared
   twice, which older checkouts took, is left out);
+- `reads`: the value of the metric `decide` recovers on ex7.1, elliptic2
+  and ex7.3, at seeds 3, 7 and 11, read one point at a time at 64 fresh
+  points of a seed stream the verdicts never sample, as the `recover`
+  jobs read it; and the seed-7 metrics' errors at three failing fresh
+  points: tangents (1e-13, 0) and (1e-300, 1e-301) under the reciprocal
+  floor, and (nan, 1);
 - `sweeps`: every coefficient of `reciprocal`, the seven series (exp,
   ln, sqrt, sin, cos, atan and a real power) and `jet_matrix_inverse`,
   on spaces (4, 4), (4, 6) and (6, 4), at a point and at blocks of 1, 17
@@ -801,6 +807,29 @@ def parses(workdir: Path) -> dict:
     return out
 
 
+READ_SEEDS = (3, 7, 11)
+READ_FAILING = ((1e-13, 0.0), (1e-300, 1e-301), (float("nan"), 1.0))
+
+
+def fresh_reads() -> dict:
+    out = {}
+    for name in RECOVERED:
+        fixture = corpus.load_fixture(name)
+        spray_obj = fixture.build()
+        for seed in READ_SEEDS:
+            metric = metrize.decide(spray_obj, count=fixture.count, seed=seed,
+                                    box=fixture.box).recovered_metric
+            # a seed stream the verdicts never sample from
+            pts = workloads._fresh_points(spray_obj, fixture.box, seed + 500)
+            out[f"{name} seed {seed}"] = [attempt(lambda pt=pt: metric.value(pt))
+                                          for pt in pts]
+            if seed == JOB_SEED:
+                out[f"{name} failing"] = [
+                    attempt(lambda y=y: metric.value(np.concatenate([pts[0][:2], y])))
+                    for y in READ_FAILING]
+    return out
+
+
 SWEEP_SPACES = ((4, 4), (4, 6), (6, 4))
 SWEEP_ROWS = (0, 1, 17, 64)  # 0: a point
 SWEEP_SPOILS = {"in bound": 0.0, "1e150": 1e150, "inf": np.inf, "nan": np.nan}
@@ -980,6 +1009,7 @@ def main(argv: list) -> int:
             os.chdir(here)
         record["tapes"] = tapes(highdim)
         record["parse"] = parses(workdir)
+        record["reads"] = fresh_reads()
         record["sweeps"] = sweeps()
         record["point_bundles"] = point_bundles()
         record["metric_sprays"] = metric_sprays()
