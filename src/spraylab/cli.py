@@ -59,6 +59,13 @@ EXIT_FIXTURE = 3
 # below those of the spray coefficients, and a derivative needs order >= 1.
 MIN_ORDER = 4
 
+# The largest sample count a command takes.  A classification keeps the
+# block bundle of every sample until its verdict is done: `classify
+# nonscalar3` peaks at 39.8 / 45.3 / 63.3 MB of RSS at 64 / 256 / 1024
+# points (2-vCPU x86), about 23 KB a point, so 10,000 points keep about
+# 230 MB of bundles at dim 3 and order 4, and more at higher dims and orders.
+MAX_POINTS = 10_000
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -78,6 +85,9 @@ class RunConfig:
     def __post_init__(self):
         if self.points < 1:
             raise ParamError(f"points must be >= 1, got {self.points}")
+        if self.points > MAX_POINTS:
+            raise ParamError(f"points must be <= {MAX_POINTS}, got {self.points}: the "
+                             "report keeps the curvature bundle of every sample")
         if self.order < MIN_ORDER:
             raise ParamError(
                 f"order must be >= {MIN_ORDER}, got {self.order}: the "
@@ -496,7 +506,7 @@ def _add_common(sub: argparse.ArgumentParser, with_input: bool = True) -> None:
     if with_input:
         sub.add_argument("input", help=".spray file path or fixture name")
     sub.add_argument("--points", type=int, default=RunConfig.points,
-                     help=f"sample count (default {RunConfig.points})")
+                     help=f"sample count, at most {MAX_POINTS} (default {RunConfig.points})")
     sub.add_argument("--seed", type=int, default=None,
                      help=f"sampling seed (default {RunConfig.seed}, or SPRAYLAB_SEED)")
     sub.add_argument("--order", type=int, default=RunConfig.order,

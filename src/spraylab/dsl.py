@@ -61,7 +61,12 @@ _INFIX = {"+": "add", "-": "sub", "*": "mul", "/": "div", "^": "pow"}
 
 @dataclass(frozen=True)
 class Node:
-    """One expression-tree node; `kind` picks which fields are meaningful."""
+    """One expression-tree node; `kind` picks which fields are meaningful.
+
+    `==`, `hash` and `repr` are the dataclass's, value for value and
+    character for character (fields compared in a tuple, an identical pair
+    equal at once), but each walks the tree by an explicit stack, so that a
+    deep tree takes no Python frames."""
 
     kind: str  # num | var | neg | add | sub | mul | div | pow | powi | call
     a: "Node | None" = None
@@ -69,6 +74,61 @@ class Node:
     value: float = 0.0
     name: str = ""
     k: int = 0
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            x, y = pairs.pop()
+            for u, v in ((x.kind, y.kind), (x.a, y.a), (x.b, y.b), (x.value, y.value),
+                         (x.name, y.name), (x.k, y.k)):
+                if u is v:
+                    continue
+                if u.__class__ is Node and v.__class__ is Node:
+                    pairs.append((u, v))
+                elif not u == v:
+                    return False
+        return True
+
+    def __hash__(self):
+        hashes: dict[int, _Hash] = {}  # id(node) -> its hash, for the tuples above it
+        stack = [self]
+        while stack:
+            node = stack[-1]
+            below = [c for c in (node.a, node.b) if c.__class__ is Node and id(c) not in hashes]
+            if below:
+                stack += below
+                continue
+            stack.pop()
+            a, b = (hashes[id(c)] if c.__class__ is Node else c for c in (node.a, node.b))
+            hashes[id(node)] = _Hash(hash((node.kind, a, b, node.value, node.name, node.k)))
+        return hashes[id(self)].h
+
+    def __repr__(self):
+        out = []
+        stack: list = [self]  # nodes, and text to write as it is
+        while stack:
+            item = stack.pop()
+            if item.__class__ is not Node:
+                out.append(item if item.__class__ is str else repr(item))
+                continue
+            stack += (f", value={item.value!r}, name={item.name!r}, k={item.k!r})", item.b,
+                      ", b=", item.a, f"{item.__class__.__qualname__}(kind={item.kind!r}, a=")
+        return "".join(out)
+
+
+class _Hash:
+    """Stands in a tuple for a node whose hash is known: the tuple's hash is
+    the one it has with the node in its place."""
+
+    __slots__ = ("h",)
+
+    def __init__(self, h: int):
+        self.h = h
+
+    def __hash__(self) -> int:
+        return self.h
 
 
 def num(v: float) -> Node:
@@ -500,33 +560,39 @@ def pretty(node: Node) -> str:
     integral exponent, which `parse` never builds, parses back as an
     integer power.
     """
-    return _fmt(node, 0)
-
-
-def _fmt(node: Node, parent_prec: int) -> str:
-    k = node.kind
-    if k == "num":
-        v = node.value
-        text = repr(int(abs(v))) if float(v).is_integer() and abs(v) < 1e15 else repr(abs(v))
-        return f"(-{text})" if math.copysign(1.0, v) < 0 else text
-    if k == "var":
-        return node.name
-    if k == "call":
-        return f"{node.name}({_fmt(node.a, 0)})"
-    prec = _PREC[k]
-    if k == "neg":
-        inner = _fmt(node.a, prec)
-        out = f"-{inner}"
-    elif k == "powi":
-        if node.k < 0:
-            out = f"{_fmt(node.a, prec + 1)}^(-{-node.k})"
+    out = []
+    stack: list = [(node, 0)]  # (node, its parent's precedence), and text
+    while stack:
+        item = stack.pop()
+        if item.__class__ is str:
+            out.append(item)
+            continue
+        node, parent_prec = item
+        k = node.kind
+        if k == "num":
+            v = node.value
+            text = repr(int(abs(v))) if float(v).is_integer() and abs(v) < 1e15 else repr(abs(v))
+            out.append(f"(-{text})" if math.copysign(1.0, v) < 0 else text)
+            continue
+        if k == "var":
+            out.append(node.name)
+            continue
+        if k == "call":
+            out.append(f"{node.name}(")
+            stack += (")", (node.a, 0))
+            continue
+        prec = _PREC[k]
+        if k == "neg":
+            parts = ["-", (node.a, prec)]
+        elif k == "powi":
+            parts = [(node.a, prec + 1), f"^(-{-node.k})" if node.k < 0 else f"^{node.k}"]
+        elif k == "pow":
+            parts = [(node.a, prec + 1), "^", (node.b, prec + 1)]
         else:
-            out = f"{_fmt(node.a, prec + 1)}^{node.k}"
-    elif k == "pow":
-        out = f"{_fmt(node.a, prec + 1)}^{_fmt(node.b, prec + 1)}"
-    else:
-        sym = {"add": " + ", "sub": " - ", "mul": "*", "div": "/"}[k]
-        right_bump = 1 if k in ("sub", "div") else 0
-        out = f"{_fmt(node.a, prec)}{sym}{_fmt(node.b, prec + right_bump)}"
-    return f"({out})" if prec < parent_prec or (k == "neg" and parent_prec > 0) else out
-
+            sym = {"add": " + ", "sub": " - ", "mul": "*", "div": "/"}[k]
+            right_bump = 1 if k in ("sub", "div") else 0
+            parts = [(node.a, prec), sym, (node.b, prec + right_bump)]
+        if prec < parent_prec or (k == "neg" and parent_prec > 0):
+            parts = ["(", *parts, ")"]
+        stack += reversed(parts)
+    return "".join(out)

@@ -83,7 +83,7 @@ def point_key(pa: np.ndarray) -> tuple:
 
 def _var_jets(dim: int, pa: np.ndarray, order: int) -> list:
     sp = jets.space(2 * dim, order)
-    center = pa if pa.ndim == 2 else tuple(pa)
+    center = jets._as_center(pa)
     return [sp.variable(v, center) for v in range(2 * dim)]
 
 
@@ -364,7 +364,7 @@ class CurvatureBundle:
             pa = pa.copy()
             pa.flags.writeable = False
         self._pa = pa
-        self._center = pa if pa.ndim == 2 else tuple(pa)
+        self._center = jets._as_center(pa)
         self.yvals = pa[..., self.dim:]
 
     # ---- raw jets

@@ -832,64 +832,30 @@ class Jet:
 # method (Jet, the oracle's Taylor2) through that method.
 
 
-def exp(u):
-    if isinstance(u, np.ndarray):
-        return np.exp(u)
-    if hasattr(u, "exp"):
-        return u.exp()
-    return math.exp(u)
+def _unary(name: str, method: str, array_fn: Callable, float_fn: Callable,
+           positive: bool = False) -> Callable:
+    """The dispatcher `name`: an array goes to `array_fn`, an object with
+    the method `method` to that method, and a number to `float_fn`, which
+    a `positive` function takes above 0 only."""
+    def fn(u):
+        if isinstance(u, np.ndarray):
+            return array_fn(u)
+        if hasattr(u, method):
+            return getattr(u, method)()
+        if positive and u <= 0:
+            raise DomainError(f"{name}({u!r})")
+        return float_fn(u)
+    fn.__name__ = fn.__qualname__ = name
+    return fn
 
 
-def ln(u):
-    if isinstance(u, np.ndarray):
-        return np.log(u)
-    if hasattr(u, "ln"):
-        return u.ln()
-    if u <= 0:
-        raise DomainError(f"ln({u!r})")
-    return math.log(u)
-
-
-def sqrt(u):
-    if isinstance(u, np.ndarray):
-        return np.sqrt(u)
-    if hasattr(u, "sqrt"):
-        return u.sqrt()
-    if u <= 0:
-        raise DomainError(f"sqrt({u!r})")
-    return math.sqrt(u)
-
-
-def sin(u):
-    if isinstance(u, np.ndarray):
-        return np.sin(u)
-    if hasattr(u, "sin"):
-        return u.sin()
-    return math.sin(u)
-
-
-def cos(u):
-    if isinstance(u, np.ndarray):
-        return np.cos(u)
-    if hasattr(u, "cos"):
-        return u.cos()
-    return math.cos(u)
-
-
-def atan(u):
-    if isinstance(u, np.ndarray):
-        return np.arctan(u)
-    if hasattr(u, "atan"):
-        return u.atan()
-    return math.atan(u)
-
-
-def absval(u):
-    if isinstance(u, np.ndarray):
-        return np.abs(u)
-    if hasattr(u, "absolute"):
-        return u.absolute()
-    return abs(u)
+exp = _unary("exp", "exp", np.exp, math.exp)
+ln = _unary("ln", "ln", np.log, math.log, positive=True)
+sqrt = _unary("sqrt", "sqrt", np.sqrt, math.sqrt, positive=True)
+sin = _unary("sin", "sin", np.sin, math.sin)
+cos = _unary("cos", "cos", np.cos, math.cos)
+atan = _unary("atan", "atan", np.arctan, math.atan)
+absval = _unary("absval", "absolute", np.abs, abs)
 
 
 def powi(u, k: int):

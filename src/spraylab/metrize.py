@@ -161,73 +161,22 @@ def _check_splits(b) -> None:
                 f"curvature at this point (split residual {residual:.3e})")
 
 
-def _split_bundle(metric, pa: np.ndarray, key: tuple, order: int):
-    """The curvature bundle of order at least `order` at the point or block
-    pa: the one `metric._bundles` holds there, else a new one of order
-    max(order, 3).  The scalar split must hold at each of its points."""
-    b = metric._bundles.get(key)
-    if b is None or b.order < order:
-        b = geometry.CurvatureBundle(metric.spray, pa, max(order, 3))
-    _check_splits(b)
-    return b
-
-
-def _value_bundle(metric, p):
-    """For a value read at a fresh point, one where the candidate keeps no
-    jet and `metric._bundles` holds no bundle, an order-2 point bundle
-    there, whose split holds; else None, and the read goes through `jet`.
-
-    The read takes R off the bundle's `split_values`, which have the bits
-    of any order's jets' values, so it builds the bundle's G and R and no
-    jet after them."""
-    pa = geometry._point_array(p, metric.dim)
-    key = geometry.point_key(pa)
-    if pa.ndim != 1 or key in metric._jets or key in metric._bundles:
-        return None
-    b = geometry.CurvatureBundle(metric.spray, pa, 2)
-    _check_splits(b)
-    return b
-
-
-def _candidate_jet(metric, p, order: int, jet_order: int):
-    """The jet of order `jet_order` that `metric.jet(p, order)` returns, at
-    a point or at a (B, 2n) block of points.
-
-    Truncated from the jet kept at p when that is of high enough order,
-    else computed by `metric._jet_at` on the bundle `_split_bundle` gives
-    two orders above `order`, and kept.  A block's jet is also kept row by
-    row at its points, for the reads there.
-    """
-    pa = geometry._point_array(p, metric.dim)
-    key = geometry.point_key(pa)
-    out = metric._jets.get(key)
-    if out is None or out.order < jet_order:
-        out = metric._jet_at(_split_bundle(metric, pa, key, order + 2), order)
-        metric._jets[key] = out
-        for r, row in enumerate(pa if pa.ndim == 2 else ()):
-            row_key = geometry.point_key(row)
-            kept = metric._jets.get(row_key)
-            if kept is None or kept.order < out.order:
-                metric._jets[row_key] = jets.Jet(out.space, tuple(row), out.coeffs[r])
-    return out.truncated(jet_order)
-
-
 class CurvatureMetric:
-    """The curvature scalar R = Ric/(n-1) of a spray, as a metric candidate.
+    """The curvature scalar R = Ric/(n-1) of a spray, as a metric candidate,
+    and the read path of every recovered metric.
 
     Exists numerically: a jet request reads the curvature bundle two orders
     above the point and splits it; the split must hold.  Where `bundles`
     (the classification report's block bundles, typically) has a bundle of
     high enough order at the point or block, that bundle is read;
-    elsewhere one is built for the request.  Per point, the jet of the
-    highest order asked for is kept, not the bundle, and a request of lower
-    order gets its
-    truncation.  Truncation is exact, since each coefficient is computed
-    from coefficients of no higher degree only, so this is bit for bit
-    what a bundle built for the request would give.  A request of order k
-    returns a jet of order max(k, 1).  A value read at a point that has
-    neither reads an order-2 bundle there and keeps nothing
-    (`_value_bundle`).
+    elsewhere one of order at least 3 is built for the request.  Per
+    point, the jet of the highest order asked for is kept, not the bundle,
+    and a request of lower order gets its truncation.  Truncation is
+    exact, since each coefficient is computed from coefficients of no
+    higher degree only, so this is bit for bit what a bundle built for the
+    request would give.  A request of order k returns a jet of order
+    max(k, `least_order`).  A value read at a point that has neither reads
+    an order-2 bundle there and keeps nothing (`_value_bundle`).
 
     `p` may also be a (B, 2n) block of points.  Its jet is read off the
     block bundle that `bundles` holds for that block (one block of a
@@ -236,7 +185,12 @@ class CurvatureMetric:
     is checked in row order.  The block's jet is kept for the block and,
     row by row, for its points, so a read at a sample point of a block
     that was asked for truncates that row.
+
+    A subclass changes the jet read off a bundle (`_jet_at`), the
+    `least_order` and the fresh-point `value`.
     """
+
+    least_order = 1
 
     def __init__(self, spray, bundles=()):
         self.spray = spray
@@ -249,10 +203,41 @@ class CurvatureMetric:
         return b.curvature_scalar.truncated(max(order, 1))
 
     def jet(self, p, order: int):
-        return _candidate_jet(self, p, order, max(order, 1))
+        jet_order = max(order, self.least_order)
+        pa = geometry._point_array(p, self.dim)
+        key = geometry.point_key(pa)
+        out = self._jets.get(key)
+        if out is None or out.order < jet_order:
+            b = self._bundles.get(key)
+            if b is None or b.order < order + 2:
+                b = geometry.CurvatureBundle(self.spray, pa, max(order + 2, 3))
+            _check_splits(b)
+            out = self._jets[key] = self._jet_at(b, order)
+            for r, row in enumerate(pa if pa.ndim == 2 else ()):
+                row_key = geometry.point_key(row)
+                kept = self._jets.get(row_key)
+                if kept is None or kept.order < out.order:
+                    self._jets[row_key] = jets.Jet(out.space, tuple(row), out.coeffs[r])
+        return out.truncated(jet_order)
+
+    def _value_bundle(self, p):
+        """For a value read at a fresh point, one where no jet is kept and
+        `bundles` holds no bundle, an order-2 point bundle there, whose
+        split holds; else None, and the read goes through `jet`.
+
+        The read takes R off the bundle's `split_values`, which have the
+        bits of any order's jets' values, so it builds the bundle's G and R
+        and no jet after them."""
+        pa = geometry._point_array(p, self.dim)
+        key = geometry.point_key(pa)
+        if pa.ndim != 1 or key in self._jets or key in self._bundles:
+            return None
+        b = geometry.CurvatureBundle(self.spray, pa, 2)
+        _check_splits(b)
+        return b
 
     def value(self, p) -> float:
-        b = _value_bundle(self, p)
+        b = self._value_bundle(p)
         if b is None:
             return float(self.jet(p, 0).value)
         return float(b.split_values[0])
@@ -370,7 +355,7 @@ class LambdaField:
         return len(nodes), None
 
 
-class ScaledCurvatureMetric:
+class ScaledCurvatureMetric(CurvatureMetric):
     """L = R/lambda: curvature scalar rescaled by an x-only potential.
 
     The jet at p combines three ingredients: R as a jet from the curvature
@@ -380,19 +365,18 @@ class ScaledCurvatureMetric:
     constant term comes from the quadrature field).  Only x-monomials are
     transferred, so residual y-noise in omega below tolerance is dropped
     rather than amplified.  The curvature bundles are found, and the jets
-    kept, as for `CurvatureMetric`, at a point or a block of points; a
-    request of order k returns a jet of order k.  At a block, lambda is
-    taken at each row's x and the coefficients move along the last axis,
-    so each row is what its point alone gives.
+    kept, by `CurvatureMetric`'s read path, at a point or a block of
+    points; a request of order k returns a jet of order k.  At a block,
+    lambda is taken at each row's x and the coefficients move along the
+    last axis, so each row is what its point alone gives.
     """
 
+    least_order = 0
+
     def __init__(self, spray, lam: LambdaField, bundles=()):
-        self.spray = spray
+        super().__init__(spray, bundles)
         self.lam = lam
-        self.dim = spray.dim
-        self.name = f"curvature({spray.name})/lambda"
-        self._bundles = {geometry.point_key(b._pa): b for b in bundles}
-        self._jets: dict = {}
+        self.name += "/lambda"
 
     def _jet_at(self, b, order: int):
         n = self.dim
@@ -415,14 +399,11 @@ class ScaledCurvatureMetric:
         mu = jets.Jet(msp, Rj.center, coeffs)
         return Rj * jets.exp(-1.0 * mu)
 
-    def jet(self, p, order: int):
-        return _candidate_jet(self, p, order, order)
-
     def value(self, p) -> float:
         """L at p.  At a fresh point (see `_value_bundle`) this is the
         order-0 jet's R * exp(-ln lambda), with the error that its jet
         raises where R is at the reciprocal floor of omega = delta R / R."""
-        b = _value_bundle(self, p)
+        b = self._value_bundle(p)
         if b is None:
             return float(self.jet(p, 0).value)
         R = float(b.split_values[0])
@@ -430,9 +411,6 @@ class ScaledCurvatureMetric:
         mu = np.log(self.lam(b._pa[:self.dim]))
         # the kernel's product of two order-0 jets: one term summed from 0.0
         return 0.0 + R * math.exp(mu * -1.0)
-
-    def guard_values(self, p) -> list[float]:
-        return self.spray.guard_values(p)
 
 
 # -- shared plumbing -----------------------------------------------------------
@@ -798,7 +776,7 @@ def projective_shift(metric, c: float, count: int = 64, seed: int = 7,
     if metric.dim < 2:
         raise PreconditionError("projective shift needs dimension >= 2")
     samples = sampling.draw(metric, count=count, seed=seed, box=box)
-    if isinstance(metric, (CurvatureMetric, ScaledCurvatureMetric)):
+    if isinstance(metric, CurvatureMetric):
         # a recovered metric keeps the highest-order jet asked of it at each
         # block, and row by row at its points: ask first for the order the
         # metric's spray lifts it to, so that every read below truncates

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import operator
 import re
@@ -566,6 +567,54 @@ def loop_tape(roots, dim: int) -> tuple:
 
     outputs = tuple(walk(r) for r in roots)
     return consts, loads, outputs, ops
+
+
+# `dsl.Node` with the methods the dataclass generates: `==`, `hash` and
+# `repr` that recurse one Python frame per tree level, under the same class
+# name.  The reference for the explicit stacks of `dsl.Node`'s own.
+DataclassNode = dataclasses.make_dataclass(
+    "Node", [(f.name, f.type, dataclasses.field(default=f.default))
+             for f in dataclasses.fields(dsl.Node)], frozen=True)
+
+
+def dataclass_tree(node, made: dict):
+    """The tree as `DataclassNode`s: each field the same object, and a
+    subtree that one tree or several share (by `made`) one object."""
+    if node.__class__ is not dsl.Node:
+        return node
+    if id(node) not in made:
+        made[id(node)] = DataclassNode(node.kind, dataclass_tree(node.a, made),
+                                       dataclass_tree(node.b, made), node.value,
+                                       node.name, node.k)
+    return made[id(node)]
+
+
+def loop_pretty(node, parent_prec: int = 0) -> str:
+    """`dsl.pretty` as it recursed, one Python frame per tree level."""
+    k = node.kind
+    if k == "num":
+        v = node.value
+        text = repr(int(abs(v))) if float(v).is_integer() and abs(v) < 1e15 else repr(abs(v))
+        return f"(-{text})" if math.copysign(1.0, v) < 0 else text
+    if k == "var":
+        return node.name
+    if k == "call":
+        return f"{node.name}({loop_pretty(node.a, 0)})"
+    prec = dsl._PREC[k]
+    if k == "neg":
+        out = f"-{loop_pretty(node.a, prec)}"
+    elif k == "powi":
+        if node.k < 0:
+            out = f"{loop_pretty(node.a, prec + 1)}^(-{-node.k})"
+        else:
+            out = f"{loop_pretty(node.a, prec + 1)}^{node.k}"
+    elif k == "pow":
+        out = f"{loop_pretty(node.a, prec + 1)}^{loop_pretty(node.b, prec + 1)}"
+    else:
+        sym = {"add": " + ", "sub": " - ", "mul": "*", "div": "/"}[k]
+        right_bump = 1 if k in ("sub", "div") else 0
+        out = f"{loop_pretty(node.a, prec)}{sym}{loop_pretty(node.b, prec + right_bump)}"
+    return f"({out})" if prec < parent_prec or (k == "neg" and parent_prec > 0) else out
 
 
 def loop_compose(u: jets.Jet, c: list) -> jets.Jet:

@@ -286,6 +286,23 @@ def test_config_refused_up_front(args, reason, tmp_path, capsys):
     assert reason in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["classify", "metrize", "oracle"])
+@pytest.mark.parametrize("points", [cli.MAX_POINTS + 1, 10**20])
+def test_points_above_the_cap_are_refused_before_sampling(command, points, tmp_path,
+                                                          capsys, monkeypatch):
+    # 10**20 points once reached np.empty in sample_points and ended in an
+    # uncaught "Maximum allowed dimension exceeded"
+    def no_draw(*args, **kw):
+        raise AssertionError("a refused count must draw nothing")
+
+    monkeypatch.setattr(sampling, "sample_points", no_draw)
+    code, data = run([command, "flat", "--points", str(points)], tmp_path)
+    assert code == 1 and data is None
+    assert f"points must be <= {cli.MAX_POINTS}, got {points}" in capsys.readouterr().err
+    with pytest.raises(ParamError, match="keeps the curvature bundle of every sample"):
+        cli.RunConfig(points=points)
+
+
 def test_negative_seed_env_is_refused(monkeypatch, capsys):
     monkeypatch.setenv("SPRAYLAB_SEED", "-1")
     assert cli.main(["classify", "flat", "--points", "4"]) == 1

@@ -242,6 +242,24 @@ def test_a_tree_deeper_than_the_frame_limit_compiles() -> None:
     assert dsl.evaluate(pd.tape, [0.0, 0.0, 3.0, 4.0])[0].hex() == want.hex()
 
 
+def test_a_tree_deeper_than_the_frame_limit_hashes_compares_and_prints() -> None:
+    # the 1,200-term sum again: ==, hash and repr of its nodes and problems,
+    # and pretty, walk it by explicit stacks
+    src = "dim 2\nmetric L = y1^2 + y2^2" + " + 0.001*y1^2" * 1198 + "\n"
+    pd, again = dsl.parse(src), dsl.parse(src)
+    root = pd.exprs[0]
+    assert root is not again.exprs[0] and root == again.exprs[0]
+    assert pd == again and hash(pd) == hash(again) and hash(root) == hash(again.exprs[0])
+    other = dsl.parse(src.replace("y2^2", "y2^3")).exprs[0]
+    assert root != other and not root == other
+    text = repr(pd)
+    assert text == repr(again) and text.count("Node(kind=") == 1199 + 2 * 2 + 1198 * 4
+    assert text.startswith("ProblemDef(dim=2, kind='metric', exprs=(Node(kind='add', a=Node(")
+    printed = dsl.pretty(root)
+    assert printed == src.split("= ", 1)[1].strip()
+    assert dsl.parse(f"dim 2\nmetric L = {printed}\n").exprs[0] == root
+
+
 def test_signed_zeros_are_distinct_numbers() -> None:
     zero, minus_zero = dsl.num(0.0), dsl.num(-0.0)
     tape = dsl.Tape((zero, minus_zero, dsl.mul(zero, dsl.var("y1"))), 1)

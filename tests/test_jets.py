@@ -154,6 +154,46 @@ def test_domain_errors() -> None:
         jets.absval(x)  # |.| straddling zero
 
 
+DISPATCHERS = [  # (dispatcher, its name, the method it calls, numpy's, math's)
+    (jets.exp, "exp", "exp", np.exp, math.exp),
+    (jets.ln, "ln", "ln", np.log, math.log),
+    (jets.sqrt, "sqrt", "sqrt", np.sqrt, math.sqrt),
+    (jets.sin, "sin", "sin", np.sin, math.sin),
+    (jets.cos, "cos", "cos", np.cos, math.cos),
+    (jets.atan, "atan", "atan", np.arctan, math.atan),
+    (jets.absval, "absval", "absolute", np.abs, abs),
+]
+
+
+@pytest.mark.parametrize("fn, name, method, array_fn, float_fn", DISPATCHERS)
+def test_each_dispatcher_keeps_its_name_and_its_routes(fn, name, method, array_fn,
+                                                       float_fn) -> None:
+    from spraylab.oracle import Taylor2
+
+    assert fn.__name__ == name
+    for u in (0.7, 2.5):
+        got = fn(u)
+        assert type(got) is float and got.hex() == float_fn(u).hex()
+    arr = np.array([0.3, 0.7, 1.9])
+    assert fn(arr).tobytes() == array_fn(arr).tobytes()
+    point = jets.space(2, 3).variable(0, (0.6, 0.2)) + 0.4
+    block = jets.space(2, 3).variable(1, np.array([[0.1, 0.5], [0.3, 1.2]])) * 2.0
+    for u in (point, block):
+        assert fn(u).coeffs.tobytes() == getattr(u, method)().coeffs.tobytes()
+    t = Taylor2.variables(np.array([[0.6, 0.2, 0.9, -0.4]]))[2] + 0.1
+    want = getattr(t, method)()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(
+        (fn(t).val, fn(t).grad, fn(t).hess), (want.val, want.grad, want.hess)))
+
+
+@pytest.mark.parametrize("fn, name", [(jets.ln, "ln"), (jets.sqrt, "sqrt")])
+def test_ln_and_sqrt_of_numbers_at_zero_and_below_raise(fn, name) -> None:
+    for u in (0.0, -0.0, -1.5, 0, -3):
+        with pytest.raises(DomainError) as err:
+            fn(u)
+        assert str(err.value) == f"{name}({u!r})"
+
+
 def test_abs_takes_the_sign_of_the_value_part() -> None:
     def f(v):
         return jets.absval(v[0] - v[1])

@@ -367,7 +367,7 @@ def test_a_fresh_value_takes_no_order_0_kernel_product_and_no_R_jets(
     L = metrize.decide(spray, count=fx.count, seed=7, box=fx.box).recovered_metric
     assert isinstance(L, metrize.CurvatureMetric)
     orders, built = Counter(), []
-    mul_coeffs, value_bundle = jets._mul_coeffs, metrize._value_bundle
+    mul_coeffs, value_bundle = jets._mul_coeffs, metrize.CurvatureMetric._value_bundle
 
     def counting_mul(sp, a, b):
         orders[sp.order] += 1
@@ -394,7 +394,7 @@ def test_a_fresh_value_takes_no_order_0_kernel_product_and_no_R_jets(
             in_spray.pop()
 
     monkeypatch.setattr(jets, "_mul_coeffs", counting_mul)
-    monkeypatch.setattr(metrize, "_value_bundle", kept_bundle)
+    monkeypatch.setattr(metrize.CurvatureMetric, "_value_bundle", kept_bundle)
     monkeypatch.setattr(jets.Jet, "reciprocal", counting_reciprocal)
     monkeypatch.setattr(L.spray, "coeff_jets", spray_jets)
     for pt in fresh_points(spray, fx.box, 3):
@@ -1188,6 +1188,27 @@ def test_shift_of_a_recovered_metric_builds_one_bundle_per_block(monkeypatch) ->
     monkeypatch.setattr(geometry.CurvatureBundle, "__init__", recording_init)
     metrize.projective_shift(L, 0.7, count=8, seed=3, box=fx.box)
     assert built == [((8, 4), 8)]
+
+
+def test_shift_of_a_recovered_scaled_metric_takes_one_jet_per_block(monkeypatch) -> None:
+    # ex7.1 recovers L = R/lambda, which is negative: the shift asks it for
+    # one jet per block of samples, reads every value off those jets, and
+    # refuses it before its Finsler check
+    fx = corpus.load_fixture("ex7.1")
+    L = metrize.decide(fx.build(), count=fx.count, seed=7, box=fx.box).recovered_metric
+    assert type(L) is metrize.ScaledCurvatureMetric
+    orders = []
+    jet_at = metrize.ScaledCurvatureMetric._jet_at
+
+    def counting(metric, b, order):
+        orders.append((np.shape(b._pa), order))
+        return jet_at(metric, b, order)
+
+    monkeypatch.setattr(metrize.ScaledCurvatureMetric, "_jet_at", counting)
+    count = classify.BLOCK_ROWS + 8
+    with pytest.raises(PreconditionError, match="needs L > 0"):
+        metrize.projective_shift(L, 0.7, count=count, seed=3, box=fx.box)
+    assert orders == [((classify.BLOCK_ROWS, 4), 6), ((count - classify.BLOCK_ROWS, 4), 6)]
 
 
 @pytest.mark.parametrize("c", [0.0, 1.0])

@@ -114,7 +114,12 @@ on `loop_taylor2`), at blocks of 1 to 1024 points with an inf or nan at
 some rows, and every subtree of the metric the bytes of each entry it
 carries, signed zeros included.  The
 round-trip test checks that `pretty` text parses back to a tree with the
-same float bits, negative numbers and -0.0 included.
+same float bits, negative numbers and -0.0 included, and the node test
+that `dsl.Node`'s `==`, `hash` and `repr` and `dsl.pretty`, which walk by
+explicit stacks, give what the dataclass methods and the recursive
+printer kept in `conftest` give (`DataclassNode`, `loop_pretty`), on
+random trees with shared subtrees, signed zeros and nans, and on equal
+trees of other objects.
 
 The parser test checks `dsl.parse` against the recursive descent kept in
 `conftest` (`loop_parse`), on printed random trees and on runs of random
@@ -142,6 +147,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import math
 import re
 import struct
 import types
@@ -158,8 +164,8 @@ from spraylab.errors import DomainError, ParamError, SprayLabError, SpraySyntaxE
 from spraylab.geometry import CurvatureBundle
 from spraylab.sampling import TOL
 
-from conftest import (FullTaylor2, cov_h_jets, fd_partial, jet_inverse,
-                      loop_compose, loop_induced, loop_inverse, loop_parse,
+from conftest import (FullTaylor2, cov_h_jets, dataclass_tree, fd_partial, jet_inverse,
+                      loop_compose, loop_induced, loop_inverse, loop_parse, loop_pretty,
                       loop_reciprocal, loop_tape, loop_taylor2, unmasked_evaluate)
 
 CONTRACTION_BOUND = 1e-12
@@ -2090,6 +2096,45 @@ def test_pretty_text_parses_back_to_the_same_float_bits(tree, point) -> None:
     again = dsl.parse(f"dim 2\nmetric L = {text}\n").exprs[0]
     assert (outcome(lambda: [dsl.evaluate(again, point)])
             == outcome(lambda: [dsl.evaluate(tree, point)])), text
+
+
+def rebuilt(node):
+    """An equal tree of new node objects, each field but the operands the
+    same object."""
+    if node.__class__ is not dsl.Node:
+        return node
+    return dsl.Node(node.kind, rebuilt(node.a), rebuilt(node.b), node.value, node.name, node.k)
+
+
+# few numbers, so that random trees often compare equal: signed zeros, and
+# nans that are one object or new ones
+NODE_NUMBERS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.0, math.nan]),
+                         st.integers(0, 1).map(lambda _: float("nan")))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(st.lists(dsl_trees(NODE_NUMBERS, names=("x1", "y1")), min_size=1, max_size=3),
+       st.data())
+def test_node_methods_are_the_dataclass_methods(trees, data) -> None:
+    # subtrees shared within and across trees, equal trees of new nodes, and
+    # operations of operations, so that sums and quotients nest
+    binary = st.sampled_from([dsl.add, dsl.sub, dsl.mul, dsl.div])
+    for _ in range(2):
+        pick = st.sampled_from(trees)
+        trees += data.draw(st.lists(st.one_of(
+            pick.map(rebuilt),
+            st.tuples(binary, pick, pick).map(lambda t: t[0](t[1], t[2])),
+            st.tuples(binary, pick, pick).map(lambda t: t[0](rebuilt(t[1]), t[2]))),
+            max_size=4))
+    made: dict = {}
+    refs = [dataclass_tree(t, made) for t in trees]
+    for t, r in zip(trees, refs):
+        assert repr(t) == repr(r)
+        assert hash(t) == hash(r)
+        assert dsl.pretty(t) == loop_pretty(t)
+    for t, r in zip(trees, refs):
+        for u, q in zip(trees, refs):
+            assert (t == u, t != u) == (r == q, r != q), (repr(t), repr(u))
 
 
 # -- the parser against the recursive descent -----------------------------------

@@ -54,8 +54,8 @@ iff every captured output is.  It writes, as one JSON object:
 - `shift`: the verdict of `projective_shift` at c = 0, 0.7 and 1 (every
   field, the recovered metric's value among them), or the error's type
   and text, on elliptic2's metric and on the metrics `decide` recovers on
-  elliptic2 and ex7.3 (negative, so the shift refuses it), at seeds 3
-  and 11;
+  elliptic2, ex7.3 and ex7.1 (the last two negative, so the shift refuses
+  them; ex7.1's is L = R/lambda), at seeds 3 and 11;
 - `draws`: `sample_points` at every dim from 1 to 4, at counts 1, 7 and
   40, at seeds 3 and 11, in three boxes (one whose tangents fall below
   Y_FLOOR most of the time), with no `accept` and with `accept`
@@ -418,7 +418,8 @@ SHIFT_CS = (0.0, 0.7, 1.0)
 def shifts() -> dict:
     out = {}
     for seed in SEEDS:
-        for name, recovered in (("elliptic2", False), ("elliptic2", True), ("ex7.3", True)):
+        for name, recovered in (("elliptic2", False), ("elliptic2", True), ("ex7.3", True),
+                                ("ex7.1", True)):
             fixture = corpus.load_fixture(name)
             for c in SHIFT_CS:
                 # a metric of its own per shift: a recovered metric keeps
